@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke docs serve-smoke fuzz-smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-test docs serve-smoke fuzz-smoke
 
 # The full gate CI runs: formatting, vet, build, race-instrumented tests
 # (the parallel evaluator and decomposition code must stay race-clean),
-# the documentation gate, and a short coverage-guided fuzz burst over the
-# query parser/renderer round trip.
-check: fmt vet build race docs fuzz-smoke
+# the documentation gate, a short coverage-guided fuzz burst over the
+# query parser/renderer round trip, and the tests of the benchmark module.
+check: fmt vet build race docs fuzz-smoke bench-test
 
 # Documentation gate: vet + gofmt plus godoc coverage — every exported
 # identifier in every package must carry a doc comment (see
@@ -44,6 +44,13 @@ bench:
 # trajectory across PRs.
 bench-smoke: bench
 	$(GO) run ./cmd/hdbench -smoke
+
+# The performance ledger under bench/ is a Go module of its own, which
+# `go test ./...` at the root does not reach: run its unit tests here
+# (-short skips the smoke run that builds and boots hdserve; bench/run.sh
+# is the ledger itself).
+bench-test:
+	cd bench && $(GO) test -short -race ./...
 
 # Short coverage-guided runs of the cq fuzz targets (seed corpora under
 # internal/cq/testdata/fuzz): parse→render→parse must round-trip and

@@ -1,0 +1,172 @@
+package hypertree
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"hypertree/internal/gen"
+	"hypertree/internal/obs"
+)
+
+// Acyclic plans run their join tree as a width-1 decomposition of the one
+// evaluator. On the acyclic half of gen.KernelCases, for 1 and 4 workers,
+// every execution form must return exactly the naive join's answers, and a
+// traced execution must show the path taken: one scan per atom, each fed by
+// one encoding-cache fetch, hits once the plan is warm. (The row-major
+// Yannakakis oracle and the adversarial shapes are checked where the
+// evaluator lives, in internal/hdeval.) Run under -race in CI.
+func TestAcyclicPlansRunWidth1(t *testing.T) {
+	ctx := context.Background()
+	seen := 0
+	for _, tc := range gen.KernelCases(6021, 35) {
+		if tc.Cyclic {
+			continue
+		}
+		seen++
+		naive, err := Compile(tc.Q, WithStrategy(StrategyNaive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := naive.Execute(ctx, tc.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdb, err := PartitionDatabase(tc.DB, 3, HashPartition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			plan, err := Compile(tc.Q, WithWorkers(workers), WithJoinKernel(JoinKernelAuto))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.Name, err)
+			}
+			if plan.Strategy() != StrategyAcyclic || plan.Width() != 1 || plan.Decomposition() != nil {
+				t.Fatalf("%s: %s, width %d: want the acyclic strategy at width 1", tc.Name, plan, plan.Width())
+			}
+			for pass := 0; pass < 2; pass++ {
+				tr := NewTrace()
+				got, err := plan.Execute(ContextWithTrace(ctx, tr), tc.DB)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", tc.Name, workers, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s workers=%d pass %d: %d answers, naive has %d", tc.Name, workers, pass, got.Rows(), want.Rows())
+				}
+				atoms := len(tc.Q.Atoms)
+				nodes, binds := 0, 0
+				for _, s := range tr.Spans() {
+					switch s.Name {
+					case obs.SpanNode:
+						nodes++
+						if s.Kernel != "scan" {
+							t.Fatalf("%s: node runs %q, want a scan", tc.Name, s.Kernel)
+						}
+					case obs.SpanBind:
+						binds++
+						if wantHit := pass == 1; strings.HasSuffix(s.Label, " hit") != wantHit {
+							t.Fatalf("%s pass %d: bind labelled %q", tc.Name, pass, s.Label)
+						}
+					}
+				}
+				if nodes != atoms || binds != atoms {
+					t.Fatalf("%s: %d node and %d bind spans for %d atoms", tc.Name, nodes, binds, atoms)
+				}
+			}
+			ok, err := plan.ExecuteBoolean(ctx, tc.DB)
+			if err != nil || ok != !want.Empty() {
+				t.Fatalf("%s workers=%d: ExecuteBoolean = %v, %v; naive has %d answers", tc.Name, workers, ok, err, want.Rows())
+			}
+			sharded, err := plan.ExecuteSharded(ctx, pdb)
+			if err != nil || !sharded.Equal(want) {
+				t.Fatalf("%s workers=%d: sharded execution disagrees (%v)", tc.Name, workers, err)
+			}
+		}
+	}
+	if seen < 8 {
+		t.Fatalf("only %d acyclic cases", seen)
+	}
+}
+
+// enumShapeDB builds the exec_enum benchmark shape at a chosen size: three
+// binary relations of 2·domain tuples each, degree-regular (every constant
+// twice per column), so the 3-path has 8·domain answers.
+func enumShapeDB(domain int) *Database {
+	rng := rand.New(rand.NewSource(1))
+	db := NewDatabase()
+	name := func(i int) string { return fmt.Sprintf("d%d", i) }
+	for _, rel := range []string{"r1", "r2", "r3"} {
+		for round := 0; round < 2; round++ {
+			src, dst := rng.Perm(domain), rng.Perm(domain)
+			for i := range src {
+				db.AddFact(rel, name(src[i]), name(dst[i]))
+			}
+		}
+	}
+	return db
+}
+
+const enumShapeQuery = `ans(X1, X2, X3, X4) :- r1(X1, X2), r2(X2, X3), r3(X3, X4).`
+
+// The allocation guard of the columnar acyclic path: a warm Execute works on
+// cached encodings, code blocks and one answer buffer, so its allocation
+// count must not grow with the relations — under 1 000 at the exec_enum
+// scale (3 × 15 000 rows; the row-major path made ≈ 500 000, one string key
+// per row and operator), and no more at that scale than at a tenth of it
+// beyond a few doublings of the reducer's kept-range lists.
+func TestAcyclicWarmExecuteAllocs(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(domain int) float64 {
+		db := enumShapeDB(domain)
+		plan, err := Compile(MustParseQuery(enumShapeQuery), WithJoinKernel(JoinKernelAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Strategy() != StrategyAcyclic {
+			t.Fatalf("%s: want the acyclic strategy", plan)
+		}
+		out, err := plan.Execute(ctx, db) // warm the encoding cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Rows() < 7*domain || out.Rows() > 8*domain {
+			t.Fatalf("domain %d: %d answers, want about %d", domain, out.Rows(), 8*domain)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := plan.Execute(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(750), allocs(7500)
+	t.Logf("allocations per warm Execute: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	if large >= 1000 {
+		t.Fatalf("%.0f allocations per warm Execute at 3 × 15 000 rows, want < 1000", large)
+	}
+	if large > small+16 {
+		t.Fatalf("allocations grow with the input: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	}
+}
+
+// BenchmarkAcyclicEnum is the exec_enum workload in process: a warm acyclic
+// plan enumerating ≈ 60 000 answers over 3 × 15 000 rows.
+func BenchmarkAcyclicEnum(b *testing.B) {
+	ctx := context.Background()
+	db := enumShapeDB(7500)
+	plan, err := Compile(MustParseQuery(enumShapeQuery), WithJoinKernel(JoinKernelAuto))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := plan.Execute(ctx, db); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Execute(ctx, db); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -497,12 +497,12 @@ func BenchmarkAblationParallelReduce(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			yannakakis.Reduce(build())
+			yannakakis.Reduce(context.Background(), build(), 1)
 		}
 	})
 	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			yannakakis.ParallelReduce(build(), 0)
+			yannakakis.Reduce(context.Background(), build(), runtime.GOMAXPROCS(0))
 		}
 	})
 }

@@ -194,9 +194,7 @@ var experiments = []experiment{
 			maxRows := 0
 			var walk func(n *yannakakis.Node)
 			walk = func(n *yannakakis.Node) {
-				if n.Table.Rows() > maxRows {
-					maxRows = n.Table.Rows()
-				}
+				maxRows = max(maxRows, n.Rows())
 				for _, c := range n.Children {
 					walk(c)
 				}

@@ -33,12 +33,13 @@ func (p *Plan) Explain() string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	switch {
+	case p.strategy == StrategyAcyclic:
+		b.WriteString("\n  no decomposition search: the join tree is a width-1 hypertree decomposition (Theorem 4.5);\n" +
+			"  Yannakakis' semijoin passes and the enumeration run over one cached columnar scan per atom\n")
+		p.explainKernels(&b)
+		return b.String()
 	case p.dec == nil:
-		fmt.Fprintf(&b, "\n  no decomposition: the %s strategy plans no λ-joins", strategyName(p.strategy))
-		if p.strategy == StrategyAcyclic {
-			b.WriteString(" (Yannakakis evaluates the join tree directly)")
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "\n  no decomposition: the %s strategy plans no λ-joins\n", strategyName(p.strategy))
 		return b.String()
 	case p.stats == nil:
 		b.WriteString("\n  ranking: width-only (no statistics; compile with WithStats/WithCostModel for cost-based plans)\n")
@@ -71,19 +72,23 @@ func (p *Plan) Explain() string {
 	if p.dec.Root != nil {
 		visit(p.dec.Root, 0)
 	}
-	// Kernel decisions live on the evaluator's completed tree (Complete
-	// clones and may extend the decomposition), so they are reported from
-	// NodeInfos rather than the visit above.
-	if p.eval != nil {
-		if infos := p.eval.NodeInfos(); len(infos) > 0 {
-			fmt.Fprintf(&b, "  kernel selection (policy %s):\n", p.JoinKernel())
-			for _, info := range infos {
-				indent := strings.Repeat("  ", info.Depth+2)
-				fmt.Fprintf(&b, "%s%s → %s\n", indent, info.Label, info.Kernel)
-			}
-		}
-	}
+	p.explainKernels(&b)
 	return b.String()
+}
+
+// explainKernels renders the per-node kernel decisions. They live on the
+// evaluator's completed tree (Complete clones and may extend the
+// decomposition), so they are reported from NodeInfos rather than from the
+// decomposition the plan reports.
+func (p *Plan) explainKernels(b *strings.Builder) {
+	if p.eval == nil || len(p.eval.NodeInfos()) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "  kernel selection (policy %s):\n", p.JoinKernel())
+	for _, info := range p.eval.NodeInfos() {
+		indent := strings.Repeat("  ", info.Depth+2)
+		fmt.Fprintf(b, "%s%s → %s\n", indent, info.Label, info.Kernel)
+	}
 }
 
 // LastTrace returns the trace of the plan's most recent traced execution
@@ -96,12 +101,13 @@ func (p *Plan) LastTrace() *Trace {
 // ExplainAnalyze renders the EXPLAIN ANALYZE report: the Explain tree with,
 // per decomposition node, the actual materialised cardinality of the most
 // recent traced execution next to the planner's estimate and their q-error
-// — the ground truth Explain alone cannot show — followed by the execution
-// pass timings (semijoin up/down, enumeration) and any compile/race spans
-// the trace holds. Reading it answers the post-mortem questions: which node
-// the cost model mispriced, where the wall-clock went, and whether the race
-// picked the right engine. Without a traced execution it falls back to
-// Explain plus a pointer at how to get one.
+// — the ground truth Explain alone cannot show — followed by the bind step
+// (relations fetched, how many straight from the encoding cache), the
+// execution pass timings (semijoin up/down, enumeration) and any
+// compile/race spans the trace holds. Reading it answers the post-mortem
+// questions: which node the cost model mispriced, where the wall-clock
+// went, and whether the race picked the right engine. Without a traced
+// execution it falls back to Explain plus a pointer at how to get one.
 func (p *Plan) ExplainAnalyze() string {
 	tr := p.LastTrace()
 	if tr == nil {
@@ -130,8 +136,15 @@ func (p *Plan) ExplainAnalyze() string {
 	shardCounts := map[int]int{}
 	var passes []obs.Span
 	var execSpan *obs.Span
+	var binds, bindHits, bindMicros int64
 	for _, s := range window {
 		switch s.Name {
+		case obs.SpanBind:
+			binds++
+			bindMicros += s.Micros
+			if strings.HasSuffix(s.Label, " hit") {
+				bindHits++
+			}
 		case obs.SpanNode, obs.SpanNodeSharded:
 			if s.Node >= 0 {
 				nodeSpans[s.Node] = s
@@ -183,6 +196,9 @@ func (p *Plan) ExplainAnalyze() string {
 			}
 			b.WriteString("\n")
 		}
+	}
+	if binds > 0 {
+		fmt.Fprintf(&b, "  bind: %d relations fetched, %d from the encoding cache, %dµs\n", binds, bindHits, bindMicros)
 	}
 	for _, s := range passes {
 		fmt.Fprintf(&b, "  %s: %d steps, %dµs", passName(s.Name), s.Steps, s.Micros)

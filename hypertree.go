@@ -242,7 +242,9 @@ const (
 	StrategyAuto Strategy = iota
 	// StrategyNaive joins all atoms with no decomposition (baseline).
 	StrategyNaive
-	// StrategyAcyclic runs Yannakakis on a join tree (acyclic queries only).
+	// StrategyAcyclic runs Yannakakis on a join tree (acyclic queries
+	// only): the tree is evaluated as the width-1 hypertree decomposition
+	// it is (Theorem 4.5), with no decomposition search.
 	StrategyAcyclic
 	// StrategyHypertree evaluates through an optimal hypertree
 	// decomposition (Lemma 4.6).

@@ -10,6 +10,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -219,16 +220,24 @@ func (q *Query) Hypergraph() (*hypergraph.Hypergraph, []int) {
 	for _, name := range q.varNames {
 		h.AddVertex(name)
 	}
-	var edgeToAtom []int
-	for i := range q.Atoms {
-		vars := q.VarsOf(i)
-		if vars.Empty() {
-			continue
-		}
-		h.AddEdgeSet(q.AtomLabel(i), vars)
-		edgeToAtom = append(edgeToAtom, i)
+	edgeToAtom := q.EdgeAtoms()
+	for _, i := range edgeToAtom {
+		h.AddEdgeSet(q.AtomLabel(i), q.VarsOf(i))
 	}
 	return h, edgeToAtom
+}
+
+// EdgeAtoms returns, for each edge of H(Q) in order, the index of its body
+// atom: the atoms with at least one variable — the mapping Hypergraph
+// returns, for callers that already hold the hypergraph.
+func (q *Query) EdgeAtoms() []int {
+	var edgeToAtom []int
+	for i, a := range q.Atoms {
+		if slices.ContainsFunc(a.Args, func(t Term) bool { return t.IsVar }) {
+			edgeToAtom = append(edgeToAtom, i)
+		}
+	}
+	return edgeToAtom
 }
 
 // String renders the query as a re-parseable rule. A nil head prints as

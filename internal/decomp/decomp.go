@@ -42,6 +42,28 @@ type Decomposition struct {
 	Root *Node
 }
 
+// FromJoinTree returns the width-1 hypertree decomposition a join tree of h
+// is (Theorem 4.5): one node ⟨χ = e, λ = {e}⟩ per edge, arranged as the
+// tree — parent[e] is the parent edge of e, negative at the root. The
+// connectedness condition of the join tree is condition 2 of Definition
+// 4.1, and the other three hold by construction. A hypergraph without
+// edges has the empty decomposition.
+func FromJoinTree(h *hypergraph.Hypergraph, parent []int) *Decomposition {
+	nodes := make([]*Node, len(parent))
+	for e := range parent {
+		nodes[e] = &Node{Chi: h.Edge(e).Clone(), Lambda: bitset.Of(e)}
+	}
+	d := &Decomposition{H: h}
+	for e, p := range parent {
+		if p < 0 {
+			d.Root = nodes[e]
+		} else {
+			nodes[p].Children = append(nodes[p].Children, nodes[e])
+		}
+	}
+	return d
+}
+
 // Nodes returns all nodes in pre-order.
 func (d *Decomposition) Nodes() []*Node {
 	var out []*Node

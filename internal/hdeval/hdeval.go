@@ -15,10 +15,12 @@ package hdeval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
@@ -43,9 +45,10 @@ type Evaluator struct {
 	edgeStats   *stats.EdgeStats         // per-edge rows + distincts for cost-aware kernel choice (nil: arity rule)
 	lamOrder    map[*decomp.Node][]int   // λ edges in evaluation order (ascending estimate)
 	nodeID      map[*decomp.Node]int     // preorder index over the completed tree
-	infos       []NodeInfo               // per-node identity/estimate, indexed by nodeID
+	infos       []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
+	labelOnce   sync.Once                // renders infos[i].Label on first use
 	kernel      Kernel                   // intra-bag join kernel policy
-	lfNodes     map[*decomp.Node]*lfNode // nodes running the leapfrog kernel, with their orders
+	lfNodes     map[*decomp.Node]*lfNode // columnar nodes (scans and leapfrog bags), with their orders
 	kernelOf    map[*decomp.Node]string  // per-node kernel decision, qualified (see decideKernel)
 	lfFallbacks int                      // nodes where the policy chose leapfrog but no plan exists
 	enc         encCache                 // plan-level Columnar encoding cache (interior mutability)
@@ -75,8 +78,19 @@ type NodeInfo struct {
 }
 
 // NodeInfos returns the completed tree's node records in preorder. The
-// slice is shared and must not be mutated.
-func (e *Evaluator) NodeInfos() []NodeInfo { return e.infos }
+// slice is shared and must not be mutated. Labels are rendered on the first
+// call — only explain reports and traced executions read them, and a
+// compile that is never explained should not pay for the strings.
+func (e *Evaluator) NodeInfos() []NodeInfo {
+	e.labelOnce.Do(func() {
+		for n, id := range e.nodeID {
+			e.infos[id].Label = fmt.Sprintf("χ{%s} λ{%s}",
+				strings.Join(e.HD.H.VertexNames(n.Chi), ","),
+				strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
+		}
+	})
+	return e.infos
+}
 
 // NewEvaluator analyses q and completes hd once, returning the reusable
 // evaluation skeleton. The head variables are validated here, so execution
@@ -133,26 +147,28 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 		edgeRows = es.Rows
 	}
 	complete := hd.Complete()
-	_, edgeToAtom := q.Hypergraph()
+	nodes := complete.Nodes()
 	e := &Evaluator{
 		Q:          q,
 		HD:         complete,
-		edgeToAtom: edgeToAtom,
+		edgeToAtom: q.EdgeAtoms(),
 		head:       head,
-		chiElems:   map[*decomp.Node][]int{},
+		chiElems:   make(map[*decomp.Node][]int, len(nodes)),
 		edgeRows:   edgeRows,
 		edgeStats:  es,
-		lamOrder:   map[*decomp.Node][]int{},
+		lamOrder:   make(map[*decomp.Node][]int, len(nodes)),
 		kernel:     kernel,
-		lfNodes:    map[*decomp.Node]*lfNode{},
-		kernelOf:   map[*decomp.Node]string{},
+		lfNodes:    make(map[*decomp.Node]*lfNode, len(nodes)),
+		kernelOf:   make(map[*decomp.Node]string, len(nodes)),
+		nodeID:     make(map[*decomp.Node]int, len(nodes)),
+		infos:      make([]NodeInfo, 0, len(nodes)),
 	}
 	if edgeRows != nil {
 		// The completion may have added fresh ⟨χ=var(e), λ={e}⟩ nodes with no
 		// estimate yet; annotate only those, preserving any refined EstRows
 		// the compile pipeline stamped on the original nodes — child ordering
 		// must read the same numbers Explain reports.
-		for _, n := range complete.Nodes() {
+		for _, n := range nodes {
 			if n.EstRows == 0 {
 				n.EstRows = decomp.NodeCost(n, edgeRows)
 			}
@@ -165,7 +181,7 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 	// the up- and down-pass (see relation.MergeSemijoin); the reordering is
 	// answer-neutral — node tables are sets keyed by variable, and the head
 	// projection fixes the final column order.
-	parent := map[*decomp.Node]*decomp.Node{}
+	parent := make(map[*decomp.Node]*decomp.Node, len(nodes))
 	var link func(n *decomp.Node)
 	link = func(n *decomp.Node) {
 		for _, c := range n.Children {
@@ -176,7 +192,7 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 	if complete.Root != nil {
 		link(complete.Root)
 	}
-	for _, n := range complete.Nodes() {
+	for _, n := range nodes {
 		chi := n.Chi.Elems()
 		if p := parent[n]; p != nil {
 			shared := make([]int, 0, len(chi))
@@ -202,14 +218,12 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 	// Node identity for tracing: preorder over the final (post-reorder)
 	// tree, so span Node fields and EXPLAIN ANALYZE agree on which node is
 	// which forever after.
-	e.nodeID = map[*decomp.Node]int{}
 	var index func(n *decomp.Node, depth int)
 	index = func(n *decomp.Node, depth int) {
 		e.nodeID[n] = len(e.infos)
 		e.infos = append(e.infos, NodeInfo{
 			ID:      len(e.infos),
 			Depth:   depth,
-			Label:   e.nodeLabel(n),
 			EstRows: n.EstRows,
 			Kernel:  e.kernelOf[n],
 		})
@@ -227,13 +241,6 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 // leapfrog but had to fall back to the chain on (no leapfrog plan exists —
 // a χ variable outside var(λ), impossible on complete decompositions).
 func (e *Evaluator) LeapfrogFallbacks() int { return e.lfFallbacks }
-
-// nodeLabel renders a node's χ and λ sets by name.
-func (e *Evaluator) nodeLabel(n *decomp.Node) string {
-	return fmt.Sprintf("χ{%s} λ{%s}",
-		strings.Join(e.HD.H.VertexNames(n.Chi), ","),
-		strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
-}
 
 // orderLambda returns n's λ edges in evaluation order: ascending estimated
 // cardinality (ties to the lower edge id) under statistics, ascending edge
@@ -258,8 +265,9 @@ func (e *Evaluator) Head() []int { return append([]int(nil), e.head...) }
 
 // Root materialises the acyclic instance of Lemma 4.6 for db: one table per
 // decomposition node (the χ-projection of the λ-join), arranged along the
-// decomposition tree. Ground atoms of the query (variable-free, hence absent
-// from H(Q)) are evaluated separately and, if false, empty the root.
+// decomposition tree — columnar (Node.Enc) for scans and leapfrog bags,
+// row-major for chain bags. Ground atoms of the query (variable-free, hence
+// absent from H(Q)) are evaluated separately and, if false, empty the root.
 func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakakis.Node, error) {
 	return e.RootWorkers(ctx, db, 1)
 }
@@ -290,7 +298,7 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 	} else {
 		// The semaphore bounds concurrent table work only; goroutines waiting
 		// on children hold no slot, so deep trees cannot deadlock (the same
-		// discipline as yannakakis.ParallelReduce).
+		// discipline as yannakakis.Reduce).
 		b.sem = make(chan struct{}, workers)
 		root, err = b.buildPar(e.HD.Root)
 	}
@@ -302,7 +310,7 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 		return nil, err
 	}
 	if !ok {
-		root.Table = relation.NewTable(root.Table.Vars)
+		root.Clear()
 	}
 	return root, nil
 }
@@ -343,55 +351,50 @@ func (b *rootBuilder) bind(e2 int) (*relation.Table, error) {
 	return t, nil
 }
 
-// materialize joins the λ relations of n — in the evaluator's precomputed
-// order, i.e. ascending estimated cardinality when statistics are attached
-// — and projects to χ. Leapfrog nodes additionally return the sorted
-// columnar encoding of the table (their output is born sorted), which the
-// full reducer merge-semijoins over; chain nodes return a nil encoding.
-// Under a traced context the build is recorded as one SpanNode carrying
-// the join count and the actual vs estimated cardinality.
-func (b *rootBuilder) materialize(n *decomp.Node) (*relation.Table, *relation.Columnar, error) {
+// materialize computes node n's table. Scans and leapfrog bags stay
+// columnar (materializeLeapfrog); a chain bag joins its λ relations
+// row-major — in the evaluator's precomputed order, i.e. ascending
+// estimated cardinality when statistics are attached — and projects to χ.
+// Under a traced context the binds record as SpanBind and the join as one
+// SpanNode carrying the join count and the actual vs estimated cardinality.
+func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	if lf := b.e.lfNodes[n]; lf != nil {
 		return b.materializeLeapfrog(n, lf)
 	}
-	sp := b.tr.StartSpan(obs.SpanNode)
-	sp.SetKernel(b.e.kernelOf[n])
-	var joined *relation.Table
-	for _, e2 := range b.e.lamOrder[n] {
+	lam := b.e.lamOrder[n]
+	if len(lam) == 0 {
+		return nil, fmt.Errorf("hdeval: decomposition node with empty λ")
+	}
+	tables := make([]*relation.Table, len(lam))
+	for i, e2 := range lam {
+		bsp := b.tr.StartSpan(obs.SpanBind)
 		t, err := b.bind(e2)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if joined == nil {
-			joined = t
-		} else {
-			joined = joined.Join(t)
-			sp.AddSteps(1)
-		}
+		bsp.SetRows(t.Rows())
+		bsp.End()
+		tables[i] = t
 	}
-	if joined == nil {
-		return nil, nil, fmt.Errorf("hdeval: decomposition node with empty λ")
+	sp := b.tr.StartSpan(obs.SpanNode)
+	joined := tables[0]
+	for _, t := range tables[1:] {
+		joined = joined.Join(t)
+		sp.AddSteps(1)
 	}
 	out := joined.Project(b.e.chiElems[n])
-	if id, ok := b.e.nodeID[n]; ok {
-		sp.SetNode(id)
-		sp.SetLabel(b.e.infos[id].Label)
-	}
-	sp.SetEst(n.EstRows)
-	sp.SetRows(out.Rows())
-	sp.End()
-	return out, nil, nil
+	b.endNodeSpan(sp, n, out.Rows())
+	return &yannakakis.Node{Table: out}, nil
 }
 
 func (b *rootBuilder) buildSeq(n *decomp.Node) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
-	t, enc, err := b.materialize(n)
+	out, err := b.materialize(n)
 	if err != nil {
 		return nil, err
 	}
-	out := &yannakakis.Node{Table: t, Enc: enc}
 	for _, c := range n.Children {
 		cn, err := b.buildSeq(c)
 		if err != nil {
@@ -420,7 +423,7 @@ func (b *rootBuilder) buildPar(n *decomp.Node) (*yannakakis.Node, error) {
 		}(i, c)
 	}
 	b.sem <- struct{}{}
-	t, enc, err := b.materialize(n)
+	out, err := b.materialize(n)
 	<-b.sem
 	wg.Wait()
 	if err != nil {
@@ -431,7 +434,8 @@ func (b *rootBuilder) buildPar(n *decomp.Node) (*yannakakis.Node, error) {
 			return nil, cerr
 		}
 	}
-	return &yannakakis.Node{Table: t, Enc: enc, Children: children}, nil
+	out.Children = children
+	return out, nil
 }
 
 // Boolean decides the query against db by the bottom-up semijoin pass.
@@ -533,31 +537,28 @@ func NaiveJoinContext(ctx context.Context, db *relation.Database, q *cq.Query) (
 // HeadVars returns the distinct head variables of q in head order,
 // validating that each occurs in the body (safety).
 func HeadVars(q *cq.Query) ([]int, error) {
-	var head []int
-	seen := map[int]bool{}
-	if q.Head != nil {
-		for _, t := range q.Head.Args {
-			if !t.IsVar {
-				continue
-			}
-			v, _ := q.VarIndex(t.Name)
-			if !q.AllVars().Has(v) {
-				return nil, fmt.Errorf("hdeval: unsafe head variable %s", t.Name)
-			}
-			if !seen[v] {
-				seen[v] = true
-				head = append(head, v)
+	if q.Head == nil {
+		return nil, nil
+	}
+	var body bitset.Set
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if v, ok := q.VarIndex(t.Name); t.IsVar && ok {
+				body.Add(v)
 			}
 		}
 	}
-	// head variables must occur in the body
-	bodyVars := map[int]bool{}
-	for i := range q.Atoms {
-		q.VarsOf(i).ForEach(func(v int) { bodyVars[v] = true })
-	}
-	for _, v := range head {
-		if !bodyVars[v] {
-			return nil, fmt.Errorf("hdeval: head variable %s does not occur in the body", q.VarName(v))
+	var head []int
+	for _, t := range q.Head.Args {
+		if !t.IsVar {
+			continue
+		}
+		v, ok := q.VarIndex(t.Name)
+		if !ok || !body.Has(v) {
+			return nil, fmt.Errorf("hdeval: head variable %s does not occur in the body", t.Name)
+		}
+		if !slices.Contains(head, v) {
+			head = append(head, v)
 		}
 	}
 	return head, nil

@@ -205,8 +205,8 @@ func TestNodeTableSizeBound(t *testing.T) {
 	}
 	var walk func(n *yannakakis.Node)
 	walk = func(n *yannakakis.Node) {
-		if n.Table.Rows() > bound {
-			t.Fatalf("node table has %d rows > r^k = %d", n.Table.Rows(), bound)
+		if n.Rows() > bound {
+			t.Fatalf("node table has %d rows > r^k = %d", n.Rows(), bound)
 		}
 		for _, c := range n.Children {
 			walk(c)

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sort"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/decomp"
 	"hypertree/internal/fhd"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
+	"hypertree/internal/yannakakis"
 )
 
 // This file selects and plans the intra-bag join kernel. Each decomposition
@@ -53,136 +55,167 @@ func ParseKernel(s string) (Kernel, error) {
 	return "", fmt.Errorf("hdeval: unknown join kernel %q (want chain, leapfrog or auto)", s)
 }
 
-// lfNode is the precomputed leapfrog plan of one decomposition node: the
+// lfNode is the precomputed columnar plan of one decomposition node: the
 // global variable order (χ first, existential suffix by descending cover
-// weight) and the output prefix length.
+// weight), the output prefix length, and — per λ edge, in lamOrder — the
+// encoding-cache key and column order of its relation, so a warm execution
+// reaches its encodings without binding or analysing an atom.
 type lfNode struct {
 	order []int
 	nChi  int
+	keys  []encKey
+	subs  [][]int
 }
+
+// kernelScan labels a single-relation bag: there is no join to choose a
+// kernel for, so whatever the policy the node table is the relation's
+// cached encoding (χ-first, prefix-projected when χ drops atom variables).
+const kernelScan = "scan"
 
 // Kernel returns the evaluator's configured join kernel.
 func (e *Evaluator) Kernel() Kernel { return e.kernel }
 
-// lfPlanFor computes node n's leapfrog variable order, or nil when the node
-// must fall back to the chain (a χ variable outside var(λ) — impossible on
-// complete decompositions, but the chain is always safe). The order starts
-// with χ in chiElems order — so the output table's columns match the chain
-// path's Project(chiElems) exactly — and continues with the existential
-// variables of var(λ) by descending total fractional cover weight (weight 1
-// per covering edge on integral nodes), ties toward the smaller variable id.
+// lfPlanFor computes node n's columnar plan, or nil when the node must fall
+// back to the chain (a χ variable outside var(λ) — impossible on complete
+// decompositions, but the chain is always safe). The order starts with χ in
+// chiElems order — so the output table's columns match the chain path's
+// Project(chiElems) exactly — and continues with the existential variables
+// of var(λ) by descending total fractional cover weight (weight 1 per
+// covering edge on integral nodes), ties toward the smaller variable id.
 func (e *Evaluator) lfPlanFor(n *decomp.Node) *lfNode {
 	lam := e.lamOrder[n]
-	inLam := map[int]bool{}
-	weight := map[int]float64{}
+	var lamVars bitset.Set
 	for _, e2 := range lam {
-		w := 1.0
-		if n.Weights != nil {
-			w = n.Weights[e2]
+		lamVars.UnionInPlace(e.HD.H.Edge(e2))
+	}
+	if !n.Chi.SubsetOf(lamVars) {
+		return nil
+	}
+	exist := lamVars.Diff(n.Chi).Elems()
+	if len(exist) > 1 {
+		weight := map[int]float64{}
+		for _, e2 := range lam {
+			w := 1.0
+			if n.Weights != nil {
+				w = n.Weights[e2]
+			}
+			e.HD.H.Edge(e2).ForEach(func(v int) { weight[v] += w })
 		}
-		e.HD.H.Edge(e2).ForEach(func(v int) {
-			inLam[v] = true
-			weight[v] += w
-		})
+		sort.SliceStable(exist, func(i, j int) bool { return weight[exist[i]] > weight[exist[j]] })
 	}
 	chi := e.chiElems[n]
-	for _, v := range chi {
-		if !inLam[v] {
-			return nil
+	lf := &lfNode{order: append(append([]int(nil), chi...), exist...), nChi: len(chi)}
+	for _, e2 := range lam {
+		sub := lf.order // a scan's one relation spans the whole order
+		if len(lam) > 1 {
+			sub = relation.SubOrder(lf.order, yannakakis.AtomVars(e.Q, e.edgeToAtom[e2]))
 		}
-	}
-	order := append([]int(nil), chi...)
-	inChi := map[int]bool{}
-	for _, v := range chi {
-		inChi[v] = true
-	}
-	var exist []int
-	for v := range inLam {
-		if !inChi[v] {
-			exist = append(exist, v)
+		key := encKey{edge: e2, order: orderKey(sub), width: len(sub)}
+		if len(lam) == 1 {
+			key.width = lf.nChi
 		}
+		lf.subs, lf.keys = append(lf.subs, sub), append(lf.keys, key)
 	}
-	sort.Slice(exist, func(i, j int) bool {
-		if weight[exist[i]] != weight[exist[j]] {
-			return weight[exist[i]] > weight[exist[j]]
-		}
-		return exist[i] < exist[j]
-	})
-	return &lfNode{order: append(order, exist...), nChi: len(chi)}
+	return lf
 }
 
 // agmCapHint is the leapfrog output pre-size for node n: the AGM bound
 // r^fhw priced with the actual bound-table cardinalities, used only when the
 // node carries fractional cover weights (an integral product of full
-// relation sizes over-allocates wildly). The hint is clamped — it sizes a
-// buffer, it does not limit results.
-func agmCapHint(n *decomp.Node, lam []int, rowsOf func(i int) int) int {
+// relation sizes over-allocates wildly). The hint is clamped to the smallest
+// λ relation — a selective bag's table is far below its AGM bound, and
+// append grows past the hint where it is not; it sizes a buffer, it does
+// not limit results.
+func agmCapHint(n *decomp.Node, lam []int, cols []*relation.Columnar) int {
 	if n.Weights == nil {
 		return 0
 	}
 	rows := map[int]float64{}
+	smallest := cols[0].Rows()
 	for i, e2 := range lam {
-		rows[e2] = float64(rowsOf(i))
+		rows[e2] = float64(cols[i].Rows())
+		smallest = min(smallest, cols[i].Rows())
 	}
 	bound := fhd.AGMBound(n, func(e int) float64 { return rows[e] })
-	const maxHint = 1 << 22
-	if bound > maxHint {
-		return maxHint
+	if bound > float64(smallest) {
+		return smallest
 	}
 	return int(bound)
 }
 
-// encodedLambda returns node n's λ relations in Columnar form under lf's
-// variable order, through the evaluator's encoding cache: within one
-// database generation each (edge, order) pair is encoded once — across
-// bags sharing the relation and across repeated executions under a warm
-// plan cache. On a cache hit the atom is not even bound (the column
-// convention comes from the atom's structure alone).
-func (b *rootBuilder) encodedLambda(lam []int, lf *lfNode) ([]*relation.Columnar, error) {
-	cols := make([]*relation.Columnar, len(lam))
-	for i, e2 := range lam {
-		vars, err := atomBindVars(b.e.Q, b.e.edgeToAtom[e2])
+// encoded returns the i-th λ relation of node n (in lamOrder) in Columnar
+// form under lf's variable order, through the evaluator's encoding cache:
+// within one database generation each (edge, order) pair is bound and
+// encoded once — across bags sharing the relation and across repeated
+// executions under a warm plan cache. A hit touches neither the relation
+// nor the atom. Under a traced context each fetch is one SpanBind labelled
+// with the relation and hit or miss.
+func (b *rootBuilder) encoded(n *decomp.Node, lf *lfNode, i int) (*relation.Columnar, error) {
+	sp := b.tr.StartSpan(obs.SpanBind)
+	e2 := b.e.lamOrder[n][i]
+	key, sub := lf.keys[i], lf.subs[i]
+	rel := b.db.Relation(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
+	enc, hit, err := b.e.enc.get(b.db, rel, key, func() (*relation.Columnar, error) {
+		t, err := b.bind(e2)
 		if err != nil {
 			return nil, err
 		}
-		sub := relation.SubOrder(lf.order, vars)
-		e2 := e2
-		cols[i], err = b.e.enc.get(b.db, encKey{edge: e2, order: orderKey(sub)}, func() (*relation.Columnar, error) {
-			t, err := b.bind(e2)
-			if err != nil {
-				return nil, err
-			}
-			return relation.NewColumnar(t, sub), nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		return relation.NewColumnar(t, sub).Prefix(key.width), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cols, nil
+	if sp != nil {
+		outcome := " miss"
+		if hit {
+			outcome = " hit"
+		}
+		sp.SetLabel(b.e.HD.H.EdgeName(e2) + outcome)
+		sp.SetRows(enc.Rows())
+		sp.End()
+	}
+	return enc, nil
 }
 
-// materializeLeapfrog is the leapfrog-kernel form of materialize: encode
-// the λ relations (through the plan-level cache), run the multiway
-// intersection over the node's precomputed variable order, and take the
-// sorted, already-distinct χ prefix as the node table — re-encoded for
-// free (NewColumnarSorted) so the reducer can merge-semijoin it.
-func (b *rootBuilder) materializeLeapfrog(n *decomp.Node, lf *lfNode) (*relation.Table, *relation.Columnar, error) {
-	sp := b.tr.StartSpan(obs.SpanNode)
-	sp.SetKernel(b.e.kernelOf[n])
+// materializeLeapfrog is the columnar form of materialize. A scan node's
+// table is its one relation's cached encoding as it stands — no join, no
+// re-encode, no row-major copy. Any other node fetches its λ encodings,
+// runs the multiway intersection over the node's precomputed variable
+// order, and takes the sorted, already-distinct χ prefix as the node table
+// — re-encoded for free (NewColumnarSorted) so the reducer can
+// merge-semijoin it.
+func (b *rootBuilder) materializeLeapfrog(n *decomp.Node, lf *lfNode) (*yannakakis.Node, error) {
 	lam := b.e.lamOrder[n]
-	cols, err := b.encodedLambda(lam, lf)
-	if err != nil {
-		return nil, nil, err
+	cols := make([]*relation.Columnar, len(lam))
+	for i := range lam {
+		var err error
+		if cols[i], err = b.encoded(n, lf, i); err != nil {
+			return nil, err
+		}
 	}
-	out := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, agmCapHint(n, lam, func(i int) int { return cols[i].Rows() }))
-	enc := relation.NewColumnarSorted(out)
-	sp.AddSteps(int64(len(lam) - 1))
+	sp := b.tr.StartSpan(obs.SpanNode)
+	out := &yannakakis.Node{Enc: cols[0]}
+	if len(lam) > 1 {
+		out.Table = relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, agmCapHint(n, lam, cols))
+		out.Enc = relation.NewColumnarSorted(out.Table)
+		sp.AddSteps(int64(len(lam) - 1))
+	}
+	b.endNodeSpan(sp, n, out.Rows())
+	return out, nil
+}
+
+// endNodeSpan stamps a node span with the node's identity, kernel, estimate
+// and actual cardinality, and publishes it.
+func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *decomp.Node, rows int) {
+	if sp == nil {
+		return
+	}
+	sp.SetKernel(b.e.kernelOf[n])
 	if id, ok := b.e.nodeID[n]; ok {
 		sp.SetNode(id)
-		sp.SetLabel(b.e.infos[id].Label)
+		sp.SetLabel(b.e.NodeInfos()[id].Label)
 	}
 	sp.SetEst(n.EstRows)
-	sp.SetRows(out.Rows())
+	sp.SetRows(rows)
 	sp.End()
-	return out, enc, nil
 }

@@ -17,10 +17,9 @@ import (
 // against dense int32 sweeps), so leapfrog wins any bag large enough to
 // amortise its fixed per-bag setup — allocating the columnar buffers,
 // dictionaries and iterator state — while the chain keeps the tiny bags
-// where that setup dominates everything. Single-relation bags are priced
-// too (the chain pays a hash-dedup projection, leapfrog a sorted re-emit),
-// which is where the arity rule loses the most: it hardwired such bags to
-// the chain regardless of size. Without usable statistics the decision
+// where that setup dominates everything. Single-relation bags are not
+// priced at all: they have no join, and run as scans of the cached
+// encoding whatever the policy. Without usable statistics the decision
 // falls back to the arity rule.
 const (
 	// costHashRow prices one row through a hash join step (build, probe,
@@ -37,25 +36,32 @@ const (
 	costLfSetup = 4000.0
 )
 
-// kernelFor names the decided kernel for node n, qualified with why:
-// "chain"/"leapfrog" (forced policies), "(cost)" for a statistics-priced
-// auto decision, "(arity)" for the statistics-free fallback rule, and
-// "chain(fallback)" when the policy chose leapfrog but the node has no
-// leapfrog plan (a χ variable outside var(λ)). Decisions are recorded per
-// node in NodeInfo.Kernel, on every node span, and in Plan.Explain.
+// decideKernel records the kernel of node n. A single-relation bag whose χ
+// its atom covers is a scan (see kernelScan) under every policy — the path
+// follows from the node's shape alone. Otherwise the decision is named and
+// qualified with why: "chain"/"leapfrog" (forced policies), "(cost)" for a
+// statistics-priced auto decision, "(arity)" for the statistics-free
+// fallback rule, and "chain(fallback)" when the policy chose leapfrog but
+// the node has no leapfrog plan (a χ variable outside var(λ)). Decisions
+// are recorded per node in NodeInfo.Kernel, on every node span, and in
+// Plan.Explain.
 func (e *Evaluator) decideKernel(n *decomp.Node) {
+	if len(e.lamOrder[n]) == 1 {
+		if p := e.lfPlanFor(n); p != nil {
+			e.lfNodes[n], e.kernelOf[n] = p, kernelScan
+			return
+		}
+	}
 	use, why := e.chooseKernel(n)
 	if use {
 		if p := e.lfPlanFor(n); p != nil {
-			e.lfNodes[n] = p
-			e.kernelOf[n] = string(KernelLeapfrog) + why
+			e.lfNodes[n], e.kernelOf[n] = p, string(KernelLeapfrog)+why
 			return
 		}
 		// The policy wanted leapfrog but the node cannot run it: fall back
 		// to the chain, observably (counted, and named in trace + explain).
 		e.lfFallbacks++
-		e.kernelOf[n] = string(KernelChain) + "(fallback)"
-		return
+		why = "(fallback)"
 	}
 	e.kernelOf[n] = string(KernelChain) + why
 }

@@ -1,0 +1,274 @@
+package hdeval
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"hypertree/internal/cq"
+	"hypertree/internal/decomp"
+	"hypertree/internal/gen"
+	"hypertree/internal/jointree"
+	"hypertree/internal/relation"
+	"hypertree/internal/yannakakis"
+)
+
+// This file keeps the row-major Yannakakis that acyclic plans ran before a
+// join tree became a width-1 decomposition of the one evaluator — every atom
+// bound afresh, hash semijoins over string keys, bottom-up hash joins with
+// a deduplicating projection — as the oracle the columnar path is checked
+// against, next to the naive join.
+
+// oracleReduce is the full reducer over row-major tables.
+func oracleReduce(n *yannakakis.Node) {
+	for _, c := range n.Children {
+		oracleReduce(c)
+		n.Table = n.Table.Semijoin(c.Table)
+	}
+}
+
+func oracleReduceDown(n *yannakakis.Node) {
+	for _, c := range n.Children {
+		c.Table = c.Table.Semijoin(n.Table)
+		oracleReduceDown(c)
+	}
+}
+
+// oracleEnumerate joins the fully reduced subtrees bottom-up, projecting
+// away at every node what is neither a head variable nor the node's own.
+func oracleEnumerate(root *yannakakis.Node, head []int) *relation.Table {
+	oracleReduce(root)
+	oracleReduceDown(root)
+	inHead := map[int]bool{}
+	for _, v := range head {
+		inHead[v] = true
+	}
+	var up func(n *yannakakis.Node) *relation.Table
+	up = func(n *yannakakis.Node) *relation.Table {
+		t := n.Table
+		own := map[int]bool{}
+		for _, v := range t.Vars {
+			own[v] = true
+		}
+		for _, c := range n.Children {
+			t = t.Join(up(c))
+		}
+		var keep []int
+		for _, v := range t.Vars {
+			if inHead[v] || own[v] {
+				keep = append(keep, v)
+			}
+		}
+		return t.Project(keep)
+	}
+	return up(root).Project(head)
+}
+
+// oracleAnswer evaluates q on db through the row-major path: the answer
+// table (the 0-ary true/false table for a Boolean head).
+func oracleAnswer(t *testing.T, db *relation.Database, q *cq.Query, jt *jointree.Tree) *relation.Table {
+	t.Helper()
+	head, err := HeadVars(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jt == nil { // only ground atoms
+		ok, err := yannakakis.GroundAtomsHold(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			return relation.TrueTable()
+		}
+		return relation.NewTable(nil)
+	}
+	root, err := yannakakis.FromJoinTree(db, q, jt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleEnumerate(root, head)
+}
+
+// width1 builds the evaluator an acyclic plan runs: the query's join tree as
+// a width-1 decomposition (the construction of compilePlan).
+func width1(t *testing.T, q *cq.Query, kernel Kernel) (*Evaluator, *jointree.Tree) {
+	t.Helper()
+	h, _ := q.Hypergraph()
+	jt, ok := jointree.GYO(h)
+	if !ok {
+		t.Fatalf("%s is cyclic", q)
+	}
+	var parent []int
+	if jt != nil {
+		parent = jt.Parent
+	}
+	e, err := NewEvaluatorCost(q, decomp.FromJoinTree(h, parent), nil, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, jt
+}
+
+// adversarialAcyclic lists the query shapes that stress what the columnar
+// width-1 path does differently from the row-major one, over the relations
+// of adversarialDB.
+var adversarialAcyclic = []string{
+	// a repeated variable inside an atom is an equality selection
+	`ans(X, Y) :- e(X, X), f(X, Y).`,
+	`e(X, X), f(X, Y), e(Y, Y)`,
+	// constants, known and unknown to the database
+	`ans(Y) :- e(a, Y), f(Y, Z).`,
+	`ans(X) :- e(X, b), f(b, Z).`,
+	`ans(X) :- e(X, zzz), f(X, Y).`,
+	`e(a, b)`,
+	// empty and absent relations
+	`ans(X) :- e(X, Y), empty(Y, Z).`,
+	`ans(X) :- e(X, Y), absent(Y, Z).`,
+	`empty(X, Y)`,
+	// ground atoms, true and false, next to variable atoms and alone
+	`ans(X) :- flag(), e(X, Y), f(Y, Z).`,
+	`ans(X) :- noflag(), e(X, Y), f(Y, Z).`,
+	`e(X, Y), e(c, d9)`,
+	`flag()`,
+	`noflag()`,
+	// children sharing no variable with their parent
+	`ans(X, Z) :- e(X, Y), f(Z, W).`,
+	`ans(Y, W) :- e(X, Y), f(Z, W), g(U, V).`,
+	`e(X, Y), f(Z, W)`,
+	// single atoms
+	`ans(X) :- e(X, Y).`,
+	`ans(Y, X) :- e(X, Y).`,
+	`ans(X, Y, Z) :- t3(X, Y, Z).`,
+	`ans(Z) :- t3(X, Y, Z).`,
+	// heads that drop join variables: dedup, and folding below the root
+	`ans(X, W) :- e(X, Y), f(Y, Z), g(Z, W).`,
+	`ans(X) :- e(X, Y), f(Y, Z), g(Z, W).`,
+	`ans(Z) :- e(X, Y), f(Y, Z), g(Z, W).`,
+	`ans(W, X) :- e(X, Y), f(Y, Z), g(Z, W), e(W, V).`,
+	`ans(A, B) :- e(C, A), f(C, B), g(C, D).`,
+	`ans(A, D) :- e(C, A), f(C, B), g(B, D), t3(D, E, F).`,
+	`ans(Y) :- t3(X, Y, Z), e(X, U), f(Z, V).`,
+	// heads that keep everything, in a permuted order
+	`ans(W, Z, Y, X) :- e(X, Y), f(Y, Z), g(Z, W).`,
+	`ans(X, Y, Z) :- t3(X, Y, Z), e(X, Y), f(Y, Z).`,
+	// Boolean heads
+	`e(X, Y), f(Y, Z), g(Z, W)`,
+	`ans() :- e(X, Y), f(Y, X).`,
+	// atoms over the same variables, and one relation used twice
+	`ans(X, Y) :- e(X, Y), f(X, Y).`,
+	`ans(X, Y) :- e(X, Y), e(Y, X).`,
+}
+
+// adversarialDB draws small random e, f, g (binary) and t3 (ternary) over a
+// few constants, declares empty without tuples, leaves absent undeclared,
+// and sets the 0-ary flag.
+func adversarialDB(rng *rand.Rand) *relation.Database {
+	db := relation.NewDatabase()
+	c := func() string { return string(rune('a' + rng.Intn(5))) }
+	for _, name := range []string{"e", "f", "g"} {
+		for i := 0; i < 3+rng.Intn(14); i++ {
+			db.AddFact(name, c(), c())
+		}
+	}
+	for i := 0; i < 3+rng.Intn(20); i++ {
+		db.AddFact("t3", c(), c(), c())
+	}
+	db.AddRelation("empty", 2)
+	db.AddFact("flag")
+	return db
+}
+
+// The proof obligation for running join trees through this evaluator: on
+// the acyclic half of gen.KernelCases and on the adversarial shapes, for
+// every kernel policy and for 1 and 4 workers, the width-1 columnar path
+// returns exactly the answers of the row-major Yannakakis it replaced and
+// of the naive join. Run under -race in CI.
+func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
+	type testCase struct {
+		name string
+		q    *cq.Query
+		db   *relation.Database
+	}
+	var cases []testCase
+	for _, kc := range gen.KernelCases(2024, 42) {
+		if !kc.Cyclic {
+			cases = append(cases, testCase{kc.Name, kc.Q, kc.DB})
+		}
+	}
+	if len(cases) < 10 {
+		t.Fatalf("only %d acyclic kernel cases", len(cases))
+	}
+	rng := rand.New(rand.NewSource(77))
+	for round := 0; round < 3; round++ {
+		db := adversarialDB(rng)
+		for _, src := range adversarialAcyclic {
+			cases = append(cases, testCase{src, cq.MustParse(src), db})
+		}
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		naive, err := NaiveJoin(tc.db, tc.q)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", tc.name, err)
+		}
+		for _, kernel := range []Kernel{KernelChain, KernelLeapfrog, KernelAuto} {
+			e, jt := width1(t, tc.q, kernel)
+			for _, k := range kernelsOf(e) {
+				if k != kernelScan {
+					t.Fatalf("%s: width-1 node runs %q, want a scan", tc.name, k)
+				}
+			}
+			if want := oracleAnswer(t, tc.db, tc.q, jt); !want.Equal(naive) {
+				t.Fatalf("%s: row-major oracle disagrees with the naive join", tc.name)
+			}
+			for _, workers := range []int{1, 4} {
+				// twice: cold encodings, then the cached ones
+				for pass := 0; pass < 2; pass++ {
+					got, err := e.Enumerate(ctx, tc.db, workers)
+					if err != nil {
+						t.Fatalf("%s %s workers=%d: %v", tc.name, kernel, workers, err)
+					}
+					if !got.Equal(naive) {
+						t.Fatalf("%s %s workers=%d pass %d: %d answers over %v, naive has %d over %v",
+							tc.name, kernel, workers, pass, got.Rows(), got.Vars, naive.Rows(), naive.Vars)
+					}
+					ok, err := e.Boolean(ctx, tc.db, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok != !naive.Empty() {
+						t.Fatalf("%s %s workers=%d: Boolean = %v, naive has %d answers", tc.name, kernel, workers, ok, naive.Rows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// A database mutated in place between two executions of one evaluator must
+// not be answered from the encodings cached before the mutation.
+func TestWidth1SeesInPlaceInsert(t *testing.T) {
+	db := relation.NewDatabase()
+	if err := db.ParseFacts(`e(a, b). f(b, c).`); err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParse(`ans(X, Z) :- e(X, Y), f(Y, Z).`)
+	e, _ := width1(t, q, KernelAuto)
+	ctx := context.Background()
+	for i, facts := range []string{``, `f(b, d).`, `e(k, b).`, `newrel(x).`} {
+		if err := db.ParseFacts(facts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Enumerate(ctx, db, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NaiveJoin(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("after insert %d: %d answers, want %d", i, got.Rows(), want.Rows())
+		}
+	}
+}

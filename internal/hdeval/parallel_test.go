@@ -45,7 +45,7 @@ func TestRootWorkersEquivalent(t *testing.T) {
 }
 
 func sameTree(a, b *yannakakis.Node) bool {
-	if !a.Table.Equal(b.Table) || len(a.Children) != len(b.Children) {
+	if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
 		return false
 	}
 	for i := range a.Children {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
@@ -48,9 +47,9 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 		e:       e,
 		workers: shardWorkers,
 		tr:      obs.FromContext(ctx),
-		// The embedded assembled-view builder binds atoms only (never
-		// materialize), so it records no node spans of its own.
-		full: &rootBuilder{ctx: ctx, db: p.Assembled(), e: e, atomTables: map[int]*relation.Table{}},
+		// The embedded assembled-view builder serves the binds, the cached
+		// encodings and the scan nodes, which have nothing to scatter.
+		full: &rootBuilder{ctx: ctx, db: p.Assembled(), e: e, tr: obs.FromContext(ctx), atomTables: map[int]*relation.Table{}},
 	}
 	root, err := b.build(e.HD.Root)
 	if err != nil {
@@ -61,7 +60,7 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 		return nil, err
 	}
 	if !ok {
-		root.Table = relation.NewTable(root.Table.Vars)
+		root.Clear()
 	}
 	return root, nil
 }
@@ -79,28 +78,14 @@ type shardedBuilder struct {
 	full    *rootBuilder // assembled-view binder + memo
 }
 
-// atomBindVars returns the variable sequence of the table BindAtom
-// produces for atom ai, by asking Bind itself: the atom is bound against
-// an empty database (O(arity), no tuples scanned), so the column
-// convention is defined in exactly one place and every shard fragment is
-// guaranteed to match the JoinIndex chain built from it.
-func atomBindVars(q *cq.Query, ai int) ([]int, error) {
-	empty, err := yannakakis.BindAtom(relation.NewDatabase(), q, ai)
-	if err != nil {
-		return nil, err
-	}
-	return empty.Vars, nil
-}
-
 func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
-	t, err := b.materializeSharded(n)
+	out, err := b.materializeSharded(n)
 	if err != nil {
 		return nil, err
 	}
-	out := &yannakakis.Node{Table: t}
 	for _, c := range n.Children {
 		cn, err := b.build(c)
 		if err != nil {
@@ -115,8 +100,13 @@ func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
 // scatter-gather over the shards. Under a traced context the whole build is
 // one SpanNodeSharded (join steps, actual vs estimated rows), each shard
 // task records a SpanShard, and the deterministic merge a SpanMerge.
-func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*relation.Table, error) {
+func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, error) {
 	if lf := b.e.lfNodes[n]; lf != nil {
+		if len(b.e.lamOrder[n]) == 1 {
+			// A scan has no join to scatter: the node table is the
+			// assembled relation's cached encoding.
+			return b.full.materializeLeapfrog(n, lf)
+		}
 		return b.materializeShardedLeapfrog(n, lf)
 	}
 	sp := b.tr.StartSpan(obs.SpanNodeSharded)
@@ -140,10 +130,9 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*relation.Table, er
 	}
 	// Broadcast side: bind the remaining λ atoms once and chain one
 	// JoinIndex per atom, shared by every shard task.
-	curVars, err := atomBindVars(b.e.Q, b.e.edgeToAtom[pivot])
-	if err != nil {
-		return nil, err
-	}
+	// The pivot's column convention comes from the atom alone, so every
+	// shard fragment matches the JoinIndex chain built from it.
+	curVars := yannakakis.AtomVars(b.e.Q, b.e.edgeToAtom[pivot])
 	pivotVars := curVars
 	var chain []*relation.JoinIndex
 	for _, e2 := range lam {
@@ -208,13 +197,13 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*relation.Table, er
 	msp.End()
 	if hasID {
 		sp.SetNode(nodeIdx)
-		sp.SetLabel(b.e.infos[nodeIdx].Label)
+		sp.SetLabel(b.e.NodeInfos()[nodeIdx].Label)
 	}
 	sp.AddSteps(int64(len(chain)))
 	sp.SetEst(n.EstRows)
 	sp.SetRows(merged.Rows())
 	sp.End()
-	return merged, nil
+	return &yannakakis.Node{Table: merged}, nil
 }
 
 // materializeShardedLeapfrog is the leapfrog-kernel form of
@@ -227,7 +216,7 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*relation.Table, er
 // shard task leapfrogs over them concurrently through private iterators).
 // Each shard still encodes its own pivot fragment: fragments are per-shard
 // views, not stable relations, so caching them would only churn the cache.
-func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) (*relation.Table, error) {
+func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) (*yannakakis.Node, error) {
 	sp := b.tr.StartSpan(obs.SpanNodeSharded)
 	sp.SetKernel(b.e.kernelOf[n])
 	lam := b.e.lamOrder[n]
@@ -240,28 +229,13 @@ func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) 
 			pivot = e2
 		}
 	}
-	pivotVars, err := atomBindVars(b.e.Q, b.e.edgeToAtom[pivot])
-	if err != nil {
-		return nil, err
-	}
+	pivotVars := yannakakis.AtomVars(b.e.Q, b.e.edgeToAtom[pivot])
 	broadcast := make([]*relation.Columnar, 0, len(lam)-1)
-	for _, e2 := range lam {
+	for i, e2 := range lam {
 		if e2 == pivot {
 			continue
 		}
-		vars, err := atomBindVars(b.e.Q, b.e.edgeToAtom[e2])
-		if err != nil {
-			return nil, err
-		}
-		sub := relation.SubOrder(lf.order, vars)
-		e2 := e2
-		enc, err := b.e.enc.get(b.full.db, encKey{edge: e2, order: orderKey(sub)}, func() (*relation.Columnar, error) {
-			ft, err := b.full.bind(e2)
-			if err != nil {
-				return nil, err
-			}
-			return relation.NewColumnar(ft, sub), nil
-		})
+		enc, err := b.full.encoded(n, lf, i)
 		if err != nil {
 			return nil, err
 		}
@@ -310,13 +284,13 @@ func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) 
 	msp.End()
 	if hasID {
 		sp.SetNode(nodeIdx)
-		sp.SetLabel(b.e.infos[nodeIdx].Label)
+		sp.SetLabel(b.e.NodeInfos()[nodeIdx].Label)
 	}
 	sp.AddSteps(int64(len(lam) - 1))
 	sp.SetEst(n.EstRows)
 	sp.SetRows(merged.Rows())
 	sp.End()
-	return merged, nil
+	return &yannakakis.Node{Table: merged}, nil
 }
 
 // rowsOf returns the total tuple count backing edge e2's atom.

@@ -63,9 +63,9 @@ func TestRootShardedMatchesRoot(t *testing.T) {
 
 func compareTrees(t *testing.T, want, got *yannakakis.Node) {
 	t.Helper()
-	if !want.Table.Equal(got.Table) {
+	if !want.Materialize().Equal(got.Materialize()) {
 		t.Fatalf("sharded node table disagrees: %d vs %d rows over %v/%v",
-			want.Table.Rows(), got.Table.Rows(), want.Table.Vars, got.Table.Vars)
+			want.Rows(), got.Rows(), want.Vars(), got.Vars())
 	}
 	if len(want.Children) != len(got.Children) {
 		t.Fatalf("tree shape differs")

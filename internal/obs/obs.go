@@ -63,10 +63,17 @@ const (
 	SpanRace = "compile/race"
 	// SpanExec covers one whole Execute; Rows is the answer cardinality.
 	SpanExec = "exec"
+	// SpanBind covers fetching one λ relation in executable form, before
+	// the node's join starts: through the plan's encoding cache for scans
+	// and leapfrog bags — the label names the relation and says hit (nothing
+	// touched) or miss (atom bound, columns dictionary-coded and sorted) —
+	// or a row-major atom bind for chain bags. Rows is the fetched
+	// relation's cardinality.
+	SpanBind = "exec/bind"
 	// SpanNode covers one decomposition node's λ-join materialisation
-	// (single-database path): Node identifies the node, Steps counts binary
-	// joins, Rows the materialised χ-table cardinality, EstRows the
-	// planner's estimate for the same table.
+	// (single-database path), after its binds: Node identifies the node,
+	// Steps counts binary joins, Rows the materialised χ-table cardinality,
+	// EstRows the planner's estimate for the same table.
 	SpanNode = "exec/node"
 	// SpanNodeSharded covers one node's scatter-gather materialisation
 	// (partitioned path), with the same Node/Steps/Rows/EstRows meaning as
@@ -84,8 +91,9 @@ const (
 	// SpanSemijoinDown covers the top-down semijoin pass; Steps counts
 	// semijoins.
 	SpanSemijoinDown = "exec/semijoin/down"
-	// SpanEnumerate covers the bottom-up joining enumeration after full
-	// reduction; Rows is the enumerated (pre-head-projection) cardinality.
+	// SpanEnumerate covers the top-down trie walk that emits the answers
+	// after full reduction; Steps counts the subtrees folded because the
+	// head drops one of their variables, Rows is the answer cardinality.
 	SpanEnumerate = "exec/enumerate"
 )
 

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // This file is the columnar relation layout behind the worst-case-optimal
@@ -19,6 +21,10 @@ import (
 // interned Values only at the output boundary.
 type Dict struct {
 	vals []Value
+	// index, when non-nil, maps a Value to its code plus one (0: absent) —
+	// the dense-range dictionaries newDictCodes builds keep their counting
+	// table, so exact lookups are one array read.
+	index []int32
 }
 
 // newDict builds the dictionary of the given (unsorted, possibly duplicated)
@@ -66,14 +72,14 @@ func newDictCodes(vals []Value, codes []int32) *Dict {
 	out := make([]Value, 0, len(vals))
 	for v, seen := range lookup {
 		if seen != 0 {
-			lookup[v] = int32(len(out))
 			out = append(out, Value(v))
+			lookup[v] = int32(len(out))
 		}
 	}
 	for r, v := range vals {
-		codes[r] = lookup[v]
+		codes[r] = lookup[v] - 1
 	}
-	return &Dict{vals: out}
+	return &Dict{vals: out, index: lookup}
 }
 
 // Len returns the number of distinct values in the column.
@@ -99,6 +105,12 @@ func (d *Dict) SeekCode(v Value) int32 {
 
 // Code returns the code of v and whether v occurs in the column.
 func (d *Dict) Code(v Value) (int32, bool) {
+	if d.index != nil {
+		if v < 0 || int(v) >= len(d.index) {
+			return 0, false
+		}
+		return d.index[v] - 1, d.index[v] != 0
+	}
 	c := d.SeekCode(v)
 	if int(c) < len(d.vals) && d.vals[c] == v {
 		return c, true
@@ -111,13 +123,18 @@ func (d *Dict) Code(v Value) (int32, bool) {
 // order, rows sorted lexicographically by code (equivalently, by value —
 // dictionaries preserve order). Construction costs one sort; afterwards the
 // layout supports trie iteration (NewTrieIter), run-based prefix projection
-// and column picking without touching row-major data again.
+// (Prefix) and code-domain semijoins without touching row-major data again.
 type Columnar struct {
 	// Vars is the column order (a permutation of the source table's Vars).
 	Vars  []int
 	dicts []*Dict
 	codes [][]int32 // codes[c][r]: column c of row r, rows lexicographically sorted
 	rows  int
+
+	// runs0[k] is the first row whose leading code is ≥ k: the top trie
+	// level as offsets, built on the first PrefixRun (firstRuns).
+	runs0     []int32
+	runs0Once sync.Once
 }
 
 // NewColumnar copies t into columnar form with columns arranged in the given
@@ -151,51 +168,53 @@ func NewColumnar(t *Table, order []int) *Columnar {
 		cn.codes[i] = col
 	}
 
-	// Sort rows lexicographically by code with one stable counting pass per
-	// column, last column first (LSD radix over dictionary codes): dense
-	// codes make each pass O(n + |dict|) with no comparator calls, which is
-	// what keeps the trie build from dominating the join on large relations.
+	cn.sortRows()
+	return cn
+}
+
+// sortRows puts the rows in lexicographic code order with one stable
+// counting pass per column, last column first (LSD radix over dictionary
+// codes): dense codes make each pass O(n + |dict|) with no comparator
+// calls, which is what keeps the trie build from dominating the join on
+// large relations.
+func (c *Columnar) sortRows() {
+	n := c.rows
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	next := make([]int, n)
-	for i := w - 1; i >= 0; i-- {
-		col := cn.codes[i]
-		counts := make([]int, cn.dicts[i].Len()+1)
+	for i := len(c.codes) - 1; i >= 0; i-- {
+		col := c.codes[i]
+		counts := make([]int, c.dicts[i].Len()+1)
 		for _, p := range perm {
 			counts[col[p]+1]++
 		}
-		for c := 1; c < len(counts); c++ {
-			counts[c] += counts[c-1]
+		for k := 1; k < len(counts); k++ {
+			counts[k] += counts[k-1]
 		}
 		for _, p := range perm {
-			c := col[p]
-			next[counts[c]] = p
-			counts[c]++
+			k := col[p]
+			next[counts[k]] = p
+			counts[k]++
 		}
 		perm, next = next, perm
 	}
-	for i := 0; i < w; i++ {
+	for i, col := range c.codes {
 		sorted := make([]int32, n)
 		for r, p := range perm {
-			sorted[r] = cn.codes[i][p]
+			sorted[r] = col[p]
 		}
-		cn.codes[i] = sorted
+		c.codes[i] = sorted
 	}
-	return cn
 }
 
 // SubOrder returns the subsequence of order whose variables occur in vars —
 // the column order a table over vars takes under a global leapfrog order.
 func SubOrder(order []int, vars []int) []int {
-	in := make(map[int]bool, len(vars))
-	for _, v := range vars {
-		in[v] = true
-	}
 	out := make([]int, 0, len(vars))
 	for _, v := range order {
-		if in[v] {
+		if slices.Contains(vars, v) {
 			out = append(out, v)
 		}
 	}
@@ -217,90 +236,124 @@ func (c *Columnar) Value(col, row int) Value { return c.dicts[col].Value(c.codes
 // Table materialises the columnar layout back into a row-major Table, rows
 // in sorted order.
 func (c *Columnar) Table() *Table {
+	w := len(c.Vars)
 	out := NewTable(c.Vars)
-	out.data = make([]Value, 0, c.rows*len(c.Vars))
-	row := make([]Value, len(c.Vars))
-	for r := 0; r < c.rows; r++ {
-		for i := range c.Vars {
-			row[i] = c.Value(i, r)
+	out.rows = c.rows
+	out.data = make([]Value, c.rows*w)
+	for i, col := range c.codes {
+		vals := c.dicts[i].vals
+		for r, code := range col {
+			out.data[r*w+i] = vals[code]
 		}
-		out.addRow(row)
 	}
 	return out
 }
 
-// ProjectPrefix returns the distinct projection onto the first k columns.
-// Because rows are lexicographically sorted, distinct prefixes are exactly
-// the run boundaries — the projection is one scan with no hashing and no
-// dedup buffer (the "cheap projection" the sorted layout buys).
-func (c *Columnar) ProjectPrefix(k int) *Table {
-	out := NewTable(c.Vars[:k])
-	if k == 0 {
-		if c.rows > 0 {
-			out.addRow(nil)
-		}
-		return out
+// Prefix returns the distinct projection onto the first k columns, still in
+// columnar form and sharing c's dictionaries. Because rows are
+// lexicographically sorted, distinct prefixes are exactly the run
+// boundaries — the projection is one scan with no hashing and no dedup
+// buffer (the "cheap projection" the sorted layout buys).
+func (c *Columnar) Prefix(k int) *Columnar {
+	if k == len(c.Vars) {
+		return c
 	}
-	row := make([]Value, k)
-	for r := 0; r < c.rows; r++ {
-		if r > 0 {
-			same := true
-			for i := 0; i < k; i++ {
-				if c.codes[i][r] != c.codes[i][r-1] {
-					same = false
-					break
-				}
-			}
-			if same {
-				continue
-			}
-		}
-		for i := 0; i < k; i++ {
-			row[i] = c.Value(i, r)
-		}
-		out.addRow(row)
-	}
-	return out
+	return (&Columnar{Vars: c.Vars[:k], dicts: c.dicts[:k], codes: c.codes[:k], rows: c.rows}).Distinct()
 }
 
-// Project returns the distinct projection onto vars (a subset of c.Vars).
-// When vars is a column prefix the run-based ProjectPrefix scan is used;
-// otherwise the picked columns are materialised and deduplicated.
-func (c *Columnar) Project(vars []int) *Table {
-	if len(vars) <= len(c.Vars) {
-		prefix := true
-		for i, v := range vars {
-			if c.Vars[i] != v {
-				prefix = false
-				break
-			}
-		}
-		if prefix {
-			return c.ProjectPrefix(len(vars))
-		}
-	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = -1
-		for j, cv := range c.Vars {
-			if cv == v {
-				cols[i] = j
-				break
-			}
-		}
-		if cols[i] < 0 {
-			panic(fmt.Sprintf("relation: projection variable %d not in columnar %v", v, c.Vars))
-		}
-	}
-	out := NewTable(vars)
-	row := make([]Value, len(vars))
+// Distinct drops repeated rows, which sorting has made adjacent; c itself
+// is returned when it holds none.
+func (c *Columnar) Distinct() *Columnar {
+	var ranges []int
+	kept := 0
 	for r := 0; r < c.rows; r++ {
-		for i, j := range cols {
-			row[i] = c.Value(j, r)
+		if r > 0 && c.sameRow(r, r-1) {
+			continue
 		}
-		out.addRow(row)
+		ranges = keepRows(ranges, r, r+1)
+		kept++
 	}
-	out.dedup()
+	if kept == c.rows {
+		return c
+	}
+	return c.selectRanges(ranges, kept)
+}
+
+func (c *Columnar) sameRow(a, b int) bool {
+	for _, col := range c.codes {
+		if col[a] != col[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// PrefixRun returns the row range [lo, hi) whose leading len(key) columns
+// hold exactly key, as a trie descent: the top level is one read of the
+// run offsets, each deeper level a galloped narrowing; the range is empty
+// when no row matches. Enumeration finds each parent row's matching child
+// rows with it.
+func (c *Columnar) PrefixRun(key []Value) (lo, hi int) {
+	hi = c.rows
+	for j, v := range key {
+		code, ok := c.dicts[j].Code(v)
+		if !ok {
+			return 0, 0
+		}
+		if j == 0 {
+			runs := c.firstRuns()
+			lo, hi = int(runs[code]), int(runs[code+1])
+		} else {
+			lo = gallopCodes(c.codes[j], lo, hi, code)
+			hi = gallopCodes(c.codes[j], lo, hi, code+1)
+		}
+		if lo == hi {
+			return 0, 0
+		}
+	}
+	return lo, hi
+}
+
+// firstRuns returns the run offsets of the leading column, counting them on
+// first use (once: encodings are shared between goroutines).
+func (c *Columnar) firstRuns() []int32 {
+	c.runs0Once.Do(func() {
+		runs := make([]int32, c.dicts[0].Len()+1)
+		for _, code := range c.codes[0] {
+			runs[code+1]++
+		}
+		for k := 1; k < len(runs); k++ {
+			runs[k] += runs[k-1]
+		}
+		c.runs0 = runs
+	})
+	return c.runs0
+}
+
+// sortedProjection returns the distinct projection onto the given columns,
+// in that order, re-sorted in the code domain: the dictionaries are reused,
+// so the price is one counting pass per picked column — for a single
+// column, a bitmap over its dictionary.
+func (c *Columnar) sortedProjection(cols []int) *Columnar {
+	out := &Columnar{Vars: make([]int, len(cols)), dicts: make([]*Dict, len(cols)), codes: make([][]int32, len(cols)), rows: c.rows}
+	for i, j := range cols {
+		out.Vars[i], out.dicts[i], out.codes[i] = c.Vars[j], c.dicts[j], c.codes[j]
+	}
+	if len(cols) != 1 {
+		out.sortRows()
+		return out.Distinct()
+	}
+	present := make([]bool, out.dicts[0].Len())
+	for _, code := range out.codes[0] {
+		present[code] = true
+	}
+	col := make([]int32, 0, len(present))
+	for code, ok := range present {
+		if ok {
+			col = append(col, int32(code))
+		}
+	}
+	out.codes[0], out.rows = col, len(col)
 	return out
 }
 

@@ -83,20 +83,24 @@ func TestColumnarProject(t *testing.T) {
 		c := NewColumnar(tab, vars)
 		for _, proj := range [][]int{{0}, {0, 1}, {0, 1, 2}, {2}, {2, 0}, {1}} {
 			want := tab.Project(proj)
-			got := c.Project(proj)
-			if !got.Equal(want) {
-				t.Fatalf("trial %d: Project(%v) disagrees with Table.Project", trial, proj)
+			if got := c.sortedProjection(proj).Table(); !got.Equal(want) {
+				t.Fatalf("trial %d: sortedProjection(%v) disagrees with Table.Project", trial, proj)
+			}
+			if proj[0] == 0 { // a column prefix: the run-boundary scan applies
+				if got := c.Prefix(len(proj)).Table(); !got.Equal(want) {
+					t.Fatalf("trial %d: Prefix(%d) disagrees with Table.Project", trial, len(proj))
+				}
 			}
 		}
 	}
 	// Boolean projection: zero columns, non-empty input → the single empty row.
 	tab := tableOf([]int{0}, []Value{1}, []Value{2})
-	if got := NewColumnar(tab, []int{0}).ProjectPrefix(0); got.Rows() != 1 || len(got.Vars) != 0 {
-		t.Fatalf("ProjectPrefix(0) on non-empty = %d rows", got.Rows())
+	if got := NewColumnar(tab, []int{0}).Prefix(0).Table(); got.Rows() != 1 || len(got.Vars) != 0 {
+		t.Fatalf("Prefix(0) on non-empty = %d rows", got.Rows())
 	}
 	empty := NewTable([]int{0})
-	if got := NewColumnar(empty, []int{0}).ProjectPrefix(0); got.Rows() != 0 {
-		t.Fatal("ProjectPrefix(0) on empty table must be empty")
+	if got := NewColumnar(empty, []int{0}).Prefix(0).Table(); got.Rows() != 0 {
+		t.Fatal("Prefix(0) on empty table must be empty")
 	}
 }
 
@@ -357,10 +361,7 @@ func TestMergeSemijoinAlignedRandom(t *testing.T) {
 		ut := randomTable(rng, []int{0, 1, 3}, rng.Intn(80), dom)
 		tc := NewColumnar(tt, []int{0, 1, 2})
 		uc := NewColumnar(ut, []int{0, 1, 3})
-		out, ok := MergeSemijoin(tc, uc)
-		if !ok {
-			t.Fatalf("trial %d: aligned pair not merge-eligible", trial)
-		}
+		out := MergeSemijoin(tc, uc)
 		want := tt.Semijoin(ut)
 		if !out.Table().Equal(want) {
 			t.Fatalf("trial %d: aligned merge %d rows, hash %d rows", trial, out.Rows(), want.Rows())
@@ -378,10 +379,7 @@ func TestMergeSemijoinProbeRandom(t *testing.T) {
 		// the probe kernel applies.
 		tc := NewColumnar(tt, []int{2, 1, 0})
 		uc := NewColumnar(ut, []int{1, 3})
-		out, ok := MergeSemijoin(tc, uc)
-		if !ok {
-			t.Fatalf("trial %d: probe pair not merge-eligible", trial)
-		}
+		out := MergeSemijoin(tc, uc)
 		want := tt.Semijoin(ut)
 		if !out.Table().Equal(want) {
 			t.Fatalf("trial %d: probe merge %d rows, hash %d rows", trial, out.Rows(), want.Rows())
@@ -392,32 +390,87 @@ func TestMergeSemijoinProbeRandom(t *testing.T) {
 func TestMergeSemijoinEdges(t *testing.T) {
 	tt := tableOf([]int{0, 1}, []Value{1, 2}, []Value{3, 4})
 	tc := NewColumnar(tt, []int{0, 1})
-	// Shared variables not a prefix of u: not eligible.
+	// Shared variables not a prefix of u: u is navigated through its
+	// re-sorted projection.
 	u := NewColumnar(tableOf([]int{2, 0}, []Value{7, 1}), []int{2, 0})
-	if _, ok := MergeSemijoin(tc, u); ok {
-		t.Fatal("non-prefix u side must not be merge-eligible")
+	if out := MergeSemijoin(tc, u); !out.Table().Equal(tableOf([]int{0, 1}, []Value{1, 2})) {
+		t.Fatalf("non-prefix u side kept %d rows, want the one with 0=1", out.Rows())
 	}
 	// No shared variables: u non-empty keeps everything, u empty keeps nothing.
-	full, ok := MergeSemijoin(tc, NewColumnar(tableOf([]int{5}, []Value{9}), []int{5}))
-	if !ok || full != tc {
+	if full := MergeSemijoin(tc, NewColumnar(tableOf([]int{5}, []Value{9}), []int{5})); full != tc {
 		t.Fatal("disjoint non-empty u must return t itself")
 	}
-	none, ok := MergeSemijoin(tc, NewColumnar(NewTable([]int{5}), []int{5}))
-	if !ok || none.Rows() != 0 {
+	if none := MergeSemijoin(tc, NewColumnar(NewTable([]int{5}), []int{5})); none.Rows() != 0 {
 		t.Fatal("disjoint empty u must empty t")
 	}
 	// Empty t short-circuits; empty u with shared vars empties t.
 	et := NewColumnar(NewTable([]int{0, 1}), []int{0, 1})
-	if out, ok := MergeSemijoin(et, tc); !ok || out.Rows() != 0 {
+	if out := MergeSemijoin(et, tc); out.Rows() != 0 {
 		t.Fatal("empty t must stay empty")
 	}
 	eu := NewColumnar(NewTable([]int{0, 9}), []int{0, 9})
-	if out, ok := MergeSemijoin(tc, eu); !ok || out.Rows() != 0 {
+	if out := MergeSemijoin(tc, eu); out.Rows() != 0 {
 		t.Fatal("empty u with shared vars must empty t")
 	}
 	// Unfiltered aligned merge returns t itself (no copy).
-	if out, ok := MergeSemijoin(tc, tc); !ok || out != tc {
+	if out := MergeSemijoin(tc, tc); out != tc {
 		t.Fatal("self-semijoin must return t unchanged")
+	}
+}
+
+// Shared variables at arbitrary column positions on both sides — one and
+// two of them — must agree with the hash semijoin: the case the full
+// reducer's down pass meets on every parent with more than one child.
+func TestMergeSemijoinAnyPositionRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 80; trial++ {
+		dom := 2 + rng.Intn(6)
+		tt := randomTable(rng, []int{0, 1, 2}, rng.Intn(80), dom)
+		uvars, uorder := []int{3, 1}, []int{3, 1}
+		if trial%2 == 1 {
+			uvars, uorder = []int{4, 2, 3, 0}, []int{3, 2, 4, 0}
+		}
+		ut := randomTable(rng, uvars, rng.Intn(80), dom)
+		torder := [][]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}[trial%3]
+		out := MergeSemijoin(NewColumnar(tt, torder), NewColumnar(ut, uorder))
+		if want := tt.Semijoin(ut); !out.Table().Equal(want) {
+			t.Fatalf("trial %d: columnar semijoin %d rows, hash %d rows", trial, out.Rows(), want.Rows())
+		}
+	}
+}
+
+// PrefixRun must bracket exactly the rows carrying the key prefix, and
+// Prefix/Distinct must agree with the hash projection.
+func TestPrefixRunAndPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 40; trial++ {
+		tab := randomTable(rng, []int{0, 1, 2}, rng.Intn(60), 2+rng.Intn(5))
+		c := NewColumnar(tab, []int{1, 0, 2})
+		for k := 0; k <= 3; k++ {
+			if got, want := c.Prefix(k).Table(), tab.Project(c.Vars[:k]); !got.Equal(want) {
+				t.Fatalf("trial %d: Prefix(%d) has %d rows, want %d", trial, k, got.Rows(), want.Rows())
+			}
+		}
+		for a := Value(0); a < 7; a++ {
+			for b := Value(0); b < 7; b++ {
+				lo, hi := c.PrefixRun([]Value{a, b})
+				n := 0
+				for r := 0; r < c.Rows(); r++ {
+					if match := c.Value(0, r) == a && c.Value(1, r) == b; match {
+						n++
+						if r < lo || r >= hi {
+							t.Fatalf("trial %d: row %d matches (%d,%d) outside run [%d,%d)", trial, r, a, b, lo, hi)
+						}
+					}
+				}
+				if n != hi-lo {
+					t.Fatalf("trial %d: run [%d,%d) for (%d,%d), %d rows match", trial, lo, hi, a, b, n)
+				}
+			}
+		}
+		if lo, hi := c.PrefixRun(nil); lo != 0 || hi != c.Rows() {
+			t.Fatalf("empty key run [%d,%d), want all %d rows", lo, hi, c.Rows())
+		}
 	}
 }
 
@@ -533,9 +586,7 @@ func BenchmarkMergeSemijoin(b *testing.B) {
 	b.Run("merge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := MergeSemijoin(tc, uc); !ok {
-				b.Fatal("not eligible")
-			}
+			MergeSemijoin(tc, uc)
 		}
 	})
 	b.Run("hash", func(b *testing.B) {

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LeapfrogJoin computes the natural join of tables with a leapfrog-triejoin:
 // every table is encoded into a sorted Columnar over the global variable
@@ -18,7 +15,8 @@ import (
 // order and enumeration is lexicographic, the result arrives sorted and
 // distinct — trailing (existential) variables are short-circuited after the
 // first witness, so no dedup pass is needed. capHint, when positive,
-// pre-sizes the output (callers pass the AGM bound r^fhw).
+// pre-sizes the output (callers pass the AGM bound r^fhw, clamped to
+// what the inputs justify).
 func LeapfrogJoin(tables []*Table, order []int, nOut, capHint int) *Table {
 	cols := make([]*Columnar, len(tables))
 	for i, t := range tables {
@@ -100,8 +98,13 @@ func (j *leapfrogJoiner) run(d int) bool {
 		}
 	}
 	if live {
-		// leapfrog init: order iterators by key, then intersect.
-		sort.Slice(its, func(a, b int) bool { return its[a].Key() < its[b].Key() })
+		// leapfrog init: order iterators by key (in place — a level holds
+		// at most |λ| of them), then intersect.
+		for a := 1; a < len(its); a++ {
+			for b := a; b > 0 && its[b].Key() < its[b-1].Key(); b-- {
+				its[b], its[b-1] = its[b-1], its[b]
+			}
+		}
 		p := 0
 		for leapfrogSearch(its, &p) {
 			j.binding[d] = its[p].Key()

@@ -1,12 +1,13 @@
 package relation
 
+import "slices"
+
 // This file is the sort-based semijoin over Columnar blocks: because both
 // operands keep their rows lexicographically sorted, a semijoin reduces to
 // one linear merge of prefix runs with galloping skips — no hash table is
-// built and no row-major data is touched. yannakakis.Reduce uses it as the
-// full-reducer kernel whenever both sides of a semijoin carry encodings
-// whose column orders expose the shared variables as a prefix; the hash
-// Table.Semijoin stays as the universal fallback.
+// built and no row-major data is touched. It is the full reducer's kernel
+// whenever both sides of a semijoin carry encodings, whatever their column
+// orders; the hash Table.Semijoin serves only nodes that arrive row-major.
 
 // NewColumnarSorted copies t — whose rows must already be lexicographically
 // sorted by t.Vars — into columnar form without re-sorting. Dictionary codes
@@ -30,56 +31,48 @@ func NewColumnarSorted(t *Table) *Columnar {
 }
 
 // MergeSemijoin returns t's rows whose shared-variable projection occurs in
-// u, or (nil, false) when the pair is not merge-eligible. Eligibility
-// requires the shared variables var(t) ∩ var(u) to be exactly u's first k
-// columns (as a set), so u can be navigated as a trie from its root. Two
-// kernels cover the eligible cases:
+// u. u is navigated as a trie over the shared variables: directly when they
+// are exactly its leading columns, otherwise through its distinct projection
+// onto them, re-sorted once in the code domain (sortedProjection) — so no
+// string key is ever built. Two kernels then cover every case:
 //
 //   - aligned merge, when t's first k columns name the shared variables in
-//     u's exact order: one forward walk over t's distinct k-prefix runs,
-//     advancing a TrieIter on u with galloping seeks — strictly linear in
+//     the trie's exact order: one forward walk over t's distinct k-prefix
+//     runs, advancing a TrieIter with galloping seeks — strictly linear in
 //     the shorter side's runs, with log-sized skips over the longer;
 //   - trie probe, when t holds the shared variables elsewhere: each t row
-//     narrows u's sorted code blocks level by level (dictionary lookup +
-//     gallop), still with no hash table and no u-side projection build.
+//     narrows the sorted code blocks level by level (dictionary lookup +
+//     gallop).
 //
 // The result shares t's dictionaries (codes are copied, filtered); when no
 // row is filtered the result is t itself. Row order — hence sortedness — is
 // preserved.
-func MergeSemijoin(t, u *Columnar) (*Columnar, bool) {
-	inT := make(map[int]bool, len(t.Vars))
+func MergeSemijoin(t, u *Columnar) *Columnar {
+	// u's columns holding the shared variables, in t's column order.
+	var ucol []int
 	for _, v := range t.Vars {
-		inT[v] = true
-	}
-	k := 0
-	for _, v := range u.Vars {
-		if inT[v] {
-			k++
+		if j := slices.Index(u.Vars, v); j >= 0 {
+			ucol = append(ucol, j)
 		}
 	}
-	// The shared variables must be exactly u.Vars[:k] as a set.
-	for _, v := range u.Vars[:k] {
-		if !inT[v] {
-			return nil, false
-		}
+	k := len(ucol)
+	prefix := true // the shared variables are exactly u's leading columns
+	for _, j := range ucol {
+		prefix = prefix && j < k
 	}
-	if k == 0 {
+	switch {
+	case k == 0 && u.rows > 0, t.rows == 0:
 		// No shared variables: the semijoin keeps everything iff u is
 		// non-empty (the Boolean convention Table.Semijoin follows too).
-		if u.rows > 0 {
-			return t, true
-		}
-		return t.selectRanges(nil, 0), true
+		return t
+	case u.rows == 0:
+		return t.selectRanges(nil, 0)
+	case !prefix:
+		u = u.sortedProjection(ucol)
 	}
-	if t.rows == 0 {
-		return t, true
-	}
-	if u.rows == 0 {
-		return t.selectRanges(nil, 0), true
-	}
-	aligned := k <= len(t.Vars)
-	for j := 0; j < k && aligned; j++ {
-		aligned = t.Vars[j] == u.Vars[j]
+	aligned := true
+	for j := 0; j < k; j++ {
+		aligned = aligned && t.Vars[j] == u.Vars[j]
 	}
 	if aligned {
 		return t.mergeSemijoinAligned(u, k)
@@ -89,7 +82,7 @@ func MergeSemijoin(t, u *Columnar) (*Columnar, bool) {
 
 // mergeSemijoinAligned is the linear-merge kernel: both operands expose the
 // k shared variables as their first k columns in the same order.
-func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) (*Columnar, bool) {
+func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) *Columnar {
 	it := NewTrieIter(u)
 	it.Open()
 	var ranges []int // kept row ranges, flattened [start0, end0, start1, ...]
@@ -131,11 +124,7 @@ func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) (*Columnar, bool) {
 				matched = j + 1
 			}
 			if matched == k {
-				if n := len(ranges); n > 0 && ranges[n-1] == r0 {
-					ranges[n-1] = r1
-				} else {
-					ranges = append(ranges, r0, r1)
-				}
+				ranges = keepRows(ranges, r0, r1)
 				kept += r1 - r0
 			}
 		}
@@ -148,60 +137,46 @@ func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) (*Columnar, bool) {
 		}
 	}
 	if kept == t.rows {
-		return t, true
+		return t
 	}
-	return t.selectRanges(ranges, kept), true
+	return t.selectRanges(ranges, kept)
 }
 
 // mergeSemijoinProbe is the trie-probe kernel: u exposes the shared
 // variables as a prefix but t holds them at arbitrary positions, so each t
-// row narrows u's code blocks level by level.
-func (t *Columnar) mergeSemijoinProbe(u *Columnar, k int) (*Columnar, bool) {
+// row descends u's trie (PrefixRun).
+func (t *Columnar) mergeSemijoinProbe(u *Columnar, k int) *Columnar {
 	tcol := make([]int, k)
-	for j := 0; j < k; j++ {
-		tcol[j] = -1
-		for i, v := range t.Vars {
-			if v == u.Vars[j] {
-				tcol[j] = i
-				break
-			}
-		}
-		if tcol[j] < 0 {
-			return nil, false
-		}
+	for j := range tcol {
+		tcol[j] = slices.Index(t.Vars, u.Vars[j])
 	}
 	var ranges []int
 	kept := 0
+	key := make([]Value, k)
 	for r := 0; r < t.rows; r++ {
-		lo, hi := 0, u.rows
-		ok := true
-		for j := 0; j < k; j++ {
-			v := t.dicts[tcol[j]].Value(t.codes[tcol[j]][r])
-			code, found := u.dicts[j].Code(v)
-			if !found {
-				ok = false
-				break
-			}
-			lo = gallopCodes(u.codes[j], lo, hi, code)
-			if lo >= hi || u.codes[j][lo] != code {
-				ok = false
-				break
-			}
-			hi = gallopCodes(u.codes[j], lo+1, hi, code+1)
+		for j, c := range tcol {
+			key[j] = t.Value(c, r)
 		}
-		if ok {
-			if n := len(ranges); n > 0 && ranges[n-1] == r {
-				ranges[n-1] = r + 1
-			} else {
-				ranges = append(ranges, r, r+1)
-			}
-			kept++
+		if lo, hi := u.PrefixRun(key); lo == hi {
+			continue
 		}
+		ranges = keepRows(ranges, r, r+1)
+		kept++
 	}
 	if kept == t.rows {
-		return t, true
+		return t
 	}
-	return t.selectRanges(ranges, kept), true
+	return t.selectRanges(ranges, kept)
+}
+
+// keepRows appends the row range [lo, hi) to a flattened ascending range
+// list, extending the last range when the new one starts where it ends.
+func keepRows(ranges []int, lo, hi int) []int {
+	if n := len(ranges); n > 0 && ranges[n-1] == lo {
+		ranges[n-1] = hi
+		return ranges
+	}
+	return append(ranges, lo, hi)
 }
 
 // selectRanges copies the given flattened [start, end) row ranges into a new

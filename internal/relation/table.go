@@ -21,6 +21,15 @@ func NewTable(vars []int) *Table {
 	return &Table{Vars: append([]int(nil), vars...)}
 }
 
+// NewTableOf returns the table over vars (at least one) holding the given
+// row-major data, which it takes ownership of. Rows are taken as given: the
+// caller guarantees they are distinct.
+func NewTableOf(vars []int, data []Value) *Table {
+	t := NewTable(vars)
+	t.data, t.rows = data, len(data)/len(vars)
+	return t
+}
+
 // TrueTable returns the Boolean table holding the empty row.
 func TrueTable() *Table {
 	t := NewTable(nil)

@@ -86,6 +86,59 @@ func TestColumnarCacheAcrossIngest(t *testing.T) {
 	}
 }
 
+// Acyclic plans now execute over cached encodings too, so the generation
+// guard must cover them: a warm acyclic plan answers from the cache, and
+// after /admin/ingest adds a tuple that creates a new answer the same
+// (still cached) plan must return it — from fresh encodings, not from the
+// dead snapshot's.
+func TestAcyclicPlanSeesIngest(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const path = `ans(X, Z) :- r1(X, Y), r2(Y, Z).`
+	query := func() *QueryResponse {
+		t.Helper()
+		code, resp, _ := post(t, ts.URL, QueryRequest{Query: path, MaxRows: 1 << 20})
+		if code != http.StatusOK {
+			t.Fatalf("query: status %d", code)
+		}
+		if !strings.Contains(resp.Plan, "acyclic") {
+			t.Fatalf("plan %q, want the acyclic strategy", resp.Plan)
+		}
+		return resp
+	}
+	has := func(resp *QueryResponse, x, z string) bool {
+		for _, row := range resp.Rows {
+			if row[0] == x && row[1] == z {
+				return true
+			}
+		}
+		return false
+	}
+
+	before := query()
+	h1, m1 := hypertree.ColumnarCacheMetrics()
+	if warm := query(); warm.RowCount != before.RowCount {
+		t.Fatalf("warm re-execution: %d answers, cold had %d", warm.RowCount, before.RowCount)
+	}
+	if h2, m2 := hypertree.ColumnarCacheMetrics(); h2 == h1 || m2 != m1 {
+		t.Fatalf("warm acyclic re-execution: hits %d → %d, misses %d → %d; want hits only", h1, h2, m1, m2)
+	}
+	if has(before, "fresh_x", "fresh_z") {
+		t.Fatal("the new answer exists before the ingest")
+	}
+
+	if code, raw := postJSON(t, ts.URL+"/admin/ingest", IngestRequest{Facts: "r1(fresh_x, fresh_y). r2(fresh_y, fresh_z)."}); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, raw)
+	}
+	after := query()
+	if after.RowCount != before.RowCount+1 || !has(after, "fresh_x", "fresh_z") {
+		t.Fatalf("post-ingest: %d answers (had %d), new answer present: %v",
+			after.RowCount, before.RowCount, has(after, "fresh_x", "fresh_z"))
+	}
+}
+
 // Traced executions feed the per-node q-error feedback; the medians must
 // surface as the hdserve_node_qerror_median gauge family.
 func TestNodeQErrorSeriesExported(t *testing.T) {

@@ -2,13 +2,17 @@
 // queries on join trees (VLDB 1981), as used throughout Section 4.2 of the
 // paper: the Boolean variant (upward semijoin reduction), the full reducer
 // (upward + downward passes), and output-polynomial enumeration of
-// non-Boolean answers. A level-parallel reducer exercises the paper's
-// parallelizability claim for acyclic evaluation [GLS, JACM 2001].
+// non-Boolean answers (enumerate.go). A level-parallel reducer exercises
+// the paper's parallelizability claim for acyclic evaluation [GLS, JACM
+// 2001]. The trees it works on are built by hdeval.Evaluator — a join tree
+// being the width-1 case — and carry columnar node tables wherever the
+// builder could supply them.
 package yannakakis
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,17 +23,50 @@ import (
 )
 
 // Node is a join-tree node carrying the materialised table of its atom (or,
-// for hypertree evaluation, of its λ-join projected to χ).
+// for hypertree evaluation, of its λ-join projected to χ), in columnar form,
+// row-major form, or both.
 type Node struct {
+	// Table is the row-major form. It may be nil while Enc is set — columnar
+	// node tables stay columnar from bind through reducer to enumeration —
+	// and Materialize builds it for whoever still asks.
 	Table    *relation.Table
 	Children []*Node
-	// Enc, when non-nil, is the columnar encoding of Table (same variable
-	// order, rows sorted). The leapfrog kernel attaches it for free — its
-	// join output is already sorted — and the full reducer then runs
-	// merge-semijoins over the sorted code blocks instead of hash
-	// build+probe wherever the orders line up (see relation.MergeSemijoin).
-	// Whenever a hash semijoin actually drops rows, Enc is invalidated.
+	// Enc, when non-nil, is the columnar encoding of the node table (rows
+	// sorted), and the form the full reducer and the enumerator work on:
+	// semijoins run as merges over the sorted code blocks instead of hash
+	// build+probe (see relation.MergeSemijoin). A hash semijoin on a node
+	// that arrived row-major invalidates Enc whenever it drops rows.
 	Enc *relation.Columnar
+}
+
+// Rows returns the node table's cardinality.
+func (n *Node) Rows() int {
+	if n.Enc != nil {
+		return n.Enc.Rows()
+	}
+	return n.Table.Rows()
+}
+
+// Vars returns the node table's variables in column order.
+func (n *Node) Vars() []int {
+	if n.Enc != nil {
+		return n.Enc.Vars
+	}
+	return n.Table.Vars
+}
+
+// Materialize returns the row-major form of the node table, decoding Enc on
+// first use.
+func (n *Node) Materialize() *relation.Table {
+	if n.Table == nil {
+		n.Table = n.Enc.Table()
+	}
+	return n.Table
+}
+
+// Clear empties the node table (a false ground atom empties the root).
+func (n *Node) Clear() {
+	n.Table, n.Enc = relation.NewTable(n.Vars()), nil
 }
 
 // DisableMergeSemijoin globally forces the full reducer onto the hash
@@ -38,94 +75,49 @@ type Node struct {
 // identical trees.
 var DisableMergeSemijoin atomic.Bool
 
-// semijoinNode replaces dst's rows with dst ⋉ src, preferring the
-// merge-semijoin over the sorted encodings when both sides carry one and
-// the column orders make the pair merge-eligible. Reports whether the merge
+// semijoinNode replaces dst's rows with dst ⋉ src: in the code domain when
+// both sides carry an encoding (whatever their column orders), by the hash
+// semijoin over the row-major forms otherwise. Reports whether the merge
 // kernel ran. On the hash path dst's encoding survives only if no row was
 // dropped (the encoding still describes the table exactly).
 func semijoinNode(dst, src *Node) bool {
 	if !DisableMergeSemijoin.Load() && dst.Enc != nil && src.Enc != nil {
-		if out, ok := relation.MergeSemijoin(dst.Enc, src.Enc); ok {
-			if out != dst.Enc {
-				dst.Enc = out
-				dst.Table = out.Table()
-			}
-			return true
+		if out := relation.MergeSemijoin(dst.Enc, src.Enc); out != dst.Enc {
+			dst.Enc, dst.Table = out, nil
 		}
+		return true
 	}
-	nt := dst.Table.Semijoin(src.Table)
-	if nt.Rows() != dst.Table.Rows() {
+	t := dst.Materialize()
+	nt := t.Semijoin(src.Materialize())
+	if nt.Rows() != t.Rows() {
 		dst.Enc = nil
 	}
 	dst.Table = nt
 	return false
 }
 
-// FromJoinTree binds each atom of an acyclic query to its relation and
-// arranges the tables along the join tree. Ground atoms (no variables) act
-// as global filters: if any ground atom has an empty relation the whole
-// query is false, which is represented by semijoining the root with an empty
-// Boolean table.
+// FromJoinTree binds each atom of an acyclic query to its relation, row-major,
+// and arranges the tables along the join tree. Ground atoms (no variables)
+// act as global filters: if any ground atom has an empty relation the whole
+// query is false, which is represented by emptying the root table. Plans do
+// not come through here — a join tree executes as a width-1 decomposition
+// of hdeval.Evaluator, over cached encodings; this is the direct
+// construction the tests and hdbench check that path against.
 func FromJoinTree(db *relation.Database, q *cq.Query, jt *jointree.Tree) (*Node, error) {
-	return FromJoinTreeContext(context.Background(), db, q, jt)
-}
-
-// FromJoinTreeContext is FromJoinTree with cancellation between atom binds.
-func FromJoinTreeContext(ctx context.Context, db *relation.Database, q *cq.Query, jt *jointree.Tree) (*Node, error) {
-	e, err := NewEvaluator(q, jt)
-	if err != nil {
-		return nil, err
-	}
-	return e.Root(ctx, db)
-}
-
-// Evaluator is the precomputed, database-independent part of acyclic
-// evaluation: the join tree plus the query analysis (edge→atom mapping)
-// needed to bind relations. Immutable after construction and safe for
-// concurrent use, so one compiled query can be executed against many
-// databases without re-analysing it.
-type Evaluator struct {
-	Q  *cq.Query
-	JT *jointree.Tree
-
-	edgeToAtom []int
-}
-
-// NewEvaluator analyses q once against its join tree.
-func NewEvaluator(q *cq.Query, jt *jointree.Tree) (*Evaluator, error) {
 	if jt == nil {
 		return nil, fmt.Errorf("yannakakis: nil join tree")
 	}
 	_, edgeToAtom := q.Hypergraph()
-	return &Evaluator{Q: q, JT: jt, edgeToAtom: edgeToAtom}, nil
-}
-
-// Root binds each atom of the query to its relation in db and arranges the
-// tables along the join tree. Ground atoms (no variables) act as global
-// filters: if any ground atom has an empty relation the whole query is
-// false, which is represented by emptying the root table.
-func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*Node, error) {
-	tables := make([]*relation.Table, len(e.edgeToAtom))
-	for i, ai := range e.edgeToAtom {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tab, err := BindAtom(db, e.Q, ai)
+	nodes := make([]*Node, len(edgeToAtom))
+	for i, ai := range edgeToAtom {
+		tab, err := BindAtom(db, q, ai)
 		if err != nil {
 			return nil, err
 		}
-		tables[i] = tab
-	}
-	groundTrue, err := GroundAtomsHold(db, e.Q)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]*Node, len(tables))
-	for i, t := range tables {
-		nodes[i] = &Node{Table: t}
+		nodes[i] = &Node{Table: tab}
 	}
 	var root *Node
-	for i, p := range e.JT.Parent {
+	for i, p := range jt.Parent {
 		if p < 0 {
 			root = nodes[i]
 		} else {
@@ -135,8 +127,12 @@ func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*Node, err
 	if root == nil {
 		return nil, fmt.Errorf("yannakakis: join tree has no root")
 	}
+	groundTrue, err := GroundAtomsHold(db, q)
+	if err != nil {
+		return nil, err
+	}
 	if !groundTrue {
-		root.Table = relation.NewTable(root.Table.Vars)
+		root.Clear()
 	}
 	return root, nil
 }
@@ -168,6 +164,19 @@ func BindAtom(db *relation.Database, q *cq.Query, ai int) (*relation.Table, erro
 	return relation.Bind(rel, args)
 }
 
+// AtomVars returns the column order of the table BindAtom produces for atom
+// ai — its distinct variables by first occurrence, the convention of
+// relation.Bind — without touching a database.
+func AtomVars(q *cq.Query, ai int) []int {
+	var vars []int
+	for _, t := range q.Atoms[ai].Args {
+		if v, _ := q.VarIndex(t.Name); t.IsVar && !slices.Contains(vars, v) {
+			vars = append(vars, v)
+		}
+	}
+	return vars
+}
+
 // GroundAtomsHold evaluates the variable-free atoms of q; a Boolean query
 // whose ground atom is absent from the database is false regardless of the
 // rest of the body.
@@ -195,133 +204,96 @@ func Boolean(root *Node) bool {
 	return ok
 }
 
-// BooleanContext is Boolean with cancellation between semijoins. Under a
-// traced context the pass is one SpanSemijoinUp counting semijoins, Rows
-// carrying the reduced root cardinality.
+// BooleanContext is Boolean with cancellation between semijoins. The pass
+// reduces the tree in place. Under a traced context it is one
+// SpanSemijoinUp counting semijoins, Rows carrying the reduced root
+// cardinality.
 func BooleanContext(ctx context.Context, root *Node) (bool, error) {
-	sp := obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)
-	var up func(n *Node) (*relation.Table, error)
-	up = func(n *Node) (*relation.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t := n.Table
-		for _, c := range n.Children {
-			ct, err := up(c)
-			if err != nil {
-				return nil, err
-			}
-			t = t.Semijoin(ct)
-			sp.AddSteps(1)
-		}
-		return t, nil
-	}
-	t, err := up(root)
-	if err != nil {
+	p := pass{ctx: ctx, sp: obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)}
+	if err := p.up(root); err != nil {
 		return false, err
 	}
-	sp.SetRows(t.Rows())
+	p.end(root)
+	return root.Rows() > 0, nil
+}
+
+// pass is one direction of the sequential reducer: its span, and how many
+// of its semijoins ran the merge kernel.
+type pass struct {
+	ctx    context.Context
+	sp     *obs.Span
+	merges int
+}
+
+func (p *pass) semijoin(dst, src *Node) {
+	if semijoinNode(dst, src) {
+		p.merges++
+	}
+	p.sp.AddSteps(1)
+}
+
+func (p *pass) up(n *Node) error {
+	if err := p.ctx.Err(); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		if err := p.up(c); err != nil {
+			return err
+		}
+		p.semijoin(n, c)
+	}
+	return nil
+}
+
+func (p *pass) down(n *Node) error {
+	if err := p.ctx.Err(); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		p.semijoin(c, n)
+		if err := p.down(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *pass) end(root *Node) { endPass(p.sp, root, int64(p.merges)) }
+
+// endPass publishes a reducer pass span: Rows carries the root cardinality,
+// the label how many semijoins ran the merge kernel.
+func endPass(sp *obs.Span, root *Node, merges int64) {
+	sp.SetRows(root.Rows())
+	if merges > 0 {
+		sp.SetLabel(fmt.Sprintf("merge=%d", merges))
+	}
 	sp.End()
-	return !t.Empty(), nil
 }
 
 // Reduce runs the full reducer in place: an upward semijoin pass followed by
 // a downward pass. Afterwards every table is globally consistent: each
-// remaining row participates in at least one answer.
-func Reduce(root *Node) {
-	var up func(n *Node)
-	up = func(n *Node) {
-		for _, c := range n.Children {
-			up(c)
-			semijoinNode(n, c)
-		}
-	}
-	var down func(n *Node)
-	down = func(n *Node) {
-		for _, c := range n.Children {
-			semijoinNode(c, n)
-			down(c)
-		}
-	}
-	up(root)
-	down(root)
-}
-
-// ReduceContext is Reduce with cancellation between semijoins. On error the
-// tree is left partially reduced (still a superset of the consistent state).
+// remaining row participates in at least one answer. With workers > 1 the
+// semijoins of independent subtrees run on that many goroutines (nodes at
+// the same depth have disjoint parents' subtrees, so sibling subtrees reduce
+// concurrently). Cancellation is polled between semijoins: on error the tree
+// is left partially reduced (still a superset of the consistent state).
 // Under a traced context the passes record as SpanSemijoinUp and
 // SpanSemijoinDown, each counting its semijoins, Rows carrying the root
 // (resp. fully reduced root) cardinality.
-func ReduceContext(ctx context.Context, root *Node) error {
-	tr := obs.FromContext(ctx)
-	upSp := tr.StartSpan(obs.SpanSemijoinUp)
-	merges := 0
-	var up func(n *Node) error
-	up = func(n *Node) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if err := up(c); err != nil {
-				return err
-			}
-			if semijoinNode(n, c) {
-				merges++
-			}
-			upSp.AddSteps(1)
-		}
-		return nil
-	}
-	var downSp *obs.Span
-	var down func(n *Node) error
-	down = func(n *Node) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if semijoinNode(c, n) {
-				merges++
-			}
-			downSp.AddSteps(1)
-			if err := down(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := up(root); err != nil {
-		return err
-	}
-	upSp.SetRows(root.Table.Rows())
-	if merges > 0 {
-		upSp.SetLabel(fmt.Sprintf("merge=%d", merges))
-	}
-	upSp.End()
-	downSp = tr.StartSpan(obs.SpanSemijoinDown)
-	merges = 0
-	if err := down(root); err != nil {
-		return err
-	}
-	downSp.SetRows(root.Table.Rows())
-	if merges > 0 {
-		downSp.SetLabel(fmt.Sprintf("merge=%d", merges))
-	}
-	downSp.End()
-	return nil
-}
-
-// ParallelReduce is Reduce with the per-level semijoins of independent
-// subtrees running on worker goroutines. Nodes at the same depth have
-// disjoint parents' subtrees, so sibling subtrees reduce concurrently.
-func ParallelReduce(root *Node, workers int) {
-	ParallelReduceContext(context.Background(), root, workers)
-}
-
-// ParallelReduceContext is ParallelReduce with cancellation: once ctx is
-// cancelled no further semijoins start and the context error is returned.
-func ParallelReduceContext(ctx context.Context, root *Node, workers int) error {
+func Reduce(ctx context.Context, root *Node, workers int) error {
 	if workers <= 1 {
-		return ReduceContext(ctx, root)
+		tr := obs.FromContext(ctx)
+		up := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinUp)}
+		if err := up.up(root); err != nil {
+			return err
+		}
+		up.end(root)
+		down := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinDown)}
+		if err := down.down(root); err != nil {
+			return err
+		}
+		down.end(root)
+		return nil
 	}
 	// A watcher goroutine arms the halt flag, so the reduction itself only
 	// pays an atomic load per node instead of a channel select.
@@ -404,90 +376,9 @@ func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic
 		wg.Wait()
 	}
 	up(root)
-	upSp.SetRows(root.Table.Rows())
-	if m := merges.Load(); m > 0 {
-		upSp.SetLabel(fmt.Sprintf("merge=%d", m))
-	}
-	upSp.End()
+	endPass(upSp, root, merges.Load())
 	downSp = tr.StartSpan(obs.SpanSemijoinDown)
 	merges.Store(0)
 	down(root)
-	downSp.SetRows(root.Table.Rows())
-	if m := merges.Load(); m > 0 {
-		downSp.SetLabel(fmt.Sprintf("merge=%d", m))
-	}
-	downSp.End()
-}
-
-// Enumerate computes the answer over the head variables. After full
-// reduction, subtrees are joined bottom-up while projecting away variables
-// that are neither head variables nor needed for joins higher up — the
-// classical guarantee that intermediate results stay polynomial in
-// input + output size (Theorem 4.8 / [Yannakakis 1981]).
-func Enumerate(root *Node, head []int) *relation.Table {
-	t, _ := EnumerateContext(context.Background(), root, head, 1)
-	return t
-}
-
-// EnumerateContext is Enumerate with cancellation between table operations;
-// workers > 1 runs the full-reducer phase on that many goroutines. Under a
-// traced context the joining phase records as one SpanEnumerate: Steps
-// counts the bottom-up joins, Rows the enumerated (pre-head-projection)
-// cardinality; the reduction passes record their own semijoin spans.
-func EnumerateContext(ctx context.Context, root *Node, head []int, workers int) (*relation.Table, error) {
-	if workers > 1 {
-		if err := ParallelReduceContext(ctx, root, workers); err != nil {
-			return nil, err
-		}
-	} else if err := ReduceContext(ctx, root); err != nil {
-		return nil, err
-	}
-	sp := obs.FromContext(ctx).StartSpan(obs.SpanEnumerate)
-	headSet := map[int]bool{}
-	for _, v := range head {
-		headSet[v] = true
-	}
-	var up func(n *Node) (*relation.Table, error)
-	up = func(n *Node) (*relation.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t := n.Table
-		for _, c := range n.Children {
-			ct, err := up(c)
-			if err != nil {
-				return nil, err
-			}
-			t = t.Join(ct)
-			sp.AddSteps(1)
-		}
-		// keep head variables and the variables of this node (the node's
-		// own vars are what the parent can join on)
-		var keep []int
-		for _, v := range t.Vars {
-			if headSet[v] || tableHasVar(n.Table, v) {
-				keep = append(keep, v)
-			}
-		}
-		if len(keep) == len(t.Vars) {
-			return t, nil
-		}
-		return t.Project(keep), nil
-	}
-	full, err := up(root)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetRows(full.Rows())
-	sp.End()
-	return full.Project(head), nil
-}
-
-func tableHasVar(t *relation.Table, v int) bool {
-	for _, x := range t.Vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	endPass(downSp, root, merges.Load())
 }

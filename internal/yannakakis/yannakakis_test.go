@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -145,11 +146,11 @@ t(c, d).
 	if err != nil {
 		t.Fatal(err)
 	}
-	Reduce(root)
+	Reduce(context.Background(), root, 1)
 	var sizes []int
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		sizes = append(sizes, n.Table.Rows())
+		sizes = append(sizes, n.Rows())
 		for _, c := range n.Children {
 			walk(c)
 		}
@@ -216,7 +217,7 @@ func bruteForce(db *relation.Database, q *cq.Query) *relation.Table {
 	return acc.Project([]int{xv, wv})
 }
 
-// E18: ParallelReduce computes the same tables as Reduce.
+// E18: the parallel reducer computes the same tables as the sequential one.
 func TestE18ParallelReduceAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := cq.MustParse(`r(X,Y), s(Y,Z), t(Z,W), s2(Y, V), t2(V, U)`)
@@ -232,11 +233,11 @@ func TestE18ParallelReduceAgrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		parRoot, _ := FromJoinTree(db, q, treeFor(q))
-		Reduce(seqRoot)
-		ParallelReduce(parRoot, 4)
+		Reduce(context.Background(), seqRoot, 1)
+		Reduce(context.Background(), parRoot, 4)
 		var cmp func(a, b *Node) bool
 		cmp = func(a, b *Node) bool {
-			if !a.Table.Equal(b.Table) || len(a.Children) != len(b.Children) {
+			if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
 				return false
 			}
 			for i := range a.Children {
@@ -277,7 +278,7 @@ func attachEncs(n *Node, hubFirst bool) {
 }
 
 // TestMergeSemijoinReducerAgrees is the reducer differential: with
-// encodings attached, Reduce/ParallelReduce over the merge-semijoin kernel
+// encodings attached, Reduce (1 and 4 workers) over the merge-semijoin kernel
 // must leave every table equal to the hash reducer's, over star and chain
 // trees and both encoding orders.
 func TestMergeSemijoinReducerAgrees(t *testing.T) {
@@ -304,17 +305,17 @@ func TestMergeSemijoinReducerAgrees(t *testing.T) {
 		attachEncs(mergeRoot, hubFirst)
 		attachEncs(hashRoot, hubFirst)
 		attachEncs(parRoot, hubFirst)
-		Reduce(mergeRoot)
-		ParallelReduce(parRoot, 4)
+		Reduce(context.Background(), mergeRoot, 1)
+		Reduce(context.Background(), parRoot, 4)
 		DisableMergeSemijoin.Store(true)
-		Reduce(hashRoot)
+		Reduce(context.Background(), hashRoot, 1)
 		DisableMergeSemijoin.Store(false)
 		var cmp func(a, b *Node) bool
 		cmp = func(a, b *Node) bool {
-			if !a.Table.Equal(b.Table) || len(a.Children) != len(b.Children) {
+			if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
 				return false
 			}
-			if a.Enc != nil && !a.Enc.Table().Equal(a.Table) {
+			if a.Enc != nil && !a.Enc.Table().Equal(a.Materialize()) {
 				return false
 			}
 			for i := range a.Children {

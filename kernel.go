@@ -46,8 +46,9 @@ func ParseJoinKernel(s string) (JoinKernel, error) {
 // WithJoinKernel selects the intra-bag join kernel of hypertree-strategy
 // plans (see JoinKernel; the default is JoinKernelChain). The option is
 // answer-neutral — it changes how node tables are computed, never their
-// contents — and is ignored by the naive and acyclic strategies, which have
-// no decomposition bags. Kernel choice is part of the PlanCache key.
+// contents — and changes nothing for the naive strategy, which has no
+// bags, or the acyclic one, whose bags hold one relation each and run as
+// scans under every kernel. Kernel choice is part of the PlanCache key.
 func WithJoinKernel(k JoinKernel) CompileOption {
 	return func(c *compileConfig) {
 		kn, err := hdeval.ParseKernel(string(k))
@@ -72,8 +73,9 @@ func (p *Plan) JoinKernel() JoinKernel {
 }
 
 // ColumnarCacheMetrics returns the process-wide hit/miss totals of the
-// plan-level Columnar encoding cache the leapfrog kernel encodes λ
-// relations through (monotonic since process start). A warm plan executing
+// plan-level Columnar encoding cache that acyclic plans, single-relation
+// bags and the leapfrog kernel fetch their relations through (monotonic
+// since process start). A warm plan executing
 // repeatedly against one database snapshot hits on every λ encoding after
 // the first execution; a database swap invalidates every cached encoding,
 // so misses after a swap mean re-encoding, not a defect.

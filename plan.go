@@ -8,9 +8,9 @@ import (
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/hdeval"
+	"hypertree/internal/jointree"
 	"hypertree/internal/obs"
 	"hypertree/internal/stats"
-	"hypertree/internal/yannakakis"
 )
 
 // A Plan is a compiled conjunctive query: parsing/analysis done, a
@@ -26,9 +26,8 @@ type Plan struct {
 	query        *Query
 	strategy     Strategy // resolved: never StrategyAuto
 	dec          *Decomposition
-	eval         *hdeval.Evaluator     // hypertree-strategy skeleton
-	jt           *JoinTree             // acyclic-strategy join tree (nil if ground-only)
-	yeval        *yannakakis.Evaluator // acyclic-strategy skeleton (nil if ground-only)
+	eval         *hdeval.Evaluator // evaluation skeleton (nil for the naive strategy)
+	jt           *JoinTree         // acyclic-strategy join tree (nil if ground-only)
 	head         []int
 	workers      int
 	shardWorkers int
@@ -240,12 +239,21 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 		return nil, err
 	}
 
+	// One GYO run both resolves StrategyAuto and yields the join tree the
+	// acyclic strategy executes.
 	strategy := cfg.strategy
-	if strategy == StrategyAuto {
-		if IsAcyclic(q) {
+	var jtH *Hypergraph
+	var jt *JoinTree
+	if strategy == StrategyAuto || strategy == StrategyAcyclic {
+		jtH = QueryHypergraph(q)
+		var ok bool
+		switch jt, ok = jointree.GYO(jtH); {
+		case ok:
 			strategy = StrategyAcyclic
-		} else {
+		case strategy == StrategyAuto:
 			strategy = StrategyHypertree
+		default:
+			return nil, ErrCyclic
 		}
 	}
 
@@ -262,16 +270,17 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 	case StrategyNaive:
 		return p, nil
 	case StrategyAcyclic:
-		jt, ok := QueryJoinTree(q)
-		if !ok {
-			return nil, ErrCyclic
-		}
+		// By Theorem 4.5 the join tree is a width-1 hypertree decomposition:
+		// no search runs, and the plan executes through the same evaluator
+		// as every other decomposition, each node a scan of its relation.
 		p.jt = jt // nil when the query has only ground atoms
+		var parent []int
 		if jt != nil {
-			p.yeval, err = yannakakis.NewEvaluator(q, jt)
-			if err != nil {
-				return nil, err
-			}
+			parent = jt.Parent
+		}
+		p.eval, err = hdeval.NewEvaluatorCost(q, decomp.FromJoinTree(jtH, parent), nil, p.JoinKernel())
+		if err != nil {
+			return nil, err
 		}
 		return p, nil
 	case StrategyHypertree:
@@ -377,8 +386,9 @@ func (p *Plan) Query() *Query { return p.query }
 // Strategy returns the resolved evaluation strategy (never StrategyAuto).
 func (p *Plan) Strategy() Strategy { return p.strategy }
 
-// Decomposition returns the hypertree decomposition the plan evaluates
-// through, or nil for the naive and acyclic strategies.
+// Decomposition returns the hypertree decomposition the plan's search
+// produced, or nil for the naive and acyclic strategies (an acyclic plan
+// evaluates through its JoinTree, read as a width-1 decomposition).
 func (p *Plan) Decomposition() *Decomposition { return p.dec }
 
 // JoinTree returns the join tree of an acyclic-strategy plan, nil otherwise
@@ -542,18 +552,10 @@ func (p *Plan) execute(ctx context.Context, db *Database) (*Table, error) {
 		}
 		return boolTable(ok), nil
 	}
-	switch p.strategy {
-	case StrategyNaive:
+	if p.strategy == StrategyNaive {
 		return hdeval.NaiveJoinContext(ctx, db, p.query)
-	case StrategyAcyclic:
-		root, err := p.yeval.Root(ctx, db)
-		if err != nil {
-			return nil, err
-		}
-		return yannakakis.EnumerateContext(ctx, root, p.head, p.workers)
-	default: // StrategyHypertree
-		return p.eval.Enumerate(ctx, db, p.workers)
 	}
+	return p.eval.Enumerate(ctx, db, p.workers)
 }
 
 // ExecuteBoolean decides satisfiability of the plan's query on db (for
@@ -584,16 +586,7 @@ func (p *Plan) executeBoolean(ctx context.Context, db *Database) (bool, error) {
 			return false, err
 		}
 		return !t.Empty(), nil
-	case StrategyAcyclic:
-		if p.yeval == nil { // only ground atoms
-			return yannakakis.GroundAtomsHold(db, p.query)
-		}
-		root, err := p.yeval.Root(ctx, db)
-		if err != nil {
-			return false, err
-		}
-		return yannakakis.BooleanContext(ctx, root)
-	default: // StrategyHypertree
+	default: // StrategyAcyclic, StrategyHypertree
 		return p.eval.Boolean(ctx, db, p.workers)
 	}
 }
