@@ -39,7 +39,7 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			plan, err := Compile(tc.Q, WithWorkers(workers), WithJoinKernel(JoinKernelAuto))
+			plan, err := Compile(tc.Q, WithWorkers(workers))
 			if err != nil {
 				t.Fatalf("%s: %v", tc.Name, err)
 			}
@@ -120,7 +120,7 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(domain int) float64 {
 		db := enumShapeDB(domain)
-		plan, err := Compile(MustParseQuery(enumShapeQuery), WithJoinKernel(JoinKernelAuto))
+		plan, err := Compile(MustParseQuery(enumShapeQuery))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 func BenchmarkAcyclicEnum(b *testing.B) {
 	ctx := context.Background()
 	db := enumShapeDB(7500)
-	plan, err := Compile(MustParseQuery(enumShapeQuery), WithJoinKernel(JoinKernelAuto))
+	plan, err := Compile(MustParseQuery(enumShapeQuery))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -115,11 +115,15 @@ func BenchmarkE06HypertreeWidth(b *testing.B) {
 func BenchmarkE08Lemma46(b *testing.B) {
 	q := gen.Q5()
 	_, d, _ := HypertreeWidth(q)
+	eval, err := hdeval.NewEvaluator(q, d, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, r := range []int{50, 100, 200} {
 		db := gen.RandomDatabase(rand.New(rand.NewSource(1)), q, r, 16)
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hdeval.FromDecomposition(db, q, d); err != nil {
+				if _, err := eval.Root(context.Background(), db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -246,12 +250,15 @@ func BenchmarkE15Eval(b *testing.B) {
 	// here) the naive join exhausts memory while the HD strategy stays
 	// polynomial — the Theorem 4.7 shape.
 	q := gen.Cycle(6)
-	_, d, _ := HypertreeWidth(q)
+	plan, err := Compile(q, WithStrategy(StrategyHypertree))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, r := range []int{100, 200, 400} {
 		db := gen.RandomDatabase(rand.New(rand.NewSource(2)), q, r, 32)
 		b.Run(fmt.Sprintf("hd/r=%d", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hdeval.Boolean(db, q, d); err != nil {
+				if _, err := plan.ExecuteBoolean(context.Background(), db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -335,17 +342,17 @@ func BenchmarkE19ThreePS(b *testing.B) {
 // size on a star query whose answer grows linearly with the database.
 func BenchmarkE20OutputPoly(b *testing.B) {
 	q := MustParseQuery(`ans(X1, X2, X3) :- r1(C, X1), r2(C, X2), r3(C, X3).`)
-	jt, _ := QueryJoinTree(q)
-	head := q.HeadVars().Elems()
+	plan, err := Compile(q, WithStrategy(StrategyAcyclic))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, r := range []int{100, 400, 1600} {
 		db := gen.RandomDatabase(rand.New(rand.NewSource(3)), q, r, r) // sparse: output ~ r
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				root, err := yannakakis.FromJoinTree(db, q, jt)
-				if err != nil {
+				if _, err := plan.Execute(context.Background(), db); err != nil {
 					b.Fatal(err)
 				}
-				yannakakis.Enumerate(root, head)
 			}
 		})
 	}
@@ -415,7 +422,7 @@ func BenchmarkAblationParallelMaterialise(b *testing.B) {
 	}
 	db := gen.RandomDatabase(rand.New(rand.NewSource(5)), q, 600, 32)
 	ctx := context.Background()
-	eval, err := hdeval.NewEvaluator(q, plan.Decomposition())
+	eval, err := hdeval.NewEvaluator(q, plan.Decomposition(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -487,9 +494,13 @@ func BenchmarkPlanReuse(b *testing.B) {
 func BenchmarkAblationParallelReduce(b *testing.B) {
 	q := gen.Star(12)
 	jt, _ := QueryJoinTree(q)
+	eval, err := hdeval.NewEvaluator(q, decomp.FromJoinTree(QueryHypergraph(q), jt.Parent), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	db := gen.RandomDatabase(rand.New(rand.NewSource(4)), q, 3000, 64)
 	build := func() *yannakakis.Node {
-		root, err := yannakakis.FromJoinTree(db, q, jt)
+		root, err := eval.Root(context.Background(), db)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,8 +521,8 @@ func BenchmarkAblationParallelReduce(b *testing.B) {
 // E23: partition-parallel execution (cmd/hdbench E23 prints the
 // multi-million-tuple wall-clock side; this bench tracks the same paths at
 // a size the test suite can afford). The sharded path pays scatter overhead
-// but divides the probe, output and χ-projection work per shard and reuses
-// one join index across every fragment.
+// but divides the pivot encoding and the leapfrog run per shard and shares
+// one encoding of every other λ relation across the fragments.
 func BenchmarkE23Sharded(b *testing.B) {
 	q := gen.Cycle(3)
 	db := gen.LargeRandomDatabase(rand.New(rand.NewSource(23)), q, 60_000, 30_000)

@@ -10,7 +10,7 @@
 //	        [-slowquery-ms N] [-portfile PATH] [-drain D]
 //	        [-trace-sample N] [-otel-file PATH | -otel-endpoint URL]
 //	        [-stats-refresh D] [-qerror-threshold Q] [-qerror-window N]
-//	        [-refresh-cooldown D] [-kernel chain|leapfrog|auto]
+//	        [-refresh-cooldown D]
 //
 // The database is either a facts file (-db, ground atoms in "r(a,b)." form)
 // or the generated serving workload (-gen-rows, matching gen.ServingPool so
@@ -89,7 +89,6 @@ type options struct {
 	qerrorThreshold float64
 	qerrorWindow    int
 	refreshCooldown time.Duration
-	kernel          string
 }
 
 func main() {
@@ -116,7 +115,6 @@ func main() {
 	flag.Float64Var(&o.qerrorThreshold, "qerror-threshold", 0, "trigger a statistics refresh when a node's median q-error exceeds this (0 = off)")
 	flag.IntVar(&o.qerrorWindow, "qerror-window", 0, "consecutive-execution window for the q-error trigger median (0 = default)")
 	flag.DurationVar(&o.refreshCooldown, "refresh-cooldown", 0, "minimum spacing between feedback-triggered refreshes (0 = default)")
-	flag.StringVar(&o.kernel, "kernel", "auto", "intra-bag join kernel: chain, leapfrog, or auto (cost-aware per-bag selection)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "hdserve:", err)
@@ -159,7 +157,6 @@ func run(o options) error {
 		QErrorThreshold: o.qerrorThreshold,
 		QErrorWindow:    o.qerrorWindow,
 		RefreshCooldown: o.refreshCooldown,
-		JoinKernel:      o.kernel,
 	}, opts...)
 	if err != nil {
 		return err

@@ -4,8 +4,8 @@
 //
 //	qeval -query queryfile -db factsfile [-db2 factsfile ...]
 //	      [-strategy auto|naive|acyclic|hd|ghd|fhd|qd] [-workers N]
-//	      [-kernel chain|leapfrog|auto] [-timeout D] [-widths] [-stats]
-//	      [-explain] [-analyze] [-shards N] [-partition hash|rr]
+//	      [-timeout D] [-widths] [-stats] [-explain] [-analyze]
+//	      [-shards N] [-partition hash|rr]
 //
 // The query file holds one rule ("ans(X) :- r(X,Y), s(Y,Z)."); each facts
 // file holds ground atoms, one or more per line ("r(a,b). s(b,c)."). For a
@@ -23,7 +23,8 @@
 // With -stats, sampled statistics are collected from the first database
 // before compiling and planning becomes cost-based: the race ranks engines
 // by estimated total evaluation cost, the heuristics break width ties
-// toward cheaper λ placements, and joins run smallest-relation first.
+// toward cheaper λ placements, and the semijoin passes run against the
+// smallest estimated node tables first.
 // -explain prints the compiled plan's per-node cost/width report — which
 // relations each λ label joins and what each node is estimated to
 // materialise.
@@ -38,12 +39,6 @@
 // hash or round-robin tuple placement) and the plan runs through
 // ExecuteSharded: per-node λ-joins materialise shard-parallel and merge,
 // answer-identically to the unsharded run.
-//
-// -kernel selects the intra-bag join algorithm of hypertree-strategy plans:
-// chain (binary hash-join chains, the default), leapfrog (worst-case-optimal
-// leapfrog triejoin over sorted columnar tries), or auto (leapfrog on wide
-// bags, chain elsewhere). Kernels are answer-neutral — the flag trades
-// constant factors, never results.
 package main
 
 import (
@@ -64,7 +59,6 @@ func main() {
 		dbFile2   = flag.String("db2", "", "optional second facts file (plan reuse)")
 		strategy  = flag.String("strategy", "auto", strategyflag.Valid())
 		workers   = flag.Int("workers", 0, "worker goroutines for search and reduction")
-		kernel    = flag.String("kernel", "", "intra-bag join kernel: chain | leapfrog | auto (default chain)")
 		timeout   = flag.Duration("timeout", 0, "abort compilation/evaluation after this duration")
 		timing    = flag.Bool("time", false, "print compile and evaluation wall time")
 		widths    = flag.Bool("widths", false, "print the compiled plan's width report")
@@ -75,13 +69,13 @@ func main() {
 		partition = flag.String("partition", "hash", "tuple placement for -shards: hash | rr")
 	)
 	flag.Parse()
-	if err := run(*queryFile, *dbFile, *dbFile2, *strategy, *kernel, *workers, *timeout, *timing, *widths, *useStats, *explain, *analyze, *shards, *partition); err != nil {
+	if err := run(*queryFile, *dbFile, *dbFile2, *strategy, *workers, *timeout, *timing, *widths, *useStats, *explain, *analyze, *shards, *partition); err != nil {
 		fmt.Fprintln(os.Stderr, "qeval:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryFile, dbFile, dbFile2, strategyName, kernelName string, workers int, timeout time.Duration, timing, widths, useStats, explain, analyze bool, shards int, partition string) error {
+func run(queryFile, dbFile, dbFile2, strategyName string, workers int, timeout time.Duration, timing, widths, useStats, explain, analyze bool, shards int, partition string) error {
 	if queryFile == "" || dbFile == "" {
 		return fmt.Errorf("both -query and -db are required")
 	}
@@ -125,13 +119,6 @@ func run(queryFile, dbFile, dbFile2, strategyName, kernelName string, workers in
 	}
 	if workers > 0 {
 		opts = append(opts, hypertree.WithWorkers(workers))
-	}
-	if kernelName != "" {
-		k, err := hypertree.ParseJoinKernel(kernelName)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, hypertree.WithJoinKernel(k))
 	}
 	if useStats {
 		opts = append(opts, hypertree.WithStats(dbs[0]))

@@ -36,7 +36,6 @@ func (p *Plan) Explain() string {
 	case p.strategy == StrategyAcyclic:
 		b.WriteString("\n  no decomposition search: the join tree is a width-1 hypertree decomposition (Theorem 4.5);\n" +
 			"  Yannakakis' semijoin passes and the enumeration run over one cached columnar scan per atom\n")
-		p.explainKernels(&b)
 		return b.String()
 	case p.dec == nil:
 		fmt.Fprintf(&b, "\n  no decomposition: the %s strategy plans no λ-joins\n", strategyName(p.strategy))
@@ -72,23 +71,7 @@ func (p *Plan) Explain() string {
 	if p.dec.Root != nil {
 		visit(p.dec.Root, 0)
 	}
-	p.explainKernels(&b)
 	return b.String()
-}
-
-// explainKernels renders the per-node kernel decisions. They live on the
-// evaluator's completed tree (Complete clones and may extend the
-// decomposition), so they are reported from NodeInfos rather than from the
-// decomposition the plan reports.
-func (p *Plan) explainKernels(b *strings.Builder) {
-	if p.eval == nil || len(p.eval.NodeInfos()) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "  kernel selection (policy %s):\n", p.JoinKernel())
-	for _, info := range p.eval.NodeInfos() {
-		indent := strings.Repeat("  ", info.Depth+2)
-		fmt.Fprintf(b, "%s%s → %s\n", indent, info.Label, info.Kernel)
-	}
 }
 
 // LastTrace returns the trace of the plan's most recent traced execution
@@ -178,9 +161,7 @@ func (p *Plan) ExplainAnalyze() string {
 		for _, info := range p.eval.NodeInfos() {
 			indent := strings.Repeat("  ", info.Depth+1)
 			fmt.Fprintf(&b, "%s%s", indent, info.Label)
-			if info.Kernel != "" {
-				fmt.Fprintf(&b, " kernel=%s", info.Kernel)
-			}
+			fmt.Fprintf(&b, " kernel=%s", info.Kernel)
 			s, ok := nodeSpans[info.ID]
 			switch {
 			case !ok:

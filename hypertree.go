@@ -289,11 +289,11 @@ func EvaluateBoolean(db *Database, q *Query) (bool, error) {
 // Deprecated: Compile with a fixed Decomposer (or the defaults) and reuse
 // the Plan; it precomputes the evaluation skeleton as well.
 func EvaluateWith(db *Database, q *Query, d *Decomposition) (bool, *Table, error) {
-	if q.IsBoolean() {
-		b, err := hdeval.Boolean(db, q, d)
-		return b, boolTable(b), err
+	e, err := hdeval.NewEvaluator(q, d, nil)
+	if err != nil {
+		return false, nil, err
 	}
-	t, err := hdeval.Enumerate(db, q, d)
+	t, err := e.Enumerate(context.Background(), db, 1)
 	if err != nil {
 		return false, nil, err
 	}

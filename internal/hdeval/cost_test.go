@@ -21,33 +21,23 @@ func compileHD(t *testing.T, q *cq.Query) *decomp.Decomposition {
 	return d
 }
 
-// NewEvaluatorStats must order each λ-join ascending by estimated
-// cardinality and sort children by estimated node size, without changing
-// any produced table.
+// With per-edge estimates NewEvaluator must sort every node's children by
+// estimated node size, without changing any produced table.
 func TestEvaluatorStatsOrdering(t *testing.T) {
 	q := cq.MustParse(`ans(X1, X3) :- r1(X1, X2), r2(X2, X3), r3(X3, X4), r4(X4, X1).`)
 	d := compileHD(t, q)
 	h, _ := q.Hypergraph()
 	// price edge i at descending rows so the statistics order reverses the
-	// input order wherever a λ has 2+ edges
+	// input order
 	rows := make([]float64, h.NumEdges())
 	for i := range rows {
 		rows[i] = float64(1000 * (len(rows) - i))
 	}
-	e, err := NewEvaluatorStats(q, d, rows)
+	e, err := NewEvaluator(q, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range e.HD.Nodes() {
-		order := e.lamOrder[n]
-		if len(order) != n.Lambda.Len() {
-			t.Fatalf("lamOrder misses edges: %v vs %v", order, n.Lambda.Elems())
-		}
-		for i := 1; i < len(order); i++ {
-			if rows[order[i-1]] > rows[order[i]] {
-				t.Fatalf("λ order not ascending by estimate: %v", order)
-			}
-		}
 		for i := 1; i < len(n.Children); i++ {
 			if n.Children[i-1].EstRows > n.Children[i].EstRows {
 				t.Fatalf("children not sorted by EstRows")
@@ -56,7 +46,7 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 	}
 
 	// equivalence against the statistics-free evaluator, single and sharded
-	plainEval, err := NewEvaluator(q, d)
+	plainEval, err := NewEvaluator(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

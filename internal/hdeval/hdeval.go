@@ -25,7 +25,6 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
-	"hypertree/internal/stats"
 	"hypertree/internal/yannakakis"
 )
 
@@ -38,20 +37,13 @@ type Evaluator struct {
 	Q  *cq.Query
 	HD *decomp.Decomposition // completed per Lemma 4.4
 
-	edgeToAtom  []int
-	head        []int
-	chiElems    map[*decomp.Node][]int
-	edgeRows    []float64                // per-edge cardinality estimates (nil: no statistics)
-	edgeStats   *stats.EdgeStats         // per-edge rows + distincts for cost-aware kernel choice (nil: arity rule)
-	lamOrder    map[*decomp.Node][]int   // λ edges in evaluation order (ascending estimate)
-	nodeID      map[*decomp.Node]int     // preorder index over the completed tree
-	infos       []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
-	labelOnce   sync.Once                // renders infos[i].Label on first use
-	kernel      Kernel                   // intra-bag join kernel policy
-	lfNodes     map[*decomp.Node]*lfNode // columnar nodes (scans and leapfrog bags), with their orders
-	kernelOf    map[*decomp.Node]string  // per-node kernel decision, qualified (see decideKernel)
-	lfFallbacks int                      // nodes where the policy chose leapfrog but no plan exists
-	enc         encCache                 // plan-level Columnar encoding cache (interior mutability)
+	edgeToAtom []int
+	head       []int
+	nodeID     map[*decomp.Node]int     // preorder index over the completed tree
+	infos      []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
+	labelOnce  sync.Once                // renders infos[i].Label on first use
+	lfNodes    map[*decomp.Node]*lfNode // every node's columnar plan (see kernel.go)
+	enc        encCache                 // plan-level Columnar encoding cache (interior mutability)
 }
 
 // NodeInfo identifies one node of the evaluator's completed decomposition
@@ -69,11 +61,8 @@ type NodeInfo struct {
 	// EstRows is the planner's estimated cardinality of the node table
 	// (0 when the plan carries no statistics).
 	EstRows float64
-	// Kernel is the decided intra-bag join kernel, qualified with how the
-	// decision was made: "chain"/"leapfrog" under a forced policy,
-	// "…(cost)" for a statistics-priced auto decision, "…(arity)" for the
-	// statistics-free fallback rule, and "chain(fallback)" when the policy
-	// chose leapfrog but the node has no leapfrog plan.
+	// Kernel is how the node table is materialised, which |λ| alone
+	// decides: "scan" for one relation, "leapfrog" for several.
 	Kernel string
 }
 
@@ -84,67 +73,38 @@ type NodeInfo struct {
 func (e *Evaluator) NodeInfos() []NodeInfo {
 	e.labelOnce.Do(func() {
 		for n, id := range e.nodeID {
-			e.infos[id].Label = fmt.Sprintf("χ{%s} λ{%s}",
-				strings.Join(e.HD.H.VertexNames(n.Chi), ","),
-				strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
+			e.infos[id].Label = e.nodeLabel(n)
 		}
 	})
 	return e.infos
 }
 
+// nodeLabel renders n's χ and λ.
+func (e *Evaluator) nodeLabel(n *decomp.Node) string {
+	return fmt.Sprintf("χ{%s} λ{%s}",
+		strings.Join(e.HD.H.VertexNames(n.Chi), ","),
+		strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
+}
+
 // NewEvaluator analyses q and completes hd once, returning the reusable
-// evaluation skeleton. The head variables are validated here, so execution
-// can no longer fail on an unsafe head.
-func NewEvaluator(q *cq.Query, hd *decomp.Decomposition) (*Evaluator, error) {
-	return NewEvaluatorStats(q, hd, nil)
-}
-
-// NewEvaluatorStats is NewEvaluator with per-edge cardinality estimates
-// steering the evaluation order. When edgeRows is non-nil, each node's
-// λ-join runs in ascending order of estimated relation cardinality (small
-// relations first keep the left-deep intermediates small) and every node's
-// children are reordered by ascending estimated node cardinality, so the
-// bottom-up semijoin passes shrink each table against its most selective
-// child first. Both reorderings are answer-neutral — joins and the
-// semijoin reductions commute — so an Evaluator with statistics returns
-// exactly the tables of one without; only the work to produce them
-// changes. edgeRows nil preserves the historical input order bit for bit.
-func NewEvaluatorStats(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*Evaluator, error) {
-	return NewEvaluatorKernel(q, hd, edgeRows, KernelChain)
-}
-
-// NewEvaluatorKernel is NewEvaluatorStats with an explicit intra-bag join
-// kernel policy (see Kernel). The kernel changes only how each node's
-// χ-projected λ-join is computed — chain of binary hash joins vs columnar
-// leapfrog triejoin — never its result, so evaluators with different
-// kernels return identical tables.
-func NewEvaluatorKernel(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64, kernel Kernel) (*Evaluator, error) {
-	var es *stats.EdgeStats
-	if edgeRows != nil {
-		es = &stats.EdgeStats{Rows: edgeRows}
-	}
-	return NewEvaluatorCost(q, hd, es, kernel)
-}
-
-// NewEvaluatorCost is the full-information constructor: es carries per-edge
-// row estimates (steering join and child orders exactly as
-// NewEvaluatorStats describes) plus per-edge distinct counts, which arm the
-// cost-aware auto kernel — each bag's λ-join is priced as a hash chain vs a
-// leapfrog encode+enumerate and the cheaper kernel is decided per node (see
-// kernelcost.go). es nil, or with no Distinct slice, degrades to the arity
-// rule for auto. Kernel decisions never change results, only the work to
-// produce them.
-func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats, kernel Kernel) (*Evaluator, error) {
+// evaluation skeleton. The head variables are validated here, and so is
+// every node of the completed tree — a node whose λ is empty, or whose χ
+// reaches outside var(λ), has no table to materialise and is rejected by
+// name — so execution can no longer fail on the plan's shape.
+//
+// edgeRows, when non-nil, holds per-edge cardinality estimates: every
+// node's children are reordered by ascending estimated node cardinality, so
+// the bottom-up semijoin passes shrink each table against its most
+// selective child first. The reordering is answer-neutral — semijoin
+// reductions commute — so an Evaluator with statistics returns exactly the
+// tables of one without; only the work to produce them changes.
+func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
 	}
 	head, err := HeadVars(q)
 	if err != nil {
 		return nil, err
-	}
-	var edgeRows []float64
-	if es != nil {
-		edgeRows = es.Rows
 	}
 	complete := hd.Complete()
 	nodes := complete.Nodes()
@@ -153,13 +113,7 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 		HD:         complete,
 		edgeToAtom: q.EdgeAtoms(),
 		head:       head,
-		chiElems:   make(map[*decomp.Node][]int, len(nodes)),
-		edgeRows:   edgeRows,
-		edgeStats:  es,
-		lamOrder:   make(map[*decomp.Node][]int, len(nodes)),
-		kernel:     kernel,
 		lfNodes:    make(map[*decomp.Node]*lfNode, len(nodes)),
-		kernelOf:   make(map[*decomp.Node]string, len(nodes)),
 		nodeID:     make(map[*decomp.Node]int, len(nodes)),
 		infos:      make([]NodeInfo, 0, len(nodes)),
 	}
@@ -174,100 +128,51 @@ func NewEvaluatorCost(q *cq.Query, hd *decomp.Decomposition, es *stats.EdgeStats
 			}
 		}
 	}
-	// Parent links steer each node's χ column order: the variables shared
-	// with the parent come first (ascending), the rest after (ascending).
-	// This exposes the reducer's semijoin variables as a sorted column
-	// prefix, which is what makes the merge-semijoin kernel applicable to
-	// the up- and down-pass (see relation.MergeSemijoin); the reordering is
-	// answer-neutral — node tables are sets keyed by variable, and the head
-	// projection fixes the final column order.
-	parent := make(map[*decomp.Node]*decomp.Node, len(nodes))
-	var link func(n *decomp.Node)
-	link = func(n *decomp.Node) {
-		for _, c := range n.Children {
-			parent[c] = n
-			link(c)
+	// Node identity for tracing is the preorder over the final
+	// (post-reorder) tree, so span Node fields and EXPLAIN ANALYZE agree on
+	// which node is which forever after.
+	var index func(n, parent *decomp.Node, depth int) error
+	index = func(n, parent *decomp.Node, depth int) error {
+		lf, err := e.lfPlanFor(n, parent)
+		if err != nil {
+			return err
 		}
-	}
-	if complete.Root != nil {
-		link(complete.Root)
-	}
-	for _, n := range nodes {
-		chi := n.Chi.Elems()
-		if p := parent[n]; p != nil {
-			shared := make([]int, 0, len(chi))
-			rest := make([]int, 0, len(chi))
-			for _, v := range chi {
-				if p.Chi.Has(v) {
-					shared = append(shared, v)
-				} else {
-					rest = append(rest, v)
-				}
-			}
-			chi = append(shared, rest...)
-		}
-		e.chiElems[n] = chi
-		e.lamOrder[n] = e.orderLambda(n)
+		e.lfNodes[n] = lf
 		if edgeRows != nil {
 			sort.SliceStable(n.Children, func(i, j int) bool {
 				return n.Children[i].EstRows < n.Children[j].EstRows
 			})
 		}
-		e.decideKernel(n)
-	}
-	// Node identity for tracing: preorder over the final (post-reorder)
-	// tree, so span Node fields and EXPLAIN ANALYZE agree on which node is
-	// which forever after.
-	var index func(n *decomp.Node, depth int)
-	index = func(n *decomp.Node, depth int) {
 		e.nodeID[n] = len(e.infos)
 		e.infos = append(e.infos, NodeInfo{
 			ID:      len(e.infos),
 			Depth:   depth,
 			EstRows: n.EstRows,
-			Kernel:  e.kernelOf[n],
+			Kernel:  lf.kernel(),
 		})
 		for _, c := range n.Children {
-			index(c, depth+1)
+			if err := index(c, n, depth+1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 	if complete.Root != nil {
-		index(complete.Root, 0)
+		if err := index(complete.Root, nil, 0); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
-}
-
-// LeapfrogFallbacks returns how many nodes the kernel policy selected for
-// leapfrog but had to fall back to the chain on (no leapfrog plan exists —
-// a χ variable outside var(λ), impossible on complete decompositions).
-func (e *Evaluator) LeapfrogFallbacks() int { return e.lfFallbacks }
-
-// orderLambda returns n's λ edges in evaluation order: ascending estimated
-// cardinality (ties to the lower edge id) under statistics, ascending edge
-// id without.
-func (e *Evaluator) orderLambda(n *decomp.Node) []int {
-	elems := n.Lambda.Elems()
-	if e.edgeRows == nil {
-		return elems
-	}
-	rows := func(i int) float64 {
-		if elems[i] < len(e.edgeRows) {
-			return e.edgeRows[elems[i]]
-		}
-		return 1
-	}
-	sort.SliceStable(elems, func(i, j int) bool { return rows(i) < rows(j) })
-	return elems
 }
 
 // Head returns the validated head variables of the query.
 func (e *Evaluator) Head() []int { return append([]int(nil), e.head...) }
 
-// Root materialises the acyclic instance of Lemma 4.6 for db: one table per
-// decomposition node (the χ-projection of the λ-join), arranged along the
-// decomposition tree — columnar (Node.Enc) for scans and leapfrog bags,
-// row-major for chain bags. Ground atoms of the query (variable-free, hence
-// absent from H(Q)) are evaluated separately and, if false, empty the root.
+// Root materialises the acyclic instance of Lemma 4.6 for db: one columnar
+// table per decomposition node (the χ-projection of the λ-join), arranged
+// along the decomposition tree. Ground atoms of the query (variable-free,
+// hence absent from H(Q)) are evaluated separately and, if false, empty the
+// root.
 func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakakis.Node, error) {
 	return e.RootWorkers(ctx, db, 1)
 }
@@ -279,15 +184,7 @@ func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakaki
 // path.
 func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Node, error) {
 	if e.HD.Root == nil { // no variable atoms: nothing to materialise
-		ok, err := yannakakis.GroundAtomsHold(db, e.Q)
-		if err != nil {
-			return nil, err
-		}
-		t := relation.TrueTable()
-		if !ok {
-			t = relation.NewTable(nil)
-		}
-		return &yannakakis.Node{Table: t}, nil
+		return groundRoot(db, e.Q)
 	}
 
 	b := &rootBuilder{ctx: ctx, db: db, e: e, tr: obs.FromContext(ctx), atomTables: map[int]*relation.Table{}}
@@ -305,14 +202,24 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 	if err != nil {
 		return nil, err
 	}
-	ok, err := yannakakis.GroundAtomsHold(db, e.Q)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	return root, clearUnlessGroundAtomsHold(root, db, e.Q)
+}
+
+// groundRoot is the tree of a query without variable atoms: one 0-ary node
+// holding the empty row iff every ground atom holds.
+func groundRoot(db *relation.Database, q *cq.Query) (*yannakakis.Node, error) {
+	root := &yannakakis.Node{Enc: relation.NewColumnar(relation.TrueTable(), nil)}
+	return root, clearUnlessGroundAtomsHold(root, db, q)
+}
+
+// clearUnlessGroundAtomsHold empties the root table when a ground atom of q
+// is false on db.
+func clearUnlessGroundAtomsHold(root *yannakakis.Node, db *relation.Database, q *cq.Query) error {
+	ok, err := yannakakis.GroundAtomsHold(db, q)
+	if err == nil && !ok {
 		root.Clear()
 	}
-	return root, nil
+	return err
 }
 
 // rootBuilder carries the shared state of one Root materialisation. The
@@ -349,42 +256,6 @@ func (b *rootBuilder) bind(e2 int) (*relation.Table, error) {
 	}
 	b.mu.Unlock()
 	return t, nil
-}
-
-// materialize computes node n's table. Scans and leapfrog bags stay
-// columnar (materializeLeapfrog); a chain bag joins its λ relations
-// row-major — in the evaluator's precomputed order, i.e. ascending
-// estimated cardinality when statistics are attached — and projects to χ.
-// Under a traced context the binds record as SpanBind and the join as one
-// SpanNode carrying the join count and the actual vs estimated cardinality.
-func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
-	if lf := b.e.lfNodes[n]; lf != nil {
-		return b.materializeLeapfrog(n, lf)
-	}
-	lam := b.e.lamOrder[n]
-	if len(lam) == 0 {
-		return nil, fmt.Errorf("hdeval: decomposition node with empty λ")
-	}
-	tables := make([]*relation.Table, len(lam))
-	for i, e2 := range lam {
-		bsp := b.tr.StartSpan(obs.SpanBind)
-		t, err := b.bind(e2)
-		if err != nil {
-			return nil, err
-		}
-		bsp.SetRows(t.Rows())
-		bsp.End()
-		tables[i] = t
-	}
-	sp := b.tr.StartSpan(obs.SpanNode)
-	joined := tables[0]
-	for _, t := range tables[1:] {
-		joined = joined.Join(t)
-		sp.AddSteps(1)
-	}
-	out := joined.Project(b.e.chiElems[n])
-	b.endNodeSpan(sp, n, out.Rows())
-	return &yannakakis.Node{Table: out}, nil
 }
 
 func (b *rootBuilder) buildSeq(n *decomp.Node) (*yannakakis.Node, error) {
@@ -458,43 +329,6 @@ func (e *Evaluator) Enumerate(ctx context.Context, db *relation.Database, worker
 		return nil, err
 	}
 	return yannakakis.EnumerateContext(ctx, root, e.head, workers)
-}
-
-// FromDecomposition performs the Lemma 4.6 construction in one shot; the
-// Evaluator form is preferable when the decomposition is reused.
-func FromDecomposition(db *relation.Database, q *cq.Query, hd *decomp.Decomposition) (*yannakakis.Node, error) {
-	if hd == nil || hd.Root == nil {
-		return nil, fmt.Errorf("hdeval: nil decomposition")
-	}
-	e, err := NewEvaluator(q, hd)
-	if err != nil {
-		return nil, err
-	}
-	return e.Root(context.Background(), db)
-}
-
-// Boolean decides a Boolean query through its hypertree decomposition.
-func Boolean(db *relation.Database, q *cq.Query, hd *decomp.Decomposition) (bool, error) {
-	root, err := FromDecomposition(db, q, hd)
-	if err != nil {
-		return false, err
-	}
-	return yannakakis.Boolean(root), nil
-}
-
-// Enumerate computes the full answer relation of a (non-Boolean) query
-// through its hypertree decomposition, in time polynomial in input + output
-// (Theorem 4.8).
-func Enumerate(db *relation.Database, q *cq.Query, hd *decomp.Decomposition) (*relation.Table, error) {
-	root, err := FromDecomposition(db, q, hd)
-	if err != nil {
-		return nil, err
-	}
-	head, err := HeadVars(q)
-	if err != nil {
-		return nil, err
-	}
-	return yannakakis.Enumerate(root, head), nil
 }
 
 // NaiveJoin evaluates the query by joining all atom tables left to right

@@ -1,13 +1,17 @@
 package hdeval
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/jointree"
 	"hypertree/internal/relation"
+	"hypertree/internal/shard"
 	"hypertree/internal/yannakakis"
 )
 
@@ -35,6 +39,24 @@ func decompose(q *cq.Query) *decomp.Decomposition {
 	return d
 }
 
+// boolean decides q on db through a fresh evaluator over d.
+func boolean(db *relation.Database, q *cq.Query, d *decomp.Decomposition) (bool, error) {
+	e, err := NewEvaluator(q, d, nil)
+	if err != nil {
+		return false, err
+	}
+	return e.Boolean(context.Background(), db, 1)
+}
+
+// enumerate answers q on db through a fresh evaluator over d.
+func enumerate(db *relation.Database, q *cq.Query, d *decomp.Decomposition) (*relation.Table, error) {
+	e, err := NewEvaluator(q, d, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.Enumerate(context.Background(), db, 1)
+}
+
 // E8 / Lemma 4.6 + Example 1.1: the cyclic query Q1 ("some student is
 // enrolled in a course taught by a parent") evaluated through its width-2
 // hypertree decomposition.
@@ -45,7 +67,7 @@ func TestE08BooleanQ1(t *testing.T) {
 	if d.Width() != 2 {
 		t.Fatalf("hw(Q1) = %d", d.Width())
 	}
-	got, err := Boolean(db, q, d)
+	got, err := boolean(db, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +82,7 @@ enrolled(bob, cs237, feb).
 teaches(dan, db202, no).
 parent(dan, bob).
 `)
-	got2, err := Boolean(db2, q, d)
+	got2, err := boolean(db2, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +95,7 @@ func TestEnumerateThroughDecomposition(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`ans(S, C) :- enrolled(S, C, R), teaches(P, C, A), parent(P, S).`)
 	d := decompose(q)
-	out, err := Enumerate(db, q, d)
+	out, err := enumerate(db, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +114,13 @@ func TestEnumerateThroughDecomposition(t *testing.T) {
 func TestErrorsAndEdgeCases(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`enrolled(S, C, R)`)
-	if _, err := Boolean(db, q, nil); err == nil {
+	if _, err := boolean(db, q, nil); err == nil {
 		t.Fatalf("nil decomposition accepted")
 	}
 	// unsafe head
 	qBad := cq.MustParse(`ans(Z) :- enrolled(S, C, R).`)
 	d := decompose(qBad)
-	if _, err := Enumerate(db, qBad, d); err == nil {
+	if _, err := enumerate(db, qBad, d); err == nil {
 		t.Fatalf("head variable Z occurs in head only: want error")
 	}
 }
@@ -107,7 +129,7 @@ func TestGroundAtomGuard(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`nosuchflag(), enrolled(S, C, R), teaches(P, C, A), parent(P, S)`)
 	d := decompose(q)
-	got, err := Boolean(db, q, d)
+	got, err := boolean(db, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +152,7 @@ func TestPropertyAgreementTriangle(t *testing.T) {
 				db.AddFact(name, val(rng.Intn(5)), val(rng.Intn(5)))
 			}
 		}
-		hdOut, err := Enumerate(db, q, d)
+		hdOut, err := enumerate(db, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +183,7 @@ func TestPropertyAgreementAcyclic(t *testing.T) {
 			}
 		}
 		// three evaluation paths must agree
-		hdOut, err := Enumerate(db, q, d)
+		hdOut, err := enumerate(db, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,13 +191,7 @@ func TestPropertyAgreementAcyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root, err := yannakakis.FromJoinTree(db, q, jt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		av, _ := q.VarIndex("A")
-		dv, _ := q.VarIndex("D")
-		yOut := yannakakis.Enumerate(root, []int{av, dv})
+		yOut := oracleAnswer(t, db, q, jt)
 		if !hdOut.Equal(naive) || !yOut.Equal(naive) {
 			t.Fatalf("trial %d: evaluation strategies disagree", trial)
 		}
@@ -195,7 +211,11 @@ func TestNodeTableSizeBound(t *testing.T) {
 		}
 	}
 	r := db.MaxRelationSize()
-	root, err := FromDecomposition(db, q, d)
+	e, err := NewEvaluator(q, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := e.Root(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +237,34 @@ func TestNodeTableSizeBound(t *testing.T) {
 
 func val(i int) string { return string(rune('a' + i)) }
 
+// A decomposition node that has no table — an empty λ, or a χ variable no λ
+// relation binds — is rejected when the evaluator is built, by name, not on
+// the first execution.
 func TestEmptyLambdaNodeRejected(t *testing.T) {
-	db := universityDB()
 	q := cq.MustParse(`enrolled(S, C, R)`)
 	h, _ := q.Hypergraph()
 	bad := &decomp.Decomposition{H: h, Root: &decomp.Node{}}
-	if _, err := FromDecomposition(db, q, bad); err == nil {
-		t.Fatalf("empty λ node accepted")
+	_, err := NewEvaluator(q, bad, nil)
+	if err == nil || !strings.Contains(err.Error(), "χ{} λ{}") || !strings.Contains(err.Error(), "empty λ") {
+		t.Fatalf("empty λ node: err = %v, want it rejected by name", err)
+	}
+}
+
+func TestUncoveredChiNodeRejected(t *testing.T) {
+	q := cq.MustParse(`r(X,Y), s(Y,Z)`)
+	h, _ := q.Hypergraph()
+	vx, _ := q.VarIndex("X")
+	vy, _ := q.VarIndex("Y")
+	vz, _ := q.VarIndex("Z")
+	// The root's χ holds all three variables but its λ only r: Z ∉ var(λ).
+	// Complete() attaches ⟨χ={Y,Z}, λ={s}⟩ below it, which is fine.
+	bad := &decomp.Decomposition{H: h, Root: &decomp.Node{
+		Chi:    bitset.Of(vx, vy, vz),
+		Lambda: bitset.Of(0),
+	}}
+	_, err := NewEvaluator(q, bad, nil)
+	if err == nil || !strings.Contains(err.Error(), "χ{X,Y,Z} λ{r}") || !strings.Contains(err.Error(), "outside var(λ)") {
+		t.Fatalf("χ ⊄ var(λ) node: err = %v, want it rejected by name", err)
 	}
 }
 
@@ -233,7 +274,7 @@ func TestBooleanEnumerationPath(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`ans() :- enrolled(S, C, R).`)
 	d := decompose(q)
-	out, err := Enumerate(db, q, d)
+	out, err := enumerate(db, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +297,7 @@ func TestRepeatedVariablesThroughDecomposition(t *testing.T) {
 	db.ParseFacts(`e(a,a). e(a,b). f(a,a). f(b,a).`)
 	q := cq.MustParse(`e(X,X), f(X,Y), e(Y,X)`)
 	d := decompose(q)
-	got, err := Boolean(db, q, d)
+	got, err := boolean(db, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +307,122 @@ func TestRepeatedVariablesThroughDecomposition(t *testing.T) {
 	}
 	if got != !naive.Empty() {
 		t.Fatalf("repeated-variable semantics differ: hd=%v naive=%v", got, !naive.Empty())
+	}
+}
+
+// Multi-relation bags over empty, unit and tiny relations run the same
+// leapfrog path as large ones, on one database and sharded, with and
+// without a ground atom beside them; a false ground atom empties the
+// columnar root.
+func TestTinyAndEmptyBags(t *testing.T) {
+	ctx := context.Background()
+	queries := []*cq.Query{
+		cq.MustParse(`ans(X, Z) :- r(X,Y), s(Y,Z), t(Z,X).`),
+		cq.MustParse(`r(X,Y), s(Y,Z), t(Z,X)`),
+		cq.MustParse(`ans(X) :- flag(), r(X,Y), s(Y,Z), t(Z,X).`),
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, q := range queries {
+		e, err := NewEvaluator(q, decompose(q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leapfrogs := 0
+		for _, info := range e.NodeInfos() {
+			if info.Kernel == "leapfrog" {
+				leapfrogs++
+			}
+		}
+		if leapfrogs == 0 {
+			t.Fatalf("%s: no multi-relation bag in %v", q, e.NodeInfos())
+		}
+		for _, rows := range []int{0, 1, 2, 4} {
+			for _, empty := range []string{"", "r", "s", "t"} {
+				for _, flag := range []bool{true, false} {
+					db := relation.NewDatabase()
+					for _, name := range []string{"r", "s", "t"} {
+						db.AddRelation(name, 2)
+						for i := 0; i < rows && name != empty; i++ {
+							db.AddFact(name, val(rng.Intn(2)), val(rng.Intn(2)))
+						}
+					}
+					if flag {
+						db.AddFact("flag")
+					}
+					want, err := NaiveJoin(db, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, err := shard.Partition(db, 3, shard.Hash)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.Enumerate(ctx, db, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotSharded, err := e.EnumerateSharded(ctx, p, 0, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ok, err := e.Boolean(ctx, db, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) || !gotSharded.Equal(want) || ok != !want.Empty() {
+						t.Fatalf("%s, %d rows, empty=%q, flag=%v: %d answers (sharded %d, Boolean %v), naive has %d",
+							q, rows, empty, flag, got.Rows(), gotSharded.Rows(), ok, want.Rows())
+					}
+					root, err := e.Root(ctx, db)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if groundFalse := !flag && len(q.Atoms) == 4; groundFalse && root.Rows() != 0 {
+						t.Fatalf("%s: false ground atom left %d rows in the root", q, root.Rows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// A query of ground atoms only has no decomposition tree: its root is the
+// 0-ary table, true iff every ground atom holds.
+func TestGroundOnlyQuery(t *testing.T) {
+	ctx := context.Background()
+	db := relation.NewDatabase()
+	db.AddFact("flag")
+	db.AddFact("e", "a", "b")
+	for src, want := range map[string]bool{
+		`flag()`:           true,
+		`flag(), e(a, b)`:  true,
+		`flag(), e(b, a)`:  false,
+		`noflag(), flag()`: false,
+	} {
+		q := cq.MustParse(src)
+		h, _ := q.Hypergraph()
+		e, err := NewEvaluator(q, &decomp.Decomposition{H: h}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		p, err := shard.Partition(db, 2, shard.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Boolean(ctx, db, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSharded, err := e.BooleanSharded(ctx, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := e.Enumerate(ctx, db, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || gotSharded != want || len(ans.Vars) != 0 || (ans.Rows() == 1) != want {
+			t.Fatalf("%s: Boolean %v, sharded %v, %d answer rows; want %v", src, got, gotSharded, ans.Rows(), want)
+		}
 	}
 }

@@ -19,38 +19,75 @@ import (
 // a deduplicating projection — as the oracle the columnar path is checked
 // against, next to the naive join.
 
+// rowNode is a join-tree node holding its atom's table row-major.
+type rowNode struct {
+	table    *relation.Table
+	children []*rowNode
+}
+
+// rowTree binds each atom of an acyclic query and arranges the tables along
+// the join tree; a false ground atom empties the root.
+func rowTree(t *testing.T, db *relation.Database, q *cq.Query, jt *jointree.Tree) *rowNode {
+	t.Helper()
+	_, edgeToAtom := q.Hypergraph()
+	nodes := make([]*rowNode, len(edgeToAtom))
+	for i, ai := range edgeToAtom {
+		tab, err := yannakakis.BindAtom(db, q, ai)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = &rowNode{table: tab}
+	}
+	var root *rowNode
+	for i, p := range jt.Parent {
+		if p < 0 {
+			root = nodes[i]
+		} else {
+			nodes[p].children = append(nodes[p].children, nodes[i])
+		}
+	}
+	ok, err := yannakakis.GroundAtomsHold(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		root.table = relation.NewTable(root.table.Vars)
+	}
+	return root
+}
+
 // oracleReduce is the full reducer over row-major tables.
-func oracleReduce(n *yannakakis.Node) {
-	for _, c := range n.Children {
+func oracleReduce(n *rowNode) {
+	for _, c := range n.children {
 		oracleReduce(c)
-		n.Table = n.Table.Semijoin(c.Table)
+		n.table = n.table.Semijoin(c.table)
 	}
 }
 
-func oracleReduceDown(n *yannakakis.Node) {
-	for _, c := range n.Children {
-		c.Table = c.Table.Semijoin(n.Table)
+func oracleReduceDown(n *rowNode) {
+	for _, c := range n.children {
+		c.table = c.table.Semijoin(n.table)
 		oracleReduceDown(c)
 	}
 }
 
 // oracleEnumerate joins the fully reduced subtrees bottom-up, projecting
 // away at every node what is neither a head variable nor the node's own.
-func oracleEnumerate(root *yannakakis.Node, head []int) *relation.Table {
+func oracleEnumerate(root *rowNode, head []int) *relation.Table {
 	oracleReduce(root)
 	oracleReduceDown(root)
 	inHead := map[int]bool{}
 	for _, v := range head {
 		inHead[v] = true
 	}
-	var up func(n *yannakakis.Node) *relation.Table
-	up = func(n *yannakakis.Node) *relation.Table {
-		t := n.Table
+	var up func(n *rowNode) *relation.Table
+	up = func(n *rowNode) *relation.Table {
+		t := n.table
 		own := map[int]bool{}
 		for _, v := range t.Vars {
 			own[v] = true
 		}
-		for _, c := range n.Children {
+		for _, c := range n.children {
 			t = t.Join(up(c))
 		}
 		var keep []int
@@ -82,16 +119,12 @@ func oracleAnswer(t *testing.T, db *relation.Database, q *cq.Query, jt *jointree
 		}
 		return relation.NewTable(nil)
 	}
-	root, err := yannakakis.FromJoinTree(db, q, jt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return oracleEnumerate(root, head)
+	return oracleEnumerate(rowTree(t, db, q, jt), head)
 }
 
 // width1 builds the evaluator an acyclic plan runs: the query's join tree as
 // a width-1 decomposition (the construction of compilePlan).
-func width1(t *testing.T, q *cq.Query, kernel Kernel) (*Evaluator, *jointree.Tree) {
+func width1(t *testing.T, q *cq.Query) (*Evaluator, *jointree.Tree) {
 	t.Helper()
 	h, _ := q.Hypergraph()
 	jt, ok := jointree.GYO(h)
@@ -102,7 +135,7 @@ func width1(t *testing.T, q *cq.Query, kernel Kernel) (*Evaluator, *jointree.Tre
 	if jt != nil {
 		parent = jt.Parent
 	}
-	e, err := NewEvaluatorCost(q, decomp.FromJoinTree(h, parent), nil, kernel)
+	e, err := NewEvaluator(q, decomp.FromJoinTree(h, parent), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +212,10 @@ func adversarialDB(rng *rand.Rand) *relation.Database {
 }
 
 // The proof obligation for running join trees through this evaluator: on
-// the acyclic half of gen.KernelCases and on the adversarial shapes, for
-// every kernel policy and for 1 and 4 workers, the width-1 columnar path
-// returns exactly the answers of the row-major Yannakakis it replaced and
-// of the naive join. Run under -race in CI.
+// the acyclic half of gen.KernelCases and on the adversarial shapes, for 1
+// and 4 workers, the width-1 columnar path returns exactly the answers of
+// the row-major Yannakakis it replaced and of the naive join. Run under
+// -race in CI.
 func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 	type testCase struct {
 		name string
@@ -211,34 +244,32 @@ func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: naive: %v", tc.name, err)
 		}
-		for _, kernel := range []Kernel{KernelChain, KernelLeapfrog, KernelAuto} {
-			e, jt := width1(t, tc.q, kernel)
-			for _, k := range kernelsOf(e) {
-				if k != kernelScan {
-					t.Fatalf("%s: width-1 node runs %q, want a scan", tc.name, k)
+		e, jt := width1(t, tc.q)
+		for _, info := range e.NodeInfos() {
+			if info.Kernel != "scan" {
+				t.Fatalf("%s: width-1 node runs %q, want a scan", tc.name, info.Kernel)
+			}
+		}
+		if want := oracleAnswer(t, tc.db, tc.q, jt); !want.Equal(naive) {
+			t.Fatalf("%s: row-major oracle disagrees with the naive join", tc.name)
+		}
+		for _, workers := range []int{1, 4} {
+			// twice: cold encodings, then the cached ones
+			for pass := 0; pass < 2; pass++ {
+				got, err := e.Enumerate(ctx, tc.db, workers)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 				}
-			}
-			if want := oracleAnswer(t, tc.db, tc.q, jt); !want.Equal(naive) {
-				t.Fatalf("%s: row-major oracle disagrees with the naive join", tc.name)
-			}
-			for _, workers := range []int{1, 4} {
-				// twice: cold encodings, then the cached ones
-				for pass := 0; pass < 2; pass++ {
-					got, err := e.Enumerate(ctx, tc.db, workers)
-					if err != nil {
-						t.Fatalf("%s %s workers=%d: %v", tc.name, kernel, workers, err)
-					}
-					if !got.Equal(naive) {
-						t.Fatalf("%s %s workers=%d pass %d: %d answers over %v, naive has %d over %v",
-							tc.name, kernel, workers, pass, got.Rows(), got.Vars, naive.Rows(), naive.Vars)
-					}
-					ok, err := e.Boolean(ctx, tc.db, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ok != !naive.Empty() {
-						t.Fatalf("%s %s workers=%d: Boolean = %v, naive has %d answers", tc.name, kernel, workers, ok, naive.Rows())
-					}
+				if !got.Equal(naive) {
+					t.Fatalf("%s workers=%d pass %d: %d answers over %v, naive has %d over %v",
+						tc.name, workers, pass, got.Rows(), got.Vars, naive.Rows(), naive.Vars)
+				}
+				ok, err := e.Boolean(ctx, tc.db, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != !naive.Empty() {
+					t.Fatalf("%s workers=%d: Boolean = %v, naive has %d answers", tc.name, workers, ok, naive.Rows())
 				}
 			}
 		}
@@ -253,7 +284,7 @@ func TestWidth1SeesInPlaceInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cq.MustParse(`ans(X, Z) :- e(X, Y), f(Y, Z).`)
-	e, _ := width1(t, q, KernelAuto)
+	e, _ := width1(t, q)
 	ctx := context.Background()
 	for i, facts := range []string{``, `f(b, d).`, `e(k, b).`, `newrel(x).`} {
 		if err := db.ParseFacts(facts); err != nil {

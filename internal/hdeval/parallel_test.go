@@ -22,7 +22,7 @@ func TestRootWorkersEquivalent(t *testing.T) {
 			continue
 		}
 		_, d := decomp.Width(h)
-		e, err := NewEvaluator(q, d)
+		e, err := NewEvaluator(q, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestRootWorkersEquivalent(t *testing.T) {
 }
 
 func sameTree(a, b *yannakakis.Node) bool {
-	if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
+	if !a.Enc.Table().Equal(b.Enc.Table()) || len(a.Children) != len(b.Children) {
 		return false
 	}
 	for i := range a.Children {
@@ -61,7 +61,7 @@ func TestRootWorkersCancelled(t *testing.T) {
 	q := gen.Cycle(8)
 	h, _ := q.Hypergraph()
 	_, d := decomp.Width(h)
-	e, err := NewEvaluator(q, d)
+	e, err := NewEvaluator(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestParallelEvaluatorAgrees(t *testing.T) {
 	q := gen.Cycle(6)
 	h, _ := q.Hypergraph()
 	_, d := decomp.Width(h)
-	e, err := NewEvaluator(q, d)
+	e, err := NewEvaluator(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

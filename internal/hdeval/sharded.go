@@ -2,7 +2,6 @@ package hdeval
 
 import (
 	"context"
-	"fmt"
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
@@ -12,17 +11,15 @@ import (
 )
 
 // This file is the partitioned-database execution path of the Lemma 4.6
-// evaluation. Each decomposition node's λ-join distributes over the shards
+// evaluation. Each multi-relation node's λ-join distributes over the shards
 // of a PartitionedDB by fragment-and-replicate: the λ atom backed by the
-// largest relation (the pivot) is bound shard by shard, every other λ atom
-// is bound once against the assembled view and indexed once (a reusable
-// relation.JoinIndex), and each shard joins its pivot fragment through the
-// shared index chain and projects to χ. Join distributes over union, so
-// unioning the per-shard χ-tables in shard order reproduces exactly the
-// single-database node table — and because shard fragments are disjoint and
-// atom binding is injective on the tuples that pass its selections, the
-// merge needs no cross-shard deduplication whenever χ keeps every pivot
-// column (the common case); otherwise a deduplicating union runs.
+// largest relation (the pivot) is bound and encoded shard by shard, every
+// other λ atom is fetched once from the assembled view's encoding cache and
+// shared, and each shard leapfrogs its pivot fragment against them. Join
+// distributes over union, so gathering the per-shard χ-tables and encoding
+// the result once — which sorts it and drops the rows two shards both
+// produced, possible when χ drops pivot columns — reproduces exactly the
+// single-database node table.
 
 // RootSharded materialises the acyclic instance of Lemma 4.6 against a
 // partitioned database: per node, the λ-join fans out across the shards on
@@ -31,15 +28,7 @@ import (
 // answer-identical to Root(ctx, p.Assembled()).
 func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, shardWorkers int) (*yannakakis.Node, error) {
 	if e.HD.Root == nil { // no variable atoms: nothing to materialise
-		ok, err := yannakakis.GroundAtomsHold(p.Assembled(), e.Q)
-		if err != nil {
-			return nil, err
-		}
-		t := relation.TrueTable()
-		if !ok {
-			t = relation.NewTable(nil)
-		}
-		return &yannakakis.Node{Table: t}, nil
+		return groundRoot(p.Assembled(), e.Q)
 	}
 	b := &shardedBuilder{
 		ctx:     ctx,
@@ -55,14 +44,7 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 	if err != nil {
 		return nil, err
 	}
-	ok, err := yannakakis.GroundAtomsHold(p.Assembled(), e.Q)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		root.Clear()
-	}
-	return root, nil
+	return root, clearUnlessGroundAtomsHold(root, p.Assembled(), e.Q)
 }
 
 // shardedBuilder carries the state of one RootSharded materialisation. The
@@ -82,7 +64,13 @@ func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
-	out, err := b.materializeSharded(n)
+	// A scan has no join to scatter: the node table is the assembled
+	// relation's cached encoding.
+	materialize := b.full.materialize
+	if len(b.e.lfNodes[n].lam) > 1 {
+		materialize = b.materializeSharded
+	}
+	out, err := materialize(n)
 	if err != nil {
 		return nil, err
 	}
@@ -96,169 +84,55 @@ func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// materializeSharded computes the χ-projection of node n's λ-join by
-// scatter-gather over the shards. Under a traced context the whole build is
-// one SpanNodeSharded (join steps, actual vs estimated rows), each shard
-// task records a SpanShard, and the deterministic merge a SpanMerge.
+// materializeSharded computes the χ-projection of a multi-relation node's
+// λ-join by scatter-gather over the shards. The broadcast λ relations come
+// from the evaluator's encoding cache — keyed on the assembled Database, so
+// a warm plan skips both the bind and the counting-sort on repeat
+// executions (immutable, so every shard task leapfrogs over them
+// concurrently through private iterators). Each shard still encodes its own
+// pivot fragment: fragments are per-shard views, not stable relations, so
+// caching them would only churn the cache. Under a traced context the whole
+// build is one SpanNodeSharded (join steps, actual vs estimated rows), each
+// shard task records a SpanShard, and the merge a SpanMerge.
 func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, error) {
-	if lf := b.e.lfNodes[n]; lf != nil {
-		if len(b.e.lamOrder[n]) == 1 {
-			// A scan has no join to scatter: the node table is the
-			// assembled relation's cached encoding.
-			return b.full.materializeLeapfrog(n, lf)
-		}
-		return b.materializeShardedLeapfrog(n, lf)
-	}
+	lf := b.e.lfNodes[n]
 	sp := b.tr.StartSpan(obs.SpanNodeSharded)
-	sp.SetKernel(b.e.kernelOf[n])
-	// λ in the evaluator's order: ascending estimated cardinality when the
-	// plan carries statistics, input order otherwise — so the broadcast-side
-	// JoinIndex chain probes the most selective relations first, exactly as
-	// the single-database path joins them.
-	lam := b.e.lamOrder[n]
-	if len(lam) == 0 {
-		return nil, fmt.Errorf("hdeval: decomposition node with empty λ")
-	}
 	// Pivot: the λ edge backed by the most tuples — its fragments carry the
 	// bulk of the scan work, so fragmenting it balances the shards best.
 	// Ties break to the smallest edge id; the choice is deterministic.
-	pivot := lam[0]
-	for _, e2 := range lam[1:] {
+	pivot := lf.lam[0]
+	for _, e2 := range lf.lam[1:] {
 		if b.rowsOf(e2) > b.rowsOf(pivot) {
 			pivot = e2
 		}
 	}
-	// Broadcast side: bind the remaining λ atoms once and chain one
-	// JoinIndex per atom, shared by every shard task.
-	// The pivot's column convention comes from the atom alone, so every
-	// shard fragment matches the JoinIndex chain built from it.
-	curVars := yannakakis.AtomVars(b.e.Q, b.e.edgeToAtom[pivot])
-	pivotVars := curVars
-	var chain []*relation.JoinIndex
-	for _, e2 := range lam {
+	broadcast := make([]*relation.Columnar, 0, len(lf.lam)-1)
+	for i, e2 := range lf.lam {
 		if e2 == pivot {
 			continue
 		}
-		ft, err := b.full.bind(e2)
-		if err != nil {
-			return nil, err
-		}
-		idx := relation.NewJoinIndex(curVars, ft)
-		chain = append(chain, idx)
-		curVars = idx.OutVars()
-	}
-	chi := b.e.chiElems[n]
-	nodeIdx, hasID := b.e.nodeID[n]
-	parts, err := shard.Scatter(b.ctx, b.p, b.workers,
-		func(ctx context.Context, i int, db *relation.Database) (*relation.Table, error) {
-			ssp := b.tr.StartSpan(obs.SpanShard)
-			ssp.SetShard(i)
-			if hasID {
-				ssp.SetNode(nodeIdx)
-			}
-			frag, err := yannakakis.BindAtom(db, b.e.Q, b.e.edgeToAtom[pivot])
-			if err != nil {
-				return nil, err
-			}
-			t := frag
-			for _, idx := range chain {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				t = t.JoinOn(idx)
-				ssp.AddSteps(1)
-			}
-			out := t.Project(chi)
-			ssp.SetRows(out.Rows())
-			ssp.End()
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	// Binding is injective on the tuples that pass its selections and the
-	// join keeps the whole pivot row, so per-shard results are disjoint as
-	// long as the χ-projection keeps every pivot column — then the merge is
-	// a plain concatenation. A χ that drops pivot columns can collide
-	// across shards and takes the deduplicating union.
-	msp := b.tr.StartSpan(obs.SpanMerge)
-	if hasID {
-		msp.SetNode(nodeIdx)
-	}
-	var merged *relation.Table
-	if containsAll(chi, pivotVars) {
-		merged = relation.Concat(parts...)
-		msp.SetLabel("concat")
-	} else {
-		merged = relation.Union(parts...)
-		msp.SetLabel("union")
-	}
-	msp.SetRows(merged.Rows())
-	msp.End()
-	if hasID {
-		sp.SetNode(nodeIdx)
-		sp.SetLabel(b.e.NodeInfos()[nodeIdx].Label)
-	}
-	sp.AddSteps(int64(len(chain)))
-	sp.SetEst(n.EstRows)
-	sp.SetRows(merged.Rows())
-	sp.End()
-	return &yannakakis.Node{Table: merged}, nil
-}
-
-// materializeShardedLeapfrog is the leapfrog-kernel form of
-// materializeSharded. The pivot choice and the merge rule are identical to
-// the chain path — the kernel changes only how each shard computes its
-// χ-table. The broadcast λ relations are bound once against the assembled
-// view and encoded into shared Columnars through the evaluator's encoding
-// cache — keyed on the assembled Database, so a warm plan skips both the
-// bind and the counting-sort on repeat executions (immutable, so every
-// shard task leapfrogs over them concurrently through private iterators).
-// Each shard still encodes its own pivot fragment: fragments are per-shard
-// views, not stable relations, so caching them would only churn the cache.
-func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) (*yannakakis.Node, error) {
-	sp := b.tr.StartSpan(obs.SpanNodeSharded)
-	sp.SetKernel(b.e.kernelOf[n])
-	lam := b.e.lamOrder[n]
-	if len(lam) == 0 {
-		return nil, fmt.Errorf("hdeval: decomposition node with empty λ")
-	}
-	pivot := lam[0]
-	for _, e2 := range lam[1:] {
-		if b.rowsOf(e2) > b.rowsOf(pivot) {
-			pivot = e2
-		}
-	}
-	pivotVars := yannakakis.AtomVars(b.e.Q, b.e.edgeToAtom[pivot])
-	broadcast := make([]*relation.Columnar, 0, len(lam)-1)
-	for i, e2 := range lam {
-		if e2 == pivot {
-			continue
-		}
-		enc, err := b.full.encoded(n, lf, i)
+		enc, err := b.full.encoded(lf, i)
 		if err != nil {
 			return nil, err
 		}
 		broadcast = append(broadcast, enc)
 	}
-	nodeIdx, hasID := b.e.nodeID[n]
+	nodeIdx := b.e.nodeID[n]
 	parts, err := shard.Scatter(b.ctx, b.p, b.workers,
 		func(ctx context.Context, i int, db *relation.Database) (*relation.Table, error) {
 			ssp := b.tr.StartSpan(obs.SpanShard)
 			ssp.SetShard(i)
-			ssp.SetKernel(b.e.kernelOf[n])
-			if hasID {
-				ssp.SetNode(nodeIdx)
-			}
+			ssp.SetKernel(lf.kernel())
+			ssp.SetNode(nodeIdx)
 			frag, err := yannakakis.BindAtom(db, b.e.Q, b.e.edgeToAtom[pivot])
 			if err != nil {
 				return nil, err
 			}
-			cols := make([]*relation.Columnar, 0, len(lam))
+			cols := make([]*relation.Columnar, 0, len(lf.lam))
 			cols = append(cols, relation.NewColumnar(frag, relation.SubOrder(lf.order, frag.Vars)))
 			cols = append(cols, broadcast...)
 			out := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, 0)
-			ssp.AddSteps(int64(len(lam) - 1))
+			ssp.AddSteps(int64(len(lf.lam) - 1))
 			ssp.SetRows(out.Rows())
 			ssp.End()
 			return out, nil
@@ -266,50 +140,19 @@ func (b *shardedBuilder) materializeShardedLeapfrog(n *decomp.Node, lf *lfNode) 
 	if err != nil {
 		return nil, err
 	}
-	// Same disjointness argument as the chain path: per-shard results can
-	// only collide when the χ-projection drops pivot columns.
 	msp := b.tr.StartSpan(obs.SpanMerge)
-	if hasID {
-		msp.SetNode(nodeIdx)
-	}
-	var merged *relation.Table
-	if containsAll(b.e.chiElems[n], pivotVars) {
-		merged = relation.Concat(parts...)
-		msp.SetLabel("concat")
-	} else {
-		merged = relation.Union(parts...)
-		msp.SetLabel("union")
-	}
+	msp.SetNode(nodeIdx)
+	merged := relation.NewColumnar(relation.Concat(parts...), lf.order[:lf.nChi]).Distinct()
 	msp.SetRows(merged.Rows())
 	msp.End()
-	if hasID {
-		sp.SetNode(nodeIdx)
-		sp.SetLabel(b.e.NodeInfos()[nodeIdx].Label)
-	}
-	sp.AddSteps(int64(len(lam) - 1))
-	sp.SetEst(n.EstRows)
-	sp.SetRows(merged.Rows())
-	sp.End()
-	return &yannakakis.Node{Table: merged}, nil
+	sp.AddSteps(int64(len(lf.lam) - 1))
+	b.full.endNodeSpan(sp, n, merged.Rows())
+	return &yannakakis.Node{Enc: merged}, nil
 }
 
 // rowsOf returns the total tuple count backing edge e2's atom.
 func (b *shardedBuilder) rowsOf(e2 int) int {
 	return b.p.Rows(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
-}
-
-// containsAll reports whether set contains every element of elems.
-func containsAll(set, elems []int) bool {
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for _, v := range elems {
-		if !in[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // BooleanSharded decides the query against a partitioned database: node

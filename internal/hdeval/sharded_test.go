@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
+	"hypertree/internal/relation"
 	"hypertree/internal/shard"
 	"hypertree/internal/yannakakis"
 )
@@ -24,7 +26,7 @@ func TestRootShardedMatchesRoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEvaluator(q, hd)
+		e, err := NewEvaluator(q, hd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func TestRootShardedMatchesRoot(t *testing.T) {
 
 func compareTrees(t *testing.T, want, got *yannakakis.Node) {
 	t.Helper()
-	if !want.Materialize().Equal(got.Materialize()) {
+	if !want.Enc.Table().Equal(got.Enc.Table()) {
 		t.Fatalf("sharded node table disagrees: %d vs %d rows over %v/%v",
 			want.Rows(), got.Rows(), want.Vars(), got.Vars())
 	}
@@ -75,26 +77,79 @@ func compareTrees(t *testing.T, want, got *yannakakis.Node) {
 	}
 }
 
-// A malformed decomposition node (empty λ) must surface as an error from
-// the sharded path, matching the single-database path — never a panic.
-func TestRootShardedEmptyLambdaError(t *testing.T) {
+// A bag whose χ drops columns of its pivot relation can receive the same
+// χ-row from two shards; the merged node table must still be a set, equal to
+// the single-database one.
+func TestRootShardedDistinctWhenChiDropsPivotColumns(t *testing.T) {
 	ctx := context.Background()
+	q := cq.MustParse(`ans(X, Z) :- r(X,Y), s(Y,Z), t(Z,X).`)
+	h, _ := q.Hypergraph()
+	v := func(name string) int { i, _ := q.VarIndex(name); return i }
+	// A legal, if redundant, decomposition: the child joins r and s again
+	// and projects the join variable Y away.
+	hd := &decomp.Decomposition{H: h, Root: &decomp.Node{
+		Chi:    bitset.Of(v("X"), v("Y"), v("Z")),
+		Lambda: bitset.Of(0, 1),
+		Children: []*decomp.Node{{
+			Chi:    bitset.Of(v("X"), v("Z")),
+			Lambda: bitset.Of(0, 1),
+		}},
+	}}
+	if err := hd.ValidateGHD(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(q, hd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Few X and Z values over many Y values: every (X,Z) pair has witnesses
+	// in several shards.
+	db := relation.NewDatabase()
+	for y := 0; y < 40; y++ {
+		db.AddFact("r", val(y%3), val(3+y))
+		db.AddFact("s", val(3+y), val(y%2))
+	}
+	db.AddFact("t", val(0), val(0))
+	want, err := e.Root(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 7} {
+		p, err := shard.Partition(db, n, shard.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.RootSharded(ctx, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareTrees(t, want, got)
+		child := got.Children[0].Enc
+		if child.Rows() != 6 || child.Distinct() != child {
+			t.Fatalf("%d shards: π_{X,Z}(r ⋈ s) has %d rows, want the 6 distinct pairs", n, child.Rows())
+		}
+		gotAns, err := e.EnumerateSharded(ctx, p, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAns, err := NaiveJoin(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gotAns.Equal(wantAns) {
+			t.Fatalf("%d shards: sharded answers disagree with the naive join", n)
+		}
+	}
+}
+
+// A malformed decomposition node (empty λ) never reaches either execution
+// path: the evaluator is not built, even when the completion hangs every
+// atom below the bad node.
+func TestRootShardedEmptyLambdaError(t *testing.T) {
 	q := gen.Q1()
 	h, _ := q.Hypergraph()
 	bad := &decomp.Decomposition{H: h, Root: &decomp.Node{}}
-	e, err := NewEvaluator(q, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := gen.RandomDatabase(rand.New(rand.NewSource(1)), q, 5, 4)
-	if _, err := e.Root(ctx, db); err == nil {
-		t.Fatalf("single path accepted an empty-λ node")
-	}
-	p, err := shard.Partition(db, 2, shard.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RootSharded(ctx, p, 0); err == nil {
-		t.Fatalf("sharded path accepted an empty-λ node")
+	if _, err := NewEvaluator(q, bad, nil); err == nil {
+		t.Fatalf("an empty-λ root above a complete tree was accepted")
 	}
 }

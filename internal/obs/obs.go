@@ -64,11 +64,10 @@ const (
 	// SpanExec covers one whole Execute; Rows is the answer cardinality.
 	SpanExec = "exec"
 	// SpanBind covers fetching one λ relation in executable form, before
-	// the node's join starts: through the plan's encoding cache for scans
-	// and leapfrog bags — the label names the relation and says hit (nothing
-	// touched) or miss (atom bound, columns dictionary-coded and sorted) —
-	// or a row-major atom bind for chain bags. Rows is the fetched
-	// relation's cardinality.
+	// the node's join starts, through the plan's encoding cache: the label
+	// names the relation and says hit (nothing touched) or miss (atom bound,
+	// columns dictionary-coded and sorted). Rows is the fetched relation's
+	// cardinality.
 	SpanBind = "exec/bind"
 	// SpanNode covers one decomposition node's λ-join materialisation
 	// (single-database path), after its binds: Node identifies the node,
@@ -176,20 +175,6 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// KernelCounts tallies the completed spans by their recorded join kernel
-// (spans with no kernel attribute are skipped) — a quick per-query view of
-// what the cost-aware selector actually chose, qualifier included, e.g.
-// {"leapfrog(cost)": 3, "chain(arity)": 1}.
-func (t *Trace) KernelCounts() map[string]int {
-	counts := map[string]int{}
-	for _, s := range t.Spans() {
-		if s.Kernel != "" {
-			counts[s.Kernel]++
-		}
-	}
-	return counts
-}
-
 // Len returns the number of completed spans.
 func (t *Trace) Len() int {
 	if t == nil {
@@ -268,8 +253,8 @@ type Span struct {
 	// EstRows is the planner's cardinality estimate for the same output, 0
 	// when the plan carries no statistics.
 	EstRows float64
-	// Kernel names the intra-bag join kernel that produced this span's work
-	// ("chain" or "leapfrog" on node and shard spans), empty elsewhere.
+	// Kernel names how the span's node table was materialised ("scan" or
+	// "leapfrog" on node and shard spans), empty elsewhere.
 	Kernel string
 
 	t     *Trace
@@ -298,7 +283,7 @@ func (s *Span) SetShard(i int) {
 	}
 }
 
-// SetKernel records which join kernel produced the span's work.
+// SetKernel records how the span's node table was materialised.
 func (s *Span) SetKernel(k string) {
 	if s != nil {
 		s.Kernel = k

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func tableOf(vars []int, rows ...[]Value) *Table {
 	t := NewTable(vars)
@@ -25,18 +22,13 @@ func TestConcatAndUnion(t *testing.T) {
 	if got := cat.Row(0); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Concat must preserve table order, row 0 = %v", got)
 	}
-
-	u := Union(a, c, b)
-	if u.Rows() != 3 {
-		t.Fatalf("Union dedups: got %d rows, want 3", u.Rows())
+	// The set union of gathered shard tables is the distinct encoding of
+	// their concatenation.
+	if u := NewColumnar(cat, cat.Vars).Distinct(); u.Rows() != 3 {
+		t.Fatalf("distinct encoding of the concatenation: got %d rows, want 3", u.Rows())
 	}
-	// first occurrence wins: (3,4) comes from a, so order is a's rows then (5,6)
-	if got := u.Row(1); got[0] != 3 || got[1] != 4 {
-		t.Fatalf("Union must keep first occurrences in order, row 1 = %v", got)
-	}
-
-	if Union().Rows() != 0 || len(Union().Vars) != 0 {
-		t.Fatalf("empty Union should be the empty nullary table")
+	if Concat().Rows() != 0 || len(Concat().Vars) != 0 {
+		t.Fatalf("empty Concat should be the empty nullary table")
 	}
 
 	defer func() {
@@ -45,59 +37,6 @@ func TestConcatAndUnion(t *testing.T) {
 		}
 	}()
 	Concat(a, tableOf([]int{1, 0}, []Value{1, 2}))
-}
-
-func TestJoinOnMatchesJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		tv := []int{0, 1}
-		uv := [][]int{{1, 2}, {0, 1}, {2, 3}, {1}}[trial%4]
-		a := NewTable(tv)
-		b := NewTable(uv)
-		for i := 0; i < rng.Intn(30); i++ {
-			a.addRow([]Value{Value(rng.Intn(5)), Value(rng.Intn(5))})
-		}
-		a.dedup()
-		for i := 0; i < rng.Intn(30); i++ {
-			row := make([]Value, len(uv))
-			for j := range row {
-				row[j] = Value(rng.Intn(5))
-			}
-			b.addRow(row)
-		}
-		b.dedup()
-
-		want := a.Join(b)
-		idx := NewJoinIndex(tv, b)
-		got := a.JoinOn(idx)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: JoinOn disagrees with Join (vars %v ⋈ %v)", trial, tv, uv)
-		}
-		// the index is reusable: probing with a fragment joins just that part
-		if a.Rows() > 1 {
-			frag := NewTable(tv)
-			frag.addRow(a.Row(0))
-			if fj := frag.JoinOn(idx); fj.Rows() > want.Rows() {
-				t.Fatalf("trial %d: fragment join larger than full join", trial)
-			}
-		}
-	}
-}
-
-func TestJoinIndexChainOutVars(t *testing.T) {
-	u := tableOf([]int{1, 2}, []Value{7, 8})
-	idx := NewJoinIndex([]int{0, 1}, u)
-	out := idx.OutVars()
-	if len(out) != 3 || out[0] != 0 || out[1] != 1 || out[2] != 2 {
-		t.Fatalf("OutVars = %v, want [0 1 2]", out)
-	}
-	probe := tableOf([]int{0, 1}, []Value{6, 7})
-	joined := probe.JoinOn(idx)
-	idx2 := NewJoinIndex(joined.Vars, tableOf([]int{2, 3}, []Value{8, 9}))
-	final := joined.JoinOn(idx2)
-	if final.Rows() != 1 || len(final.Vars) != 4 {
-		t.Fatalf("chained JoinOn broken: %d rows over %v", final.Rows(), final.Vars)
-	}
 }
 
 // The dedup key buffer is hoisted out of the row loop: deduplicating a table
@@ -110,16 +49,17 @@ func TestUnionDedupAllocs(t *testing.T) {
 		a.addRow([]Value{Value(i), Value(i + 1)})
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		u := Union(a, a)
+		u := Concat(a, a)
+		u.dedup()
 		if u.Rows() != rows {
-			t.Fatalf("Union lost rows: %d", u.Rows())
+			t.Fatalf("dedup lost rows: %d", u.Rows())
 		}
 	})
 	// 2×rows worth of input with rows distinct keys: budget ≈ one key alloc
 	// per distinct row plus map/slice growth. Before the hoist this was
 	// ≥ 2 allocations per input row (~4000).
 	if allocs > rows*1.5 {
-		t.Fatalf("Union dedup allocates %v times for %d distinct rows — key buffer not hoisted", allocs, rows)
+		t.Fatalf("dedup allocates %v times for %d distinct rows — key buffer not hoisted", allocs, rows)
 	}
 }
 
@@ -131,7 +71,7 @@ func BenchmarkUnionDedup(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Union(a, a)
+		Concat(a, a).dedup()
 	}
 }
 

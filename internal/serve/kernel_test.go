@@ -10,24 +10,12 @@ import (
 	"hypertree"
 )
 
-// An unknown kernel name must be rejected at construction, not at the first
-// query.
-func TestJoinKernelConfigRejected(t *testing.T) {
-	db := hypertree.NewDatabase()
-	if err := db.ParseFacts(`r1(a, b).`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{DB: db, JoinKernel: "turbo"}); err == nil {
-		t.Fatal("Config.JoinKernel \"turbo\" accepted")
-	}
-}
-
 // The Columnar encoding cache across the serving surface: a warm plan's
 // second execution hits the cache, an /admin/ingest database swap
 // invalidates it (fresh misses, answers from the new snapshot), and both
 // counters are exported on /admin/metrics.
 func TestColumnarCacheAcrossIngest(t *testing.T) {
-	s := newTestServer(t, Config{JoinKernel: "leapfrog"})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -38,7 +26,7 @@ func TestColumnarCacheAcrossIngest(t *testing.T) {
 	}
 	h1, m1 := hypertree.ColumnarCacheMetrics()
 	if m1 == m0 {
-		t.Fatal("cold leapfrog execution encoded nothing (no cache misses)")
+		t.Fatal("cold execution encoded nothing (no cache misses)")
 	}
 
 	// Same query against the same snapshot: the warm plan re-executes and

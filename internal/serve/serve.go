@@ -119,11 +119,6 @@ type Config struct {
 	// RefreshCooldown is the minimum spacing between feedback-triggered
 	// refreshes (≤ 0: stats.DefaultCooldown).
 	RefreshCooldown time.Duration
-	// JoinKernel selects the intra-bag join kernel every compile uses
-	// ("chain", "leapfrog" or "auto"; "" keeps the chain default). Kernel
-	// choice is answer-neutral and part of the PlanCache key; "auto" prices
-	// each bag against the live statistics snapshot (cost-aware selection).
-	JoinKernel string
 }
 
 // withDefaults resolves every unset Config field.
@@ -277,15 +272,9 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	// WithCostModel(live snapshot), so identical options (and one stats
 	// fingerprint at a time) mean every α-equivalent query shares one cache
 	// slot per snapshot.
-	kernel, err := hypertree.ParseJoinKernel(cfg.JoinKernel)
-	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	s.baseOpts = []hypertree.CompileOption{
 		hypertree.WithAutoStrategy(),
 		hypertree.WithStepBudget(cfg.StepBudget),
-		hypertree.WithJoinKernel(kernel),
 	}
 	for _, o := range opts {
 		o(s)
@@ -786,9 +775,8 @@ type Metrics struct {
 	CacheCapacity   int                    `json:"cache_capacity"`
 	CacheTTLSeconds float64                `json:"cache_ttl_s"`
 	// ColumnarCacheHits and ColumnarCacheMisses are the process-wide
-	// Columnar encoding-cache totals (hypertree.ColumnarCacheMetrics): the
-	// leapfrog kernel encodes λ relations through a per-plan cache, so a
-	// warm plan repeating against one database snapshot hits after its first
+	// Columnar encoding-cache totals (hypertree.ColumnarCacheMetrics): every
+	// plan encodes its λ relations through a per-plan cache, so a warm plan repeating against one database snapshot hits after its first
 	// execution, and an /admin/ingest swap shows up as fresh misses.
 	ColumnarCacheHits   uint64 `json:"columnar_cache_hits"`
 	ColumnarCacheMisses uint64 `json:"columnar_cache_misses"`

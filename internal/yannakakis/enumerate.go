@@ -20,17 +20,11 @@ import (
 // deduplicated in the code domain, bottom-up — so an intermediate result
 // never exceeds |node table| × |answers|, and no string key is built.
 
-// Enumerate computes the answer over the head variables, reducing the tree
-// in place first.
-func Enumerate(root *Node, head []int) *relation.Table {
-	t, _ := EnumerateContext(context.Background(), root, head, 1)
-	return t
-}
-
-// EnumerateContext is Enumerate with cancellation (polled between semijoins
-// and every few thousand walked rows); workers > 1 runs the full-reducer
-// phase on that many goroutines. Under a traced context the walk records as
-// one SpanEnumerate: Steps counts the subtrees folded, Rows the answers; the
+// EnumerateContext computes the answer over the head variables, reducing the
+// tree in place first. Cancellation is polled between semijoins and every
+// few thousand walked rows; workers > 1 runs the full-reducer phase on that
+// many goroutines. Under a traced context the walk records as one
+// SpanEnumerate: Steps counts the subtrees folded, Rows the answers; the
 // reduction passes record their own semijoin spans.
 func EnumerateContext(ctx context.Context, root *Node, head []int, workers int) (*relation.Table, error) {
 	if err := Reduce(ctx, root, workers); err != nil {
@@ -104,7 +98,7 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 		}
 	}
 	if c == nil {
-		c = relation.NewColumnar(n.Materialize(), append(key, rest...))
+		c = relation.NewColumnar(n.Enc.Table(), append(key, rest...))
 	}
 	en := &enode{c: c, clean: true}
 	for i, v := range c.Vars {

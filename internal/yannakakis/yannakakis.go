@@ -5,136 +5,39 @@
 // non-Boolean answers (enumerate.go). A level-parallel reducer exercises
 // the paper's parallelizability claim for acyclic evaluation [GLS, JACM
 // 2001]. The trees it works on are built by hdeval.Evaluator — a join tree
-// being the width-1 case — and carry columnar node tables wherever the
-// builder could supply them.
+// being the width-1 case — and carry columnar node tables.
 package yannakakis
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"hypertree/internal/cq"
-	"hypertree/internal/jointree"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 )
 
 // Node is a join-tree node carrying the materialised table of its atom (or,
-// for hypertree evaluation, of its λ-join projected to χ), in columnar form,
-// row-major form, or both.
+// for hypertree evaluation, of its λ-join projected to χ) in columnar form,
+// rows sorted: the full reducer's semijoins run as merges over the sorted
+// code blocks (see relation.MergeSemijoin) and the enumerator walks them as
+// tries.
 type Node struct {
-	// Table is the row-major form. It may be nil while Enc is set — columnar
-	// node tables stay columnar from bind through reducer to enumeration —
-	// and Materialize builds it for whoever still asks.
-	Table    *relation.Table
+	Enc      *relation.Columnar
 	Children []*Node
-	// Enc, when non-nil, is the columnar encoding of the node table (rows
-	// sorted), and the form the full reducer and the enumerator work on:
-	// semijoins run as merges over the sorted code blocks instead of hash
-	// build+probe (see relation.MergeSemijoin). A hash semijoin on a node
-	// that arrived row-major invalidates Enc whenever it drops rows.
-	Enc *relation.Columnar
 }
 
 // Rows returns the node table's cardinality.
-func (n *Node) Rows() int {
-	if n.Enc != nil {
-		return n.Enc.Rows()
-	}
-	return n.Table.Rows()
-}
+func (n *Node) Rows() int { return n.Enc.Rows() }
 
 // Vars returns the node table's variables in column order.
-func (n *Node) Vars() []int {
-	if n.Enc != nil {
-		return n.Enc.Vars
-	}
-	return n.Table.Vars
-}
-
-// Materialize returns the row-major form of the node table, decoding Enc on
-// first use.
-func (n *Node) Materialize() *relation.Table {
-	if n.Table == nil {
-		n.Table = n.Enc.Table()
-	}
-	return n.Table
-}
+func (n *Node) Vars() []int { return n.Enc.Vars }
 
 // Clear empties the node table (a false ground atom empties the root).
 func (n *Node) Clear() {
-	n.Table, n.Enc = relation.NewTable(n.Vars()), nil
-}
-
-// DisableMergeSemijoin globally forces the full reducer onto the hash
-// semijoin path even when both sides carry encodings — the differential
-// tests and benchmarks use it to compare the two reducer kernels on
-// identical trees.
-var DisableMergeSemijoin atomic.Bool
-
-// semijoinNode replaces dst's rows with dst ⋉ src: in the code domain when
-// both sides carry an encoding (whatever their column orders), by the hash
-// semijoin over the row-major forms otherwise. Reports whether the merge
-// kernel ran. On the hash path dst's encoding survives only if no row was
-// dropped (the encoding still describes the table exactly).
-func semijoinNode(dst, src *Node) bool {
-	if !DisableMergeSemijoin.Load() && dst.Enc != nil && src.Enc != nil {
-		if out := relation.MergeSemijoin(dst.Enc, src.Enc); out != dst.Enc {
-			dst.Enc, dst.Table = out, nil
-		}
-		return true
-	}
-	t := dst.Materialize()
-	nt := t.Semijoin(src.Materialize())
-	if nt.Rows() != t.Rows() {
-		dst.Enc = nil
-	}
-	dst.Table = nt
-	return false
-}
-
-// FromJoinTree binds each atom of an acyclic query to its relation, row-major,
-// and arranges the tables along the join tree. Ground atoms (no variables)
-// act as global filters: if any ground atom has an empty relation the whole
-// query is false, which is represented by emptying the root table. Plans do
-// not come through here — a join tree executes as a width-1 decomposition
-// of hdeval.Evaluator, over cached encodings; this is the direct
-// construction the tests and hdbench check that path against.
-func FromJoinTree(db *relation.Database, q *cq.Query, jt *jointree.Tree) (*Node, error) {
-	if jt == nil {
-		return nil, fmt.Errorf("yannakakis: nil join tree")
-	}
-	_, edgeToAtom := q.Hypergraph()
-	nodes := make([]*Node, len(edgeToAtom))
-	for i, ai := range edgeToAtom {
-		tab, err := BindAtom(db, q, ai)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = &Node{Table: tab}
-	}
-	var root *Node
-	for i, p := range jt.Parent {
-		if p < 0 {
-			root = nodes[i]
-		} else {
-			nodes[p].Children = append(nodes[p].Children, nodes[i])
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("yannakakis: join tree has no root")
-	}
-	groundTrue, err := GroundAtomsHold(db, q)
-	if err != nil {
-		return nil, err
-	}
-	if !groundTrue {
-		root.Clear()
-	}
-	return root, nil
+	n.Enc = relation.NewColumnar(relation.NewTable(n.Vars()), n.Vars())
 }
 
 // BindAtom materialises body atom ai of q against db: variables become
@@ -196,40 +99,32 @@ func GroundAtomsHold(db *relation.Database, q *cq.Query) (bool, error) {
 	return true, nil
 }
 
-// Boolean decides the query by a single bottom-up semijoin pass: the query
-// is true iff the root table is non-empty after reduction. This is the
-// Boolean Yannakakis algorithm referenced in Section 1.1.
-func Boolean(root *Node) bool {
-	ok, _ := BooleanContext(context.Background(), root)
-	return ok
-}
-
-// BooleanContext is Boolean with cancellation between semijoins. The pass
-// reduces the tree in place. Under a traced context it is one
-// SpanSemijoinUp counting semijoins, Rows carrying the reduced root
-// cardinality.
+// BooleanContext decides the query by a single bottom-up semijoin pass: the
+// query is true iff the root table is non-empty after reduction — the
+// Boolean Yannakakis algorithm referenced in Section 1.1. Cancellation is
+// polled between semijoins, and the pass reduces the tree in place. Under a
+// traced context it is one SpanSemijoinUp counting semijoins, Rows carrying
+// the reduced root cardinality.
 func BooleanContext(ctx context.Context, root *Node) (bool, error) {
 	p := pass{ctx: ctx, sp: obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)}
 	if err := p.up(root); err != nil {
 		return false, err
 	}
-	p.end(root)
+	endPass(p.sp, root)
 	return root.Rows() > 0, nil
 }
 
-// pass is one direction of the sequential reducer: its span, and how many
-// of its semijoins ran the merge kernel.
+// pass is one direction of the sequential reducer and its span.
 type pass struct {
-	ctx    context.Context
-	sp     *obs.Span
-	merges int
+	ctx context.Context
+	sp  *obs.Span
 }
 
-func (p *pass) semijoin(dst, src *Node) {
-	if semijoinNode(dst, src) {
-		p.merges++
-	}
-	p.sp.AddSteps(1)
+// semijoin replaces dst's rows with dst ⋉ src, in the code domain whatever
+// the two column orders.
+func semijoin(dst, src *Node, sp *obs.Span) {
+	dst.Enc = relation.MergeSemijoin(dst.Enc, src.Enc)
+	sp.AddSteps(1)
 }
 
 func (p *pass) up(n *Node) error {
@@ -240,7 +135,7 @@ func (p *pass) up(n *Node) error {
 		if err := p.up(c); err != nil {
 			return err
 		}
-		p.semijoin(n, c)
+		semijoin(n, c, p.sp)
 	}
 	return nil
 }
@@ -250,7 +145,7 @@ func (p *pass) down(n *Node) error {
 		return err
 	}
 	for _, c := range n.Children {
-		p.semijoin(c, n)
+		semijoin(c, n, p.sp)
 		if err := p.down(c); err != nil {
 			return err
 		}
@@ -258,15 +153,9 @@ func (p *pass) down(n *Node) error {
 	return nil
 }
 
-func (p *pass) end(root *Node) { endPass(p.sp, root, int64(p.merges)) }
-
-// endPass publishes a reducer pass span: Rows carries the root cardinality,
-// the label how many semijoins ran the merge kernel.
-func endPass(sp *obs.Span, root *Node, merges int64) {
+// endPass publishes a reducer pass span, Rows carrying the root cardinality.
+func endPass(sp *obs.Span, root *Node) {
 	sp.SetRows(root.Rows())
-	if merges > 0 {
-		sp.SetLabel(fmt.Sprintf("merge=%d", merges))
-	}
 	sp.End()
 }
 
@@ -287,12 +176,12 @@ func Reduce(ctx context.Context, root *Node, workers int) error {
 		if err := up.up(root); err != nil {
 			return err
 		}
-		up.end(root)
+		endPass(up.sp, root)
 		down := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinDown)}
 		if err := down.down(root); err != nil {
 			return err
 		}
-		down.end(root)
+		endPass(down.sp, root)
 		return nil
 	}
 	// A watcher goroutine arms the halt flag, so the reduction itself only
@@ -325,9 +214,6 @@ func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic
 	// (AddSteps is atomic); each pass Ends only after its recursion has
 	// fully joined, so the counts are complete when the span publishes.
 	upSp := tr.StartSpan(obs.SpanSemijoinUp)
-	// Merge-kernel counts are bumped from worker goroutines; each pass reads
-	// its counter only after the recursion joined.
-	var merges atomic.Int64
 	var up func(n *Node)
 	up = func(n *Node) {
 		var wg sync.WaitGroup
@@ -344,10 +230,7 @@ func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic
 		}
 		sem <- struct{}{}
 		for _, c := range n.Children {
-			if semijoinNode(n, c) {
-				merges.Add(1)
-			}
-			upSp.AddSteps(1)
+			semijoin(n, c, upSp)
 		}
 		<-sem
 	}
@@ -359,10 +242,7 @@ func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic
 		}
 		sem <- struct{}{}
 		for _, c := range n.Children {
-			if semijoinNode(c, n) {
-				merges.Add(1)
-			}
-			downSp.AddSteps(1)
+			semijoin(c, n, downSp)
 		}
 		<-sem
 		var wg sync.WaitGroup
@@ -376,9 +256,8 @@ func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic
 		wg.Wait()
 	}
 	up(root)
-	endPass(upSp, root, merges.Load())
+	endPass(upSp, root)
 	downSp = tr.StartSpan(obs.SpanSemijoinDown)
-	merges.Store(0)
 	down(root)
-	endPass(downSp, root, merges.Load())
+	endPass(downSp, root)
 }

@@ -2,6 +2,7 @@ package yannakakis
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -37,16 +38,127 @@ func treeFor(q *cq.Query) *jointree.Tree {
 	return t
 }
 
+// rowNode is a join-tree node holding its atom's table row-major: the form
+// the tests build trees in and reduce with hash semijoins, as the oracle for
+// the columnar Node.
+type rowNode struct {
+	table    *relation.Table
+	children []*rowNode
+}
+
+// rowTree binds each atom of an acyclic query and arranges the tables along
+// the join tree; a false ground atom empties the root.
+func rowTree(db *relation.Database, q *cq.Query, jt *jointree.Tree) (*rowNode, error) {
+	if jt == nil {
+		return nil, fmt.Errorf("nil join tree")
+	}
+	_, edgeToAtom := q.Hypergraph()
+	nodes := make([]*rowNode, len(edgeToAtom))
+	for i, ai := range edgeToAtom {
+		tab, err := BindAtom(db, q, ai)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = &rowNode{table: tab}
+	}
+	var root *rowNode
+	for i, p := range jt.Parent {
+		if p < 0 {
+			root = nodes[i]
+		} else {
+			nodes[p].children = append(nodes[p].children, nodes[i])
+		}
+	}
+	ok, err := GroundAtomsHold(db, q)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		root.table = relation.NewTable(root.table.Vars)
+	}
+	return root, nil
+}
+
+// reduce is the row-major full reducer: hash semijoins up, then down.
+func (n *rowNode) reduce() {
+	var up, down func(n *rowNode)
+	up = func(n *rowNode) {
+		for _, c := range n.children {
+			up(c)
+			n.table = n.table.Semijoin(c.table)
+		}
+	}
+	down = func(n *rowNode) {
+		for _, c := range n.children {
+			c.table = c.table.Semijoin(n.table)
+			down(c)
+		}
+	}
+	up(n)
+	down(n)
+}
+
+// encode returns the columnar tree of n. hubFirst selects each table's
+// column order: as bound, or with the first and last variables swapped,
+// which moves a leading shared variable to the back and so forces the
+// trie-probe and re-sorted-projection semijoin kernels.
+func (n *rowNode) encode(hubFirst bool) *Node {
+	order := append([]int(nil), n.table.Vars...)
+	if len(order) > 1 && !hubFirst {
+		order[0], order[len(order)-1] = order[len(order)-1], order[0]
+	}
+	out := &Node{Enc: relation.NewColumnar(n.table, order)}
+	for _, c := range n.children {
+		out.Children = append(out.Children, c.encode(hubFirst))
+	}
+	return out
+}
+
+// sameTables reports whether the columnar tree holds exactly the tables of
+// the row-major one.
+func sameTables(a *Node, b *rowNode) bool {
+	if !a.Enc.Table().Equal(b.table) || len(a.Children) != len(b.children) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameTables(a.Children[i], b.children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// columnarTree is the tree the production passes run on for an acyclic
+// query over db, encoded from the row-major one.
+func columnarTree(db *relation.Database, q *cq.Query, jt *jointree.Tree) (*Node, error) {
+	root, err := rowTree(db, q, jt)
+	if err != nil {
+		return nil, err
+	}
+	return root.encode(true), nil
+}
+
+// boolean and enumerate run the production passes without a deadline.
+func boolean(root *Node) bool {
+	ok, _ := BooleanContext(context.Background(), root)
+	return ok
+}
+
+func enumerate(root *Node, head []int) *relation.Table {
+	t, _ := EnumerateContext(context.Background(), root, head, 1)
+	return t
+}
+
 // Q2 of Example 1.1: is there a professor with a child enrolled in some
 // course? True in universityDB via carol/ann (different courses allowed).
 func TestBooleanQ2True(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`teaches(P, C, A), enrolled(S, C2, R), parent(P, S)`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Boolean(root) {
+	if !boolean(root) {
 		t.Fatalf("Q2 should be true on the university database")
 	}
 }
@@ -55,11 +167,11 @@ func TestBooleanFalse(t *testing.T) {
 	db := universityDB()
 	// nobody teaches a course their own parent is enrolled in reverse roles
 	q := cq.MustParse(`teaches(P, C, A), parent(S, P)`) // S is a parent of a professor
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Boolean(root) {
+	if boolean(root) {
 		t.Fatalf("no professor has a recorded parent")
 	}
 }
@@ -67,16 +179,16 @@ func TestBooleanFalse(t *testing.T) {
 func TestConstantsInQuery(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`enrolled(S, cs101, R)`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Boolean(root) {
+	if !boolean(root) {
 		t.Fatalf("someone is enrolled in cs101")
 	}
 	q2 := cq.MustParse(`enrolled(S, zz999, R)`)
-	root2, _ := FromJoinTree(db, q2, treeFor(q2))
-	if Boolean(root2) {
+	root2, _ := columnarTree(db, q2, treeFor(q2))
+	if boolean(root2) {
 		t.Fatalf("zz999 has no enrollment")
 	}
 }
@@ -84,11 +196,11 @@ func TestConstantsInQuery(t *testing.T) {
 func TestMissingRelationIsEmpty(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`nosuch(X), enrolled(X, C, R)`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Boolean(root) {
+	if boolean(root) {
 		t.Fatalf("missing relation must evaluate as empty")
 	}
 }
@@ -97,19 +209,19 @@ func TestGroundAtoms(t *testing.T) {
 	db := universityDB()
 	db.AddFact("flag")
 	q := cq.MustParse(`flag(), enrolled(S, C, R)`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Boolean(root) {
+	if !boolean(root) {
 		t.Fatalf("flag() holds and enrolled is non-empty")
 	}
 	q2 := cq.MustParse(`missingflag(), enrolled(S, C, R)`)
-	root2, err := FromJoinTree(db, q2, treeFor(q2))
+	root2, err := columnarTree(db, q2, treeFor(q2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Boolean(root2) {
+	if boolean(root2) {
 		t.Fatalf("missingflag() fails, query must be false")
 	}
 }
@@ -121,13 +233,13 @@ e1(a, b). e1(a, c).
 e2(b, x). e2(c, x). e2(c, y).
 `)
 	q := cq.MustParse(`ans(X, Z) :- e1(X, Y), e2(Y, Z).`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	xv, _ := q.VarIndex("X")
 	zv, _ := q.VarIndex("Z")
-	out := Enumerate(root, []int{xv, zv})
+	out := enumerate(root, []int{xv, zv})
 	// answers: (a,x) via b and via c, (a,y) via c → {(a,x),(a,y)}
 	if out.Rows() != 2 {
 		t.Fatalf("rows = %d, want 2:\n%s", out.Rows(), out.StringWith(db, q.VarName))
@@ -142,7 +254,7 @@ s(b, c).
 t(c, d).
 `)
 	q := cq.MustParse(`r(X,Y), s(Y,Z), t(Z,W)`)
-	root, err := FromJoinTree(db, q, treeFor(q))
+	root, err := columnarTree(db, q, treeFor(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +295,20 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 	q := cq.MustParse(`ans(X, W) :- r(X,Y), s(Y,Z), t(Z,W).`)
 	for trial := 0; trial < 50; trial++ {
 		db := randomChainDB(rng, 1+rng.Intn(10))
-		root, err := FromJoinTree(db, q, treeFor(q))
+		root, err := columnarTree(db, q, treeFor(q))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// brute force over all substitutions via nested joins
 		want := bruteForce(db, q)
-		gotBool := Boolean(root)
+		gotBool := boolean(root)
 		if gotBool != !want.Empty() {
 			t.Fatalf("trial %d: Boolean=%v brute=%v", trial, gotBool, !want.Empty())
 		}
-		root2, _ := FromJoinTree(db, q, treeFor(q))
+		root2, _ := columnarTree(db, q, treeFor(q))
 		xv, _ := q.VarIndex("X")
 		wv, _ := q.VarIndex("W")
-		got := Enumerate(root2, []int{xv, wv})
+		got := enumerate(root2, []int{xv, wv})
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: Enumerate mismatch", trial)
 		}
@@ -228,26 +340,15 @@ func TestE18ParallelReduceAgrees(t *testing.T) {
 				db.AddFact(name, val(rng.Intn(5)), val(rng.Intn(5)))
 			}
 		}
-		seqRoot, err := FromJoinTree(db, q, treeFor(q))
+		rows, err := rowTree(db, q, treeFor(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parRoot, _ := FromJoinTree(db, q, treeFor(q))
+		seqRoot, parRoot := rows.encode(true), rows.encode(true)
 		Reduce(context.Background(), seqRoot, 1)
 		Reduce(context.Background(), parRoot, 4)
-		var cmp func(a, b *Node) bool
-		cmp = func(a, b *Node) bool {
-			if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
-				return false
-			}
-			for i := range a.Children {
-				if !cmp(a.Children[i], b.Children[i]) {
-					return false
-				}
-			}
-			return true
-		}
-		if !cmp(seqRoot, parRoot) {
+		rows.reduce()
+		if !sameTables(seqRoot, rows) || !sameTables(parRoot, rows) {
 			t.Fatalf("trial %d: parallel and sequential reducers disagree", trial)
 		}
 	}
@@ -256,31 +357,15 @@ func TestE18ParallelReduceAgrees(t *testing.T) {
 func TestFromJoinTreeErrors(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`enrolled(S, C, R)`)
-	if _, err := FromJoinTree(db, q, nil); err == nil {
+	if _, err := columnarTree(db, q, nil); err == nil {
 		t.Fatalf("nil join tree accepted")
 	}
 }
 
-// attachEncs walks the tree encoding every table. hubFirst selects the
-// column order: the shared (hub) variable first — making the node
-// merge-aligned with its neighbours — or last, which forces the trie-probe
-// kernel on one side of each semijoin.
-func attachEncs(n *Node, hubFirst bool) {
-	order := append([]int(nil), n.Table.Vars...)
-	if len(order) > 1 && !hubFirst {
-		order[0], order[len(order)-1] = order[len(order)-1], order[0]
-	}
-	n.Enc = relation.NewColumnar(n.Table, order)
-	n.Table = n.Enc.Table()
-	for _, c := range n.Children {
-		attachEncs(c, hubFirst)
-	}
-}
-
-// TestMergeSemijoinReducerAgrees is the reducer differential: with
-// encodings attached, Reduce (1 and 4 workers) over the merge-semijoin kernel
-// must leave every table equal to the hash reducer's, over star and chain
-// trees and both encoding orders.
+// TestMergeSemijoinReducerAgrees is the reducer differential: Reduce (1 and
+// 4 workers) over the merge-semijoin kernels must leave every table equal
+// to the row-major hash reducer's, over star and chain trees and both
+// encoding orders.
 func TestMergeSemijoinReducerAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	queries := []*cq.Query{
@@ -296,39 +381,18 @@ func TestMergeSemijoinReducerAgrees(t *testing.T) {
 			}
 		}
 		hubFirst := trial%2 == 0
-		mergeRoot, err := FromJoinTree(db, q, treeFor(q))
+		rows, err := rowTree(db, q, treeFor(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashRoot, _ := FromJoinTree(db, q, treeFor(q))
-		parRoot, _ := FromJoinTree(db, q, treeFor(q))
-		attachEncs(mergeRoot, hubFirst)
-		attachEncs(hashRoot, hubFirst)
-		attachEncs(parRoot, hubFirst)
+		mergeRoot, parRoot := rows.encode(hubFirst), rows.encode(hubFirst)
 		Reduce(context.Background(), mergeRoot, 1)
 		Reduce(context.Background(), parRoot, 4)
-		DisableMergeSemijoin.Store(true)
-		Reduce(context.Background(), hashRoot, 1)
-		DisableMergeSemijoin.Store(false)
-		var cmp func(a, b *Node) bool
-		cmp = func(a, b *Node) bool {
-			if !a.Materialize().Equal(b.Materialize()) || len(a.Children) != len(b.Children) {
-				return false
-			}
-			if a.Enc != nil && !a.Enc.Table().Equal(a.Materialize()) {
-				return false
-			}
-			for i := range a.Children {
-				if !cmp(a.Children[i], b.Children[i]) {
-					return false
-				}
-			}
-			return true
-		}
-		if !cmp(mergeRoot, hashRoot) {
+		rows.reduce()
+		if !sameTables(mergeRoot, rows) {
 			t.Fatalf("trial %d (hubFirst=%v): merge and hash reducers disagree", trial, hubFirst)
 		}
-		if !cmp(parRoot, hashRoot) {
+		if !sameTables(parRoot, rows) {
 			t.Fatalf("trial %d (hubFirst=%v): parallel merge reducer disagrees", trial, hubFirst)
 		}
 	}

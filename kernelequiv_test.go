@@ -2,19 +2,18 @@ package hypertree
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hypertree/internal/gen"
-	"hypertree/internal/yannakakis"
 )
 
-// The differential proof obligation of the leapfrog kernel: on randomized
-// acyclic and cyclic queries — half of them headed — every decomposer ×
-// kernel combination must return exactly the naive join's answers, on the
+// The differential proof obligation of the evaluator: on randomized acyclic
+// and cyclic queries — half of them headed — a plan from every decomposer,
+// with 1 and 4 workers, must return exactly the naive join's answers on the
 // single-database path, the Boolean path, and the 3-shard scatter/gather
-// path. The chain kernel rides along as a third implementation, so any
-// disagreement isolates which kernel is wrong. Run under -race in CI; the
-// leapfrog path shares immutable columnar tries across shard goroutines.
+// path. Run under -race in CI; node encodings are shared across the worker
+// and shard goroutines.
 func TestKernelEquivalence(t *testing.T) {
 	ctx := context.Background()
 	cases := gen.KernelCases(1999, 28)
@@ -35,7 +34,6 @@ func TestKernelEquivalence(t *testing.T) {
 		"ghd":      WithDecomposer(GreedyDecomposer()),
 		"fhd":      WithDecomposer(FractionalDecomposer()),
 	}
-	kernels := []JoinKernel{JoinKernelChain, JoinKernelLeapfrog, JoinKernelAuto}
 
 	for _, tc := range cases {
 		tc := tc
@@ -57,38 +55,36 @@ func TestKernelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for dname, dopt := range decomposers {
-				for _, k := range kernels {
-					plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree), dopt, WithJoinKernel(k))
+				for _, workers := range []int{1, 4} {
+					leg := fmt.Sprintf("%s/workers=%d", dname, workers)
+					plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree), dopt, WithWorkers(workers))
 					if err != nil {
-						t.Fatalf("%s/%s compile: %v", dname, k, err)
-					}
-					if plan.JoinKernel() != k {
-						t.Fatalf("%s: plan reports kernel %q, want %q", dname, plan.JoinKernel(), k)
+						t.Fatalf("%s compile: %v", leg, err)
 					}
 					got, err := plan.Execute(ctx, tc.DB)
 					if err != nil {
-						t.Fatalf("%s/%s execute: %v", dname, k, err)
+						t.Fatalf("%s execute: %v", leg, err)
 					}
 					if !got.Equal(want) {
-						t.Fatalf("%s/%s disagrees with naive on %s:\n got %d rows, want %d",
-							dname, k, tc.Q, got.Rows(), want.Rows())
+						t.Fatalf("%s disagrees with naive on %s:\n got %d rows, want %d",
+							leg, tc.Q, got.Rows(), want.Rows())
 					}
 					if got.StringWith(tc.DB, tc.Q.VarName) != want.StringWith(tc.DB, tc.Q.VarName) {
-						t.Fatalf("%s/%s rendering disagrees with naive on %s", dname, k, tc.Q)
+						t.Fatalf("%s rendering disagrees with naive on %s", leg, tc.Q)
 					}
 					gotBool, err := plan.ExecuteBoolean(ctx, tc.DB)
 					if err != nil {
-						t.Fatalf("%s/%s boolean: %v", dname, k, err)
+						t.Fatalf("%s boolean: %v", leg, err)
 					}
 					if gotBool != wantBool {
-						t.Fatalf("%s/%s boolean verdict %v, want %v, on %s", dname, k, gotBool, wantBool, tc.Q)
+						t.Fatalf("%s boolean verdict %v, want %v, on %s", leg, gotBool, wantBool, tc.Q)
 					}
 					gotS, err := plan.ExecuteSharded(ctx, pdb)
 					if err != nil {
-						t.Fatalf("%s/%s sharded: %v", dname, k, err)
+						t.Fatalf("%s sharded: %v", leg, err)
 					}
 					if !gotS.Equal(want) {
-						t.Fatalf("%s/%s sharded disagrees with naive on %s", dname, k, tc.Q)
+						t.Fatalf("%s sharded disagrees with naive on %s", leg, tc.Q)
 					}
 				}
 			}
@@ -96,13 +92,11 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// The merge-semijoin full reducer must be answer-invisible: with the merge
-// path disabled (hash semijoins everywhere, the historical reducer) every
-// plan returns exactly what it returns with the merge path on, and both
-// match the naive join. Leapfrog-kerneled plans attach sorted encodings to
-// their node tables, so the reducer's merge path actually fires here; the
-// sharded leg rides along to cover the hash fallback on merged shard
-// tables. Run under -race in CI.
+// The merge-semijoin full reducer under statistics: WithStats reorders every
+// node's children by estimated cardinality, so the reducer meets its
+// semijoins in a different order and against differently shaped neighbours
+// than the statistics-free plans of TestKernelEquivalence; answers must not
+// move, on one database or sharded. Run under -race in CI.
 func TestMergeReducerEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range gen.KernelCases(4217, 14) {
@@ -120,44 +114,31 @@ func TestMergeReducerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []JoinKernel{JoinKernelLeapfrog, JoinKernelAuto} {
-				plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree),
-					WithStats(tc.DB), WithJoinKernel(k))
-				if err != nil {
-					t.Fatalf("%s compile: %v", k, err)
-				}
-				withMerge, err := plan.Execute(ctx, tc.DB)
-				if err != nil {
-					t.Fatalf("%s execute: %v", k, err)
-				}
-				shardedMerge, err := plan.ExecuteSharded(ctx, pdb)
-				if err != nil {
-					t.Fatalf("%s sharded: %v", k, err)
-				}
-				yannakakis.DisableMergeSemijoin.Store(true)
-				hashOnly, errHash := plan.Execute(ctx, tc.DB)
-				yannakakis.DisableMergeSemijoin.Store(false)
-				if errHash != nil {
-					t.Fatalf("%s hash-only execute: %v", k, errHash)
-				}
-				if !withMerge.Equal(want) {
-					t.Fatalf("%s merge-reduced answers disagree with naive on %s", k, tc.Q)
-				}
-				if !hashOnly.Equal(withMerge) {
-					t.Fatalf("%s: hash-only and merge reducers disagree on %s", k, tc.Q)
-				}
-				if !shardedMerge.Equal(want) {
-					t.Fatalf("%s sharded merge-reduced answers disagree with naive on %s", k, tc.Q)
-				}
+			plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree), WithStats(tc.DB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := plan.Execute(ctx, tc.DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSharded, err := plan.ExecuteSharded(ctx, pdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("merge-reduced answers disagree with naive on %s", tc.Q)
+			}
+			if !gotSharded.Equal(want) {
+				t.Fatalf("sharded merge-reduced answers disagree with naive on %s", tc.Q)
 			}
 		})
 	}
 }
 
-// The leapfrog kernel must also agree when forced onto every bag of plans
-// whose statistics carry fractional cover weights — the configuration where
-// the AGM capacity hint and the weight-ordered existential suffix are
-// actually exercised.
+// Plans whose statistics carry fractional cover weights — the configuration
+// where the AGM capacity hint and the weight-ordered existential suffix of
+// the leapfrog planner are actually exercised — must agree with naive too.
 func TestKernelEquivalenceFractionalWeights(t *testing.T) {
 	ctx := context.Background()
 	for i, tc := range gen.KernelCases(733, 10) {
@@ -172,19 +153,17 @@ func TestKernelEquivalenceFractionalWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []JoinKernel{JoinKernelLeapfrog, JoinKernelAuto} {
-			plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree),
-				WithDecomposer(FractionalDecomposer()), WithStats(tc.DB), WithJoinKernel(k))
-			if err != nil {
-				t.Fatalf("case %d %s: %v", i, k, err)
-			}
-			got, err := plan.Execute(ctx, tc.DB)
-			if err != nil {
-				t.Fatalf("case %d %s: %v", i, k, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("case %d: %s under fractional weights disagrees on %s", i, k, tc.Q)
-			}
+		plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree),
+			WithDecomposer(FractionalDecomposer()), WithStats(tc.DB))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		got, err := plan.Execute(ctx, tc.DB)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("case %d: plan under fractional weights disagrees on %s", i, tc.Q)
 		}
 	}
 }

@@ -182,11 +182,10 @@ func TestQErrorRaceStress(t *testing.T) {
 	q := gen.Cycle(4)
 	db := gen.RandomDatabase(rng, q, 60, 6)
 	// WithStats gives every decomposition node an estimate, so endExec has
-	// q-errors to record; one plan per kernel so both materialisers feed
-	// the same table.
+	// q-errors to record; two plans so two evaluators feed the same table.
 	plans := make([]*Plan, 0, 2)
-	for _, k := range []JoinKernel{JoinKernelChain, JoinKernelLeapfrog} {
-		plan, err := Compile(q, WithStrategy(StrategyHypertree), WithStats(db), WithJoinKernel(k))
+	for i := 0; i < 2; i++ {
+		plan, err := Compile(q, WithStrategy(StrategyHypertree), WithStats(db))
 		if err != nil {
 			t.Fatal(err)
 		}

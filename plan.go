@@ -32,9 +32,8 @@ type Plan struct {
 	workers      int
 	shardWorkers int
 	decomposer   string
-	generalized  bool          // decomposition validated as a GHD (conditions 1–3 only)
-	fractional   bool          // decomposition carries fractional λ weights (validated by ValidateFHD)
-	kernel       hdeval.Kernel // intra-bag join kernel (chain when unset)
+	generalized  bool // decomposition validated as a GHD (conditions 1–3 only)
+	fractional   bool // decomposition carries fractional λ weights (validated by ValidateFHD)
 
 	// cost-based planning state (nil/zero without WithStats/WithCostModel)
 	stats    *stats.Stats
@@ -57,12 +56,11 @@ type compileConfig struct {
 	workers      int
 	shardWorkers int
 	decomposer   Decomposer
-	kernel       hdeval.Kernel // WithJoinKernel: intra-bag join kernel ("" = chain)
-	race         bool          // WithAutoStrategy: race the engines instead of fixing one
-	stats        *stats.Stats  // WithCostModel snapshot (wins over statsDB)
-	statsDB      *Database     // WithStats: collect sampled statistics at compile time
-	trace        *obs.Trace    // WithTrace: compile spans + default execution trace
-	err          error         // first invalid option
+	race         bool         // WithAutoStrategy: race the engines instead of fixing one
+	stats        *stats.Stats // WithCostModel snapshot (wins over statsDB)
+	statsDB      *Database    // WithStats: collect sampled statistics at compile time
+	trace        *obs.Trace   // WithTrace: compile spans + default execution trace
+	err          error        // first invalid option
 }
 
 // CompileOption is a functional option for Compile.
@@ -264,7 +262,6 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 		workers:      cfg.workers,
 		shardWorkers: cfg.shardWorkers,
 		stats:        cfg.stats,
-		kernel:       cfg.kernel,
 	}
 	switch strategy {
 	case StrategyNaive:
@@ -278,7 +275,7 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 		if jt != nil {
 			parent = jt.Parent
 		}
-		p.eval, err = hdeval.NewEvaluatorCost(q, decomp.FromJoinTree(jtH, parent), nil, p.JoinKernel())
+		p.eval, err = hdeval.NewEvaluator(q, decomp.FromJoinTree(jtH, parent), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -363,14 +360,7 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 			}
 		}
 		p.dec = dec
-		var es *stats.EdgeStats
-		if cfg.stats != nil {
-			es = &stats.EdgeStats{
-				Rows:     p.edgeRows,
-				Distinct: edgeDistinctFor(q, edgeToAtom, cfg.stats),
-			}
-		}
-		p.eval, err = hdeval.NewEvaluatorCost(q, dec, es, p.JoinKernel())
+		p.eval, err = hdeval.NewEvaluator(q, dec, p.edgeRows)
 		if err != nil {
 			return nil, err
 		}
@@ -460,9 +450,6 @@ func (p *Plan) String() string {
 	}
 	if p.decomposer != "" {
 		fmt.Fprintf(&b, ", decomposer=%s", p.decomposer)
-	}
-	if k := p.JoinKernel(); k != JoinKernelChain {
-		fmt.Fprintf(&b, ", kernel=%s", k)
 	}
 	b.WriteString("}")
 	return b.String()
@@ -593,9 +580,9 @@ func (p *Plan) executeBoolean(ctx context.Context, db *Database) (bool, error) {
 
 // ExecuteSharded runs the plan against a partitioned database: each
 // decomposition node's λ-join materialises shard-parallel (the pivot
-// relation is scanned fragment by fragment, the rest of λ is bound once and
-// broadcast through a shared join index) and the per-shard node tables are
-// merged deterministically before the usual bottom-up semijoin pass. The
+// relation is scanned fragment by fragment, the rest of λ is encoded once
+// and shared) and the per-shard node tables are merged deterministically
+// before the usual bottom-up semijoin pass. The
 // answer set is exactly Execute(ctx, pdb.Assembled()) — sharding changes
 // wall-clock, never answers. Plans whose strategy uses no decomposition
 // (naive, acyclic) execute against the assembled view directly. Safe for

@@ -224,10 +224,7 @@ func (c *PlanCache) Purge() {
 // its Fingerprint (newCompileConfig resolves WithStats collection before
 // keying): cost-based planning picks among same-width plans by the
 // snapshot, so plans compiled under different statistics — or none — must
-// never serve each other's lookups. The join kernel (WithJoinKernel) joins
-// the key too: kernels are answer-neutral, but a leapfrog plan must not
-// satisfy a chain lookup or benchmarks comparing the two would measure one
-// cached evaluator.
+// never serve each other's lookups.
 func planCacheKey(q *Query, cfg *compileConfig) string {
 	name := ""
 	if cfg.decomposer != nil {
@@ -236,9 +233,9 @@ func planCacheKey(q *Query, cfg *compileConfig) string {
 	if cfg.race {
 		name = "auto"
 	}
-	return fmt.Sprintf("%s|s%d|k%d|b%d|w%d|sw%d|%s|st%s|kn%s",
+	return fmt.Sprintf("%s|s%d|k%d|b%d|w%d|sw%d|%s|st%s",
 		cq.CanonicalForm(q), cfg.strategy, cfg.maxWidth, cfg.stepBudget, cfg.workers, cfg.shardWorkers, name,
-		cfg.stats.Fingerprint(), cfg.kernel)
+		cfg.stats.Fingerprint())
 }
 
 // DefaultPlanCacheSize is the capacity of the package-level plan cache.

@@ -278,3 +278,25 @@ func TestPlanCacheKeyRenameInvariantNotReorderInvariant(t *testing.T) {
 		t.Fatalf("metrics = %+v, want hits=1 misses=2 len=2", m)
 	}
 }
+
+// WithJoinKernel is a no-op kept for old callers: it must not reach the
+// cache key, so a compile with it and a compile without share one entry.
+func TestPlanCacheIgnoresJoinKernelOption(t *testing.T) {
+	cache := NewPlanCache(8)
+	ctx := context.Background()
+	q := MustParseQuery(`r(X,Y), s(Y,Z), t(Z,X)`)
+	plain, err := cache.Compile(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withOpt, err := cache.Compile(ctx, q, WithJoinKernel(JoinKernelAuto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := cache.Metrics(); plain != withOpt || m.Len != 1 || m.Hits != 1 {
+		t.Fatalf("WithJoinKernel split the cache: same plan %v, metrics %+v", plain == withOpt, m)
+	}
+	if plain.String() != "plan{hypertree, width=2, decomposer=k-decomp}" {
+		t.Fatalf("plan renders as %s", plain)
+	}
+}

@@ -62,15 +62,7 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 			"ghd":      WithDecomposer(GreedyDecomposer()),
 			"fhd":      WithDecomposer(FractionalDecomposer()),
 		} {
-			// rotate the decomposers through both join kernels so the
-			// leapfrog scatter path sees the same shard-count and
-			// empty-shard coverage as the chain
-			kernel := JoinKernelChain
-			if trial%2 == 1 {
-				kernel = JoinKernelLeapfrog
-			}
-			name = name + "/" + string(kernel)
-			plan, err := Compile(q, WithStrategy(StrategyHypertree), opt, WithJoinKernel(kernel))
+			plan, err := Compile(q, WithStrategy(StrategyHypertree), opt)
 			if err != nil {
 				t.Fatalf("trial %d %s compile: %v", trial, name, err)
 			}

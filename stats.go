@@ -55,10 +55,10 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // threaded through the whole planning pipeline — the heuristic engines
 // break width ties toward cheaper λ placements, the WithAutoStrategy race
 // ranks entrants by estimated total cost Σ_p Π_{R∈λ(p)} |R|^w instead of
-// width alone, the evaluator orders each node's λ-join and the semijoin
-// passes by ascending estimated cardinality, and Plan.Explain reports the
-// per-node estimates. Statistics never change answers — only which
-// same-width plan wins and in which order it joins; the equivalence is
+// width alone, the evaluator orders the semijoin passes by ascending
+// estimated cardinality, and Plan.Explain reports the per-node estimates.
+// Statistics never change answers — only which same-width plan wins and in
+// which order it reduces; the equivalence is
 // property-tested across every engine and the sharded path. The snapshot is
 // taken at compile time: a plan stays correct when the database drifts, but
 // recompile (plans compiled under different statistics are cached
@@ -120,37 +120,6 @@ func edgeRowsFor(q *Query, edgeToAtom []int, s *Stats) []float64 {
 		rows[e] = float64(s.Rows(q.Atoms[ai].Pred))
 	}
 	return rows
-}
-
-// edgeDistinctFor extracts, per hypergraph edge, the variable→distinct-count
-// map the cost-aware kernel selector prices bags with: for each variable the
-// edge's atom binds, the smallest distinct-value count across the columns
-// carrying it (repeated variables act as an equality selection, so the
-// minimum is the sound survivor count). Columns the snapshot has never seen
-// are simply absent — the consumer defaults a missing variable to the row
-// count, the selectivity-free assumption.
-func edgeDistinctFor(q *Query, edgeToAtom []int, s *Stats) []map[int]float64 {
-	out := make([]map[int]float64, len(edgeToAtom))
-	for e, ai := range edgeToAtom {
-		atom := q.Atoms[ai]
-		dv := map[int]float64{}
-		for col, t := range atom.Args {
-			if !t.IsVar {
-				continue
-			}
-			vi, found := q.VarIndex(t.Name)
-			if !found {
-				continue
-			}
-			if c := s.Distinct(atom.Pred, col); c > 0 {
-				if cur, seen := dv[vi]; !seen || float64(c) < cur {
-					dv[vi] = float64(c)
-				}
-			}
-		}
-		out[e] = dv
-	}
-	return out
 }
 
 // refineEstimates tightens the annotated per-node cardinality estimates
