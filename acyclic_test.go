@@ -90,14 +90,14 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 	}
 }
 
-// enumShapeDB builds the exec_enum benchmark shape at a chosen size: three
-// binary relations of 2·domain tuples each, degree-regular (every constant
-// twice per column), so the 3-path has 8·domain answers.
-func enumShapeDB(domain int) *Database {
+// regularDB builds the exec_enum / exec_cyclic benchmark shape at a chosen
+// size: the named binary relations of 2·domain tuples each, degree-regular
+// (every constant twice per column).
+func regularDB(domain int, rels ...string) *Database {
 	rng := rand.New(rand.NewSource(1))
 	db := NewDatabase()
 	name := func(i int) string { return fmt.Sprintf("d%d", i) }
-	for _, rel := range []string{"r1", "r2", "r3"} {
+	for _, rel := range rels {
 		for round := 0; round < 2; round++ {
 			src, dst := rng.Perm(domain), rng.Perm(domain)
 			for i := range src {
@@ -107,6 +107,10 @@ func enumShapeDB(domain int) *Database {
 	}
 	return db
 }
+
+// enumShapeDB is the exec_enum shape: over it the 3-path has 8·domain
+// answers.
+func enumShapeDB(domain int) *Database { return regularDB(domain, "r1", "r2", "r3") }
 
 const enumShapeQuery = `ans(X1, X2, X3, X4) :- r1(X1, X2), r2(X2, X3), r3(X3, X4).`
 
@@ -146,6 +150,42 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations per warm Execute at 3 × 15 000 rows, want < 1000", large)
 	}
 	if large > small+16 {
+		t.Fatalf("allocations grow with the input: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	}
+}
+
+// The allocation guard of the leapfrog path, on the exec_cyclic shape: a warm
+// Boolean triangle intersects cached encodings through a fixed set of
+// iterators and emits its few witnesses into columns, so what it allocates
+// does not depend on the relations — the same count at 3 × 1 500 rows as at
+// 3 × 15 000.
+func TestCyclicWarmExecuteAllocs(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(domain int) float64 {
+		db := regularDB(domain, "e1", "e2", "e3")
+		plan, err := Compile(MustParseQuery(`e1(X, Y), e2(Y, Z), e3(Z, X)`),
+			WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.String(), "fhw=1.5") {
+			t.Fatalf("%s: want the one fhw-1.5 bag", plan)
+		}
+		if _, err := plan.ExecuteBoolean(ctx, db); err != nil { // warm the encoding cache
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := plan.ExecuteBoolean(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(750), allocs(7500)
+	t.Logf("allocations per warm ExecuteBoolean: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	if large >= 64 {
+		t.Fatalf("%.0f allocations per warm ExecuteBoolean at 3 × 15 000 rows, want < 64", large)
+	}
+	if large > small+4 {
 		t.Fatalf("allocations grow with the input: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the plan-level Columnar encoding cache. Scan nodes and the
-// leapfrog kernel need every λ relation bound and encoded into sorted,
-// dictionary-coded columns — a counting-sort pass per column — and without
-// caching that work reruns on every Execute and in every bag sharing the
+// leapfrog kernel need every λ relation bound into sorted columns of
+// interned Values — a counting-sort pass per column — and without caching
+// that work reruns on every Execute and in every bag sharing the
 // relation. The cache lives on the Evaluator (hence on the compiled Plan:
 // hdserve's warm PlanCache keeps it hot across requests) and is keyed by
 // (λ edge, column order) within a single database generation: entries are
@@ -55,8 +55,8 @@ type encEntry struct {
 // encCache is the single-generation encoding cache. All entries belong to
 // one database snapshot; a get against a different database resets the
 // generation. Builds run outside the lock — two goroutines racing on one
-// key both encode and the loser's work is discarded, the same discipline as
-// rootBuilder's atom-table memo.
+// key both encode and the loser's work is discarded (encodings are
+// immutable, so either copy serves).
 type encCache struct {
 	mu      sync.Mutex
 	db      *relation.Database

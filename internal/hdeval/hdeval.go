@@ -187,7 +187,7 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 		return groundRoot(db, e.Q)
 	}
 
-	b := &rootBuilder{ctx: ctx, db: db, e: e, tr: obs.FromContext(ctx), atomTables: map[int]*relation.Table{}}
+	b := &rootBuilder{ctx: ctx, db: db, e: e, tr: obs.FromContext(ctx)}
 	var root *yannakakis.Node
 	var err error
 	if workers <= 1 {
@@ -222,40 +222,14 @@ func clearUnlessGroundAtomsHold(root *yannakakis.Node, db *relation.Database, q 
 	return err
 }
 
-// rootBuilder carries the shared state of one Root materialisation. The
-// atom-table memo is guarded by mu; two goroutines may race to bind the same
-// atom and both compute it, but tables are immutable so the loser's work is
-// merely discarded.
+// rootBuilder carries the shared state of one Root materialisation; the
+// bound relations live in the evaluator's encoding cache (kernel.go).
 type rootBuilder struct {
 	ctx context.Context
 	db  *relation.Database
 	e   *Evaluator
 	tr  *obs.Trace // nil when the context carries no trace
 	sem chan struct{}
-
-	mu         sync.Mutex
-	atomTables map[int]*relation.Table // edge id -> bound table
-}
-
-func (b *rootBuilder) bind(e2 int) (*relation.Table, error) {
-	b.mu.Lock()
-	t, ok := b.atomTables[e2]
-	b.mu.Unlock()
-	if ok {
-		return t, nil
-	}
-	t, err := yannakakis.BindAtom(b.db, b.e.Q, b.e.edgeToAtom[e2])
-	if err != nil {
-		return nil, err
-	}
-	b.mu.Lock()
-	if prev, ok := b.atomTables[e2]; ok {
-		t = prev
-	} else {
-		b.atomTables[e2] = t
-	}
-	b.mu.Unlock()
-	return t, nil
 }
 
 func (b *rootBuilder) buildSeq(n *decomp.Node) (*yannakakis.Node, error) {

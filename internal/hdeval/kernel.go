@@ -126,22 +126,19 @@ func agmCapHint(n *decomp.Node, lam []int, cols []*relation.Columnar) int {
 
 // encoded returns the i-th λ relation of lf in Columnar form under lf's
 // variable order, through the evaluator's encoding cache: within one
-// database generation each (edge, order) pair is bound and encoded once —
-// across bags sharing the relation and across repeated executions under a
-// warm plan cache. A hit touches neither the relation nor the atom. Under a
-// traced context each fetch is one SpanBind labelled with the relation and
-// hit or miss.
+// database generation each (edge, order) pair is bound once — straight into
+// sorted columns (relation.BindColumnar), the kept width being the distinct
+// prefix a scan node's χ asks for — across bags sharing the relation and
+// across repeated executions under a warm plan cache. A hit touches neither
+// the relation nor the atom. Under a traced context each fetch is one
+// SpanBind labelled with the relation and hit or miss.
 func (b *rootBuilder) encoded(lf *lfNode, i int) (*relation.Columnar, error) {
 	sp := b.tr.StartSpan(obs.SpanBind)
 	e2 := lf.lam[i]
 	key, sub := lf.keys[i], lf.subs[i]
 	rel := b.db.Relation(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
 	enc, hit, err := b.e.enc.get(b.db, rel, key, func() (*relation.Columnar, error) {
-		t, err := b.bind(e2)
-		if err != nil {
-			return nil, err
-		}
-		return relation.NewColumnar(t, sub).Prefix(key.width), nil
+		return yannakakis.BindAtomColumnar(b.db, b.e.Q, b.e.edgeToAtom[e2], sub[:key.width])
 	})
 	if err != nil {
 		return nil, err
@@ -161,11 +158,11 @@ func (b *rootBuilder) encoded(lf *lfNode, i int) (*relation.Columnar, error) {
 // materialize computes node n's table. A scan node's table is its one
 // relation's cached encoding as it stands — no join, no re-encode, no
 // row-major copy. Any other node fetches its λ encodings, runs the multiway
-// intersection over the node's precomputed variable order, and takes the
-// sorted, already-distinct χ prefix as the node table, encoded without a
-// sort (NewColumnarSorted). Under a traced context the fetches record as
-// SpanBind and the join as one SpanNode carrying the join count and the
-// actual vs estimated cardinality.
+// intersection over the node's precomputed variable order, which emits the
+// sorted, already-distinct χ prefix as the node table's columns; the join
+// polls the builder's context, so a request deadline interrupts it. Under a
+// traced context the fetches record as SpanBind and the join as one
+// SpanNode carrying the join count and the actual vs estimated cardinality.
 func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	lf := b.e.lfNodes[n]
 	cols := make([]*relation.Columnar, len(lf.lam))
@@ -178,8 +175,11 @@ func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	sp := b.tr.StartSpan(obs.SpanNode)
 	out := &yannakakis.Node{Enc: cols[0]}
 	if len(cols) > 1 {
-		joined := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, agmCapHint(n, lf.lam, cols))
-		out.Enc = relation.NewColumnarSorted(joined)
+		var err error
+		out.Enc, err = relation.LeapfrogJoinColumnar(b.ctx, cols, lf.order, lf.nChi, agmCapHint(n, lf.lam, cols))
+		if err != nil {
+			return nil, err
+		}
 		sp.AddSteps(int64(len(cols) - 1))
 	}
 	b.endNodeSpan(sp, n, out.Rows())

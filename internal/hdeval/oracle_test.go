@@ -184,6 +184,9 @@ var adversarialAcyclic = []string{
 	// heads that keep everything, in a permuted order
 	`ans(W, Z, Y, X) :- e(X, Y), f(Y, Z), g(Z, W).`,
 	`ans(X, Y, Z) :- t3(X, Y, Z), e(X, Y), f(Y, Z).`,
+	// a three-column atom sharing its last two columns with the other
+	`ans(X, Y, Z) :- e(Y, Z), t3(X, Y, Z).`,
+	`ans(X) :- e(Y, Z), t3(X, Y, Z).`,
 	// Boolean heads
 	`e(X, Y), f(Y, Z), g(Z, W)`,
 	`ans() :- e(X, Y), f(Y, X).`,

@@ -3,11 +3,17 @@ package hdeval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"hypertree/internal/bitset"
+	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
+	"hypertree/internal/relation"
+	"hypertree/internal/shard"
 	"hypertree/internal/yannakakis"
 )
 
@@ -110,5 +116,59 @@ func TestParallelEvaluatorAgrees(t *testing.T) {
 		if !gotTab.Equal(wantTab) {
 			t.Fatalf("workers=%d: Enumerate differs", workers)
 		}
+	}
+}
+
+// A request deadline interrupts a leapfrog run in progress: one bag joins
+// r(X,Y) × t(Z,W) and only then finds v(Y,W) matches nothing, so the full
+// run visits |r|·|t| keys and emits no row — it is still going when a 200 ms
+// deadline expires. With a 5 ms deadline it must come back DeadlineExceeded
+// within 50 ms, and the evaluator must answer the next request as if
+// nothing happened.
+func TestDeadlineInterruptsLeapfrog(t *testing.T) {
+	q := cq.MustParse(`r(X,Y), t(Z,W), v(Y,W)`)
+	h, _ := q.Hypergraph()
+	bag := &decomp.Decomposition{H: h, Root: &decomp.Node{Chi: h.AllVertices(), Lambda: bitset.Of(0, 1, 2)}}
+	e, err := NewEvaluator(q, bag, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4000
+	db := relation.NewDatabase()
+	for i := 0; i < n; i++ {
+		db.AddFact("r", fmt.Sprint("x", i), fmt.Sprint("y", i%50))
+		db.AddFact("t", fmt.Sprint("z", i), fmt.Sprint("w", i%50))
+		db.AddFact("v", fmt.Sprint("y", i%50), fmt.Sprint("nowhere", i%50))
+	}
+	for _, d := range []time.Duration{200 * time.Millisecond, 5 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		start := time.Now()
+		_, err := e.Boolean(ctx, db, 1)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%v deadline: err = %v after %v, want DeadlineExceeded (the full run must outlast 200 ms)", d, err, took)
+		}
+		if took > d+45*time.Millisecond {
+			t.Fatalf("%v deadline: the join came back after %v", d, took)
+		}
+	}
+	// The scatter hands each shard's join the same deadline.
+	p, err := shard.Partition(db, 2, shard.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := e.BooleanSharded(ctx, p, 0); !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 50*time.Millisecond {
+		t.Fatalf("sharded, 5 ms deadline: err = %v after %v, want DeadlineExceeded within 50 ms", err, time.Since(start))
+	}
+	small := relation.NewDatabase()
+	if err := small.ParseFacts(`r(a, b). t(c, d). v(b, d).`); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.Boolean(context.Background(), small, 1); err != nil || !ok {
+		t.Fatalf("after the interrupted runs: %v, %v; want true, nil", ok, err)
 	}
 }

@@ -16,10 +16,10 @@ import (
 // largest relation (the pivot) is bound and encoded shard by shard, every
 // other λ atom is fetched once from the assembled view's encoding cache and
 // shared, and each shard leapfrogs its pivot fragment against them. Join
-// distributes over union, so gathering the per-shard χ-tables and encoding
-// the result once — which sorts it and drops the rows two shards both
-// produced, possible when χ drops pivot columns — reproduces exactly the
-// single-database node table.
+// distributes over union, so the union of the per-shard χ-tables
+// (relation.Union: columns concatenated, sorted, and the rows two shards both
+// produced dropped — possible when χ drops pivot columns) reproduces exactly
+// the single-database node table.
 
 // RootSharded materialises the acyclic instance of Lemma 4.6 against a
 // partitioned database: per node, the λ-join fans out across the shards on
@@ -38,7 +38,7 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 		tr:      obs.FromContext(ctx),
 		// The embedded assembled-view builder serves the binds, the cached
 		// encodings and the scan nodes, which have nothing to scatter.
-		full: &rootBuilder{ctx: ctx, db: p.Assembled(), e: e, tr: obs.FromContext(ctx), atomTables: map[int]*relation.Table{}},
+		full: &rootBuilder{ctx: ctx, db: p.Assembled(), e: e, tr: obs.FromContext(ctx)},
 	}
 	root, err := b.build(e.HD.Root)
 	if err != nil {
@@ -49,15 +49,15 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 
 // shardedBuilder carries the state of one RootSharded materialisation. The
 // broadcast-side atom binds run through an embedded rootBuilder pointed at
-// the assembled view, sharing its memo (each non-pivot λ atom is bound
-// once, however many nodes and shards touch it).
+// the assembled view, hence through the encoding cache (each non-pivot λ
+// atom is bound once, however many nodes and shards touch it).
 type shardedBuilder struct {
 	ctx     context.Context
 	p       *shard.PartitionedDB
 	e       *Evaluator
 	workers int
 	tr      *obs.Trace   // nil when the context carries no trace
-	full    *rootBuilder // assembled-view binder + memo
+	full    *rootBuilder // assembled-view binder
 }
 
 func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
@@ -100,10 +100,10 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, e
 	// Pivot: the λ edge backed by the most tuples — its fragments carry the
 	// bulk of the scan work, so fragmenting it balances the shards best.
 	// Ties break to the smallest edge id; the choice is deterministic.
-	pivot := lf.lam[0]
-	for _, e2 := range lf.lam[1:] {
+	pivot, pivotSub := lf.lam[0], lf.subs[0]
+	for i, e2 := range lf.lam {
 		if b.rowsOf(e2) > b.rowsOf(pivot) {
-			pivot = e2
+			pivot, pivotSub = e2, lf.subs[i]
 		}
 	}
 	broadcast := make([]*relation.Columnar, 0, len(lf.lam)-1)
@@ -119,19 +119,22 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, e
 	}
 	nodeIdx := b.e.nodeID[n]
 	parts, err := shard.Scatter(b.ctx, b.p, b.workers,
-		func(ctx context.Context, i int, db *relation.Database) (*relation.Table, error) {
+		func(ctx context.Context, i int, db *relation.Database) (*relation.Columnar, error) {
 			ssp := b.tr.StartSpan(obs.SpanShard)
 			ssp.SetShard(i)
 			ssp.SetKernel(lf.kernel())
 			ssp.SetNode(nodeIdx)
-			frag, err := yannakakis.BindAtom(db, b.e.Q, b.e.edgeToAtom[pivot])
+			frag, err := yannakakis.BindAtomColumnar(db, b.e.Q, b.e.edgeToAtom[pivot], pivotSub)
 			if err != nil {
 				return nil, err
 			}
 			cols := make([]*relation.Columnar, 0, len(lf.lam))
-			cols = append(cols, relation.NewColumnar(frag, relation.SubOrder(lf.order, frag.Vars)))
+			cols = append(cols, frag)
 			cols = append(cols, broadcast...)
-			out := relation.LeapfrogJoinColumnar(cols, lf.order, lf.nChi, 0)
+			out, err := relation.LeapfrogJoinColumnar(ctx, cols, lf.order, lf.nChi, 0)
+			if err != nil {
+				return nil, err
+			}
 			ssp.AddSteps(int64(len(lf.lam) - 1))
 			ssp.SetRows(out.Rows())
 			ssp.End()
@@ -142,7 +145,7 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, e
 	}
 	msp := b.tr.StartSpan(obs.SpanMerge)
 	msp.SetNode(nodeIdx)
-	merged := relation.NewColumnar(relation.Concat(parts...), lf.order[:lf.nChi]).Distinct()
+	merged := relation.Union(parts...)
 	msp.SetRows(merged.Rows())
 	msp.End()
 	sp.AddSteps(int64(len(lf.lam) - 1))

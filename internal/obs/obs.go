@@ -65,8 +65,8 @@ const (
 	SpanExec = "exec"
 	// SpanBind covers fetching one λ relation in executable form, before
 	// the node's join starts, through the plan's encoding cache: the label
-	// names the relation and says hit (nothing touched) or miss (atom bound,
-	// columns dictionary-coded and sorted). Rows is the fetched relation's
+	// names the relation and says hit (nothing touched) or miss (atom
+	// selected into columns and sorted). Rows is the fetched relation's
 	// cardinality.
 	SpanBind = "exec/bind"
 	// SpanNode covers one decomposition node's λ-join materialisation

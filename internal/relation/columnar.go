@@ -1,140 +1,61 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
 // This file is the columnar relation layout behind the worst-case-optimal
-// leapfrog join kernel (leapfrog.go): a Table copied into sorted,
-// dictionary-encoded column blocks over a chosen variable order, plus the
-// trie-style iterator (TrieIter) the kernel leapfrogs over. The layout is
-// immutable after construction and safe for concurrent iteration — the
-// sharded evaluator builds the broadcast side once and probes it from every
-// shard goroutine through per-goroutine iterators.
+// leapfrog join kernel (leapfrog.go): a relation copied into sorted column
+// blocks of interned Values over a chosen variable order, plus the trie-style
+// iterator (TrieIter) the kernel leapfrogs over. Values are already a dense,
+// database-wide, order-preserving int32 code (Database.Intern hands them out
+// consecutively), so they are the only code domain: a trie key is one array
+// read, a seek one gallop, and two encodings of one database compare
+// directly. The layout is immutable after construction and safe for
+// concurrent iteration — the sharded evaluator builds the broadcast side
+// once and probes it from every shard goroutine through per-goroutine
+// iterators.
 
-// A Dict is a per-column integer dictionary: the column's distinct values in
-// ascending order. Codes (indices into the dictionary) are order-isomorphic
-// to values, so all trie navigation runs on dense int32 codes and decodes to
-// interned Values only at the output boundary.
-type Dict struct {
-	vals []Value
-	// index, when non-nil, maps a Value to its code plus one (0: absent) —
-	// the dense-range dictionaries newDictCodes builds keep their counting
-	// table, so exact lookups are one array read.
-	index []int32
-}
-
-// newDict builds the dictionary of the given (unsorted, possibly duplicated)
-// column values.
-func newDict(vals []Value) *Dict {
-	sorted := append([]Value(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return &Dict{vals: out}
-}
-
-// newDictCodes builds the column's dictionary and writes each row's code into
-// codes. Interned Values are small dense ints (Database interns constants
-// consecutively), so when the value range is commensurate with the column a
-// counting pass over the range replaces the comparator sort and every code
-// assignment is one array read; columns with outlying values (hand-built
-// tables) fall back to newDict plus binary-search encoding.
-func newDictCodes(vals []Value, codes []int32) *Dict {
-	maxV := Value(-1)
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-		if v < 0 {
-			maxV = Value(1<<31 - 1) // negative values: force the sort path
-			break
-		}
-	}
-	if int64(maxV) >= 4*int64(len(vals))+1024 {
-		d := newDict(vals)
-		for r, v := range vals {
-			codes[r], _ = d.Code(v)
-		}
-		return d
-	}
-	lookup := make([]int32, int(maxV)+1)
-	for _, v := range vals {
-		lookup[v] = 1
-	}
-	out := make([]Value, 0, len(vals))
-	for v, seen := range lookup {
-		if seen != 0 {
-			out = append(out, Value(v))
-			lookup[v] = int32(len(out))
-		}
-	}
-	for r, v := range vals {
-		codes[r] = lookup[v] - 1
-	}
-	return &Dict{vals: out, index: lookup}
-}
-
-// Len returns the number of distinct values in the column.
-func (d *Dict) Len() int { return len(d.vals) }
-
-// Value decodes a dictionary code back to its interned Value.
-func (d *Dict) Value(code int32) Value { return d.vals[code] }
-
-// SeekCode returns the smallest code whose value is ≥ v, or Len() when every
-// dictionary value is below v (binary search).
-func (d *Dict) SeekCode(v Value) int32 {
-	lo, hi := 0, len(d.vals)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d.vals[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// Code returns the code of v and whether v occurs in the column.
-func (d *Dict) Code(v Value) (int32, bool) {
-	if d.index != nil {
-		if v < 0 || int(v) >= len(d.index) {
-			return 0, false
-		}
-		return d.index[v] - 1, d.index[v] != 0
-	}
-	c := d.SeekCode(v)
-	if int(c) < len(d.vals) && d.vals[c] == v {
-		return c, true
-	}
-	return 0, false
-}
-
-// A Columnar is a columnar, dictionary-encoded copy of a Table: one Dict and
-// one code block per column, columns arranged in the caller's variable
-// order, rows sorted lexicographically by code (equivalently, by value —
-// dictionaries preserve order). Construction costs one sort; afterwards the
-// layout supports trie iteration (NewTrieIter), run-based prefix projection
-// (Prefix) and code-domain semijoins without touching row-major data again.
+// A Columnar is a relation over variables stored column by column: columns
+// arranged in the caller's variable order, rows sorted lexicographically by
+// Value. Construction costs one sort; afterwards the layout supports trie
+// iteration (NewTrieIter), run lookups (PrefixRun) and merge semijoins
+// without touching row-major data again.
 type Columnar struct {
-	// Vars is the column order (a permutation of the source table's Vars).
-	Vars  []int
-	dicts []*Dict
-	codes [][]int32 // codes[c][r]: column c of row r, rows lexicographically sorted
-	rows  int
+	// Vars is the column order.
+	Vars []int
+	cols [][]Value // cols[c][r]: column c of row r, rows lexicographically sorted
+	rows int
 
-	// runs0[k] is the first row whose leading code is ≥ k: the top trie
-	// level as offsets, built on the first PrefixRun (firstRuns).
+	// runs0[k] is the first row whose leading value is ≥ min0+k: the top
+	// trie level as offsets, built on first use (firstRuns) and only for a
+	// dense leading column.
 	runs0     []int32
+	min0      Value
 	runs0Once sync.Once
+}
+
+// denseRange returns the smallest value of col and the size of its value
+// range (max − min + 1), and whether that range is commensurate with the
+// column — the one density test of this package. Interned Values are small
+// consecutive ints, so a column of database constants passes and everything
+// indexed by value − min (a counting-sort pass, the top-level run offsets, a
+// projection bitmap) is O(rows); a column with outlying values (hand-built
+// tables) fails it and takes the comparison paths.
+func denseRange(col []Value) (lo Value, span int, ok bool) {
+	if len(col) == 0 {
+		return 0, 0, true
+	}
+	lo, hi := col[0], col[0]
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	width := int64(hi) - int64(lo) + 1
+	return lo, int(width), width <= 4*int64(len(col))+1024
 }
 
 // NewColumnar copies t into columnar form with columns arranged in the given
@@ -145,67 +66,173 @@ func NewColumnar(t *Table, order []int) *Columnar {
 	if w != len(t.Vars) {
 		panic(fmt.Sprintf("relation: NewColumnar order %v is not a permutation of table vars %v", order, t.Vars))
 	}
-	src := make([]int, w)
+	cols := make([][]Value, w)
 	for i, v := range order {
 		c := t.col(v)
 		if c < 0 {
 			panic(fmt.Sprintf("relation: NewColumnar order %v is not a permutation of table vars %v", order, t.Vars))
 		}
-		src[i] = c
-	}
-	n := t.rows
-	cn := &Columnar{Vars: append([]int(nil), order...), dicts: make([]*Dict, w), codes: make([][]int32, w), rows: n}
-
-	// Encode column by column: dictionary and codes in one counting pass.
-	colVals := make([]Value, n)
-	for i := 0; i < w; i++ {
-		c := src[i]
-		for r := 0; r < n; r++ {
-			colVals[r] = t.data[r*w+c]
+		col := make([]Value, t.rows)
+		for r := range col {
+			col[r] = t.data[r*w+c]
 		}
-		col := make([]int32, n)
-		cn.dicts[i] = newDictCodes(colVals, col)
-		cn.codes[i] = col
+		cols[i] = col
 	}
-
-	cn.sortRows()
-	return cn
+	return sortedColumns(order, cols, t.rows)
 }
 
-// sortRows puts the rows in lexicographic code order with one stable
-// counting pass per column, last column first (LSD radix over dictionary
-// codes): dense codes make each pass O(n + |dict|) with no comparator
-// calls, which is what keeps the trie build from dominating the join on
-// large relations.
+// BindColumnar evaluates the atom r(args...) straight into columnar form:
+// constants and repeated variables select, the columns of the variables in
+// order — any of the atom's, each once — are copied in that order, and the
+// result is sorted. No row-major Table and no string-keyed dedup map is
+// built: a Relation is a set, and selection drops only columns that are
+// constants or repeats of a kept variable, so keeping every variable yields
+// distinct rows by construction; sorting makes the duplicates a narrower
+// order leaves adjacent, and one Distinct scan removes them.
+func BindColumnar(r *Relation, args []Arg, order []int) (*Columnar, error) {
+	if len(args) != r.Arity {
+		return nil, fmt.Errorf("relation: atom over %s has %d args, relation has arity %d", r.Name, len(args), r.Arity)
+	}
+	// The selections: columns holding a constant, and columns repeating the
+	// variable of an earlier one.
+	var consts []int
+	var repeats [][2]int
+	firstCol := map[int]int{}
+	for j, a := range args {
+		if !a.IsVar {
+			consts = append(consts, j)
+		} else if first, seen := firstCol[a.Var]; seen {
+			repeats = append(repeats, [2]int{j, first})
+		} else {
+			firstCol[a.Var] = j
+		}
+	}
+	src := make([]int, len(order))
+	for i, v := range order {
+		c, ok := firstCol[v]
+		if !ok || slices.Contains(order[:i], v) {
+			panic(fmt.Sprintf("relation: BindColumnar order %v does not list distinct variables of the atom", order))
+		}
+		src[i] = c
+	}
+	n := r.Rows()
+	cols := make([][]Value, len(order))
+	for i := range cols {
+		cols[i] = make([]Value, 0, n)
+	}
+	kept := 0
+rows:
+	for i := 0; i < n; i++ {
+		tup := r.Row(i)
+		for _, j := range consts {
+			if tup[j] != args[j].Const {
+				continue rows
+			}
+		}
+		for _, eq := range repeats {
+			if tup[eq[0]] != tup[eq[1]] {
+				continue rows
+			}
+		}
+		for c, s := range src {
+			cols[c] = append(cols[c], tup[s])
+		}
+		kept++
+	}
+	return sortedColumns(order, cols, kept).Distinct(), nil
+}
+
+// Union returns the set union of parts, which must all share one variable
+// sequence: their columns concatenated, sorted, and repeated rows dropped.
+// It gathers the per-shard tables of partition-parallel evaluation.
+func Union(parts ...*Columnar) *Columnar {
+	if len(parts) == 0 {
+		return &Columnar{}
+	}
+	vars := parts[0].Vars
+	cols := make([][]Value, len(vars))
+	rows := 0
+	for _, p := range parts {
+		if !slices.Equal(p.Vars, vars) {
+			panic(fmt.Sprintf("relation: Union over mismatched variable sequences (%v vs %v)", vars, p.Vars))
+		}
+		for i, col := range p.cols {
+			cols[i] = append(cols[i], col...)
+		}
+		rows += p.rows
+	}
+	return sortedColumns(vars, cols, rows).Distinct()
+}
+
+// Reorder returns c with its columns arranged in the given order — a
+// permutation of c.Vars — and its rows re-sorted under it: the column
+// slices are permuted, no row-major Table is built.
+func (c *Columnar) Reorder(order []int) *Columnar {
+	return c.sortedProjection(c.columnsOf(order))
+}
+
+// columnsOf returns the column position of each of vars, which must all
+// occur in c.
+func (c *Columnar) columnsOf(vars []int) []int {
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		if cols[i] = slices.Index(c.Vars, v); cols[i] < 0 {
+			panic(fmt.Sprintf("relation: variable %d not among columnar vars %v", v, c.Vars))
+		}
+	}
+	return cols
+}
+
+// sortedColumns wraps the given columns (taking ownership) over vars as a
+// Columnar and sorts its rows.
+func sortedColumns(vars []int, cols [][]Value, rows int) *Columnar {
+	c := &Columnar{Vars: append([]int(nil), vars...), cols: cols, rows: rows}
+	c.sortRows()
+	return c
+}
+
+// sortRows puts the rows in lexicographic order with one stable pass per
+// column, last column first (LSD radix): a counting pass over the column's
+// value range where that is dense (denseRange) — O(n + range) with no
+// comparator calls, which is what keeps the trie build from dominating the
+// join on large relations — and a stable comparison sort where it is not.
 func (c *Columnar) sortRows() {
 	n := c.rows
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if n < 2 {
+		return
 	}
-	next := make([]int, n)
-	for i := len(c.codes) - 1; i >= 0; i-- {
-		col := c.codes[i]
-		counts := make([]int, c.dicts[i].Len()+1)
-		for _, p := range perm {
-			counts[col[p]+1]++
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	next := make([]int32, n)
+	for i := len(c.cols) - 1; i >= 0; i-- {
+		col := c.cols[i]
+		lo, span, dense := denseRange(col)
+		if !dense {
+			slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+			continue
+		}
+		counts := make([]int32, span+1)
+		for _, v := range col {
+			counts[v-lo+1]++
 		}
 		for k := 1; k < len(counts); k++ {
 			counts[k] += counts[k-1]
 		}
 		for _, p := range perm {
-			k := col[p]
+			k := col[p] - lo
 			next[counts[k]] = p
 			counts[k]++
 		}
 		perm, next = next, perm
 	}
-	for i, col := range c.codes {
-		sorted := make([]int32, n)
+	for i, col := range c.cols {
+		sorted := make([]Value, n)
 		for r, p := range perm {
 			sorted[r] = col[p]
 		}
-		c.codes[i] = sorted
+		c.cols[i] = sorted
 	}
 }
 
@@ -224,14 +251,8 @@ func SubOrder(order []int, vars []int) []int {
 // Rows returns the number of rows.
 func (c *Columnar) Rows() int { return c.rows }
 
-// NumCols returns the number of columns.
-func (c *Columnar) NumCols() int { return len(c.Vars) }
-
-// Dict returns column i's dictionary.
-func (c *Columnar) Dict(i int) *Dict { return c.dicts[i] }
-
-// Value returns the decoded value at (column, row).
-func (c *Columnar) Value(col, row int) Value { return c.dicts[col].Value(c.codes[col][row]) }
+// Value returns the value at (column, row).
+func (c *Columnar) Value(col, row int) Value { return c.cols[col][row] }
 
 // Table materialises the columnar layout back into a row-major Table, rows
 // in sorted order.
@@ -240,25 +261,12 @@ func (c *Columnar) Table() *Table {
 	out := NewTable(c.Vars)
 	out.rows = c.rows
 	out.data = make([]Value, c.rows*w)
-	for i, col := range c.codes {
-		vals := c.dicts[i].vals
-		for r, code := range col {
-			out.data[r*w+i] = vals[code]
+	for i, col := range c.cols {
+		for r, v := range col {
+			out.data[r*w+i] = v
 		}
 	}
 	return out
-}
-
-// Prefix returns the distinct projection onto the first k columns, still in
-// columnar form and sharing c's dictionaries. Because rows are
-// lexicographically sorted, distinct prefixes are exactly the run
-// boundaries — the projection is one scan with no hashing and no dedup
-// buffer (the "cheap projection" the sorted layout buys).
-func (c *Columnar) Prefix(k int) *Columnar {
-	if k == len(c.Vars) {
-		return c
-	}
-	return (&Columnar{Vars: c.Vars[:k], dicts: c.dicts[:k], codes: c.codes[:k], rows: c.rows}).Distinct()
 }
 
 // Distinct drops repeated rows, which sorting has made adjacent; c itself
@@ -280,7 +288,7 @@ func (c *Columnar) Distinct() *Columnar {
 }
 
 func (c *Columnar) sameRow(a, b int) bool {
-	for _, col := range c.codes {
+	for _, col := range c.cols {
 		if col[a] != col[b] {
 			return false
 		}
@@ -290,22 +298,22 @@ func (c *Columnar) sameRow(a, b int) bool {
 
 // PrefixRun returns the row range [lo, hi) whose leading len(key) columns
 // hold exactly key, as a trie descent: the top level is one read of the
-// run offsets, each deeper level a galloped narrowing; the range is empty
-// when no row matches. Enumeration finds each parent row's matching child
-// rows with it.
+// run offsets where the leading column has them, every other level a
+// galloped narrowing; the range is empty when no row matches. Enumeration
+// finds each parent row's matching child rows with it.
 func (c *Columnar) PrefixRun(key []Value) (lo, hi int) {
 	hi = c.rows
 	for j, v := range key {
-		code, ok := c.dicts[j].Code(v)
-		if !ok {
-			return 0, 0
-		}
-		if j == 0 {
-			runs := c.firstRuns()
-			lo, hi = int(runs[code]), int(runs[code+1])
+		if j == 0 && c.firstRuns() != nil {
+			runs := c.runs0
+			k := int64(v) - int64(c.min0)
+			if k < 0 || k >= int64(len(runs)-1) {
+				return 0, 0
+			}
+			lo, hi = int(runs[k]), int(runs[k+1])
 		} else {
-			lo = gallopCodes(c.codes[j], lo, hi, code)
-			hi = gallopCodes(c.codes[j], lo, hi, code+1)
+			lo = gallopCodes(c.cols[j], lo, hi, v)
+			hi = gallopPast(c.cols[j], lo, hi, v)
 		}
 		if lo == hi {
 			return 0, 0
@@ -314,69 +322,81 @@ func (c *Columnar) PrefixRun(key []Value) (lo, hi int) {
 	return lo, hi
 }
 
-// firstRuns returns the run offsets of the leading column, counting them on
-// first use (once: encodings are shared between goroutines).
+// firstRuns returns the run offsets of the leading column indexed by
+// value − min0 — entry k is the first row whose leading value is ≥ min0+k,
+// the last entry the row count — counting them on first use (once:
+// encodings are shared between goroutines). It returns nil for a leading
+// column too sparse to index by value (denseRange), and for no column.
 func (c *Columnar) firstRuns() []int32 {
 	c.runs0Once.Do(func() {
-		runs := make([]int32, c.dicts[0].Len()+1)
-		for _, code := range c.codes[0] {
-			runs[code+1]++
+		if len(c.cols) == 0 {
+			return
+		}
+		lo, span, dense := denseRange(c.cols[0])
+		if !dense {
+			return
+		}
+		runs := make([]int32, span+1)
+		for _, v := range c.cols[0] {
+			runs[v-lo+1]++
 		}
 		for k := 1; k < len(runs); k++ {
 			runs[k] += runs[k-1]
 		}
-		c.runs0 = runs
+		c.runs0, c.min0 = runs, lo
 	})
 	return c.runs0
 }
 
 // sortedProjection returns the distinct projection onto the given columns,
-// in that order, re-sorted in the code domain: the dictionaries are reused,
-// so the price is one counting pass per picked column — for a single
-// column, a bitmap over its dictionary.
+// in that order, re-sorted: one pass per picked column — for a single dense
+// column, a bitmap over its value range.
 func (c *Columnar) sortedProjection(cols []int) *Columnar {
-	out := &Columnar{Vars: make([]int, len(cols)), dicts: make([]*Dict, len(cols)), codes: make([][]int32, len(cols)), rows: c.rows}
+	out := &Columnar{Vars: make([]int, len(cols)), cols: make([][]Value, len(cols)), rows: c.rows}
 	for i, j := range cols {
-		out.Vars[i], out.dicts[i], out.codes[i] = c.Vars[j], c.dicts[j], c.codes[j]
+		out.Vars[i], out.cols[i] = c.Vars[j], c.cols[j]
 	}
-	if len(cols) != 1 {
-		out.sortRows()
-		return out.Distinct()
-	}
-	present := make([]bool, out.dicts[0].Len())
-	for _, code := range out.codes[0] {
-		present[code] = true
-	}
-	col := make([]int32, 0, len(present))
-	for code, ok := range present {
-		if ok {
-			col = append(col, int32(code))
+	if len(cols) == 1 {
+		if lo, span, dense := denseRange(out.cols[0]); dense {
+			present := make([]bool, span)
+			for _, v := range out.cols[0] {
+				present[v-lo] = true
+			}
+			col := make([]Value, 0, min(span, c.rows))
+			for k, ok := range present {
+				if ok {
+					col = append(col, lo+Value(k))
+				}
+			}
+			out.cols[0], out.rows = col, len(col)
+			return out
 		}
 	}
-	out.codes[0], out.rows = col, len(col)
-	return out
+	out.sortRows()
+	return out.Distinct()
 }
 
 // A TrieIter walks a Columnar as a trie: level d enumerates the distinct
 // values of column d within the parent prefix's row range. It implements the
 // iterator interface of leapfrog triejoin — Open/Up move between levels,
-// Next/Seek advance within one — with galloping (exponential probe + binary
-// search) over the sorted code blocks, so a Seek costs O(log run) and a full
-// level sweep costs O(distinct · log). Iterators are cheap cursors; any
-// number may walk one shared Columnar concurrently.
+// Next/Seek advance within one. On the top level of a dense leading column
+// both are one read of the run offsets (firstRuns); everywhere else they
+// gallop (exponential probe + binary search) over the sorted column, so a
+// Seek costs O(log run) and a full level sweep O(distinct · log). Iterators
+// are cheap cursors; any number may walk one shared Columnar concurrently.
 type TrieIter struct {
 	c     *Columnar
 	depth int // current open level; -1 at the root, before the first Open
-	lo    []int
 	hi    []int
 	pos   []int
+	runs0 []int32 // c.firstRuns(), fetched by the first Open
 }
 
 // NewTrieIter returns an iterator positioned at the trie root (depth -1);
 // call Open to descend into the first level.
 func NewTrieIter(c *Columnar) *TrieIter {
 	w := len(c.Vars)
-	return &TrieIter{c: c, depth: -1, lo: make([]int, w), hi: make([]int, w), pos: make([]int, w)}
+	return &TrieIter{c: c, depth: -1, hi: make([]int, w), pos: make([]int, w)}
 }
 
 // Depth returns the current level (-1 at the root).
@@ -389,7 +409,7 @@ func (it *TrieIter) AtEnd() bool { return it.pos[it.depth] >= it.hi[it.depth] }
 // AtEnd).
 func (it *TrieIter) Key() Value {
 	d := it.depth
-	return it.c.dicts[d].Value(it.c.codes[d][it.pos[d]])
+	return it.c.cols[d][it.pos[d]]
 }
 
 // Open descends one level, into the sub-trie of the current key (from the
@@ -397,20 +417,21 @@ func (it *TrieIter) Key() Value {
 func (it *TrieIter) Open() {
 	d := it.depth + 1
 	if d == 0 {
-		it.lo[0], it.hi[0], it.pos[0] = 0, it.c.rows, 0
+		it.hi[0], it.pos[0] = it.c.rows, 0
+		it.runs0 = it.c.firstRuns()
 		it.depth = 0
 		return
 	}
 	p := it.pos[d-1]
-	it.lo[d], it.hi[d], it.pos[d] = p, it.runEnd(d-1, p), p
+	it.hi[d], it.pos[d] = it.runEnd(d-1, p), p
 	it.depth = d
 }
 
 // Up returns to the parent level, leaving its position untouched.
 func (it *TrieIter) Up() { it.depth-- }
 
-// Next advances to the next distinct key at the current level (one gallop
-// past the current run).
+// Next advances to the next distinct key at the current level, past the
+// current run.
 func (it *TrieIter) Next() {
 	d := it.depth
 	it.pos[d] = it.runEnd(d, it.pos[d])
@@ -420,33 +441,40 @@ func (it *TrieIter) Next() {
 // AtEnd when no such key remains. Seek never moves backwards.
 func (it *TrieIter) Seek(v Value) {
 	d := it.depth
-	target := it.c.dicts[d].SeekCode(v)
-	if int(target) >= it.c.dicts[d].Len() {
-		it.pos[d] = it.hi[d]
+	if d == 0 && it.runs0 != nil {
+		k := min(max(int64(v)-int64(it.c.min0), 0), int64(len(it.runs0)-1))
+		it.pos[0] = max(it.pos[0], int(it.runs0[k]))
 		return
 	}
-	it.pos[d] = it.gallop(d, it.pos[d], target)
+	it.pos[d] = gallopCodes(it.c.cols[d], it.pos[d], it.hi[d], v)
 }
 
-// runEnd returns the first row past the run of the code at row p in column d.
+// runEnd returns the first row past the run of the value at row p in column d.
 func (it *TrieIter) runEnd(d, p int) int {
-	return it.gallop(d, p+1, it.c.codes[d][p]+1)
+	v := it.c.cols[d][p]
+	if d == 0 && it.runs0 != nil {
+		return int(it.runs0[v-it.c.min0+1])
+	}
+	return gallopPast(it.c.cols[d], p+1, it.hi[d], v)
 }
 
-// gallop returns the first row in [from, hi[d]) whose code in column d is
-// ≥ target: exponential probe to bracket the boundary, then binary search.
-func (it *TrieIter) gallop(d, from int, target int32) int {
-	return gallopCodes(it.c.codes[d], from, it.hi[d], target)
+// gallopPast returns the first row in [from, hi) whose value in col exceeds
+// v — the end of v's run.
+func gallopPast(col []Value, from, hi int, v Value) int {
+	if v == math.MaxInt32 {
+		return hi
+	}
+	return gallopCodes(col, from, hi, v+1)
 }
 
-// gallopCodes returns the first row in [from, hi) whose code in col is ≥
+// gallopCodes returns the first row in [from, hi) whose value in col is ≥
 // target: exponential probe to bracket the boundary, then a branch-free
 // binary search over the bracket. The search keeps `base` at the last row
 // known < target and halves the span length; the body's single comparison
-// compiles to a conditional move, so seeks over incompressible code runs
-// pay no branch mispredictions. Shared by TrieIter (leapfrog seeks) and
+// compiles to a conditional move, so seeks over incompressible runs pay no
+// branch mispredictions. Shared by TrieIter (leapfrog seeks) and
 // MergeSemijoin (run skipping).
-func gallopCodes(col []int32, from, hi int, target int32) int {
+func gallopCodes(col []Value, from, hi int, target Value) int {
 	if from >= hi || col[from] >= target {
 		return from
 	}

@@ -1,36 +1,12 @@
 package relation
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
-
-func TestDict(t *testing.T) {
-	d := newDict([]Value{5, 3, 5, 9, 3, 1})
-	if d.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", d.Len())
-	}
-	for i, want := range []Value{1, 3, 5, 9} {
-		if d.Value(int32(i)) != want {
-			t.Fatalf("Value(%d) = %d, want %d", i, d.Value(int32(i)), want)
-		}
-	}
-	if c, ok := d.Code(5); !ok || c != 2 {
-		t.Fatalf("Code(5) = %d,%v", c, ok)
-	}
-	if _, ok := d.Code(4); ok {
-		t.Fatal("Code(4) found an absent value")
-	}
-	for _, tc := range []struct {
-		v    Value
-		want int32
-	}{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {9, 3}, {10, 4}} {
-		if got := d.SeekCode(tc.v); got != tc.want {
-			t.Fatalf("SeekCode(%d) = %d, want %d", tc.v, got, tc.want)
-		}
-	}
-}
 
 func TestColumnarRoundTripAndSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -43,8 +19,8 @@ func TestColumnarRoundTripAndSort(t *testing.T) {
 		tab.dedup()
 		order := []int{7, 3, 1}
 		c := NewColumnar(tab, order)
-		if c.Rows() != tab.Rows() || c.NumCols() != 3 {
-			t.Fatalf("trial %d: shape %dx%d, want %dx3", trial, c.Rows(), c.NumCols(), tab.Rows())
+		if c.Rows() != tab.Rows() || len(c.Vars) != 3 {
+			t.Fatalf("trial %d: shape %dx%d, want %dx3", trial, c.Rows(), len(c.Vars), tab.Rows())
 		}
 		back := c.Table()
 		if !back.Equal(tab) {
@@ -86,21 +62,16 @@ func TestColumnarProject(t *testing.T) {
 			if got := c.sortedProjection(proj).Table(); !got.Equal(want) {
 				t.Fatalf("trial %d: sortedProjection(%v) disagrees with Table.Project", trial, proj)
 			}
-			if proj[0] == 0 { // a column prefix: the run-boundary scan applies
-				if got := c.Prefix(len(proj)).Table(); !got.Equal(want) {
-					t.Fatalf("trial %d: Prefix(%d) disagrees with Table.Project", trial, len(proj))
-				}
-			}
 		}
 	}
 	// Boolean projection: zero columns, non-empty input → the single empty row.
 	tab := tableOf([]int{0}, []Value{1}, []Value{2})
-	if got := NewColumnar(tab, []int{0}).Prefix(0).Table(); got.Rows() != 1 || len(got.Vars) != 0 {
-		t.Fatalf("Prefix(0) on non-empty = %d rows", got.Rows())
+	if got := NewColumnar(tab, []int{0}).sortedProjection(nil).Table(); got.Rows() != 1 || len(got.Vars) != 0 {
+		t.Fatalf("projection onto no column of a non-empty table = %d rows", got.Rows())
 	}
 	empty := NewTable([]int{0})
-	if got := NewColumnar(empty, []int{0}).Prefix(0).Table(); got.Rows() != 0 {
-		t.Fatal("Prefix(0) on empty table must be empty")
+	if got := NewColumnar(empty, []int{0}).sortedProjection(nil).Table(); got.Rows() != 0 {
+		t.Fatal("projection onto no column of an empty table must be empty")
 	}
 }
 
@@ -295,7 +266,8 @@ func TestLeapfrogEdgeCases(t *testing.T) {
 	done := make(chan *Table, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			done <- LeapfrogJoinColumnar([]*Columnar{c, c}, []int{0, 1}, 2, 0)
+			out, _ := LeapfrogJoinColumnar(context.Background(), []*Columnar{c, c}, []int{0, 1}, 2, 0)
+			done <- out.Table()
 		}()
 	}
 	want := big.Clone()
@@ -304,6 +276,44 @@ func TestLeapfrogEdgeCases(t *testing.T) {
 		if got := <-done; !got.Equal(want) {
 			t.Fatal("concurrent shared-columnar join corrupted")
 		}
+	}
+}
+
+// pollCounter is a context that counts how often it is polled, cancelled
+// from the start when err is set.
+type pollCounter struct {
+	context.Context
+	err   error
+	polls int
+}
+
+func (p *pollCounter) Err() error {
+	p.polls++
+	return p.err
+}
+
+// The join polls its context every 4096 keys visited: a product of 90 000
+// rows under a context cancelled beforehand stops at the first poll — before
+// a second interval's worth of rows exists — and a live one keeps being
+// polled to the end.
+func TestLeapfrogPollsContext(t *testing.T) {
+	side := func(v int) *Columnar {
+		tab := NewTable([]int{v})
+		for i := 0; i < 300; i++ {
+			tab.addRow([]Value{Value(i)})
+		}
+		return NewColumnar(tab, []int{v})
+	}
+	cols := []*Columnar{side(0), side(1)}
+	dead := &pollCounter{Context: context.Background(), err: context.Canceled}
+	out, err := LeapfrogJoinColumnar(dead, cols, []int{0, 1}, 2, 0)
+	if out != nil || err != context.Canceled || dead.polls != 1 {
+		t.Fatalf("cancelled join: table %v, err %v after %d polls; want no table, Canceled at the first poll", out != nil, err, dead.polls)
+	}
+	live := &pollCounter{Context: context.Background()}
+	out, err = LeapfrogJoinColumnar(live, cols, []int{0, 1}, 2, 0)
+	if err != nil || out.Rows() != 90000 || live.polls < 90000/4096 {
+		t.Fatalf("live join: %d rows, err %v, %d polls; want 90000 rows and a poll every 4096 keys", out.Rows(), err, live.polls)
 	}
 }
 
@@ -328,25 +338,31 @@ func sortRows(t *Table) {
 	}
 }
 
-func TestNewColumnarSorted(t *testing.T) {
+// The leapfrog output is emitted straight into columns and handed on as a
+// Columnar without a sort: it must be exactly what the sorting constructor
+// builds from the same rows, column for column.
+func TestLeapfrogOutputIsSortedColumnar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		tab := randomTable(rng, []int{2, 0, 5}, rng.Intn(60), 2+rng.Intn(8))
-		sortRows(tab)
-		c := NewColumnarSorted(tab)
-		if !c.Table().Equal(tab) {
-			t.Fatalf("trial %d: NewColumnarSorted round trip lost rows", trial)
-		}
-		// The encoding must agree with the sorting constructor, column order
-		// being the table's own.
-		want := NewColumnar(tab, tab.Vars)
-		if !c.Table().Equal(want.Table()) {
-			t.Fatalf("trial %d: sorted and sorting constructors disagree", trial)
-		}
-		for i := range c.codes {
-			for r := range c.codes[i] {
-				if c.codes[i][r] != want.codes[i][r] {
-					t.Fatalf("trial %d: code blocks differ at col %d row %d", trial, i, r)
+		dom := 2 + rng.Intn(8)
+		r := NewColumnar(randomTable(rng, []int{2, 0}, rng.Intn(60), dom), []int{2, 0})
+		s := NewColumnar(randomTable(rng, []int{0, 5}, rng.Intn(60), dom), []int{0, 5})
+		for nOut := 0; nOut <= 3; nOut++ {
+			c, err := LeapfrogJoinColumnar(context.Background(), []*Columnar{r, s}, []int{2, 0, 5}, nOut, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := c.Table()
+			if !slices.Equal(tab.Vars, []int{2, 0, 5}[:nOut]) || tab.Rows() != c.Rows() {
+				t.Fatalf("trial %d nOut=%d: Table() round trip is %v × %d rows, columnar has %d", trial, nOut, tab.Vars, tab.Rows(), c.Rows())
+			}
+			want := NewColumnar(tab, tab.Vars)
+			if want.Rows() != c.Rows() || want.Distinct() != want {
+				t.Fatalf("trial %d nOut=%d: leapfrog output is not distinct", trial, nOut)
+			}
+			for i := range c.cols {
+				if !slices.Equal(c.cols[i], want.cols[i]) {
+					t.Fatalf("trial %d nOut=%d: column %d differs from the sorting constructor's", trial, nOut, i)
 				}
 			}
 		}
@@ -439,16 +455,16 @@ func TestMergeSemijoinAnyPositionRandom(t *testing.T) {
 	}
 }
 
-// PrefixRun must bracket exactly the rows carrying the key prefix, and
-// Prefix/Distinct must agree with the hash projection.
+// PrefixRun must bracket exactly the rows carrying the key prefix, and the
+// distinct projection onto a column prefix must agree with the hash one.
 func TestPrefixRunAndPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 40; trial++ {
 		tab := randomTable(rng, []int{0, 1, 2}, rng.Intn(60), 2+rng.Intn(5))
 		c := NewColumnar(tab, []int{1, 0, 2})
 		for k := 0; k <= 3; k++ {
-			if got, want := c.Prefix(k).Table(), tab.Project(c.Vars[:k]); !got.Equal(want) {
-				t.Fatalf("trial %d: Prefix(%d) has %d rows, want %d", trial, k, got.Rows(), want.Rows())
+			if got, want := c.sortedProjection([]int{0, 1, 2}[:k]).Table(), tab.Project(c.Vars[:k]); !got.Equal(want) {
+				t.Fatalf("trial %d: projection onto the first %d columns has %d rows, want %d", trial, k, got.Rows(), want.Rows())
 			}
 		}
 		for a := Value(0); a < 7; a++ {
@@ -597,6 +613,21 @@ func BenchmarkMergeSemijoin(b *testing.B) {
 	})
 }
 
+// regularTable is a degree-regular binary table: rows/dom random
+// permutations of the domain, so every value occurs that often per column —
+// the shape of the ledger's exec_cyclic and exec_enum relations.
+func regularTable(rng *rand.Rand, vars []int, rows, dom int) *Table {
+	t := NewTable(vars)
+	for ; rows > 0; rows -= dom {
+		src, dst := rng.Perm(dom), rng.Perm(dom)
+		for i := 0; i < min(rows, dom); i++ {
+			t.addRow([]Value{Value(src[i]), Value(dst[i])})
+		}
+	}
+	t.dedup()
+	return t
+}
+
 func BenchmarkLeapfrogTriangle(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	n, dom := 3000, 300
@@ -615,6 +646,52 @@ func BenchmarkLeapfrogTriangle(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			chainJoinProject(tables, order)
+		}
+	})
+	// The exec_cyclic shape, encodings prebuilt as the evaluator's cache
+	// holds them: 3 × 50 000 rows over 25 000 values, a handful of
+	// triangles, so the time is all seeks.
+	b.Run("regular50000x25000", func(b *testing.B) {
+		var cols []*Columnar
+		for _, vars := range [][]int{{0, 1}, {1, 2}, {0, 2}} {
+			cols = append(cols, NewColumnar(regularTable(rng, vars, 50000, 25000), vars))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := LeapfrogJoinColumnar(context.Background(), cols, order, 3, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkBindColumnar is an encoding-cache miss on a 50 000 × 2 relation:
+// straight into sorted columns, against the row-major Bind (string-keyed
+// dedup) followed by NewColumnar it replaced.
+func BenchmarkBindColumnar(b *testing.B) {
+	tab := regularTable(rand.New(rand.NewSource(18)), []int{0, 1}, 50000, 25000)
+	rel := &Relation{Name: "r", Arity: 2}
+	for r := 0; r < tab.Rows(); r++ {
+		rel.Add(tab.Row(r)...)
+	}
+	args, order := []Arg{BindVar(0), BindVar(1)}, []int{1, 0}
+	b.Run("columnar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BindColumnar(rel, args, order); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bind+encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t, err := Bind(rel, args)
+			if err != nil {
+				b.Fatal(err)
+			}
+			NewColumnar(t, order)
 		}
 	})
 }

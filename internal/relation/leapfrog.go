@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // LeapfrogJoin computes the natural join of tables with a leapfrog-triejoin:
 // every table is encoded into a sorted Columnar over the global variable
@@ -22,21 +25,26 @@ func LeapfrogJoin(tables []*Table, order []int, nOut, capHint int) *Table {
 	for i, t := range tables {
 		cols[i] = NewColumnar(t, SubOrder(order, t.Vars))
 	}
-	return LeapfrogJoinColumnar(cols, order, nOut, capHint)
+	out, _ := LeapfrogJoinColumnar(context.Background(), cols, order, nOut, capHint)
+	return out.Table()
 }
 
 // LeapfrogJoinColumnar is LeapfrogJoin over pre-built Columnars whose column
-// orders are subsequences of order (see SubOrder). Columnars are immutable,
-// so callers may share them across concurrent joins — the sharded evaluator
-// encodes the broadcast side once and joins it against every shard fragment.
-func LeapfrogJoinColumnar(cols []*Columnar, order []int, nOut, capHint int) *Table {
-	out := NewTable(order[:nOut])
+// orders are subsequences of order (see SubOrder), emitting each output
+// binding straight into the columns of the result — which, arriving sorted
+// and distinct, is a Columnar as it stands. Columnars are immutable, so
+// callers may share them across concurrent joins — the sharded evaluator
+// encodes the broadcast side once and joins it against every shard
+// fragment. ctx is polled every 4096 trie keys visited; a cancelled join
+// returns ctx's error and no table.
+func LeapfrogJoinColumnar(ctx context.Context, cols []*Columnar, order []int, nOut, capHint int) (*Columnar, error) {
+	out := &Columnar{Vars: append([]int(nil), order[:nOut]...), cols: make([][]Value, nOut)}
 	for _, c := range cols {
 		if c.Rows() == 0 {
-			return out
+			return out, nil
 		}
 	}
-	j := &leapfrogJoiner{order: order, nOut: nOut, out: out, binding: make([]Value, len(order))}
+	j := &leapfrogJoiner{ctx: ctx, nOut: nOut, out: out, binding: make([]Value, len(order))}
 	j.atDepth = make([][]*TrieIter, len(order))
 	for _, c := range cols {
 		it := NewTrieIter(c)
@@ -56,33 +64,39 @@ func LeapfrogJoinColumnar(cols []*Columnar, order []int, nOut, capHint int) *Tab
 			panic(fmt.Sprintf("relation: leapfrog order variable %d covered by no relation", order[d]))
 		}
 	}
-	if len(order) == 0 {
-		// All-Boolean join of non-empty tables: the single empty row.
-		out.addRow(nil)
-		return out
-	}
-	if capHint > 0 && nOut > 0 {
-		out.data = make([]Value, 0, capHint*nOut)
+	if capHint > 0 {
+		for i := range out.cols {
+			out.cols[i] = make([]Value, 0, capHint)
+		}
 	}
 	j.run(0)
-	return out
+	if j.err != nil {
+		return nil, j.err
+	}
+	return out, nil
 }
 
 // leapfrogJoiner holds the recursion state of one LeapfrogJoinColumnar call.
 type leapfrogJoiner struct {
-	order   []int
+	ctx     context.Context
+	err     error // ctx's, once a poll saw it cancelled
+	tick    int
 	nOut    int
 	atDepth [][]*TrieIter // iterators participating at each depth
 	binding []Value
-	out     *Table
+	out     *Columnar
 }
 
 // run enumerates the join at depth d (binding[:d] fixed) and reports whether
 // the subtree emitted at least one row — the signal the existential
-// short-circuit keys off.
+// short-circuit keys off. With no variables at all (an all-Boolean join of
+// non-empty tables) it emits the single empty row.
 func (j *leapfrogJoiner) run(d int) bool {
-	if d == len(j.order) {
-		j.out.addRow(j.binding[:j.nOut])
+	if d == len(j.atDepth) {
+		for i := range j.out.cols {
+			j.out.cols[i] = append(j.out.cols[i], j.binding[i])
+		}
+		j.out.rows++
 		return true
 	}
 	its := j.atDepth[d]
@@ -106,7 +120,10 @@ func (j *leapfrogJoiner) run(d int) bool {
 			}
 		}
 		p := 0
-		for leapfrogSearch(its, &p) {
+		for j.err == nil && leapfrogSearch(its, &p) {
+			if j.tick++; j.tick&4095 == 0 {
+				j.err = j.ctx.Err()
+			}
 			j.binding[d] = its[p].Key()
 			if j.run(d + 1) {
 				found = true

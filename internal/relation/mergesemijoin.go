@@ -6,46 +6,24 @@ import "slices"
 // operands keep their rows lexicographically sorted, a semijoin reduces to
 // one linear merge of prefix runs with galloping skips — no hash table is
 // built and no row-major data is touched. It is the full reducer's kernel
-// whenever both sides of a semijoin carry encodings, whatever their column
-// orders; the hash Table.Semijoin serves only nodes that arrive row-major.
-
-// NewColumnarSorted copies t — whose rows must already be lexicographically
-// sorted by t.Vars — into columnar form without re-sorting. Dictionary codes
-// are order-isomorphic to values, so encoding preserves the sort; this is
-// how the leapfrog kernel's already-sorted join output becomes a reducer
-// encoding for the price of one dictionary pass.
-func NewColumnarSorted(t *Table) *Columnar {
-	w := len(t.Vars)
-	n := t.rows
-	cn := &Columnar{Vars: append([]int(nil), t.Vars...), dicts: make([]*Dict, w), codes: make([][]int32, w), rows: n}
-	colVals := make([]Value, n)
-	for i := 0; i < w; i++ {
-		for r := 0; r < n; r++ {
-			colVals[r] = t.data[r*w+i]
-		}
-		col := make([]int32, n)
-		cn.dicts[i] = newDictCodes(colVals, col)
-		cn.codes[i] = col
-	}
-	return cn
-}
+// whatever the two column orders; the hash Table.Semijoin is the oracle the
+// tests hold it to.
 
 // MergeSemijoin returns t's rows whose shared-variable projection occurs in
 // u. u is navigated as a trie over the shared variables: directly when they
 // are exactly its leading columns, otherwise through its distinct projection
-// onto them, re-sorted once in the code domain (sortedProjection) — so no
-// string key is ever built. Two kernels then cover every case:
+// onto them, re-sorted once (sortedProjection) — so no string key is ever
+// built. Two kernels then cover every case:
 //
 //   - aligned merge, when t's first k columns name the shared variables in
 //     the trie's exact order: one forward walk over t's distinct k-prefix
 //     runs, advancing a TrieIter with galloping seeks — strictly linear in
 //     the shorter side's runs, with log-sized skips over the longer;
 //   - trie probe, when t holds the shared variables elsewhere: each t row
-//     narrows the sorted code blocks level by level (dictionary lookup +
-//     gallop).
+//     narrows the sorted columns level by level (PrefixRun).
 //
-// The result shares t's dictionaries (codes are copied, filtered); when no
-// row is filtered the result is t itself. Row order — hence sortedness — is
+// Both sides hold interned Values, so keys compare directly. When no row is
+// filtered the result is t itself. Row order — hence sortedness — is
 // preserved.
 func MergeSemijoin(t, u *Columnar) *Columnar {
 	// u's columns holding the shared variables, in t's column order.
@@ -99,7 +77,7 @@ func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) *Columnar {
 			bound = ends[d0-1]
 		}
 		for j := d0; j < k; j++ {
-			bound = gallopCodes(t.codes[j], r0+1, bound, t.codes[j][r0]+1)
+			bound = gallopPast(t.cols[j], r0+1, bound, t.cols[j][r0])
 			ends[j] = bound
 		}
 		r1 := ends[k-1]
@@ -115,7 +93,7 @@ func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) *Columnar {
 				if it.Depth() < j {
 					it.Open()
 				}
-				v := t.dicts[j].Value(t.codes[j][r0])
+				v := t.cols[j][r0]
 				it.Seek(v)
 				if it.AtEnd() || it.Key() != v {
 					matched = j
@@ -146,16 +124,13 @@ func (t *Columnar) mergeSemijoinAligned(u *Columnar, k int) *Columnar {
 // variables as a prefix but t holds them at arbitrary positions, so each t
 // row descends u's trie (PrefixRun).
 func (t *Columnar) mergeSemijoinProbe(u *Columnar, k int) *Columnar {
-	tcol := make([]int, k)
-	for j := range tcol {
-		tcol[j] = slices.Index(t.Vars, u.Vars[j])
-	}
+	tcol := t.columnsOf(u.Vars[:k])
 	var ranges []int
 	kept := 0
 	key := make([]Value, k)
 	for r := 0; r < t.rows; r++ {
 		for j, c := range tcol {
-			key[j] = t.Value(c, r)
+			key[j] = t.cols[c][r]
 		}
 		if lo, hi := u.PrefixRun(key); lo == hi {
 			continue
@@ -180,16 +155,16 @@ func keepRows(ranges []int, lo, hi int) []int {
 }
 
 // selectRanges copies the given flattened [start, end) row ranges into a new
-// Columnar sharing t's dictionaries. Ranges must be ascending and disjoint,
-// so the result stays lexicographically sorted.
+// Columnar. Ranges must be ascending and disjoint, so the result stays
+// lexicographically sorted.
 func (t *Columnar) selectRanges(ranges []int, kept int) *Columnar {
-	out := &Columnar{Vars: append([]int(nil), t.Vars...), dicts: t.dicts, codes: make([][]int32, len(t.Vars)), rows: kept}
-	for i := range t.codes {
-		col := make([]int32, 0, kept)
+	out := &Columnar{Vars: append([]int(nil), t.Vars...), cols: make([][]Value, len(t.Vars)), rows: kept}
+	for i, src := range t.cols {
+		col := make([]Value, 0, kept)
 		for p := 0; p < len(ranges); p += 2 {
-			col = append(col, t.codes[i][ranges[p]:ranges[p+1]]...)
+			col = append(col, src[ranges[p]:ranges[p+1]]...)
 		}
-		out.codes[i] = col
+		out.cols[i] = col
 	}
 	return out
 }

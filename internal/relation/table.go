@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -319,25 +318,5 @@ func (t *Table) Clone() *Table {
 	out := NewTable(t.Vars)
 	out.data = append([]Value(nil), t.data...)
 	out.rows = t.rows
-	return out
-}
-
-// Concat returns the concatenation of tables, which must all share the same
-// variable sequence, without removing duplicate rows: all rows of tables[0],
-// then all rows of tables[1], and so on. It gathers the per-shard tables of
-// partition-parallel evaluation, whose caller re-encodes (and so
-// deduplicates) the result.
-func Concat(tables ...*Table) *Table {
-	if len(tables) == 0 {
-		return NewTable(nil)
-	}
-	out := NewTable(tables[0].Vars)
-	for _, t := range tables {
-		if !slices.Equal(t.Vars, out.Vars) {
-			panic(fmt.Sprintf("relation: Concat over mismatched variable sequences (%v vs %v)", out.Vars, t.Vars))
-		}
-		out.data = append(out.data, t.data...)
-		out.rows += t.rows
-	}
 	return out
 }

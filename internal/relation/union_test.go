@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func tableOf(vars []int, rows ...[]Value) *Table {
 	t := NewTable(vars)
@@ -11,32 +14,40 @@ func tableOf(vars []int, rows ...[]Value) *Table {
 }
 
 func TestConcatAndUnion(t *testing.T) {
-	a := tableOf([]int{0, 1}, []Value{1, 2}, []Value{3, 4})
-	b := tableOf([]int{0, 1}, []Value{3, 4}, []Value{5, 6})
+	enc := func(tab *Table) *Columnar { return NewColumnar(tab, tab.Vars) }
+	a := tableOf([]int{0, 1}, []Value{3, 4}, []Value{1, 2})
+	b := tableOf([]int{0, 1}, []Value{5, 6}, []Value{3, 4})
 	c := tableOf([]int{0, 1})
 
-	cat := Concat(a, c, b)
-	if cat.Rows() != 4 {
-		t.Fatalf("Concat keeps duplicates: got %d rows, want 4", cat.Rows())
+	// The set union of gathered shard tables: concatenated, sorted, and the
+	// row two parts share kept once.
+	u := Union(enc(a), enc(c), enc(b))
+	if want := tableOf([]int{0, 1}, []Value{1, 2}, []Value{3, 4}, []Value{5, 6}); !slices.Equal(u.Table().data, want.data) {
+		t.Fatalf("Union = %v, want the three distinct rows in order", u.Table().data)
 	}
-	if got := cat.Row(0); got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Concat must preserve table order, row 0 = %v", got)
+	if Union().Rows() != 0 || len(Union().Vars) != 0 {
+		t.Fatalf("empty Union should be the empty nullary table")
 	}
-	// The set union of gathered shard tables is the distinct encoding of
-	// their concatenation.
-	if u := NewColumnar(cat, cat.Vars).Distinct(); u.Rows() != 3 {
-		t.Fatalf("distinct encoding of the concatenation: got %d rows, want 3", u.Rows())
-	}
-	if Concat().Rows() != 0 || len(Concat().Vars) != 0 {
-		t.Fatalf("empty Concat should be the empty nullary table")
+	// Boolean parts: true if any part is.
+	tt, ff := NewColumnar(TrueTable(), nil), NewColumnar(NewTable(nil), nil)
+	if Union(ff, tt, tt).Rows() != 1 || Union(ff, ff).Rows() != 0 {
+		t.Fatalf("Union of Boolean tables must be their disjunction")
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("Concat over mismatched vars must panic")
+			t.Fatalf("Union over mismatched vars must panic")
 		}
 	}()
-	Concat(a, tableOf([]int{1, 0}, []Value{1, 2}))
+	Union(enc(a), enc(tableOf([]int{1, 0}, []Value{1, 2})))
+}
+
+// doubled returns a table holding every row of a twice.
+func doubled(a *Table) *Table {
+	u := a.Clone()
+	u.data = append(u.data, a.data...)
+	u.rows += a.rows
+	return u
 }
 
 // The dedup key buffer is hoisted out of the row loop: deduplicating a table
@@ -49,7 +60,7 @@ func TestUnionDedupAllocs(t *testing.T) {
 		a.addRow([]Value{Value(i), Value(i + 1)})
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		u := Concat(a, a)
+		u := doubled(a)
 		u.dedup()
 		if u.Rows() != rows {
 			t.Fatalf("dedup lost rows: %d", u.Rows())
@@ -71,7 +82,7 @@ func BenchmarkUnionDedup(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Concat(a, a).dedup()
+		doubled(a).dedup()
 	}
 }
 

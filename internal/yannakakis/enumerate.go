@@ -17,7 +17,7 @@ import (
 // variable the head drops, the classical bound is kept by folding: that
 // node's subtree is walked on its own, projected onto what the rest of the
 // tree still needs (its head variables and the parent key) and sort-
-// deduplicated in the code domain, bottom-up — so an intermediate result
+// deduplicated as sorted columns, bottom-up — so an intermediate result
 // never exceeds |node table| × |answers|, and no string key is built.
 
 // EnumerateContext computes the answer over the head variables, reducing the
@@ -98,7 +98,7 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 		}
 	}
 	if c == nil {
-		c = relation.NewColumnar(n.Enc.Table(), append(key, rest...))
+		c = n.Enc.Reorder(append(key, rest...))
 	}
 	en := &enode{c: c, clean: true}
 	for i, v := range c.Vars {

@@ -22,7 +22,7 @@ import (
 // Node is a join-tree node carrying the materialised table of its atom (or,
 // for hypertree evaluation, of its λ-join projected to χ) in columnar form,
 // rows sorted: the full reducer's semijoins run as merges over the sorted
-// code blocks (see relation.MergeSemijoin) and the enumerator walks them as
+// columns (see relation.MergeSemijoin) and the enumerator walks them as
 // tries.
 type Node struct {
 	Enc      *relation.Columnar
@@ -40,14 +40,14 @@ func (n *Node) Clear() {
 	n.Enc = relation.NewColumnar(relation.NewTable(n.Vars()), n.Vars())
 }
 
-// BindAtom materialises body atom ai of q against db: variables become
-// columns (with repeated variables as equality selections) and constants
-// become constant selections.
-func BindAtom(db *relation.Database, q *cq.Query, ai int) (*relation.Table, error) {
+// atomBinding resolves body atom ai of q against db: its relation (an
+// absent one is empty with the atom's arity) and the relation.Bind
+// arguments — variables become columns (with repeated variables as equality
+// selections) and constants become constant selections.
+func atomBinding(db *relation.Database, q *cq.Query, ai int) (*relation.Relation, []relation.Arg) {
 	atom := q.Atoms[ai]
 	rel := db.Relation(atom.Pred)
 	if rel == nil {
-		// an absent relation is empty with the atom's arity
 		rel = &relation.Relation{Name: atom.Pred, Arity: len(atom.Args)}
 	}
 	args := make([]relation.Arg, len(atom.Args))
@@ -64,7 +64,22 @@ func BindAtom(db *relation.Database, q *cq.Query, ai int) (*relation.Table, erro
 			args[i] = relation.BindConst(c)
 		}
 	}
+	return rel, args
+}
+
+// BindAtom materialises body atom ai of q against db as a row-major table
+// over its distinct variables in order of first occurrence.
+func BindAtom(db *relation.Database, q *cq.Query, ai int) (*relation.Table, error) {
+	rel, args := atomBinding(db, q, ai)
 	return relation.Bind(rel, args)
+}
+
+// BindAtomColumnar materialises body atom ai of q against db straight into
+// sorted columns over order — variables of the atom, each once (see
+// relation.BindColumnar).
+func BindAtomColumnar(db *relation.Database, q *cq.Query, ai int, order []int) (*relation.Columnar, error) {
+	rel, args := atomBinding(db, q, ai)
+	return relation.BindColumnar(rel, args, order)
 }
 
 // AtomVars returns the column order of the table BindAtom produces for atom
@@ -120,8 +135,8 @@ type pass struct {
 	sp  *obs.Span
 }
 
-// semijoin replaces dst's rows with dst ⋉ src, in the code domain whatever
-// the two column orders.
+// semijoin replaces dst's rows with dst ⋉ src as a merge over sorted
+// columns, whatever the two column orders.
 func semijoin(dst, src *Node, sp *obs.Span) {
 	dst.Enc = relation.MergeSemijoin(dst.Enc, src.Enc)
 	sp.AddSteps(1)

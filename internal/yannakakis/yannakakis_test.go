@@ -397,3 +397,42 @@ func TestMergeSemijoinReducerAgrees(t *testing.T) {
 		}
 	}
 }
+
+// A child whose encoding does not lead with the variables it shares with
+// its parent is re-keyed by permuting its columns (Columnar.Reorder), no
+// row-major table in between: here a three-column child encoded (X, Y, Z)
+// hangs under a parent over (Y, Z), so the key is its last two columns and
+// the branch is certainly taken.
+func TestEnumerateRekeysChildOnTrailingColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, src := range []string{`ans(X, Y, Z) :- e(Y, Z), t3(X, Y, Z).`, `ans(Z, X) :- e(Y, Z), t3(X, Y, Z).`, `ans(Y) :- e(Y, Z), t3(X, Y, Z).`} {
+		q := cq.MustParse(src)
+		var head, xyz []int
+		for _, a := range q.Head.Args {
+			v, _ := q.VarIndex(a.Name)
+			head = append(head, v)
+		}
+		for _, name := range []string{"X", "Y", "Z"} {
+			v, _ := q.VarIndex(name)
+			xyz = append(xyz, v)
+		}
+		for trial := 0; trial < 20; trial++ {
+			db := relation.NewDatabase()
+			for i := 0; i < 2+rng.Intn(12); i++ {
+				db.AddFact("e", val(rng.Intn(4)), val(rng.Intn(4)))
+			}
+			for i := 0; i < 2+rng.Intn(30); i++ {
+				db.AddFact("t3", val(rng.Intn(4)), val(rng.Intn(4)), val(rng.Intn(4)))
+			}
+			e, _ := BindAtom(db, q, 0)
+			t3, _ := BindAtom(db, q, 1)
+			root := &Node{
+				Enc:      relation.NewColumnar(e, e.Vars),
+				Children: []*Node{{Enc: relation.NewColumnar(t3, xyz)}},
+			}
+			if got, want := enumerate(root, head), e.Join(t3).Project(head); !got.Equal(want) {
+				t.Fatalf("%s trial %d: %d answers, the hash join has %d", src, trial, got.Rows(), want.Rows())
+			}
+		}
+	}
+}
