@@ -37,7 +37,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # CI smoke of the experiment suite: every benchmark once (the bench
-# target), then every hdbench experiment (E1–E29) at -smoke scale — the
+# target), then every hdbench experiment (E1–E30) at -smoke scale — the
 # experiments carry their own assertions, so a bit-rotted experiment
 # fails the build. CI captures this target's output as a workflow
 # artifact, so keep it self-describing: it is the inspectable perf

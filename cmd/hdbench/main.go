@@ -9,6 +9,7 @@
 // -smoke shrinks the heavy databases of E23 and E25–E29 (and
 // skips their wall-clock assertions, meaningless at toy scale) so the whole
 // suite runs in CI on every push — experiments cannot bit-rot unnoticed.
+// E30 asserts row counts only and runs at one scale.
 //
 // -json writes one record per executed experiment (id, title, pass/fail,
 // error, wall time) plus run metadata to the given path.
@@ -1277,6 +1278,62 @@ var experiments = []experiment{
 		}
 		fmt.Println("  expected shape: warm executions reuse every cached λ encoding and beat the")
 		fmt.Println("  cold run (the wall-clock assertion runs only outside -smoke)")
+		return nil
+	}},
+	{"E30", "Join bags vs product bags — the estimator serves joins on cycles and prices what is left", func() error {
+		// Among the width-2 covers of a cycle's bags some join two relations
+		// over a shared variable (≈ rows²/domain tuples) and some multiply
+		// two that share none (rows·domain after projection, rows² before);
+		// the AGM product prices both at rows². Under statistics the auto
+		// race must serve joins wherever the shape allows one, and estimate
+		// every node — the unavoidable products of the longer cycles included
+		// — close to what it materialises. Counts, not clocks: the same
+		// assertions hold at every scale, so -smoke runs this one as it is.
+		ctx := context.Background()
+		const rows, domain = 500, 200
+		for n := 4; n <= 8; n++ {
+			q := gen.Cycle(n)
+			db := gen.RegularDatabase(rand.New(rand.NewSource(int64(30+n))), q, rows, domain)
+			plan, err := hypertree.Compile(q, hypertree.WithAutoStrategy(),
+				hypertree.WithCostModel(hypertree.CollectStatsSampled(db, 0)))
+			if err != nil {
+				return err
+			}
+			tr := hypertree.NewTrace()
+			got, err := plan.ExecuteBoolean(hypertree.ContextWithTrace(ctx, tr), db)
+			if err != nil {
+				return err
+			}
+			naive, err := hdeval.NaiveJoin(db, q)
+			if err != nil {
+				return err
+			}
+			if got != !naive.Empty() {
+				return fmt.Errorf("cycle(%d): plan answers %v, naive join %v", n, got, !naive.Empty())
+			}
+			var actual int64
+			est, worst := 0.0, 1.0
+			for _, s := range tr.Spans() {
+				if s.Name == "exec/node" {
+					actual += s.Rows
+					est += s.EstRows
+					worst = max(worst, hypertree.QError(s.EstRows, s.Rows))
+				}
+			}
+			fmt.Printf("  cycle(%d): Σ node rows %d against Σ estimates %.0f, worst node q-error %.2f (AGM product: %d per bag)\n",
+				n, actual, est, worst, rows*rows)
+			if n == 4 || n == 8 {
+				fmt.Print(indent(plan.ExplainAnalyze()))
+			}
+			if float64(actual) > 4*est {
+				return fmt.Errorf("cycle(%d): nodes materialise %d rows, over 4× the %.0f estimated", n, actual, est)
+			}
+			if worst > 4 {
+				return fmt.Errorf("cycle(%d): worst node q-error %.2f > 4", n, worst)
+			}
+		}
+		fmt.Println("  expected shape: cycle(4) is two join bags of ≈ rows²/domain; cycle(n) adds n−4")
+		fmt.Println("  bags of rows·domain that no width-2 plan avoids, estimated at what they hold")
 		return nil
 	}},
 }

@@ -539,12 +539,13 @@ func mixPool(name string) ([]gen.QueryTemplate, error) {
 	case "hot":
 		return pool[:2], nil
 	case "cycle":
-		// cycle4 alone: its decomposition carries a single-relation node
-		// whose estimate tracks the relation cardinality exactly, so a
-		// churned relation shows up as a clean q-error spike — the -churn
-		// mode's mix of choice (triangle's node estimate is orders of
-		// magnitude over actual even on fresh statistics, which would force
-		// an absurdly high -qerror-threshold).
+		// cycle4 alone: the planner serves it as two join bags whose
+		// estimates come from their relations' cardinalities and distinct
+		// counts, so the one holding a churned relation is off by that
+		// relation's growth while the other is not — a clean q-error spike
+		// over a flat baseline (make serve-smoke reads a median of 5.4 →
+		// 260 → 5.4 across one triggered refresh), the -churn mode's mix of
+		// choice.
 		return pool[3:4], nil
 	default:
 		return nil, fmt.Errorf("unknown mix %q (valid: full | hot | cycle)", name)

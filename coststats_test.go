@@ -98,6 +98,75 @@ func TestPropertyStatsEquivalence(t *testing.T) {
 	}
 }
 
+// The same property under statistics that are simply wrong: the snapshot is
+// collected from a decoy database over the same relations with unrelated
+// sizes and domains, so cardinalities and distinct counts are random with
+// respect to the data executed on. The distinct counts steer covers, the
+// race and the child order; none of it may change an answer, single or
+// sharded.
+func TestPropertyStatsEquivalenceRandomCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1525))
+	ctx := context.Background()
+	for trial := 0; trial < 18; trial++ {
+		var q *Query
+		switch trial % 3 {
+		case 0:
+			q = gen.Cycle(4 + rng.Intn(4))
+		case 1:
+			q = gen.RandomCSP(rng, 4+rng.Intn(3), 7+rng.Intn(3), 3)
+		default:
+			q = gen.WithRandomHead(rng, gen.RandomQuery(rng, 3+rng.Intn(4), 2+rng.Intn(4), 1+rng.Intn(3)))
+		}
+		db := gen.SkewedSizeDatabase(rng, q, 8+rng.Intn(40), 2+rng.Intn(6), 1+2*rng.Float64())
+		decoy := gen.SkewedSizeDatabase(rng, q, 1+rng.Intn(5000), 1+rng.Intn(300), 3*rng.Float64())
+		st := CollectStatsSampled(decoy, 64)
+
+		for name, opts := range map[string][]CompileOption{
+			"k-decomp": {WithStrategy(StrategyHypertree), WithDecomposer(KDecomposer())},
+			"ghd":      {WithStrategy(StrategyHypertree), WithDecomposer(GreedyDecomposer())},
+			"fhd":      {WithStrategy(StrategyHypertree), WithDecomposer(FractionalDecomposer())},
+			"auto":     {WithStrategy(StrategyHypertree), WithAutoStrategy()},
+		} {
+			plain, err := Compile(q, opts...)
+			if err != nil {
+				t.Fatalf("trial %d %s compile: %v", trial, name, err)
+			}
+			costed, err := Compile(q, append(opts[:len(opts):len(opts)], WithCostModel(st))...)
+			if err != nil {
+				t.Fatalf("trial %d %s compile with stats: %v", trial, name, err)
+			}
+			if costed.FractionalWidth() > plain.FractionalWidth()+1e-6 && name != "auto" {
+				t.Fatalf("trial %d %s: statistics worsened the width %v → %v", trial, name, plain.FractionalWidth(), costed.FractionalWidth())
+			}
+			want, err := plain.Execute(ctx, db)
+			if err != nil {
+				t.Fatalf("trial %d %s execute: %v", trial, name, err)
+			}
+			got, err := costed.Execute(ctx, db)
+			if err != nil {
+				t.Fatalf("trial %d %s execute with stats: %v", trial, name, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d %s: stats changed answers: %d rows vs %d\nquery %s\nwidth-only %s\ncost-based %s",
+					trial, name, got.Rows(), want.Rows(), q, plain.Explain(), costed.Explain())
+			}
+			for _, shards := range []int{1, 3} {
+				pdb, err := PartitionDatabase(db, shards, HashPartition)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh, err := costed.ExecuteSharded(ctx, pdb)
+				if err != nil {
+					t.Fatalf("trial %d %s sharded(%d) with stats: %v", trial, name, shards, err)
+				}
+				if !sh.Equal(want) {
+					t.Fatalf("trial %d %s: sharded(%d) stats execution changed answers", trial, name, shards)
+				}
+			}
+		}
+	}
+}
+
 // Non-Boolean heads must survive cost-based reordering too: the join
 // ordering changes the intermediate tables, and the head projection is
 // where a wrong column convention would surface.

@@ -40,14 +40,14 @@ type DecomposeRequest struct {
 	// Workers is the requested parallelism for decomposers that support it
 	// (≤ 1 means sequential).
 	Workers int
-	// EdgeRows, when non-nil, holds the estimated cardinality of the
-	// relation backing each hypergraph edge (indexed by edge id). Compile
-	// fills it from the statistics given via WithStats/WithCostModel; the
-	// built-in heuristic engines use it to break width ties toward
-	// decompositions of lower estimated cost, and custom Decomposers are
-	// free to ignore it — statistics influence plan choice, never plan
-	// validity.
-	EdgeRows []float64
+	// Cost, when non-nil, is the cost model of this compilation: per
+	// hypergraph edge the cardinality of the relation behind it and the
+	// distinct counts of its variables. Compile derives it from the
+	// statistics given via WithStats/WithCostModel; the built-in heuristic
+	// engines use it to break width ties toward decompositions of lower
+	// estimated cost, and custom Decomposers are free to ignore it —
+	// statistics influence plan choice, never plan validity.
+	Cost *CostModel
 }
 
 // Decomposer is a pluggable decomposition strategy: given a query hypergraph
@@ -260,7 +260,7 @@ func (greedyDecomposer) Generalized() bool { return true }
 
 func (g greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
 	o := g.opts
-	o.EdgeRows = req.EdgeRows
+	o.Cost = req.Cost
 	return ghd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget, req.Workers)
 }
 
@@ -306,6 +306,6 @@ func (fractionalDecomposer) Fractional() bool { return true }
 
 func (f fractionalDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
 	o := f.opts
-	o.EdgeRows = req.EdgeRows
+	o.Cost = req.Cost
 	return fhd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget)
 }

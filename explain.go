@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strings"
 
+	"hypertree/internal/hdeval"
 	"hypertree/internal/obs"
 )
 
 // EstimatedCost returns the plan's total estimated evaluation cost under
 // the statistics it was compiled with: the sum over decomposition nodes of
-// the estimated cardinality of each node's materialised table (the AGM
-// bound Π_{R∈λ} |R|^w, tightened by the per-column distinct counts). It is
-// the quantity cost-based compilation minimises among same-width plans. 0
+// the estimated cardinality of each node's materialised table π_χ(⋈ λ)
+// (the join-size estimate from cardinalities and per-column distinct
+// counts, never above the AGM bound Π_{R∈λ} |R|^w). It is the quantity
+// cost-based compilation minimises among same-width plans. 0
 // means no cost model: the plan was compiled without WithStats/
 // WithCostModel, or its strategy uses no decomposition.
 func (p *Plan) EstimatedCost() float64 { return p.estCost }
@@ -24,7 +26,9 @@ func (p *Plan) PlanStats() *Stats { return p.stats }
 // decomposition node its χ and λ labels (with fractional weights where
 // present), the node width, and — when the plan was compiled with
 // statistics — the relation cardinalities joined and the estimated
-// cardinality of the node table. The header line summarises the plan, the
+// cardinality of the node table; a node joining several relations also
+// shows the variable order its leapfrog join binds in. The header line
+// summarises the plan, the
 // ranking mode (cost-based or width-only) and the total estimated cost.
 // Reading the report answers the planner questions: which relations landed
 // in λ, what each node is expected to materialise, and why this plan beat
@@ -45,8 +49,8 @@ func (p *Plan) Explain() string {
 	default:
 		fmt.Fprintf(&b, "\n  ranking: cost-based, estimated total cost %.4g\n  %s\n", p.estCost, p.stats)
 	}
-	var visit func(n *DecompositionNode, depth int)
-	visit = func(n *DecompositionNode, depth int) {
+	var visit func(n, parent *DecompositionNode, depth int)
+	visit = func(n, parent *DecompositionNode, depth int) {
 		indent := strings.Repeat("  ", depth+1)
 		fmt.Fprintf(&b, "%sχ={%s} λ={%s} width=%d",
 			indent,
@@ -63,13 +67,17 @@ func (p *Plan) Explain() string {
 		if p.stats != nil {
 			fmt.Fprintf(&b, " est=%.4g", n.EstRows)
 		}
+		if n.Lambda.Len() > 1 {
+			order, _ := hdeval.VarOrder(p.dec.H, n, parent)
+			fmt.Fprintf(&b, " order=%s", hdeval.OrderString(p.dec.H, order))
+		}
 		b.WriteString("\n")
 		for _, c := range n.Children {
-			visit(c, depth+1)
+			visit(c, n, depth+1)
 		}
 	}
 	if p.dec.Root != nil {
-		visit(p.dec.Root, 0)
+		visit(p.dec.Root, nil, 0)
 	}
 	return b.String()
 }
@@ -162,6 +170,9 @@ func (p *Plan) ExplainAnalyze() string {
 			indent := strings.Repeat("  ", info.Depth+1)
 			fmt.Fprintf(&b, "%s%s", indent, info.Label)
 			fmt.Fprintf(&b, " kernel=%s", info.Kernel)
+			if info.Order != "" {
+				fmt.Fprintf(&b, " order=%s", info.Order)
+			}
 			s, ok := nodeSpans[info.ID]
 			switch {
 			case !ok:
@@ -230,8 +241,8 @@ func (p *Plan) lambdaLabels(n *DecompositionNode) []string {
 				l += fmt.Sprintf("·%.3g", w)
 			}
 		}
-		if e < len(p.edgeRows) {
-			l += fmt.Sprintf("[%.4g rows]", p.edgeRows[e])
+		if p.cost != nil {
+			l += fmt.Sprintf("[%.4g rows]", p.cost.Rows(e))
 		}
 		labels = append(labels, l)
 	}

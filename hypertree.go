@@ -83,6 +83,10 @@ type (
 	Decomposition = decomp.Decomposition
 	// DecompositionNode is a node of a Decomposition.
 	DecompositionNode = decomp.Node
+	// CostModel is the statistics of one compilation as the decomposers see
+	// them (DecomposeRequest.Cost): per hypergraph edge the cardinality of
+	// its relation and the distinct counts of its variables.
+	CostModel = decomp.CostModel
 	// JoinTree is a join tree over the atoms of an acyclic query.
 	JoinTree = jointree.Tree
 	// Database is a set of relations over interned constants.

@@ -30,9 +30,8 @@ type Node struct {
 	Children []*Node
 	// EstRows is the estimated cardinality of the node's materialised table
 	// (the χ-projection of the λ-join) under the statistics the plan was
-	// compiled with: the AGM-style bound Π_{R∈λ} |R|^w set by AnnotateCosts,
-	// optionally tightened by the compile pipeline's per-column distinct
-	// bound. 0 means "not annotated" (no statistics were supplied).
+	// compiled with: its NodeCost, set by AnnotateCosts. 0 means "not
+	// annotated" (no statistics were supplied).
 	EstRows float64
 }
 

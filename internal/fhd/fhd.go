@@ -180,10 +180,14 @@ func AGMBound(n *decomp.Node, rows func(e int) float64) float64 {
 // means "no shape reached the bound", not a proof about fhw(H).
 // stepBudget > 0 bounds elimination decisions plus simplex pivots across
 // all shapes; when it runs out the best complete shape found so far is
-// returned, or decomp.ErrStepBudget if none finished. opts.EdgeRows, when
-// set, breaks fractional-width ties between shapes toward the lower total
-// estimated cost (and steers nothing else — the width contract is
-// unchanged).
+// returned, or decomp.ErrStepBudget if none finished. opts.Cost, when set,
+// decides what the width leaves open and nothing else — the width contract
+// is unchanged: fractional-width ties between shapes break toward the
+// lower total estimated cost, and a bag whose ρ* an integral cover already
+// attains keeps the shape's cost-aware integral cover at weights 1 instead
+// of whichever optimal vertex the LP happened to return (on a bag
+// {X2,X3,X4} of a 4-cycle the LP is as happy with the product r1 + r3 as
+// with the join r2 + r3).
 func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -202,29 +206,38 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, 
 			if err != nil {
 				return err
 			}
-			n.Weights = weights
-			var lambda bitset.Set
+			vertex := &decomp.Node{Chi: n.Chi, Weights: weights} // the LP's optimum and its support
 			for e := range weights {
-				lambda.Add(e)
+				vertex.Lambda.Add(e)
 			}
-			n.Lambda = lambda
+			// Where the shape's λ — ghd.GreedyCoverCost of the bag — attains
+			// ρ*, it stays, at weights 1, unless the LP's vertex happens to
+			// be cheaper still.
+			integral := opts.Cost != nil && math.Abs(float64(n.Lambda.Len())-v) <= decomp.FracEps
+			if integral {
+				n.Weights = make(map[int]float64, n.Lambda.Len())
+				n.Lambda.ForEach(func(e int) { n.Weights[e] = 1 })
+			}
+			if !integral || decomp.NodeCost(vertex, opts.Cost) < decomp.NodeCost(n, opts.Cost) {
+				n.Lambda, n.Weights = vertex.Lambda, vertex.Weights
+			}
 			if v > fw {
 				fw = v
 			}
 		}
 		// Shapes compete on fractional width; with statistics, ties within
-		// FracEps break to the lower total estimated cost (decomp.CostWith
-		// under the covers' fractional weights) — equal-fhw shapes can place
-		// wildly different relations in their λ supports.
+		// FracEps break to the lower total estimated cost (decomp.CostWith)
+		// — equal-fhw shapes can place wildly different relations in their λ
+		// supports.
 		cost := math.Inf(1)
-		if opts.EdgeRows != nil {
-			cost = d.CostWith(opts.EdgeRows)
+		if opts.Cost != nil {
+			cost = d.CostWith(opts.Cost)
 		}
 		better := fw < bestFW-decomp.FracEps ||
-			(opts.EdgeRows != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
+			(opts.Cost != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
 		if better {
 			best, bestFW, bestCost = d, fw, cost
-			if maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.EdgeRows == nil {
+			if maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.Cost == nil {
 				return errShapeFound // satisfying width: stop improving
 			}
 		}

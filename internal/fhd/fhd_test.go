@@ -2,8 +2,11 @@ package fhd
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"hypertree/internal/decomp"
@@ -184,5 +187,99 @@ func TestEmptyHypergraph(t *testing.T) {
 	}
 	if w, err := WidthOf(context.Background(), d); err != nil || w != 0 {
 		t.Fatalf("empty width %v err %v", w, err)
+	}
+}
+
+// families are the hypergraphs of gen.Families.
+func families() map[string]*hypergraph.Hypergraph {
+	out := map[string]*hypergraph.Hypergraph{}
+	for name, q := range gen.Families() {
+		out[name], _ = q.Hypergraph()
+	}
+	return out
+}
+
+// Under random statistics the engine stays a valid FHD of the same
+// fractional width as without them: the model picks among covers and shapes
+// of equal width, never a wider one — and where a bag's ρ* is integral it
+// may swap the LP's vertex for the cost-aware integral cover, never a
+// dearer one.
+func TestCostModelNeverWorsensFractionalWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	for name, h := range families() {
+		plain, err := Decompose(ctx, h, ghd.Options{}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			rows := make([]float64, h.NumEdges())
+			for e := range rows {
+				rows[e] = float64(1 + rng.Intn(100000))
+			}
+			m := decomp.NewCostModel(h, rows, func(e, v int) float64 { return float64(1 + rng.Intn(int(rows[e]))) })
+			costed, err := Decompose(ctx, h, ghd.Options{Cost: m}, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := costed.ValidateFractional(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if costed.FractionalWidth() > plain.FractionalWidth()+decomp.FracEps {
+				t.Fatalf("%s: statistics worsened fhw %v → %v", name, plain.FractionalWidth(), costed.FractionalWidth())
+			}
+			if costed.CostWith(m) > plain.CostWith(m)*(1+1e-9) {
+				t.Fatalf("%s: cost-aware %g dearer than width-only %g", name, costed.CostWith(m), plain.CostWith(m))
+			}
+		}
+	}
+}
+
+// On the 4-cycle every bag has ρ* = 2 and several optimal LP vertices, one
+// of them a product of two disjoint edges; with statistics each bag must
+// carry a join instead, at weights 1.
+func TestIntegralBagsKeepTheCostAwareCover(t *testing.T) {
+	h, _ := gen.Cycle(4).Hypergraph()
+	rows := []float64{500, 500, 500, 500}
+	m := decomp.NewCostModel(h, rows, func(e, v int) float64 { return 200 })
+	d, err := Decompose(context.Background(), h, ghd.Options{Cost: m}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ValidateFractional(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range d.Nodes() {
+		if n.Lambda.Len() != 2 || decomp.NodeCost(n, m) != 500*500/200 {
+			t.Errorf("bag χ%v λ%v estimated %g rows, want a 2-edge join of 1250",
+				h.VertexNames(n.Chi), h.EdgeNames(n.Lambda), decomp.NodeCost(n, m))
+		}
+		for e, w := range n.Weights {
+			if w != 1 || !n.Lambda.Has(e) {
+				t.Errorf("bag λ%v carries weight %v on edge %d", h.EdgeNames(n.Lambda), w, e)
+			}
+		}
+	}
+}
+
+// Without a cost model the engine returns, byte for byte, the
+// decompositions (and fractional widths) it returned before the model
+// existed: digests taken at the commit that introduced it.
+func TestNilModelDecompositionsUnchanged(t *testing.T) {
+	want := map[string]string{
+		"Q1": "974a0899a73adf40", "Q4": "6686fe0732776afc", "Q5": "85b36274c0e21331",
+		"classC4": "3fd9f7df7d0a1b87", "clique6": "9d04a561097d9f34", "csp50atom": "47698532c85399d3",
+		"cycle12": "05fa735dacd84204", "grid44": "ff56c3c19d05002c", "path9": "1514734e67fcd2e7",
+		"star8": "79120e79d1a864af",
+	}
+	for name, h := range families() {
+		d, err := Decompose(context.Background(), h, ghd.Options{}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%s%.6f", d, d.FractionalWidth())))
+		if got := fmt.Sprintf("%x", sum)[:16]; got != want[name] {
+			t.Errorf("%s: decomposition digest %s, want %s\n%s", name, got, want[name], d)
+		}
 	}
 }

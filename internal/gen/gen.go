@@ -123,6 +123,24 @@ func CliqueBinary(n int) *cq.Query {
 	return cq.MustParse(strings.Join(atoms, ", "))
 }
 
+// Families returns the named structured queries the decomposers' invariant
+// tests range over: the paper's examples, the parametric families and one
+// 50-atom random CSP.
+func Families() map[string]*cq.Query {
+	return map[string]*cq.Query{
+		"Q1":        Q1(),
+		"Q4":        Q4(),
+		"Q5":        Q5(),
+		"cycle12":   Cycle(12),
+		"grid44":    Grid(4, 4),
+		"clique6":   CliqueBinary(6),
+		"star8":     Star(8),
+		"classC4":   ClassCn(4),
+		"path9":     Path(9),
+		"csp50atom": RandomCSP(rand.New(rand.NewSource(7)), 30, 50, 3),
+	}
+}
+
 // RandomQuery returns a query with ne atoms of arity 1..maxArity over nv
 // variables, drawn from rng.
 func RandomQuery(rng *rand.Rand, nv, ne, maxArity int) *cq.Query {
@@ -315,6 +333,47 @@ func SkewedSizeDatabase(rng *rand.Rand, q *cq.Query, maxRows, domain int, alpha 
 				tuple[k] = vals[rng.Intn(domain)]
 			}
 			r.Add(tuple...)
+		}
+	}
+	return db
+}
+
+// RegularDatabase fills every relation of q with about rows tuples over
+// the constants d0..d<domain-1>, random but degree-regular: each column is
+// a run of random permutations of the domain, the last one partial, so
+// every constant occurs in every column ⌊rows/domain⌋ times or once more
+// (set semantics folds the few tuples two rounds both draw). Cardinalities,
+// distinct counts and the number of tuples each join step produces then
+// depend on rows and domain, hardly on the seed — the shape of the serving
+// benchmark's relations, where a plan's work is a property of the plan and
+// not of the draw, and a join of two relations over a shared variable holds
+// about rows²/domain tuples against the rows² of their product.
+func RegularDatabase(rng *rand.Rand, q *cq.Query, rows, domain int) *relation.Database {
+	db := relation.NewDatabase()
+	vals := make([]relation.Value, domain)
+	for i := range vals {
+		vals[i] = db.Intern(fmt.Sprintf("d%d", i))
+	}
+	for _, a := range q.Atoms {
+		if db.Relation(a.Pred) != nil {
+			continue
+		}
+		r, err := db.AddRelation(a.Pred, len(a.Args))
+		if err != nil {
+			panic(err) // distinct predicates cannot collide on arity here
+		}
+		tuple := make([]relation.Value, len(a.Args))
+		perms := make([][]int, len(a.Args))
+		for left := rows; left > 0; left -= domain {
+			for k := range perms {
+				perms[k] = rng.Perm(domain)
+			}
+			for i := 0; i < min(left, domain); i++ {
+				for k := range tuple {
+					tuple[k] = vals[perms[k][i]]
+				}
+				r.Add(tuple...)
+			}
 		}
 	}
 	return db

@@ -87,16 +87,16 @@ type Options struct {
 	// Seed drives the randomized tie-breaking; 0 means seed 1 so results are
 	// reproducible by default.
 	Seed int64
-	// EdgeRows, when non-nil, holds per-hyperedge cardinality estimates
-	// (indexed by edge id, derived from an internal/stats snapshot) and
-	// switches the engine cost-aware: GreedyCover breaks coverage ties
-	// toward cheaper relations, and ties between equal-width trials go to
-	// the decomposition of lower total estimated cost (decomp.CostWith)
-	// instead of the lower trial index. Statistics never change the width
-	// contract — only which same-width decomposition wins. EdgeRows does
-	// not participate in decomposer names; plan caches key statistics by
-	// their fingerprint instead.
-	EdgeRows []float64
+	// Cost, when non-nil, is the compilation's cost model (derived from an
+	// internal/stats snapshot) and switches the engine cost-aware:
+	// GreedyCover breaks coverage ties toward the cover whose node table is
+	// estimated smallest, and ties between equal-width trials go to the
+	// decomposition of lower total estimated cost (decomp.CostWith) instead
+	// of the lower trial index. Statistics never change the width contract
+	// — only which same-width decomposition wins. Cost does not participate
+	// in decomposer names; plan caches key statistics by their fingerprint
+	// instead.
+	Cost *decomp.CostModel
 }
 
 func (o Options) orderings() []Ordering {
@@ -131,11 +131,12 @@ func (o Options) seed() int64 {
 // decomposition found so far is returned, or ErrStepBudget if no trial
 // completed. workers > 1 runs trials concurrently; each trial is seeded
 // independently and ties between equal-width trials go to the lowest trial
-// index — or, when opts.EdgeRows supplies cardinality estimates, to the
-// trial of lowest total estimated cost (a width bound then no longer cuts
-// the loop short: remaining trials still compete on cost) — so without a
-// step budget or width bound the result is identical to the sequential one. With stepBudget or maxWidth set, both loops stop
-// early, and which trials complete before the cut-off may differ between
+// index — or, when opts.Cost supplies statistics, to the trial of lowest
+// total estimated cost (a width bound then no longer cuts the loop short:
+// remaining trials still compete on cost) — so without a step budget or
+// width bound the result is identical to the sequential one. With
+// stepBudget or maxWidth set, both loops stop early, and which trials
+// complete before the cut-off may differ between
 // sequential and parallel execution (and, under a budget, between runs) —
 // the returned decomposition always satisfies the same contract, but its
 // width may differ.
@@ -156,7 +157,7 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts Options, maxW
 	}
 	if workers <= 1 {
 		for i, tr := range trials {
-			d, err := runTrial(ctx, h, g, tr, opts.EdgeRows, budget)
+			d, err := runTrial(ctx, h, g, tr, opts.Cost, budget)
 			if err != nil {
 				if err == decomp.ErrStepBudget {
 					break // keep what earlier trials produced
@@ -164,17 +165,17 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts Options, maxW
 				return nil, err
 			}
 			results[i] = d
-			if maxWidth > 0 && d.Width() <= maxWidth && opts.EdgeRows == nil {
+			if maxWidth > 0 && d.Width() <= maxWidth && opts.Cost == nil {
 				break // a satisfying decomposition: no need to improve further
 			}
 		}
 	} else {
-		if err := runParallel(ctx, h, g, trials, budget, results, workers, maxWidth, opts.EdgeRows); err != nil {
+		if err := runParallel(ctx, h, g, trials, budget, results, workers, maxWidth, opts.Cost); err != nil {
 			return nil, err
 		}
 	}
 
-	best := pickBest(results, opts.EdgeRows)
+	best := pickBest(results, opts.Cost)
 	if best == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -204,7 +205,7 @@ func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, opts Options, b
 	}
 	g := h.PrimalGraph()
 	for _, tr := range trialPlan(opts) {
-		d, err := runTrial(ctx, h, g, tr, opts.EdgeRows, budget)
+		d, err := runTrial(ctx, h, g, tr, opts.Cost, budget)
 		if err != nil {
 			return err
 		}
@@ -236,7 +237,7 @@ func trialPlan(opts Options) []trial {
 	return trials
 }
 
-func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr trial, edgeRows []float64, budget *Budget) (*decomp.Decomposition, error) {
+func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr trial, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
 	var rng *rand.Rand
 	if tr.randomized {
 		rng = rand.New(rand.NewSource(tr.seed))
@@ -246,14 +247,14 @@ func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr 
 		return nil, err
 	}
 	td, _ := treewidth.FromEliminationOrder(g, order)
-	return FromTreeDecompositionCost(h, td, edgeRows), nil
+	return FromTreeDecompositionCost(h, td, model), nil
 }
 
 // runParallel distributes trials over workers. Results land in their trial
 // slot so pickBest is deterministic given the set of completed trials; a
 // satisfied maxWidth or an exhausted budget stops further trials from being
 // handed out (in-flight ones finish and still count).
-func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, trials []trial, budget *Budget, results []*decomp.Decomposition, workers, maxWidth int, edgeRows []float64) error {
+func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, trials []trial, budget *Budget, results []*decomp.Decomposition, workers, maxWidth int, model *decomp.CostModel) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -273,7 +274,7 @@ func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, 
 				if abort || i >= len(trials) {
 					return
 				}
-				d, err := runTrial(ctx, h, g, trials[i], edgeRows, budget)
+				d, err := runTrial(ctx, h, g, trials[i], model, budget)
 				mu.Lock()
 				switch {
 				case err == decomp.ErrStepBudget:
@@ -284,7 +285,7 @@ func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, 
 					}
 				default:
 					results[i] = d
-					if maxWidth > 0 && d.Width() <= maxWidth && edgeRows == nil {
+					if maxWidth > 0 && d.Width() <= maxWidth && model == nil {
 						// satisfying width: stop improving (with statistics the
 						// remaining trials still compete on cost, so run them)
 						next = len(trials)
@@ -298,12 +299,12 @@ func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, 
 	return firstErr
 }
 
-// pickBest keeps the smallest-width result; with statistics (edgeRows
+// pickBest keeps the smallest-width result; with statistics (model
 // non-nil) ties between equal-width results break to the lower total
 // estimated cost, and only then to the lower trial index — same-width
 // decompositions can differ enormously in evaluation cost depending on
 // which relations their λ labels joined.
-func pickBest(results []*decomp.Decomposition, edgeRows []float64) *decomp.Decomposition {
+func pickBest(results []*decomp.Decomposition, model *decomp.CostModel) *decomp.Decomposition {
 	var best *decomp.Decomposition
 	bestW := 0
 	bestCost := 0.0
@@ -313,10 +314,10 @@ func pickBest(results []*decomp.Decomposition, edgeRows []float64) *decomp.Decom
 		}
 		w := d.Width()
 		cost := 0.0
-		if edgeRows != nil {
-			cost = d.CostWith(edgeRows)
+		if model != nil {
+			cost = d.CostWith(model)
 		}
-		if best == nil || w < bestW || (w == bestW && edgeRows != nil && cost < bestCost) {
+		if best == nil || w < bestW || (w == bestW && model != nil && cost < bestCost) {
 			best, bestW, bestCost = d, w, cost
 		}
 	}
@@ -480,19 +481,20 @@ func FromTreeDecomposition(h *hypergraph.Hypergraph, td *treewidth.Decomposition
 	return FromTreeDecompositionCost(h, td, nil)
 }
 
-// FromTreeDecompositionCost is FromTreeDecomposition with per-edge
-// cardinality estimates steering the greedy covers: coverage ties break
-// toward the cheaper relation (GreedyCoverCost), so among the many λ labels
-// of the same size the one joining the smallest relations wins. edgeRows
-// nil reproduces FromTreeDecomposition exactly.
-func FromTreeDecompositionCost(h *hypergraph.Hypergraph, td *treewidth.Decomposition, edgeRows []float64) *decomp.Decomposition {
+// FromTreeDecompositionCost is FromTreeDecomposition with the cost model
+// steering the greedy covers: coverage ties break toward the cover of the
+// smaller estimated node table (GreedyCoverCost), so among the many λ
+// labels of the same size the one that joins — rather than multiplies —
+// the smallest relations wins. A nil model reproduces
+// FromTreeDecomposition exactly.
+func FromTreeDecompositionCost(h *hypergraph.Hypergraph, td *treewidth.Decomposition, model *decomp.CostModel) *decomp.Decomposition {
 	bags, parent, root := pruneBags(td)
 	if len(bags) == 0 {
 		return &decomp.Decomposition{H: h}
 	}
 	nodes := make([]*decomp.Node, len(bags))
 	for i, bag := range bags {
-		nodes[i] = &decomp.Node{Chi: bag, Lambda: GreedyCoverCost(h, bag, edgeRows)}
+		nodes[i] = &decomp.Node{Chi: bag, Lambda: GreedyCoverCost(h, bag, model)}
 	}
 	for i, p := range parent {
 		if p >= 0 {
@@ -584,24 +586,26 @@ func GreedyCover(h *hypergraph.Hypergraph, bag bitset.Set) bitset.Set {
 	return GreedyCoverCost(h, bag, nil)
 }
 
-// GreedyCoverCost is GreedyCover with cardinality-aware tie-breaking: among
-// edges covering equally many uncovered bag vertices the greedy pass
-// prefers the one backed by the fewest tuples (then the lowest index), so
-// the node's λ-join touches the smallest relations the cover structure
-// allows. Because a cheap early pick can occasionally force a *larger*
-// cover later (greedy set cover is not exchange-stable), the cost-aware
-// cover is compared against the width-only GreedyCover and the smaller one
-// wins — ties by size go to the lower Π rows — so the cover size, and hence
-// the width, never exceeds the statistics-free result. edgeRows nil (or
-// short) scores every edge equally, reproducing GreedyCover exactly.
-func GreedyCoverCost(h *hypergraph.Hypergraph, bag bitset.Set, edgeRows []float64) bitset.Set {
+// GreedyCoverCost is GreedyCover with cost-aware tie-breaking: among edges
+// covering equally many uncovered bag vertices the greedy pass takes the
+// one that minimises decomp.NodeCost of the bag under the cover so far plus
+// that edge (then the lowest index) — an edge sharing a variable with the
+// cover joins it, one that does not multiplies it, and the estimate tells
+// the two apart where the cardinalities alone cannot. Because a cheap early
+// pick can occasionally force a *larger* cover later (greedy set cover is
+// not exchange-stable), the cost-aware cover is compared against the
+// width-only GreedyCover and the smaller one wins — ties by size go to the
+// lower NodeCost of the finished bag — so the cover size, and hence the
+// width, never exceeds the statistics-free result. A nil model reproduces
+// GreedyCover exactly.
+func GreedyCoverCost(h *hypergraph.Hypergraph, bag bitset.Set, model *decomp.CostModel) bitset.Set {
 	plain := greedyCover(h, bag, nil)
-	if edgeRows == nil {
+	if model == nil {
 		return plain
 	}
-	costed := greedyCover(h, bag, edgeRows)
+	costed := greedyCover(h, bag, model)
 	cost := func(lambda bitset.Set) float64 {
-		return decomp.NodeCost(&decomp.Node{Lambda: lambda}, edgeRows)
+		return decomp.NodeCost(&decomp.Node{Chi: bag, Lambda: lambda}, model)
 	}
 	switch {
 	case costed.Len() < plain.Len():
@@ -615,15 +619,10 @@ func GreedyCoverCost(h *hypergraph.Hypergraph, bag bitset.Set, edgeRows []float6
 	}
 }
 
-// greedyCover runs the greedy set-cover pass; edgeRows non-nil switches the
-// coverage tie-break from lowest index to fewest rows (then lowest index).
-func greedyCover(h *hypergraph.Hypergraph, bag bitset.Set, edgeRows []float64) bitset.Set {
-	rowsOf := func(e int) float64 {
-		if e < len(edgeRows) && edgeRows[e] > 1 {
-			return edgeRows[e]
-		}
-		return 1
-	}
+// greedyCover runs the greedy set-cover pass; a non-nil model switches the
+// coverage tie-break from lowest index to lowest estimated node table (then
+// lowest index).
+func greedyCover(h *hypergraph.Hypergraph, bag bitset.Set, model *decomp.CostModel) bitset.Set {
 	// candidate edges: all edges meeting the bag, deduplicated
 	var candSet bitset.Set
 	bag.ForEach(func(v int) {
@@ -635,18 +634,23 @@ func greedyCover(h *hypergraph.Hypergraph, bag bitset.Set, edgeRows []float64) b
 	uncovered := bag.Clone()
 	var lambda bitset.Set
 	for !uncovered.Empty() {
-		best, bestCov, bestRows := -1, 0, 0.0
+		best, bestCov, bestCost := -1, 0, 0.0
 		for _, e := range cands {
 			if lambda.Has(e) {
 				continue
 			}
 			cov := h.Edge(e).Intersect(uncovered).Len()
-			if cov == 0 {
+			if cov == 0 || cov < bestCov {
 				continue
 			}
-			rows := rowsOf(e)
-			if cov > bestCov || (cov == bestCov && edgeRows != nil && rows < bestRows) {
-				best, bestCov, bestRows = e, cov, rows
+			cost := 0.0
+			if model != nil {
+				lambda.Add(e)
+				cost = decomp.NodeCost(&decomp.Node{Chi: bag, Lambda: lambda}, model)
+				lambda.Remove(e)
+			}
+			if cov > bestCov || cost < bestCost {
+				best, bestCov, bestCost = e, cov, cost
 			}
 		}
 		if best < 0 {

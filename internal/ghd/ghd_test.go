@@ -2,7 +2,9 @@ package ghd
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,19 +36,7 @@ func queryHG(t *testing.T, q interface {
 // Every GHD produced on the paper's example corpus and the parametric
 // families must satisfy conditions 1–3 of Definition 4.1.
 func TestGreedyGHDValid(t *testing.T) {
-	queries := map[string]*hypergraph.Hypergraph{
-		"Q1":        queryHG(t, gen.Q1()),
-		"Q4":        queryHG(t, gen.Q4()),
-		"Q5":        queryHG(t, gen.Q5()),
-		"cycle12":   queryHG(t, gen.Cycle(12)),
-		"grid44":    queryHG(t, gen.Grid(4, 4)),
-		"clique6":   queryHG(t, gen.CliqueBinary(6)),
-		"star8":     queryHG(t, gen.Star(8)),
-		"classC4":   queryHG(t, gen.ClassCn(4)),
-		"path9":     queryHG(t, gen.Path(9)),
-		"csp50atom": queryHG(t, gen.RandomCSP(rand.New(rand.NewSource(7)), 30, 50, 3)),
-	}
-	for name, h := range queries {
+	for name, h := range families() {
 		d := mustDecompose(t, h)
 		if err := d.ValidateGHD(); err != nil {
 			t.Errorf("%s: invalid GHD: %v", name, err)
@@ -229,6 +219,11 @@ func TestGreedyLargeCSPFast(t *testing.T) {
 	t.Logf("50-atom CSP: greedy width %d, %d nodes", d.Width(), d.NumNodes())
 }
 
+// rowsOnly is a cost model that knows cardinalities and no distinct counts.
+func rowsOnly(h *hypergraph.Hypergraph, rows ...float64) *decomp.CostModel {
+	return decomp.NewCostModel(h, rows, nil)
+}
+
 // GreedyCoverCost must break equal-coverage ties toward the relation with
 // the fewest tuples: on a bag coverable by either of two parallel edges,
 // the giant loses exactly when statistics are present.
@@ -245,7 +240,7 @@ func TestGreedyCoverCostPrefersCheapEdges(t *testing.T) {
 	}
 	rows := make([]float64, h.NumEdges())
 	rows[big], rows[mid], rows[small] = 100000, 50, 10
-	costed := GreedyCoverCost(h, bag, rows)
+	costed := GreedyCoverCost(h, bag, rowsOnly(h, rows...))
 	if costed.Has(big) || !costed.Has(small) || !costed.Has(mid) {
 		t.Fatalf("cost-aware cover kept the giant: %v", costed)
 	}
@@ -254,8 +249,35 @@ func TestGreedyCoverCostPrefersCheapEdges(t *testing.T) {
 	}
 }
 
-// With EdgeRows, Decompose must keep its width contract while landing on a
-// cheaper decomposition than the width-only run, sequentially and in
+// Among equal-coverage candidates of equal cardinality the cover must take
+// the one that joins the cover so far over the one that multiplies it, at
+// every position the tied edges can have: on the 4-cycle bag {X2,X3,X4},
+// beside r2(X2,X3), that is r3(X3,X4) whichever of r1, r3, r4 comes first.
+func TestGreedyCoverCostPrefersJoins(t *testing.T) {
+	atoms := map[string][2]string{"r1": {"X1", "X2"}, "r2": {"X2", "X3"}, "r3": {"X3", "X4"}, "r4": {"X4", "X1"}}
+	for _, order := range [][]string{
+		{"r1", "r2", "r3", "r4"}, {"r4", "r3", "r2", "r1"}, {"r1", "r4", "r3", "r2"}, {"r3", "r1", "r4", "r2"},
+	} {
+		h := hypergraph.New()
+		for _, name := range order {
+			h.AddEdge(name, atoms[name][0], atoms[name][1])
+		}
+		rows := []float64{500, 500, 500, 500}
+		m := decomp.NewCostModel(h, rows, func(e, v int) float64 { return 200 })
+		var bag bitset.Set
+		for _, v := range []string{"X2", "X3", "X4"} {
+			i, _ := h.VertexIndex(v)
+			bag.Add(i)
+		}
+		cover := GreedyCoverCost(h, bag, m)
+		if got := decomp.NodeCost(&decomp.Node{Chi: bag, Lambda: cover}, m); cover.Len() != 2 || got != 500*500/200 {
+			t.Errorf("atoms %v: cover %v estimated %g rows, want a 2-edge join of 1250", order, h.EdgeNames(cover), got)
+		}
+	}
+}
+
+// With a cost model, Decompose must keep its width contract while landing
+// on a cheaper decomposition than the width-only run, sequentially and in
 // parallel.
 func TestDecomposeCostTieBreak(t *testing.T) {
 	h := hypergraph.New()
@@ -264,7 +286,7 @@ func TestDecomposeCostTieBreak(t *testing.T) {
 	h.AddEdge("c3", "X3", "X4")
 	h.AddEdge("c4", "X4", "X1")
 	h.AddEdge("small", "X1", "X2")
-	rows := []float64{100000, 1000, 100, 50, 10}
+	rows := rowsOnly(h, 100000, 1000, 100, 50, 10)
 
 	ctx := context.Background()
 	plain, err := Decompose(ctx, h, Options{}, 0, 0, 1)
@@ -272,7 +294,7 @@ func TestDecomposeCostTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		costed, err := Decompose(ctx, h, Options{EdgeRows: rows}, 0, 0, workers)
+		costed, err := Decompose(ctx, h, Options{Cost: rows}, 0, 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,14 +320,88 @@ func TestGreedyCoverCostNeverGrowsCover(t *testing.T) {
 	h.AddEdge("e2", "c", "d")
 	h.AddEdge("e3", "a", "c")
 	bag := bitset.FromSlice([]int{0, 1, 2, 3})
-	rows := []float64{1000, 1000, 2}
 
 	plain := GreedyCover(h, bag)
-	costed := GreedyCoverCost(h, bag, rows)
+	costed := GreedyCoverCost(h, bag, rowsOnly(h, 1000, 1000, 2))
 	if costed.Len() > plain.Len() {
 		t.Fatalf("statistics grew the cover: %d edges vs %d", costed.Len(), plain.Len())
 	}
 	if costed.Len() != 2 {
 		t.Fatalf("cover size %d, want 2", costed.Len())
+	}
+}
+
+// families are the hypergraphs of gen.Families.
+func families() map[string]*hypergraph.Hypergraph {
+	out := map[string]*hypergraph.Hypergraph{}
+	for name, q := range gen.Families() {
+		out[name], _ = q.Hypergraph()
+	}
+	return out
+}
+
+// randomModel draws cardinalities and distinct counts for h.
+func randomModel(rng *rand.Rand, h *hypergraph.Hypergraph) *decomp.CostModel {
+	rows := make([]float64, h.NumEdges())
+	for e := range rows {
+		rows[e] = float64(1 + rng.Intn(100000))
+	}
+	return decomp.NewCostModel(h, rows, func(e, v int) float64 {
+		return float64(1 + rng.Intn(int(rows[e])))
+	})
+}
+
+// Over every bag of every family and random statistics, the cost-aware
+// cover is a cover and never larger than the plain one, and the cost-aware
+// decomposition is a valid GHD no wider and — priced by the same model — no
+// dearer than the width-only one.
+func TestCostAwareCoverNeverLarger(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ctx := context.Background()
+	for name, h := range families() {
+		plain := mustDecompose(t, h)
+		for round := 0; round < 3; round++ {
+			m := randomModel(rng, h)
+			for _, n := range plain.Nodes() {
+				cover := GreedyCoverCost(h, n.Chi, m)
+				if !n.Chi.SubsetOf(h.Vars(cover)) {
+					t.Fatalf("%s: cost-aware λ %v does not cover χ %v", name, h.EdgeNames(cover), h.VertexNames(n.Chi))
+				}
+				if cover.Len() > GreedyCover(h, n.Chi).Len() {
+					t.Fatalf("%s: cost-aware cover of %v grew", name, h.VertexNames(n.Chi))
+				}
+			}
+			costed, err := Decompose(ctx, h, Options{Cost: m}, 0, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := costed.ValidateGHD(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if costed.Width() > plain.Width() {
+				t.Fatalf("%s: statistics widened the decomposition %d → %d", name, plain.Width(), costed.Width())
+			}
+			if costed.Width() == plain.Width() && costed.CostWith(m) > plain.CostWith(m) {
+				t.Fatalf("%s: cost-aware %g dearer than width-only %g", name, costed.CostWith(m), plain.CostWith(m))
+			}
+		}
+	}
+}
+
+// Without a cost model the engine returns, byte for byte, the
+// decompositions it returned before the model existed: digests of
+// Decomposition.String() taken at the commit that introduced it.
+func TestNilModelDecompositionsUnchanged(t *testing.T) {
+	want := map[string]string{
+		"Q1": "f91e0296802f0f1a", "Q4": "527072dd4970cdb9", "Q5": "9458ed6279e6519b",
+		"classC4": "f98c422ff17fb616", "clique6": "b120f0732d2a2c29", "csp50atom": "03b46f0f45554621",
+		"cycle12": "ab923339adb0d17f", "grid44": "930379435c4e5061", "path9": "0cb2123d08d79134",
+		"star8": "f4d35db72ace52a7",
+	}
+	for name, h := range families() {
+		d := mustDecompose(t, h)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(d.String())))[:16]; got != want[name] {
+			t.Errorf("%s: decomposition digest %s, want %s\n%s", name, got, want[name], d)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func compileHD(t *testing.T, q *cq.Query) *decomp.Decomposition {
 	return d
 }
 
-// With per-edge estimates NewEvaluator must sort every node's children by
+// With a cost model NewEvaluator must sort every node's children by
 // estimated node size, without changing any produced table.
 func TestEvaluatorStatsOrdering(t *testing.T) {
 	q := cq.MustParse(`ans(X1, X3) :- r1(X1, X2), r2(X2, X3), r3(X3, X4), r4(X4, X1).`)
@@ -33,7 +33,7 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 	for i := range rows {
 		rows[i] = float64(1000 * (len(rows) - i))
 	}
-	e, err := NewEvaluator(q, d, rows)
+	e, err := NewEvaluator(q, d, decomp.NewCostModel(h, rows, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"hypertree/internal/bitset"
 	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
+	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 	"hypertree/internal/yannakakis"
@@ -41,7 +42,8 @@ type Evaluator struct {
 	head       []int
 	nodeID     map[*decomp.Node]int     // preorder index over the completed tree
 	infos      []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
-	labelOnce  sync.Once                // renders infos[i].Label on first use
+	labelOnce  sync.Once                // renders infos[i].Label/Order and spanLabels on first use
+	spanLabels []string                 // per node: Label, plus " order=…" on a leapfrog node
 	lfNodes    map[*decomp.Node]*lfNode // every node's columnar plan (see kernel.go)
 	enc        encCache                 // plan-level Columnar encoding cache (interior mutability)
 }
@@ -64,19 +66,39 @@ type NodeInfo struct {
 	// Kernel is how the node table is materialised, which |λ| alone
 	// decides: "scan" for one relation, "leapfrog" for several.
 	Kernel string
+	// Order is the variable order a leapfrog node's join binds in
+	// ("X1,X2,X4": χ first, then the existential variables); empty on a
+	// scan, whose order costs nothing. See VarOrder.
+	Order string
 }
 
 // NodeInfos returns the completed tree's node records in preorder. The
-// slice is shared and must not be mutated. Labels are rendered on the first
-// call — only explain reports and traced executions read them, and a
-// compile that is never explained should not pay for the strings.
+// slice is shared and must not be mutated. Labels and orders are rendered
+// on the first call — only explain reports and traced executions read them,
+// and a compile that is never explained should not pay for the strings.
 func (e *Evaluator) NodeInfos() []NodeInfo {
 	e.labelOnce.Do(func() {
+		e.spanLabels = make([]string, len(e.infos))
 		for n, id := range e.nodeID {
-			e.infos[id].Label = e.nodeLabel(n)
+			info := &e.infos[id]
+			info.Label = e.nodeLabel(n)
+			e.spanLabels[id] = info.Label
+			if lf := e.lfNodes[n]; len(lf.lam) > 1 {
+				info.Order = OrderString(e.HD.H, lf.order)
+				e.spanLabels[id] += " order=" + info.Order
+			}
 		}
 	})
 	return e.infos
+}
+
+// OrderString renders a variable order by name ("X1,X2,X4").
+func OrderString(h *hypergraph.Hypergraph, order []int) string {
+	names := make([]string, len(order))
+	for i, v := range order {
+		names[i] = h.VertexName(v)
+	}
+	return strings.Join(names, ",")
 }
 
 // nodeLabel renders n's χ and λ.
@@ -92,13 +114,15 @@ func (e *Evaluator) nodeLabel(n *decomp.Node) string {
 // reaches outside var(λ), has no table to materialise and is rejected by
 // name — so execution can no longer fail on the plan's shape.
 //
-// edgeRows, when non-nil, holds per-edge cardinality estimates: every
-// node's children are reordered by ascending estimated node cardinality, so
-// the bottom-up semijoin passes shrink each table against its most
-// selective child first. The reordering is answer-neutral — semijoin
-// reductions commute — so an Evaluator with statistics returns exactly the
-// tables of one without; only the work to produce them changes.
-func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*Evaluator, error) {
+// model, when non-nil, is the compilation's cost model: every node of the
+// completed tree is stamped with its decomp.NodeCost — the number the
+// planner ranked by and Explain prints — and every node's children are
+// reordered by ascending estimate, so the bottom-up semijoin passes shrink
+// each table against its most selective child first. The reordering is
+// answer-neutral — semijoin reductions commute — so an Evaluator with
+// statistics returns exactly the tables of one without; only the work to
+// produce them changes.
+func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
 	}
@@ -117,16 +141,9 @@ func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*E
 		nodeID:     make(map[*decomp.Node]int, len(nodes)),
 		infos:      make([]NodeInfo, 0, len(nodes)),
 	}
-	if edgeRows != nil {
-		// The completion may have added fresh ⟨χ=var(e), λ={e}⟩ nodes with no
-		// estimate yet; annotate only those, preserving any refined EstRows
-		// the compile pipeline stamped on the original nodes — child ordering
-		// must read the same numbers Explain reports.
-		for _, n := range nodes {
-			if n.EstRows == 0 {
-				n.EstRows = decomp.NodeCost(n, edgeRows)
-			}
-		}
+	if model != nil {
+		// the completion may have added ⟨χ=var(e), λ={e}⟩ nodes
+		complete.AnnotateCosts(model)
 	}
 	// Node identity for tracing is the preorder over the final
 	// (post-reorder) tree, so span Node fields and EXPLAIN ANALYZE agree on
@@ -138,7 +155,7 @@ func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, edgeRows []float64) (*E
 			return err
 		}
 		e.lfNodes[n] = lf
-		if edgeRows != nil {
+		if model != nil {
 			sort.SliceStable(n.Children, func(i, j int) bool {
 				return n.Children[i].EstRows < n.Children[j].EstRows
 			})

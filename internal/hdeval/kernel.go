@@ -2,11 +2,13 @@ package hdeval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/decomp"
 	"hypertree/internal/fhd"
+	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 	"hypertree/internal/yannakakis"
@@ -19,10 +21,7 @@ import (
 // (relation.LeapfrogJoinColumnar) over their cached encodings: sorted
 // columnar tries intersected variable by variable, worst-case optimal with
 // respect to the AGM bound, which the node's fractional cover weights
-// certify as r^fhw. The variable order is what the theory prescribes:
-// output (χ) variables first, so results stream out sorted and distinct,
-// then existential variables by descending fractional cover weight
-// (most-covered, hence most selective to intersect, first).
+// certify as r^fhw. VarOrder chooses the variable order.
 
 // lfNode is the precomputed columnar plan of one decomposition node: its λ
 // edges, the global variable order (χ first, existential suffix by
@@ -48,44 +47,17 @@ func (lf *lfNode) kernel() string {
 
 // lfPlanFor computes node n's columnar plan under the given parent (nil at
 // the root), rejecting a node that has no table: an empty λ, or a χ variable
-// outside var(λ). The order starts with χ — the variables shared with the
-// parent first (ascending), the rest after (ascending), which exposes the
-// reducer's semijoin variables as a sorted column prefix (the aligned case
-// of relation.MergeSemijoin); node tables are sets keyed by variable and
-// the head projection fixes the final column order, so this is
-// answer-neutral. It continues with the existential variables of var(λ) by
-// descending total fractional cover weight (weight 1 per covering edge on
-// integral nodes), ties toward the smaller variable id.
+// outside var(λ).
 func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 	lam := n.Lambda.Elems()
 	if len(lam) == 0 {
 		return nil, fmt.Errorf("hdeval: decomposition node %s has an empty λ", e.nodeLabel(n))
 	}
-	var lamVars bitset.Set
-	for _, e2 := range lam {
-		lamVars.UnionInPlace(e.HD.H.Edge(e2))
-	}
-	if !n.Chi.SubsetOf(lamVars) {
+	if !n.Chi.SubsetOf(e.HD.H.Vars(n.Lambda)) {
 		return nil, fmt.Errorf("hdeval: decomposition node %s has χ variables outside var(λ)", e.nodeLabel(n))
 	}
-	chi := n.Chi.Elems()
-	if parent != nil {
-		shared := func(v int) bool { return parent.Chi.Has(v) }
-		sort.SliceStable(chi, func(i, j int) bool { return shared(chi[i]) && !shared(chi[j]) })
-	}
-	exist := lamVars.Diff(n.Chi).Elems()
-	if len(exist) > 1 {
-		weight := map[int]float64{}
-		for _, e2 := range lam {
-			w := 1.0
-			if n.Weights != nil {
-				w = n.Weights[e2]
-			}
-			e.HD.H.Edge(e2).ForEach(func(v int) { weight[v] += w })
-		}
-		sort.SliceStable(exist, func(i, j int) bool { return weight[exist[i]] > weight[exist[j]] })
-	}
-	lf := &lfNode{lam: lam, order: append(chi, exist...), nChi: len(chi)}
+	order, nChi := VarOrder(e.HD.H, n, parent)
+	lf := &lfNode{lam: lam, order: order, nChi: nChi}
 	for _, e2 := range lam {
 		sub := lf.order // a scan's one relation spans the whole order
 		if len(lam) > 1 {
@@ -98,6 +70,87 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 		lf.subs, lf.keys = append(lf.subs, sub), append(lf.keys, key)
 	}
 	return lf, nil
+}
+
+// VarOrder returns the order in which node n of a decomposition of h binds
+// its variables under the given parent (nil at the root), and the length of
+// its χ prefix. Output (χ) variables come first, so results stream out
+// sorted and distinct and the kernel projects by truncation; node tables are
+// sets keyed by variable and the head projection fixes the final column
+// order, so any order is answer-neutral.
+//
+// A scan (one λ edge) lists the variables shared with the parent first
+// (ascending), the rest after: reordering a cached scan costs nothing, and
+// it exposes the reducer's semijoin variables as a sorted column prefix (the
+// aligned case of relation.MergeSemijoin).
+//
+// A join (several λ edges) orders χ by connectivity, because the order is
+// what the leapfrog kernel pays for: binding two variables no λ edge
+// relates enumerates their product before a later variable can intersect
+// it away. Next is always the χ variable held by the most λ edges that
+// already contain a bound variable — it extends the partial join rather
+// than starting a new factor — ties to the one held by more λ edges (the
+// first pick is thus a variable of maximum λ-degree: a join variable, where
+// there is one), then to one shared with the parent, then to the smaller
+// id. On a child χ{X1,X2,X4} λ{r1(X1,X2), r4(X4,X1)} of χ{X2,X3,X4} that is
+// X1,X2,X4 — r·degree key visits — where parent-first X2,X4,X1 visits every
+// (X2,X4) pair; the reducer then meets a non-prefix key, which
+// relation.MergeSemijoin handles by probing.
+//
+// Both continue with the existential variables of var(λ) ∖ χ by descending
+// total fractional cover weight (weight 1 per covering edge on integral
+// nodes; most-covered, hence most selective to intersect, first), ties
+// toward the smaller id.
+func VarOrder(h *hypergraph.Hypergraph, n, parent *decomp.Node) (order []int, nChi int) {
+	lam := n.Lambda.Elems()
+	shared := func(v int) bool { return parent != nil && parent.Chi.Has(v) }
+	chi := n.Chi.Elems()
+	if len(lam) == 1 {
+		sort.SliceStable(chi, func(i, j int) bool { return shared(chi[i]) && !shared(chi[j]) })
+	} else {
+		var bound bitset.Set
+		// rank: λ edges holding v that already hold a bound variable, λ
+		// edges holding v, shared with the parent, smaller id — compared in
+		// that order, larger is earlier
+		rank := func(v int) [4]int {
+			r := [4]int{3: -v}
+			for _, e := range lam {
+				if h.Edge(e).Has(v) {
+					r[1]++
+					if h.Edge(e).Intersects(bound) {
+						r[0]++
+					}
+				}
+			}
+			if shared(v) {
+				r[2] = 1
+			}
+			return r
+		}
+		for i := range chi {
+			best, bestRank := i, rank(chi[i])
+			for j := i + 1; j < len(chi); j++ {
+				if r := rank(chi[j]); slices.Compare(r[:], bestRank[:]) > 0 {
+					best, bestRank = j, r
+				}
+			}
+			chi[i], chi[best] = chi[best], chi[i]
+			bound.Add(chi[i])
+		}
+	}
+	exist := h.Vars(n.Lambda).Diff(n.Chi).Elems()
+	if len(exist) > 1 {
+		weight := map[int]float64{}
+		for _, e := range lam {
+			w := 1.0
+			if n.Weights != nil {
+				w = n.Weights[e]
+			}
+			h.Edge(e).ForEach(func(v int) { weight[v] += w })
+		}
+		sort.SliceStable(exist, func(i, j int) bool { return weight[exist[i]] > weight[exist[j]] })
+	}
+	return append(chi, exist...), len(chi)
 }
 
 // agmCapHint is the leapfrog output pre-size for node n: the AGM bound
@@ -186,8 +239,9 @@ func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// endNodeSpan stamps a node span with the node's identity, kernel, estimate
-// and actual cardinality, and publishes it.
+// endNodeSpan stamps a node span with the node's identity (for a leapfrog
+// node, its variable order too), kernel, estimate and actual cardinality,
+// and publishes it.
 func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *decomp.Node, rows int) {
 	if sp == nil {
 		return
@@ -196,7 +250,7 @@ func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *decomp.Node, rows int) {
 	info := b.e.NodeInfos()[id]
 	sp.SetKernel(info.Kernel)
 	sp.SetNode(id)
-	sp.SetLabel(info.Label)
+	sp.SetLabel(b.e.spanLabels[id])
 	sp.SetEst(n.EstRows)
 	sp.SetRows(rows)
 	sp.End()

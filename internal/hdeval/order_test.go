@@ -1,0 +1,126 @@
+package hdeval
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hypertree/internal/bitset"
+	"hypertree/internal/decomp"
+	"hypertree/internal/gen"
+	"hypertree/internal/relation"
+	"hypertree/internal/yannakakis"
+)
+
+// The connectivity order of a join bag is a choice of work, never of
+// answers. Over random bags (random queries, random λ of 2–3 edges, random
+// χ ⊆ var(λ), random parent), VarOrder must return a χ permutation followed
+// by a permutation of the existential variables, start with a χ variable of
+// maximum λ-degree, and never start a new factor — a variable sharing no λ
+// edge with the bound ones — while some unbound variable does share one;
+// and the node table under it must equal, as a set, the table under the
+// ascending-id order, through the kernel under a random parent and through
+// the evaluator at the root.
+func TestVarOrderConnectivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	ctx := context.Background()
+	joins := 0
+	for trial := 0; trial < 300; trial++ {
+		q := gen.RandomQuery(rng, 3+rng.Intn(5), 3+rng.Intn(4), 1+rng.Intn(3))
+		h, edgeToAtom := q.Hypergraph()
+		if h.NumEdges() < 2 {
+			continue
+		}
+		var lambda bitset.Set
+		for want := 2 + rng.Intn(2); lambda.Len() < min(want, h.NumEdges()); {
+			lambda.Add(rng.Intn(h.NumEdges()))
+		}
+		lamVars := h.Vars(lambda)
+		var chi, parentChi bitset.Set
+		lamVars.ForEach(func(v int) {
+			if rng.Intn(3) > 0 {
+				chi.Add(v)
+			}
+			if rng.Intn(2) == 0 {
+				parentChi.Add(v)
+			}
+		})
+		if chi.Empty() {
+			chi.Add(lamVars.Min())
+		}
+		n := &decomp.Node{Chi: chi, Lambda: lambda}
+		var parent *decomp.Node
+		if rng.Intn(2) == 0 {
+			parent = &decomp.Node{Chi: parentChi}
+		}
+		order, nChi := VarOrder(h, n, parent)
+
+		if got := bitset.FromSlice(order[:nChi]); nChi != chi.Len() || !got.Equal(chi) {
+			t.Fatalf("trial %d: χ prefix %v of order %v is not χ %v", trial, order[:nChi], order, chi.Elems())
+		}
+		if got := bitset.FromSlice(order[nChi:]); len(order) != lamVars.Len() || !got.Equal(lamVars.Diff(chi)) {
+			t.Fatalf("trial %d: suffix %v of order %v is not var(λ) ∖ χ", trial, order[nChi:], order)
+		}
+		degree := func(v int) (d int) {
+			lambda.ForEach(func(e int) {
+				if h.Edge(e).Has(v) {
+					d++
+				}
+			})
+			return d
+		}
+		chi.ForEach(func(v int) {
+			if degree(v) > degree(order[0]) {
+				t.Fatalf("trial %d: order %v starts at λ-degree %d, variable %d has %d", trial, order, degree(order[0]), v, degree(v))
+			}
+		})
+		attached := func(v int, bound bitset.Set) bool {
+			for _, e := range lambda.Elems() {
+				if h.Edge(e).Has(v) && h.Edge(e).Intersects(bound) {
+					return true
+				}
+			}
+			return false
+		}
+		var bound bitset.Set
+		bound.Add(order[0])
+		for i := 1; i < nChi; i++ {
+			if !attached(order[i], bound) && slices.ContainsFunc(order[i+1:nChi], func(v int) bool { return attached(v, bound) }) {
+				t.Fatalf("trial %d: order %v starts a new factor at position %d while a later variable extends the join", trial, order, i)
+			}
+			bound.Add(order[i])
+		}
+
+		// the same table under the connectivity order and the ascending one
+		db := gen.RandomDatabase(rng, q, 5+rng.Intn(40), 2+rng.Intn(4))
+		var tables []*relation.Table
+		for _, e := range lambda.Elems() {
+			tab, err := yannakakis.BindAtom(db, q, edgeToAtom[e])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, tab)
+		}
+		ascending := append(chi.Elems(), lamVars.Diff(chi).Elems()...)
+		want := relation.LeapfrogJoin(tables, ascending, nChi, 0)
+		if got := relation.LeapfrogJoin(tables, order, nChi, 0); !got.Equal(want) {
+			t.Fatalf("trial %d: order %v gives %d rows, ascending order %d", trial, order, got.Rows(), want.Rows())
+		}
+		e, err := NewEvaluator(q, &decomp.Decomposition{H: h, Root: n}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := e.Root(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := yannakakis.GroundAtomsHold(db, q); ok && !root.Enc.Table().Equal(want) {
+			t.Fatalf("trial %d: the evaluator's root table has %d rows, the ascending-order join %d", trial, root.Enc.Rows(), want.Rows())
+		}
+		joins++
+	}
+	if joins < 200 {
+		t.Fatalf("only %d of 300 trials drew a join bag", joins)
+	}
+}

@@ -7,10 +7,14 @@
 // which relations land in the λ labels (Greco & Scarcello, "Greedy
 // Strategies and Larger Islands of Tractability"). A Stats snapshot is what
 // turns the width engines into a cost-based planner: the compile pipeline
-// derives per-edge cardinalities from it, the heuristic engines break width
-// ties toward cheaper λ placements, the auto race ranks entrants by the
-// AGM-style estimate Cost(node) = Π_{R∈λ} |R|^weight, and the evaluator
-// orders its joins by ascending estimated cardinality.
+// derives its cost model from it — per hypergraph edge the cardinality and
+// the distinct counts of its variables — and everything that prices a
+// decomposition node reads the one estimate built on that model
+// (decomp.NodeCost: the join-size estimate of π_χ(⋈ λ), capped by the AGM
+// bound Π_{R∈λ} |R|^weight): the heuristic engines break width ties toward
+// λ labels that join rather than multiply, the auto race ranks entrants by
+// the summed estimates, and the evaluator orders its semijoins by ascending
+// estimated cardinality.
 //
 // A Stats value is immutable after collection and safe for concurrent use.
 // It is a snapshot: statistics do not track later database mutations, and a
@@ -21,6 +25,7 @@ package stats
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 
@@ -40,8 +45,8 @@ type Relation struct {
 	// Rows is the exact tuple count (Rows() is O(1) even under sampling).
 	Rows int
 	// Distinct estimates the number of distinct values per column. Under
-	// Collect the counts are exact; under CollectSampled they are scaled
-	// from the sample and capped at Rows.
+	// Collect the counts are exact; under CollectSampled they are
+	// extrapolated from the sample (see jackknife) and capped at Rows.
 	Distinct []int
 	// Sampled reports whether Distinct was estimated from a bounded sample
 	// rather than a full scan.
@@ -61,9 +66,11 @@ func Collect(db *relation.Database) *Stats {
 
 // CollectSampled returns statistics from a bounded scan: tuple counts are
 // exact (O(1) per relation), distinct counts are estimated from the first
-// sample rows of each relation, linearly scaled up and capped at the row
-// count. sample ≤ 0 selects DefaultSampleRows. The estimate is crude by
-// design — cost-based planning needs the order of magnitude, and a bounded
+// sample rows of each relation by the first-order jackknife (see jackknife)
+// and capped at the row count; a relation no larger than the sample is
+// counted exactly. sample ≤ 0 selects DefaultSampleRows. The join-size
+// estimates of the planner divide by these counts, so the estimator has to
+// tell a saturated column (200 values in 50 000 rows) from a key; a bounded
 // scan keeps WithStats affordable on multi-million-tuple databases.
 func CollectSampled(db *relation.Database, sample int) *Stats {
 	if sample <= 0 {
@@ -85,35 +92,50 @@ func collect(db *relation.Database, sample int) *Stats {
 		}
 		distinct := make([]int, r.Arity)
 		if r.Arity > 0 && scan > 0 {
-			seen := make([]map[relation.Value]struct{}, r.Arity)
+			seen := make([]map[relation.Value]int, r.Arity)
 			for c := range seen {
-				seen[c] = map[relation.Value]struct{}{}
+				seen[c] = map[relation.Value]int{}
 			}
 			for i := 0; i < scan; i++ {
 				for c, v := range r.Row(i) {
-					seen[c][v] = struct{}{}
+					seen[c][v]++
 				}
 			}
 			for c := range distinct {
 				d := len(seen[c])
 				if sampled {
-					// linear scale-up: d/scan of the sample was distinct, so
-					// assume the same density over the full relation
-					d = d * rows / scan
+					d = jackknife(seen[c], scan, rows)
 				}
-				if d > rows {
-					d = rows
-				}
-				if d < 1 {
-					d = 1
-				}
-				distinct[c] = d
+				distinct[c] = max(min(d, rows), 1)
 			}
 		}
 		s.rels[name] = &Relation{Name: name, Rows: rows, Distinct: distinct, Sampled: sampled}
 		s.order = append(s.order, name)
 	}
 	return s
+}
+
+// jackknife extrapolates a column's distinct count from the value→count map
+// of an n-row sample of an N-row relation by the first-order jackknife
+// estimator (Haas, Naughton, Seshadri & Stokes, "Sampling-Based Estimation
+// of the Number of Distinct Values of an Attribute", VLDB 1995):
+//
+//	D = d / (1 − (1 − n/N)·f1/n)
+//
+// with d the distinct values seen and f1 how many of them were seen exactly
+// once. The singletons carry the information a linear scale-up d·N/n throws
+// away: a sample with none has seen every value there is (D = d), a sample
+// of nothing but singletons comes from a key (D = N), and in between the
+// share of singletons says how much of the domain is still unseen.
+func jackknife(counts map[relation.Value]int, n, N int) int {
+	f1 := 0
+	for _, c := range counts {
+		if c == 1 {
+			f1++
+		}
+	}
+	q := float64(n) / float64(N)
+	return int(math.Round(float64(len(counts)) / (1 - (1-q)*float64(f1)/float64(n))))
 }
 
 // Relation returns the statistics of the named relation, or nil when the

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hypertree/internal/relation"
@@ -113,5 +114,62 @@ func TestStringMarksSampling(t *testing.T) {
 	s := CollectSampled(db, 100)
 	if got := s.String(); got != "stats{big:2000~}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// The sampled distinct counts divide the planner's join estimates, so they
+// must land within 2× of the truth across the regimes a column can be in —
+// a few values repeated over and over, half as many values as rows, a key —
+// from the default 1024-row sample of 50 000 rows; and a relation that fits
+// the sample is counted exactly.
+func TestSampledDistinctWithinTwofold(t *testing.T) {
+	const rows = 50000
+	for _, c := range []struct {
+		name     string
+		distinct int
+	}{
+		{"saturated", 200},
+		{"half-distinct", rows / 2},
+		{"unique", rows},
+	} {
+		// column 0 is a key (set semantics would otherwise fold the rows);
+		// column 1 draws uniformly from the regime's domain, every value of
+		// which occurs
+		rng := rand.New(rand.NewSource(int64(c.distinct)))
+		vals := make([]int, rows)
+		for i := range vals {
+			vals[i] = i % c.distinct
+		}
+		rng.Shuffle(rows, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		db := relation.NewDatabase()
+		r, err := db.AddRelation("r", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			r.Add(relation.Value(db.Intern(fmt.Sprint("k", i))), relation.Value(db.Intern(fmt.Sprint("v", v))))
+		}
+		s := CollectSampled(db, 0)
+		if !s.Relation("r").Sampled {
+			t.Fatalf("%s: 50 000 rows must be sampled", c.name)
+		}
+		for col, truth := range []int{rows, c.distinct} {
+			got := s.Distinct("r", col)
+			if got > 2*truth || 2*got < truth {
+				t.Errorf("%s: column %d estimated at %d distinct values, truth %d", c.name, col, got, truth)
+			}
+		}
+		if exact := Collect(db); exact.Distinct("r", 1) != c.distinct || exact.Relation("r").Sampled {
+			t.Errorf("%s: exact scan counts %d, want %d", c.name, exact.Distinct("r", 1), c.distinct)
+		}
+	}
+
+	small := relation.NewDatabase()
+	r, _ := small.AddRelation("r", 1)
+	for i := 0; i < DefaultSampleRows; i++ {
+		r.Add(relation.Value(small.Intern(fmt.Sprint("v", i))))
+	}
+	if s := CollectSampled(small, 0); s.Relation("r").Sampled || s.Distinct("r", 0) != DefaultSampleRows {
+		t.Errorf("a relation of DefaultSampleRows rows must be counted exactly: %+v", s.Relation("r"))
 	}
 }

@@ -1,0 +1,154 @@
+package hypertree
+
+import (
+	"context"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"hypertree/internal/gen"
+	"hypertree/internal/obs"
+)
+
+// These tests pin the plan and the estimate of the cost-based planner on
+// the queries where same-width covers differ by orders of magnitude — the
+// cycles — by counts, not clocks: which λ labels the auto race serves, how
+// many rows every node materialises and how far the estimate sat from it.
+
+// nodeSpans executes plan against db under a fresh trace and returns the
+// node spans of that execution.
+func nodeSpans(t *testing.T, plan *Plan, db *Database) []obs.Span {
+	t.Helper()
+	tr := NewTrace()
+	if _, err := plan.Execute(ContextWithTrace(context.Background(), tr), db); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []obs.Span
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanNode {
+			nodes = append(nodes, s)
+		}
+	}
+	if len(nodes) == 0 {
+		t.Fatal("the execution recorded no node span")
+	}
+	return nodes
+}
+
+// pairwiseDisjoint reports whether no two λ edges of n share a variable: a
+// node whose table is a Cartesian product.
+func pairwiseDisjoint(h *Hypergraph, n *DecompositionNode) bool {
+	lam := n.Lambda.Elems()
+	for i, e := range lam {
+		for _, f := range lam[i+1:] {
+			if h.Edge(e).Intersects(h.Edge(f)) {
+				return false
+			}
+		}
+	}
+	return len(lam) > 1
+}
+
+// On the serving benchmark's cycle4 — four 500-row degree-regular relations
+// over 200 constants — every width-2 cover of a bag is a join of ≈ 1 250
+// rows or a product of 100 000, and the AGM product cannot tell them apart.
+// The auto race under statistics must serve joins only, estimate them
+// within 2×, and do so wherever the four atoms sit in the query: the
+// engines' lowest-index tie-breaks must not decide.
+func TestCycle4ServesJoinsNotProducts(t *testing.T) {
+	atoms := []string{"r1(X1, X2)", "r2(X2, X3)", "r3(X3, X4)", "r4(X4, X1)"}
+	db := gen.RegularDatabase(rand.New(rand.NewSource(1)), gen.Cycle(4), 500, 200)
+	st := CollectStatsSampled(db, 0)
+	var perm func(k int)
+	perm = func(k int) {
+		if k < len(atoms) {
+			for i := k; i < len(atoms); i++ {
+				atoms[k], atoms[i] = atoms[i], atoms[k]
+				perm(k + 1)
+				atoms[k], atoms[i] = atoms[i], atoms[k]
+			}
+			return
+		}
+		src := strings.Join(atoms, ", ")
+		plan, err := Compile(MustParseQuery(src), WithAutoStrategy(), WithCostModel(st))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, n := range plan.Decomposition().Nodes() {
+			if pairwiseDisjoint(plan.Decomposition().H, n) {
+				t.Errorf("%s: the plan holds a product bag\n%s", src, plan.Explain())
+			}
+		}
+		for _, s := range nodeSpans(t, plan, db) {
+			if s.Rows > 2000 || QError(s.EstRows, s.Rows) > 2 {
+				t.Errorf("%s: node %s materialised %d rows against an estimate of %.4g\n%s",
+					src, s.Label, s.Rows, s.EstRows, plan.ExplainAnalyze())
+			}
+		}
+	}
+	perm(0)
+}
+
+// On longer cycles a width-2 plan cannot avoid bags spanning two
+// non-adjacent edges — n−4 of them, each the product of one relation with a
+// column of the other, 500·200 rows — but the two bags at the ends of the
+// chain can be joins, and every estimate can be right: the projection of a
+// product onto χ is priced at what it holds, not at 500².
+func TestLongerCyclesKeepProductsToTheUnavoidable(t *testing.T) {
+	for n := 5; n <= 8; n++ {
+		q := gen.Cycle(n)
+		db := gen.RegularDatabase(rand.New(rand.NewSource(int64(n))), q, 500, 200)
+		plan, err := Compile(q, WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, s := range nodeSpans(t, plan, db) {
+			total += s.Rows
+			if QError(s.EstRows, s.Rows) > 2 {
+				t.Errorf("cycle %d: node %s materialised %d rows against an estimate of %.4g", n, s.Label, s.Rows, s.EstRows)
+			}
+		}
+		if limit := int64(n-4)*100_000 + 3_000; total > limit {
+			t.Errorf("cycle %d: the plan materialises %d node rows, want ≤ %d\n%s", n, total, limit, plan.ExplainAnalyze())
+		}
+	}
+}
+
+// Explain, EXPLAIN ANALYZE, the node records and the node spans all carry a
+// leapfrog node's variable order, scans carry none, and the race spans
+// print the estimate the ranking used.
+func TestExplainCarriesVariableOrder(t *testing.T) {
+	q := gen.Cycle(4)
+	db := gen.RegularDatabase(rand.New(rand.NewSource(1)), q, 500, 200)
+	tr := NewTrace()
+	plan, err := CompileContext(ContextWithTrace(context.Background(), tr), q, WithAutoStrategy(), WithStats(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Explain(); strings.Count(got, " order=") != 2 {
+		t.Errorf("Explain must show the order of both join bags:\n%s", got)
+	}
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanRace && !strings.Contains(s.Label, " cost=") {
+			t.Errorf("race span %q carries no cost", s.Label)
+		}
+	}
+	for _, s := range nodeSpans(t, plan, db) {
+		if !strings.Contains(s.Label, " order=X") {
+			t.Errorf("node span %q carries no variable order", s.Label)
+		}
+	}
+	if got := plan.ExplainAnalyze(); strings.Count(got, "kernel=leapfrog order=") != 2 {
+		t.Errorf("EXPLAIN ANALYZE must show the order of both join bags:\n%s", got)
+	}
+	acyclic, err := Compile(gen.Path(3), WithStats(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range nodeSpans(t, acyclic, db) {
+		if strings.Contains(s.Label, "order=") {
+			t.Errorf("scan span %q carries a variable order", s.Label)
+		}
+	}
+}

@@ -36,9 +36,9 @@ type Plan struct {
 	fractional   bool // decomposition carries fractional λ weights (validated by ValidateFHD)
 
 	// cost-based planning state (nil/zero without WithStats/WithCostModel)
-	stats    *stats.Stats
-	edgeRows []float64 // per-hypergraph-edge cardinality estimates
-	estCost  float64   // Σ over nodes of the annotated EstRows
+	stats   *stats.Stats
+	cost    *CostModel // stats read against the query's hypergraph
+	estCost float64    // Σ over nodes of the annotated EstRows
 
 	// observability state. trace is the WithTrace default execution trace
 	// (nil without the option); lastTrace is the most recent traced
@@ -118,9 +118,10 @@ func WithDecomposer(d Decomposer) CompileOption {
 // of lowest achieved fractional width — the evaluation-cost exponent —
 // with ties broken by guarantee strength (exact HD, then fhd, then ghd).
 // With statistics (WithStats/WithCostModel) the race ranks entrants by
-// estimated total evaluation cost against the actual relation
-// cardinalities instead of width alone, falling back to the width ranking
-// when no statistics are given.
+// estimated total evaluation cost — the summed join-size estimates of the
+// node tables, from the actual relation cardinalities and distinct counts
+// — instead of width alone, falling back to the width ranking when no
+// statistics are given.
 // The exact entrant runs under WithStepBudget's budget, or
 // DefaultRaceExactBudget when none is set, so the race always terminates;
 // engines that fail just drop out. The winner is recorded in
@@ -289,8 +290,8 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 			Workers:    cfg.workers,
 		}
 		if cfg.stats != nil {
-			p.edgeRows = edgeRowsFor(q, edgeToAtom, cfg.stats)
-			req.EdgeRows = p.edgeRows
+			p.cost = costModelFor(q, h, edgeToAtom, cfg.stats)
+			req.Cost = p.cost
 		}
 		switch {
 		case h.NumEdges() == 0:
@@ -344,23 +345,17 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 				return nil, fmt.Errorf("hypertree: decomposer %q produced an invalid decomposition: %w", p.decomposer, err)
 			}
 		}
-		if p.edgeRows != nil {
-			// Stamp the cost estimates on the tree once, refine them with the
-			// distinct-count cross-product bound, and remember the total: the
-			// plan is immutable afterwards, so Explain and the evaluator's
-			// join ordering read the same numbers forever. Annotate a clone —
-			// a pluggable Decomposer may legally return a shared or memoised
-			// tree, which must not be written to.
+		if p.cost != nil {
+			// Stamp the estimates on the tree once and remember the total:
+			// the plan is immutable afterwards, so Explain reads the numbers
+			// the race ranked by and the evaluator orders its children by.
+			// Annotate a clone — a pluggable Decomposer may legally return a
+			// shared or memoised tree, which must not be written to.
 			dec = dec.Clone()
-			dec.AnnotateCosts(p.edgeRows)
-			refineEstimates(q, edgeToAtom, cfg.stats, dec)
-			p.estCost = 0
-			for _, n := range dec.Nodes() {
-				p.estCost += n.EstRows
-			}
+			p.estCost = dec.AnnotateCosts(p.cost)
 		}
 		p.dec = dec
-		p.eval, err = hdeval.NewEvaluator(q, dec, p.edgeRows)
+		p.eval, err = hdeval.NewEvaluator(q, dec, p.cost)
 		if err != nil {
 			return nil, err
 		}

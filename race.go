@@ -49,12 +49,14 @@ type raceOutcome struct {
 // by achieved fractional width (the evaluation-cost exponent — by the AGM
 // bound a node table holds at most r^fw tuples), ties broken by guarantee
 // strength in the fixed order exact > fhd > ghd. With statistics
-// (req.EdgeRows non-nil) the ranking is by estimated total evaluation cost
-// — Σ over nodes of Π_{R∈λ} |R|^w, the same AGM bound priced against the
-// actual relation cardinalities instead of a uniform r — with ties broken
-// by fractional width and then guarantee strength; each entrant also
-// receives the statistics, so the heuristics surface their cheapest
-// same-width candidates for the race to judge. Every entrant observes ctx
+// (req.Cost non-nil) the ranking is by estimated total evaluation cost — Σ
+// over nodes of the estimated node table (decomp.NodeCost: the join-size
+// estimate from the relations' cardinalities and distinct counts, capped by
+// the AGM bound) — with ties broken by fractional width and then guarantee
+// strength; each entrant also receives the statistics, so the heuristics
+// surface their cheapest same-width candidates for the race to judge (the
+// exact search is untouched: it returns the first decomposition of minimum
+// width it finds, and only its price changes). Every entrant observes ctx
 // and its own step budget, so the race always terminates: the exact engine
 // gets req.StepBudget or DefaultRaceExactBudget, the polynomial heuristics
 // req.StepBudget as given. Entrants that fail (budget, width bound, or any
@@ -103,7 +105,7 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 		}
 		fw := r.d.FractionalWidth()
 		switch {
-		case req.EdgeRows != nil:
+		case req.Cost != nil:
 			// Cost-based ranking: lower estimated total cost wins; within
 			// the relative tie band the lower fractional width (then the
 			// entrant order's guarantee strength) decides. The band must be
@@ -111,7 +113,7 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 			// entrant's float-dust weights (0.999999·w) shave absolute
 			// amounts far above any fixed epsilon, which would make the
 			// width/guarantee fallback unreachable.
-			cost := r.d.CostWith(req.EdgeRows)
+			cost := r.d.CostWith(req.Cost)
 			if win < 0 || cost < winCost*(1-costTieRel) ||
 				(cost < winCost*(1+costTieRel) && fw < winFW-decomp.FracEps) {
 				win, winFW, winCost = i, fw, cost
@@ -137,8 +139,8 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 				label += " no decomposition"
 			default:
 				label += fmt.Sprintf(" width=%d fhw=%.4g", r.d.Width(), r.d.FractionalWidth())
-				if req.EdgeRows != nil {
-					label += fmt.Sprintf(" cost=%.4g", r.d.CostWith(req.EdgeRows))
+				if req.Cost != nil {
+					label += fmt.Sprintf(" cost=%.4g", r.d.CostWith(req.Cost))
 				}
 			}
 			if i == win {

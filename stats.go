@@ -3,6 +3,7 @@ package hypertree
 import (
 	"fmt"
 
+	"hypertree/internal/decomp"
 	"hypertree/internal/stats"
 )
 
@@ -53,8 +54,11 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // WithStats makes compilation cost-based against db: a sampled statistics
 // snapshot is collected (CollectStatsSampled with the default bound) and
 // threaded through the whole planning pipeline — the heuristic engines
-// break width ties toward cheaper λ placements, the WithAutoStrategy race
-// ranks entrants by estimated total cost Σ_p Π_{R∈λ(p)} |R|^w instead of
+// break width ties toward λ labels whose node tables are estimated smaller
+// (a join of two relations over a shared variable instead of their
+// product), the WithAutoStrategy race ranks entrants by estimated total
+// cost — Σ over nodes p of the estimated size of π_χ(p)(⋈ λ(p)), from
+// cardinalities and distinct counts, capped by the AGM bound — instead of
 // width alone, the evaluator orders the semijoin passes by ascending
 // estimated cardinality, and Plan.Explain reports the per-node estimates.
 // Statistics never change answers — only which same-width plan wins and in
@@ -96,74 +100,45 @@ func WithCostModel(s *Stats) CompileOption {
 }
 
 // EstimateCost prices a decomposition of q's hypergraph against a
-// statistics snapshot: Σ over nodes of Π_{R∈λ} |R|^w, the same AGM-style
-// estimate cost-based compilation minimises (without the distinct-count
-// refinement Plan.EstimatedCost additionally applies to its own nodes). It
-// lets experiments and tools compare plans compiled under different
-// rankings on one scale — e.g. how much cheaper the WithStats winner is
-// than the width-only winner.
+// statistics snapshot: Σ over nodes of the estimated cardinality of the
+// node's table π_χ(⋈ λ) — the join-size estimate from the relations'
+// cardinalities and per-column distinct counts, never above the AGM bound
+// Π_{R∈λ} |R|^w — the same number cost-based compilation minimises,
+// Plan.EstimatedCost sums and Explain prints per node. It lets experiments
+// and tools compare plans compiled under different rankings on one scale —
+// e.g. how much cheaper the WithStats winner is than the width-only winner.
 func EstimateCost(q *Query, d *Decomposition, s *Stats) float64 {
 	if d == nil || s == nil {
 		return 0
 	}
-	_, edgeToAtom := q.Hypergraph()
-	return d.CostWith(edgeRowsFor(q, edgeToAtom, s))
+	h, edgeToAtom := q.Hypergraph()
+	return d.CostWith(costModelFor(q, h, edgeToAtom, s))
 }
 
-// edgeRowsFor prices every hypergraph edge with the cardinality of the
-// relation backing its atom, producing the EdgeRows slice the decomposition
-// request, the race and the evaluator share. edgeToAtom is the mapping
-// returned by Query.Hypergraph.
-func edgeRowsFor(q *Query, edgeToAtom []int, s *Stats) []float64 {
+// costModelFor derives the compilation's cost model from a statistics
+// snapshot: every hypergraph edge gets the cardinality of the relation
+// backing its atom and, per variable, the distinct count of the column
+// binding it (the smallest, when the variable repeats within the atom). h
+// and edgeToAtom are what Query.Hypergraph returns.
+func costModelFor(q *Query, h *Hypergraph, edgeToAtom []int, s *Stats) *CostModel {
 	rows := make([]float64, len(edgeToAtom))
 	for e, ai := range edgeToAtom {
 		rows[e] = float64(s.Rows(q.Atoms[ai].Pred))
 	}
-	return rows
-}
-
-// refineEstimates tightens the annotated per-node cardinality estimates
-// with the per-column distinct counts: the node's table is a set of
-// χ-tuples, so it can never exceed Π_{v∈χ} d(v), where d(v) is the smallest
-// distinct-value count of v across the λ atoms containing it (a semijoin
-// argument: every surviving binding of v appears in every λ relation of the
-// node). When that cross-product bound undercuts the AGM bound Π |R|^w the
-// node keeps the smaller estimate. Estimates feed ordering and Explain
-// only — never answers — so the refinement is free to be approximate.
-func refineEstimates(q *Query, edgeToAtom []int, s *Stats, d *Decomposition) {
-	for _, n := range d.Nodes() {
-		bound := 1.0
-		ok := true
-		n.Chi.ForEach(func(v int) {
-			if !ok {
-				return
+	return decomp.NewCostModel(h, rows, func(e, v int) float64 {
+		atom := q.Atoms[edgeToAtom[e]]
+		d := 0
+		for col, t := range atom.Args {
+			if !t.IsVar {
+				continue
 			}
-			dv := 0
-			n.Lambda.ForEach(func(e int) {
-				if e >= len(edgeToAtom) {
-					return
-				}
-				atom := q.Atoms[edgeToAtom[e]]
-				for col, t := range atom.Args {
-					if !t.IsVar {
-						continue
-					}
-					if vi, found := q.VarIndex(t.Name); !found || vi != v {
-						continue
-					}
-					if c := s.Distinct(atom.Pred, col); c > 0 && (dv == 0 || c < dv) {
-						dv = c
-					}
-				}
-			})
-			if dv <= 0 {
-				ok = false // v unseen in the statistics: no bound through it
-				return
+			if vi, ok := q.VarIndex(t.Name); !ok || vi != v {
+				continue
 			}
-			bound *= float64(dv)
-		})
-		if ok && bound < n.EstRows {
-			n.EstRows = bound
+			if c := s.Distinct(atom.Pred, col); c > 0 && (d == 0 || c < d) {
+				d = c
+			}
 		}
-	}
+		return float64(d)
+	})
 }
