@@ -1,7 +1,7 @@
-// Experiment benchmarks, one per experiment of DESIGN.md §3. Each bench
-// regenerates the computational content of a figure, example or theorem of
-// the paper; cmd/hdbench prints the same data as human-readable rows and
-// EXPERIMENTS.md records paper-claim vs measured.
+// Experiment benchmarks, one per paper experiment of cmd/hdbench. Each
+// bench regenerates the computational content of a figure, example or
+// theorem of the paper; cmd/hdbench prints the same data as human-readable
+// rows, paper claim beside measured value.
 package hypertree
 
 import (
@@ -359,7 +359,8 @@ func BenchmarkE20OutputPoly(b *testing.B) {
 }
 
 // Ablation benches for the two k-decomp design choices documented in
-// DESIGN.md §4: subproblem memoisation and the frontier-based memo key.
+// docs/ARCHITECTURE.md (internal/decomp): subproblem memoisation and the
+// frontier-based memo key.
 func BenchmarkAblationKDecomp(b *testing.B) {
 	h := QueryHypergraph(gen.Grid(4, 4))
 	run := func(b *testing.B, cfg func(*decomp.Decider)) {

@@ -1,5 +1,7 @@
-// Command hdbench regenerates every experiment of DESIGN.md §3 and prints
-// paper-claim versus measured rows. Run all experiments or a selection:
+// Command hdbench regenerates the E1–E30 experiments (the figures, lemmas
+// and theorems of the paper, plus the engine's plan-quality checks; see
+// docs/ARCHITECTURE.md) and prints paper-claim versus measured rows. Run
+// all experiments or a selection:
 //
 //	hdbench            # everything
 //	hdbench E5 E14     # a selection

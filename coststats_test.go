@@ -351,9 +351,9 @@ func TestPlanCacheKeysOnStats(t *testing.T) {
 	}
 }
 
-// The deprecated Stats wrapper must keep reporting exactly the Metrics
-// counters.
-func TestPlanCacheStatsWrapsMetrics(t *testing.T) {
+// Three compiles of one query are one miss and two hits, and the cache
+// holds one plan.
+func TestPlanCacheMetricsCountsHitsAndMisses(t *testing.T) {
 	ctx := context.Background()
 	q := MustParseQuery(`r(X, Y), s(Y, Z), t(Z, X).`)
 	cache := NewPlanCache(4)
@@ -362,12 +362,7 @@ func TestPlanCacheStatsWrapsMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := cache.Stats()
-	m := cache.Metrics()
-	if hits != m.Hits || misses != m.Misses {
-		t.Fatalf("Stats()=(%d,%d) disagrees with Metrics()=%+v", hits, misses, m)
-	}
-	if hits != 2 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
+	if m := cache.Metrics(); m.Hits != 2 || m.Misses != 1 || m.Len != 1 {
+		t.Fatalf("metrics = %+v, want 2 hits / 1 miss / 1 entry", m)
 	}
 }

@@ -173,6 +173,9 @@ func (p *Plan) ExplainAnalyze() string {
 			if info.Order != "" {
 				fmt.Fprintf(&b, " order=%s", info.Order)
 			}
+			if info.Keep != "" {
+				fmt.Fprintf(&b, " keep=%s", info.Keep)
+			}
 			s, ok := nodeSpans[info.ID]
 			switch {
 			case !ok:

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"strconv"
 	"strings"
 )
 
@@ -9,6 +10,10 @@ import (
 // key. Variables are replaced by their intern indices, which are determined
 // by first occurrence (body atoms in order, then the head), so the form is
 // exactly as discriminating as the variable-ID semantics of the query.
+//
+// Constants are written as Go-quoted strings, so no constant name — however
+// many commas, quotes or parentheses it holds — can read as the end of its
+// argument or the start of another.
 //
 // Atom order is deliberately significant. A cached Plan answers with tables
 // whose Vars are the compiled query's variable IDs; two queries assign the
@@ -50,8 +55,7 @@ func renderAtom(a Atom, canon func(string) string) string {
 		if t.IsVar {
 			b.WriteString(canon(t.Name))
 		} else {
-			b.WriteByte('\'')
-			b.WriteString(t.Name)
+			b.WriteString(strconv.Quote(t.Name))
 		}
 	}
 	b.WriteByte(')')

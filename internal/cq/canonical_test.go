@@ -53,3 +53,21 @@ func TestCanonicalFormRepeatedVars(t *testing.T) {
 		t.Fatal("distinct repetition patterns share a canonical form")
 	}
 }
+
+// A constant is one argument of the form whatever characters its name
+// holds: a quoted constant with a comma and a quote must not render like the
+// two bare constants it spells.
+func TestCanonicalFormQuotesConstants(t *testing.T) {
+	for _, pair := range [][2]string{
+		{`ans(X) :- r("a,'b", X).`, `ans(X) :- r(a, b, X).`},
+		{`ans(X) :- r("a,'b", c, X).`, `ans(X) :- r(a, "b,'c", X).`},
+		{`ans(X) :- r("v0", X).`, `ans(X) :- r(Y, X).`},
+	} {
+		if a, b := CanonicalForm(MustParse(pair[0])), CanonicalForm(MustParse(pair[1])); a == b {
+			t.Errorf("%s and %s share the canonical form %s", pair[0], pair[1], a)
+		}
+	}
+	if a, b := CanonicalForm(MustParse(`ans(X) :- r("a,'b", X).`)), CanonicalForm(MustParse(`ans(Y) :- r("a,'b", Y).`)); a != b {
+		t.Errorf("renaming changed the form of a quoted constant: %s vs %s", a, b)
+	}
+}

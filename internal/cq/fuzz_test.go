@@ -53,6 +53,8 @@ func FuzzCanonicalForm(f *testing.F) {
 		`r(A,B), s(B,C), t(C,A)`,
 		`p(V0, V1), q(V1, "V0")`,
 		`ans(Z) :- e(Z, z).`,
+		`ans(X) :- r("a,'b", X).`,
+		`ans(X) :- r(a, b, X).`,
 	} {
 		f.Add(s)
 	}

@@ -6,8 +6,8 @@
 // with treewidth, query-width and hypertree-width.
 //
 // The hinge decomposition method of Gyssens–Jeavons–Cohen is not
-// implemented; DESIGN.md records this as the one intentionally omitted
-// baseline.
+// implemented; docs/ARCHITECTURE.md records this as the one intentionally
+// omitted baseline.
 package csp
 
 import (

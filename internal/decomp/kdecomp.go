@@ -49,8 +49,8 @@ type Decider struct {
 	K int
 
 	// Ablation switches (used by the BenchmarkAblation* experiments to
-	// quantify the two design choices documented in DESIGN.md §4; leave
-	// both false for the real algorithm).
+	// quantify the two design choices documented in docs/ARCHITECTURE.md,
+	// internal/decomp; leave both false for the real algorithm).
 	//
 	// DisableMemo turns off subproblem memoisation: the search remains
 	// correct (the recursion is finite) but revisits shared components.

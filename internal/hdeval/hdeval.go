@@ -1,9 +1,11 @@
 // Package hdeval evaluates conjunctive queries through hypertree
 // decompositions, implementing the Lemma 4.6 transformation: given
 // ⟨Q, DB, HD⟩ with HD of width k, each decomposition node p is materialised
-// as the projection onto χ(p) of the join of the relations in λ(p) — a table
-// of size O(r^k) — and the decomposition tree becomes a join tree of an
-// acyclic instance evaluated with Yannakakis' algorithm (Theorems 4.7, 4.8).
+// as the projection of the join of the relations in λ(p) — a table of size
+// O(r^k) — and the decomposition tree becomes a join tree of an acyclic
+// instance evaluated with Yannakakis' algorithm (Theorems 4.7, 4.8). The
+// projection is onto the χ(p) variables the head or a neighbour reads, not
+// all of χ(p) (keep(p), kernel.go).
 //
 // The Evaluator type is the compile-once form of the construction: the
 // decomposition completion (Lemma 4.4), the edge→atom mapping and the head
@@ -42,7 +44,7 @@ type Evaluator struct {
 	head       []int
 	nodeID     map[*decomp.Node]int     // preorder index over the completed tree
 	infos      []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
-	labelOnce  sync.Once                // renders infos[i].Label/Order and spanLabels on first use
+	labelOnce  sync.Once                // renders infos[i].Label/Order/Keep and spanLabels on first use
 	spanLabels []string                 // per node: Label, plus " order=…" on a leapfrog node
 	lfNodes    map[*decomp.Node]*lfNode // every node's columnar plan (see kernel.go)
 	enc        encCache                 // plan-level Columnar encoding cache (interior mutability)
@@ -70,6 +72,10 @@ type NodeInfo struct {
 	// ("X1,X2,X4": χ first, then the existential variables); empty on a
 	// scan, whose order costs nothing. See VarOrder.
 	Order string
+	// Keep names the node table's columns ("{X1,X2}", "{}" when it keeps
+	// none) when they are fewer than χ's; empty when the table holds all of
+	// χ. See keep(p) in kernel.go.
+	Keep string
 }
 
 // NodeInfos returns the completed tree's node records in preorder. The
@@ -83,9 +89,13 @@ func (e *Evaluator) NodeInfos() []NodeInfo {
 			info := &e.infos[id]
 			info.Label = e.nodeLabel(n)
 			e.spanLabels[id] = info.Label
-			if lf := e.lfNodes[n]; len(lf.lam) > 1 {
+			lf := e.lfNodes[n]
+			if len(lf.lam) > 1 {
 				info.Order = OrderString(e.HD.H, lf.order)
 				e.spanLabels[id] += " order=" + info.Order
+			}
+			if lf.nOut < n.Chi.Len() {
+				info.Keep = "{" + OrderString(e.HD.H, lf.order[:lf.nOut]) + "}"
 			}
 		}
 	})
@@ -115,13 +125,13 @@ func (e *Evaluator) nodeLabel(n *decomp.Node) string {
 // name — so execution can no longer fail on the plan's shape.
 //
 // model, when non-nil, is the compilation's cost model: every node of the
-// completed tree is stamped with its decomp.NodeCost — the number the
-// planner ranked by and Explain prints — and every node's children are
-// reordered by ascending estimate, so the bottom-up semijoin passes shrink
-// each table against its most selective child first. The reordering is
-// answer-neutral — semijoin reductions commute — so an Evaluator with
-// statistics returns exactly the tables of one without; only the work to
-// produce them changes.
+// completed tree is stamped with the decomp.NodeCost of the table it
+// actually builds — χ narrowed to its kept columns, so a Boolean bag is
+// priced at one row — and every node's children are reordered by ascending
+// estimate, so the bottom-up semijoin passes shrink each table against its
+// most selective child first. The reordering is answer-neutral — semijoin
+// reductions commute — so an Evaluator with statistics returns exactly the
+// tables of one without; only the work to produce them changes.
 func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
@@ -141,20 +151,29 @@ func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel
 		nodeID:     make(map[*decomp.Node]int, len(nodes)),
 		infos:      make([]NodeInfo, 0, len(nodes)),
 	}
-	if model != nil {
-		// the completion may have added ⟨χ=var(e), λ={e}⟩ nodes
-		complete.AnnotateCosts(model)
-	}
-	// Node identity for tracing is the preorder over the final
-	// (post-reorder) tree, so span Node fields and EXPLAIN ANALYZE agree on
-	// which node is which forever after.
-	var index func(n, parent *decomp.Node, depth int) error
-	index = func(n, parent *decomp.Node, depth int) error {
+	// plan computes n's columnar plan and prices the table it builds.
+	plan := func(n, parent *decomp.Node) error {
 		lf, err := e.lfPlanFor(n, parent)
 		if err != nil {
 			return err
 		}
 		e.lfNodes[n] = lf
+		if model != nil {
+			kept := &decomp.Node{Chi: bitset.FromSlice(lf.order[:lf.nOut]), Lambda: n.Lambda, Weights: n.Weights}
+			n.EstRows = decomp.NodeCost(kept, model)
+		}
+		return nil
+	}
+	// Node identity for tracing is the preorder over the final
+	// (post-reorder) tree, so span Node fields and EXPLAIN ANALYZE agree on
+	// which node is which forever after.
+	var index func(n *decomp.Node, depth int) error
+	index = func(n *decomp.Node, depth int) error {
+		for _, c := range n.Children {
+			if err := plan(c, n); err != nil {
+				return err
+			}
+		}
 		if model != nil {
 			sort.SliceStable(n.Children, func(i, j int) bool {
 				return n.Children[i].EstRows < n.Children[j].EstRows
@@ -165,17 +184,20 @@ func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel
 			ID:      len(e.infos),
 			Depth:   depth,
 			EstRows: n.EstRows,
-			Kernel:  lf.kernel(),
+			Kernel:  e.lfNodes[n].kernel(),
 		})
 		for _, c := range n.Children {
-			if err := index(c, n, depth+1); err != nil {
+			if err := index(c, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if complete.Root != nil {
-		if err := index(complete.Root, nil, 0); err != nil {
+		if err := plan(complete.Root, nil); err != nil {
+			return nil, err
+		}
+		if err := index(complete.Root, 0); err != nil {
 			return nil, err
 		}
 	}

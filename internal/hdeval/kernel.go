@@ -15,13 +15,26 @@ import (
 )
 
 // This file plans and runs the materialisation of one decomposition node:
-// the χ-projection of its λ-join, in columnar form. A node with one λ
-// relation is a scan — its table is that relation's cached encoding as it
-// stands. A node with several runs the leapfrog triejoin
-// (relation.LeapfrogJoinColumnar) over their cached encodings: sorted
-// columnar tries intersected variable by variable, worst-case optimal with
-// respect to the AGM bound, which the node's fractional cover weights
-// certify as r^fhw. VarOrder chooses the variable order.
+// the projection of its λ-join onto the χ variables the rest of the tree
+// still reads, in columnar form. A node with one λ relation is a scan — its
+// table is that relation's cached encoding as it stands. A node with
+// several runs the leapfrog triejoin (relation.LeapfrogJoinColumnar) over
+// their cached encodings: sorted columnar tries intersected variable by
+// variable, worst-case optimal with respect to the AGM bound, which the
+// node's fractional cover weights certify as r^fhw. VarOrder chooses the
+// variable order.
+//
+// Lemma 4.6 materialises π_χ(p)(⋈ λ(p)), but a table need only hold
+// keep(p) = χ(p) ∩ (head ∪ χ(parent) ∪ ⋃ χ(children)), over the completed
+// tree: the reducer joins p with a neighbour q on χ(p) ∩ χ(q) and the
+// enumerator emits head variables, and by the connectedness condition
+// (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in no other
+// node, so projecting it away commutes with the tree's join. A scan orders
+// keep(p) first and keeps that distinct prefix. A join keeps VarOrder's
+// connectivity order — keep(p) first would bind kept variables no λ edge
+// relates before the join variable between them — and outputs the shortest
+// prefix of it covering keep(p); every later variable stops at its first
+// witness, so a Boolean bag (keep = ∅) is a search for one.
 
 // lfNode is the precomputed columnar plan of one decomposition node: its λ
 // edges, the global variable order (χ first, existential suffix by
@@ -31,7 +44,7 @@ import (
 type lfNode struct {
 	lam   []int
 	order []int
-	nChi  int
+	nOut  int // the node table's columns are order[:nOut]
 	keys  []encKey
 	subs  [][]int
 }
@@ -56,8 +69,28 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 	if !n.Chi.SubsetOf(e.HD.H.Vars(n.Lambda)) {
 		return nil, fmt.Errorf("hdeval: decomposition node %s has χ variables outside var(λ)", e.nodeLabel(n))
 	}
+	keep := n.Chi.Intersect(bitset.FromSlice(e.head))
+	if parent != nil {
+		keep.UnionInPlace(n.Chi.Intersect(parent.Chi))
+	}
+	for _, c := range n.Children {
+		keep.UnionInPlace(n.Chi.Intersect(c.Chi))
+	}
 	order, nChi := VarOrder(e.HD.H, n, parent)
-	lf := &lfNode{lam: lam, order: order, nChi: nChi}
+	lf := &lfNode{lam: lam, order: order}
+	if len(lam) == 1 {
+		// parent-shared variables lead and are kept, so this stable pass
+		// leaves them in front
+		chi := order[:nChi]
+		sort.SliceStable(chi, func(i, j int) bool { return keep.Has(chi[i]) && !keep.Has(chi[j]) })
+		lf.nOut = keep.Len()
+	} else {
+		for i, v := range order[:nChi] {
+			if keep.Has(v) {
+				lf.nOut = i + 1
+			}
+		}
+	}
 	for _, e2 := range lam {
 		sub := lf.order // a scan's one relation spans the whole order
 		if len(lam) > 1 {
@@ -65,7 +98,7 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 		}
 		key := encKey{edge: e2, order: orderKey(sub), width: len(sub)}
 		if len(lam) == 1 {
-			key.width = lf.nChi
+			key.width = lf.nOut
 		}
 		lf.subs, lf.keys = append(lf.subs, sub), append(lf.keys, key)
 	}
@@ -82,7 +115,8 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 // A scan (one λ edge) lists the variables shared with the parent first
 // (ascending), the rest after: reordering a cached scan costs nothing, and
 // it exposes the reducer's semijoin variables as a sorted column prefix (the
-// aligned case of relation.MergeSemijoin).
+// aligned case of relation.MergeSemijoin). lfPlanFor then moves the rest of
+// keep(n) up behind them.
 //
 // A join (several λ edges) orders χ by connectivity, because the order is
 // what the leapfrog kernel pays for: binding two variables no λ edge
@@ -229,7 +263,7 @@ func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	out := &yannakakis.Node{Enc: cols[0]}
 	if len(cols) > 1 {
 		var err error
-		out.Enc, err = relation.LeapfrogJoinColumnar(b.ctx, cols, lf.order, lf.nChi, agmCapHint(n, lf.lam, cols))
+		out.Enc, err = relation.LeapfrogJoinColumnar(b.ctx, cols, lf.order, lf.nOut, agmCapHint(n, lf.lam, cols))
 		if err != nil {
 			return nil, err
 		}

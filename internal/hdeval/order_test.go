@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hypertree/internal/bitset"
+	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
 	"hypertree/internal/relation"
@@ -20,12 +21,15 @@ import (
 // maximum λ-degree, and never start a new factor — a variable sharing no λ
 // edge with the bound ones — while some unbound variable does share one;
 // and the node table under it must equal, as a set, the table under the
-// ascending-id order, through the kernel under a random parent and through
-// the evaluator at the root.
+// ascending-id order, through the kernel under a random parent. Through the
+// evaluator at the root — Boolean, or headed over a random part of χ — the
+// bag must bind in exactly VarOrder's order whatever it keeps, and its table
+// must be that join projected onto the shortest prefix of the order that
+// covers keep(root).
 func TestVarOrderConnectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	ctx := context.Background()
-	joins := 0
+	joins, narrowed := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		q := gen.RandomQuery(rng, 3+rng.Intn(5), 3+rng.Intn(4), 1+rng.Intn(3))
 		h, edgeToAtom := q.Hypergraph()
@@ -107,20 +111,50 @@ func TestVarOrderConnectivity(t *testing.T) {
 		if got := relation.LeapfrogJoin(tables, order, nChi, 0); !got.Equal(want) {
 			t.Fatalf("trial %d: order %v gives %d rows, ascending order %d", trial, order, got.Rows(), want.Rows())
 		}
+		var head []cq.Term
+		chi.ForEach(func(v int) {
+			if rng.Intn(3) == 0 {
+				head = append(head, cq.Var(q.VarName(v)))
+			}
+		})
+		if head != nil {
+			q = cq.NewQuery(&cq.Atom{Pred: "ans", Args: head}, q.Atoms)
+		}
 		e, err := NewEvaluator(q, &decomp.Decomposition{H: h, Root: n}, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		rootOrder, _ := VarOrder(h, n, nil)
+		if got := e.NodeInfos()[0].Order; got != OrderString(h, rootOrder) {
+			t.Fatalf("trial %d: the evaluator binds the bag in order %s, VarOrder says %s", trial, got, OrderString(h, rootOrder))
+		}
+		keep := chi.Intersect(bitset.FromSlice(e.Head()))
+		for _, c := range e.HD.Root.Children { // the completion's leaves
+			keep.UnionInPlace(chi.Intersect(c.Chi))
+		}
+		nOut := 0
+		for i, v := range rootOrder[:nChi] {
+			if keep.Has(v) {
+				nOut = i + 1
+			}
+		}
+		if nOut < nChi {
+			narrowed++
 		}
 		root, err := e.Root(ctx, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := yannakakis.GroundAtomsHold(db, q); ok && !root.Enc.Table().Equal(want) {
-			t.Fatalf("trial %d: the evaluator's root table has %d rows, the ascending-order join %d", trial, root.Enc.Rows(), want.Rows())
+		if !slices.Equal(root.Vars(), rootOrder[:nOut]) {
+			t.Fatalf("trial %d: the root table's columns %v are not the prefix of %v covering keep %v", trial, root.Vars(), rootOrder, keep.Elems())
+		}
+		if ok, _ := yannakakis.GroundAtomsHold(db, q); ok && !root.Enc.Table().Equal(want.Project(root.Vars())) {
+			t.Fatalf("trial %d: the evaluator's root table has %d rows, the ascending-order join projected onto %v %d",
+				trial, root.Enc.Rows(), root.Vars(), want.Project(root.Vars()).Rows())
 		}
 		joins++
 	}
-	if joins < 200 {
-		t.Fatalf("only %d of 300 trials drew a join bag", joins)
+	if joins < 200 || narrowed < joins/4 {
+		t.Fatalf("only %d of 300 trials drew a join bag, %d of them one that drops χ columns", joins, narrowed)
 	}
 }

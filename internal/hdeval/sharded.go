@@ -131,7 +131,7 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, e
 			cols := make([]*relation.Columnar, 0, len(lf.lam))
 			cols = append(cols, frag)
 			cols = append(cols, broadcast...)
-			out, err := relation.LeapfrogJoinColumnar(ctx, cols, lf.order, lf.nChi, 0)
+			out, err := relation.LeapfrogJoinColumnar(ctx, cols, lf.order, lf.nOut, 0)
 			if err != nil {
 				return nil, err
 			}

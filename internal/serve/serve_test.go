@@ -119,6 +119,40 @@ func TestServeCacheIsRenameInvariantAcrossRequests(t *testing.T) {
 	}
 }
 
+// Two queries whose constants differ only in where the quotes fall are
+// different requests: different cache and single-flight keys, each answered
+// from its own plan.
+func TestServeKeysQuotedConstantsApart(t *testing.T) {
+	db := hypertree.NewDatabase()
+	if err := db.AddFact("r", "a,'b", "c", "x1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddFact("r", "a", "b,'c", "x2"); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{DB: db})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	keys := map[string]bool{}
+	for _, tc := range []struct{ src, want string }{
+		{`ans(X) :- r("a,'b", c, X).`, "x1"},
+		{`ans(X) :- r(a, "b,'c", X).`, "x2"},
+	} {
+		code, out, e := post(t, ts.URL, QueryRequest{Query: tc.src})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%v)", tc.src, code, e)
+		}
+		if len(out.Rows) != 1 || out.Rows[0][0] != tc.want {
+			t.Errorf("%s answered %v, want [[%s]]", tc.src, out.Rows, tc.want)
+		}
+		keys[out.Query] = true
+	}
+	if m := s.Metrics(); len(keys) != 2 || m.Cache.Misses != 2 || m.Cache.Hits != 0 {
+		t.Errorf("two different queries shared a key: keys %v, cache %+v", keys, m.Cache)
+	}
+}
+
 func TestServeSingleFlightCoalescesInFlightTwins(t *testing.T) {
 	s := newTestServer(t, Config{MaxInflight: 8})
 	release := make(chan struct{})

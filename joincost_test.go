@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hypertree/internal/gen"
+	"hypertree/internal/hdeval"
 	"hypertree/internal/obs"
 )
 
@@ -85,8 +86,70 @@ func TestCycle4ServesJoinsNotProducts(t *testing.T) {
 					src, s.Label, s.Rows, s.EstRows, plan.ExplainAnalyze())
 			}
 		}
+		joinOrdersAreVarOrders(t, src, plan)
 	}
 	perm(0)
+}
+
+// joinOrdersAreVarOrders checks that every join node plan executes binds in
+// exactly VarOrder's connectivity order. Keeping fewer columns cuts a join's
+// output prefix; it must never reorder the join, because kept variables
+// that no λ edge relates, bound first, enumerate their product.
+func joinOrdersAreVarOrders(t *testing.T, src string, plan *Plan) {
+	t.Helper()
+	infos := plan.eval.NodeInfos()
+	id := 0
+	var walk func(n, parent *DecompositionNode)
+	walk = func(n, parent *DecompositionNode) {
+		info := infos[id]
+		id++
+		if n.Lambda.Len() > 1 {
+			order, _ := hdeval.VarOrder(plan.eval.HD.H, n, parent)
+			if want := hdeval.OrderString(plan.eval.HD.H, order); info.Order != want {
+				t.Errorf("%s: node %s binds in order %s, VarOrder says %s", src, info.Label, info.Order, want)
+			}
+		}
+		for _, c := range n.Children {
+			walk(c, n)
+		}
+	}
+	walk(plan.eval.HD.Root, nil)
+}
+
+// A Boolean bag keeps no column, so its join stops at the first witness:
+// the one-bag fhd triangle lists one row, not every triangle, is estimated
+// at one, and EXPLAIN ANALYZE shows what it dropped. With a full head the
+// same bag keeps χ and lists them all.
+func TestBooleanBagStopsAtFirstWitness(t *testing.T) {
+	db := gen.RegularDatabase(rand.New(rand.NewSource(3)), gen.Cycle(3), 500, 50)
+	body := "r1(X1, X2), r2(X2, X3), r3(X3, X1)"
+	var triangles int64
+	for _, head := range []string{"", "ans(X1, X2, X3) :- "} {
+		plan, err := Compile(MustParseQuery(head+body), WithStrategy(StrategyHypertree),
+			WithDecomposer(FractionalDecomposer()), WithStats(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bag obs.Span
+		for _, s := range nodeSpans(t, plan, db) {
+			if s.Kernel == "leapfrog" {
+				bag = s
+			}
+		}
+		report := plan.ExplainAnalyze()
+		switch {
+		case bag.Kernel == "":
+			t.Fatalf("%q: no leapfrog bag\n%s", head, report)
+		case head == "" && (bag.Rows != 1 || bag.EstRows != 1 || !strings.Contains(report, "keep={}")):
+			t.Errorf("Boolean triangle bag: %d rows, est %.4g, want 1 and 1 with keep={}\n%s", bag.Rows, bag.EstRows, report)
+		case head != "" && strings.Contains(report, "keep="):
+			t.Errorf("a full head keeps χ, yet the report shows a keep\n%s", report)
+		}
+		triangles = bag.Rows
+	}
+	if triangles < 2 {
+		t.Fatalf("the database holds %d triangles; the test needs several", triangles)
+	}
 }
 
 // On longer cycles a width-2 plan cannot avoid bags spanning two

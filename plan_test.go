@@ -327,8 +327,8 @@ func TestPlanCache(t *testing.T) {
 	if got := cd.calls.Load(); got != 1 {
 		t.Fatalf("%d searches for two equivalent compiles, want 1", got)
 	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	if m := cache.Metrics(); m.Hits != 1 || m.Misses != 1 {
+		t.Fatalf("metrics = %+v, want 1 hit / 1 miss", m)
 	}
 
 	// The cached plan answers in the caller's own variable IDs: q2's answer

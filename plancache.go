@@ -151,18 +151,6 @@ func (c *PlanCache) sweepLocked() {
 	}
 }
 
-// Stats returns the cumulative hit and miss counters. Like Metrics it is
-// safe to call concurrently with Compile from any number of goroutines.
-//
-// Deprecated: use Metrics — it reports the same hit/miss counters plus
-// evictions and the live entry count in one atomic snapshot. Stats predates
-// Metrics and survives as this thin wrapper; note that, like Metrics, it
-// now sweeps expired TTL entries as a side effect.
-func (c *PlanCache) Stats() (hits, misses uint64) {
-	m := c.Metrics()
-	return m.Hits, m.Misses
-}
-
 // CacheMetrics is a point-in-time snapshot of the cache counters: a TTL
 // expiry and an LRU displacement both count as an eviction.
 type CacheMetrics struct {

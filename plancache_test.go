@@ -104,7 +104,7 @@ func TestPlanCacheDecomposerKeySeparation(t *testing.T) {
 	if p, _ := cache.Compile(ctx, q, opts(GreedyDecomposer())...); p != greedy {
 		t.Fatal("ghd plan missed the cache")
 	}
-	if hits, _ := cache.Stats(); hits != 2 {
+	if hits := cache.Metrics().Hits; hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
 
@@ -182,7 +182,7 @@ func TestPlanCacheStrategyNamesNeverCollide(t *testing.T) {
 	}
 }
 
-// The Metrics/Stats/Len counters must hold up under concurrent Compile,
+// The Metrics/Len counters must hold up under concurrent Compile,
 // Get-path hits, TTL sweeps and Purge — run under -race in CI (make check).
 func TestPlanCacheMetricsConcurrent(t *testing.T) {
 	cache := NewPlanCacheTTL(4, time.Hour)
@@ -211,7 +211,6 @@ func TestPlanCacheMetricsConcurrent(t *testing.T) {
 					cache.Metrics()
 				case 1:
 					cache.Len()
-					cache.Stats()
 				case 2:
 					if i%25 == 0 {
 						cache.Purge()
@@ -298,5 +297,39 @@ func TestPlanCacheIgnoresJoinKernelOption(t *testing.T) {
 	}
 	if plain.String() != "plan{hypertree, width=2, decomposer=k-decomp}" {
 		t.Fatalf("plan renders as %s", plain)
+	}
+}
+
+// Two queries whose constants spell the same characters once the quotes are
+// gone are different queries: they must key different cache slots, and each
+// must answer from its own plan.
+func TestPlanCacheKeysQuotedConstantsApart(t *testing.T) {
+	db := NewDatabase()
+	if err := db.AddFact("r", "a,'b", "c", "x1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddFact("r", "a", "b,'c", "x2"); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewPlanCache(4)
+	ctx := context.Background()
+	for _, tc := range []struct{ src, want string }{
+		{`ans(X) :- r("a,'b", c, X).`, "x1"},
+		{`ans(X) :- r(a, "b,'c", X).`, "x2"},
+	} {
+		plan, err := cache.Compile(ctx, MustParseQuery(tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := plan.Execute(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Rows() != 1 || db.ValueName(ans.Row(0)[0]) != tc.want {
+			t.Errorf("%s answered %d rows (%v), want %s", tc.src, ans.Rows(), ans, tc.want)
+		}
+	}
+	if m := cache.Metrics(); m.Misses != 2 || m.Hits != 0 {
+		t.Errorf("two different queries shared a slot: %+v", m)
 	}
 }
