@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hypertree/internal/gen"
 	"hypertree/internal/obs"
@@ -115,11 +117,11 @@ func enumShapeDB(domain int) *Database { return regularDB(domain, "r1", "r2", "r
 const enumShapeQuery = `ans(X1, X2, X3, X4) :- r1(X1, X2), r2(X2, X3), r3(X3, X4).`
 
 // The allocation guard of the columnar acyclic path: a warm Execute works on
-// cached encodings, code blocks and one answer buffer, so its allocation
-// count must not grow with the relations — under 1 000 at the exec_enum
-// scale (3 × 15 000 rows; the row-major path made ≈ 500 000, one string key
-// per row and operator), and no more at that scale than at a tenth of it
-// beyond a few doublings of the reducer's kept-range lists.
+// cached encodings, the count pass's prefix sums and one answer buffer, so
+// its allocation count must not grow with the relations — under 1 000 at
+// the exec_enum scale (3 × 15 000 rows; the row-major path made ≈ 500 000,
+// one string key per row and operator), and no more at that scale than at a
+// tenth of it beyond a few doublings of a growing buffer.
 func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(domain int) float64 {
@@ -151,6 +153,60 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 	}
 	if large > small+16 {
 		t.Fatalf("allocations grow with the input: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	}
+}
+
+// The allocation pin of the answer cursor, which is what hdserve runs: a
+// warm Count plus the 10 rows a reply renders allocates the same number of
+// objects at 3 × 1 500 rows as at 3 × 15 000 — the count pass keeps one
+// prefix-sum array per interior node and the walk nothing per row — and
+// fewer bytes than the answer table Execute would build.
+func TestAcyclicWarmCountAllocs(t *testing.T) {
+	ctx := context.Background()
+	measure := func(domain int) (allocs, bytes float64, tableBytes int) {
+		db := enumShapeDB(domain)
+		plan, err := Compile(MustParseQuery(enumShapeQuery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := plan.Execute(ctx, db) // warm the encoding cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstRows := func() {
+			a, err := plan.Answers(ctx, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Count() != out.Rows() {
+				t.Fatalf("domain %d: Count = %d, Execute has %d rows", domain, a.Count(), out.Rows())
+			}
+			for range 10 {
+				if _, ok := a.Next(); !ok {
+					t.Fatalf("domain %d: the cursor ran out: %v", domain, a.Err())
+				}
+			}
+			a.Close()
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			firstRows()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		return testing.AllocsPerRun(runs, firstRows), bytes, out.Rows() * len(out.Vars) * int(unsafe.Sizeof(Value(0)))
+	}
+	small, _, _ := measure(750)
+	large, bytes, tableBytes := measure(7500)
+	t.Logf("per warm Count + 10 rows: %.0f allocations at 3 × 1 500 rows, %.0f and %.0f bytes at 3 × 15 000 (the answer table: %d bytes)",
+		small, large, bytes, tableBytes)
+	if large != small {
+		t.Fatalf("allocations grow with the input: %.0f at 3 × 1 500 rows, %.0f at 3 × 15 000 rows", small, large)
+	}
+	if bytes >= float64(tableBytes) {
+		t.Fatalf("%.0f bytes per warm Count + 10 rows, not fewer than the %d of the answer table", bytes, tableBytes)
 	}
 }
 
@@ -208,5 +264,31 @@ func BenchmarkAcyclicEnum(b *testing.B) {
 		if _, err := plan.Execute(ctx, db); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAcyclicEnumFirstRows is what hdserve does with the exec_enum
+// plan: count the ≈ 60 000 answers and walk the 10 a reply renders.
+func BenchmarkAcyclicEnumFirstRows(b *testing.B) {
+	ctx := context.Background()
+	db := enumShapeDB(7500)
+	plan, err := Compile(MustParseQuery(enumShapeQuery))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := plan.Execute(ctx, db); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := plan.Answers(ctx, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range 10 {
+			a.Next()
+		}
+		a.Close()
 	}
 }

@@ -1,0 +1,194 @@
+package hypertree
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hypertree/internal/cq"
+	"hypertree/internal/gen"
+	"hypertree/internal/yannakakis"
+)
+
+// checkCursor holds the answer cursor over the trees build returns to two
+// references: the naive answer table, and the walk of the same tree after
+// the full reducer — the path the cursor replaced, whose row order every
+// reply kept. Count must equal the naive row count, and for every prefix
+// length k ∈ {0, 1, 10, all}, Next's first k rows followed by Materialize's
+// rest must be the reduced walk, row for row.
+func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head []int, naive *Table) {
+	t.Helper()
+	ctx := context.Background()
+	reduced := build()
+	if err := yannakakis.Reduce(ctx, reduced); err != nil {
+		t.Fatal(err)
+	}
+	ra, err := yannakakis.NewAnswers(ctx, reduced, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ra.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Equal(naive) {
+		t.Fatalf("%s: the reduced walk has %d answers, naive %d", leg, ref.Rows(), naive.Rows())
+	}
+	for _, k := range []int{0, 1, 10, naive.Rows()} {
+		a, err := yannakakis.NewAnswers(ctx, build(), head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Count() != naive.Rows() {
+			t.Fatalf("%s: Count = %d, naive has %d answers", leg, a.Count(), naive.Rows())
+		}
+		var rows [][]Value
+		for i := 0; i < k; i++ {
+			row, ok := a.Next()
+			if !ok {
+				break
+			}
+			rows = append(rows, slices.Clone(row))
+		}
+		rest, err := a.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rest.Rows() {
+			rows = append(rows, rest.Row(i))
+		}
+		if len(rows) != ref.Rows() {
+			t.Fatalf("%s k=%d: %d rows, want %d", leg, k, len(rows), ref.Rows())
+		}
+		for i, row := range rows {
+			if !slices.Equal(row, ref.Row(i)) {
+				t.Fatalf("%s k=%d: row %d is %v, the reduced walk's %v", leg, k, i, row, ref.Row(i))
+			}
+		}
+	}
+}
+
+// The cursor's proof obligation: over gen.KernelCases × k-decomp/ghd/fhd ×
+// full, projected and Boolean heads × 1 and 4 workers, the count pass and
+// the zero-skipping walk return exactly the naive answers, in the order of
+// the reduced walk, and Plan.Execute materialises that same order. The
+// adversarial acyclic shapes are checked where the evaluator lives, in
+// internal/hdeval. Run under -race in CI.
+func TestAnswersCursorEquivalence(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(28))
+	decomposers := map[string]CompileOption{
+		"k-decomp": WithDecomposer(KDecomposer()),
+		"ghd":      WithDecomposer(GreedyDecomposer()),
+		"fhd":      WithDecomposer(FractionalDecomposer()),
+	}
+	for _, tc := range gen.KernelCases(2810, 16) {
+		body := cq.NewQuery(nil, tc.Q.Atoms)
+		all := make([]cq.Term, body.NumVars())
+		for v := range all {
+			all[v] = cq.Var(body.VarName(v))
+		}
+		heads := map[string]*Query{
+			"full":      cq.NewQuery(&cq.Atom{Pred: "ans", Args: all}, body.Atoms),
+			"projected": gen.WithRandomHead(rng, body),
+			"boolean":   body,
+		}
+		for hname, q := range heads {
+			naive, err := Compile(q, WithStrategy(StrategyNaive))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := naive.Execute(ctx, tc.DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for dname, dopt := range decomposers {
+				for _, workers := range []int{1, 4} {
+					leg := fmt.Sprintf("%s, %s head, %s, workers=%d", tc.Name, hname, dname, workers)
+					plan, err := Compile(q, WithStrategy(StrategyHypertree), dopt, WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("%s: %v", leg, err)
+					}
+					build := func() *yannakakis.Node {
+						root, err := plan.eval.RootWorkers(ctx, tc.DB, workers)
+						if err != nil {
+							t.Fatalf("%s: %v", leg, err)
+						}
+						return root
+					}
+					checkCursor(t, leg, build, plan.eval.Head(), want)
+					got, err := plan.Execute(ctx, tc.DB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ra, err := plan.eval.Answers(ctx, tc.DB, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range got.Rows() {
+						if row, _ := ra.Next(); !slices.Equal(row, got.Row(i)) {
+							t.Fatalf("%s: Execute's row %d is %v, the cursor's %v", leg, i, got.Row(i), row)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Metamorphic check on the cursor: α-renaming the variables, reordering
+// the body atoms and duplicating an atom describe the same answers, so none
+// of them may change Count, nor the drained rows as a set (columns follow
+// the head, whose order every variant keeps).
+func TestAnswersCursorMetamorphic(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, tc := range gen.KernelCases(2811, 24) {
+		src := tc.Q.String()
+		renamed, err := gen.RenameQuery(src, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atoms := slices.Clone(tc.Q.Atoms)
+		rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+		variants := map[string]*Query{
+			"renamed":    MustParseQuery(renamed),
+			"reordered":  cq.NewQuery(tc.Q.Head, atoms),
+			"duplicated": cq.NewQuery(tc.Q.Head, append(slices.Clone(tc.Q.Atoms), tc.Q.Atoms[rng.Intn(len(tc.Q.Atoms))])),
+		}
+		count, rows := drain(t, tc.Q, tc.DB)
+		for name, q := range variants {
+			c, r := drain(t, q, tc.DB)
+			if c != count || !slices.Equal(r, rows) {
+				t.Fatalf("%s, %s: %d answers (%d distinct rows), the original %d (%d)", tc.Name, name, c, len(r), count, len(rows))
+			}
+		}
+	}
+}
+
+// drain compiles q, takes its cursor's Count and drains it, returning the
+// rows rendered and sorted; the cursor must return Count distinct rows.
+func drain(t *testing.T, q *Query, db *Database) (int, []string) {
+	t.Helper()
+	plan, err := Compile(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	a, err := plan.Answers(context.Background(), db)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	var rows []string
+	for row, ok := a.Next(); ok; row, ok = a.Next() {
+		rows = append(rows, fmt.Sprint(row))
+	}
+	if a.Err() != nil {
+		t.Fatal(a.Err())
+	}
+	slices.Sort(rows)
+	if d := len(slices.Compact(slices.Clone(rows))); d != len(rows) || d != a.Count() {
+		t.Fatalf("%s: %d rows drained, %d distinct, Count %d", q, len(rows), d, a.Count())
+	}
+	return a.Count(), rows
+}

@@ -20,7 +20,6 @@ import (
 	"hypertree/internal/querydecomp"
 	"hypertree/internal/treewidth"
 	"hypertree/internal/xc3s"
-	"hypertree/internal/yannakakis"
 )
 
 // E1 / Fig. 1: join-tree construction for the acyclic Q2.
@@ -486,35 +485,6 @@ func BenchmarkPlanReuse(b *testing.B) {
 			if _, err := plan.ExecuteBoolean(ctx, db); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// Ablation: the parallel Yannakakis reducer against the sequential one on a
-// wide star-of-chains join tree.
-func BenchmarkAblationParallelReduce(b *testing.B) {
-	q := gen.Star(12)
-	jt, _ := QueryJoinTree(q)
-	eval, err := hdeval.NewEvaluator(q, decomp.FromJoinTree(QueryHypergraph(q), jt.Parent), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := gen.RandomDatabase(rand.New(rand.NewSource(4)), q, 3000, 64)
-	build := func() *yannakakis.Node {
-		root, err := eval.Root(context.Background(), db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return root
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			yannakakis.Reduce(context.Background(), build(), 1)
-		}
-	})
-	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			yannakakis.Reduce(context.Background(), build(), runtime.GOMAXPROCS(0))
 		}
 	})
 }

@@ -53,6 +53,29 @@ func ExamplePlan_Execute() {
 	// c,d
 }
 
+// Answers is the cursor behind Execute: the count is known before any row
+// is walked, and a caller that renders the first k rows walks only those.
+func ExamplePlan_Answers() {
+	q := hypertree.MustParseQuery(`ans(X, Z) :- r(X, Y), s(Y, Z).`)
+	plan, err := hypertree.Compile(q)
+	if err != nil {
+		panic(err)
+	}
+	db := hypertree.NewDatabase()
+	db.ParseFacts(`r(a,b). r(c,b). s(b,d). s(b,e).`)
+	ans, err := plan.Answers(context.Background(), db)
+	if err != nil {
+		panic(err)
+	}
+	defer ans.Close()
+	fmt.Println("count:", ans.Count())
+	row, _ := ans.Next()
+	fmt.Println("first:", db.ValueName(row[0]), db.ValueName(row[1]))
+	// Output:
+	// count: 4
+	// first: a d
+}
+
 // ExecuteSharded evaluates through a partitioned database: per-node λ-joins
 // materialise shard-parallel and merge back, answer-identically to Execute.
 func ExamplePlan_ExecuteSharded() {

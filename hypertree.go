@@ -65,6 +65,7 @@ import (
 	"hypertree/internal/jointree"
 	"hypertree/internal/querydecomp"
 	"hypertree/internal/relation"
+	"hypertree/internal/yannakakis"
 )
 
 // Core re-exported types. A Decomposition carries the hypergraph it
@@ -93,6 +94,11 @@ type (
 	Database = relation.Database
 	// Table is a relation over query variables (query answers).
 	Table = relation.Table
+	// Value is one interned constant of a Database (Database.ValueName
+	// renders it).
+	Value = relation.Value
+	// Answers is one execution's answers as a cursor (Plan.Answers).
+	Answers = yannakakis.Answers
 )
 
 // ParseQuery parses a conjunctive query in rule syntax, e.g.
@@ -297,7 +303,11 @@ func EvaluateWith(db *Database, q *Query, d *Decomposition) (bool, *Table, error
 	if err != nil {
 		return false, nil, err
 	}
-	t, err := e.Enumerate(context.Background(), db, 1)
+	a, err := e.Answers(context.Background(), db, 1)
+	if err != nil {
+		return false, nil, err
+	}
+	t, err := a.Materialize()
 	if err != nil {
 		return false, nil, err
 	}

@@ -53,11 +53,11 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := gen.SkewedSizeDatabase(rng, q, 50, 5, 2)
 	ctx := context.Background()
-	want, err := plainEval.Enumerate(ctx, db, 1)
+	want, err := materialize(plainEval.Answers(ctx, db, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Enumerate(ctx, db, 1)
+	got, err := materialize(e.Answers(ctx, db, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

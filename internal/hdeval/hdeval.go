@@ -128,10 +128,11 @@ func (e *Evaluator) nodeLabel(n *decomp.Node) string {
 // completed tree is stamped with the decomp.NodeCost of the table it
 // actually builds — χ narrowed to its kept columns, so a Boolean bag is
 // priced at one row — and every node's children are reordered by ascending
-// estimate, so the bottom-up semijoin passes shrink each table against its
-// most selective child first. The reordering is answer-neutral — semijoin
-// reductions commute — so an Evaluator with statistics returns exactly the
-// tables of one without; only the work to produce them changes.
+// estimate, so the bottom-up count pass tries each row against its most
+// selective child first and stops at the first that has no match. The
+// reordering is answer-neutral — the children's counts multiply — so an
+// Evaluator with statistics returns exactly the answers of one without; only
+// the work to produce them, and the walk's row order, change.
 func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
@@ -332,16 +333,16 @@ func (e *Evaluator) Boolean(ctx context.Context, db *relation.Database, workers 
 	return yannakakis.BooleanContext(ctx, root)
 }
 
-// Enumerate computes the full answer relation over the head variables, in
-// time polynomial in input + output (Theorem 4.8). workers > 1 runs both
-// the per-node λ-join materialisation and the full reducer's independent
-// subtrees on that many goroutines.
-func (e *Evaluator) Enumerate(ctx context.Context, db *relation.Database, workers int) (*relation.Table, error) {
+// Answers evaluates the query against db as a cursor over the answers
+// (Theorem 4.8): node tables, one count pass, then a walk that costs per
+// row returned. workers > 1 materialises the node tables on that many
+// goroutines.
+func (e *Evaluator) Answers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Answers, error) {
 	root, err := e.RootWorkers(ctx, db, workers)
 	if err != nil {
 		return nil, err
 	}
-	return yannakakis.EnumerateContext(ctx, root, e.head, workers)
+	return yannakakis.NewAnswers(ctx, root, e.head)
 }
 
 // NaiveJoin evaluates the query by joining all atom tables left to right

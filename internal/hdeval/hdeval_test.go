@@ -54,7 +54,15 @@ func enumerate(db *relation.Database, q *cq.Query, d *decomp.Decomposition) (*re
 	if err != nil {
 		return nil, err
 	}
-	return e.Enumerate(context.Background(), db, 1)
+	return materialize(e.Answers(context.Background(), db, 1))
+}
+
+// materialize drains an answer cursor into its table.
+func materialize(a *yannakakis.Answers, err error) (*relation.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return a.Materialize()
 }
 
 // E8 / Lemma 4.6 + Example 1.1: the cyclic query Q1 ("some student is
@@ -357,11 +365,11 @@ func TestTinyAndEmptyBags(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.Enumerate(ctx, db, 1)
+					got, err := materialize(e.Answers(ctx, db, 1))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotSharded, err := e.EnumerateSharded(ctx, p, 0, 1)
+					gotSharded, err := materialize(e.AnswersSharded(ctx, p, 0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -417,7 +425,7 @@ func TestGroundOnlyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := e.Enumerate(ctx, db, 1)
+		ans, err := materialize(e.Answers(ctx, db, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

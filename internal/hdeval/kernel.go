@@ -26,10 +26,10 @@ import (
 //
 // Lemma 4.6 materialises π_χ(p)(⋈ λ(p)), but a table need only hold
 // keep(p) = χ(p) ∩ (head ∪ χ(parent) ∪ ⋃ χ(children)), over the completed
-// tree: the reducer joins p with a neighbour q on χ(p) ∩ χ(q) and the
-// enumerator emits head variables, and by the connectedness condition
-// (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in no other
-// node, so projecting it away commutes with the tree's join. A scan orders
+// tree: the semijoin and count passes join p with a neighbour q on
+// χ(p) ∩ χ(q) and the walk emits head variables, and by the connectedness
+// condition (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in
+// no other node, so projecting it away commutes with the tree's join. A scan orders
 // keep(p) first and keeps that distinct prefix. A join keeps VarOrder's
 // connectivity order — keep(p) first would bind kept variables no λ edge
 // relates before the join variable between them — and outputs the shortest

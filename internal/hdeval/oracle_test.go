@@ -3,6 +3,7 @@ package hdeval
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypertree/internal/cq"
@@ -259,7 +260,7 @@ func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			// twice: cold encodings, then the cached ones
 			for pass := 0; pass < 2; pass++ {
-				got, err := e.Enumerate(ctx, tc.db, workers)
+				got, err := materialize(e.Answers(ctx, tc.db, workers))
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 				}
@@ -293,7 +294,7 @@ func TestWidth1SeesInPlaceInsert(t *testing.T) {
 		if err := db.ParseFacts(facts); err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Enumerate(ctx, db, 1)
+		got, err := materialize(e.Answers(ctx, db, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,6 +304,73 @@ func TestWidth1SeesInPlaceInsert(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Fatalf("after insert %d: %d answers, want %d", i, got.Rows(), want.Rows())
+		}
+	}
+}
+
+// The answer cursor on the adversarial shapes, for 1 and 4 workers: Count
+// is the naive row count, and Next's first k rows (k ∈ {0, 1, 10, all})
+// followed by Materialize's rest are, row for row, the walk of the same
+// tree after the full reducer — the path the cursor replaced. The
+// gen.KernelCases × decomposer half of this obligation is
+// TestAnswersCursorEquivalence in the root package.
+func TestAnswersCursorOnAdversarialShapes(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(28))
+	for round := 0; round < 3; round++ {
+		db := adversarialDB(rng)
+		for _, src := range adversarialAcyclic {
+			q := cq.MustParse(src)
+			naive, err := NaiveJoin(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, _ := width1(t, q)
+			for _, workers := range []int{1, 4} {
+				reduced, err := e.RootWorkers(ctx, db, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := yannakakis.Reduce(ctx, reduced); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := materialize(yannakakis.NewAnswers(ctx, reduced, e.Head()))
+				if err != nil || !ref.Equal(naive) {
+					t.Fatalf("%s: the reduced walk disagrees with the naive join (%v)", src, err)
+				}
+				for _, k := range []int{0, 1, 10, naive.Rows()} {
+					a, err := e.Answers(ctx, db, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a.Count() != naive.Rows() {
+						t.Fatalf("%s workers=%d: Count = %d, naive has %d answers", src, workers, a.Count(), naive.Rows())
+					}
+					var got []relation.Value
+					n := 0
+					for ; n < k; n++ {
+						row, ok := a.Next()
+						if !ok {
+							break
+						}
+						got = append(got, row...)
+					}
+					rest, err := a.Materialize()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range rest.Rows() {
+						got = append(got, rest.Row(i)...)
+					}
+					var want []relation.Value
+					for i := range ref.Rows() {
+						want = append(want, ref.Row(i)...)
+					}
+					if n+rest.Rows() != ref.Rows() || !slices.Equal(got, want) {
+						t.Fatalf("%s workers=%d k=%d: the cursor's rows are not the reduced walk's", src, workers, k)
+					}
+				}
+			}
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestParallelEvaluatorAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTab, err := e.Enumerate(ctx, db, 1)
+	wantTab, err := materialize(e.Answers(ctx, db, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestParallelEvaluatorAgrees(t *testing.T) {
 		if got != want {
 			t.Fatalf("workers=%d: Boolean = %v, want %v", workers, got, want)
 		}
-		gotTab, err := e.Enumerate(ctx, db, workers)
+		gotTab, err := materialize(e.Answers(ctx, db, workers))
 		if err != nil {
 			t.Fatal(err)
 		}

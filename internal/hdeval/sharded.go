@@ -169,14 +169,14 @@ func (e *Evaluator) BooleanSharded(ctx context.Context, p *shard.PartitionedDB, 
 	return yannakakis.BooleanContext(ctx, root)
 }
 
-// EnumerateSharded computes the full answer relation against a partitioned
-// database: node tables materialise shard-parallel, then the full reducer
-// and enumeration run on up to reduceWorkers goroutines. The answer set
-// equals Enumerate on the assembled database.
-func (e *Evaluator) EnumerateSharded(ctx context.Context, p *shard.PartitionedDB, shardWorkers, reduceWorkers int) (*relation.Table, error) {
+// AnswersSharded is Answers against a partitioned database: node tables
+// materialise shard-parallel (RootSharded), then the count pass and the walk
+// run as on one database. The answers equal Answers on the assembled
+// database, in the same order.
+func (e *Evaluator) AnswersSharded(ctx context.Context, p *shard.PartitionedDB, shardWorkers int) (*yannakakis.Answers, error) {
 	root, err := e.RootSharded(ctx, p, shardWorkers)
 	if err != nil {
 		return nil, err
 	}
-	return yannakakis.EnumerateContext(ctx, root, e.head, reduceWorkers)
+	return yannakakis.NewAnswers(ctx, root, e.head)
 }

@@ -22,9 +22,9 @@
 //     torn-read window, and tracing parallel per-node materialisation or a
 //     sharded scatter needs no coordination beyond each span's own End.
 //   - AddSteps is atomic, so several goroutines may bump one span's step
-//     counter concurrently (the parallel reducer does); all AddSteps calls
-//     must still happen-before End, which every structured fork/join in this
-//     codebase provides via its WaitGroup.
+//     counter concurrently; all AddSteps calls must still happen-before
+//     End, which every structured fork/join in this codebase provides via
+//     its WaitGroup.
 //
 // Traces travel by context (NewContext / FromContext): the serving layer
 // injects a per-request trace without touching its shared compile options,
@@ -85,14 +85,19 @@ const (
 	// Rows is the merged cardinality.
 	SpanMerge = "exec/node/merge"
 	// SpanSemijoinUp covers the bottom-up semijoin pass; Steps counts
-	// semijoins.
+	// semijoins. On a listing execution it is the answer cursor's count
+	// pass — the up pass computed with counts — where Steps counts the
+	// child lookups summed over the tree's edges, Rows the root rows that
+	// extend to an answer.
 	SpanSemijoinUp = "exec/semijoin/up"
-	// SpanSemijoinDown covers the top-down semijoin pass; Steps counts
-	// semijoins.
+	// SpanSemijoinDown covers the top-down semijoin pass of the full
+	// reducer; Steps counts semijoins. The listing path runs no down pass:
+	// its walk skips the rows a down pass would delete.
 	SpanSemijoinDown = "exec/semijoin/down"
-	// SpanEnumerate covers the top-down trie walk that emits the answers
-	// after full reduction; Steps counts the subtrees folded because the
-	// head drops one of their variables, Rows is the answer cardinality.
+	// SpanEnumerate covers the answer cursor's top-down trie walk, from
+	// the count pass until the cursor closes; Steps counts the subtrees
+	// folded because the head drops one of their variables, Rows is the
+	// answer count (Count), however many rows the caller walked.
 	SpanEnumerate = "exec/enumerate"
 )
 

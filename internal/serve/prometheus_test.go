@@ -133,8 +133,12 @@ func TestServeSlowQueryLog(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if code, _, _ := post(t, ts.URL, QueryRequest{Query: `ans(A, C) :- r1(A, B), r2(B, C).`}); code != http.StatusOK {
+	code, out, _ := post(t, ts.URL, QueryRequest{Query: `ans(A, C) :- r1(A, B), r2(B, C).`, MaxRows: 1})
+	if code != http.StatusOK {
 		t.Fatal("query failed")
+	}
+	if out.RowCount < 2 || len(out.Rows) != 1 {
+		t.Fatalf("want a reply truncated to 1 of several rows, got %d of %d", len(out.Rows), out.RowCount)
 	}
 	if m := s.Metrics(); m.SlowQueries != 1 {
 		t.Fatalf("slow queries = %d, want 1", m.SlowQueries)
@@ -152,6 +156,16 @@ func TestServeSlowQueryLog(t *testing.T) {
 	}
 	if len(rec.Trace) == 0 {
 		t.Fatalf("slow-query record carries no trace: %+v", rec)
+	}
+	// rows is the answer count, not the rows the reply rendered, and so is
+	// the walk's span.
+	if rec.Rows != out.RowCount {
+		t.Fatalf("slow-query rows = %d, the reply's row_count %d", rec.Rows, out.RowCount)
+	}
+	for _, sp := range rec.Trace {
+		if sp.Name == "exec/enumerate" && sp.Rows != int64(out.RowCount) {
+			t.Fatalf("exec/enumerate rows = %d, want the count %d", sp.Rows, out.RowCount)
+		}
 	}
 
 	// An executionless request (parse error) must not log.

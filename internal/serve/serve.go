@@ -14,7 +14,7 @@
 //	parse → canonical key → join in-flight twin (coalesce)  ──┐
 //	                      └ else: admission (bounded worker    ├→ render per
 //	                        pool) → PlanCache.Compile →        │  request
-//	                        Plan.Execute under deadline ───────┘
+//	                        Plan.Answers under deadline ───────┘
 //
 // Admission is a bounded worker pool: at most MaxInflight plan executions
 // run concurrently, queued leaders wait no longer than their own request
@@ -229,12 +229,16 @@ type flightCall struct {
 	res     flightResult
 }
 
-// flightResult is what one shared compile+execute produced.
+// flightResult is what one shared compile+execute produced: the answer
+// count and the first Config.MaxAnswerRows answers, so the leader and every
+// follower render from one buffer whatever their own row caps.
 type flightResult struct {
 	plan          *hypertree.Plan
-	table         *hypertree.Table
+	count         int                 // the answer count (1 or 0 for a Boolean query)
+	vars          []int               // the answer columns
+	rows          []hypertree.Value   // the buffered answers, row-major over vars
 	db            *hypertree.Database // the snapshot the leader executed against
-	boolean       bool                // table is the 0/1-row rendering of a Boolean verdict
+	boolean       bool                // count is a Boolean verdict
 	compileMicros int64
 	execMicros    int64
 	trace         *hypertree.Trace // non-nil when the leader traced
@@ -614,11 +618,30 @@ func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree
 	}
 	res.plan = plan
 	t1 := time.Now()
-	res.table, res.err = plan.Execute(ctx, db)
+	res.err = res.fill(ctx, plan, db, s.cfg.MaxAnswerRows)
 	res.execMicros = time.Since(t1).Microseconds()
 	s.stageHist("execute").ObserveExemplar(time.Since(t1), traceID)
 	res.boolean = q.IsBoolean()
 	return res
+}
+
+// fill executes plan on db and keeps the answer count and up to limit
+// answers: the rows no reply can render are never walked.
+func (res *flightResult) fill(ctx context.Context, plan *hypertree.Plan, db *hypertree.Database, limit int) error {
+	a, err := plan.Answers(ctx, db)
+	if err != nil {
+		return err
+	}
+	defer a.Close()
+	res.count, res.vars = a.Count(), a.Vars()
+	for range min(res.count, limit) {
+		row, ok := a.Next()
+		if !ok {
+			return a.Err()
+		}
+		res.rows = append(res.rows, row...)
+	}
+	return nil
 }
 
 // slowQueryRecord is one JSON line of the slow-query log.
@@ -633,7 +656,8 @@ type slowQueryRecord struct {
 	ExecMicros    int64 `json:"exec_us"`
 	// Plan summarises the compiled plan, when compilation succeeded.
 	Plan string `json:"plan,omitempty"`
-	// Rows is the answer cardinality of a successful execution.
+	// Rows is the answer count of a successful execution, however few
+	// rows its replies rendered.
 	Rows int `json:"rows,omitempty"`
 	// Error reports a failed compile or execution (e.g. deadline exceeded —
 	// exactly the executions a slow-query log exists to catch).
@@ -662,8 +686,8 @@ func (s *Server) logSlowQuery(key string, res *flightResult) {
 	switch {
 	case res.err != nil:
 		rec.Error = res.err.Error()
-	case res.table != nil:
-		rec.Rows = res.table.Rows()
+	default:
+		rec.Rows = res.count
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -693,11 +717,11 @@ func (s *Server) render(q *hypertree.Query, key string, res *flightResult, coale
 		out.Trace = summarizeTrace(res.trace)
 	}
 	if res.boolean {
-		verdict := !res.table.Empty()
+		verdict := res.count > 0
 		out.Boolean = &verdict
 		return out
 	}
-	out.RowCount = res.table.Rows()
+	out.RowCount = res.count
 	limit := s.cfg.MaxAnswerRows
 	if maxRows > 0 && maxRows < limit {
 		limit = maxRows
@@ -706,12 +730,13 @@ func (s *Server) render(q *hypertree.Query, key string, res *flightResult, coale
 	if n > limit {
 		n, out.Truncated = limit, true
 	}
-	for _, v := range res.table.Vars {
+	for _, v := range res.vars {
 		out.Vars = append(out.Vars, q.VarName(v))
 	}
+	w := len(res.vars)
 	out.Rows = make([][]string, 0, n)
 	for i := 0; i < n; i++ {
-		row := res.table.Row(i)
+		row := res.rows[i*w : (i+1)*w]
 		named := make([]string, len(row))
 		for j, val := range row {
 			// Render against the database snapshot the leader executed on:

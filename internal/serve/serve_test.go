@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -223,6 +224,108 @@ func TestServeSingleFlightCoalescesInFlightTwins(t *testing.T) {
 	}
 	if m.Cache.Misses != 1 {
 		t.Fatalf("coalesced burst must compile at most once: %+v", m.Cache)
+	}
+}
+
+// Coalesced requests share one execution but not one row cap: the leader
+// buffers Config.MaxAnswerRows answers, so a follower asking for more rows
+// than the leader gets its own, with the shared row_count and its own
+// truncated flag.
+func TestServeCoalescedFollowerRendersItsOwnRows(t *testing.T) {
+	s := newTestServer(t, Config{MaxInflight: 4, MaxAnswerRows: 8})
+	release := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	s.testExecGate = func() { entered <- struct{}{}; <-release }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const src = `ans(A, C) :- r1(A, B), r2(B, C).`
+	caps := []int{1, 5, 0} // the leader's, then two followers': 0 is the server's 8
+	replies := make([]chan *QueryResponse, len(caps))
+	fire := func(i int) {
+		code, out, _ := post(t, ts.URL, QueryRequest{Query: src, MaxRows: caps[i], TimeoutMillis: 10_000})
+		if code != http.StatusOK {
+			t.Errorf("request %d: status %d", i, code)
+		}
+		replies[i] <- out
+	}
+	for i := range replies {
+		replies[i] = make(chan *QueryResponse, 1)
+	}
+	go fire(0)
+	<-entered
+	key := hypertree.CanonicalForm(hypertree.MustParseQuery(src))
+	for i := 1; i < len(caps); i++ {
+		go fire(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		c := s.flight[key]
+		s.mu.Unlock()
+		if c != nil && int(c.waiters.Load()) == len(caps)-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("followers never joined the in-flight twin")
+		}
+	}
+	close(release)
+
+	var outs []*QueryResponse
+	for i := range caps {
+		out := <-replies[i]
+		if out == nil {
+			t.FailNow()
+		}
+		outs = append(outs, out)
+	}
+	count := outs[0].RowCount
+	if count <= 5 {
+		t.Fatalf("row_count %d: the test needs more answers than the followers' caps", count)
+	}
+	for i, out := range outs {
+		limit := caps[i]
+		if limit == 0 {
+			limit = 8
+		}
+		want := min(count, limit)
+		if out.Coalesced != (i > 0) || out.RowCount != count || len(out.Rows) != want || out.Truncated != (count > want) {
+			t.Fatalf("request %d (max_rows %d): coalesced %v, %d of %d rows, truncated %v; want %d of %d",
+				i, caps[i], out.Coalesced, len(out.Rows), out.RowCount, out.Truncated, want, count)
+		}
+		if fmt.Sprint(out.Rows[0]) != fmt.Sprint(outs[0].Rows[0]) {
+			t.Fatalf("request %d starts at %v, the leader at %v", i, out.Rows[0], outs[0].Rows[0])
+		}
+	}
+	if m := s.Metrics(); m.Executions != 1 {
+		t.Fatalf("%d executions, want 1", m.Executions)
+	}
+}
+
+// An answer count beyond int64 — 300⁸ ≈ 6.5e19 answers of an 8-leaf star
+// over one centre of degree 300 — saturates at math.MaxInt64: the reply
+// carries that row_count, truncated, and 10 rows, where materialising the
+// answers would exhaust the heap.
+func TestServeStarSaturatesRowCount(t *testing.T) {
+	db := hypertree.NewDatabase()
+	var atoms, head []string
+	for i := 1; i <= 8; i++ {
+		for j := 0; j < 300; j++ {
+			db.AddFact(fmt.Sprint("r", i), "c", fmt.Sprint("x", j))
+		}
+		atoms = append(atoms, fmt.Sprintf("r%d(C, X%d)", i, i))
+		head = append(head, fmt.Sprint("X", i))
+	}
+	s := newTestServer(t, Config{DB: db})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	src := fmt.Sprintf("ans(C, %s) :- %s.", strings.Join(head, ", "), strings.Join(atoms, ", "))
+	code, out, _ := post(t, ts.URL, QueryRequest{Query: src, MaxRows: 10})
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if out.RowCount != math.MaxInt64 || !out.Truncated || len(out.Rows) != 10 {
+		t.Fatalf("row_count %d, truncated %v, %d rows; want math.MaxInt64, true, 10", out.RowCount, out.Truncated, len(out.Rows))
 	}
 }
 

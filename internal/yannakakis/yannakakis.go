@@ -2,17 +2,14 @@
 // queries on join trees (VLDB 1981), as used throughout Section 4.2 of the
 // paper: the Boolean variant (upward semijoin reduction), the full reducer
 // (upward + downward passes), and output-polynomial enumeration of
-// non-Boolean answers (enumerate.go). A level-parallel reducer exercises
-// the paper's parallelizability claim for acyclic evaluation [GLS, JACM
-// 2001]. The trees it works on are built by hdeval.Evaluator — a join tree
-// being the width-1 case — and carry columnar node tables.
+// non-Boolean answers as a cursor that counts instead of reducing
+// (enumerate.go). The trees it works on are built by hdeval.Evaluator — a
+// join tree being the width-1 case — and carry columnar node tables.
 package yannakakis
 
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"hypertree/internal/cq"
 	"hypertree/internal/obs"
@@ -21,9 +18,9 @@ import (
 
 // Node is a join-tree node carrying the materialised table of its atom (or,
 // for hypertree evaluation, of its λ-join projected to χ) in columnar form,
-// rows sorted: the full reducer's semijoins run as merges over the sorted
-// columns (see relation.MergeSemijoin) and the enumerator walks them as
-// tries.
+// rows sorted: the reducer's semijoins run as merges over the sorted
+// columns (see relation.MergeSemijoin) and the answer cursor counts and
+// walks them as tries.
 type Node struct {
 	Enc      *relation.Columnar
 	Children []*Node
@@ -176,103 +173,25 @@ func endPass(sp *obs.Span, root *Node) {
 
 // Reduce runs the full reducer in place: an upward semijoin pass followed by
 // a downward pass. Afterwards every table is globally consistent: each
-// remaining row participates in at least one answer. With workers > 1 the
-// semijoins of independent subtrees run on that many goroutines (nodes at
-// the same depth have disjoint parents' subtrees, so sibling subtrees reduce
-// concurrently). Cancellation is polled between semijoins: on error the tree
-// is left partially reduced (still a superset of the consistent state).
-// Under a traced context the passes record as SpanSemijoinUp and
+// remaining row participates in at least one answer. The answer cursor
+// (NewAnswers) needs neither pass — its counts say which rows a reduction
+// would keep — so no execution runs Reduce: it is the reference those
+// counts are held to. Cancellation is polled between semijoins: on error
+// the tree is left partially reduced (still a superset of the consistent
+// state). Under a traced context the passes record as SpanSemijoinUp and
 // SpanSemijoinDown, each counting its semijoins, Rows carrying the root
 // (resp. fully reduced root) cardinality.
-func Reduce(ctx context.Context, root *Node, workers int) error {
-	if workers <= 1 {
-		tr := obs.FromContext(ctx)
-		up := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinUp)}
-		if err := up.up(root); err != nil {
-			return err
-		}
-		endPass(up.sp, root)
-		down := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinDown)}
-		if err := down.down(root); err != nil {
-			return err
-		}
-		endPass(down.sp, root)
-		return nil
-	}
-	// A watcher goroutine arms the halt flag, so the reduction itself only
-	// pays an atomic load per node instead of a channel select.
-	var halted atomic.Bool
-	if done := ctx.Done(); done != nil {
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-done:
-				halted.Store(true)
-			case <-stopWatch:
-			}
-		}()
-	}
-	parallelReduce(ctx, root, workers, &halted)
-	if halted.Load() {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func parallelReduce(ctx context.Context, root *Node, workers int, halted *atomic.Bool) {
+func Reduce(ctx context.Context, root *Node) error {
 	tr := obs.FromContext(ctx)
-	// The semaphore bounds concurrent table work only; goroutines waiting on
-	// children hold no slot, so deep trees cannot deadlock.
-	sem := make(chan struct{}, workers)
-	// The pass spans' step counters are bumped from every worker goroutine
-	// (AddSteps is atomic); each pass Ends only after its recursion has
-	// fully joined, so the counts are complete when the span publishes.
-	upSp := tr.StartSpan(obs.SpanSemijoinUp)
-	var up func(n *Node)
-	up = func(n *Node) {
-		var wg sync.WaitGroup
-		for _, c := range n.Children {
-			wg.Add(1)
-			go func(c *Node) {
-				defer wg.Done()
-				up(c)
-			}(c)
-		}
-		wg.Wait()
-		if halted.Load() {
-			return
-		}
-		sem <- struct{}{}
-		for _, c := range n.Children {
-			semijoin(n, c, upSp)
-		}
-		<-sem
+	up := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinUp)}
+	if err := up.up(root); err != nil {
+		return err
 	}
-	var downSp *obs.Span
-	var down func(n *Node)
-	down = func(n *Node) {
-		if halted.Load() {
-			return
-		}
-		sem <- struct{}{}
-		for _, c := range n.Children {
-			semijoin(c, n, downSp)
-		}
-		<-sem
-		var wg sync.WaitGroup
-		for _, c := range n.Children {
-			wg.Add(1)
-			go func(c *Node) {
-				defer wg.Done()
-				down(c)
-			}(c)
-		}
-		wg.Wait()
+	endPass(up.sp, root)
+	down := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinDown)}
+	if err := down.down(root); err != nil {
+		return err
 	}
-	up(root)
-	endPass(upSp, root)
-	downSp = tr.StartSpan(obs.SpanSemijoinDown)
-	down(root)
-	endPass(downSp, root)
+	endPass(down.sp, root)
+	return nil
 }

@@ -145,7 +145,11 @@ func boolean(root *Node) bool {
 }
 
 func enumerate(root *Node, head []int) *relation.Table {
-	t, _ := EnumerateContext(context.Background(), root, head, 1)
+	a, err := NewAnswers(context.Background(), root, head)
+	if err != nil {
+		panic(err)
+	}
+	t, _ := a.Materialize()
 	return t
 }
 
@@ -258,7 +262,7 @@ t(c, d).
 	if err != nil {
 		t.Fatal(err)
 	}
-	Reduce(context.Background(), root, 1)
+	Reduce(context.Background(), root)
 	var sizes []int
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -329,31 +333,6 @@ func bruteForce(db *relation.Database, q *cq.Query) *relation.Table {
 	return acc.Project([]int{xv, wv})
 }
 
-// E18: the parallel reducer computes the same tables as the sequential one.
-func TestE18ParallelReduceAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	q := cq.MustParse(`r(X,Y), s(Y,Z), t(Z,W), s2(Y, V), t2(V, U)`)
-	for trial := 0; trial < 30; trial++ {
-		db := relation.NewDatabase()
-		for _, name := range []string{"r", "s", "t", "s2", "t2"} {
-			for i := 0; i < 1+rng.Intn(12); i++ {
-				db.AddFact(name, val(rng.Intn(5)), val(rng.Intn(5)))
-			}
-		}
-		rows, err := rowTree(db, q, treeFor(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqRoot, parRoot := rows.encode(true), rows.encode(true)
-		Reduce(context.Background(), seqRoot, 1)
-		Reduce(context.Background(), parRoot, 4)
-		rows.reduce()
-		if !sameTables(seqRoot, rows) || !sameTables(parRoot, rows) {
-			t.Fatalf("trial %d: parallel and sequential reducers disagree", trial)
-		}
-	}
-}
-
 func TestFromJoinTreeErrors(t *testing.T) {
 	db := universityDB()
 	q := cq.MustParse(`enrolled(S, C, R)`)
@@ -362,10 +341,9 @@ func TestFromJoinTreeErrors(t *testing.T) {
 	}
 }
 
-// TestMergeSemijoinReducerAgrees is the reducer differential: Reduce (1 and
-// 4 workers) over the merge-semijoin kernels must leave every table equal
-// to the row-major hash reducer's, over star and chain trees and both
-// encoding orders.
+// TestMergeSemijoinReducerAgrees is the reducer differential: Reduce over
+// the merge-semijoin kernels must leave every table equal to the row-major
+// hash reducer's, over star and chain trees and both encoding orders.
 func TestMergeSemijoinReducerAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	queries := []*cq.Query{
@@ -385,15 +363,11 @@ func TestMergeSemijoinReducerAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mergeRoot, parRoot := rows.encode(hubFirst), rows.encode(hubFirst)
-		Reduce(context.Background(), mergeRoot, 1)
-		Reduce(context.Background(), parRoot, 4)
+		mergeRoot := rows.encode(hubFirst)
+		Reduce(context.Background(), mergeRoot)
 		rows.reduce()
 		if !sameTables(mergeRoot, rows) {
 			t.Fatalf("trial %d (hubFirst=%v): merge and hash reducers disagree", trial, hubFirst)
-		}
-		if !sameTables(parRoot, rows) {
-			t.Fatalf("trial %d (hubFirst=%v): parallel merge reducer disagrees", trial, hubFirst)
 		}
 	}
 }

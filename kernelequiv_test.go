@@ -134,7 +134,7 @@ func TestReducedNodeTablesAreLocallyConsistent(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", leg, err)
 					}
-					if err := yannakakis.Reduce(ctx, root, workers); err != nil {
+					if err := yannakakis.Reduce(ctx, root); err != nil {
 						t.Fatalf("%s: %v", leg, err)
 					}
 					var check func(n *yannakakis.Node)

@@ -11,6 +11,7 @@ import (
 	"hypertree/internal/jointree"
 	"hypertree/internal/obs"
 	"hypertree/internal/stats"
+	"hypertree/internal/yannakakis"
 )
 
 // A Plan is a compiled conjunctive query: parsing/analysis done, a
@@ -88,8 +89,8 @@ func WithMaxWidth(k int) CompileOption {
 }
 
 // WithWorkers sets the parallelism used by the decomposition search (when
-// the decomposer supports it) and by the evaluation-time full reducer
-// (n ≤ 1 = sequential, n ≤ 0 with the parallel decomposer = GOMAXPROCS).
+// the decomposer supports it) and by the evaluation-time materialisation of
+// independent node tables (n ≤ 1 = sequential, n ≤ 0 with the parallel decomposer = GOMAXPROCS).
 // Choosing n > 1 without an explicit decomposer selects the parallel
 // k-decomp search.
 func WithWorkers(n int) CompileOption {
@@ -99,7 +100,7 @@ func WithWorkers(n int) CompileOption {
 // WithShardWorkers bounds the goroutines ExecuteSharded and
 // ExecuteBooleanSharded fan out across the shards of a PartitionedDB
 // (n ≤ 0, the default, means one worker per shard). It is independent of
-// WithWorkers, which governs the decomposition search and the reducer.
+// WithWorkers, which governs the decomposition search and the node tables.
 func WithShardWorkers(n int) CompileOption {
 	return func(c *compileConfig) { c.shardWorkers = n }
 }
@@ -503,13 +504,18 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err erro
 	}
 }
 
-// Execute runs the plan against db and returns the answer table over the
-// head variables (for a Boolean query: the 0-ary true table, or an empty
-// table when the query is false). A cancelled or expired context aborts the
-// evaluation with ctx.Err(). Safe for concurrent use. Under a trace
-// (ContextWithTrace, or the plan's WithTrace) the execution records its
-// spans and becomes the plan's LastTrace.
-func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
+// Answers runs the plan against db and returns its answers as a cursor:
+// Count is known on return, Next walks one answer at a time, and
+// Materialize drains the rest into the table Execute returns, in the same
+// row order. Theorem 4.8's enumeration needs no materialised answer table,
+// so a caller that renders k rows pays one count pass over the node tables
+// plus O(k · depth). A Boolean query's cursor holds the 0-ary true table or
+// nothing, decided by ExecuteBoolean's pass. A cancelled or expired context
+// aborts with ctx.Err(), here or in Next (see Answers.Err). Under a trace
+// the execution span stays open until the cursor closes — when Next runs
+// out, on Materialize, or on Close — and the plan's LastTrace is published
+// then. Safe for concurrent use; each cursor is for one goroutine.
+func (p *Plan) Answers(ctx context.Context, db *Database) (*Answers, error) {
 	if db == nil {
 		return nil, fmt.Errorf("hypertree: Execute on a nil database")
 	}
@@ -517,27 +523,45 @@ func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
 		return nil, err
 	}
 	ctx, tr, sp, mark := p.beginExec(ctx)
-	t, err := p.execute(ctx, db)
-	rows := 0
-	if t != nil {
-		rows = t.Rows()
+	a, err := p.answers(ctx, db)
+	if err != nil {
+		p.endExec(tr, sp, mark, 0, err)
+		return nil, err
 	}
-	p.endExec(tr, sp, mark, rows, err)
-	return t, err
+	a.OnClose(func(count int, err error) { p.endExec(tr, sp, mark, count, err) })
+	return a, nil
 }
 
-func (p *Plan) execute(ctx context.Context, db *Database) (*Table, error) {
+func (p *Plan) answers(ctx context.Context, db *Database) (*Answers, error) {
 	if p.query.IsBoolean() {
 		ok, err := p.executeBoolean(ctx, db)
 		if err != nil {
 			return nil, err
 		}
-		return boolTable(ok), nil
+		return yannakakis.TableAnswers(boolTable(ok)), nil
 	}
 	if p.strategy == StrategyNaive {
-		return hdeval.NaiveJoinContext(ctx, db, p.query)
+		t, err := hdeval.NaiveJoinContext(ctx, db, p.query)
+		if err != nil {
+			return nil, err
+		}
+		return yannakakis.TableAnswers(t), nil
 	}
-	return p.eval.Enumerate(ctx, db, p.workers)
+	return p.eval.Answers(ctx, db, p.workers)
+}
+
+// Execute runs the plan against db and returns the answer table over the
+// head variables (for a Boolean query: the 0-ary true table, or an empty
+// table when the query is false): Answers, materialised. A cancelled or
+// expired context aborts the evaluation with ctx.Err(). Safe for concurrent
+// use. Under a trace (ContextWithTrace, or the plan's WithTrace) the
+// execution records its spans and becomes the plan's LastTrace.
+func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
+	a, err := p.Answers(ctx, db)
+	if err != nil {
+		return nil, err
+	}
+	return a.Materialize()
 }
 
 // ExecuteBoolean decides satisfiability of the plan's query on db (for
@@ -607,12 +631,18 @@ func (p *Plan) executeSharded(ctx context.Context, pdb *PartitionedDB) (*Table, 
 		}
 		return boolTable(ok), nil
 	}
+	var a *Answers
+	var err error
 	switch p.strategy {
 	case StrategyNaive, StrategyAcyclic:
-		return p.execute(ctx, pdb.Assembled())
+		a, err = p.answers(ctx, pdb.Assembled())
 	default: // StrategyHypertree
-		return p.eval.EnumerateSharded(ctx, pdb, p.shardWorkers, p.workers)
+		a, err = p.eval.AnswersSharded(ctx, pdb, p.shardWorkers)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return a.Materialize()
 }
 
 // ExecuteBooleanSharded decides satisfiability against a partitioned

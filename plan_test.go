@@ -121,7 +121,7 @@ func TestExecuteCancelled(t *testing.T) {
 			t.Fatalf("strategy %d ExecuteBoolean: err = %v, want context.Canceled", s, err)
 		}
 	}
-	// acyclic strategy, including the workers>1 reducer path
+	// acyclic strategy, including the workers>1 node-table path
 	qa := gen.Q2()
 	dba := gen.RandomDatabase(rng, qa, 100, 16)
 	for _, workers := range []int{1, 4} {
