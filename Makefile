@@ -59,6 +59,7 @@ bench-test:
 fuzz-smoke:
 	$(GO) test ./internal/cq/ -fuzz FuzzParseQuery -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/cq/ -fuzz FuzzCanonicalForm -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/relation/ -fuzz FuzzParseFacts -fuzztime 5s -run '^$$'
 
 # End-to-end smoke of the serving path: boot hdserve over the generated
 # serving database with sampled tracing and OTel file export, drive a 5s

@@ -58,12 +58,12 @@ func main() {
 		dbFile    = flag.String("db", "", "file holding the facts")
 		dbFile2   = flag.String("db2", "", "optional second facts file (plan reuse)")
 		strategy  = flag.String("strategy", "auto", strategyflag.Valid())
-		workers   = flag.Int("workers", 0, "worker goroutines for search and reduction")
+		workers   = flag.Int("workers", 0, "worker goroutines for the decomposition search and node-table materialisation")
 		timeout   = flag.Duration("timeout", 0, "abort compilation/evaluation after this duration")
 		timing    = flag.Bool("time", false, "print compile and evaluation wall time")
 		widths    = flag.Bool("widths", false, "print the compiled plan's width report")
 		useStats  = flag.Bool("stats", false, "collect statistics from the first database and plan cost-based")
-		explain   = flag.Bool("explain", false, "print the compiled plan's per-node cost/width report")
+		explain   = flag.Bool("explain", false, "print the nodes the compiled plan executes, with their estimates")
 		analyze   = flag.Bool("analyze", false, "trace the execution and print per-node actual vs estimated rows")
 		shards    = flag.Int("shards", 0, "partition each database N ways and execute sharded (0 = off)")
 		partition = flag.String("partition", "hash", "tuple placement for -shards: hash | rr")

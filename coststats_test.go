@@ -270,7 +270,7 @@ func TestExplainReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plain.Explain(); !strings.Contains(got, "width-only") || !strings.Contains(got, "λ=") {
+	if got := plain.Explain(); !strings.Contains(got, "width-only") || !strings.Contains(got, "λ{") {
 		t.Errorf("width-only Explain:\n%s", got)
 	}
 

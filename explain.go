@@ -9,54 +9,61 @@ import (
 )
 
 // EstimatedCost returns the plan's total estimated evaluation cost under
-// the statistics it was compiled with: the sum over decomposition nodes of
-// the estimated cardinality of each node's materialised table π_χ(⋈ λ)
-// (the join-size estimate from cardinalities and per-column distinct
-// counts, never above the AGM bound Π_{R∈λ} |R|^w). It is the quantity
-// cost-based compilation minimises among same-width plans. 0
-// means no cost model: the plan was compiled without WithStats/
-// WithCostModel, or its strategy uses no decomposition.
-func (p *Plan) EstimatedCost() float64 { return p.estCost }
+// the statistics it was compiled with: the sum over the nodes the plan
+// executes — Lemma 4.4's completion scans included — of the estimated
+// cardinality of each node's table π_keep(⋈ λ), the est= figures Explain
+// prints (the join-size estimate from cardinalities and per-column distinct
+// counts, never above the AGM bound Π_{R∈λ} |R|^w). The race ranks
+// same-width entrants by the χ-priced sum over their logical trees instead
+// (EstimateCost); this is the price of what runs. 0 means no cost model:
+// the plan was compiled without WithStats/WithCostModel, or its strategy
+// uses no decomposition.
+func (p *Plan) EstimatedCost() float64 {
+	total := 0.0
+	if p.eval != nil {
+		for _, n := range p.eval.Nodes() {
+			total += n.EstRows
+		}
+	}
+	return total
+}
 
 // PlanStats returns the statistics snapshot the plan was compiled with, or
 // nil when compilation was width-only.
 func (p *Plan) PlanStats() *Stats { return p.stats }
 
-// Explain renders the plan's per-node cost/width report: for every
-// decomposition node its χ and λ labels (with fractional weights where
-// present), the node width, and — when the plan was compiled with
-// statistics — the relation cardinalities joined and the estimated
-// cardinality of the node table; a node joining several relations also
-// shows the variable order its leapfrog join binds in. The header line
-// summarises the plan, the
-// ranking mode (cost-based or width-only) and the total estimated cost.
-// Reading the report answers the planner questions: which relations landed
-// in λ, what each node is expected to materialise, and why this plan beat
-// its same-width rivals.
+// Explain renders the plan's report. The header is the logical plan — its
+// strategy, the decomposition's width and fractional width, the decomposer
+// — and the ranking mode (cost-based with the estimated total, or
+// width-only). Below it, one line per node in preorder, is the physical plan
+// the plan executes, completion scans included: the node's ID and χ/λ label
+// as its exec/node spans carry them, its kernel, a join's variable order,
+// the columns its table keeps where they are fewer than χ, and under
+// statistics its estimate; a node with fractional weights or statistics
+// also lists its λ relations with their weights and cardinalities
+// (cover=…) and its fractional width. Reading the report answers the
+// planner questions: which relations landed in λ, what each node is
+// expected to materialise, and why this plan beat its same-width rivals.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	b.WriteString(p.String())
 	switch {
-	case p.strategy == StrategyAcyclic:
-		b.WriteString("\n  no decomposition search: the join tree is a width-1 hypertree decomposition (Theorem 4.5);\n" +
-			"  Yannakakis' semijoin passes and the enumeration run over one cached columnar scan per atom\n")
-		return b.String()
-	case p.dec == nil:
+	case p.eval == nil:
 		fmt.Fprintf(&b, "\n  no decomposition: the %s strategy plans no λ-joins\n", strategyName(p.strategy))
 		return b.String()
+	case p.dec == nil:
+		b.WriteString("\n  no decomposition search: the join tree is a width-1 hypertree decomposition (Theorem 4.5),\n" +
+			"  one cached columnar scan per atom under Yannakakis' count pass and enumeration\n")
 	case p.stats == nil:
 		b.WriteString("\n  ranking: width-only (no statistics; compile with WithStats/WithCostModel for cost-based plans)\n")
 	default:
-		fmt.Fprintf(&b, "\n  ranking: cost-based, estimated total cost %.4g\n  %s\n", p.estCost, p.stats)
+		fmt.Fprintf(&b, "\n  ranking: cost-based, estimated total cost %.4g\n  %s\n", p.EstimatedCost(), p.stats)
 	}
-	var visit func(n, parent *DecompositionNode, depth int)
-	visit = func(n, parent *DecompositionNode, depth int) {
-		indent := strings.Repeat("  ", depth+1)
-		fmt.Fprintf(&b, "%sχ={%s} λ={%s} width=%d",
-			indent,
-			strings.Join(p.dec.H.VertexNames(n.Chi), ","),
-			strings.Join(p.lambdaLabels(n), ","),
-			n.Lambda.Len())
+	for _, n := range p.eval.Nodes() {
+		writeNode(&b, n)
+		if n.Weights != nil || p.cost != nil {
+			fmt.Fprintf(&b, " cover=%s", strings.Join(p.lambdaLabels(n), ","))
+		}
 		if n.Weights != nil {
 			total := 0.0
 			for _, w := range n.Weights {
@@ -64,22 +71,26 @@ func (p *Plan) Explain() string {
 			}
 			fmt.Fprintf(&b, " fw=%.4g", total)
 		}
-		if p.stats != nil {
-			fmt.Fprintf(&b, " est=%.4g", n.EstRows)
-		}
-		if n.Lambda.Len() > 1 {
-			order, _ := hdeval.VarOrder(p.dec.H, n, parent)
-			fmt.Fprintf(&b, " order=%s", hdeval.OrderString(p.dec.H, order))
-		}
 		b.WriteString("\n")
-		for _, c := range n.Children {
-			visit(c, n, depth+1)
-		}
-	}
-	if p.dec.Root != nil {
-		visit(p.dec.Root, nil, 0)
 	}
 	return b.String()
+}
+
+// writeNode writes what Explain and EXPLAIN ANALYZE print alike for one
+// physical node: the indent of its depth, its ID and label, its kernel, a
+// join's order=, keep= where the table keeps fewer columns than χ, and est=
+// under statistics.
+func writeNode(b *strings.Builder, n hdeval.Node) {
+	fmt.Fprintf(b, "%s#%d %s kernel=%s", strings.Repeat("  ", n.Depth+1), n.ID, n.Label, n.Kernel)
+	if n.OrderNames != "" {
+		fmt.Fprintf(b, " order=%s", n.OrderNames)
+	}
+	if n.Keep != "" {
+		fmt.Fprintf(b, " keep=%s", n.Keep)
+	}
+	if n.EstRows > 0 {
+		fmt.Fprintf(b, " est=%.4g", n.EstRows)
+	}
 }
 
 // LastTrace returns the trace of the plan's most recent traced execution
@@ -166,28 +177,20 @@ func (p *Plan) ExplainAnalyze() string {
 		b.WriteString("\n")
 	}
 	if p.eval != nil {
-		for _, info := range p.eval.NodeInfos() {
-			indent := strings.Repeat("  ", info.Depth+1)
-			fmt.Fprintf(&b, "%s%s", indent, info.Label)
-			fmt.Fprintf(&b, " kernel=%s", info.Kernel)
-			if info.Order != "" {
-				fmt.Fprintf(&b, " order=%s", info.Order)
-			}
-			if info.Keep != "" {
-				fmt.Fprintf(&b, " keep=%s", info.Keep)
-			}
-			s, ok := nodeSpans[info.ID]
+		for _, n := range p.eval.Nodes() {
+			writeNode(&b, n)
+			s, ok := nodeSpans[n.ID]
 			switch {
 			case !ok:
 				b.WriteString("  (no span in last traced execution)")
-			case info.EstRows > 0:
-				fmt.Fprintf(&b, "  est=%.4g actual=%d q-err=%.3g rows, %d joins, %dµs",
-					info.EstRows, s.Rows, obs.QError(info.EstRows, s.Rows), s.Steps, s.Micros)
+			case n.EstRows > 0:
+				fmt.Fprintf(&b, "  actual=%d q-err=%.3g rows, %d joins, %dµs",
+					s.Rows, obs.QError(n.EstRows, s.Rows), s.Steps, s.Micros)
 			default:
 				fmt.Fprintf(&b, "  actual=%d rows (no estimate), %d joins, %dµs", s.Rows, s.Steps, s.Micros)
 			}
-			if n := shardCounts[info.ID]; n > 0 {
-				fmt.Fprintf(&b, " across %d shards", n)
+			if k := shardCounts[n.ID]; k > 0 {
+				fmt.Fprintf(&b, " across %d shards", k)
 			}
 			b.WriteString("\n")
 		}
@@ -232,17 +235,15 @@ func passName(name string) string {
 }
 
 // lambdaLabels renders a node's λ edges, each annotated with its fractional
-// weight (when present) and its estimated cardinality (when statistics are
+// weight (when present) and its relation's cardinality (when statistics are
 // attached), in ascending edge order.
-func (p *Plan) lambdaLabels(n *DecompositionNode) []string {
+func (p *Plan) lambdaLabels(n hdeval.Node) []string {
 	elems := n.Lambda.Elems() // ascending by construction
 	labels := make([]string, 0, len(elems))
 	for _, e := range elems {
 		l := p.dec.H.EdgeName(e)
-		if n.Weights != nil {
-			if w, ok := n.Weights[e]; ok {
-				l += fmt.Sprintf("·%.3g", w)
-			}
+		if w, ok := n.Weights[e]; ok {
+			l += fmt.Sprintf("·%.3g", w)
 		}
 		if p.cost != nil {
 			l += fmt.Sprintf("[%.4g rows]", p.cost.Rows(e))

@@ -8,10 +8,10 @@ import (
 
 // This file is the cost model of the planner: one estimate of the size of a
 // node table, read by everything that prices a node — the greedy covers,
-// the shape tie-breaks of the heuristic engines, the auto race, Explain,
-// the evaluator's child ordering and the q-error feedback. Lemma 4.6
-// materialises each node p as π_χ(p)(⋈ λ(p)) and Theorems 4.7/4.8 price a
-// plan at the size of those tables, so the estimate is of that table, from
+// the shape tie-breaks of the heuristic engines, the auto race, and the
+// evaluator's physical plan (est=, child ordering, q-error feedback). Lemma
+// 4.6 materialises each node p as π_χ(p)(⋈ λ(p)) and Theorems 4.7/4.8 price
+// a plan at the size of those tables, so the estimate is of that table, from
 // the statistics a CostModel carries: per hypergraph edge the row count of
 // its relation and, per variable of the edge, the distinct count of the
 // column binding it. NodeCost takes the smallest of three bounds:
@@ -153,19 +153,6 @@ func (d *Decomposition) CostWith(m *CostModel) float64 {
 	total := 0.0
 	for _, n := range d.Nodes() {
 		total += NodeCost(n, m)
-	}
-	return total
-}
-
-// AnnotateCosts stamps every node's EstRows with its NodeCost under m, so
-// downstream layers (evaluation ordering, Plan.Explain, the node spans'
-// q-error) read the estimates off the tree instead of recomputing them. It
-// returns the total cost (the CostWith sum).
-func (d *Decomposition) AnnotateCosts(m *CostModel) float64 {
-	total := 0.0
-	for _, n := range d.Nodes() {
-		n.EstRows = NodeCost(n, m)
-		total += n.EstRows
 	}
 	return total
 }

@@ -43,7 +43,7 @@ func TestNodeCostIntegralAndFractional(t *testing.T) {
 	}
 }
 
-func TestCostWithAndAnnotate(t *testing.T) {
+func TestCostWith(t *testing.T) {
 	h := costHypergraph()
 	child := &Node{Chi: bitset.Of(0, 2), Lambda: bitset.Of(2)}
 	root := &Node{Chi: bitset.Of(0, 1, 2), Lambda: bitset.Of(0, 1), Children: []*Node{child}}
@@ -51,17 +51,6 @@ func TestCostWithAndAnnotate(t *testing.T) {
 	rows := NewCostModel(h, []float64{1000, 100, 10}, nil)
 	if got := d.CostWith(rows); got != 1000*100+10 {
 		t.Errorf("CostWith = %g", got)
-	}
-	if total := d.AnnotateCosts(rows); total != 1000*100+10 {
-		t.Errorf("AnnotateCosts total = %g", total)
-	}
-	if root.EstRows != 1000*100 || child.EstRows != 10 {
-		t.Errorf("EstRows = %g / %g", root.EstRows, child.EstRows)
-	}
-	// clones keep the annotation
-	c := d.Complete()
-	if c.Root.EstRows != root.EstRows {
-		t.Errorf("Complete dropped EstRows: %g", c.Root.EstRows)
 	}
 }
 

@@ -28,11 +28,6 @@ type Node struct {
 	Lambda   bitset.Set
 	Weights  map[int]float64
 	Children []*Node
-	// EstRows is the estimated cardinality of the node's materialised table
-	// (the χ-projection of the λ-join) under the statistics the plan was
-	// compiled with: its NodeCost, set by AnnotateCosts. 0 means "not
-	// annotated" (no statistics were supplied).
-	EstRows float64
 }
 
 // Decomposition is a rooted hypertree ⟨T, χ, λ⟩ for a hypergraph.
@@ -374,17 +369,12 @@ func (d *Decomposition) Complete() *Decomposition {
 	return clone
 }
 
-// Clone returns a deep copy of the decomposition tree (labels, weights and
-// cost annotations; the hypergraph is shared). Callers that annotate or
-// reorder a decomposition they did not build — e.g. Compile stamping cost
-// estimates on a pluggable Decomposer's output — clone first, so a
-// decomposer that returns a shared or memoised tree is never mutated.
-func (d *Decomposition) Clone() *Decomposition { return d.cloneTree() }
-
+// cloneTree returns a deep copy of the decomposition tree (labels and
+// weights; the hypergraph is shared).
 func (d *Decomposition) cloneTree() *Decomposition {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
-		m := &Node{Chi: n.Chi.Clone(), Lambda: n.Lambda.Clone(), EstRows: n.EstRows}
+		m := &Node{Chi: n.Chi.Clone(), Lambda: n.Lambda.Clone()}
 		if n.Weights != nil {
 			m.Weights = make(map[int]float64, len(n.Weights))
 			for e, w := range n.Weights {

@@ -145,31 +145,6 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 	return w, nil
 }
 
-// AGMBound returns the AGM output bound r^fhw of node n against actual
-// per-edge cardinalities: Π_{e∈λ} max(rows(e), 1)^w(e), with w the node's
-// fractional cover weights (1 per edge on integral decompositions). By the
-// AGM inequality this bounds the node's materialised table — the
-// χ-projection of the λ-join — so evaluators use it to pre-size node tables
-// and as the worst-case-optimal join kernel's output budget. Unlike
-// decomp.NodeCost it reads cardinalities through a callback, letting the
-// evaluator price the bound with the exact bound-table sizes it just
-// computed rather than compile-time estimates.
-func AGMBound(n *decomp.Node, rows func(e int) float64) float64 {
-	bound := 1.0
-	n.Lambda.ForEach(func(e int) {
-		r := rows(e)
-		if r < 1 {
-			r = 1
-		}
-		w := 1.0
-		if n.Weights != nil {
-			w = n.Weights[e]
-		}
-		bound *= math.Pow(r, w)
-	})
-	return bound
-}
-
 // Decompose runs the fractional engine: the greedy tree shapes of
 // internal/ghd (the full ordering/restart portfolio of opts), every bag
 // re-covered by its optimal fractional cover, keeping the shape of minimum

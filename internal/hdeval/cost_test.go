@@ -21,8 +21,8 @@ func compileHD(t *testing.T, q *cq.Query) *decomp.Decomposition {
 	return d
 }
 
-// With a cost model NewEvaluator must sort every node's children by
-// estimated node size, without changing any produced table.
+// With a cost model NewEvaluator must order every physical node's children
+// by estimated node size, without changing any produced table.
 func TestEvaluatorStatsOrdering(t *testing.T) {
 	q := cq.MustParse(`ans(X1, X3) :- r1(X1, X2), r2(X2, X3), r3(X3, X4), r4(X4, X1).`)
 	d := compileHD(t, q)
@@ -37,9 +37,10 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range e.HD.Nodes() {
+	nodes := e.Nodes()
+	for _, n := range nodes {
 		for i := 1; i < len(n.Children); i++ {
-			if n.Children[i-1].EstRows > n.Children[i].EstRows {
+			if nodes[n.Children[i-1]].EstRows > nodes[n.Children[i]].EstRows {
 				t.Fatalf("children not sorted by EstRows")
 			}
 		}

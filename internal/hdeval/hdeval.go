@@ -8,17 +8,17 @@
 // all of χ(p) (keep(p), kernel.go).
 //
 // The Evaluator type is the compile-once form of the construction: the
-// decomposition completion (Lemma 4.4), the edge→atom mapping and the head
-// variables are computed once, and the resulting skeleton can then be
-// executed against any database, concurrently and under a context. A naive
-// join baseline is provided for the evaluation experiments.
+// decomposition is completed (Lemma 4.4) and flattened once into the
+// physical plan every execution and report reads (Node), and the plan can
+// then be executed against any database, concurrently and under a context.
+// A naive join baseline is provided for the evaluation experiments.
 package hdeval
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -32,107 +32,77 @@ import (
 )
 
 // Evaluator is the precomputed, database-independent part of the Lemma 4.6
-// evaluation: a completed decomposition plus the query analysis needed to
-// bind relations. An Evaluator is immutable after construction and safe for
-// concurrent use by multiple goroutines (the setting of Theorem 4.7, where
-// one decomposition is amortised across many databases).
+// evaluation: the physical plan of a completed decomposition plus the query
+// analysis needed to bind relations. An Evaluator is immutable after
+// construction and safe for concurrent use by multiple goroutines (the
+// setting of Theorem 4.7, where one decomposition is amortised across many
+// databases).
 type Evaluator struct {
-	Q  *cq.Query
-	HD *decomp.Decomposition // completed per Lemma 4.4
+	Q *cq.Query
 
+	h          *hypergraph.Hypergraph
 	edgeToAtom []int
 	head       []int
-	nodeID     map[*decomp.Node]int     // preorder index over the completed tree
-	infos      []NodeInfo               // per-node identity/estimate, indexed by nodeID (see NodeInfos)
-	labelOnce  sync.Once                // renders infos[i].Label/Order/Keep and spanLabels on first use
-	spanLabels []string                 // per node: Label, plus " order=…" on a leapfrog node
-	lfNodes    map[*decomp.Node]*lfNode // every node's columnar plan (see kernel.go)
-	enc        encCache                 // plan-level Columnar encoding cache (interior mutability)
+	nodes      []Node    // the physical plan in preorder (see Nodes); empty without variable atoms
+	labelOnce  sync.Once // renders the nodes' labels on first use
+	enc        encCache  // plan-level Columnar encoding cache (interior mutability)
 }
 
-// NodeInfo identifies one node of the evaluator's completed decomposition
-// tree for observability: traces reference nodes by ID, and EXPLAIN ANALYZE
-// renders the tree from these records. IDs are preorder indices over the
-// completed tree — the tree execution actually walks, which the completion
-// (Lemma 4.4) may have extended beyond the decomposition the plan reports.
-type NodeInfo struct {
-	// ID is the node's preorder index; span Node fields carry it.
-	ID int
-	// Depth is the node's depth under the root (root = 0), for indenting.
-	Depth int
-	// Label renders the node's χ and λ ("χ{X,Y} λ{r,s}").
-	Label string
-	// EstRows is the planner's estimated cardinality of the node table
-	// (0 when the plan carries no statistics).
-	EstRows float64
-	// Kernel is how the node table is materialised, which |λ| alone
-	// decides: "scan" for one relation, "leapfrog" for several.
-	Kernel string
-	// Order is the variable order a leapfrog node's join binds in
-	// ("X1,X2,X4": χ first, then the existential variables); empty on a
-	// scan, whose order costs nothing. See VarOrder.
-	Order string
-	// Keep names the node table's columns ("{X1,X2}", "{}" when it keeps
-	// none) when they are fewer than χ's; empty when the table holds all of
-	// χ. See keep(p) in kernel.go.
-	Keep string
-}
-
-// NodeInfos returns the completed tree's node records in preorder. The
-// slice is shared and must not be mutated. Labels and orders are rendered
-// on the first call — only explain reports and traced executions read them,
-// and a compile that is never explained should not pay for the strings.
-func (e *Evaluator) NodeInfos() []NodeInfo {
+// Nodes returns the physical plan — the completed tree execution walks,
+// which Lemma 4.4's completion may have extended beyond the decomposition a
+// plan reports — in preorder. The slice is shared and must not be mutated.
+// Labels are rendered on the first call: only reports and traced executions
+// read them, and a compile that is never explained should not pay for the
+// strings.
+func (e *Evaluator) Nodes() []Node {
 	e.labelOnce.Do(func() {
-		e.spanLabels = make([]string, len(e.infos))
-		for n, id := range e.nodeID {
-			info := &e.infos[id]
-			info.Label = e.nodeLabel(n)
-			e.spanLabels[id] = info.Label
-			lf := e.lfNodes[n]
-			if len(lf.lam) > 1 {
-				info.Order = OrderString(e.HD.H, lf.order)
-				e.spanLabels[id] += " order=" + info.Order
+		for i := range e.nodes {
+			n := &e.nodes[i]
+			n.Label = e.label(n.Chi, n.Lambda)
+			n.spanLabel = n.Label
+			if n.Kernel == "leapfrog" {
+				n.OrderNames = e.names(n.Order)
+				n.spanLabel += " order=" + n.OrderNames
 			}
-			if lf.nOut < n.Chi.Len() {
-				info.Keep = "{" + OrderString(e.HD.H, lf.order[:lf.nOut]) + "}"
+			if n.NOut < n.Chi.Len() {
+				n.Keep = "{" + e.names(n.Order[:n.NOut]) + "}"
 			}
 		}
 	})
-	return e.infos
+	return e.nodes
 }
 
-// OrderString renders a variable order by name ("X1,X2,X4").
-func OrderString(h *hypergraph.Hypergraph, order []int) string {
+// names renders a variable order by name ("X1,X2,X4").
+func (e *Evaluator) names(order []int) string {
 	names := make([]string, len(order))
 	for i, v := range order {
-		names[i] = h.VertexName(v)
+		names[i] = e.h.VertexName(v)
 	}
 	return strings.Join(names, ",")
 }
 
-// nodeLabel renders n's χ and λ.
-func (e *Evaluator) nodeLabel(n *decomp.Node) string {
+// label renders a node's χ and λ.
+func (e *Evaluator) label(chi, lambda bitset.Set) string {
 	return fmt.Sprintf("χ{%s} λ{%s}",
-		strings.Join(e.HD.H.VertexNames(n.Chi), ","),
-		strings.Join(e.HD.H.EdgeNames(n.Lambda), ","))
+		strings.Join(e.h.VertexNames(chi), ","),
+		strings.Join(e.h.EdgeNames(lambda), ","))
 }
 
-// NewEvaluator analyses q and completes hd once, returning the reusable
-// evaluation skeleton. The head variables are validated here, and so is
-// every node of the completed tree — a node whose λ is empty, or whose χ
-// reaches outside var(λ), has no table to materialise and is rejected by
-// name — so execution can no longer fail on the plan's shape.
+// NewEvaluator analyses q and flattens the completion of hd (Lemma 4.4)
+// once into the physical plan (see Node). The head variables are validated
+// here, and so is every node of the completed tree — a node whose λ is
+// empty, or whose χ reaches outside var(λ), has no table to materialise and
+// is rejected by name — so execution can no longer fail on the plan's shape.
+// hd itself is only read.
 //
-// model, when non-nil, is the compilation's cost model: every node of the
-// completed tree is stamped with the decomp.NodeCost of the table it
-// actually builds — χ narrowed to its kept columns, so a Boolean bag is
-// priced at one row — and every node's children are reordered by ascending
-// estimate, so the bottom-up count pass tries each row against its most
-// selective child first and stops at the first that has no match. The
-// reordering is answer-neutral — the children's counts multiply — so an
-// Evaluator with statistics returns exactly the answers of one without; only
-// the work to produce them, and the walk's row order, change.
+// model, when non-nil, is the compilation's cost model: every physical node
+// is priced at the decomp.NodeCost of the table it builds, and every node's
+// children are ordered by ascending estimate, so the bottom-up count pass
+// tries each row against its most selective child first and stops at the
+// first that has no match. The ordering is answer-neutral — the children's
+// counts multiply — so an Evaluator with statistics returns exactly the
+// answers of one without; only the work to produce them, and the walk's row
+// order, change.
 func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel) (*Evaluator, error) {
 	if hd == nil || hd.H == nil || (hd.Root == nil && hd.H.NumEdges() > 0) {
 		return nil, fmt.Errorf("hdeval: nil decomposition")
@@ -141,76 +111,53 @@ func NewEvaluator(q *cq.Query, hd *decomp.Decomposition, model *decomp.CostModel
 	if err != nil {
 		return nil, err
 	}
-	complete := hd.Complete()
-	nodes := complete.Nodes()
-	e := &Evaluator{
-		Q:          q,
-		HD:         complete,
-		edgeToAtom: q.EdgeAtoms(),
-		head:       head,
-		lfNodes:    make(map[*decomp.Node]*lfNode, len(nodes)),
-		nodeID:     make(map[*decomp.Node]int, len(nodes)),
-		infos:      make([]NodeInfo, 0, len(nodes)),
-	}
-	// plan computes n's columnar plan and prices the table it builds.
-	plan := func(n, parent *decomp.Node) error {
-		lf, err := e.lfPlanFor(n, parent)
+	e := &Evaluator{Q: q, h: hd.H, edgeToAtom: q.EdgeAtoms(), head: head}
+	if complete := hd.Complete(); complete.Root != nil {
+		root, err := e.planNode(complete.Root, nil, model)
 		if err != nil {
-			return err
-		}
-		e.lfNodes[n] = lf
-		if model != nil {
-			kept := &decomp.Node{Chi: bitset.FromSlice(lf.order[:lf.nOut]), Lambda: n.Lambda, Weights: n.Weights}
-			n.EstRows = decomp.NodeCost(kept, model)
-		}
-		return nil
-	}
-	// Node identity for tracing is the preorder over the final
-	// (post-reorder) tree, so span Node fields and EXPLAIN ANALYZE agree on
-	// which node is which forever after.
-	var index func(n *decomp.Node, depth int) error
-	index = func(n *decomp.Node, depth int) error {
-		for _, c := range n.Children {
-			if err := plan(c, n); err != nil {
-				return err
-			}
-		}
-		if model != nil {
-			sort.SliceStable(n.Children, func(i, j int) bool {
-				return n.Children[i].EstRows < n.Children[j].EstRows
-			})
-		}
-		e.nodeID[n] = len(e.infos)
-		e.infos = append(e.infos, NodeInfo{
-			ID:      len(e.infos),
-			Depth:   depth,
-			EstRows: n.EstRows,
-			Kernel:  e.lfNodes[n].kernel(),
-		})
-		for _, c := range n.Children {
-			if err := index(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if complete.Root != nil {
-		if err := plan(complete.Root, nil); err != nil {
 			return nil, err
 		}
-		if err := index(complete.Root, 0); err != nil {
+		if err := e.add(root, complete.Root, model, 0); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
 }
 
+// add appends n, planned from the completed tree's node dn, at the next
+// preorder index, then its subtrees: the children are planned first and
+// visited by ascending estimate (a stable order, so without a model the
+// decomposition's own order stands).
+func (e *Evaluator) add(n Node, dn *decomp.Node, model *decomp.CostModel, depth int) error {
+	n.ID, n.Depth = len(e.nodes), depth
+	e.nodes = append(e.nodes, n)
+	kids := make([]Node, len(dn.Children))
+	byEst := make([]int, len(dn.Children))
+	for i, c := range dn.Children {
+		var err error
+		if kids[i], err = e.planNode(c, dn, model); err != nil {
+			return err
+		}
+		byEst[i] = i
+	}
+	slices.SortStableFunc(byEst, func(i, j int) int { return cmp.Compare(kids[i].EstRows, kids[j].EstRows) })
+	children := make([]int, len(byEst))
+	for k, i := range byEst {
+		children[k] = len(e.nodes)
+		if err := e.add(kids[i], dn.Children[i], model, depth+1); err != nil {
+			return err
+		}
+	}
+	e.nodes[n.ID].Children = children
+	return nil
+}
+
 // Head returns the validated head variables of the query.
 func (e *Evaluator) Head() []int { return append([]int(nil), e.head...) }
 
 // Root materialises the acyclic instance of Lemma 4.6 for db: one columnar
-// table per decomposition node (the χ-projection of the λ-join), arranged
-// along the decomposition tree. Ground atoms of the query (variable-free,
+// table per node of the physical plan (the projection of the λ-join onto
+// the node's kept columns), arranged along its tree. Ground atoms of the query (variable-free,
 // hence absent from H(Q)) are evaluated separately and, if false, empty the
 // root.
 func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakakis.Node, error) {
@@ -223,7 +170,7 @@ func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakaki
 // decomposition tree fans out embarrassingly. workers ≤ 1 is the sequential
 // path.
 func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Node, error) {
-	if e.HD.Root == nil { // no variable atoms: nothing to materialise
+	if len(e.nodes) == 0 { // no variable atoms: nothing to materialise
 		return groundRoot(db, e.Q)
 	}
 
@@ -231,13 +178,13 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 	var root *yannakakis.Node
 	var err error
 	if workers <= 1 {
-		root, err = b.buildSeq(e.HD.Root)
+		root, err = b.buildSeq(0)
 	} else {
 		// The semaphore bounds concurrent table work only; goroutines waiting
 		// on children hold no slot, so deep trees cannot deadlock (the same
 		// discipline as yannakakis.Reduce).
 		b.sem = make(chan struct{}, workers)
-		root, err = b.buildPar(e.HD.Root)
+		root, err = b.buildPar(0)
 	}
 	if err != nil {
 		return nil, err
@@ -272,10 +219,12 @@ type rootBuilder struct {
 	sem chan struct{}
 }
 
-func (b *rootBuilder) buildSeq(n *decomp.Node) (*yannakakis.Node, error) {
+// buildSeq materialises node i's subtree, node by node in preorder.
+func (b *rootBuilder) buildSeq(i int) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
+	n := &b.e.nodes[i]
 	out, err := b.materialize(n)
 	if err != nil {
 		return nil, err
@@ -290,22 +239,23 @@ func (b *rootBuilder) buildSeq(n *decomp.Node) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// buildPar materialises n's own table under a semaphore slot while its
+// buildPar materialises node i's own table under a semaphore slot while its
 // children build concurrently; the first error wins and the tree above it
 // is abandoned (all goroutines are still joined before returning).
-func (b *rootBuilder) buildPar(n *decomp.Node) (*yannakakis.Node, error) {
+func (b *rootBuilder) buildPar(i int) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
+	n := &b.e.nodes[i]
 	children := make([]*yannakakis.Node, len(n.Children))
 	errs := make([]error, len(n.Children))
 	var wg sync.WaitGroup
-	for i, c := range n.Children {
+	for k, c := range n.Children {
 		wg.Add(1)
-		go func(i int, c *decomp.Node) {
+		go func(k, c int) {
 			defer wg.Done()
-			children[i], errs[i] = b.buildPar(c)
-		}(i, c)
+			children[k], errs[k] = b.buildPar(c)
+		}(k, c)
 	}
 	b.sem <- struct{}{}
 	out, err := b.materialize(n)

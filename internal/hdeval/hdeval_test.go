@@ -336,13 +336,13 @@ func TestTinyAndEmptyBags(t *testing.T) {
 			t.Fatal(err)
 		}
 		leapfrogs := 0
-		for _, info := range e.NodeInfos() {
+		for _, info := range e.Nodes() {
 			if info.Kernel == "leapfrog" {
 				leapfrogs++
 			}
 		}
 		if leapfrogs == 0 {
-			t.Fatalf("%s: no multi-relation bag in %v", q, e.NodeInfos())
+			t.Fatalf("%s: no multi-relation bag in %v", q, e.Nodes())
 		}
 		for _, rows := range []int{0, 1, 2, 4} {
 			for _, empty := range []string{"", "r", "s", "t"} {

@@ -2,12 +2,12 @@ package hdeval
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/decomp"
-	"hypertree/internal/fhd"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
@@ -21,7 +21,7 @@ import (
 // several runs the leapfrog triejoin (relation.LeapfrogJoinColumnar) over
 // their cached encodings: sorted columnar tries intersected variable by
 // variable, worst-case optimal with respect to the AGM bound, which the
-// node's fractional cover weights certify as r^fhw. VarOrder chooses the
+// node's fractional cover weights certify as r^fhw. varOrder chooses the
 // variable order.
 //
 // Lemma 4.6 materialises π_χ(p)(⋈ λ(p)), but a table need only hold
@@ -30,44 +30,60 @@ import (
 // χ(p) ∩ χ(q) and the walk emits head variables, and by the connectedness
 // condition (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in
 // no other node, so projecting it away commutes with the tree's join. A scan orders
-// keep(p) first and keeps that distinct prefix. A join keeps VarOrder's
+// keep(p) first and keeps that distinct prefix. A join keeps varOrder's
 // connectivity order — keep(p) first would bind kept variables no λ edge
 // relates before the join variable between them — and outputs the shortest
 // prefix of it covering keep(p); every later variable stops at its first
 // witness, so a Boolean bag (keep = ∅) is a search for one.
 
-// lfNode is the precomputed columnar plan of one decomposition node: its λ
-// edges, the global variable order (χ first, existential suffix by
-// descending cover weight), the output prefix length, and — per λ edge —
-// the encoding-cache key and column order of its relation, so a warm
-// execution reaches its encodings without binding or analysing an atom.
-type lfNode struct {
-	lam   []int
-	order []int
-	nOut  int // the node table's columns are order[:nOut]
-	keys  []encKey
-	subs  [][]int
+// Node is one node of the physical plan: the completed decomposition
+// (Lemma 4.4) NewEvaluator flattens once into a preorder slice, immutable
+// after construction. The builders, the span labels, Explain and EXPLAIN
+// ANALYZE all read this slice, so what a report describes is what runs. IDs
+// are preorder indices, which span Node fields carry; children are indices
+// into the same slice, by ascending estimate under a cost model.
+type Node struct {
+	ID, Depth int
+	Children  []int
+	// Chi, Lambda and Weights are the node's labels (Definition 4.1); a
+	// completion leaf ⟨var(e), {e}⟩ carries no weights.
+	Chi, Lambda bitset.Set
+	Weights     map[int]float64
+	// Order is the variable order the node binds in (χ first, then the
+	// existential variables; see varOrder), and the node table's columns are
+	// Order[:NOut].
+	Order []int
+	NOut  int
+	// EstRows is the decomp.NodeCost of the table the node builds — χ
+	// narrowed to its kept columns, so a Boolean bag is priced at one row —
+	// and 0 without a cost model.
+	EstRows float64
+	// Kernel names how the table is built, which |λ| alone decides: "scan"
+	// for one relation, "leapfrog" for several.
+	Kernel string
+	// Label renders χ and λ ("χ{X,Y} λ{r,s}"), OrderNames a leapfrog node's
+	// Order ("X1,X2,X4"; empty on a scan, whose order costs nothing), and Keep
+	// the table's columns when they are fewer than χ's ("{X1}", "{}"). They
+	// are rendered on the first Nodes call.
+	Label, OrderNames, Keep string
+
+	lam       []int    // λ's edges, ascending
+	keys      []encKey // per λ edge: its encoding-cache key …
+	subs      [][]int  // … and the column order its relation is encoded under
+	spanLabel string   // Label, plus " order=…" on a leapfrog node
 }
 
-// kernel names how the node is materialised, for NodeInfo and span
-// attributes.
-func (lf *lfNode) kernel() string {
-	if len(lf.lam) == 1 {
-		return "scan"
-	}
-	return "leapfrog"
-}
-
-// lfPlanFor computes node n's columnar plan under the given parent (nil at
-// the root), rejecting a node that has no table: an empty λ, or a χ variable
-// outside var(λ).
-func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
+// planNode computes the physical node of the completed tree's node n under
+// the given parent (nil at the root), priced under model (nil: no estimate),
+// rejecting a node that has no table: an empty λ, or a χ variable outside
+// var(λ). ID, Depth and Children are the caller's to set.
+func (e *Evaluator) planNode(n, parent *decomp.Node, model *decomp.CostModel) (Node, error) {
 	lam := n.Lambda.Elems()
 	if len(lam) == 0 {
-		return nil, fmt.Errorf("hdeval: decomposition node %s has an empty λ", e.nodeLabel(n))
+		return Node{}, fmt.Errorf("hdeval: decomposition node %s has an empty λ", e.label(n.Chi, n.Lambda))
 	}
-	if !n.Chi.SubsetOf(e.HD.H.Vars(n.Lambda)) {
-		return nil, fmt.Errorf("hdeval: decomposition node %s has χ variables outside var(λ)", e.nodeLabel(n))
+	if !n.Chi.SubsetOf(e.h.Vars(n.Lambda)) {
+		return Node{}, fmt.Errorf("hdeval: decomposition node %s has χ variables outside var(λ)", e.label(n.Chi, n.Lambda))
 	}
 	keep := n.Chi.Intersect(bitset.FromSlice(e.head))
 	if parent != nil {
@@ -76,36 +92,39 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 	for _, c := range n.Children {
 		keep.UnionInPlace(n.Chi.Intersect(c.Chi))
 	}
-	order, nChi := VarOrder(e.HD.H, n, parent)
-	lf := &lfNode{lam: lam, order: order}
+	order, nChi := varOrder(e.h, n, parent)
+	p := Node{Chi: n.Chi, Lambda: n.Lambda, Weights: n.Weights, Order: order, Kernel: "leapfrog", lam: lam}
 	if len(lam) == 1 {
 		// parent-shared variables lead and are kept, so this stable pass
 		// leaves them in front
 		chi := order[:nChi]
 		sort.SliceStable(chi, func(i, j int) bool { return keep.Has(chi[i]) && !keep.Has(chi[j]) })
-		lf.nOut = keep.Len()
+		p.Kernel, p.NOut = "scan", keep.Len()
 	} else {
 		for i, v := range order[:nChi] {
 			if keep.Has(v) {
-				lf.nOut = i + 1
+				p.NOut = i + 1
 			}
 		}
 	}
 	for _, e2 := range lam {
-		sub := lf.order // a scan's one relation spans the whole order
+		sub := order // a scan's one relation spans the whole order
 		if len(lam) > 1 {
-			sub = relation.SubOrder(lf.order, yannakakis.AtomVars(e.Q, e.edgeToAtom[e2]))
+			sub = relation.SubOrder(order, yannakakis.AtomVars(e.Q, e.edgeToAtom[e2]))
 		}
 		key := encKey{edge: e2, order: orderKey(sub), width: len(sub)}
 		if len(lam) == 1 {
-			key.width = lf.nOut
+			key.width = p.NOut
 		}
-		lf.subs, lf.keys = append(lf.subs, sub), append(lf.keys, key)
+		p.subs, p.keys = append(p.subs, sub), append(p.keys, key)
 	}
-	return lf, nil
+	if model != nil {
+		p.EstRows = decomp.NodeCost(&decomp.Node{Chi: bitset.FromSlice(order[:p.NOut]), Lambda: n.Lambda, Weights: n.Weights}, model)
+	}
+	return p, nil
 }
 
-// VarOrder returns the order in which node n of a decomposition of h binds
+// varOrder returns the order in which node n of a decomposition of h binds
 // its variables under the given parent (nil at the root), and the length of
 // its χ prefix. Output (χ) variables come first, so results stream out
 // sorted and distinct and the kernel projects by truncation; node tables are
@@ -115,7 +134,7 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 // A scan (one λ edge) lists the variables shared with the parent first
 // (ascending), the rest after: reordering a cached scan costs nothing, and
 // it exposes the reducer's semijoin variables as a sorted column prefix (the
-// aligned case of relation.MergeSemijoin). lfPlanFor then moves the rest of
+// aligned case of relation.MergeSemijoin). planNode then moves the rest of
 // keep(n) up behind them.
 //
 // A join (several λ edges) orders χ by connectivity, because the order is
@@ -135,7 +154,7 @@ func (e *Evaluator) lfPlanFor(n, parent *decomp.Node) (*lfNode, error) {
 // total fractional cover weight (weight 1 per covering edge on integral
 // nodes; most-covered, hence most selective to intersect, first), ties
 // toward the smaller id.
-func VarOrder(h *hypergraph.Hypergraph, n, parent *decomp.Node) (order []int, nChi int) {
+func varOrder(h *hypergraph.Hypergraph, n, parent *decomp.Node) (order []int, nChi int) {
 	lam := n.Lambda.Elems()
 	shared := func(v int) bool { return parent != nil && parent.Chi.Has(v) }
 	chi := n.Chi.Elems()
@@ -188,30 +207,28 @@ func VarOrder(h *hypergraph.Hypergraph, n, parent *decomp.Node) (order []int, nC
 }
 
 // agmCapHint is the leapfrog output pre-size for node n: the AGM bound
-// r^fhw priced with the actual bound-table cardinalities, used only when the
-// node carries fractional cover weights (an integral product of full
-// relation sizes over-allocates wildly). The hint is clamped to the smallest
-// λ relation — a selective bag's table is far below its AGM bound, and
-// append grows past the hint where it is not; it sizes a buffer, it does
+// Π |R_e|^w_e (r^fhw) priced with the actual bound-table cardinalities, used
+// only when the node carries fractional cover weights (an integral product
+// of full relation sizes over-allocates wildly). The hint is clamped to the
+// smallest λ relation — a selective bag's table is far below its AGM bound,
+// and append grows past the hint where it is not; it sizes a buffer, it does
 // not limit results.
-func agmCapHint(n *decomp.Node, lam []int, cols []*relation.Columnar) int {
+func agmCapHint(n *Node, cols []*relation.Columnar) int {
 	if n.Weights == nil {
 		return 0
 	}
-	rows := map[int]float64{}
-	smallest := cols[0].Rows()
-	for i, e2 := range lam {
-		rows[e2] = float64(cols[i].Rows())
+	bound, smallest := 1.0, cols[0].Rows()
+	for i, e2 := range n.lam {
+		bound *= math.Pow(max(float64(cols[i].Rows()), 1), n.Weights[e2])
 		smallest = min(smallest, cols[i].Rows())
 	}
-	bound := fhd.AGMBound(n, func(e int) float64 { return rows[e] })
 	if bound > float64(smallest) {
 		return smallest
 	}
 	return int(bound)
 }
 
-// encoded returns the i-th λ relation of lf in Columnar form under lf's
+// encoded returns the i-th λ relation of n in Columnar form under n's
 // variable order, through the evaluator's encoding cache: within one
 // database generation each (edge, order) pair is bound once — straight into
 // sorted columns (relation.BindColumnar), the kept width being the distinct
@@ -219,10 +236,10 @@ func agmCapHint(n *decomp.Node, lam []int, cols []*relation.Columnar) int {
 // across repeated executions under a warm plan cache. A hit touches neither
 // the relation nor the atom. Under a traced context each fetch is one
 // SpanBind labelled with the relation and hit or miss.
-func (b *rootBuilder) encoded(lf *lfNode, i int) (*relation.Columnar, error) {
+func (b *rootBuilder) encoded(n *Node, i int) (*relation.Columnar, error) {
 	sp := b.tr.StartSpan(obs.SpanBind)
-	e2 := lf.lam[i]
-	key, sub := lf.keys[i], lf.subs[i]
+	e2 := n.lam[i]
+	key, sub := n.keys[i], n.subs[i]
 	rel := b.db.Relation(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
 	enc, hit, err := b.e.enc.get(b.db, rel, key, func() (*relation.Columnar, error) {
 		return yannakakis.BindAtomColumnar(b.db, b.e.Q, b.e.edgeToAtom[e2], sub[:key.width])
@@ -235,7 +252,7 @@ func (b *rootBuilder) encoded(lf *lfNode, i int) (*relation.Columnar, error) {
 		if hit {
 			outcome = " hit"
 		}
-		sp.SetLabel(b.e.HD.H.EdgeName(e2) + outcome)
+		sp.SetLabel(b.e.h.EdgeName(e2) + outcome)
 		sp.SetRows(enc.Rows())
 		sp.End()
 	}
@@ -246,16 +263,15 @@ func (b *rootBuilder) encoded(lf *lfNode, i int) (*relation.Columnar, error) {
 // relation's cached encoding as it stands — no join, no re-encode, no
 // row-major copy. Any other node fetches its λ encodings, runs the multiway
 // intersection over the node's precomputed variable order, which emits the
-// sorted, already-distinct χ prefix as the node table's columns; the join
+// sorted, already-distinct kept prefix as the node table's columns; the join
 // polls the builder's context, so a request deadline interrupts it. Under a
 // traced context the fetches record as SpanBind and the join as one
 // SpanNode carrying the join count and the actual vs estimated cardinality.
-func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
-	lf := b.e.lfNodes[n]
-	cols := make([]*relation.Columnar, len(lf.lam))
-	for i := range lf.lam {
+func (b *rootBuilder) materialize(n *Node) (*yannakakis.Node, error) {
+	cols := make([]*relation.Columnar, len(n.lam))
+	for i := range n.lam {
 		var err error
-		if cols[i], err = b.encoded(lf, i); err != nil {
+		if cols[i], err = b.encoded(n, i); err != nil {
 			return nil, err
 		}
 	}
@@ -263,7 +279,7 @@ func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	out := &yannakakis.Node{Enc: cols[0]}
 	if len(cols) > 1 {
 		var err error
-		out.Enc, err = relation.LeapfrogJoinColumnar(b.ctx, cols, lf.order, lf.nOut, agmCapHint(n, lf.lam, cols))
+		out.Enc, err = relation.LeapfrogJoinColumnar(b.ctx, cols, n.Order, n.NOut, agmCapHint(n, cols))
 		if err != nil {
 			return nil, err
 		}
@@ -273,18 +289,17 @@ func (b *rootBuilder) materialize(n *decomp.Node) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// endNodeSpan stamps a node span with the node's identity (for a leapfrog
+// endNodeSpan stamps a node span with the node's ID, label (for a leapfrog
 // node, its variable order too), kernel, estimate and actual cardinality,
 // and publishes it.
-func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *decomp.Node, rows int) {
+func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *Node, rows int) {
 	if sp == nil {
 		return
 	}
-	id := b.e.nodeID[n]
-	info := b.e.NodeInfos()[id]
-	sp.SetKernel(info.Kernel)
-	sp.SetNode(id)
-	sp.SetLabel(b.e.spanLabels[id])
+	b.e.Nodes() // renders the labels on the first traced execution
+	sp.SetKernel(n.Kernel)
+	sp.SetNode(n.ID)
+	sp.SetLabel(n.spanLabel)
 	sp.SetEst(n.EstRows)
 	sp.SetRows(rows)
 	sp.End()

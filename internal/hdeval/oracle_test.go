@@ -249,7 +249,7 @@ func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 			t.Fatalf("%s: naive: %v", tc.name, err)
 		}
 		e, jt := width1(t, tc.q)
-		for _, info := range e.NodeInfos() {
+		for _, info := range e.Nodes() {
 			if info.Kernel != "scan" {
 				t.Fatalf("%s: width-1 node runs %q, want a scan", tc.name, info.Kernel)
 			}
@@ -369,6 +369,54 @@ func TestAnswersCursorOnAdversarialShapes(t *testing.T) {
 					if n+rest.Rows() != ref.Rows() || !slices.Equal(got, want) {
 						t.Fatalf("%s workers=%d k=%d: the cursor's rows are not the reduced walk's", src, workers, k)
 					}
+				}
+			}
+		}
+	}
+}
+
+// Local consistency on the adversarial shapes, each as written and as its
+// Boolean body, for 1 and 4 workers: after the full reducer every node
+// table — narrowed to the columns the rest of its tree reads — equals the
+// naive join of the whole body projected onto that table's own columns.
+// The gen.KernelCases × decomposer half of this invariant is
+// TestReducedNodeTablesAreLocallyConsistent in the root package.
+func TestReducedNodeTablesAreLocallyConsistentOnAdversarialShapes(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 3; round++ {
+		db := adversarialDB(rng)
+		for _, src := range adversarialAcyclic {
+			q := cq.MustParse(src)
+			all := make([]cq.Term, q.NumVars())
+			for v := range all {
+				all[v] = cq.Var(q.VarName(v))
+			}
+			join, err := NaiveJoin(db, cq.NewQuery(&cq.Atom{Pred: "ans", Args: all}, q.Atoms))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*cq.Query{q, cq.NewQuery(nil, q.Atoms)} {
+				e, _ := width1(t, q)
+				for _, workers := range []int{1, 4} {
+					root, err := e.RootWorkers(ctx, db, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := yannakakis.Reduce(ctx, root); err != nil {
+						t.Fatal(err)
+					}
+					var check func(n *yannakakis.Node)
+					check = func(n *yannakakis.Node) {
+						if want := join.Project(n.Vars()); !n.Enc.Table().Equal(want) {
+							t.Fatalf("%s workers=%d: reduced node table over %v holds %d rows, the naive join projected onto it %d",
+								q, workers, n.Vars(), n.Rows(), want.Rows())
+						}
+						for _, c := range n.Children {
+							check(c)
+						}
+					}
+					check(root)
 				}
 			}
 		}

@@ -16,16 +16,17 @@ import (
 
 // The connectivity order of a join bag is a choice of work, never of
 // answers. Over random bags (random queries, random λ of 2–3 edges, random
-// χ ⊆ var(λ), random parent), VarOrder must return a χ permutation followed
+// χ ⊆ var(λ), random parent), varOrder must return a χ permutation followed
 // by a permutation of the existential variables, start with a χ variable of
 // maximum λ-degree, and never start a new factor — a variable sharing no λ
 // edge with the bound ones — while some unbound variable does share one;
 // and the node table under it must equal, as a set, the table under the
 // ascending-id order, through the kernel under a random parent. Through the
 // evaluator at the root — Boolean, or headed over a random part of χ — the
-// bag must bind in exactly VarOrder's order whatever it keeps, and its table
-// must be that join projected onto the shortest prefix of the order that
-// covers keep(root).
+// physical plan's root must bind in exactly varOrder's order whatever it
+// keeps, its NOut must cut the shortest prefix of that order covering
+// keep(root), and the table it builds must be that join projected onto the
+// prefix.
 func TestVarOrderConnectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	ctx := context.Background()
@@ -58,7 +59,7 @@ func TestVarOrderConnectivity(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			parent = &decomp.Node{Chi: parentChi}
 		}
-		order, nChi := VarOrder(h, n, parent)
+		order, nChi := varOrder(h, n, parent)
 
 		if got := bitset.FromSlice(order[:nChi]); nChi != chi.Len() || !got.Equal(chi) {
 			t.Fatalf("trial %d: χ prefix %v of order %v is not χ %v", trial, order[:nChi], order, chi.Elems())
@@ -124,13 +125,14 @@ func TestVarOrderConnectivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rootOrder, _ := VarOrder(h, n, nil)
-		if got := e.NodeInfos()[0].Order; got != OrderString(h, rootOrder) {
-			t.Fatalf("trial %d: the evaluator binds the bag in order %s, VarOrder says %s", trial, got, OrderString(h, rootOrder))
+		rootOrder, _ := varOrder(h, n, nil)
+		nodes := e.Nodes()
+		if got := nodes[0].Order; !slices.Equal(got, rootOrder) {
+			t.Fatalf("trial %d: the evaluator binds the bag in order %v, varOrder says %v", trial, got, rootOrder)
 		}
 		keep := chi.Intersect(bitset.FromSlice(e.Head()))
-		for _, c := range e.HD.Root.Children { // the completion's leaves
-			keep.UnionInPlace(chi.Intersect(c.Chi))
+		for _, c := range nodes[0].Children { // the completion's leaves
+			keep.UnionInPlace(chi.Intersect(nodes[c].Chi))
 		}
 		nOut := 0
 		for i, v := range rootOrder[:nChi] {
@@ -140,6 +142,9 @@ func TestVarOrderConnectivity(t *testing.T) {
 		}
 		if nOut < nChi {
 			narrowed++
+		}
+		if nodes[0].NOut != nOut {
+			t.Fatalf("trial %d: the root keeps %d columns of %v, keep %v needs %d", trial, nodes[0].NOut, rootOrder, keep.Elems(), nOut)
 		}
 		root, err := e.Root(ctx, db)
 		if err != nil {

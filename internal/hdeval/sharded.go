@@ -3,7 +3,6 @@ package hdeval
 import (
 	"context"
 
-	"hypertree/internal/decomp"
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 	"hypertree/internal/shard"
@@ -27,7 +26,7 @@ import (
 // answer tables are merged deterministically. The resulting tree is
 // answer-identical to Root(ctx, p.Assembled()).
 func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, shardWorkers int) (*yannakakis.Node, error) {
-	if e.HD.Root == nil { // no variable atoms: nothing to materialise
+	if len(e.nodes) == 0 { // no variable atoms: nothing to materialise
 		return groundRoot(p.Assembled(), e.Q)
 	}
 	b := &shardedBuilder{
@@ -40,7 +39,7 @@ func (e *Evaluator) RootSharded(ctx context.Context, p *shard.PartitionedDB, sha
 		// encodings and the scan nodes, which have nothing to scatter.
 		full: &rootBuilder{ctx: ctx, db: p.Assembled(), e: e, tr: obs.FromContext(ctx)},
 	}
-	root, err := b.build(e.HD.Root)
+	root, err := b.build(0)
 	if err != nil {
 		return nil, err
 	}
@@ -60,14 +59,16 @@ type shardedBuilder struct {
 	full    *rootBuilder // assembled-view binder
 }
 
-func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
+// build materialises node i's subtree, node by node in preorder.
+func (b *shardedBuilder) build(i int) (*yannakakis.Node, error) {
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
+	n := &b.e.nodes[i]
 	// A scan has no join to scatter: the node table is the assembled
 	// relation's cached encoding.
 	materialize := b.full.materialize
-	if len(b.e.lfNodes[n].lam) > 1 {
+	if len(n.lam) > 1 {
 		materialize = b.materializeSharded
 	}
 	out, err := materialize(n)
@@ -94,48 +95,46 @@ func (b *shardedBuilder) build(n *decomp.Node) (*yannakakis.Node, error) {
 // caching them would only churn the cache. Under a traced context the whole
 // build is one SpanNodeSharded (join steps, actual vs estimated rows), each
 // shard task records a SpanShard, and the merge a SpanMerge.
-func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, error) {
-	lf := b.e.lfNodes[n]
+func (b *shardedBuilder) materializeSharded(n *Node) (*yannakakis.Node, error) {
 	sp := b.tr.StartSpan(obs.SpanNodeSharded)
 	// Pivot: the λ edge backed by the most tuples — its fragments carry the
 	// bulk of the scan work, so fragmenting it balances the shards best.
 	// Ties break to the smallest edge id; the choice is deterministic.
-	pivot, pivotSub := lf.lam[0], lf.subs[0]
-	for i, e2 := range lf.lam {
+	pivot, pivotSub := n.lam[0], n.subs[0]
+	for i, e2 := range n.lam {
 		if b.rowsOf(e2) > b.rowsOf(pivot) {
-			pivot, pivotSub = e2, lf.subs[i]
+			pivot, pivotSub = e2, n.subs[i]
 		}
 	}
-	broadcast := make([]*relation.Columnar, 0, len(lf.lam)-1)
-	for i, e2 := range lf.lam {
+	broadcast := make([]*relation.Columnar, 0, len(n.lam)-1)
+	for i, e2 := range n.lam {
 		if e2 == pivot {
 			continue
 		}
-		enc, err := b.full.encoded(lf, i)
+		enc, err := b.full.encoded(n, i)
 		if err != nil {
 			return nil, err
 		}
 		broadcast = append(broadcast, enc)
 	}
-	nodeIdx := b.e.nodeID[n]
 	parts, err := shard.Scatter(b.ctx, b.p, b.workers,
 		func(ctx context.Context, i int, db *relation.Database) (*relation.Columnar, error) {
 			ssp := b.tr.StartSpan(obs.SpanShard)
 			ssp.SetShard(i)
-			ssp.SetKernel(lf.kernel())
-			ssp.SetNode(nodeIdx)
+			ssp.SetKernel(n.Kernel)
+			ssp.SetNode(n.ID)
 			frag, err := yannakakis.BindAtomColumnar(db, b.e.Q, b.e.edgeToAtom[pivot], pivotSub)
 			if err != nil {
 				return nil, err
 			}
-			cols := make([]*relation.Columnar, 0, len(lf.lam))
+			cols := make([]*relation.Columnar, 0, len(n.lam))
 			cols = append(cols, frag)
 			cols = append(cols, broadcast...)
-			out, err := relation.LeapfrogJoinColumnar(ctx, cols, lf.order, lf.nOut, 0)
+			out, err := relation.LeapfrogJoinColumnar(ctx, cols, n.Order, n.NOut, 0)
 			if err != nil {
 				return nil, err
 			}
-			ssp.AddSteps(int64(len(lf.lam) - 1))
+			ssp.AddSteps(int64(len(n.lam) - 1))
 			ssp.SetRows(out.Rows())
 			ssp.End()
 			return out, nil
@@ -144,11 +143,11 @@ func (b *shardedBuilder) materializeSharded(n *decomp.Node) (*yannakakis.Node, e
 		return nil, err
 	}
 	msp := b.tr.StartSpan(obs.SpanMerge)
-	msp.SetNode(nodeIdx)
+	msp.SetNode(n.ID)
 	merged := relation.Union(parts...)
 	msp.SetRows(merged.Rows())
 	msp.End()
-	sp.AddSteps(int64(len(lf.lam) - 1))
+	sp.AddSteps(int64(len(n.lam) - 1))
 	b.full.endNodeSpan(sp, n, merged.Rows())
 	return &yannakakis.Node{Enc: merged}, nil
 }

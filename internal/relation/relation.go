@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Value is an interned constant.
@@ -153,7 +154,10 @@ func (db *Database) MaxRelationSize() int {
 
 // ParseFacts loads ground atoms, one per line, in the syntax
 // "rel(a, b, c)." ('%' and '#' comments, blank lines and the trailing period
-// are allowed).
+// are allowed). A relation name must be an identifier starting with a letter
+// or '_', as a query atom's predicate must, and no argument may be empty:
+// either would load facts no query can read, so both are rejected with the
+// line number.
 func (db *Database) ParseFacts(src string) error {
 	for ln, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)
@@ -167,11 +171,17 @@ func (db *Database) ParseFacts(src string) error {
 				return fmt.Errorf("relation: line %d: cannot parse fact %q", ln+1, line)
 			}
 			name := strings.TrimSpace(line[:open])
+			if !isIdent(name) {
+				return fmt.Errorf("relation: line %d: relation name %q is not an identifier", ln+1, name)
+			}
 			inner := line[open+1 : closeIdx]
 			var args []string
 			if strings.TrimSpace(inner) != "" {
 				for _, a := range strings.Split(inner, ",") {
-					args = append(args, strings.TrimSpace(a))
+					if a = strings.TrimSpace(a); a == "" {
+						return fmt.Errorf("relation: line %d: empty argument in %s(%s)", ln+1, name, inner)
+					}
+					args = append(args, a)
 				}
 			}
 			if err := db.AddFact(name, args...); err != nil {
@@ -181,6 +191,19 @@ func (db *Database) ParseFacts(src string) error {
 		}
 	}
 	return nil
+}
+
+// isIdent reports whether s is a letter or underscore followed by letters,
+// digits, underscores and apostrophes — a predicate name the query parser
+// accepts, read byte by byte as it reads one.
+func isIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		r := rune(s[i])
+		if !unicode.IsLetter(r) && r != '_' && (i == 0 || !unicode.IsDigit(r) && r != '\'') {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Relation is a set of tuples of fixed arity, stored row-major.

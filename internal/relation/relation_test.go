@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,6 +62,21 @@ flag().
 	}
 	if err := db.ParseFacts("enrolled(a)."); err == nil {
 		t.Fatalf("arity mismatch accepted")
+	}
+	// facts no query can read: a relation named by a stray token, an empty
+	// or blank constant
+	for _, bad := range []string{"r(a) . . s(b)", "r(a,,b).", "ok(a).\nr(a, ).", "r( ,a).", "1r(a).", "r-s(a).", "r s(a)."} {
+		fresh := NewDatabase()
+		err := fresh.ParseFacts(bad)
+		if err == nil {
+			t.Fatalf("%q accepted: relations %v", bad, fresh.RelationNames())
+		}
+		if line := strings.Count(bad, "\n") + 1; !strings.Contains(err.Error(), fmt.Sprintf("line %d:", line)) {
+			t.Fatalf("%q: error %q does not name line %d", bad, err, line)
+		}
+	}
+	if err := NewDatabase().ParseFacts("_r(a). r'2(b). r(a) s(b)"); err != nil {
+		t.Fatalf("identifier relation names rejected: %v", err)
 	}
 }
 

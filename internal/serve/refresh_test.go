@@ -115,12 +115,15 @@ func TestIngestRejectsBadFacts(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	origDB := s.LiveDB()
-	code, _ := postJSON(t, ts.URL+"/admin/ingest", IngestRequest{Facts: "not a fact"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("bad facts: status %d, want 400", code)
-	}
-	if s.LiveDB() != origDB {
-		t.Fatal("failed ingest must not swap the database")
+	// garbage, a relation named by a stray token, an empty constant
+	for _, facts := range []string{"not a fact", "r1(a, b) . . s(b)", "r1(a,)."} {
+		code, _ := postJSON(t, ts.URL+"/admin/ingest", IngestRequest{Facts: facts})
+		if code != http.StatusBadRequest {
+			t.Fatalf("bad facts %q: status %d, want 400", facts, code)
+		}
+		if s.LiveDB() != origDB {
+			t.Fatalf("failed ingest of %q swapped the database", facts)
+		}
 	}
 }
 

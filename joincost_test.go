@@ -3,11 +3,11 @@ package hypertree
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"hypertree/internal/gen"
-	"hypertree/internal/hdeval"
 	"hypertree/internal/obs"
 )
 
@@ -80,40 +80,62 @@ func TestCycle4ServesJoinsNotProducts(t *testing.T) {
 				t.Errorf("%s: the plan holds a product bag\n%s", src, plan.Explain())
 			}
 		}
-		for _, s := range nodeSpans(t, plan, db) {
+		spans := nodeSpans(t, plan, db)
+		for _, s := range spans {
 			if s.Rows > 2000 || QError(s.EstRows, s.Rows) > 2 {
 				t.Errorf("%s: node %s materialised %d rows against an estimate of %.4g\n%s",
 					src, s.Label, s.Rows, s.EstRows, plan.ExplainAnalyze())
 			}
 		}
-		joinOrdersAreVarOrders(t, src, plan)
+		full, err := Compile(MustParseQuery("ans(X1, X2, X3, X4) :- "+src), WithAutoStrategy(), WithCostModel(st))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		joinOrdersAreVarOrders(t, src, plan, full, spans)
 	}
 	perm(0)
 }
 
-// joinOrdersAreVarOrders checks that every join node plan executes binds in
-// exactly VarOrder's connectivity order. Keeping fewer columns cuts a join's
-// output prefix; it must never reorder the join, because kept variables
-// that no λ edge relates, bound first, enumerate their product.
-func joinOrdersAreVarOrders(t *testing.T, src string, plan *Plan) {
+// joinOrdersAreVarOrders checks every join node plan executed (spans) in
+// the connectivity order: its span carries the physical plan node's order,
+// that order never starts a new factor — a χ variable sharing no λ edge with
+// the bound ones — while a later χ variable extends the join, and full, the
+// same body compiled with a full head, binds the node in the same order.
+// Keeping fewer columns cuts a join's output prefix; it must never reorder
+// the join, because kept variables that no λ edge relates, bound first,
+// enumerate their product.
+func joinOrdersAreVarOrders(t *testing.T, src string, plan, full *Plan, spans []obs.Span) {
 	t.Helper()
-	infos := plan.eval.NodeInfos()
-	id := 0
-	var walk func(n, parent *DecompositionNode)
-	walk = func(n, parent *DecompositionNode) {
-		info := infos[id]
-		id++
-		if n.Lambda.Len() > 1 {
-			order, _ := hdeval.VarOrder(plan.eval.HD.H, n, parent)
-			if want := hdeval.OrderString(plan.eval.HD.H, order); info.Order != want {
-				t.Errorf("%s: node %s binds in order %s, VarOrder says %s", src, info.Label, info.Order, want)
+	h := plan.Decomposition().H
+	fullOrders := map[string]string{}
+	for _, n := range full.eval.Nodes() {
+		fullOrders[n.Label] = n.OrderNames
+	}
+	nodes := plan.eval.Nodes()
+	for _, s := range spans {
+		n := nodes[s.Node]
+		if n.Kernel != "leapfrog" {
+			continue
+		}
+		if s.Label != n.Label+" order="+n.OrderNames || fullOrders[n.Label] != n.OrderNames {
+			t.Errorf("%s: node %s ran as %q; the plan binds it in order %s, the full-head plan in %s",
+				src, n.Label, s.Label, n.OrderNames, fullOrders[n.Label])
+		}
+		attached := func(v int, bound []int) bool {
+			for _, e := range n.Lambda.Elems() {
+				if h.Edge(e).Has(v) && slices.ContainsFunc(bound, h.Edge(e).Has) {
+					return true
+				}
+			}
+			return false
+		}
+		chi := n.Order[:n.Chi.Len()]
+		for i := 1; i < len(chi); i++ {
+			if !attached(chi[i], chi[:i]) && slices.ContainsFunc(chi[i+1:], func(v int) bool { return attached(v, chi[:i]) }) {
+				t.Errorf("%s: node %s order %s starts a new factor at position %d", src, n.Label, n.OrderNames, i)
 			}
 		}
-		for _, c := range n.Children {
-			walk(c, n)
-		}
 	}
-	walk(plan.eval.HD.Root, nil)
 }
 
 // A Boolean bag keeps no column, so its join stops at the first witness:

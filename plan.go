@@ -36,10 +36,9 @@ type Plan struct {
 	generalized  bool // decomposition validated as a GHD (conditions 1–3 only)
 	fractional   bool // decomposition carries fractional λ weights (validated by ValidateFHD)
 
-	// cost-based planning state (nil/zero without WithStats/WithCostModel)
-	stats   *stats.Stats
-	cost    *CostModel // stats read against the query's hypergraph
-	estCost float64    // Σ over nodes of the annotated EstRows
+	// cost-based planning state (nil without WithStats/WithCostModel)
+	stats *stats.Stats
+	cost  *CostModel // stats read against the query's hypergraph
 
 	// observability state. trace is the WithTrace default execution trace
 	// (nil without the option); lastTrace is the most recent traced
@@ -345,15 +344,6 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 			if err != nil {
 				return nil, fmt.Errorf("hypertree: decomposer %q produced an invalid decomposition: %w", p.decomposer, err)
 			}
-		}
-		if p.cost != nil {
-			// Stamp the estimates on the tree once and remember the total:
-			// the plan is immutable afterwards, so Explain reads the numbers
-			// the race ranked by and the evaluator orders its children by.
-			// Annotate a clone — a pluggable Decomposer may legally return a
-			// shared or memoised tree, which must not be written to.
-			dec = dec.Clone()
-			p.estCost = dec.AnnotateCosts(p.cost)
 		}
 		p.dec = dec
 		p.eval, err = hdeval.NewEvaluator(q, dec, p.cost)

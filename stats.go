@@ -103,10 +103,11 @@ func WithCostModel(s *Stats) CompileOption {
 // statistics snapshot: Σ over nodes of the estimated cardinality of the
 // node's table π_χ(⋈ λ) — the join-size estimate from the relations'
 // cardinalities and per-column distinct counts, never above the AGM bound
-// Π_{R∈λ} |R|^w — the same number cost-based compilation minimises,
-// Plan.EstimatedCost sums and Explain prints per node. It lets experiments
-// and tools compare plans compiled under different rankings on one scale —
-// e.g. how much cheaper the WithStats winner is than the width-only winner.
+// Π_{R∈λ} |R|^w — the same number the cost-based race minimises. (Plan.
+// EstimatedCost instead prices what a plan executes: its completed tree, on
+// the columns each table keeps.) It lets experiments and tools compare plans
+// compiled under different rankings on one scale — e.g. how much cheaper the
+// WithStats winner is than the width-only winner.
 func EstimateCost(q *Query, d *Decomposition, s *Stats) float64 {
 	if d == nil || s == nil {
 		return 0
