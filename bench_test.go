@@ -412,6 +412,26 @@ func BenchmarkE22GreedyGHD(b *testing.B) {
 	}
 }
 
+// The auto race as a plan-cache miss pays it: a fixed set of families
+// compiled from scratch under WithAutoStrategy, each racing the exact
+// entrant against one walk of the greedy shape portfolio that yields the
+// fhd and ghd candidates. Allocations are reported beside the time; the
+// plan_churn ledger workload is the end-to-end number.
+func BenchmarkAutoRaceCold(b *testing.B) {
+	queries := []*Query{
+		gen.Q1(), gen.Q4(), gen.Q5(), gen.Path(6), gen.Cycle(6), gen.Grid(3, 3),
+		gen.CliqueBinary(5), gen.ClassCn(4),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if _, err := Compile(q, WithStrategy(StrategyHypertree), WithAutoStrategy()); err != nil {
+				b.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+}
+
 // Ablation: parallel per-node materialisation (hdeval.RootWorkers) against
 // the sequential build on a decomposition with many independent nodes.
 func BenchmarkAblationParallelMaterialise(b *testing.B) {

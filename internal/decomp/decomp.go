@@ -339,7 +339,7 @@ func (d *Decomposition) IsComplete() bool {
 // original decomposition is not modified; shared label sets are cloned.
 func (d *Decomposition) Complete() *Decomposition {
 	h := d.H
-	clone := d.cloneTree()
+	clone := d.Clone()
 	nodes := clone.Nodes()
 	for e := 0; e < h.NumEdges(); e++ {
 		placed := false
@@ -369,9 +369,9 @@ func (d *Decomposition) Complete() *Decomposition {
 	return clone
 }
 
-// cloneTree returns a deep copy of the decomposition tree (labels and
+// Clone returns a deep copy of the decomposition tree (labels and
 // weights; the hypergraph is shared).
-func (d *Decomposition) cloneTree() *Decomposition {
+func (d *Decomposition) Clone() *Decomposition {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
 		m := &Node{Chi: n.Chi.Clone(), Lambda: n.Lambda.Clone()}

@@ -264,7 +264,7 @@ func TestE09Normalize(t *testing.T) {
 	// Build a redundant, valid decomposition: take the optimal one and
 	// insert a duplicate child under the root.
 	_, d := Width(h)
-	dup := d.cloneTree()
+	dup := d.Clone()
 	r := dup.Root
 	extra := &Node{Chi: r.Chi.Clone(), Lambda: r.Lambda.Clone()}
 	r.Children = append(r.Children, extra)

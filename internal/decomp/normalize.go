@@ -28,7 +28,7 @@ func Normalize(d *Decomposition) *Decomposition {
 // and never increases the width; it does not by itself establish full normal
 // form (use Normalize for that).
 func Splice(d *Decomposition) *Decomposition {
-	out := d.cloneTree()
+	out := d.Clone()
 	if out.Root == nil {
 		return out
 	}

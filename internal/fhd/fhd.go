@@ -12,7 +12,9 @@
 // The engine reuses the greedy tree shapes of internal/ghd (elimination
 // orderings over the primal graph, pruned bags) and re-prices every bag by
 // a covering LP over the incident hyperedges (internal/lp, one LP per
-// bag), keeping the shape of minimum *fractional* width. The λ label of
+// distinct bag of the portfolio), keeping the shape of minimum *fractional*
+// width (DecomposeWithGreedy also ranks the shapes as built, for the auto
+// race's greedy candidate). The λ label of
 // each node is the integral support of its optimal fractional cover —
 // still a valid edge cover of the bag — so the decomposition satisfies the
 // GHD conditions 1–3 and the existing Lemma 4.6 evaluator (including the
@@ -26,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 
 	"hypertree/internal/bitset"
@@ -164,77 +167,119 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 // {X2,X3,X4} of a 4-cycle the LP is as happy with the product r1 + r3 as
 // with the join r2 + r3).
 func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if h.NumEdges() == 0 {
-		return &decomp.Decomposition{H: h}, nil
-	}
+	frac, _ := walk(ctx, h, opts, maxWidth, stepBudget, false)
+	return frac.D, frac.Err
+}
+
+// Candidate is one engine's answer from a walk of the shape portfolio: a
+// decomposition, or the error that kept the engine from one.
+type Candidate struct {
+	D   *decomp.Decomposition
+	Err error
+}
+
+// DecomposeWithGreedy answers for two engines from one walk of the shape
+// portfolio: frac is what Decompose returns, greedy what the sequential
+// ghd.Decompose returns — each shape as built, ranked by ghd.Best and kept
+// before the LP pass re-covers it. Each keeps its own stop rule under
+// maxWidth; they share stepBudget, so both equal the standalone engines'
+// results whenever the budget does not run out.
+func DecomposeWithGreedy(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int) (frac, greedy Candidate) {
+	return walk(ctx, h, opts, maxWidth, stepBudget, true)
+}
+
+// walk runs the shape portfolio once for the fractional candidate and,
+// withGreedy, the greedy one. Bags recur across the shapes, so Cover is
+// memoised by χ for the walk: a hit charges no pivots, and each node gets
+// its own copy of the weights.
+func walk(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int, withGreedy bool) (frac, greedy Candidate) {
 	budget := ghd.NewBudget(stepBudget)
+	type cover struct {
+		weights map[int]float64
+		value   float64
+	}
+	memo := map[string]cover{}
 	var best *decomp.Decomposition
 	bestFW := math.Inf(1)
 	bestCost := math.Inf(1)
+	g := ghd.Best{Model: opts.Cost}
+	fracOn, greedyOn := true, withGreedy
 	err := ghd.ForEachShape(ctx, h, opts, budget, func(d *decomp.Decomposition) error {
-		fw := 0.0
-		for _, n := range d.Nodes() {
-			weights, v, err := Cover(ctx, h, n.Chi, budget)
-			if err != nil {
-				return err
+		if greedyOn {
+			if g.Offer(d) && fracOn {
+				g.D = d.Clone() // the LP pass below rewrites d's labels
 			}
-			vertex := &decomp.Node{Chi: n.Chi, Weights: weights} // the LP's optimum and its support
-			for e := range weights {
-				vertex.Lambda.Add(e)
+			greedyOn = !(maxWidth > 0 && d.Width() <= maxWidth && opts.Cost == nil) // ghd.Decompose's stop rule
+		}
+		if fracOn {
+			fw := 0.0
+			for _, n := range d.Nodes() {
+				key := n.Chi.Key()
+				c, ok := memo[key]
+				if !ok {
+					weights, v, err := Cover(ctx, h, n.Chi, budget)
+					if err != nil {
+						return err
+					}
+					c = cover{weights, v}
+					memo[key] = c
+				}
+				vertex := &decomp.Node{Chi: n.Chi, Weights: c.weights} // the LP's optimum and its support
+				for e := range c.weights {
+					vertex.Lambda.Add(e)
+				}
+				// Where the shape's λ — ghd.GreedyCoverCost of the bag —
+				// attains ρ*, it stays, at weights 1, unless the LP's vertex
+				// happens to be cheaper still.
+				integral := opts.Cost != nil && math.Abs(float64(n.Lambda.Len())-c.value) <= decomp.FracEps
+				if integral {
+					n.Weights = make(map[int]float64, n.Lambda.Len())
+					n.Lambda.ForEach(func(e int) { n.Weights[e] = 1 })
+				}
+				if !integral || decomp.NodeCost(vertex, opts.Cost) < decomp.NodeCost(n, opts.Cost) {
+					n.Lambda, n.Weights = vertex.Lambda, maps.Clone(c.weights)
+				}
+				fw = max(fw, c.value)
 			}
-			// Where the shape's λ — ghd.GreedyCoverCost of the bag — attains
-			// ρ*, it stays, at weights 1, unless the LP's vertex happens to
-			// be cheaper still.
-			integral := opts.Cost != nil && math.Abs(float64(n.Lambda.Len())-v) <= decomp.FracEps
-			if integral {
-				n.Weights = make(map[int]float64, n.Lambda.Len())
-				n.Lambda.ForEach(func(e int) { n.Weights[e] = 1 })
+			// Shapes compete on fractional width; with statistics, ties
+			// within FracEps break to the lower total estimated cost
+			// (decomp.CostWith) — equal-fhw shapes can place wildly
+			// different relations in their λ supports.
+			cost := math.Inf(1)
+			if opts.Cost != nil {
+				cost = d.CostWith(opts.Cost)
 			}
-			if !integral || decomp.NodeCost(vertex, opts.Cost) < decomp.NodeCost(n, opts.Cost) {
-				n.Lambda, n.Weights = vertex.Lambda, vertex.Weights
-			}
-			if v > fw {
-				fw = v
+			better := fw < bestFW-decomp.FracEps ||
+				(opts.Cost != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
+			if better {
+				best, bestFW, bestCost = d, fw, cost
+				// satisfying width: stop improving
+				fracOn = !(maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.Cost == nil)
 			}
 		}
-		// Shapes compete on fractional width; with statistics, ties within
-		// FracEps break to the lower total estimated cost (decomp.CostWith)
-		// — equal-fhw shapes can place wildly different relations in their λ
-		// supports.
-		cost := math.Inf(1)
-		if opts.Cost != nil {
-			cost = d.CostWith(opts.Cost)
-		}
-		better := fw < bestFW-decomp.FracEps ||
-			(opts.Cost != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
-		if better {
-			best, bestFW, bestCost = d, fw, cost
-			if maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.Cost == nil {
-				return errShapeFound // satisfying width: stop improving
-			}
+		if !fracOn && !greedyOn {
+			return errShapeFound
 		}
 		return nil
 	})
 	switch {
-	case err == nil || errors.Is(err, errShapeFound):
-		// full portfolio ran, or a satisfying shape cut it short
-	case errors.Is(err, decomp.ErrStepBudget) && best != nil:
-		// budget died mid-portfolio: keep the best complete shape
+	case err != nil && !errors.Is(err, errShapeFound) && !errors.Is(err, decomp.ErrStepBudget):
+		// anything but a full portfolio, satisfying shapes or a budget that
+		// died mid-portfolio (each candidate keeps its best complete shape)
+		return Candidate{Err: err}, Candidate{Err: err}
+	case best == nil:
+		frac.Err = decomp.ErrStepBudget
+	case maxWidth > 0 && bestFW > float64(maxWidth)+decomp.FracEps:
+		frac.Err = fmt.Errorf("fhd: best fractional width found is %.3g: %w", bestFW, decomp.ErrWidthExceeded)
 	default:
-		return nil, err
+		frac.D = best
 	}
-	if best == nil {
-		return nil, decomp.ErrStepBudget
+	if withGreedy {
+		greedy.D, greedy.Err = g.Result(ctx, maxWidth)
 	}
-	if maxWidth > 0 && bestFW > float64(maxWidth)+decomp.FracEps {
-		return nil, fmt.Errorf("fhd: best fractional width found is %.3g: %w", bestFW, decomp.ErrWidthExceeded)
-	}
-	return best, nil
+	return frac, greedy
 }
 
-// errShapeFound is the internal sentinel that stops the shape loop once a
-// width-satisfying decomposition is in hand.
+// errShapeFound is the internal sentinel that stops the shape loop once
+// every candidate holds a width-satisfying decomposition.
 var errShapeFound = errors.New("fhd: satisfying shape found")

@@ -129,9 +129,11 @@ func (o Options) seed() int64 {
 // the bound". stepBudget > 0 bounds the cumulative number of vertex
 // elimination decisions across all trials; when it runs out the best
 // decomposition found so far is returned, or ErrStepBudget if no trial
-// completed. workers > 1 runs trials concurrently; each trial is seeded
-// independently and ties between equal-width trials go to the lowest trial
-// index — or, when opts.Cost supplies statistics, to the trial of lowest
+// completed. workers > 1 runs trials concurrently; the orderings'
+// restarts share the seeds seed+1 … seed+R (one stream per seed), so a
+// trial's tie-breaks depend on its seed alone, and ties between
+// equal-width trials go to the lowest trial index — or, when opts.Cost
+// supplies statistics, to the trial of lowest
 // total estimated cost (a width bound then no longer cuts the loop short:
 // remaining trials still compete on cost) — so without a step budget or
 // width bound the result is identical to the sequential one. With
@@ -151,12 +153,12 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts Options, maxW
 	trials := trialPlan(opts)
 
 	budget := NewBudget(stepBudget)
-	results := make([]*decomp.Decomposition, len(trials))
+	best := Best{Model: opts.Cost}
 	if workers > len(trials) {
 		workers = len(trials)
 	}
 	if workers <= 1 {
-		for i, tr := range trials {
+		for _, tr := range trials {
 			d, err := runTrial(ctx, h, g, tr, opts.Cost, budget)
 			if err != nil {
 				if err == decomp.ErrStepBudget {
@@ -164,28 +166,67 @@ func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts Options, maxW
 				}
 				return nil, err
 			}
-			results[i] = d
+			best.Offer(d)
 			if maxWidth > 0 && d.Width() <= maxWidth && opts.Cost == nil {
 				break // a satisfying decomposition: no need to improve further
 			}
 		}
 	} else {
+		results := make([]*decomp.Decomposition, len(trials))
 		if err := runParallel(ctx, h, g, trials, budget, results, workers, maxWidth, opts.Cost); err != nil {
 			return nil, err
 		}
+		for _, d := range results {
+			if d != nil {
+				best.Offer(d)
+			}
+		}
 	}
+	return best.Result(ctx, maxWidth)
+}
 
-	best := pickBest(results, opts.Cost)
-	if best == nil {
+// Best ranks the decompositions offered to it in trial order by the
+// improvement loop's rule: the smallest width wins; with statistics (Model
+// non-nil) equal widths break to the lower total estimated cost — same-width
+// decompositions can differ enormously in evaluation cost depending on
+// which relations their λ labels joined — and then to the earlier offer.
+type Best struct {
+	// Model is the compilation's cost model; nil ranks by width alone.
+	Model *decomp.CostModel
+	// D is the best decomposition offered so far, nil before the first.
+	D     *decomp.Decomposition
+	width int
+	cost  float64
+}
+
+// Offer ranks d against the incumbent, keeps it if it wins, and reports
+// whether it did.
+func (b *Best) Offer(d *decomp.Decomposition) bool {
+	w := d.Width()
+	cost := 0.0
+	if b.Model != nil {
+		cost = d.CostWith(b.Model)
+	}
+	if b.D == nil || w < b.width || (w == b.width && b.Model != nil && cost < b.cost) {
+		b.D, b.width, b.cost = d, w, cost
+		return true
+	}
+	return false
+}
+
+// Result is the loop's verdict: the incumbent, ErrWidthExceeded when it
+// misses the bound, or ctx.Err() or ErrStepBudget when no trial completed.
+func (b *Best) Result(ctx context.Context, maxWidth int) (*decomp.Decomposition, error) {
+	if b.D == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return nil, decomp.ErrStepBudget
 	}
-	if maxWidth > 0 && best.Width() > maxWidth {
-		return nil, fmt.Errorf("greedy ghd: best width found is %d: %w", best.Width(), decomp.ErrWidthExceeded)
+	if maxWidth > 0 && b.width > maxWidth {
+		return nil, fmt.Errorf("greedy ghd: best width found is %d: %w", b.width, decomp.ErrWidthExceeded)
 	}
-	return best, nil
+	return b.D, nil
 }
 
 // ForEachShape runs the configured trial portfolio sequentially and hands
@@ -217,30 +258,67 @@ func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, opts Options, b
 }
 
 // trial is one pass of the improvement loop: an ordering heuristic plus,
-// for randomized restarts, a tie-breaking seed (the first pass per ordering
-// uses deterministic lowest-index tie-breaking instead).
+// for randomized restarts, the tie-breaking stream of its seed (the first
+// pass per ordering uses deterministic lowest-index tie-breaking instead).
 type trial struct {
-	ordering   Ordering
-	randomized bool
-	seed       int64
+	ordering Ordering
+	stream   *stream
 }
 
 func trialPlan(opts Options) []trial {
+	streams := make([]*stream, opts.restarts())
+	for r := range streams {
+		streams[r] = &stream{seed: opts.seed() + int64(r+1)}
+	}
 	var trials []trial
-	seed := opts.seed()
 	for _, ord := range opts.orderings() {
 		trials = append(trials, trial{ordering: ord})
-		for r := 1; r <= opts.restarts(); r++ {
-			trials = append(trials, trial{ordering: ord, randomized: true, seed: seed + int64(r)})
+		for _, s := range streams {
+			trials = append(trials, trial{ordering: ord, stream: s})
 		}
 	}
 	return trials
 }
 
+// stream is one restart seed's tie-break sequence, shared by every
+// ordering's restart with that seed: seeded once, on first draw, and
+// recorded, so each trial replays exactly rand.NewSource(seed)'s values.
+// The mutex lets runParallel's workers share it.
+type stream struct {
+	mu   sync.Mutex
+	seed int64
+	src  rand.Source
+	vals []int64
+}
+
+// replay is one trial's read position in a stream, as a rand.Source.
+type replay struct {
+	s   *stream
+	pos int
+}
+
+// Int63 returns the stream's next value for this trial.
+func (r *replay) Int63() int64 {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.pos == len(s.vals) {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed)
+		}
+		s.vals = append(s.vals, s.src.Int63())
+	}
+	r.pos++
+	return s.vals[r.pos-1]
+}
+
+// Seed is never called: a replayed stream starts where its seed's does.
+func (r *replay) Seed(int64) { panic("ghd: a replayed tie-break stream cannot be reseeded") }
+
 func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr trial, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
 	var rng *rand.Rand
-	if tr.randomized {
-		rng = rand.New(rand.NewSource(tr.seed))
+	if tr.stream != nil {
+		rng = rand.New(&replay{s: tr.stream})
 	}
 	order, err := eliminationOrder(ctx, g, tr.ordering, rng, budget)
 	if err != nil {
@@ -251,7 +329,7 @@ func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr 
 }
 
 // runParallel distributes trials over workers. Results land in their trial
-// slot so pickBest is deterministic given the set of completed trials; a
+// slot so the ranking is deterministic given the set of completed trials; a
 // satisfied maxWidth or an exhausted budget stops further trials from being
 // handed out (in-flight ones finish and still count).
 func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, trials []trial, budget *Budget, results []*decomp.Decomposition, workers, maxWidth int, model *decomp.CostModel) error {
@@ -297,31 +375,6 @@ func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, 
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// pickBest keeps the smallest-width result; with statistics (model
-// non-nil) ties between equal-width results break to the lower total
-// estimated cost, and only then to the lower trial index — same-width
-// decompositions can differ enormously in evaluation cost depending on
-// which relations their λ labels joined.
-func pickBest(results []*decomp.Decomposition, model *decomp.CostModel) *decomp.Decomposition {
-	var best *decomp.Decomposition
-	bestW := 0
-	bestCost := 0.0
-	for _, d := range results {
-		if d == nil {
-			continue
-		}
-		w := d.Width()
-		cost := 0.0
-		if model != nil {
-			cost = d.CostWith(model)
-		}
-		if best == nil || w < bestW || (w == bestW && model != nil && cost < bestCost) {
-			best, bestW, bestCost = d, w, cost
-		}
-	}
-	return best
 }
 
 // Budget is the shared, goroutine-safe step counter of the heuristic

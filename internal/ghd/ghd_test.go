@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,8 +129,8 @@ func TestGreedyCancelled(t *testing.T) {
 	}
 }
 
-// Sequential and parallel improvement loops must agree exactly: trials are
-// independently seeded and ties go to the lowest trial index.
+// Sequential and parallel improvement loops must agree exactly: a trial's
+// tie-breaks depend on its seed alone and ties go to the lowest trial index.
 func TestGreedyParallelDeterministic(t *testing.T) {
 	for _, q := range []*hypergraph.Hypergraph{
 		queryHG(t, gen.Grid(4, 4)),
@@ -384,6 +385,68 @@ func TestCostAwareCoverNeverLarger(t *testing.T) {
 			if costed.Width() == plain.Width() && costed.CostWith(m) > plain.CostWith(m) {
 				t.Fatalf("%s: cost-aware %g dearer than width-only %g", name, costed.CostWith(m), plain.CostWith(m))
 			}
+		}
+	}
+}
+
+// The orderings' restarts share one stream per seed. However the trials'
+// draws interleave, within one goroutine or across runParallel's workers,
+// each randomized trial must see exactly the Intn values of a generator
+// seeded afresh with its seed, seed+1 … seed+R.
+func TestReplayedTieBreaksMatchFreshSources(t *testing.T) {
+	const restarts, workers = 3, 4
+	for _, seed := range []int64{1, 42, -7} {
+		type cursor struct{ replayed, fresh *rand.Rand }
+		var cursors []cursor
+		streams := map[*stream]bool{}
+		for i, tr := range trialPlan(Options{Restarts: restarts, Seed: seed}) {
+			if k := i % (restarts + 1); k > 0 {
+				if tr.stream == nil || tr.stream.seed != seed+int64(k) {
+					t.Fatalf("seed %d, trial %d: restart %d has no stream of seed %d", seed, i, k, seed+int64(k))
+				}
+				streams[tr.stream] = true
+				cursors = append(cursors, cursor{rand.New(&replay{s: tr.stream}), rand.New(rand.NewSource(tr.stream.seed))})
+			}
+		}
+		if len(streams) != restarts {
+			t.Fatalf("seed %d: %d streams for %d distinct seeds", seed, len(streams), restarts)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 3000; step++ {
+			c, n := rng.Intn(len(cursors)), 1+rng.Intn(50)
+			if got, want := cursors[c].replayed.Intn(n), cursors[c].fresh.Intn(n); got != want {
+				t.Fatalf("seed %d, step %d, cursor %d: replayed Intn(%d) = %d, fresh source %d", seed, step, c, n, got, want)
+			}
+		}
+
+		trials := trialPlan(Options{Restarts: restarts, Seed: seed})
+		errs := make(chan error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				local := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < 20; i++ {
+					tr := trials[local.Intn(len(trials))]
+					if tr.stream == nil {
+						continue
+					}
+					replayed, fresh := rand.New(&replay{s: tr.stream}), rand.New(rand.NewSource(tr.stream.seed))
+					for draw := 0; draw < 100+local.Intn(200); draw++ {
+						n := 1 + local.Intn(50)
+						if got, want := replayed.Intn(n), fresh.Intn(n); got != want {
+							errs <- fmt.Errorf("seed %d, worker %d, draw %d: replayed Intn(%d) = %d, fresh source %d", tr.stream.seed, w, draw, n, got, want)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	}
 }

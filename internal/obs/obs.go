@@ -58,8 +58,9 @@ const (
 	// SpanDecompose covers the decomposition search of a single chosen
 	// engine (no race); Label names the decomposer.
 	SpanDecompose = "compile/decompose"
-	// SpanRace covers one entrant of the WithAutoStrategy race; Label names
-	// the engine and reports its width/cost and win/lose verdict.
+	// SpanRace covers one candidate of the WithAutoStrategy race; Label
+	// names the engine and reports its width/cost and win/lose verdict. The
+	// fhd and ghd candidates come from one walk and share its timing.
 	SpanRace = "compile/race"
 	// SpanExec covers one whole Execute; Rows is the answer cardinality.
 	SpanExec = "exec"

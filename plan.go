@@ -112,9 +112,10 @@ func WithDecomposer(d Decomposer) CompileOption {
 }
 
 // WithAutoStrategy enables adaptive decomposer selection: when the plan
-// needs a decomposition, Compile races the exact k-decomp engine, the
-// fractional (LP-cover) engine and the greedy GHD engine concurrently
-// under the shared context and step-budget plumbing, and keeps the result
+// needs a decomposition, Compile races the exact k-decomp engine against
+// one walk of the greedy shape portfolio, which yields both the fractional
+// (LP-cover) and the greedy GHD candidates, concurrently under the shared
+// context and step-budget plumbing, and keeps the result
 // of lowest achieved fractional width — the evaluation-cost exponent —
 // with ties broken by guarantee strength (exact HD, then fhd, then ghd).
 // With statistics (WithStats/WithCostModel) the race ranks entrants by
@@ -124,7 +125,8 @@ func WithDecomposer(d Decomposer) CompileOption {
 // statistics are given.
 // The exact entrant runs under WithStepBudget's budget, or
 // DefaultRaceExactBudget when none is set, so the race always terminates;
-// engines that fail just drop out. The winner is recorded in
+// the heuristic walk runs under WithStepBudget's budget, one budget for
+// both of its candidates. Candidates that fail just drop out. The winner is recorded in
 // Plan.DecomposerName as "auto(<engine>)", and auto-compiled plans are
 // cached under the strategy name "auto" — they never collide with plans
 // compiled through an explicit decomposer. Incompatible with
@@ -304,7 +306,7 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 			p.decomposer = "auto(" + win.name + ")"
 			p.generalized = win.generalized
 			p.fractional = win.fractional
-			dec = win.dec
+			dec = win.d
 		default:
 			d := cfg.chosenDecomposer()
 			p.decomposer = d.Name()

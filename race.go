@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"hypertree/internal/decomp"
+	"hypertree/internal/fhd"
+	"hypertree/internal/ghd"
 	"hypertree/internal/obs"
 )
 
@@ -28,119 +29,123 @@ const DefaultRaceExactBudget = 200_000
 // staying far below any genuine plan-cost separation.
 const costTieRel = 1e-4
 
-// raceEntrant is one engine in the adaptive-strategy race.
-type raceEntrant struct {
-	dec         Decomposer
-	budget      int
-	generalized bool
-	fractional  bool
-}
-
-// raceOutcome is the winning entrant's result.
-type raceOutcome struct {
+// raceCandidate is one decomposition the race ranks: its engine, result
+// and timing, and the figures it is ranked and labelled by.
+type raceCandidate struct {
 	name        string
-	dec         *Decomposition
 	generalized bool
 	fractional  bool
+	d           *Decomposition
+	err         error
+	started     time.Time
+	elapsed     time.Duration
+	fw, cost    float64
 }
 
-// raceDecomposers runs the exact, fractional and greedy engines
-// concurrently on h and picks the winner. Without statistics the ranking is
-// by achieved fractional width (the evaluation-cost exponent — by the AGM
-// bound a node table holds at most r^fw tuples), ties broken by guarantee
-// strength in the fixed order exact > fhd > ghd. With statistics
-// (req.Cost non-nil) the ranking is by estimated total evaluation cost — Σ
-// over nodes of the estimated node table (decomp.NodeCost: the join-size
-// estimate from the relations' cardinalities and distinct counts, capped by
-// the AGM bound) — with ties broken by fractional width and then guarantee
-// strength; each entrant also receives the statistics, so the heuristics
-// surface their cheapest same-width candidates for the race to judge (the
-// exact search is untouched: it returns the first decomposition of minimum
-// width it finds, and only its price changes). Every entrant observes ctx
-// and its own step budget, so the race always terminates: the exact engine
-// gets req.StepBudget or DefaultRaceExactBudget, the polynomial heuristics
-// req.StepBudget as given. Entrants that fail (budget, width bound, or any
-// other reason) simply drop out; if all fail, the joined errors surface.
-func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*raceOutcome, error) {
+// raceDecomposers runs the exact engine and, concurrently, one walk of the
+// greedy shape portfolio on h (fhd.DecomposeWithGreedy, which yields both
+// the fhd and the ghd candidate), and picks the winner. Without statistics
+// the ranking is by achieved fractional width (the evaluation-cost
+// exponent — by the AGM bound a node table holds at most r^fw tuples),
+// ties broken by guarantee strength in the fixed order exact > fhd > ghd. With statistics (req.Cost non-nil) the ranking is by
+// estimated total evaluation cost — Σ over nodes of the estimated node
+// table (decomp.NodeCost: the join-size estimate from the relations'
+// cardinalities and distinct counts, capped by the AGM bound) — with ties
+// broken by fractional width and then guarantee strength; both entrants
+// receive the statistics, so the heuristics surface their cheapest
+// same-width candidates for the race to judge (the exact search is
+// untouched: it returns the first decomposition of minimum width it finds,
+// and only its price changes). Both entrants observe ctx and a step
+// budget, so the race always terminates: the exact engine gets
+// req.StepBudget or DefaultRaceExactBudget, the heuristic walk
+// req.StepBudget as given, shared by its two candidates. Candidates that
+// fail (budget, width bound, or any other reason) simply drop out; if all
+// fail, the joined errors surface.
+func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*raceCandidate, error) {
+	return rankRace(ctx, runRace(ctx, h, req), req.Cost)
+}
+
+// runRace returns the candidates in guarantee order; the heuristic two
+// carry their shared walk's timing.
+func runRace(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCandidate {
 	exact := KDecomposer()
 	if req.Workers > 1 {
 		exact = ParallelKDecomposer()
 	}
-	exactBudget := req.StepBudget
-	if exactBudget == 0 {
-		exactBudget = DefaultRaceExactBudget
+	exactReq := req
+	if exactReq.StepBudget == 0 {
+		exactReq.StepBudget = DefaultRaceExactBudget
 	}
-	entrants := []raceEntrant{
-		{dec: exact, budget: exactBudget},
-		{dec: FractionalDecomposer(), budget: req.StepBudget, generalized: true, fractional: true},
-		{dec: GreedyDecomposer(), budget: req.StepBudget, generalized: true},
+	cands := []raceCandidate{
+		{name: exact.Name()},
+		{name: FractionalDecomposer().Name(), generalized: true, fractional: true},
+		{name: GreedyDecomposer().Name(), generalized: true},
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c := &cands[0]
+		c.started = time.Now()
+		c.d, c.err = exact.Decompose(ctx, h, exactReq)
+		c.elapsed = time.Since(c.started)
+	}()
+	started := time.Now()
+	frac, greedy := fhd.DecomposeWithGreedy(ctx, h, ghd.Options{Cost: req.Cost}, req.MaxWidth, req.StepBudget)
+	elapsed := time.Since(started)
+	for i, r := range []fhd.Candidate{frac, greedy} {
+		c := &cands[1+i]
+		c.d, c.err, c.started, c.elapsed = r.D, r.Err, started, elapsed
+	}
+	<-done
+	return cands
+}
 
-	type result struct {
-		d       *Decomposition
-		err     error
-		started time.Time
-		elapsed time.Duration
-	}
-	results := make([]result, len(entrants))
-	var wg sync.WaitGroup
-	for i, e := range entrants {
-		wg.Add(1)
-		go func(i int, e raceEntrant) {
-			defer wg.Done()
-			r := req
-			r.StepBudget = e.budget
-			started := time.Now()
-			d, err := e.dec.Decompose(ctx, h, r)
-			results[i] = result{d: d, err: err, started: started, elapsed: time.Since(started)}
-		}(i, e)
-	}
-	wg.Wait()
-
+// rankRace picks the winner as raceDecomposers describes and traces one
+// span per candidate.
+func rankRace(ctx context.Context, cands []raceCandidate, model *CostModel) (*raceCandidate, error) {
 	win := -1
-	winFW, winCost := 0.0, 0.0
-	for i, r := range results {
-		if r.err != nil || r.d == nil {
+	for i := range cands {
+		c := &cands[i]
+		if c.err != nil || c.d == nil {
 			continue
 		}
-		fw := r.d.FractionalWidth()
-		switch {
-		case req.Cost != nil:
-			// Cost-based ranking: lower estimated total cost wins; within
-			// the relative tie band the lower fractional width (then the
-			// entrant order's guarantee strength) decides. The band must be
-			// relative — costs span many orders of magnitude, and the LP
-			// entrant's float-dust weights (0.999999·w) shave absolute
-			// amounts far above any fixed epsilon, which would make the
-			// width/guarantee fallback unreachable.
-			cost := r.d.CostWith(req.Cost)
-			if win < 0 || cost < winCost*(1-costTieRel) ||
-				(cost < winCost*(1+costTieRel) && fw < winFW-decomp.FracEps) {
-				win, winFW, winCost = i, fw, cost
+		c.fw = c.d.FractionalWidth()
+		if model == nil {
+			if win < 0 || c.fw < cands[win].fw-decomp.FracEps {
+				win = i
 			}
-		default:
-			if win < 0 || fw < winFW-decomp.FracEps {
-				win, winFW = i, fw
-			}
+			continue
+		}
+		// Cost-based ranking: lower estimated total cost wins; within the
+		// relative tie band the lower fractional width (then the candidate
+		// order's guarantee strength) decides. The band must be relative —
+		// costs span many orders of magnitude, and the LP candidate's
+		// float-dust weights (0.999999·w) shave absolute amounts far above
+		// any fixed epsilon, which would make the width/guarantee fallback
+		// unreachable.
+		c.cost = c.d.CostWith(model)
+		if win < 0 || c.cost < cands[win].cost*(1-costTieRel) ||
+			(c.cost < cands[win].cost*(1+costTieRel) && c.fw < cands[win].fw-decomp.FracEps) {
+			win = i
 		}
 	}
-	// Trace the entrants only now that the verdict is known: a span per
-	// engine with its achieved width (and cost under statistics) and the
-	// win/lose outcome, timed from inside its goroutine. Spans are
+	// Trace the candidates only now that the verdict is known: a span per
+	// candidate with its achieved width (and cost under statistics) and the
+	// win/lose outcome, timed by the entrant that produced it. Spans are
 	// assembled after the fact via Trace.Observe because win/lose cannot be
 	// labelled until every entrant has reported.
 	if tr := obs.FromContext(ctx); tr != nil {
-		for i, r := range results {
-			label := entrants[i].dec.Name()
+		for i, c := range cands {
+			label := c.name
 			switch {
-			case r.err != nil:
-				label += fmt.Sprintf(" error: %v", r.err)
-			case r.d == nil:
+			case c.err != nil:
+				label += fmt.Sprintf(" error: %v", c.err)
+			case c.d == nil:
 				label += " no decomposition"
 			default:
-				label += fmt.Sprintf(" width=%d fhw=%.4g", r.d.Width(), r.d.FractionalWidth())
-				if req.Cost != nil {
-					label += fmt.Sprintf(" cost=%.4g", r.d.CostWith(req.Cost))
+				label += fmt.Sprintf(" width=%d fhw=%.4g", c.d.Width(), c.fw)
+				if model != nil {
+					label += fmt.Sprintf(" cost=%.4g", c.cost)
 				}
 			}
 			if i == win {
@@ -154,22 +159,17 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 				Node:        -1,
 				Shard:       -1,
 				Rows:        -1,
-				StartMicros: tr.OffsetMicros(r.started),
-				Micros:      r.elapsed.Microseconds(),
+				StartMicros: tr.OffsetMicros(c.started),
+				Micros:      c.elapsed.Microseconds(),
 			})
 		}
 	}
 	if win < 0 {
-		errs := make([]error, 0, len(entrants))
-		for i, r := range results {
-			errs = append(errs, fmt.Errorf("%s: %w", entrants[i].dec.Name(), r.err))
+		errs := make([]error, 0, len(cands))
+		for _, c := range cands {
+			errs = append(errs, fmt.Errorf("%s: %w", c.name, c.err))
 		}
 		return nil, fmt.Errorf("hypertree: every raced decomposer failed: %w", errors.Join(errs...))
 	}
-	return &raceOutcome{
-		name:        entrants[win].dec.Name(),
-		dec:         results[win].d,
-		generalized: entrants[win].generalized,
-		fractional:  entrants[win].fractional,
-	}, nil
+	return &cands[win], nil
 }
