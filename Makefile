@@ -47,25 +47,26 @@ bench-smoke: bench
 
 # The performance ledger under bench/ is a Go module of its own, which
 # `go test ./...` at the root does not reach: run its unit tests here
-# (-short skips the smoke run that builds and boots hdserve; bench/run.sh
-# is the ledger itself).
+# (-short skips the smoke run that builds and boots hdserve; serve-smoke
+# runs it, and bench/run.sh is the ledger itself).
 bench-test:
 	cd bench && $(GO) test -short -race ./...
 
-# Short coverage-guided runs of the cq fuzz targets (seed corpora under
-# internal/cq/testdata/fuzz): parse→render→parse must round-trip and
-# CanonicalForm must be α-rename-invariant. 5s per target keeps the gate
-# fast; run with a longer -fuzztime locally when touching the parser.
+# Short coverage-guided runs of the fuzz targets (seed corpora under
+# internal/cq/testdata/fuzz): parse→render→parse must round-trip,
+# CanonicalForm must be α-rename-invariant, malformed facts must be refused,
+# and every /admin/ingest body must get 200 or 400 with the database intact.
+# 5s per target keeps the gate fast; run with a longer -fuzztime locally
+# when touching the parser or the ingest path.
 fuzz-smoke:
 	$(GO) test ./internal/cq/ -fuzz FuzzParseQuery -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/cq/ -fuzz FuzzCanonicalForm -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/relation/ -fuzz FuzzParseFacts -fuzztime 5s -run '^$$'
+	$(GO) test ./internal/serve/ -fuzz FuzzIngest -fuzztime 5s -run '^$$'
 
-# End-to-end smoke of the serving path: boot hdserve over the generated
-# serving database with sampled tracing and OTel file export, drive a 5s
-# hdload burst, validate the metrics exposition (exemplars included) and
-# the export file, drain on SIGTERM, then run the hdload -churn exercise
-# against a second server and assert the q-error-triggered statistics
-# refresh closed the feedback loop (see scripts/serve_smoke.sh).
+# End-to-end smoke of the serving path: the benchmark's own smoke test
+# builds hdserve from this checkout and drives it with every bench workload,
+# untraced and traced, at a twentieth of the ledger's length, failing on any
+# failed request or any answer that differs from naive evaluation.
 serve-smoke:
-	sh ./scripts/serve_smoke.sh
+	cd bench && $(GO) test -count=1 -run TestSmokeAllWorkloads ./...

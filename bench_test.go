@@ -113,7 +113,7 @@ func BenchmarkE06HypertreeWidth(b *testing.B) {
 // instance and evaluating it, as a function of database size r.
 func BenchmarkE08Lemma46(b *testing.B) {
 	q := gen.Q5()
-	_, d, _ := HypertreeWidth(q)
+	_, d := HypergraphWidth(QueryHypergraph(q))
 	eval, err := hdeval.NewEvaluator(q, d, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -133,7 +133,7 @@ func BenchmarkE08Lemma46(b *testing.B) {
 // E9 / Fig. 9, Theorem 5.4: normal-form computation.
 func BenchmarkE09NormalForm(b *testing.B) {
 	q := gen.Q5()
-	_, d, _ := HypertreeWidth(q)
+	_, d := HypergraphWidth(QueryHypergraph(q))
 	dup := d.Complete() // a valid but redundant (non-NF) decomposition
 	for i := 0; i < b.N; i++ {
 		nf := decomp.Normalize(dup)

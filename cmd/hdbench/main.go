@@ -184,7 +184,7 @@ var experiments = []experiment{
 	}},
 	{"E8", "Fig. 8 / Lemma 4.6 — HD → acyclic instance, size O(r^k)", func() error {
 		q := gen.Q5()
-		_, d, _ := hypertree.HypertreeWidth(q)
+		_, d := hypertree.HypergraphWidth(hypertree.QueryHypergraph(q))
 		eval, err := hdeval.NewEvaluator(q, d, nil)
 		if err != nil {
 			return err
@@ -215,7 +215,7 @@ var experiments = []experiment{
 	}},
 	{"E9", "Fig. 9 / Thm. 5.4 — normalisation preserves width", func() error {
 		q := gen.Q5()
-		_, d, _ := hypertree.HypertreeWidth(q)
+		_, d := hypertree.HypergraphWidth(hypertree.QueryHypergraph(q))
 		red := d.Complete()
 		nf := decomp.Normalize(red)
 		fmt.Printf("  redundant: %d nodes (width %d) → NF: %d nodes (width %d)\n",

@@ -13,10 +13,11 @@
 //	        [-refresh-cooldown D]
 //
 // The database is either a facts file (-db, ground atoms in "r(a,b)." form)
-// or the generated serving workload (-gen-rows, matching gen.ServingPool so
-// hdload can drive it out of the box). -portfile writes the bound listen
-// address to a file once the listener is up — scripts that start hdserve on
-// ":0" read it to find the ephemeral port.
+// or the generated serving database (-gen-rows: random binary relations
+// r1..r4 over a shared constant domain, so cycles and stars over them join).
+// -portfile writes the bound listen address to a file once the listener is
+// up — scripts that start hdserve on ":0" read it to find the ephemeral
+// port.
 //
 // Endpoints: POST /query (JSON; "trace": true opts into a per-request span
 // summary), POST /admin/ingest (append facts to the live database), POST
@@ -52,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -65,7 +67,7 @@ import (
 	"hypertree/internal/serve"
 )
 
-// options collects every flag so run stays a single-argument call.
+// options collects every flag.
 type options struct {
 	addr            string
 	dbFile          string
@@ -116,13 +118,17 @@ func main() {
 	flag.IntVar(&o.qerrorWindow, "qerror-window", 0, "consecutive-execution window for the q-error trigger median (0 = default)")
 	flag.DurationVar(&o.refreshCooldown, "refresh-cooldown", 0, "minimum spacing between feedback-triggered refreshes (0 = default)")
 	flag.Parse()
-	if err := run(o); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	if err := run(ctx, o, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "hdserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
+// run serves until ctx is cancelled, then drains: banners, slow-query lines
+// and the final metrics go to stderr.
+func run(ctx context.Context, o options, stderr io.Writer) error {
 	db, desc, err := loadDatabase(o.dbFile, o.genRows, o.genDomain, o.genSeed)
 	if err != nil {
 		return err
@@ -152,7 +158,7 @@ func run(o options) error {
 		StepBudget:      o.stepBudget,
 		MaxAnswerRows:   o.maxRows,
 		SlowQuery:       time.Duration(o.slowQueryMS) * time.Millisecond,
-		SlowQueryLog:    os.Stderr,
+		SlowQueryLog:    stderr,
 		StatsRefresh:    o.statsRefresh,
 		QErrorThreshold: o.qerrorThreshold,
 		QErrorWindow:    o.qerrorWindow,
@@ -162,12 +168,12 @@ func run(o options) error {
 		return err
 	}
 	defer s.Close()
-	fmt.Fprintf(os.Stderr, "hdserve: %s, statistics collected in %v\n", desc, time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "hdserve: %s, statistics collected in %v\n", desc, time.Since(t0).Round(time.Millisecond))
 	if o.traceSample > 0 {
-		fmt.Fprintf(os.Stderr, "hdserve: tracing 1 in %d executions\n", o.traceSample)
+		fmt.Fprintf(stderr, "hdserve: tracing 1 in %d executions\n", o.traceSample)
 	}
 	if o.statsRefresh > 0 || o.qerrorThreshold > 0 {
-		fmt.Fprintf(os.Stderr, "hdserve: stats refresh armed (interval %v, q-error threshold %g)\n", o.statsRefresh, o.qerrorThreshold)
+		fmt.Fprintf(stderr, "hdserve: stats refresh armed (interval %v, q-error threshold %g)\n", o.statsRefresh, o.qerrorThreshold)
 	}
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -179,36 +185,34 @@ func run(o options) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "hdserve: serving on %s\n", ln.Addr())
+	fmt.Fprintf(stderr, "hdserve: serving on %s\n", ln.Addr())
 
 	srv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errc:
 		return err
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "hdserve: %v, draining (deadline %v)\n", sig, o.drain)
+	case <-ctx.Done():
+		fmt.Fprintf(stderr, "hdserve: shutting down, draining (deadline %v)\n", o.drain)
 	}
 
 	// Drain: stop accepting, let in-flight requests finish (their execution
 	// contexts derive from the Server lifecycle, not the listener), then
 	// cancel whatever is still running.
-	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	shutdownErr := srv.Shutdown(ctx)
+	shutdownErr := srv.Shutdown(drainCtx)
 	if errors.Is(shutdownErr, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "hdserve: drain deadline hit, closing stragglers")
+		fmt.Fprintln(stderr, "hdserve: drain deadline hit, closing stragglers")
 		srv.Close()
 		shutdownErr = nil
 	}
 	s.Close()
 
 	out, _ := json.Marshal(s.Metrics())
-	fmt.Fprintf(os.Stderr, "hdserve: final metrics %s\n", out)
+	fmt.Fprintf(stderr, "hdserve: final metrics %s\n", out)
 	return shutdownErr
 }
 

@@ -41,16 +41,9 @@
 // integral cover supports. WithAutoStrategy races the exact, fractional
 // and greedy engines and keeps the lowest-width winner. Long searches are
 // cancellable: CompileContext and Execute observe their context's
-// cancellation and deadline. A PlanCache (see DefaultPlanCache) keyed by
-// the canonical query form and the compile options (including the
-// decomposer name) makes repeated compilation of α-equivalent queries free.
-//
-// # Deprecated one-shot API
-//
-// Evaluate, EvaluateBoolean and EvaluateWith predate the Plan API. They
-// remain as thin wrappers (Evaluate compiles through DefaultPlanCache, so
-// repeated calls no longer re-run the width search) but new code should
-// compile once and execute the Plan.
+// cancellation and deadline. A PlanCache (NewPlanCache) keyed by the
+// canonical query form and the compile options (including the decomposer
+// name) makes repeated compilation of α-equivalent queries free.
 package hypertree
 
 import (
@@ -60,7 +53,6 @@ import (
 	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/fhd"
-	"hypertree/internal/hdeval"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/jointree"
 	"hypertree/internal/querydecomp"
@@ -134,25 +126,10 @@ func IsAcyclic(q *Query) bool { return jointree.IsAcyclic(QueryHypergraph(q)) }
 // reduction, or false for cyclic queries.
 func QueryJoinTree(q *Query) (*JoinTree, bool) { return jointree.GYO(QueryHypergraph(q)) }
 
-// HypertreeWidth computes hw(Q) and an optimal normal-form decomposition
-// using the k-decomp algorithm of Section 5.
-//
-// Deprecated: compile a plan instead — Compile(q,
-// WithStrategy(StrategyHypertree)) exposes the same decomposition through
-// Plan.Width and Plan.Decomposition, cancellably and cached.
-func HypertreeWidth(q *Query) (int, *Decomposition, error) {
-	w, d, err := decomp.WidthContext(context.Background(), QueryHypergraph(q), 0)
-	if err != nil {
-		return 0, nil, fmt.Errorf("hypertree: internal error: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return 0, nil, fmt.Errorf("hypertree: internal error: %w", err)
-	}
-	return w, d, nil
-}
-
-// HypergraphWidth is HypertreeWidth for a bare hypergraph (Appendix A:
-// hw(H) = hw(cq(H)), Theorem A.7).
+// HypergraphWidth computes hw(H) and an optimal normal-form decomposition
+// using the k-decomp algorithm of Section 5. For a query pass
+// QueryHypergraph(q): hw(Q) is hw(H(Q)), and hw(H) = hw(cq(H)) (Appendix A,
+// Theorem A.7).
 func HypergraphWidth(h *Hypergraph) (int, *Decomposition) { return decomp.Width(h) }
 
 // DecideWidth reports whether hw(Q) ≤ k, in polynomial time for fixed k
@@ -260,59 +237,6 @@ const (
 	// decomposition (Lemma 4.6).
 	StrategyHypertree
 )
-
-// Evaluate runs q against db: Boolean queries yield Boolean, others the
-// answer Table over the head variables. Plans are obtained through
-// DefaultPlanCache, so repeated evaluation of the same (or an α-equivalent)
-// query reuses the decomposition.
-//
-// Deprecated: compile once with Compile and call Plan.Execute — it
-// separates the exponential search from per-database work and accepts a
-// context.
-func Evaluate(db *Database, q *Query, strategy Strategy) (bool, *Table, error) {
-	p, err := DefaultPlanCache.Compile(context.Background(), q, WithStrategy(strategy))
-	if err != nil {
-		return false, nil, err
-	}
-	t, err := p.Execute(context.Background(), db)
-	if err != nil {
-		return false, nil, err
-	}
-	return !t.Empty(), t, nil
-}
-
-// EvaluateBoolean decides a Boolean query with the automatic strategy.
-//
-// Deprecated: compile once with Compile and call Plan.ExecuteBoolean.
-func EvaluateBoolean(db *Database, q *Query) (bool, error) {
-	p, err := DefaultPlanCache.Compile(context.Background(), q)
-	if err != nil {
-		return false, err
-	}
-	return p.ExecuteBoolean(context.Background(), db)
-}
-
-// EvaluateWith evaluates through a caller-supplied hypertree decomposition
-// (useful when the decomposition is reused across databases, the setting of
-// Theorem 4.7).
-//
-// Deprecated: Compile with a fixed Decomposer (or the defaults) and reuse
-// the Plan; it precomputes the evaluation skeleton as well.
-func EvaluateWith(db *Database, q *Query, d *Decomposition) (bool, *Table, error) {
-	e, err := hdeval.NewEvaluator(q, d, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	a, err := e.Answers(context.Background(), db, 1)
-	if err != nil {
-		return false, nil, err
-	}
-	t, err := a.Materialize()
-	if err != nil {
-		return false, nil, err
-	}
-	return !t.Empty(), t, nil
-}
 
 func boolTable(b bool) *Table {
 	if b {

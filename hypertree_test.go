@@ -1,12 +1,22 @@
 package hypertree
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"hypertree/internal/gen"
 )
+
+// evaluate compiles q under strategy s and executes it on db.
+func evaluate(db *Database, q *Query, s Strategy) (*Table, error) {
+	p, err := Compile(q, WithStrategy(s))
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(context.Background(), db)
+}
 
 func TestFacadeWidths(t *testing.T) {
 	for _, tc := range []struct {
@@ -17,11 +27,7 @@ func TestFacadeWidths(t *testing.T) {
 		{gen.Q2Src, 1},
 		{gen.Q5Src, 2},
 	} {
-		q := MustParseQuery(tc.src)
-		w, d, err := HypertreeWidth(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, d := HypergraphWidth(QueryHypergraph(MustParseQuery(tc.src)))
 		if w != tc.hw {
 			t.Errorf("hw(%q) = %d, want %d", tc.src, w, tc.hw)
 		}
@@ -73,25 +79,28 @@ parent(bob, ann).
 	}
 	q1 := MustParseQuery(gen.Q1Src)
 	for _, s := range []Strategy{StrategyAuto, StrategyNaive, StrategyHypertree} {
-		got, _, err := Evaluate(db, q1, s)
+		got, err := evaluate(db, q1, s)
 		if err != nil {
 			t.Fatalf("strategy %d: %v", s, err)
 		}
-		if !got {
+		if got.Empty() {
 			t.Errorf("strategy %d: Q1 should be true", s)
 		}
 	}
-	ok, err := EvaluateBoolean(db, q1)
-	if err != nil || !ok {
-		t.Fatalf("EvaluateBoolean: %v %v", ok, err)
+	p, err := Compile(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := p.ExecuteBoolean(context.Background(), db); err != nil || !ok {
+		t.Fatalf("ExecuteBoolean: %v %v", ok, err)
 	}
 	// acyclic strategy on cyclic query must error
-	if _, _, err := Evaluate(db, q1, StrategyAcyclic); err == nil {
+	if _, err := evaluate(db, q1, StrategyAcyclic); err == nil {
 		t.Errorf("StrategyAcyclic on cyclic query should fail")
 	}
 	// non-Boolean query
 	qh := MustParseQuery(`ans(S) :- enrolled(S, C, R), teaches(P, C, A), parent(P, S).`)
-	_, tab, err := Evaluate(db, qh, StrategyAuto)
+	tab, err := evaluate(db, qh, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +117,14 @@ func TestFacadeEvaluateWith(t *testing.T) {
 	if err != nil {
 		t.Fatalf("triangle has hw 2: %v", err)
 	}
-	ok, _, err := EvaluateWith(db, q, d)
-	if err != nil || !ok {
+	if err := ValidateHD(d); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(q, WithDecomposer(KDecomposer()), WithMaxWidth(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := p.ExecuteBoolean(context.Background(), db); err != nil || !ok {
 		t.Fatalf("triangle closed: ok=%v err=%v", ok, err)
 	}
 	if _, err := Decompose(q, 0); !errors.Is(err, ErrInvalidWidth) {
@@ -143,10 +158,7 @@ func TestFacadeCanonicalQuery(t *testing.T) {
 	canon := CanonicalQuery(h)
 	// Theorem A.7: hw of the canonical query equals hw of the hypergraph
 	w1, _ := HypergraphWidth(h)
-	w2, _, err := HypertreeWidth(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2, _ := HypergraphWidth(QueryHypergraph(canon))
 	if w1 != w2 {
 		t.Errorf("hw(H) = %d but hw(cq(H)) = %d", w1, w2)
 	}
@@ -154,7 +166,7 @@ func TestFacadeCanonicalQuery(t *testing.T) {
 
 func TestFacadeNormalize(t *testing.T) {
 	q := MustParseQuery(gen.Q5Src)
-	_, d, _ := HypertreeWidth(q)
+	_, d := HypergraphWidth(QueryHypergraph(q))
 	nf := Normalize(d)
 	if err := nf.CheckNormalForm(); err != nil {
 		t.Fatal(err)
@@ -165,7 +177,7 @@ func TestFacadeNormalize(t *testing.T) {
 // out variables.
 func TestE07AtomRepresentation(t *testing.T) {
 	q := MustParseQuery(gen.Q5Src)
-	_, d, _ := HypertreeWidth(q)
+	_, d := HypergraphWidth(QueryHypergraph(q))
 	s := AtomRepresentation(q, d)
 	if !strings.Contains(s, "_") {
 		t.Errorf("width-2 decomposition of Q5 must project out some variables:\n%s", s)
@@ -189,17 +201,19 @@ func TestGroundOnlyQueries(t *testing.T) {
 	db.AddFact("flag")
 	q := MustParseQuery(`flag()`)
 	for _, s := range []Strategy{StrategyAuto, StrategyAcyclic, StrategyHypertree, StrategyNaive} {
-		ok, _, err := Evaluate(db, q, s)
+		got, err := evaluate(db, q, s)
 		if err != nil {
 			t.Fatalf("strategy %d: %v", s, err)
 		}
-		if !ok {
+		if got.Empty() {
 			t.Errorf("strategy %d: flag() holds", s)
 		}
 	}
-	q2 := MustParseQuery(`noflag()`)
-	ok, err := EvaluateBoolean(db, q2)
-	if err != nil || ok {
+	p, err := Compile(MustParseQuery(`noflag()`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := p.ExecuteBoolean(context.Background(), db); err != nil || ok {
 		t.Fatalf("noflag() should be false")
 	}
 }

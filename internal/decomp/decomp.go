@@ -93,15 +93,15 @@ func (d *Decomposition) NumNodes() int { return len(d.Nodes()) }
 // without Weights counts every λ edge at weight 1. On integral
 // decompositions this equals float64(Width()); decompositions produced by
 // the fractional engine (internal/fhd) can be strictly below it — the
-// fhw ≤ ghw ≤ hw hierarchy of Fischl, Gottlob & Pichler.
+// fhw ≤ ghw ≤ hw hierarchy of Fischl, Gottlob & Pichler. Weights are summed
+// in λ edge order (their support is λ, see ValidateFractional), so the
+// result is the same float on every call.
 func (d *Decomposition) FractionalWidth() float64 {
 	w := 0.0
 	for _, n := range d.Nodes() {
 		var nw float64
 		if n.Weights != nil {
-			for _, v := range n.Weights {
-				nw += v
-			}
+			n.Lambda.ForEach(func(e int) { nw += n.Weights[e] })
 		} else {
 			nw = float64(n.Lambda.Len())
 		}

@@ -13,9 +13,104 @@ import (
 	"time"
 )
 
-// promLine matches one Prometheus exposition sample: metric name, optional
-// {label="value",...} set, one value.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? \S+$`)
+// promSampleLine matches one exposition sample: name, optional label set,
+// value.
+var promSampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_]+="[^"]*"(?:,[a-zA-Z_]+="[^"]*")*\})? (\S+)$`)
+
+// promExemplar matches the OpenMetrics exemplar annotation a histogram
+// bucket may carry after its value: `{trace_id="…"} value timestamp`.
+var promExemplar = regexp.MustCompile(`^\{trace_id="[0-9a-f]{32}"\} (\S+) (\S+)$`)
+
+// promLe strips the le label, leaving a bucket's series identity.
+var promLe = regexp.MustCompile(`,?le="[^"]*"`)
+
+// requiredSeries are the samples every scrape exposes, whatever the load:
+// the request counters, the refresh and sampling counters, and the
+// per-stage latency histograms (matched on name and labels).
+var requiredSeries = []string{
+	"hdserve_requests_total",
+	"hdserve_executions_total",
+	"hdserve_plan_cache_hits_total",
+	"hdserve_plan_cache_misses_total",
+	"hdserve_columnar_cache_hits_total",
+	"hdserve_columnar_cache_misses_total",
+	"hdserve_stats_refresh_total",
+	"hdserve_trace_sampled_total",
+	"hdserve_trace_sample_every",
+	"hdserve_spans_exported_total",
+	`hdserve_request_duration_seconds_count{route="/query"}`,
+	`hdserve_stage_duration_seconds_count{stage="compile"}`,
+	`hdserve_stage_duration_seconds_count{stage="execute"}`,
+	`hdserve_stage_duration_seconds_bucket{stage="execute",le="+Inf"}`,
+}
+
+// checkExposition validates a Prometheus text exposition and returns how
+// many exemplars it carries: every sample parses and its family has a
+// # TYPE header, exemplars sit only on _bucket lines with a 32-hex trace_id
+// and a numeric value and timestamp, every histogram series is cumulative,
+// and every requiredSeries sample is present.
+func checkExposition(t *testing.T, body string) (exemplars int) {
+	t.Helper()
+	typed := map[string]bool{}        // families with a # TYPE header
+	lastBucket := map[string]uint64{} // histogram series → last cumulative count
+	samples := map[string]bool{}      // name{labels} → seen
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			typed[f[2]] = true
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample, ex, hasExemplar := strings.Cut(line, " # ")
+		m := promSampleLine.FindStringSubmatch(sample)
+		if m == nil {
+			t.Fatalf("malformed exposition line: %q", line)
+		}
+		name, labels, value := m[1], m[2], m[3]
+		if hasExemplar {
+			em := promExemplar.FindStringSubmatch(ex)
+			if em == nil || !strings.HasSuffix(name, "_bucket") {
+				t.Fatalf("malformed or misplaced exemplar: %q", line)
+			}
+			for _, v := range em[1:] {
+				if _, err := strconv.ParseFloat(v, 64); err != nil {
+					t.Fatalf("non-numeric exemplar field %q: %q", v, line)
+				}
+			}
+			exemplars++
+		}
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if f, ok := strings.CutSuffix(name, suffix); ok && typed[f] {
+				family = f
+			}
+		}
+		if !typed[family] {
+			t.Fatalf("sample %q has no # TYPE header", name)
+		}
+		if _, err := strconv.ParseFloat(value, 64); err != nil {
+			t.Fatalf("sample %q has non-numeric value %q", name, value)
+		}
+		samples[name+labels] = true
+		if strings.HasSuffix(name, "_bucket") {
+			series := name + promLe.ReplaceAllString(labels, "")
+			v, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				t.Fatalf("bucket with non-integer count: %q", line)
+			}
+			if prev, seen := lastBucket[series]; seen && v < prev {
+				t.Fatalf("non-cumulative buckets in %s: %d after %d", series, v, prev)
+			}
+			lastBucket[series] = v
+		}
+	}
+	for _, want := range requiredSeries {
+		if !samples[want] {
+			t.Fatalf("exposition is missing required series %s", want)
+		}
+	}
+	return exemplars
+}
 
 func TestServePrometheusExposition(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -36,15 +131,7 @@ func TestServePrometheusExposition(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	body := string(raw)
 
-	// Every non-comment, non-blank line must parse as a sample.
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Fatalf("malformed exposition line: %q", line)
-		}
-	}
+	checkExposition(t, body)
 
 	// The counters and the per-stage series the dashboards key on.
 	for _, want := range []string{
@@ -60,25 +147,6 @@ func TestServePrometheusExposition(t *testing.T) {
 		if !strings.Contains(body, want+"\n") {
 			t.Fatalf("exposition is missing %q:\n%s", want, body)
 		}
-	}
-
-	// Histogram buckets must be cumulative: non-decreasing, ending at the
-	// series count.
-	bucketRe := regexp.MustCompile(`hdserve_stage_duration_seconds_bucket\{stage="execute",le="[^"]+"\} (\d+)`)
-	prev := -1
-	matches := bucketRe.FindAllStringSubmatch(body, -1)
-	if len(matches) == 0 {
-		t.Fatal("no execute-stage buckets exported")
-	}
-	for _, m := range matches {
-		n, _ := strconv.Atoi(m[1])
-		if n < prev {
-			t.Fatalf("buckets not cumulative: %d after %d", n, prev)
-		}
-		prev = n
-	}
-	if prev != 1 {
-		t.Fatalf("+Inf bucket = %d, want the series count 1", prev)
 	}
 }
 

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,7 @@ import (
 
 	"hypertree"
 	"hypertree/internal/gen"
+	"hypertree/internal/obs"
 )
 
 // postJSON fires one POST with a JSON body and returns status + raw body.
@@ -172,7 +175,7 @@ func TestTraceSamplingFeedsExemplarsAndQErrors(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(text), `# {trace_id="`) {
+	if checkExposition(t, string(text)) == 0 {
 		t.Fatal("Prometheus exposition carries no exemplar annotation")
 	}
 	if !strings.Contains(string(text), "hdserve_trace_sampled_total 3") {
@@ -233,6 +236,116 @@ func TestQErrorEndpoint(t *testing.T) {
 			t.Fatalf("inconsistent entry %+v", e)
 		}
 	}
+}
+
+// TestQErrorFeedbackRefreshesStaleStatistics closes the feedback loop end
+// to end: a skewed ingest into r4 makes the live statistics stale, sampled
+// executions of the 4-cycle record inflated q-errors, the trigger refreshes
+// the snapshot without a restart, and the re-planned query's q-error falls
+// back under the threshold. The threshold is not a constant: it is the
+// geometric mean of two in-process readings of the same plan's worst node
+// q-error, on the baseline database and on the skewed one.
+func TestQErrorFeedbackRefreshesStaleStatistics(t *testing.T) {
+	const (
+		cycle4 = `r1(X1, X2), r2(X2, X3), r3(X3, X4), r4(X4, X1)`
+		window = 4
+		// skewFacts is the smallest multiple of 1 000 random r4 tuples that
+		// lifts the stale reading past ten times the baseline.
+		skewFacts = 3000
+	)
+	db := gen.ServingDatabase(rand.New(rand.NewSource(7)), 100, 100)
+	rng := rand.New(rand.NewSource(1))
+	var facts strings.Builder
+	for i := 0; i < skewFacts; i++ {
+		fmt.Fprintf(&facts, "r4(d%d, d%d).\n", rng.Intn(100), rng.Intn(100))
+	}
+	skewed := db.Clone()
+	if err := skewed.ParseFacts(facts.String()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The plan the server compiles at boot, read on both databases.
+	plan, err := hypertree.Compile(hypertree.MustParseQuery(cycle4),
+		hypertree.WithAutoStrategy(), hypertree.WithStepBudget(Config{}.withDefaults().StepBudget),
+		hypertree.WithCostModel(hypertree.CollectStatsSampled(db, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, staleRead := worstNodeQError(t, plan, db), worstNodeQError(t, plan, skewed)
+	if staleRead < 10*baseline {
+		t.Fatalf("setup: the skew lifts the worst q-error %.1f → %.1f, want ≥ 10×", baseline, staleRead)
+	}
+	threshold := math.Sqrt(baseline * staleRead)
+
+	hypertree.ResetQErrorReport()
+	s := newTestServer(t, Config{DB: db, QErrorThreshold: threshold, QErrorWindow: window, RefreshCooldown: 100 * time.Millisecond},
+		WithTraceSampling(1))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	query := func() {
+		t.Helper()
+		if code, _, errResp := post(t, ts.URL, QueryRequest{Query: cycle4}); code != http.StatusOK {
+			t.Fatalf("cycle4: status %d (%v)", code, errResp)
+		}
+	}
+	for range window {
+		query()
+	}
+	staleFP := s.LiveStats().Fingerprint()
+	if code, raw := postJSON(t, ts.URL+"/admin/ingest", IngestRequest{Facts: facts.String()}); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, raw)
+	}
+	for deadline := time.Now().Add(20 * time.Second); s.Refresher().Triggered() == 0; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no q-error-triggered refresh within 20s (threshold %.2f)", threshold)
+		}
+		query()
+	}
+	freshFP := s.LiveStats().Fingerprint()
+	if freshFP == staleFP {
+		t.Fatal("the triggered refresh left the statistics fingerprint where it was")
+	}
+	for range window {
+		query()
+	}
+	stale, fresh := worstMedianUnder(staleFP, window), worstMedianUnder(freshFP, window)
+	t.Logf("threshold %.2f = √(baseline %.2f × stale reading %.2f); served medians: stale %.2f, fresh %.2f",
+		threshold, baseline, staleRead, stale, fresh)
+	if !(fresh >= 1 && fresh < threshold && threshold < stale) {
+		t.Fatalf("want fresh median %.2f < threshold %.2f < stale median %.2f", fresh, threshold, stale)
+	}
+}
+
+// worstNodeQError executes plan once on db the way the server does — a
+// traced cursor, counted — and returns its worst node q-error.
+func worstNodeQError(t *testing.T, plan *hypertree.Plan, db *hypertree.Database) float64 {
+	t.Helper()
+	tr := hypertree.NewTrace()
+	a, err := plan.Answers(hypertree.ContextWithTrace(context.Background(), tr), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Count()
+	a.Close()
+	worst := 0.0
+	for _, sp := range tr.Spans() {
+		if sp.Name == obs.SpanNode && sp.EstRows > 0 && sp.Rows >= 0 {
+			worst = max(worst, hypertree.QError(sp.EstRows, sp.Rows))
+		}
+	}
+	return worst
+}
+
+// worstMedianUnder returns the largest median q-error over the last window
+// executions of any node recorded under fingerprint.
+func worstMedianUnder(fingerprint string, window int) float64 {
+	worst := 0.0
+	for _, e := range hypertree.QErrorReport() {
+		if e.Fingerprint == fingerprint {
+			worst = max(worst, e.MedianRecent(window))
+		}
+	}
+	return worst
 }
 
 // TestConcurrentSnapshotSwapStress is the -race stress for the tentpole's

@@ -882,7 +882,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsJSON implements GET /admin/metrics.json: the same snapshot
-// as a JSON document (the shape programmatic consumers like hdload read).
+// as a JSON document (what programmatic consumers such as bench/ read).
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.hist("/admin/metrics").Observe(time.Since(start)) }()

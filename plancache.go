@@ -226,10 +226,6 @@ func planCacheKey(q *Query, cfg *compileConfig) string {
 		cfg.stats.Fingerprint())
 }
 
-// DefaultPlanCacheSize is the capacity of the package-level plan cache.
+// DefaultPlanCacheSize is the plan-cache capacity servers use when they are
+// given none.
 const DefaultPlanCacheSize = 256
-
-// DefaultPlanCache is the package-level plan cache used by the deprecated
-// Evaluate/EvaluateBoolean wrappers, giving legacy callers the compile-once
-// behaviour for free.
-var DefaultPlanCache = NewPlanCache(DefaultPlanCacheSize)

@@ -3,7 +3,6 @@ package hypertree
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -156,11 +155,10 @@ func sameCandidate(t *testing.T, where string, got, want raceCandidate) {
 	}
 }
 
-// sameFW compares fractional widths up to float dust: FractionalWidth sums
-// a node's weights in map order, so one decomposition's width can differ
-// between calls in the last bit.
+// sameFW reports whether two decompositions have the same fractional width,
+// to the last bit.
 func sameFW(a, b *Decomposition) bool {
-	return math.Abs(a.FractionalWidth()-b.FractionalWidth()) <= 1e-12
+	return a.FractionalWidth() == b.FractionalWidth()
 }
 
 // raceTestModel draws statistics for h: none, random cardinalities and
