@@ -9,6 +9,8 @@ import (
 
 	"hypertree/internal/cq"
 	"hypertree/internal/gen"
+	"hypertree/internal/hdeval"
+	"hypertree/internal/obs"
 	"hypertree/internal/yannakakis"
 )
 
@@ -17,7 +19,9 @@ import (
 // the full reducer — the path the cursor replaced, whose row order every
 // reply kept. Count must equal the naive row count, and for every prefix
 // length k ∈ {0, 1, 10, all}, Next's first k rows followed by Materialize's
-// rest must be the reduced walk, row for row.
+// rest must be the reduced walk, row for row. The Boolean descent, Exists,
+// must be true exactly when the reduced root is non-empty, whatever the
+// head.
 func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head []int, naive *Table) {
 	t.Helper()
 	ctx := context.Background()
@@ -35,6 +39,9 @@ func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head [
 	}
 	if !ref.Equal(naive) {
 		t.Fatalf("%s: the reduced walk has %d answers, naive %d", leg, ref.Rows(), naive.Rows())
+	}
+	if ok, err := yannakakis.Exists(ctx, build()); err != nil || ok != (reduced.Rows() > 0) {
+		t.Fatalf("%s: Exists = %v, %v; the reduced root holds %d rows", leg, ok, err, reduced.Rows())
 	}
 	for _, k := range []int{0, 1, 10, naive.Rows()} {
 		a, err := yannakakis.NewAnswers(ctx, build(), head)
@@ -73,7 +80,8 @@ func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head [
 // The cursor's proof obligation: over gen.KernelCases × k-decomp/ghd/fhd ×
 // full, projected and Boolean heads × 1 and 4 workers, the count pass and
 // the zero-skipping walk return exactly the naive answers, in the order of
-// the reduced walk, and Plan.Execute materialises that same order. The
+// the reduced walk, Plan.Execute materialises that same order, and Exists
+// agrees with the reducer. The
 // adversarial acyclic shapes are checked where the evaluator lives, in
 // internal/hdeval. Run under -race in CI.
 func TestAnswersCursorEquivalence(t *testing.T) {
@@ -191,4 +199,85 @@ func drain(t *testing.T, q *Query, db *Database) (int, []string) {
 		t.Fatalf("%s: %d rows drained, %d distinct, Count %d", q, len(rows), d, a.Count())
 	}
 	return a.Count(), rows
+}
+
+// The per-run folds at plan level. A root whose table keeps a variable the
+// head drops is walked run by run over its leading head columns — a root
+// scan leads with every head variable it holds — and a subtree below it
+// that drops one is folded run by run of its key. Over gen.KernelCases ×
+// random heads × k-decomp/ghd/fhd the answers must be naive's, each once,
+// every root scan must lead with its head variables, and the cases must
+// take both root kernels with a head prefix of length 0, partial and full,
+// and fold below the root.
+func TestGroupedFoldMatchesNaive(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(33))
+	decomposers := map[string]CompileOption{
+		"k-decomp": WithDecomposer(KDecomposer()),
+		"ghd":      WithDecomposer(GreedyDecomposer()),
+		"fhd":      WithDecomposer(FractionalDecomposer()),
+	}
+	seen := map[string]int{}
+	for _, tc := range gen.KernelCases(3311, 42) {
+		body := cq.NewQuery(nil, tc.Q.Atoms)
+		for range 3 {
+			q := gen.WithRandomHead(rng, body)
+			want, err := hdeval.NaiveJoin(tc.DB, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for dname, dopt := range decomposers {
+				leg := fmt.Sprintf("%s, %s, %s", tc.Name, q.Head, dname)
+				plan, err := Compile(q, WithStrategy(StrategyHypertree), dopt)
+				if err != nil {
+					t.Fatalf("%s: %v", leg, err)
+				}
+				head := plan.eval.Head()
+				root := plan.eval.Nodes()[0]
+				cols := root.Order[:root.NOut]
+				k := 0
+				for k < len(cols) && slices.Contains(head, cols[k]) {
+					k++
+				}
+				if root.Kernel == "scan" && slices.ContainsFunc(cols[k:], func(v int) bool { return slices.Contains(head, v) }) {
+					t.Fatalf("%s: root scan columns %v do not lead with the head variables %v", leg, cols, head)
+				}
+				if !slices.ContainsFunc(cols, func(v int) bool { return !slices.Contains(head, v) }) {
+					k = -1 // a clean root: walked, not folded
+				}
+				tr := NewTrace()
+				got, err := plan.Execute(ContextWithTrace(ctx, tr), tc.DB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := make([]string, got.Rows())
+				for i := range rows {
+					rows[i] = fmt.Sprint(got.Row(i))
+				}
+				slices.Sort(rows)
+				if !got.Equal(want) || len(slices.Compact(rows)) != want.Rows() {
+					t.Fatalf("%s: %d answers, naive %d", leg, got.Rows(), want.Rows())
+				}
+				switch {
+				case k == 0:
+					seen[root.Kernel+" prefix 0"]++
+				case k > 0 && k < len(head):
+					seen[root.Kernel+" prefix partial"]++
+				case k == len(head):
+					seen[root.Kernel+" prefix full"]++
+				}
+				for _, s := range tr.Spans() {
+					if s.Name == obs.SpanEnumerate && s.Steps > 0 {
+						seen["below the root"]++
+					}
+				}
+			}
+		}
+	}
+	for _, want := range []string{"scan prefix 0", "scan prefix partial", "scan prefix full",
+		"leapfrog prefix 0", "leapfrog prefix partial", "leapfrog prefix full", "below the root"} {
+		if seen[want] == 0 {
+			t.Errorf("no case folded with a %s (seen: %v)", want, seen)
+		}
+	}
 }

@@ -656,3 +656,42 @@ func BenchmarkE25CostBased(b *testing.B) {
 		}
 	})
 }
+
+// The Boolean descent's worst case: a path r1(X1,X2), r2(X2,X3), r3(X3,X4)
+// over 3 × 15 000 rows on which every partial path dies at its last edge.
+// "false" has no witness at all; "last-root-row" adds one path whose
+// constants are interned last, so its row sorts last in every table and the
+// descent reaches it only after refuting every other root row. Each
+// iteration is one warm ExecuteBoolean. Both cases cost the descent
+// O(Σ rows) lookups, the bound of a bottom-up semijoin pass over the same
+// tables.
+func BenchmarkBooleanWorstCase(b *testing.B) {
+	const n = 15_000
+	for _, witness := range []bool{false, true} {
+		db := NewDatabase()
+		for i := range n {
+			db.AddFact("r1", fmt.Sprint("a", i), fmt.Sprint("b", i))
+			db.AddFact("r2", fmt.Sprint("b", i), fmt.Sprint("c", i))
+			db.AddFact("r3", fmt.Sprint("z", i), fmt.Sprint("d", i))
+		}
+		name := "false"
+		if witness {
+			name = "last-root-row"
+			db.AddFact("r1", "aw", "bw")
+			db.AddFact("r2", "bw", "cw")
+			db.AddFact("r3", "cw", "dw")
+		}
+		plan, err := Compile(MustParseQuery("r1(X1, X2), r2(X2, X3), r3(X3, X4)"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, err := plan.ExecuteBoolean(context.Background(), db); err != nil || ok != witness {
+					b.Fatalf("ExecuteBoolean = %v, %v; want %v", ok, err, witness)
+				}
+			}
+		})
+	}
+}

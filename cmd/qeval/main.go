@@ -23,8 +23,8 @@
 // With -stats, sampled statistics are collected from the first database
 // before compiling and planning becomes cost-based: the race ranks engines
 // by estimated total evaluation cost, the heuristics break width ties
-// toward cheaper λ placements, and the semijoin passes run against the
-// smallest estimated node tables first.
+// toward cheaper λ placements, and every node tries its smallest estimated
+// child table first.
 // -explain prints the compiled plan's per-node cost/width report — which
 // relations each λ label joins and what each node is estimated to
 // materialise.

@@ -273,14 +273,15 @@ func (b *rootBuilder) buildPar(i int) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// Boolean decides the query against db by the bottom-up semijoin pass.
-// workers > 1 materialises the node tables on that many goroutines.
+// Boolean decides the query against db by the first-witness descent over the
+// node tables (yannakakis.Exists). workers > 1 materialises the node tables
+// on that many goroutines.
 func (e *Evaluator) Boolean(ctx context.Context, db *relation.Database, workers int) (bool, error) {
 	root, err := e.RootWorkers(ctx, db, workers)
 	if err != nil {
 		return false, err
 	}
-	return yannakakis.BooleanContext(ctx, root)
+	return yannakakis.Exists(ctx, root)
 }
 
 // Answers evaluates the query against db as a cursor over the answers

@@ -29,12 +29,13 @@ import (
 // tree: the semijoin and count passes join p with a neighbour q on
 // χ(p) ∩ χ(q) and the walk emits head variables, and by the connectedness
 // condition (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in
-// no other node, so projecting it away commutes with the tree's join. A scan orders
-// keep(p) first and keeps that distinct prefix. A join keeps varOrder's
-// connectivity order — keep(p) first would bind kept variables no λ edge
-// relates before the join variable between them — and outputs the shortest
-// prefix of it covering keep(p); every later variable stops at its first
-// witness, so a Boolean bag (keep = ∅) is a search for one.
+// no other node, so projecting it away commutes with the tree's join. A scan
+// orders keep(p) first (a root scan its head variables before the rest) and
+// keeps that distinct prefix. A join keeps varOrder's connectivity order —
+// keep(p) first would bind kept variables no λ edge relates before the join
+// variable between them — and outputs the shortest prefix of it covering
+// keep(p); every later variable stops at its first witness, so a Boolean
+// bag (keep = ∅) is a search for one.
 
 // Node is one node of the physical plan: the completed decomposition
 // (Lemma 4.4) NewEvaluator flattens once into a preorder slice, immutable
@@ -96,9 +97,21 @@ func (e *Evaluator) planNode(n, parent *decomp.Node, model *decomp.CostModel) (N
 	p := Node{Chi: n.Chi, Lambda: n.Lambda, Weights: n.Weights, Order: order, Kernel: "leapfrog", lam: lam}
 	if len(lam) == 1 {
 		// parent-shared variables lead and are kept, so this stable pass
-		// leaves them in front
+		// leaves them in front; a root has none and leads with its head
+		// variables instead, whose runs the answer walk deduplicates one
+		// by one when the root keeps a variable the head drops
+		// (yannakakis.NewAnswers)
+		rank := func(v int) int {
+			switch {
+			case parent == nil && slices.Contains(e.head, v):
+				return 0
+			case keep.Has(v):
+				return 1
+			}
+			return 2
+		}
 		chi := order[:nChi]
-		sort.SliceStable(chi, func(i, j int) bool { return keep.Has(chi[i]) && !keep.Has(chi[j]) })
+		sort.SliceStable(chi, func(i, j int) bool { return rank(chi[i]) < rank(chi[j]) })
 		p.Kernel, p.NOut = "scan", keep.Len()
 	} else {
 		for i, v := range order[:nChi] {
@@ -133,9 +146,9 @@ func (e *Evaluator) planNode(n, parent *decomp.Node, model *decomp.CostModel) (N
 //
 // A scan (one λ edge) lists the variables shared with the parent first
 // (ascending), the rest after: reordering a cached scan costs nothing, and
-// it exposes the reducer's semijoin variables as a sorted column prefix (the
-// aligned case of relation.MergeSemijoin). planNode then moves the rest of
-// keep(n) up behind them.
+// it exposes the variables a parent row looks its run up by as a sorted
+// column prefix. planNode then moves the rest of keep(n) up behind them —
+// at the root, the head variables first.
 //
 // A join (several λ edges) orders χ by connectivity, because the order is
 // what the leapfrog kernel pays for: binding two variables no λ edge

@@ -311,7 +311,8 @@ func TestWidth1SeesInPlaceInsert(t *testing.T) {
 // The answer cursor on the adversarial shapes, for 1 and 4 workers: Count
 // is the naive row count, and Next's first k rows (k ∈ {0, 1, 10, all})
 // followed by Materialize's rest are, row for row, the walk of the same
-// tree after the full reducer — the path the cursor replaced. The
+// tree after the full reducer — the path the cursor replaced; the Boolean
+// descent is true exactly when the reduced root is non-empty. The
 // gen.KernelCases × decomposer half of this obligation is
 // TestAnswersCursorEquivalence in the root package.
 func TestAnswersCursorOnAdversarialShapes(t *testing.T) {
@@ -337,6 +338,9 @@ func TestAnswersCursorOnAdversarialShapes(t *testing.T) {
 				ref, err := materialize(yannakakis.NewAnswers(ctx, reduced, e.Head()))
 				if err != nil || !ref.Equal(naive) {
 					t.Fatalf("%s: the reduced walk disagrees with the naive join (%v)", src, err)
+				}
+				if ok, err := e.Boolean(ctx, db, workers); err != nil || ok != (reduced.Rows() > 0) {
+					t.Fatalf("%s workers=%d: Boolean = %v, %v; the reduced root holds %d rows", src, workers, ok, err, reduced.Rows())
 				}
 				for _, k := range []int{0, 1, 10, naive.Rows()} {
 					a, err := e.Answers(ctx, db, workers)

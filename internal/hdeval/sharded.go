@@ -158,14 +158,15 @@ func (b *shardedBuilder) rowsOf(e2 int) int {
 }
 
 // BooleanSharded decides the query against a partitioned database: node
-// tables materialise shard-parallel (RootSharded), then the usual bottom-up
-// semijoin pass runs. The verdict equals Boolean on the assembled database.
+// tables materialise shard-parallel (RootSharded), then the usual
+// first-witness descent runs. The verdict equals Boolean on the assembled
+// database.
 func (e *Evaluator) BooleanSharded(ctx context.Context, p *shard.PartitionedDB, shardWorkers int) (bool, error) {
 	root, err := e.RootSharded(ctx, p, shardWorkers)
 	if err != nil {
 		return false, err
 	}
-	return yannakakis.BooleanContext(ctx, root)
+	return yannakakis.Exists(ctx, root)
 }
 
 // AnswersSharded is Answers against a partitioned database: node tables

@@ -85,11 +85,14 @@ const (
 	// SpanMerge covers the deterministic merge of per-shard partial tables;
 	// Rows is the merged cardinality.
 	SpanMerge = "exec/node/merge"
-	// SpanSemijoinUp covers the bottom-up semijoin pass; Steps counts
-	// semijoins. On a listing execution it is the answer cursor's count
-	// pass — the up pass computed with counts — where Steps counts the
-	// child lookups summed over the tree's edges, Rows the root rows that
-	// extend to an answer.
+	// SpanSemijoinUp covers the pass that decides which rows extend to an
+	// answer. On a Boolean execution it is the first-witness descent
+	// (yannakakis.Exists): Steps counts the child runs looked up, Rows is
+	// 1 when the query holds and 0 otherwise. On a listing execution it is
+	// the answer cursor's count pass — the up pass computed with counts —
+	// where Steps counts the child lookups summed over the tree's edges.
+	// Under the full reducer (yannakakis.Reduce, the test reference) it is
+	// the bottom-up semijoin pass, Steps counting semijoins.
 	SpanSemijoinUp = "exec/semijoin/up"
 	// SpanSemijoinDown covers the top-down semijoin pass of the full
 	// reducer; Steps counts semijoins. The listing path runs no down pass:

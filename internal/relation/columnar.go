@@ -142,6 +142,22 @@ rows:
 	return sortedColumns(order, cols, kept).Distinct(), nil
 }
 
+// NewSortedColumnar copies row-major data over vars, whose rows must already
+// be sorted and distinct under vars, into columnar form without the sort
+// NewColumnar runs.
+func NewSortedColumnar(vars []int, data []Value) *Columnar {
+	w := len(vars)
+	c := &Columnar{Vars: slices.Clone(vars), cols: make([][]Value, w), rows: len(data) / max(w, 1)}
+	for i := range c.cols {
+		col := make([]Value, c.rows)
+		for r := range col {
+			col[r] = data[r*w+i]
+		}
+		c.cols[i] = col
+	}
+	return c
+}
+
 // Union returns the set union of parts, which must all share one variable
 // sequence: their columns concatenated, sorted, and repeated rows dropped.
 // It gathers the per-shard tables of partition-parallel evaluation.

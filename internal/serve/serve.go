@@ -13,8 +13,13 @@
 //
 //	parse → canonical key → join in-flight twin (coalesce)  ──┐
 //	                      └ else: admission (bounded worker    ├→ render per
-//	                        pool) → PlanCache.Compile →        │  request
+//	                        pool) → PlanCache.CompileKeyed →   │  request
 //	                        Plan.Answers under deadline ───────┘
+//
+// The canonical key is computed once per request and serves both the
+// coalescing table and the plan-cache lookup. The leader counts the
+// answers, closes the flight to later twins, and walks only as many answers
+// as the largest row cap among the requests that joined it.
 //
 // Admission is a bounded worker pool: at most MaxInflight plan executions
 // run concurrently, queued leaders wait no longer than their own request
@@ -91,7 +96,9 @@ type Config struct {
 	// a few hundred milliseconds worst case).
 	StepBudget int
 	// MaxAnswerRows caps the rows marshalled into one response; the full
-	// count is always reported and truncation is flagged (≤ 0: 1000).
+	// count is always reported and truncation is flagged (≤ 0: 1000). An
+	// execution walks only as many answers as the largest cap among the
+	// requests sharing it (a request's max_rows, clamped to this).
 	MaxAnswerRows int
 	// SlowQuery is the slow-query threshold: every /query execution whose
 	// compile+execute wall time reaches it is appended as one JSON line —
@@ -226,12 +233,17 @@ func WithSpanExporter(e *hypertree.OTLPExporter) Option {
 type flightCall struct {
 	done    chan struct{}
 	waiters atomic.Int32 // followers currently joined (observability/tests)
+	// maxRows is the largest row limit (rowLimit) among the requesters
+	// joined so far, under Server.mu; final once the leader has taken the
+	// call out of Server.flight, which it does before walking the answers.
+	maxRows int
 	res     flightResult
 }
 
 // flightResult is what one shared compile+execute produced: the answer
-// count and the first Config.MaxAnswerRows answers, so the leader and every
-// follower render from one buffer whatever their own row caps.
+// count and as many answers as the largest row limit among the requesters
+// that joined the flight, so the leader and every follower render from one
+// buffer whatever their own row caps.
 type flightResult struct {
 	plan          *hypertree.Plan
 	count         int                 // the answer count (1 or 0 for a Boolean query)
@@ -507,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqCtx, cancelReq := context.WithTimeout(r.Context(), timeout)
 	defer cancelReq()
 
-	res, coalesced, err := s.evaluate(reqCtx, key, q, timeout, req.Trace)
+	res, coalesced, err := s.evaluate(reqCtx, key, q, timeout, req.Trace, s.rowLimit(req.MaxRows))
 	if err == nil {
 		err = res.err
 	}
@@ -522,10 +534,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // evaluate returns the flight result for key, joining an in-flight twin
-// when one exists and otherwise leading a fresh admission+compile+execute.
-func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query, timeout time.Duration, wantTrace bool) (*flightResult, bool, error) {
+// when one exists and otherwise leading a fresh admission+compile+execute;
+// the result buffers at least rows answers (or all there are).
+func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query, timeout time.Duration, wantTrace bool, rows int) (*flightResult, bool, error) {
 	s.mu.Lock()
 	if c, ok := s.flight[key]; ok {
+		c.maxRows = max(c.maxRows, rows)
 		s.mu.Unlock()
 		c.waiters.Add(1)
 		defer c.waiters.Add(-1)
@@ -536,14 +550,23 @@ func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query
 			return nil, true, reqCtx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), maxRows: rows}
 	s.flight[key] = c
 	s.mu.Unlock()
 
-	finish := func() {
+	// detach takes the call out of the flight table — no requester joins it
+	// after that, and a twin arriving later leads a flight of its own — and
+	// returns the final largest row limit.
+	detach := func() int {
 		s.mu.Lock()
-		delete(s.flight, key)
-		s.mu.Unlock()
+		defer s.mu.Unlock()
+		if s.flight[key] == c {
+			delete(s.flight, key)
+		}
+		return c.maxRows
+	}
+	finish := func() {
+		detach()
 		close(c.done)
 	}
 
@@ -569,7 +592,7 @@ func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query
 
 	execCtx, cancelExec := context.WithTimeout(s.baseCtx, timeout)
 	defer cancelExec()
-	c.res = s.compileAndExecute(execCtx, key, q, wantTrace)
+	c.res = s.compileAndExecute(execCtx, key, q, wantTrace, detach)
 	finish()
 	return &c.res, false, nil
 }
@@ -583,8 +606,9 @@ func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query
 // are offered to the 1-in-N sampler, which is what keeps the q-error
 // feedback table (and the refresh trigger behind it) fed in production.
 // Every trace that was recorded feeds the per-stage histogram exemplars and
-// the span exporter.
-func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree.Query, wantTrace bool) flightResult {
+// the span exporter. rows is called once the answers are counted and
+// returns how many of them to buffer.
+func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree.Query, wantTrace bool, rows func() int) flightResult {
 	// Capture both snapshots once: a concurrent ingest or statistics
 	// refresh swaps the pointers for later requests, never mid-flight.
 	db := s.db.Load()
@@ -609,7 +633,7 @@ func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree
 	}
 	traceID := res.trace.TraceID()
 	t0 := time.Now()
-	plan, err := s.cache.Compile(ctx, q, s.compileOpts(st)...)
+	plan, err := s.cache.CompileKeyed(ctx, q, key, s.compileOpts(st)...)
 	res.compileMicros = time.Since(t0).Microseconds()
 	s.stageHist("compile").ObserveExemplar(time.Since(t0), traceID)
 	if err != nil {
@@ -618,23 +642,24 @@ func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree
 	}
 	res.plan = plan
 	t1 := time.Now()
-	res.err = res.fill(ctx, plan, db, s.cfg.MaxAnswerRows)
+	res.err = res.fill(ctx, plan, db, rows)
 	res.execMicros = time.Since(t1).Microseconds()
 	s.stageHist("execute").ObserveExemplar(time.Since(t1), traceID)
 	res.boolean = q.IsBoolean()
 	return res
 }
 
-// fill executes plan on db and keeps the answer count and up to limit
-// answers: the rows no reply can render are never walked.
-func (res *flightResult) fill(ctx context.Context, plan *hypertree.Plan, db *hypertree.Database, limit int) error {
+// fill executes plan on db and keeps the answer count and as many answers
+// as limit returns, asked once the count is known: the rows no reply
+// renders are never walked.
+func (res *flightResult) fill(ctx context.Context, plan *hypertree.Plan, db *hypertree.Database, limit func() int) error {
 	a, err := plan.Answers(ctx, db)
 	if err != nil {
 		return err
 	}
 	defer a.Close()
 	res.count, res.vars = a.Count(), a.Vars()
-	for range min(res.count, limit) {
+	for range min(res.count, limit()) {
 		row, ok := a.Next()
 		if !ok {
 			return a.Err()
@@ -722,10 +747,7 @@ func (s *Server) render(q *hypertree.Query, key string, res *flightResult, coale
 		return out
 	}
 	out.RowCount = res.count
-	limit := s.cfg.MaxAnswerRows
-	if maxRows > 0 && maxRows < limit {
-		limit = maxRows
-	}
+	limit := s.rowLimit(maxRows)
 	n := out.RowCount
 	if n > limit {
 		n, out.Truncated = limit, true
@@ -747,6 +769,15 @@ func (s *Server) render(q *hypertree.Query, key string, res *flightResult, coale
 		out.Rows = append(out.Rows, named)
 	}
 	return out
+}
+
+// rowLimit is the most rows a reply renders for a request's max_rows: that,
+// clamped to Config.MaxAnswerRows, which is also what 0 asks for.
+func (s *Server) rowLimit(maxRows int) int {
+	if maxRows > 0 && maxRows < s.cfg.MaxAnswerRows {
+		return maxRows
+	}
+	return s.cfg.MaxAnswerRows
 }
 
 // Metrics is the serving-state snapshot behind GET /admin/metrics.json

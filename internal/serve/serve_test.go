@@ -302,6 +302,33 @@ func TestServeCoalescedFollowerRendersItsOwnRows(t *testing.T) {
 	}
 }
 
+// A flight buffers as many answers as the largest row cap among the
+// requests that joined it, not Config.MaxAnswerRows: a lone leader asking
+// for 5 rows of a query with more answers walks 5.
+func TestServeLeaderBuffersItsOwnRowCap(t *testing.T) {
+	s := newTestServer(t, Config{MaxAnswerRows: 1000})
+	q := hypertree.MustParseQuery(`ans(A, C) :- r1(A, B), r2(B, C).`)
+	key := hypertree.CanonicalForm(q)
+	res, coalesced, err := s.evaluate(context.Background(), key, q, 10*time.Second, false, s.rowLimit(5))
+	if err == nil {
+		err = res.err
+	}
+	if err != nil || coalesced {
+		t.Fatalf("evaluate: coalesced %v, %v", coalesced, err)
+	}
+	if res.count <= 5 {
+		t.Fatalf("%d answers: the test needs more than the cap", res.count)
+	}
+	if got := len(res.rows) / len(res.vars); got != 5 {
+		t.Fatalf("the leader buffered %d rows, want its cap of 5", got)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.flight) != 0 {
+		t.Fatalf("%d flights left in the table", len(s.flight))
+	}
+}
+
 // An answer count beyond int64 — 300⁸ ≈ 6.5e19 answers of an 8-leaf star
 // over one centre of degree 300 — saturates at math.MaxInt64: the reply
 // carries that row_count, truncated, and 10 rows, where materialising the

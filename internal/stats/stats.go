@@ -13,8 +13,8 @@
 // (decomp.NodeCost: the join-size estimate of π_χ(⋈ λ), capped by the AGM
 // bound Π_{R∈λ} |R|^weight): the heuristic engines break width ties toward
 // λ labels that join rather than multiply, the auto race ranks entrants by
-// the summed estimates, and the evaluator orders its semijoins by ascending
-// estimated cardinality.
+// the summed estimates, and the evaluator orders every node's children by
+// ascending estimated cardinality.
 //
 // A Stats value is immutable after collection and safe for concurrent use.
 // It is a snapshot: statistics do not track later database mutations, and a
@@ -57,6 +57,7 @@ type Relation struct {
 type Stats struct {
 	rels  map[string]*Relation
 	order []string
+	fp    string // Fingerprint, computed once the snapshot is collected
 }
 
 // Collect scans every relation of db fully and returns exact statistics.
@@ -112,6 +113,7 @@ func collect(db *relation.Database, sample int) *Stats {
 		s.rels[name] = &Relation{Name: name, Rows: rows, Distinct: distinct, Sampled: sampled}
 		s.order = append(s.order, name)
 	}
+	s.fp = s.fingerprint()
 	return s
 }
 
@@ -178,11 +180,17 @@ func (s *Stats) Distinct(name string, col int) int {
 // Fingerprint returns a stable digest of the snapshot, used to key plan
 // caches: two snapshots with the same fingerprint produce the same cost
 // rankings, so their plans are interchangeable. Relations are fingerprinted
-// in sorted name order — collection order is presentation, not content.
+// in sorted name order — collection order is presentation, not content. It
+// is computed once, at collection, and every request keys by it.
 func (s *Stats) Fingerprint() string {
 	if s == nil {
 		return ""
 	}
+	return s.fp
+}
+
+// fingerprint computes Fingerprint.
+func (s *Stats) fingerprint() string {
 	names := append([]string(nil), s.order...)
 	sort.Strings(names)
 	h := fnv.New64a()

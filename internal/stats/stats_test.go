@@ -105,6 +105,20 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// Every plan-cache lookup keys by the live snapshot's fingerprint, so it is
+// computed once, at collection: reading it allocates nothing.
+func TestFingerprintAllocatesNothing(t *testing.T) {
+	st := CollectSampled(buildDB(t), 0)
+	want := st.Fingerprint()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if st.Fingerprint() != want {
+			t.Fatal("the fingerprint moved")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Fingerprint allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestStringMarksSampling(t *testing.T) {
 	db := relation.NewDatabase()
 	r, _ := db.AddRelation("big", 1)

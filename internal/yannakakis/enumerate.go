@@ -1,8 +1,10 @@
 package yannakakis
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"hypertree/internal/obs"
 	"hypertree/internal/relation"
@@ -20,22 +22,29 @@ import (
 // depth) after the count pass. A walk that binds only head variables emits
 // distinct rows. Where a node below the root holds a variable the head
 // drops, its subtree is folded — walked on its own, projected onto its key
-// and head variables, sort-deduplicated — so counts stay distinct and every
-// intermediate within |node table| × |answers|; a root holding one is walked
-// whole and deduplicated the same way. Counts saturate at math.MaxInt64.
+// and head variables and deduplicated run by run of the key, so the result
+// is again a sorted table — so counts stay distinct and every intermediate
+// within |node table| × |answers|. A root holding one is folded the same
+// way, run by run of its leading head columns, which a root scan puts first:
+// counted run by run, then walked again as the cursor advances, so k rows
+// cost the runs that hold them, not a materialised table. A Boolean head
+// needs no count: Exists (exists.go) decides it by first witness. Counts
+// saturate at math.MaxInt64.
 
 // Answers is one execution's answers over the head variables, as a cursor:
 // Count is known on return, Next walks one answer at a time, Materialize
-// drains the rest. Rows come in the tree's preorder nested-loop order (sorted
-// head order after a root fold). Under a traced context the count pass
-// records as SpanSemijoinUp (Steps the child lookups per row, summed over
-// the tree's edges) and the walk as SpanEnumerate, open until the cursor
-// closes (Steps the subtrees folded, Rows the Count). A cursor is for one
-// goroutine.
+// drains the rest. Rows come in the tree's preorder nested-loop order; after
+// a root fold, run by run of the root's leading head columns in the root's
+// order, sorted in head order within a run. Under a traced context the count
+// pass records as SpanSemijoinUp (Steps the child lookups per row, summed
+// over the tree's edges) and the walk as SpanEnumerate, open until the
+// cursor closes (Steps the subtrees folded below the root, Rows the Count).
+// A cursor is for one goroutine.
 type Answers struct {
 	vars    []int
 	count   int
-	w       *walker         // the walk of a clean root; nil over a table
+	w       *walker         // the walk of a clean root …
+	f       *runFold        // … or the fold of one that is not
 	tab     *relation.Table // the answers as a table, when already built
 	pos     int             // the next row of tab
 	sp      *obs.Span
@@ -45,10 +54,23 @@ type Answers struct {
 }
 
 // NewAnswers runs the count pass over the tree under root and returns the
-// cursor over its answers projected onto head. The count pass and the walk
-// poll ctx every 4 096 rows.
+// cursor over its answers projected onto head; with an empty head, the
+// cursor over Exists's verdict. The count pass and the walk poll ctx every
+// 4 096 rows.
 func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	tr := obs.FromContext(ctx)
+	if len(head) == 0 {
+		ok, err := Exists(ctx, root)
+		if err != nil {
+			return nil, err
+		}
+		a := TableAnswers(relation.NewTable(nil))
+		if ok {
+			a = TableAnswers(relation.TrueTable())
+		}
+		a.sp = tr.StartSpan(obs.SpanEnumerate)
+		return a, nil
+	}
 	e := &enumerator{ctx: ctx, up: tr.StartSpan(obs.SpanSemijoinUp), head: map[int]bool{}}
 	for _, v := range head {
 		e.head[v] = true
@@ -58,13 +80,17 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	a := &Answers{vars: head, sp: tr.StartSpan(obs.SpanEnumerate)}
 	switch {
 	case e.err != nil:
-	case len(head) == 0:
-		a.tab = relation.NewTable(nil)
-		if en.runSum(0, en.c.Rows()) > 0 {
-			a.tab = relation.TrueTable()
-		}
 	case !en.clean:
-		a.tab = relation.NewColumnar(e.walk(en, head), head).Distinct().Table()
+		k := 0 // the root's leading head columns: its runs
+		for k < len(en.c.Vars) && e.head[en.c.Vars[k]] {
+			k++
+		}
+		// count the fold run by run, then walk it again as the cursor
+		a.f = newRunFold(e, en, k, head)
+		for a.f.run() != nil {
+			a.count += len(a.f.rows) / len(head)
+		}
+		a.f.lo, a.f.rows = 0, a.f.rows[:0]
 	default:
 		a.w = newWalker(e, en, head)
 		a.count = int(en.runSum(0, en.c.Rows()))
@@ -110,6 +136,11 @@ func (a *Answers) Next() ([]relation.Value, bool) {
 			return a.w.row, true
 		}
 		a.err = a.w.e.err
+	case a.f != nil:
+		if row, ok := a.f.next(); ok {
+			return row, true
+		}
+		a.err = a.f.e.err
 	case a.pos < a.tab.Rows():
 		a.pos++
 		return a.tab.Row(a.pos - 1), true
@@ -134,7 +165,7 @@ func (a *Answers) Materialize() (*relation.Table, error) {
 		return relation.NewTable(nil), a.err
 	}
 	var data []relation.Value
-	if w := len(a.vars); a.w != nil && a.count < math.MaxInt64/w {
+	if w := len(a.vars); a.tab == nil && a.count < math.MaxInt64/w {
 		data = make([]relation.Value, 0, a.count*w)
 	}
 	for {
@@ -254,6 +285,9 @@ type enumerator struct {
 	folds int
 	err   error // the context's, once a poll saw it cancelled
 	tick  int
+	// the folds' scratch: a run's values, a run's row order
+	vals []relation.Value
+	idx  []int32
 }
 
 // poll checks the context every 4 096 calls, reporting whether to go on.
@@ -264,11 +298,13 @@ func (e *enumerator) poll() bool {
 	return e.err == nil
 }
 
-// build turns the subtree of n into its enumeration tree under a parent
-// encoded as p (nil at the root), counting bottom-up: children first, then
-// n's own rows, then — for a non-root subtree that drops a variable but
-// supplies head variables — the fold.
-func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
+// keyed returns n's encoding re-keyed under a parent encoded as p (nil at
+// the root) — led by the key, the variables shared with the parent, so a
+// parent row's rows of n are one PrefixRun — and the parent column of each
+// key column. The encoding is n's own when the key is already its prefix;
+// otherwise it is re-sorted, onto the key alone when keyOnly (a node read
+// only for whether a run is empty).
+func keyed(n *Node, p *relation.Columnar, keyOnly bool) (c *relation.Columnar, pcol []int) {
 	var key, rest []int
 	for _, v := range n.Vars() {
 		if indexOf(p, v) >= 0 {
@@ -277,23 +313,35 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 			rest = append(rest, v)
 		}
 	}
-	c := n.Enc
+	c = n.Enc
 	for i := 0; c != nil && i < len(key); i++ {
 		if indexOf(p, c.Vars[i]) < 0 {
 			c = nil // the key is not the encoding's prefix
 		}
 	}
-	if c == nil {
+	if c == nil && keyOnly {
+		c = n.Enc.Reorder(key)
+	} else if c == nil {
 		c = n.Enc.Reorder(append(key, rest...))
 	}
-	en := &enode{c: c, clean: true}
-	for i, v := range c.Vars {
-		switch {
-		case i < len(key):
-			en.pcol = append(en.pcol, indexOf(p, v))
-		case e.head[v]:
+	for _, v := range c.Vars[:len(key)] {
+		pcol = append(pcol, indexOf(p, v))
+	}
+	return c, pcol
+}
+
+// build turns the subtree of n into its enumeration tree under a parent
+// encoded as p (nil at the root), counting bottom-up: children first, then
+// n's own rows, then — for a non-root subtree that drops a variable but
+// supplies head variables — the fold onto its key and head variables, run
+// by run of the key.
+func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
+	c, pcol := keyed(n, p, false)
+	en := &enode{c: c, pcol: pcol, clean: true}
+	for _, v := range c.Vars[len(pcol):] {
+		if e.head[v] {
 			en.out = append(en.out, v)
-		default:
+		} else {
 			en.clean = false
 		}
 	}
@@ -307,11 +355,16 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 	}
 	e.count(en)
 	if e.err == nil && !en.clean && p != nil && len(en.out) > 0 {
-		// Fold: project the subtree onto its key and its head variables.
-		keep := append(append([]int(nil), c.Vars[:len(key)]...), en.out...)
-		folded := relation.NewColumnar(e.walk(en, keep), keep).Distinct()
+		keep := append(slices.Clone(c.Vars[:len(pcol)]), en.out...)
+		var data []relation.Value
+		for f := newRunFold(e, en, len(pcol), keep); f.run() != nil; {
+			data = append(data, f.rows...)
+		}
+		if e.err != nil {
+			return nil
+		}
 		e.folds++
-		en = &enode{c: folded, pcol: en.pcol, out: en.out, clean: true}
+		en = &enode{c: relation.NewSortedColumnar(keep, data), pcol: pcol, out: en.out, clean: true}
 	}
 	return en
 }
@@ -361,19 +414,109 @@ func (e *enumerator) count(n *enode) {
 	e.up.AddSteps(int64(len(n.children)))
 }
 
-// walk drains the join of the subtree under root projected onto out —
-// variables of the subtree — into a table; the root's total count is the
-// walk's exact length unless it saturated.
-func (e *enumerator) walk(root *enode, out []int) *relation.Table {
-	w := newWalker(e, root, out)
-	var data []relation.Value
-	if n := root.runSum(0, root.c.Rows()); n < math.MaxInt64/int64(len(out)) {
-		data = make([]relation.Value, 0, n*int64(len(out)))
+// runFold walks the subtree under n projected onto out one run at a time —
+// a run being the rows of n that agree on its first k columns, which out
+// must name — and deduplicates each run on its own. Runs come in n's row
+// order and differ in a column of out, so no row repeats across runs; with
+// out[:k] = n.c.Vars[:k] the rows come sorted over out as a whole. k = 0 is
+// one run.
+type runFold struct {
+	e         *enumerator
+	w         *walker
+	c         *relation.Columnar
+	key       []relation.Value
+	vary      []int // the positions of out a run does not fix
+	lo        int   // the first row of the next run
+	buf, rows []relation.Value
+	pos       int // the next row of rows
+}
+
+func newRunFold(e *enumerator, n *enode, k int, out []int) *runFold {
+	f := &runFold{e: e, w: newWalker(e, n, out), c: n.c, key: make([]relation.Value, k)}
+	for pos, v := range out {
+		if j := indexOf(n.c, v); j < 0 || j >= k {
+			f.vary = append(f.vary, pos)
+		}
 	}
-	for w.next() {
-		data = append(data, w.row...)
+	return f
+}
+
+// run advances to the next run that holds an answer and returns its
+// distinct rows, row-major and sorted; nil once the runs are exhausted or
+// the context is cancelled.
+func (f *runFold) run() []relation.Value {
+	for f.lo < f.c.Rows() {
+		for j := range f.key {
+			f.key[j] = f.c.Value(j, f.lo)
+		}
+		_, hi := f.c.PrefixRun(f.key)
+		f.w.reset(f.lo, hi)
+		f.lo = hi
+		f.buf = f.buf[:0]
+		for f.w.next() {
+			f.buf = append(f.buf, f.w.row...)
+		}
+		if f.e.err != nil {
+			return nil
+		}
+		if f.rows, f.pos = f.e.dedup(f.rows[:0], f.buf, len(f.w.row), f.vary), 0; len(f.rows) > 0 {
+			return f.rows
+		}
 	}
-	return relation.NewTableOf(out, data)
+	return nil
+}
+
+// next returns the next row of the fold, run by run.
+func (f *runFold) next() ([]relation.Value, bool) {
+	w := len(f.w.row)
+	if f.pos == len(f.rows) && f.run() == nil {
+		return nil, false
+	}
+	f.pos += w
+	return f.rows[f.pos-w : f.pos], true
+}
+
+// dedup appends to data the distinct rows of buf — one run's rows of width
+// w, which agree outside the positions vary — in sorted order: where one
+// position varies, its values sorted and compacted; where more do, the
+// rows sorted by index and repeats skipped.
+func (e *enumerator) dedup(data, buf []relation.Value, w int, vary []int) []relation.Value {
+	if len(buf) == 0 {
+		return data
+	}
+	if len(vary) == 1 {
+		p, vals := vary[0], e.vals[:0]
+		for i := p; i < len(buf); i += w {
+			vals = append(vals, buf[i])
+		}
+		slices.Sort(vals)
+		for _, v := range slices.Compact(vals) {
+			data = append(data, buf[:w]...)
+			data[len(data)-w+p] = v
+		}
+		e.vals = vals
+		return data
+	}
+	rowCmp := func(a, b int32) int {
+		for _, p := range vary {
+			if c := cmp.Compare(buf[int(a)*w+p], buf[int(b)*w+p]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	idx := e.idx[:0]
+	for i := range int32(len(buf) / w) {
+		idx = append(idx, i)
+	}
+	slices.SortFunc(idx, rowCmp)
+	for j, i := range idx {
+		if j == 0 || rowCmp(idx[j-1], i) != 0 {
+			data = append(data, buf[int(i)*w:int(i+1)*w]...)
+		}
+	}
+	e.idx = idx
+	return data
 }
 
 // indexOf returns v's column in c, or -1 (also when c is nil).
@@ -408,6 +551,7 @@ type walker struct {
 	e       *enumerator // its poll
 	nodes   []wnode
 	row     []relation.Value
+	lo, hi  int // the root rows walked
 	started bool
 }
 
@@ -415,7 +559,7 @@ type walker struct {
 // which must name variables of the tree. Every output variable is written
 // by the first node in preorder that holds it.
 func newWalker(e *enumerator, root *enode, out []int) *walker {
-	w := &walker{e: e, row: make([]relation.Value, len(out))}
+	w := &walker{e: e, row: make([]relation.Value, len(out)), hi: root.c.Rows()}
 	filled := make([]bool, len(out))
 	var lay func(n *enode, parent int)
 	lay = func(n *enode, parent int) {
@@ -436,6 +580,11 @@ func newWalker(e *enumerator, root *enode, out []int) *walker {
 	}
 	lay(root, -1)
 	return w
+}
+
+// reset restarts the walk over the root rows [lo, hi) only.
+func (w *walker) reset(lo, hi int) {
+	w.lo, w.hi, w.started = lo, hi, false
 }
 
 // next advances to the next answer and writes it into w.row: the innermost
@@ -468,7 +617,7 @@ func (w *walker) next() bool {
 func (w *walker) open(j int) bool {
 	n := &w.nodes[j]
 	if n.parent < 0 {
-		n.lo, n.hi = 0, n.c.Rows()
+		n.lo, n.hi = w.lo, w.hi
 	} else if p := &w.nodes[n.parent]; n.at != p.cur {
 		for k, pc := range n.pcol {
 			n.key[k] = p.c.Value(pc, p.cur)

@@ -1,0 +1,274 @@
+package yannakakis
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hypertree/internal/obs"
+	"hypertree/internal/relation"
+)
+
+// tnode is a test tree node: a table over vars — a set, whatever repeats
+// rows holds — encoded under order (a permutation of vars; nil keeps vars),
+// and its children.
+type tnode struct {
+	vars, order []int
+	rows        [][]relation.Value
+	children    []*tnode
+}
+
+// build encodes the test tree afresh — Reduce rewrites a tree in place.
+func (n *tnode) build() *Node {
+	var data []relation.Value
+	for _, r := range n.rows {
+		data = append(data, r...)
+	}
+	order := n.order
+	if order == nil {
+		order = n.vars
+	}
+	out := &Node{Enc: relation.NewColumnar(relation.NewTableOf(n.vars, data), order).Distinct()}
+	for _, c := range n.children {
+		out.Children = append(out.Children, c.build())
+	}
+	return out
+}
+
+// join is the naive join of every table of the tree.
+func (n *tnode) join() *relation.Table {
+	t := n.build().Enc.Table()
+	for _, c := range n.children {
+		t = t.Join(c.join())
+	}
+	return t
+}
+
+// shuffled returns a copy of the tree with every column order permuted,
+// which forces the re-keying of encodings whose key is not their prefix.
+func (n *tnode) shuffled(rng *rand.Rand) *tnode {
+	out := *n
+	out.order = slices.Clone(n.vars)
+	rng.Shuffle(len(out.order), func(i, j int) { out.order[i], out.order[j] = out.order[j], out.order[i] })
+	out.children = nil
+	for _, c := range n.children {
+		out.children = append(out.children, c.shuffled(rng))
+	}
+	return &out
+}
+
+// path returns the tree r0(X0,X1) — r1(X1,X2) — … of depth nodes, each over
+// n rows (i, i) for i < n; kill drops the leaf's rows, so no row extends,
+// and witness adds one path of values above every other, so its rows sort
+// last in every table.
+func path(depth, n int, kill, witness bool) *tnode {
+	var root, cur *tnode
+	for d := range depth {
+		t := &tnode{vars: []int{d, d + 1}}
+		for i := range n {
+			if !kill || d < depth-1 {
+				t.rows = append(t.rows, []relation.Value{relation.Value(i), relation.Value(i)})
+			}
+		}
+		if witness {
+			t.rows = append(t.rows, []relation.Value{relation.Value(n + 10), relation.Value(n + 10)})
+		}
+		if root == nil {
+			root = t
+		} else {
+			cur.children = append(cur.children, t)
+		}
+		cur = t
+	}
+	return root
+}
+
+// reduceExists is the reference Exists is held to: the full reducer, then a
+// non-empty root.
+func reduceExists(t *testing.T, n *tnode) bool {
+	t.Helper()
+	root := n.build()
+	if err := Reduce(context.Background(), root); err != nil {
+		t.Fatal(err)
+	}
+	return root.Rows() > 0
+}
+
+// Exists against the reducer on the shapes where a first-witness descent
+// can go wrong: an empty child, a witness only in the last root row, no
+// witness at all behind live-looking prefixes, a deep path either way, a
+// dead run looked up a second time (its memo), a run whose live row comes
+// last, a child sharing no variable with its parent, and a childless root.
+// Each shape also runs with every encoding's columns shuffled.
+func TestExistsOnAdversarialShapes(t *testing.T) {
+	v := func(xs ...int) []relation.Value {
+		out := make([]relation.Value, len(xs))
+		for i, x := range xs {
+			out[i] = relation.Value(x)
+		}
+		return out
+	}
+	star := &tnode{vars: []int{0, 1}, rows: [][]relation.Value{v(1, 1), v(2, 2)}, children: []*tnode{
+		{vars: []int{1, 2}, rows: [][]relation.Value{v(1, 5), v(2, 6)}},
+		{vars: []int{0, 3}},
+	}}
+	product := &tnode{vars: []int{0}, rows: [][]relation.Value{v(1), v(2)}, children: []*tnode{
+		{vars: []int{5, 6}, rows: [][]relation.Value{v(7, 8)}},
+	}}
+	emptyProduct := &tnode{vars: []int{0}, rows: [][]relation.Value{v(1)}, children: []*tnode{{vars: []int{5}}}}
+	// root rows 0 and 2 look up the same dead run, with another between
+	deadTwice := &tnode{vars: []int{0, 1}, rows: [][]relation.Value{v(0, 1), v(1, 2), v(2, 1)}, children: []*tnode{
+		{vars: []int{1, 2}, rows: [][]relation.Value{v(1, 7), v(2, 7)}, children: []*tnode{{vars: []int{2, 3}, rows: [][]relation.Value{v(8, 9)}}}},
+	}}
+	// the one live child row is the last of its run
+	lastInRun := &tnode{vars: []int{0, 1}, rows: [][]relation.Value{v(0, 1)}, children: []*tnode{
+		{vars: []int{1, 2}, rows: [][]relation.Value{v(1, 1), v(1, 2), v(1, 3)}, children: []*tnode{{vars: []int{2, 3}, rows: [][]relation.Value{v(3, 9)}}}},
+	}}
+	cases := []struct {
+		name string
+		tree *tnode
+		want bool
+	}{
+		{"empty child", star, false},
+		{"last root row only", path(3, 200, true, true), true},
+		{"no witness", path(3, 200, true, false), false},
+		{"deep path", path(40, 30, false, false), true},
+		{"deep path, dead leaf", path(40, 30, true, false), false},
+		{"deep path, last row", path(40, 30, true, true), true},
+		{"dead run met twice", deadTwice, false},
+		{"live row last in its run", lastInRun, true},
+		{"product child", product, true},
+		{"empty product child", emptyProduct, false},
+		{"childless root", &tnode{vars: []int{0}, rows: [][]relation.Value{v(3)}}, true},
+		{"empty childless root", &tnode{vars: []int{0}}, false},
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, tc := range cases {
+		for i, tree := range []*tnode{tc.tree, tc.tree.shuffled(rng), tc.tree.shuffled(rng)} {
+			name := fmt.Sprintf("%s #%d", tc.name, i)
+			got, err := Exists(context.Background(), tree.build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := reduceExists(t, tree); got != tc.want || ref != tc.want {
+				t.Fatalf("%s: Exists = %v, reduced = %v, want %v", name, got, ref, tc.want)
+			}
+			a, err := NewAnswers(context.Background(), tree.build(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{false: 0, true: 1}[tc.want]; a.Count() != want {
+				t.Fatalf("%s: the Boolean cursor counts %d, want %d", name, a.Count(), want)
+			}
+		}
+	}
+}
+
+// On a path whose first root row is live the descent looks up one run per
+// edge and stops: its span's Steps stay within the tree's depth, however
+// many rows each node holds.
+func TestExistsStopsAtFirstWitness(t *testing.T) {
+	const depth = 12
+	tr := obs.New()
+	ok, err := Exists(obs.NewContext(context.Background(), tr), path(depth, 5000, false, false).build())
+	if err != nil || !ok {
+		t.Fatalf("Exists = %v, %v; want true", ok, err)
+	}
+	var up []obs.Span
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanSemijoinUp {
+			up = append(up, s)
+		}
+	}
+	if len(up) != 1 || up[0].Steps > depth || up[0].Rows != 1 {
+		t.Fatalf("descent spans %+v: want one with Steps ≤ %d and Rows 1", up, depth)
+	}
+}
+
+// sortedRows returns t's rows over vars, sorted.
+func sortedRows(t *relation.Table, vars []int) [][]relation.Value {
+	p := t.Project(vars)
+	rows := make([][]relation.Value, p.Rows())
+	for i := range rows {
+		rows[i] = slices.Clone(p.Row(i))
+	}
+	slices.SortFunc(rows, slices.Compare)
+	return rows
+}
+
+// The folds — the root walked run by run over its leading head columns,
+// and a subtree below the root folded onto its key and head variables run
+// by run of the key — against the naive join projected onto the head, row
+// for row once sorted (so every answer comes once). The root prefix takes
+// every length: 0 (a non-head column leads), partial, and full (every head
+// variable leads, so each run is one answer); the runs' varying columns
+// number none, one and several. Within a run the rows must come sorted in
+// head order.
+func TestFoldPerRunMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rows := func(w, n, domain int) [][]relation.Value {
+		var out [][]relation.Value
+		for range n {
+			r := make([]relation.Value, w)
+			for j := range r {
+				r[j] = relation.Value(rng.Intn(domain))
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	// root (0,1,2) — child (2,3) — grandchild (3,4); the child and
+	// grandchild also hang off a variable the head may drop
+	tree := func(rootOrder []int) *tnode {
+		return &tnode{vars: []int{0, 1, 2}, order: rootOrder, rows: rows(3, 300, 6), children: []*tnode{
+			{vars: []int{2, 3}, rows: rows(2, 40, 6), children: []*tnode{
+				{vars: []int{3, 4}, rows: rows(2, 40, 6)},
+			}},
+		}}
+	}
+	cases := []struct {
+		name  string
+		order []int // the root's column order
+		head  []int
+		k     int // the root's leading head columns
+	}{
+		{"prefix 0", []int{1, 0, 2}, []int{0, 4}, 0},
+		{"prefix 1 of 2, one column varies", []int{0, 1, 2}, []int{4, 0}, 1},
+		{"prefix 1 of 3, two vary", []int{0, 1, 2}, []int{0, 3, 4}, 1},
+		{"prefix full", []int{0, 2, 1}, []int{2, 0}, 2},
+		{"prefix full, child folded", []int{0, 2, 1}, []int{0, 2, 4}, 2},
+		{"clean root, child folded", []int{0, 1, 2}, []int{0, 1, 2, 4}, 3},
+	}
+	for _, tc := range cases {
+		tr := tree(tc.order)
+		want := sortedRows(tr.join(), tc.head)
+		a, err := NewAnswers(context.Background(), tr.build(), tc.head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 10 {
+			t.Fatalf("%s: only %d answers; the case needs more", tc.name, len(want))
+		}
+		if a.Count() != len(want) || got.Rows() != len(want) || !slices.EqualFunc(sortedRows(got, tc.head), want, slices.Equal) {
+			t.Fatalf("%s: %d answers (Count %d), naive %d", tc.name, got.Rows(), a.Count(), len(want))
+		}
+		// within a run of the root's first k columns, rows ascend
+		pos := make([]int, tc.k)
+		for j := range pos {
+			pos[j] = slices.Index(tc.head, tc.order[j])
+		}
+		for i := 1; i < got.Rows(); i++ {
+			prev, row := got.Row(i-1), got.Row(i)
+			sameRun := !slices.ContainsFunc(pos, func(p int) bool { return prev[p] != row[p] })
+			if sameRun && slices.Compare(prev, row) >= 0 {
+				t.Fatalf("%s: rows %d and %d of one run are out of order: %v, %v", tc.name, i-1, i, prev, row)
+			}
+		}
+	}
+}

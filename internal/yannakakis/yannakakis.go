@@ -1,10 +1,11 @@
 // Package yannakakis implements Yannakakis' evaluation algorithm for acyclic
 // queries on join trees (VLDB 1981), as used throughout Section 4.2 of the
-// paper: the Boolean variant (upward semijoin reduction), the full reducer
-// (upward + downward passes), and output-polynomial enumeration of
-// non-Boolean answers as a cursor that counts instead of reducing
-// (enumerate.go). The trees it works on are built by hdeval.Evaluator — a
-// join tree being the width-1 case — and carry columnar node tables.
+// paper: the Boolean variant as a first-witness descent over the node
+// tables (exists.go), the full reducer (upward + downward passes), and
+// output-polynomial enumeration of non-Boolean answers as a cursor that
+// counts instead of reducing (enumerate.go). The trees it works on are
+// built by hdeval.Evaluator — a join tree being the width-1 case — and
+// carry columnar node tables.
 package yannakakis
 
 import (
@@ -19,8 +20,8 @@ import (
 // Node is a join-tree node carrying the materialised table of its atom (or,
 // for hypertree evaluation, of its λ-join projected to χ) in columnar form,
 // rows sorted: the reducer's semijoins run as merges over the sorted
-// columns (see relation.MergeSemijoin) and the answer cursor counts and
-// walks them as tries.
+// columns (see relation.MergeSemijoin), and the Boolean descent and the
+// answer cursor read them as tries.
 type Node struct {
 	Enc      *relation.Columnar
 	Children []*Node
@@ -111,21 +112,6 @@ func GroundAtomsHold(db *relation.Database, q *cq.Query) (bool, error) {
 	return true, nil
 }
 
-// BooleanContext decides the query by a single bottom-up semijoin pass: the
-// query is true iff the root table is non-empty after reduction — the
-// Boolean Yannakakis algorithm referenced in Section 1.1. Cancellation is
-// polled between semijoins, and the pass reduces the tree in place. Under a
-// traced context it is one SpanSemijoinUp counting semijoins, Rows carrying
-// the reduced root cardinality.
-func BooleanContext(ctx context.Context, root *Node) (bool, error) {
-	p := pass{ctx: ctx, sp: obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)}
-	if err := p.up(root); err != nil {
-		return false, err
-	}
-	endPass(p.sp, root)
-	return root.Rows() > 0, nil
-}
-
 // pass is one direction of the sequential reducer and its span.
 type pass struct {
 	ctx context.Context
@@ -173,14 +159,14 @@ func endPass(sp *obs.Span, root *Node) {
 
 // Reduce runs the full reducer in place: an upward semijoin pass followed by
 // a downward pass. Afterwards every table is globally consistent: each
-// remaining row participates in at least one answer. The answer cursor
-// (NewAnswers) needs neither pass — its counts say which rows a reduction
-// would keep — so no execution runs Reduce: it is the reference those
-// counts are held to. Cancellation is polled between semijoins: on error
-// the tree is left partially reduced (still a superset of the consistent
-// state). Under a traced context the passes record as SpanSemijoinUp and
-// SpanSemijoinDown, each counting its semijoins, Rows carrying the root
-// (resp. fully reduced root) cardinality.
+// remaining row participates in at least one answer. Neither the answer
+// cursor (NewAnswers) nor the Boolean descent (Exists) needs a pass — their
+// counts and memos say which rows a reduction would keep — so no execution
+// runs Reduce: it is the reference both are held to. Cancellation is polled
+// between semijoins: on error the tree is left partially reduced (still a
+// superset of the consistent state). Under a traced context the passes
+// record as SpanSemijoinUp and SpanSemijoinDown, each counting its
+// semijoins, Rows carrying the root (resp. fully reduced root) cardinality.
 func Reduce(ctx context.Context, root *Node) error {
 	tr := obs.FromContext(ctx)
 	up := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinUp)}

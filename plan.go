@@ -501,12 +501,15 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err erro
 // Materialize drains the rest into the table Execute returns, in the same
 // row order. Theorem 4.8's enumeration needs no materialised answer table,
 // so a caller that renders k rows pays one count pass over the node tables
-// plus O(k · depth). A Boolean query's cursor holds the 0-ary true table or
-// nothing, decided by ExecuteBoolean's pass. A cancelled or expired context
-// aborts with ctx.Err(), here or in Next (see Answers.Err). Under a trace
-// the execution span stays open until the cursor closes — when Next runs
-// out, on Materialize, or on Close — and the plan's LastTrace is published
-// then. Safe for concurrent use; each cursor is for one goroutine.
+// plus O(k · depth); a head that drops a variable of the root's table folds
+// the root run by run of its leading head columns, each run deduplicated on
+// its own. A Boolean query's cursor holds the 0-ary true table or nothing,
+// decided by ExecuteBoolean's first-witness descent. A cancelled or expired
+// context aborts with ctx.Err(), here or in Next (see Answers.Err). Under a
+// trace the execution span stays open until the cursor closes — when Next
+// runs out, on Materialize, or on Close — and the plan's LastTrace is
+// published then. Safe for concurrent use; each cursor is for one
+// goroutine.
 func (p *Plan) Answers(ctx context.Context, db *Database) (*Answers, error) {
 	if db == nil {
 		return nil, fmt.Errorf("hypertree: Execute on a nil database")
@@ -557,8 +560,11 @@ func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
 }
 
 // ExecuteBoolean decides satisfiability of the plan's query on db (for
-// non-Boolean queries: whether the answer is non-empty), using the cheaper
-// semijoin-only pass where the strategy allows it. Traced like Execute.
+// non-Boolean queries: whether the answer is non-empty). Where the strategy
+// builds node tables it descends them top-down as tries and stops at the
+// first root row that extends to an answer — O(depth) lookups when that is
+// the first, never more than the O(Σ rows) of a bottom-up semijoin pass.
+// Traced like Execute.
 func (p *Plan) ExecuteBoolean(ctx context.Context, db *Database) (bool, error) {
 	if db == nil {
 		return false, fmt.Errorf("hypertree: ExecuteBoolean on a nil database")
@@ -593,8 +599,7 @@ func (p *Plan) executeBoolean(ctx context.Context, db *Database) (bool, error) {
 // decomposition node's λ-join materialises shard-parallel (the pivot
 // relation is scanned fragment by fragment, the rest of λ is encoded once
 // and shared) and the per-shard node tables are merged deterministically
-// before the usual bottom-up semijoin pass. The
-// answer set is exactly Execute(ctx, pdb.Assembled()) — sharding changes
+// before the usual count pass and walk. The answer set is exactly Execute(ctx, pdb.Assembled()) — sharding changes
 // wall-clock, never answers. Plans whose strategy uses no decomposition
 // (naive, acyclic) execute against the assembled view directly. Safe for
 // concurrent use.
@@ -639,7 +644,7 @@ func (p *Plan) executeSharded(ctx context.Context, pdb *PartitionedDB) (*Table, 
 
 // ExecuteBooleanSharded decides satisfiability against a partitioned
 // database, materialising the decomposition node tables shard-parallel and
-// then running the semijoin-only pass. The verdict is exactly
+// then running the first-witness descent. The verdict is exactly
 // ExecuteBoolean(ctx, pdb.Assembled()).
 func (p *Plan) ExecuteBooleanSharded(ctx context.Context, pdb *PartitionedDB) (bool, error) {
 	if pdb == nil {

@@ -74,6 +74,18 @@ func NewPlanCacheTTL(capacity int, ttl time.Duration) *PlanCache {
 // Two concurrent misses on the same key may both compile; the first to
 // finish wins the cache slot (no lock is held across the search).
 func (c *PlanCache) Compile(ctx context.Context, q *Query, opts ...CompileOption) (*Plan, error) {
+	canon := ""
+	if q != nil {
+		canon = cq.CanonicalForm(q)
+	}
+	return c.CompileKeyed(ctx, q, canon, opts...)
+}
+
+// CompileKeyed is Compile for a caller that already holds canon =
+// CanonicalForm(q) — a server that keys its own single-flight table by it —
+// so one request renders the form once. canon is trusted: any other string
+// files the plan under a key that is not q's.
+func (c *PlanCache) CompileKeyed(ctx context.Context, q *Query, canon string, opts ...CompileOption) (*Plan, error) {
 	cfg, err := newCompileConfig(opts)
 	if err != nil {
 		return nil, err
@@ -81,7 +93,7 @@ func (c *PlanCache) Compile(ctx context.Context, q *Query, opts ...CompileOption
 	if q == nil {
 		return nil, fmt.Errorf("hypertree: Compile on a nil query")
 	}
-	key := planCacheKey(q, cfg)
+	key := planCacheKey(canon, cfg)
 
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -203,17 +215,17 @@ func (c *PlanCache) Purge() {
 	c.items = map[string]*list.Element{}
 }
 
-// planCacheKey fingerprints the query and every option that shapes the
-// plan. The strategy-name component is the decomposer name the caller
-// asked for — "auto" for WithAutoStrategy compiles (newCompileConfig
-// rejects auto + WithDecomposer, so the two can never be confused) — which
-// keeps lookups stable even though an auto plan records the resolved race
-// winner in Plan.DecomposerName. The statistics snapshot participates via
+// planCacheKey fingerprints the query — by its canonical form, canon — and
+// every option that shapes the plan. The strategy-name component is the
+// decomposer name the caller asked for — "auto" for WithAutoStrategy
+// compiles (newCompileConfig rejects auto + WithDecomposer, so the two can
+// never be confused) — which keeps lookups stable even though an auto plan
+// records the resolved race winner in Plan.DecomposerName. The statistics snapshot participates via
 // its Fingerprint (newCompileConfig resolves WithStats collection before
 // keying): cost-based planning picks among same-width plans by the
 // snapshot, so plans compiled under different statistics — or none — must
 // never serve each other's lookups.
-func planCacheKey(q *Query, cfg *compileConfig) string {
+func planCacheKey(canon string, cfg *compileConfig) string {
 	name := ""
 	if cfg.decomposer != nil {
 		name = cfg.decomposer.Name()
@@ -222,7 +234,7 @@ func planCacheKey(q *Query, cfg *compileConfig) string {
 		name = "auto"
 	}
 	return fmt.Sprintf("%s|s%d|k%d|b%d|w%d|sw%d|%s|st%s",
-		cq.CanonicalForm(q), cfg.strategy, cfg.maxWidth, cfg.stepBudget, cfg.workers, cfg.shardWorkers, name,
+		canon, cfg.strategy, cfg.maxWidth, cfg.stepBudget, cfg.workers, cfg.shardWorkers, name,
 		cfg.stats.Fingerprint())
 }
 

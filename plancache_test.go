@@ -229,6 +229,51 @@ func TestPlanCacheMetricsConcurrent(t *testing.T) {
 	}
 }
 
+// Concurrent Compile calls on one shared *Query, hits and misses mixed,
+// under statistics: the cache keys by the query's canonical form without
+// writing to the query, so -race sees no conflict, and every caller gets the
+// one cached plan of its options. CompileKeyed with the form computed once
+// lands in the same slot.
+func TestPlanCacheCompilesOneSharedQueryConcurrently(t *testing.T) {
+	q := MustParseQuery(`ans(X, Z) :- r(X, Y), s(Y, Z), t(Z, X).`)
+	db := NewDatabase()
+	db.AddFact("r", "a", "b")
+	db.AddFact("s", "b", "c")
+	db.AddFact("t", "c", "a")
+	opts := []CompileOption{WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0))}
+	cache := NewPlanCache(4)
+	ctx := context.Background()
+	plans := make([]*Plan, 16)
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				p, err := cache.Compile(ctx, q, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plans[g] = p
+			}
+		}()
+	}
+	wg.Wait()
+	keyed, err := cache.CompileKeyed(ctx, q, CanonicalForm(q), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, p := range plans {
+		if p != keyed {
+			t.Fatalf("goroutine %d ended on another plan than the cached one", g)
+		}
+	}
+	if m := cache.Metrics(); m.Len != 1 {
+		t.Fatalf("%d cache entries for one query under one set of options", m.Len)
+	}
+}
+
 // The cache-key invariant the serving layer leans on, pinned exactly:
 // α-renaming a query's variables maps it to the SAME slot (the canonical
 // form interns variables positionally), while permuting its body atoms maps

@@ -59,7 +59,7 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // product), the WithAutoStrategy race ranks entrants by estimated total
 // cost — Σ over nodes p of the estimated size of π_χ(p)(⋈ λ(p)), from
 // cardinalities and distinct counts, capped by the AGM bound — instead of
-// width alone, the evaluator orders the semijoin passes by ascending
+// width alone, the evaluator orders every node's children by ascending
 // estimated cardinality, and Plan.Explain reports the per-node estimates.
 // Statistics never change answers — only which same-width plan wins and in
 // which order it reduces; the equivalence is
