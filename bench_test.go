@@ -1,7 +1,9 @@
-// Experiment benchmarks, one per paper experiment of cmd/hdbench. Each
-// bench regenerates the computational content of a figure, example or
-// theorem of the paper; cmd/hdbench prints the same data as human-readable
-// rows, paper claim beside measured value.
+// Experiment benchmarks. BenchmarkE01–E20 regenerate the computational
+// content of cmd/hdbench's E1–E20, one figure, example or theorem of the
+// paper each; cmd/hdbench prints the same data as human-readable rows,
+// paper claim beside measured value. BenchmarkE22–E25 time the engine's
+// own comparisons (greedy vs exact search, sharded execution, fractional
+// covers, cost-based planning), whose assertions live in the root tests.
 package hypertree
 
 import (
@@ -378,8 +380,8 @@ func BenchmarkAblationKDecomp(b *testing.B) {
 
 // E22: the greedy GHD engine versus the exact k-decomp search — compile
 // time at equal instances, plus greedy-only scaling on CSPs the exact
-// search cannot finish (cmd/hdbench E22 prints the width side of the same
-// comparison).
+// search cannot finish (TestGreedyWidthNeverBeatsExact pins the width side
+// of the same comparison).
 func BenchmarkE22GreedyGHD(b *testing.B) {
 	grid := QueryHypergraph(gen.Grid(4, 4))
 	ctx := context.Background()
@@ -509,9 +511,9 @@ func BenchmarkPlanReuse(b *testing.B) {
 	})
 }
 
-// E23: partition-parallel execution (cmd/hdbench E23 prints the
-// multi-million-tuple wall-clock side; this bench tracks the same paths at
-// a size the test suite can afford). The sharded path pays scatter overhead
+// E23: partition-parallel execution (TestPropertyShardedEquivalence pins
+// its answers; this bench tracks the single and sharded paths at a size
+// the test suite can afford). The sharded path pays scatter overhead
 // but divides the pivot encoding and the leapfrog run per shard and shares
 // one encoding of every other λ relation across the fragments.
 func BenchmarkE23Sharded(b *testing.B) {
@@ -551,7 +553,8 @@ func BenchmarkE23Sharded(b *testing.B) {
 	})
 }
 
-// E24: the fractional engine (cmd/hdbench E24 prints the width side) —
+// E24: the fractional engine (TestFractionalWidthBeatsGreedyOnClique and
+// TestPropertyFractionalAgreesWithExact pin the width side) —
 // LP-priced bag covers against the greedy integral covers at compile time,
 // plus the adaptive race end to end. The LP pricing adds one small simplex
 // solve per bag on top of the greedy shape search.
@@ -601,7 +604,8 @@ func BenchmarkE24Fractional(b *testing.B) {
 // same auto race, with and without statistics, executing the plan it
 // picked. Width ties at 2 on gen.CostSeparationQuery, so the entire
 // separation is the cost model steering the λ placements away from the
-// giant relation (cmd/hdbench E25 prints the width/cost/speedup rows).
+// giant relation (TestCostBasedAutoBeatsWidthOnly pins the widths, the
+// estimates and the answers).
 func BenchmarkE25CostBased(b *testing.B) {
 	q := gen.CostSeparationQuery()
 	db := gen.SkewedSizeDatabase(rand.New(rand.NewSource(25)), q, 2_000, 250, 3)

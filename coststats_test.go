@@ -2,6 +2,7 @@ package hypertree
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -209,7 +210,8 @@ func TestStatsEquivalenceWithHeads(t *testing.T) {
 
 // On the cost-separation workload the cost-based auto race must pick a
 // same-width plan of strictly lower estimated cost than the width-only
-// race — the deterministic core of hdbench E25.
+// race, and both must answer alike (BenchmarkE25CostBased times the two
+// plans).
 func TestCostBasedAutoBeatsWidthOnly(t *testing.T) {
 	q := gen.CostSeparationQuery()
 	db := gen.SkewedSizeDatabase(rand.New(rand.NewSource(25)), q, 2000, 250, 3)
@@ -238,6 +240,28 @@ func TestCostBasedAutoBeatsWidthOnly(t *testing.T) {
 	}
 	if widthPlan.PlanStats() != nil || costPlan.PlanStats() != st {
 		t.Fatal("PlanStats must echo exactly the compile-time snapshot")
+	}
+	// Plant three complete cycles — random tuples almost never close C4 —
+	// so the two plans must agree on a non-empty answer.
+	for i := 0; i < 3; i++ {
+		w := func(j int) string { return fmt.Sprintf("w%d_%d", i, j) }
+		db.AddFact("big", w(1), w(2))
+		db.AddFact("small", w(1), w(2))
+		db.AddFact("c2", w(2), w(3))
+		db.AddFact("c3", w(3), w(4))
+		db.AddFact("c4", w(4), w(1))
+	}
+	ctx := context.Background()
+	widthAns, err := widthPlan.Execute(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costAns, err := costPlan.Execute(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if widthAns.Empty() || !widthAns.Equal(costAns) {
+		t.Fatalf("answers diverged: width-only %d rows, cost-based %d rows", widthAns.Rows(), costAns.Rows())
 	}
 }
 

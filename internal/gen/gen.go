@@ -213,7 +213,8 @@ func RandomDatabase(rng *rand.Rand, q *cq.Query, rows, domain int) *relation.Dat
 // LargeRandomDatabase is RandomDatabase at scale: the domain constants are
 // interned once up front and tuples are inserted as raw values, skipping
 // the per-fact string formatting — the only practical way to build the
-// multi-million-tuple instances of the sharding experiments (hdbench E23).
+// instances the sharded path is measured on (BenchmarkE23Sharded,
+// examples/sharded).
 // Like RandomDatabase it aims rows tuples at every distinct relation the
 // query mentions (set semantics may land slightly fewer).
 func LargeRandomDatabase(rng *rand.Rand, q *cq.Query, rows, domain int) *relation.Database {
@@ -282,8 +283,8 @@ func SkewedDatabase(rng *rand.Rand, q *cq.Query, rows, domain int, alpha float64
 	return db
 }
 
-// CostSeparationQuery returns the workload of the cost-vs-width experiment
-// (hdbench E25): a 4-cycle big—c2—c3—c4 with a second, parallel edge small
+// CostSeparationQuery returns the workload of the cost-vs-width comparison
+// (TestCostBasedAutoBeatsWidthOnly, BenchmarkE25CostBased): a 4-cycle big—c2—c3—c4 with a second, parallel edge small
 // over the same variables as big. Every width measure ties at 2 (the
 // 4-cycle needs two edges per bag and fractional covers cannot beat 2 on
 // C4), so width-only ranking cannot tell the decompositions apart — but a

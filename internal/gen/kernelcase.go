@@ -12,8 +12,8 @@ import (
 // This file is the shared harness of the kernel differential-testing layer:
 // randomized ⟨query, database⟩ cases over which every join kernel and every
 // execution path must agree answer-for-answer. It lives in gen (not in a
-// _test file) so the root differential suite, hdbench and future fuzz
-// drivers draw from one generator.
+// _test file) so the root differential suite, the package suites and
+// future fuzz drivers draw from one generator.
 
 // KernelCase is one randomized differential-testing instance: a query (half
 // of them headed, the rest Boolean), a database to run it against, and

@@ -2,6 +2,7 @@ package hypertree
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"sync"
@@ -378,5 +379,72 @@ func TestQErrorReportFeedback(t *testing.T) {
 	ResetQErrorReport()
 	if len(QErrorReport()) != 0 {
 		t.Fatal("ResetQErrorReport left entries behind")
+	}
+}
+
+// A traced compile and execution exports as OTLP/JSON that parses back
+// span for span: every span under the trace's ID with a distinct span ID,
+// the compile, exec and exec/node spans present, and the q-error attribute
+// the feedback loop keys on carried by the executed nodes.
+func TestMarshalOTLPOfExecutedTrace(t *testing.T) {
+	db := gen.ServingDatabase(rand.New(rand.NewSource(28)), 500, 300)
+	q := MustParseQuery(`r1(X1, X2), r2(X2, X3), r3(X3, X1)`)
+	tr := NewTrace()
+	plan, err := Compile(q, WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0)), WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Execute(ContextWithTrace(context.Background(), tr), db); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := MarshalOTLP("hypertree-test", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var otlp struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []struct {
+					TraceID    string `json:"traceId"`
+					SpanID     string `json:"spanId"`
+					Name       string `json:"name"`
+					Attributes []struct {
+						Key string `json:"key"`
+					} `json:"attributes"`
+				} `json:"spans"`
+			} `json:"scopeSpans"`
+		} `json:"resourceSpans"`
+	}
+	if err := json.Unmarshal(payload, &otlp); err != nil {
+		t.Fatalf("OTLP payload does not parse back: %v", err)
+	}
+	if len(otlp.ResourceSpans) != 1 || len(otlp.ResourceSpans[0].ScopeSpans) != 1 {
+		t.Fatalf("OTLP payload shape: %s", payload)
+	}
+	spans := otlp.ResourceSpans[0].ScopeSpans[0].Spans
+	if len(spans) != len(tr.Spans()) {
+		t.Fatalf("OTLP payload has %d spans, the trace %d", len(spans), len(tr.Spans()))
+	}
+	names, ids, qerrs := map[string]bool{}, map[string]bool{}, 0
+	for _, sp := range spans {
+		if sp.TraceID != tr.TraceID() || ids[sp.SpanID] {
+			t.Fatalf("span %q: trace ID %q (want %q), span ID %q seen before: %v",
+				sp.Name, sp.TraceID, tr.TraceID(), sp.SpanID, ids[sp.SpanID])
+		}
+		ids[sp.SpanID] = true
+		names[sp.Name] = true
+		for _, a := range sp.Attributes {
+			if a.Key == "hypertree.q_error" {
+				qerrs++
+			}
+		}
+	}
+	for _, need := range []string{obs.SpanCompile, obs.SpanExec, obs.SpanNode} {
+		if !names[need] {
+			t.Errorf("OTLP payload is missing a %q span", need)
+		}
+	}
+	if qerrs == 0 {
+		t.Error("no span carries the hypertree.q_error attribute")
 	}
 }

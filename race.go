@@ -19,7 +19,8 @@ import (
 // and run unbudgeted unless the caller says otherwise. 200k steps decide
 // the structured families (cycles, grids, small cliques) exactly and give
 // up within milliseconds on the instances only the heuristics can serve —
-// the same scale hdbench E22 uses.
+// the budget TestCostBasedAutoBeatsWidthOnly and BenchmarkE25CostBased
+// give the race.
 const DefaultRaceExactBudget = 200_000
 
 // costTieRel is the relative tolerance under which two entrants' estimated
