@@ -36,10 +36,6 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdb, err := PartitionDatabase(tc.DB, 3, HashPartition)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 4} {
 			plan, err := Compile(tc.Q, WithWorkers(workers))
 			if err != nil {
@@ -80,10 +76,6 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 			ok, err := plan.ExecuteBoolean(ctx, tc.DB)
 			if err != nil || ok != !want.Empty() {
 				t.Fatalf("%s workers=%d: ExecuteBoolean = %v, %v; naive has %d answers", tc.Name, workers, ok, err, want.Rows())
-			}
-			sharded, err := plan.ExecuteSharded(ctx, pdb)
-			if err != nil || !sharded.Equal(want) {
-				t.Fatalf("%s workers=%d: sharded execution disagrees (%v)", tc.Name, workers, err)
 			}
 		}
 	}

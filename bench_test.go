@@ -1,9 +1,9 @@
 // Experiment benchmarks. BenchmarkE01–E20 regenerate the computational
 // content of cmd/hdbench's E1–E20, one figure, example or theorem of the
 // paper each; cmd/hdbench prints the same data as human-readable rows,
-// paper claim beside measured value. BenchmarkE22–E25 time the engine's
-// own comparisons (greedy vs exact search, sharded execution, fractional
-// covers, cost-based planning), whose assertions live in the root tests.
+// paper claim beside measured value. BenchmarkE22, E24 and E25 time the
+// engine's own comparisons (greedy vs exact search, fractional covers,
+// cost-based planning), whose assertions live in the root tests.
 package hypertree
 
 import (
@@ -505,48 +505,6 @@ func BenchmarkPlanReuse(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := plan.ExecuteBoolean(ctx, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// E23: partition-parallel execution (TestPropertyShardedEquivalence pins
-// its answers; this bench tracks the single and sharded paths at a size
-// the test suite can afford). The sharded path pays scatter overhead
-// but divides the pivot encoding and the leapfrog run per shard and shares
-// one encoding of every other λ relation across the fragments.
-func BenchmarkE23Sharded(b *testing.B) {
-	q := gen.Cycle(3)
-	db := gen.LargeRandomDatabase(rand.New(rand.NewSource(23)), q, 60_000, 30_000)
-	plan, err := Compile(q, WithStrategy(StrategyHypertree))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.ExecuteBoolean(ctx, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, n := range []int{4, 8} {
-		pdb, err := PartitionDatabase(db, n, HashPartition)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.ExecuteBooleanSharded(ctx, pdb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("partition-hash-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := PartitionDatabase(db, 4, HashPartition); err != nil {
 				b.Fatal(err)
 			}
 		}

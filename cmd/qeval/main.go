@@ -7,8 +7,7 @@
 //	      [-k N] [-budget N] [-workers N] [-timeout D] [-time]
 //	      [-widths] [-explain] [-analyze] [-jointree]
 //	      [-qw] [-dot]                                   (compile only)
-//	      [-db factsfile [-db2 factsfile] [-stats]
-//	       [-shards N] [-partition hash|rr]]             (evaluate)
+//	      [-db factsfile [-db2 factsfile] [-stats]]      (evaluate)
 //
 // The query file holds one rule ("ans(X) :- r(X,Y), s(Y,Z)."); without
 // -query the rule is read from stdin. Each facts file holds ground atoms,
@@ -48,10 +47,6 @@
 // by estimated total evaluation cost, the heuristics break width ties
 // toward cheaper λ placements, and every node tries its smallest estimated
 // child table first.
-//
-// With -shards N > 0 each database is partitioned N ways (-partition picks
-// hash or round-robin tuple placement) and the plan runs through
-// ExecuteSharded, answer-identically to the unsharded run.
 package main
 
 import (
@@ -69,11 +64,11 @@ import (
 
 // config holds qeval's flags.
 type config struct {
-	query, db, db2, strategy, partition string
-	k, budget, workers, shards          int
-	timeout                             time.Duration
-	timing, widths, stats, explain      bool
-	analyze, jointree, qw, dot          bool
+	query, db, db2, strategy       string
+	k, budget, workers             int
+	timeout                        time.Duration
+	timing, widths, stats, explain bool
+	analyze, jointree, qw, dot     bool
 }
 
 func main() {
@@ -94,8 +89,6 @@ func main() {
 	flag.BoolVar(&c.jointree, "jointree", false, "print a join tree if the query is acyclic")
 	flag.BoolVar(&c.qw, "qw", false, "also compute the query width (exponential; compile only)")
 	flag.BoolVar(&c.dot, "dot", false, "print the decomposition as Graphviz (compile only)")
-	flag.IntVar(&c.shards, "shards", 0, "partition each database N ways and execute sharded (0 = off)")
-	flag.StringVar(&c.partition, "partition", "hash", "tuple placement for -shards: hash | rr")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "qeval: unexpected arguments (the query file goes in -query)")
@@ -139,15 +132,6 @@ func run(w io.Writer, c config) error {
 	}
 	if c.db != "" && (c.qw || c.dot) {
 		return errors.New("-qw and -dot print the compile-only report; drop -db")
-	}
-	var partition hypertree.PartitionStrategy
-	switch c.partition {
-	case "hash":
-		partition = hypertree.HashPartition
-	case "rr", "round-robin":
-		partition = hypertree.RoundRobinPartition
-	default:
-		return fmt.Errorf("unknown partition strategy %q (valid: hash | rr)", c.partition)
 	}
 	opts, err := strategyOptions(c.strategy)
 	if err != nil {
@@ -275,26 +259,11 @@ func run(w io.Writer, c config) error {
 		if len(dbs) > 1 {
 			fmt.Fprintf(w, "-- %s --\n", files[i])
 		}
-		var table *hypertree.Table
-		var elapsed time.Duration
-		if c.shards > 0 {
-			pdb, err := hypertree.PartitionDatabase(db, c.shards, partition)
-			if err != nil {
-				return err
-			}
-			start = time.Now()
-			table, err = plan.ExecuteSharded(ctx, pdb)
-			elapsed = time.Since(start)
-			if err != nil {
-				return err
-			}
-		} else {
-			start = time.Now()
-			table, err = plan.Execute(ctx, db)
-			elapsed = time.Since(start)
-			if err != nil {
-				return err
-			}
+		start = time.Now()
+		table, err := plan.Execute(ctx, db)
+		elapsed := time.Since(start)
+		if err != nil {
+			return err
 		}
 		if q.IsBoolean() {
 			fmt.Fprintln(w, !table.Empty())

@@ -29,9 +29,6 @@ func output(t *testing.T, c config) (string, error) {
 	if c.strategy == "" {
 		c.strategy = "auto"
 	}
-	if c.partition == "" {
-		c.partition = "hash"
-	}
 	var b bytes.Buffer
 	err := run(&b, c)
 	return b.String(), err
@@ -190,32 +187,17 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	q := write(t, "q.cq", `ans(X) :- r(X,Y), s(Y,Z), t(Z,X).`)
-	db := write(t, "f.db", "r(a,b). s(b,c). t(c,a). r(x,y).")
-	for _, part := range []string{"hash", "rr"} {
-		out := mustOutput(t, config{query: q, db: db, strategy: "hd", timing: true, shards: 3, partition: part})
-		contains(t, "sharded "+part, out, "1 answers\n")
-	}
-	// fhd plans must ride the sharded path too
-	out := mustOutput(t, config{query: q, db: db, strategy: "fhd", widths: true, shards: 3})
-	contains(t, "sharded fhd", out, "1 answers\n", "decomposer=fhd")
-	if _, err := output(t, config{query: q, db: db, strategy: "hd", shards: 3, partition: "bogus"}); err == nil {
-		t.Error("unknown partition strategy accepted")
-	}
-}
-
 func TestRunStatsAndExplain(t *testing.T) {
 	q := write(t, "q.cq", `ans(X) :- r(X,Y), s(Y,Z), t(Z,X), r2(X,Y).`)
 	db := write(t, "f.db", "r(a,b). r(a,c). r(b,c). s(b,c). t(c,a). r2(a,b).")
 	// cost-based planning plus the explain report, across the racing and
-	// fixed-engine strategies, unsharded and sharded
+	// fixed-engine strategies, sequential and on four workers
 	for _, s := range []string{"auto", "hd", "ghd", "fhd"} {
 		out := mustOutput(t, config{query: q, db: db, strategy: s, widths: true, stats: true, explain: true})
 		contains(t, s+" -stats -explain", out, "cost-based", "est=", "1 answers\n")
 	}
-	out := mustOutput(t, config{query: q, db: db, stats: true, explain: true, shards: 2})
-	contains(t, "sharded -stats -explain", out, "cost-based", "1 answers\n")
+	out := mustOutput(t, config{query: q, db: db, stats: true, explain: true, workers: 4})
+	contains(t, "-workers 4 -stats -explain", out, "cost-based", "1 answers\n")
 	// -explain without -stats: width-only report, still fine
 	out = mustOutput(t, config{query: q, db: db, strategy: "ghd", explain: true})
 	contains(t, "-explain without -stats", out, "width-only")
@@ -225,13 +207,13 @@ func TestRunAnalyze(t *testing.T) {
 	q := write(t, "q.cq", `ans(X) :- r(X,Y), s(Y,Z), t(Z,X), r2(X,Y).`)
 	db := write(t, "f.db", "r(a,b). r(a,c). r(b,c). s(b,c). t(c,a). r2(a,b).")
 	// -analyze with -stats, against the racing and fixed engines,
-	// unsharded and sharded — the report must render everywhere.
+	// sequential and on four workers — the report must render everywhere.
 	for _, s := range []string{"auto", "hd", "fhd"} {
 		out := mustOutput(t, config{query: q, db: db, strategy: s, stats: true, analyze: true})
 		contains(t, s+" -analyze", out, "actual=")
 	}
-	out := mustOutput(t, config{query: q, db: db, stats: true, analyze: true, shards: 2})
-	contains(t, "sharded -analyze", out, "actual=")
+	out := mustOutput(t, config{query: q, db: db, stats: true, analyze: true, workers: 4})
+	contains(t, "-workers 4 -analyze", out, "actual=")
 	acyclic := write(t, "q2.cq", `ans(A) :- r(A,B).`)
 	out = mustOutput(t, config{query: acyclic, db: db, strategy: "acyclic", analyze: true})
 	contains(t, "acyclic -analyze", out, "kernel=scan")

@@ -11,12 +11,11 @@ import (
 )
 
 // The central safety property of cost-based planning: statistics choose
-// among plans and join orders, never answers. Execute / ExecuteBoolean /
-// ExecuteSharded with WithStats must agree with the width-only compile of
-// the same query, on random acyclic and cyclic instances, across the exact
-// k-decomp, greedy GHD and fractional decomposers and the auto race, over
-// databases with skewed relation sizes (where the cost model actually
-// reorders things).
+// among plans and join orders, never answers. Execute / ExecuteBoolean with
+// WithStats must agree with the width-only compile of the same query, on
+// random acyclic and cyclic instances, across the exact k-decomp, greedy GHD
+// and fractional decomposers and the auto race, over databases with skewed
+// relation sizes (where the cost model actually reorders things).
 func TestPropertyStatsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(525))
 	ctx := context.Background()
@@ -78,20 +77,6 @@ func TestPropertyStatsEquivalence(t *testing.T) {
 			if gotBool != wantBool {
 				t.Fatalf("trial %d %s: stats changed the Boolean verdict", trial, name)
 			}
-			// the sharded path must serve stats-ordered plans unchanged
-			for _, shards := range []int{1, 3} {
-				pdb, err := PartitionDatabase(db, shards, HashPartition)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh, err := costed.ExecuteSharded(ctx, pdb)
-				if err != nil {
-					t.Fatalf("trial %d %s sharded(%d) with stats: %v", trial, name, shards, err)
-				}
-				if !sh.Equal(want) {
-					t.Fatalf("trial %d %s: sharded(%d) stats execution changed answers", trial, name, shards)
-				}
-			}
 		}
 	}
 	if acyclicSeen == 0 || cyclicSeen == 0 {
@@ -103,8 +88,7 @@ func TestPropertyStatsEquivalence(t *testing.T) {
 // collected from a decoy database over the same relations with unrelated
 // sizes and domains, so cardinalities and distinct counts are random with
 // respect to the data executed on. The distinct counts steer covers, the
-// race and the child order; none of it may change an answer, single or
-// sharded.
+// race and the child order; none of it may change an answer.
 func TestPropertyStatsEquivalenceRandomCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1525))
 	ctx := context.Background()
@@ -150,19 +134,6 @@ func TestPropertyStatsEquivalenceRandomCounts(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("trial %d %s: stats changed answers: %d rows vs %d\nquery %s\nwidth-only %s\ncost-based %s",
 					trial, name, got.Rows(), want.Rows(), q, plain.Explain(), costed.Explain())
-			}
-			for _, shards := range []int{1, 3} {
-				pdb, err := PartitionDatabase(db, shards, HashPartition)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh, err := costed.ExecuteSharded(ctx, pdb)
-				if err != nil {
-					t.Fatalf("trial %d %s sharded(%d) with stats: %v", trial, name, shards, err)
-				}
-				if !sh.Equal(want) {
-					t.Fatalf("trial %d %s: sharded(%d) stats execution changed answers", trial, name, shards)
-				}
 			}
 		}
 	}

@@ -278,10 +278,10 @@ func (g greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req Deco
 // The λ label of every node is the integral support of its optimal
 // fractional cover — still an edge cover of the bag — so the output is
 // simultaneously a valid GHD and executes through the unchanged Lemma 4.6
-// machinery, single-database and sharded alike. WithMaxWidth(k) bounds the
-// accepted fractional width (the heuristic proves nothing about fhw(H) on
-// failure); WithStepBudget counts vertex eliminations plus simplex pivots;
-// Workers is ignored (the re-covering pass is polynomial and fast).
+// machinery. WithMaxWidth(k) bounds the accepted fractional width (the
+// heuristic proves nothing about fhw(H) on failure); WithStepBudget counts
+// vertex eliminations plus simplex pivots; Workers is ignored (the
+// re-covering pass is polynomial and fast).
 func FractionalDecomposer(opts ...GreedyOption) Decomposer {
 	var o ghd.Options
 	for _, opt := range opts {

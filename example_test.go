@@ -76,30 +76,6 @@ func ExamplePlan_Answers() {
 	// first: a d
 }
 
-// ExecuteSharded evaluates through a partitioned database: per-node λ-joins
-// materialise shard-parallel and merge back, answer-identically to Execute.
-func ExamplePlan_ExecuteSharded() {
-	q := hypertree.MustParseQuery(`ans(X) :- r(X, Y), s(Y, Z), t(Z, X).`)
-	plan, err := hypertree.Compile(q)
-	if err != nil {
-		panic(err)
-	}
-	db := hypertree.NewDatabase()
-	db.ParseFacts(`r(a,b). s(b,c). t(c,a). r(a,z).`)
-	pdb, err := hypertree.PartitionDatabase(db, 4, hypertree.HashPartition)
-	if err != nil {
-		panic(err)
-	}
-	table, err := plan.ExecuteSharded(context.Background(), pdb)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(table.StringWith(db, q.VarName))
-	// Output:
-	// (X)
-	// a
-}
-
 // FractionalWidth reports the plan's width under fractional λ weights. On
 // the triangle query the integral hypertree width is 2, but spreading
 // weight 1/2 over all three atoms covers the joint bag at total 3/2 — the

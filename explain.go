@@ -135,7 +135,6 @@ func (p *Plan) ExplainAnalyze() string {
 	}
 
 	nodeSpans := map[int]obs.Span{}
-	shardCounts := map[int]int{}
 	var passes []obs.Span
 	var execSpan *obs.Span
 	var binds, bindHits, bindMicros int64
@@ -147,13 +146,9 @@ func (p *Plan) ExplainAnalyze() string {
 			if strings.HasSuffix(s.Label, " hit") {
 				bindHits++
 			}
-		case obs.SpanNode, obs.SpanNodeSharded:
+		case obs.SpanNode:
 			if s.Node >= 0 {
 				nodeSpans[s.Node] = s
-			}
-		case obs.SpanShard:
-			if s.Node >= 0 {
-				shardCounts[s.Node]++
 			}
 		case obs.SpanSemijoinUp, obs.SpanSemijoinDown, obs.SpanEnumerate:
 			passes = append(passes, s)
@@ -188,9 +183,6 @@ func (p *Plan) ExplainAnalyze() string {
 					s.Rows, obs.QError(n.EstRows, s.Rows), s.Steps, s.Micros)
 			default:
 				fmt.Fprintf(&b, "  actual=%d rows (no estimate), %d joins, %dµs", s.Rows, s.Steps, s.Micros)
-			}
-			if k := shardCounts[n.ID]; k > 0 {
-				fmt.Fprintf(&b, " across %d shards", k)
 			}
 			b.WriteString("\n")
 		}

@@ -17,9 +17,8 @@
 // race's greedy candidate). The λ label of
 // each node is the integral support of its optimal fractional cover —
 // still a valid edge cover of the bag — so the decomposition satisfies the
-// GHD conditions 1–3 and the existing Lemma 4.6 evaluator (including the
-// sharded paths) runs completely unchanged; only the width accounting is
-// fractional. Everything runs under the shared context/step-budget
+// GHD conditions 1–3 and the existing Lemma 4.6 evaluator runs completely
+// unchanged; only the width accounting is fractional. Everything runs under the shared context/step-budget
 // plumbing: one step per vertex-elimination decision and one per simplex
 // pivot.
 package fhd

@@ -210,40 +210,6 @@ func RandomDatabase(rng *rand.Rand, q *cq.Query, rows, domain int) *relation.Dat
 	return db
 }
 
-// LargeRandomDatabase is RandomDatabase at scale: the domain constants are
-// interned once up front and tuples are inserted as raw values, skipping
-// the per-fact string formatting — the only practical way to build the
-// instances the sharded path is measured on (BenchmarkE23Sharded,
-// examples/sharded).
-// Like RandomDatabase it aims rows tuples at every distinct relation the
-// query mentions (set semantics may land slightly fewer).
-func LargeRandomDatabase(rng *rand.Rand, q *cq.Query, rows, domain int) *relation.Database {
-	db := relation.NewDatabase()
-	vals := make([]relation.Value, domain)
-	for i := range vals {
-		vals[i] = db.Intern(fmt.Sprintf("d%d", i))
-	}
-	seen := map[string]bool{}
-	for _, a := range q.Atoms {
-		if seen[a.Pred] {
-			continue
-		}
-		seen[a.Pred] = true
-		r, err := db.AddRelation(a.Pred, len(a.Args))
-		if err != nil {
-			panic(err) // distinct predicates cannot collide on arity here
-		}
-		tuple := make([]relation.Value, len(a.Args))
-		for i := 0; i < rows; i++ {
-			for j := range tuple {
-				tuple[j] = vals[rng.Intn(domain)]
-			}
-			r.Add(tuple...)
-		}
-	}
-	return db
-}
-
 // SkewedDatabase is RandomDatabase with a power-law value distribution
 // (value i chosen with probability ∝ (i+1)^-alpha over the domain), which
 // makes naive join intermediates blow up on the hot values.
@@ -304,8 +270,8 @@ func CostSeparationQuery() *cq.Query {
 // same-width λ placements cost-equal, whereas here two decompositions of
 // identical width can differ by orders of magnitude in Π_{R∈λ} |R|
 // depending on whether the giant lands in a λ label. Constants are interned
-// up front and tuples inserted as raw values (the LargeRandomDatabase
-// fast path), so multi-hundred-thousand-row giants build quickly.
+// up front and tuples inserted as raw values, skipping the per-fact string
+// formatting, so multi-hundred-thousand-row giants build quickly.
 func SkewedSizeDatabase(rng *rand.Rand, q *cq.Query, maxRows, domain int, alpha float64) *relation.Database {
 	db := relation.NewDatabase()
 	vals := make([]relation.Value, domain)

@@ -11,8 +11,8 @@ import (
 
 // ServingDatabase builds the database hdserve -gen-rows serves: the binary
 // relations r1..r4 with rows random tuples each over a domain of the given
-// size (constants d0, d1, …), interned up front (the LargeRandomDatabase
-// fast path). Sharing one domain, they answer paths, cycles and stars alike.
+// size (constants d0, d1, …), interned up front and inserted as raw values.
+// Sharing one domain, they answer paths, cycles and stars alike.
 func ServingDatabase(rng *rand.Rand, rows, domain int) *relation.Database {
 	db := relation.NewDatabase()
 	vals := make([]relation.Value, domain)

@@ -46,7 +46,7 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 		}
 	}
 
-	// equivalence against the statistics-free evaluator, single and sharded
+	// equivalence against the statistics-free evaluator
 	plainEval, err := NewEvaluator(q, d, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/jointree"
 	"hypertree/internal/relation"
-	"hypertree/internal/shard"
 	"hypertree/internal/yannakakis"
 )
 
@@ -319,7 +318,7 @@ func TestRepeatedVariablesThroughDecomposition(t *testing.T) {
 }
 
 // Multi-relation bags over empty, unit and tiny relations run the same
-// leapfrog path as large ones, on one database and sharded, with and
+// leapfrog path as large ones, on one worker and on four, with and
 // without a ground atom beside them; a false ground atom empties the
 // columnar root.
 func TestTinyAndEmptyBags(t *testing.T) {
@@ -361,15 +360,11 @@ func TestTinyAndEmptyBags(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					p, err := shard.Partition(db, 3, shard.Hash)
-					if err != nil {
-						t.Fatal(err)
-					}
 					got, err := materialize(e.Answers(ctx, db, 1))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotSharded, err := materialize(e.AnswersSharded(ctx, p, 0))
+					gotPar, err := materialize(e.Answers(ctx, db, 4))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -377,9 +372,9 @@ func TestTinyAndEmptyBags(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !got.Equal(want) || !gotSharded.Equal(want) || ok != !want.Empty() {
-						t.Fatalf("%s, %d rows, empty=%q, flag=%v: %d answers (sharded %d, Boolean %v), naive has %d",
-							q, rows, empty, flag, got.Rows(), gotSharded.Rows(), ok, want.Rows())
+					if !got.Equal(want) || !gotPar.Equal(want) || ok != !want.Empty() {
+						t.Fatalf("%s, %d rows, empty=%q, flag=%v: %d answers (4 workers %d, Boolean %v), naive has %d",
+							q, rows, empty, flag, got.Rows(), gotPar.Rows(), ok, want.Rows())
 					}
 					root, err := e.Root(ctx, db)
 					if err != nil {
@@ -413,15 +408,7 @@ func TestGroundOnlyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		p, err := shard.Partition(db, 2, shard.Hash)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := e.Boolean(ctx, db, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSharded, err := e.BooleanSharded(ctx, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,8 +416,8 @@ func TestGroundOnlyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want || gotSharded != want || len(ans.Vars) != 0 || (ans.Rows() == 1) != want {
-			t.Fatalf("%s: Boolean %v, sharded %v, %d answer rows; want %v", src, got, gotSharded, ans.Rows(), want)
+		if got != want || len(ans.Vars) != 0 || (ans.Rows() == 1) != want {
+			t.Fatalf("%s: Boolean %v, %d answer rows; want %v", src, got, ans.Rows(), want)
 		}
 	}
 }

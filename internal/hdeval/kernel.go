@@ -298,22 +298,14 @@ func (b *rootBuilder) materialize(n *Node) (*yannakakis.Node, error) {
 		}
 		sp.AddSteps(int64(len(cols) - 1))
 	}
-	b.endNodeSpan(sp, n, out.Rows())
-	return out, nil
-}
-
-// endNodeSpan stamps a node span with the node's ID, label (for a leapfrog
-// node, its variable order too), kernel, estimate and actual cardinality,
-// and publishes it.
-func (b *rootBuilder) endNodeSpan(sp *obs.Span, n *Node, rows int) {
-	if sp == nil {
-		return
+	if sp != nil {
+		b.e.Nodes() // renders the labels on the first traced execution
+		sp.SetKernel(n.Kernel)
+		sp.SetNode(n.ID)
+		sp.SetLabel(n.spanLabel) // a leapfrog node's label carries its order
+		sp.SetEst(n.EstRows)
+		sp.SetRows(out.Rows())
+		sp.End()
 	}
-	b.e.Nodes() // renders the labels on the first traced execution
-	sp.SetKernel(n.Kernel)
-	sp.SetNode(n.ID)
-	sp.SetLabel(n.spanLabel)
-	sp.SetEst(n.EstRows)
-	sp.SetRows(rows)
-	sp.End()
+	return out, nil
 }

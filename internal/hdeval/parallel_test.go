@@ -13,7 +13,6 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
 	"hypertree/internal/relation"
-	"hypertree/internal/shard"
 	"hypertree/internal/yannakakis"
 )
 
@@ -157,16 +156,12 @@ func TestDeadlineInterruptsLeapfrog(t *testing.T) {
 			t.Fatalf("%v deadline: the join came back after %v", d, took)
 		}
 	}
-	// The scatter hands each shard's join the same deadline.
-	p, err := shard.Partition(db, 2, shard.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The parallel builder hands the node's join the same deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.BooleanSharded(ctx, p, 0); !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 50*time.Millisecond {
-		t.Fatalf("sharded, 5 ms deadline: err = %v after %v, want DeadlineExceeded within 50 ms", err, time.Since(start))
+	if _, err := e.Boolean(ctx, db, 4); !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 50*time.Millisecond {
+		t.Fatalf("4 workers, 5 ms deadline: err = %v after %v, want DeadlineExceeded within 50 ms", err, time.Since(start))
 	}
 	small := relation.NewDatabase()
 	if err := small.ParseFacts(`r(a, b). t(c, b).`); err != nil {

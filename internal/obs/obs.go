@@ -4,7 +4,7 @@
 //
 // A Trace accumulates Spans — one per traced stage: compile, decomposition,
 // each race entrant, per-node λ-join materialisation, semijoin passes,
-// enumeration, sharded scatter-gather. Each span records wall time, step
+// enumeration. Each span records wall time, step
 // counts and the actual output cardinality alongside the planner's estimate,
 // which is what makes cost-model errors observable (Plan.ExplainAnalyze
 // renders the comparison; the per-node q-errors feed the QErrorTable that
@@ -19,8 +19,8 @@
 //   - A live span is owned by the goroutine that started it until End, which
 //     appends a value copy to the trace under its mutex. Readers (Spans,
 //     Render) therefore only ever observe completed spans — there is no
-//     torn-read window, and tracing parallel per-node materialisation or a
-//     sharded scatter needs no coordination beyond each span's own End.
+//     torn-read window, and tracing parallel per-node materialisation
+//     needs no coordination beyond each span's own End.
 //   - AddSteps is atomic, so several goroutines may bump one span's step
 //     counter concurrently; all AddSteps calls must still happen-before
 //     End, which every structured fork/join in this codebase provides via
@@ -70,21 +70,11 @@ const (
 	// selected into columns and sorted). Rows is the fetched relation's
 	// cardinality.
 	SpanBind = "exec/bind"
-	// SpanNode covers one decomposition node's λ-join materialisation
-	// (single-database path), after its binds: Node identifies the node,
+	// SpanNode covers one decomposition node's λ-join materialisation,
+	// after its binds: Node identifies the node,
 	// Steps counts binary joins, Rows the materialised χ-table cardinality,
 	// EstRows the planner's estimate for the same table.
 	SpanNode = "exec/node"
-	// SpanNodeSharded covers one node's scatter-gather materialisation
-	// (partitioned path), with the same Node/Steps/Rows/EstRows meaning as
-	// SpanNode; its per-shard work appears as SpanShard children.
-	SpanNodeSharded = "exec/node/sharded"
-	// SpanShard covers one shard's bind+probe+project task inside a
-	// SpanNodeSharded; Shard identifies the shard, Rows its partial table.
-	SpanShard = "exec/node/shard"
-	// SpanMerge covers the deterministic merge of per-shard partial tables;
-	// Rows is the merged cardinality.
-	SpanMerge = "exec/node/merge"
 	// SpanSemijoinUp covers the pass that decides which rows extend to an
 	// answer. On a Boolean execution it is the first-witness descent
 	// (yannakakis.Exists): Steps counts the child runs looked up, Rows is
@@ -160,7 +150,6 @@ func (t *Trace) StartSpan(name string) *Span {
 	return &Span{
 		Name:        name,
 		Node:        -1,
-		Shard:       -1,
 		Rows:        -1,
 		StartMicros: now.Sub(t.start).Microseconds(),
 		t:           t,
@@ -195,7 +184,7 @@ func (t *Trace) Len() int {
 }
 
 // Render formats the completed spans as an aligned report, sorted by start
-// offset: name, label, node/shard identity, wall time, steps, actual vs
+// offset: name, label, node identity, wall time, steps, actual vs
 // estimated rows and the per-span q-error. An empty trace renders a single
 // explanatory line.
 func (t *Trace) Render() string {
@@ -210,9 +199,6 @@ func (t *Trace) Render() string {
 		fmt.Fprintf(&b, "  %-22s %8dµs", s.Name, s.Micros)
 		if s.Node >= 0 {
 			fmt.Fprintf(&b, " node=%d", s.Node)
-		}
-		if s.Shard >= 0 {
-			fmt.Fprintf(&b, " shard=%d", s.Shard)
 		}
 		if s.Steps > 0 {
 			fmt.Fprintf(&b, " steps=%d", s.Steps)
@@ -249,8 +235,6 @@ type Span struct {
 	// Node is the preorder index of the decomposition node this span
 	// belongs to over the evaluator's completed tree, or -1.
 	Node int
-	// Shard is the shard index of a SpanShard, or -1.
-	Shard int
 	// StartMicros is the span's start offset from the trace's creation.
 	StartMicros int64
 	// Micros is the span's wall-clock duration.
@@ -263,7 +247,7 @@ type Span struct {
 	// when the plan carries no statistics.
 	EstRows float64
 	// Kernel names how the span's node table was materialised ("scan" or
-	// "leapfrog" on node and shard spans), empty elsewhere.
+	// "leapfrog" on node spans), empty elsewhere.
 	Kernel string
 
 	t     *Trace
@@ -282,13 +266,6 @@ func (s *Span) SetLabel(l string) {
 func (s *Span) SetNode(id int) {
 	if s != nil {
 		s.Node = id
-	}
-}
-
-// SetShard records the shard index.
-func (s *Span) SetShard(i int) {
-	if s != nil {
-		s.Shard = i
 	}
 }
 

@@ -17,7 +17,6 @@ func TestNilTraceIsInert(t *testing.T) {
 	// Every span method must be a no-op on nil.
 	sp.SetLabel("x")
 	sp.SetNode(1)
-	sp.SetShard(2)
 	sp.SetRows(3)
 	sp.SetEst(4)
 	sp.AddSteps(5)
@@ -69,8 +68,8 @@ func TestSpanDefaults(t *testing.T) {
 	sp := tr.StartSpan(SpanExec)
 	sp.End()
 	s := tr.Spans()[0]
-	if s.Node != -1 || s.Shard != -1 || s.Rows != -1 {
-		t.Fatalf("defaults = node %d shard %d rows %d, want -1 each", s.Node, s.Shard, s.Rows)
+	if s.Node != -1 || s.Rows != -1 {
+		t.Fatalf("defaults = node %d rows %d, want -1 each", s.Node, s.Rows)
 	}
 }
 
@@ -123,9 +122,9 @@ func TestRenderMentionsQError(t *testing.T) {
 }
 
 // TestTraceConcurrentSpans hammers one trace from many goroutines the way
-// parallel per-node materialisation and a sharded scatter do: spans started,
-// annotated and ended concurrently, with a shared span's step counter bumped
-// from every worker. Run under -race this is the tracer's safety proof.
+// parallel per-node materialisation does: spans started, annotated and
+// ended concurrently, with a shared span's step counter bumped from every
+// worker. Run under -race this is the tracer's safety proof.
 func TestTraceConcurrentSpans(t *testing.T) {
 	tr := New()
 	const workers = 32
@@ -138,8 +137,8 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.StartSpan(SpanShard)
-				sp.SetShard(w)
+				sp := tr.StartSpan(SpanNode)
+				sp.SetNode(w)
 				sp.SetRows(i)
 				sp.End()
 				shared.AddSteps(1)

@@ -31,7 +31,7 @@ import (
 //     span that strictly contains its [start, end] interval. This reproduces
 //     the taxonomy's "a/b is a sub-stage of a" convention — exec/node sits
 //     inside exec, compile/race inside compile.
-//   - Estimates, actuals, q-error, kernel, node/shard identity and step
+//   - Estimates, actuals, q-error, kernel, node identity and step
 //     counts ride along as OTel attributes.
 
 // otlpScopeName identifies this tracer as the instrumentation scope in
@@ -183,9 +183,6 @@ func MarshalOTLP(service string, traces ...*Trace) ([]byte, error) {
 			}
 			if s.Node >= 0 {
 				o.Attributes = append(o.Attributes, attrInt("hypertree.node", int64(s.Node)))
-			}
-			if s.Shard >= 0 {
-				o.Attributes = append(o.Attributes, attrInt("hypertree.shard", int64(s.Shard)))
 			}
 			if s.Steps > 0 {
 				o.Attributes = append(o.Attributes, attrInt("hypertree.steps", s.Steps))

@@ -16,9 +16,8 @@ import (
 // consecutively), so they are the only code domain: a trie key is one array
 // read, a seek one gallop, and two encodings of one database compare
 // directly. The layout is immutable after construction and safe for
-// concurrent iteration — the sharded evaluator builds the broadcast side
-// once and probes it from every shard goroutine through per-goroutine
-// iterators.
+// concurrent iteration — concurrent executions of one plan share its cached
+// encodings and walk them through per-goroutine iterators.
 
 // A Columnar is a relation over variables stored column by column: columns
 // arranged in the caller's variable order, rows sorted lexicographically by
@@ -156,28 +155,6 @@ func NewSortedColumnar(vars []int, data []Value) *Columnar {
 		c.cols[i] = col
 	}
 	return c
-}
-
-// Union returns the set union of parts, which must all share one variable
-// sequence: their columns concatenated, sorted, and repeated rows dropped.
-// It gathers the per-shard tables of partition-parallel evaluation.
-func Union(parts ...*Columnar) *Columnar {
-	if len(parts) == 0 {
-		return &Columnar{}
-	}
-	vars := parts[0].Vars
-	cols := make([][]Value, len(vars))
-	rows := 0
-	for _, p := range parts {
-		if !slices.Equal(p.Vars, vars) {
-			panic(fmt.Sprintf("relation: Union over mismatched variable sequences (%v vs %v)", vars, p.Vars))
-		}
-		for i, col := range p.cols {
-			cols[i] = append(cols[i], col...)
-		}
-		rows += p.rows
-	}
-	return sortedColumns(vars, cols, rows).Distinct()
 }
 
 // Reorder returns c with its columns arranged in the given order — a

@@ -260,7 +260,8 @@ func TestLeapfrogEdgeCases(t *testing.T) {
 	if want := tab.Project([]int{1}); !got.Equal(want) {
 		t.Fatal("single-table leapfrog projection wrong")
 	}
-	// Shared Columnars across concurrent joins (the sharded usage pattern).
+	// Shared Columnars across concurrent joins (the encoding cache's usage
+	// pattern).
 	big := randomTable(rand.New(rand.NewSource(1)), []int{0, 1}, 200, 10)
 	c := NewColumnar(big, []int{0, 1})
 	done := make(chan *Table, 8)

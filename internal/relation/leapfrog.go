@@ -33,9 +33,8 @@ func LeapfrogJoin(tables []*Table, order []int, nOut, capHint int) *Table {
 // orders are subsequences of order (see SubOrder), emitting each output
 // binding straight into the columns of the result — which, arriving sorted
 // and distinct, is a Columnar as it stands. Columnars are immutable, so
-// callers may share them across concurrent joins — the sharded evaluator
-// encodes the broadcast side once and joins it against every shard
-// fragment. ctx is polled every 4096 trie keys visited; a cancelled join
+// callers may share them across concurrent joins — concurrent executions of
+// one plan join the same cached encodings. ctx is polled every 4096 trie keys visited; a cancelled join
 // returns ctx's error and no table.
 func LeapfrogJoinColumnar(ctx context.Context, cols []*Columnar, order []int, nOut, capHint int) (*Columnar, error) {
 	out := &Columnar{Vars: append([]int(nil), order[:nOut]...), cols: make([][]Value, nOut)}

@@ -161,20 +161,6 @@ func TestRegimesRoundTripAndSort(t *testing.T) {
 		if got := c.Reorder(again); !sameColumns(got, NewColumnar(tab, again)) {
 			t.Fatalf("Reorder(%v) of order %v differs from encoding afresh", again, order)
 		}
-		// Union of a split is the whole, whatever rows the parts share.
-		cut := rng.Intn(tab.Rows() + 1)
-		lo, hi := NewTable(tab.Vars), NewTable(tab.Vars)
-		for r := 0; r < tab.Rows(); r++ {
-			if r < cut || rng.Intn(3) == 0 {
-				lo.addRow(tab.Row(r))
-			}
-			if r >= cut {
-				hi.addRow(tab.Row(r))
-			}
-		}
-		if got := Union(NewColumnar(lo, order), NewColumnar(hi, order)); !sameColumns(got, c) {
-			t.Fatalf("Union of a split differs from the whole")
-		}
 	})
 }
 

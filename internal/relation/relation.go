@@ -18,20 +18,18 @@ import (
 // Value is an interned constant.
 type Value = int32
 
-// Database holds relations and the constant dictionary. The dictionary
-// lives behind a pointer so that CloneSchema shards share it fully: a
-// constant interned through any sharing database is immediately visible —
-// with the same Value and name — through all of them.
+// Database holds relations and the constant dictionary: dict interns a
+// constant, names spells a Value back.
 type Database struct {
 	dict  map[string]Value
-	names *[]string
+	names []string
 	rels  map[string]*Relation
 	order []string // relation insertion order, for deterministic iteration
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{dict: map[string]Value{}, names: new([]string), rels: map[string]*Relation{}}
+	return &Database{dict: map[string]Value{}, rels: map[string]*Relation{}}
 }
 
 // Intern returns the Value for a constant, creating it if needed.
@@ -39,8 +37,8 @@ func (db *Database) Intern(s string) Value {
 	if v, ok := db.dict[s]; ok {
 		return v
 	}
-	v := Value(len(*db.names))
-	*db.names = append(*db.names, s)
+	v := Value(len(db.names))
+	db.names = append(db.names, s)
 	db.dict[s] = v
 	return v
 }
@@ -52,10 +50,10 @@ func (db *Database) Lookup(s string) (Value, bool) {
 }
 
 // ValueName returns the constant spelled by v.
-func (db *Database) ValueName(v Value) string { return (*db.names)[v] }
+func (db *Database) ValueName(v Value) string { return db.names[v] }
 
 // UniverseSize returns the number of interned constants.
-func (db *Database) UniverseSize() int { return len(*db.names) }
+func (db *Database) UniverseSize() int { return len(db.names) }
 
 // Relation returns the named relation, or nil.
 func (db *Database) Relation(name string) *Relation { return db.rels[name] }
@@ -92,36 +90,16 @@ func (db *Database) AddFact(name string, args ...string) error {
 	return nil
 }
 
-// CloneSchema returns an empty database with db's relation schema (names,
-// arities, insertion order, no tuples) that shares db's constant dictionary
-// by reference — including constants interned into either database after
-// the clone: a Value means the same constant everywhere, which is what
-// makes cross-database tuple movement (sharding) a plain copy of values.
-// Because the dictionary is shared, interning through any sharing database
-// while another is in use is not safe for concurrent use; partition after
-// loading and treat all views as read-only during evaluation.
-func (db *Database) CloneSchema() *Database {
-	out := &Database{dict: db.dict, names: db.names, rels: map[string]*Relation{}}
-	for _, name := range db.order {
-		r := db.rels[name]
-		out.rels[name] = &Relation{Name: name, Arity: r.Arity}
-		out.order = append(out.order, name)
-	}
-	return out
-}
-
 // Clone returns a deep, fully-independent copy of db: the constant
 // dictionary, relation schema and every tuple are copied, and Values keep
-// their meaning (the dictionary copy preserves indices). Unlike CloneSchema
-// — whose shards share the dictionary by reference — a Clone may intern and
-// ingest freely while readers keep using db, which is what lets a serving
-// daemon apply mutations off to the side and publish the result with an
-// atomic pointer swap.
+// their meaning (the dictionary copy preserves indices). A Clone may intern
+// and ingest freely while readers keep using db, which is what lets a
+// serving daemon apply mutations off to the side and publish the result with
+// an atomic pointer swap.
 func (db *Database) Clone() *Database {
-	names := append([]string(nil), *db.names...)
 	out := &Database{
 		dict:  make(map[string]Value, len(db.dict)),
-		names: &names,
+		names: append([]string(nil), db.names...),
 		rels:  make(map[string]*Relation, len(db.rels)),
 		order: append([]string(nil), db.order...),
 	}

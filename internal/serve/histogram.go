@@ -74,7 +74,7 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 
 // Merge folds every observation recorded in o into h (counts, sum and max;
 // quantiles of the merged histogram are exact at bucket resolution, which
-// is what makes per-shard or per-replica histograms aggregatable). A nil or
+// is what makes per-worker or per-replica histograms aggregatable). A nil or
 // self merge is a no-op. Safe for concurrent use on both histograms.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o == h {

@@ -425,20 +425,18 @@ type QueryResponse struct {
 }
 
 // A SpanSummary is one trace span rendered for JSON consumers: the /query
-// "trace": true response and the slow-query log. Node and Shard are -1 when
-// the span has no node/shard identity, Rows is -1 when the stage emits no
-// cardinality, and QError is reported only where an estimate exists to
-// compare against (see the span taxonomy in docs/ARCHITECTURE.md).
+// "trace": true response and the slow-query log. Node is -1 when the span
+// has no node identity, Rows is -1 when the stage emits no cardinality, and
+// QError is reported only where an estimate exists to compare against (see
+// the span taxonomy in docs/ARCHITECTURE.md).
 type SpanSummary struct {
-	// Name is the stage (e.g. "compile", "exec/node", "exec/node/shard").
+	// Name is the stage (e.g. "compile", "exec/node", "exec/bind").
 	Name string `json:"name"`
 	// Label carries free-form stage detail (decomposer names, χ/λ labels,
 	// race verdicts).
 	Label string `json:"label,omitempty"`
 	// Node is the decomposition-node preorder index, or -1.
 	Node int `json:"node"`
-	// Shard is the shard index, or -1.
-	Shard int `json:"shard"`
 	// Micros is the span's wall-clock duration.
 	Micros int64 `json:"us"`
 	// Steps counts the stage's unit operations (joins, semijoins).
@@ -465,7 +463,6 @@ func summarizeTrace(t *hypertree.Trace) []SpanSummary {
 			Name:    sp.Name,
 			Label:   sp.Label,
 			Node:    sp.Node,
-			Shard:   sp.Shard,
 			Micros:  sp.Micros,
 			Steps:   sp.Steps,
 			Rows:    sp.Rows,

@@ -197,8 +197,10 @@ func (r *Refresher) Run(ctx context.Context) {
 			if !r.lastAt.CompareAndSwap(last, now) {
 				continue
 			}
-			r.triggered.Add(1)
 			r.Refresh()
+			// Counted once the snapshot is installed, so a reader that sees
+			// Triggered() > 0 also sees the fresh fingerprint.
+			r.triggered.Add(1)
 		}
 	}
 }

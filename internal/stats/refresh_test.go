@@ -152,6 +152,74 @@ func TestRefresherRunTriggersOnFeedback(t *testing.T) {
 	}
 }
 
+// A triggered refresh is counted only once its snapshot is installed: while
+// the Install hook of a feedback-triggered refresh is still running,
+// Triggered() stays 0, and once it reads 1 the fresh fingerprint is live. A
+// reader polling Triggered() therefore never sees the trigger with the old
+// fingerprint still serving.
+func TestRefresherCountsTriggerAfterInstall(t *testing.T) {
+	tbl := obs.NewQErrorTable(0)
+	var dbMu sync.Mutex
+	db := refreshDB(t, 5)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	var boot atomic.Bool
+	r := NewRefresher(RefresherConfig{
+		Collect: func() *Stats {
+			dbMu.Lock()
+			defer dbMu.Unlock()
+			return Collect(db)
+		},
+		Install: func(*Stats) {
+			if boot.CompareAndSwap(false, true) {
+				return // the boot snapshot installs at once
+			}
+			entered <- struct{}{}
+			<-release
+		},
+		CheckInterval:   time.Millisecond,
+		QErrorThreshold: 100,
+		Window:          2,
+		Cooldown:        time.Hour, // one triggered refresh, then quiet
+		Feedback:        tbl.Report,
+	})
+	first := r.Refresh()
+	dbMu.Lock()
+	if err := db.AddFact("r", "extra", "b0"); err != nil {
+		t.Fatal(err)
+	}
+	dbMu.Unlock()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); r.Run(ctx) }()
+	defer func() { unblock(); cancel(); <-done }()
+
+	for i := 0; i < 4; i++ {
+		tbl.Record(first.Fingerprint(), "node", 1, 50000)
+	}
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("feedback trigger never fired")
+	}
+	if n := r.Triggered(); n != 0 {
+		t.Fatalf("Triggered() = %d while the install is still running, want 0", n)
+	}
+	unblock()
+	deadline := time.After(2 * time.Second)
+	for r.Triggered() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("triggered refresh never counted")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if fp := r.LiveFingerprint(); fp == first.Fingerprint() || r.Refreshes() != 2 {
+		t.Fatalf("trigger counted with fingerprint %q (boot %q) and %d refreshes", fp, first.Fingerprint(), r.Refreshes())
+	}
+}
+
 func TestRefresherRunTimer(t *testing.T) {
 	db := refreshDB(t, 3)
 	r := NewRefresher(RefresherConfig{

@@ -15,9 +15,8 @@ import (
 // The differential proof obligation of the evaluator: on randomized acyclic
 // and cyclic queries — half of them headed — a plan from every decomposer,
 // with 1 and 4 workers, must return exactly the naive join's answers on the
-// single-database path, the Boolean path, and the 3-shard scatter/gather
-// path. Run under -race in CI; node encodings are shared across the worker
-// and shard goroutines.
+// listing path and the Boolean path. Run under -race in CI; node encodings
+// are shared across the worker goroutines.
 func TestKernelEquivalence(t *testing.T) {
 	ctx := context.Background()
 	cases := gen.KernelCases(1999, 28)
@@ -54,10 +53,6 @@ func TestKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("naive boolean: %v", err)
 			}
-			pdb, err := PartitionDatabase(tc.DB, 3, HashPartition)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for dname, dopt := range decomposers {
 				for _, workers := range []int{1, 4} {
 					leg := fmt.Sprintf("%s/workers=%d", dname, workers)
@@ -82,13 +77,6 @@ func TestKernelEquivalence(t *testing.T) {
 					}
 					if gotBool != wantBool {
 						t.Fatalf("%s boolean verdict %v, want %v, on %s", leg, gotBool, wantBool, tc.Q)
-					}
-					gotS, err := plan.ExecuteSharded(ctx, pdb)
-					if err != nil {
-						t.Fatalf("%s sharded: %v", leg, err)
-					}
-					if !gotS.Equal(want) {
-						t.Fatalf("%s sharded disagrees with naive on %s", leg, tc.Q)
 					}
 				}
 			}
@@ -158,7 +146,7 @@ func TestReducedNodeTablesAreLocallyConsistent(t *testing.T) {
 // node's children by estimated cardinality, so the reducer meets its
 // semijoins in a different order and against differently shaped neighbours
 // than the statistics-free plans of TestKernelEquivalence; answers must not
-// move, on one database or sharded. Run under -race in CI.
+// move. Run under -race in CI.
 func TestMergeReducerEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range gen.KernelCases(4217, 14) {
@@ -172,10 +160,6 @@ func TestMergeReducerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pdb, err := PartitionDatabase(tc.DB, 3, HashPartition)
-			if err != nil {
-				t.Fatal(err)
-			}
 			plan, err := Compile(tc.Q, WithStrategy(StrategyHypertree), WithStats(tc.DB))
 			if err != nil {
 				t.Fatal(err)
@@ -184,15 +168,8 @@ func TestMergeReducerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotSharded, err := plan.ExecuteSharded(ctx, pdb)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !got.Equal(want) {
 				t.Fatalf("merge-reduced answers disagree with naive on %s", tc.Q)
-			}
-			if !gotSharded.Equal(want) {
-				t.Fatalf("sharded merge-reduced answers disagree with naive on %s", tc.Q)
 			}
 		})
 	}
@@ -227,5 +204,33 @@ func TestKernelEquivalenceFractionalWeights(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("case %d: plan under fractional weights disagrees on %s", i, tc.Q)
 		}
+	}
+}
+
+// The deprecated shard names kept in kernel.go are the one evaluator under
+// old spellings: ExecuteBooleanSharded over PartitionDatabase's result is
+// ExecuteBoolean over the database itself, and PartitionDatabase still
+// rejects fewer than one partition.
+func TestDeprecatedShardShimIsExecuteBoolean(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range gen.KernelCases(3511, 12) {
+		plan, err := Compile(tc.Q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		want, err := plan.ExecuteBoolean(ctx, tc.DB)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		pdb, err := PartitionDatabase(tc.DB, 4, HashPartition)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		if got, err := plan.ExecuteBooleanSharded(ctx, pdb); err != nil || got != want {
+			t.Fatalf("%s: ExecuteBooleanSharded = %v, %v; ExecuteBoolean = %v", tc.Name, got, err, want)
+		}
+	}
+	if _, err := PartitionDatabase(NewDatabase(), 0, HashPartition); err == nil {
+		t.Fatal("PartitionDatabase accepted 0 partitions")
 	}
 }

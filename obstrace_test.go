@@ -23,9 +23,9 @@ func spanNames(t *Trace) map[string]int {
 
 // The observability property: attaching a trace must not change a single
 // answer. Random acyclic and cyclic queries, all four decomposition
-// strategies, unsharded and sharded, tables and Boolean verdicts — the
-// traced run's output must be byte-identical to the untraced run's, and
-// the trace must actually have recorded the execution.
+// strategies, tables and Boolean verdicts — the traced run's output must be
+// byte-identical to the untraced run's, and the trace must actually have
+// recorded the execution.
 func TestPropertyTracingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	ctx := context.Background()
@@ -40,10 +40,6 @@ func TestPropertyTracingEquivalence(t *testing.T) {
 			q = gen.RandomCSP(rng, 4+rng.Intn(3), 6+rng.Intn(4), 3) // cyclic
 		}
 		db := gen.RandomDatabase(rng, q, 1+rng.Intn(25), 2+rng.Intn(5))
-		pdb, err := PartitionDatabase(db, 3, HashPartition)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		for name, opts := range map[string][]CompileOption{
 			"k-decomp": {WithStrategy(StrategyHypertree), WithDecomposer(KDecomposer())},
@@ -80,17 +76,10 @@ func TestPropertyTracingEquivalence(t *testing.T) {
 			if gotBool != wantBool {
 				t.Fatalf("trial %d: %s traced verdict disagrees on %s", trial, name, q)
 			}
-			gotSharded, err := plan.ExecuteSharded(tctx, pdb)
-			if err != nil {
-				t.Fatalf("trial %d %s traced sharded: %v", trial, name, err)
-			}
-			if !gotSharded.Equal(want) {
-				t.Fatalf("trial %d: %s traced sharded answers disagree on %s", trial, name, q)
-			}
 
 			names := spanNames(tr)
-			if names[obs.SpanExec] != 3 {
-				t.Fatalf("trial %d %s: want 3 %q spans, got %d", trial, name, obs.SpanExec, names[obs.SpanExec])
+			if names[obs.SpanExec] != 2 {
+				t.Fatalf("trial %d %s: want 2 %q spans, got %d", trial, name, obs.SpanExec, names[obs.SpanExec])
 			}
 			if plan.Decomposition() != nil && names[obs.SpanNode] == 0 {
 				t.Fatalf("trial %d %s: no %q spans recorded", trial, name, obs.SpanNode)
@@ -100,18 +89,14 @@ func TestPropertyTracingEquivalence(t *testing.T) {
 }
 
 // Tracing must be data-race-free when one plan — and one shared Trace —
-// executes concurrently with parallel per-node materialisation and the
-// sharded scatter path, while readers snapshot and render the same trace.
-// Run under `go test -race` (CI does).
+// executes concurrently with parallel per-node materialisation, listing and
+// Boolean executions interleaved, while readers snapshot and render the same
+// trace. Run under `go test -race` (CI does).
 func TestTraceRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := gen.Cycle(4)
 	db := gen.RandomDatabase(rng, q, 60, 6)
-	pdb, err := PartitionDatabase(db, 4, HashPartition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(q, WithAutoStrategy(), WithStats(db), WithWorkers(4), WithShardWorkers(4))
+	plan, err := Compile(q, WithAutoStrategy(), WithStats(db), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,18 +115,22 @@ func TestTraceRaceStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
-				var got *Table
+				var ok bool
 				var err error
 				if (i+rep)%2 == 0 {
+					var got *Table
 					got, err = plan.Execute(tctx, db)
+					ok = err == nil && got.Equal(want)
 				} else {
-					got, err = plan.ExecuteSharded(tctx, pdb)
+					var holds bool
+					holds, err = plan.ExecuteBoolean(tctx, db)
+					ok = holds == !want.Empty()
 				}
 				if err != nil {
 					errc <- err
 					return
 				}
-				if !got.Equal(want) {
+				if !ok {
 					errc <- errTraceStressMismatch
 					return
 				}
@@ -167,7 +156,7 @@ func TestTraceRaceStress(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if n := spanNames(tr); n[obs.SpanExec] != 32 || n[obs.SpanShard] == 0 {
+	if n := spanNames(tr); n[obs.SpanExec] != 32 || n[obs.SpanNode] == 0 {
 		t.Fatalf("stress trace incomplete: %v", n)
 	}
 }

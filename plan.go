@@ -24,17 +24,16 @@ import (
 // Execute and ExecuteBoolean may be called simultaneously against different
 // (or the same) databases.
 type Plan struct {
-	query        *Query
-	strategy     Strategy // resolved: never StrategyAuto
-	dec          *Decomposition
-	eval         *hdeval.Evaluator // evaluation skeleton (nil for the naive strategy)
-	jt           *JoinTree         // acyclic-strategy join tree (nil if ground-only)
-	head         []int
-	workers      int
-	shardWorkers int
-	decomposer   string
-	generalized  bool // decomposition validated as a GHD (conditions 1–3 only)
-	fractional   bool // decomposition carries fractional λ weights (validated by ValidateFHD)
+	query       *Query
+	strategy    Strategy // resolved: never StrategyAuto
+	dec         *Decomposition
+	eval        *hdeval.Evaluator // evaluation skeleton (nil for the naive strategy)
+	jt          *JoinTree         // acyclic-strategy join tree (nil if ground-only)
+	head        []int
+	workers     int
+	decomposer  string
+	generalized bool // decomposition validated as a GHD (conditions 1–3 only)
+	fractional  bool // decomposition carries fractional λ weights (validated by ValidateFHD)
 
 	// cost-based planning state (nil without WithStats/WithCostModel)
 	stats *stats.Stats
@@ -50,17 +49,16 @@ type Plan struct {
 
 // compileConfig is assembled by the functional options.
 type compileConfig struct {
-	strategy     Strategy
-	maxWidth     int
-	stepBudget   int
-	workers      int
-	shardWorkers int
-	decomposer   Decomposer
-	race         bool         // WithAutoStrategy: race the engines instead of fixing one
-	stats        *stats.Stats // WithCostModel snapshot (wins over statsDB)
-	statsDB      *Database    // WithStats: collect sampled statistics at compile time
-	trace        *obs.Trace   // WithTrace: compile spans + default execution trace
-	err          error        // first invalid option
+	strategy   Strategy
+	maxWidth   int
+	stepBudget int
+	workers    int
+	decomposer Decomposer
+	race       bool         // WithAutoStrategy: race the engines instead of fixing one
+	stats      *stats.Stats // WithCostModel snapshot (wins over statsDB)
+	statsDB    *Database    // WithStats: collect sampled statistics at compile time
+	trace      *obs.Trace   // WithTrace: compile spans + default execution trace
+	err        error        // first invalid option
 }
 
 // CompileOption is a functional option for Compile.
@@ -94,14 +92,6 @@ func WithMaxWidth(k int) CompileOption {
 // k-decomp search.
 func WithWorkers(n int) CompileOption {
 	return func(c *compileConfig) { c.workers = n }
-}
-
-// WithShardWorkers bounds the goroutines ExecuteSharded and
-// ExecuteBooleanSharded fan out across the shards of a PartitionedDB
-// (n ≤ 0, the default, means one worker per shard). It is independent of
-// WithWorkers, which governs the decomposition search and the node tables.
-func WithShardWorkers(n int) CompileOption {
-	return func(c *compileConfig) { c.shardWorkers = n }
 }
 
 // WithDecomposer plugs in a decomposition strategy (see Decomposer). The
@@ -259,12 +249,11 @@ func compilePlan(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, erro
 	}
 
 	p := &Plan{
-		query:        q,
-		strategy:     strategy,
-		head:         head,
-		workers:      cfg.workers,
-		shardWorkers: cfg.shardWorkers,
-		stats:        cfg.stats,
+		query:    q,
+		strategy: strategy,
+		head:     head,
+		workers:  cfg.workers,
+		stats:    cfg.stats,
 	}
 	switch strategy {
 	case StrategyNaive:
@@ -490,7 +479,7 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err erro
 	p.lastTrace.Store(tr)
 	fp := p.stats.Fingerprint()
 	for _, s := range tr.Spans()[mark:] {
-		if (s.Name == obs.SpanNode || s.Name == obs.SpanNodeSharded) && s.EstRows > 0 && s.Rows >= 0 {
+		if s.Name == obs.SpanNode && s.EstRows > 0 && s.Rows >= 0 {
 			obs.RecordQError(fp, s.Label, s.EstRows, s.Rows)
 		}
 	}
@@ -592,82 +581,5 @@ func (p *Plan) executeBoolean(ctx context.Context, db *Database) (bool, error) {
 		return !t.Empty(), nil
 	default: // StrategyAcyclic, StrategyHypertree
 		return p.eval.Boolean(ctx, db, p.workers)
-	}
-}
-
-// ExecuteSharded runs the plan against a partitioned database: each
-// decomposition node's λ-join materialises shard-parallel (the pivot
-// relation is scanned fragment by fragment, the rest of λ is encoded once
-// and shared) and the per-shard node tables are merged deterministically
-// before the usual count pass and walk. The answer set is exactly Execute(ctx, pdb.Assembled()) — sharding changes
-// wall-clock, never answers. Plans whose strategy uses no decomposition
-// (naive, acyclic) execute against the assembled view directly. Safe for
-// concurrent use.
-func (p *Plan) ExecuteSharded(ctx context.Context, pdb *PartitionedDB) (*Table, error) {
-	if pdb == nil {
-		return nil, fmt.Errorf("hypertree: ExecuteSharded on a nil partitioned database")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, tr, sp, mark := p.beginExec(ctx)
-	t, err := p.executeSharded(ctx, pdb)
-	rows := 0
-	if t != nil {
-		rows = t.Rows()
-	}
-	p.endExec(tr, sp, mark, rows, err)
-	return t, err
-}
-
-func (p *Plan) executeSharded(ctx context.Context, pdb *PartitionedDB) (*Table, error) {
-	if p.query.IsBoolean() {
-		ok, err := p.executeBooleanSharded(ctx, pdb)
-		if err != nil {
-			return nil, err
-		}
-		return boolTable(ok), nil
-	}
-	var a *Answers
-	var err error
-	switch p.strategy {
-	case StrategyNaive, StrategyAcyclic:
-		a, err = p.answers(ctx, pdb.Assembled())
-	default: // StrategyHypertree
-		a, err = p.eval.AnswersSharded(ctx, pdb, p.shardWorkers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return a.Materialize()
-}
-
-// ExecuteBooleanSharded decides satisfiability against a partitioned
-// database, materialising the decomposition node tables shard-parallel and
-// then running the first-witness descent. The verdict is exactly
-// ExecuteBoolean(ctx, pdb.Assembled()).
-func (p *Plan) ExecuteBooleanSharded(ctx context.Context, pdb *PartitionedDB) (bool, error) {
-	if pdb == nil {
-		return false, fmt.Errorf("hypertree: ExecuteBooleanSharded on a nil partitioned database")
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	ctx, tr, sp, mark := p.beginExec(ctx)
-	ok, err := p.executeBooleanSharded(ctx, pdb)
-	rows := 0
-	if ok {
-		rows = 1
-	}
-	p.endExec(tr, sp, mark, rows, err)
-	return ok, err
-}
-
-func (p *Plan) executeBooleanSharded(ctx context.Context, pdb *PartitionedDB) (bool, error) {
-	switch p.strategy {
-	case StrategyNaive, StrategyAcyclic:
-		return p.executeBoolean(ctx, pdb.Assembled())
-	default: // StrategyHypertree
-		return p.eval.BooleanSharded(ctx, pdb, p.shardWorkers)
 	}
 }

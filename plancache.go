@@ -233,8 +233,8 @@ func planCacheKey(canon string, cfg *compileConfig) string {
 	if cfg.race {
 		name = "auto"
 	}
-	return fmt.Sprintf("%s|s%d|k%d|b%d|w%d|sw%d|%s|st%s",
-		canon, cfg.strategy, cfg.maxWidth, cfg.stepBudget, cfg.workers, cfg.shardWorkers, name,
+	return fmt.Sprintf("%s|s%d|k%d|b%d|w%d|%s|st%s",
+		canon, cfg.strategy, cfg.maxWidth, cfg.stepBudget, cfg.workers, name,
 		cfg.stats.Fingerprint())
 }
 

@@ -158,7 +158,6 @@ func rankRace(ctx context.Context, cands []raceCandidate, model *CostModel) (*ra
 				Name:        obs.SpanRace,
 				Label:       label,
 				Node:        -1,
-				Shard:       -1,
 				Rows:        -1,
 				StartMicros: tr.OffsetMicros(c.started),
 				Micros:      c.elapsed.Microseconds(),

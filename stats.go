@@ -62,13 +62,12 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // width alone, the evaluator orders every node's children by ascending
 // estimated cardinality, and Plan.Explain reports the per-node estimates.
 // Statistics never change answers — only which same-width plan wins and in
-// which order it reduces; the equivalence is
-// property-tested across every engine and the sharded path. The snapshot is
-// taken at compile time: a plan stays correct when the database drifts, but
-// recompile (plans compiled under different statistics are cached
-// separately, keyed by the snapshot's fingerprint) to re-rank. Use
-// WithCostModel to supply a precollected or hand-built snapshot instead;
-// when both options are given, WithCostModel wins.
+// which order it reduces; the equivalence is property-tested across every
+// engine. The snapshot is taken at compile time: a plan stays correct when
+// the database drifts, but recompile (plans compiled under different
+// statistics are cached separately, keyed by the snapshot's fingerprint) to
+// re-rank. Use WithCostModel to supply a precollected or hand-built snapshot
+// instead; when both options are given, WithCostModel wins.
 func WithStats(db *Database) CompileOption {
 	return func(c *compileConfig) {
 		if db == nil {

@@ -10,8 +10,7 @@ import (
 // A Trace collects the spans of one traced query: compile stages (parse,
 // decomposition, every race entrant with its win/lose verdict) and
 // execution stages (per-node λ-join materialisation with actual vs
-// estimated cardinality, semijoin passes, enumeration, sharded
-// scatter-gather). Create one with NewTrace, attach it with WithTrace at
+// estimated cardinality, semijoin passes, enumeration). Create one with NewTrace, attach it with WithTrace at
 // compile time or ContextWithTrace at execution time, and read it with
 // Spans, Render, or Plan.ExplainAnalyze. All methods are nil-safe and safe
 // for concurrent use; see the internal obs package for the full contract.
@@ -93,7 +92,7 @@ func NewTraceSampler(n int) *TraceSampler { return obs.NewSampler(n) }
 // file/writer sink (newline-delimited payloads) or POSTed to an OTLP/HTTP
 // traces endpoint — with the span taxonomy mapped onto OTel spans: shared
 // trace IDs, deterministic span IDs, parenthood inferred from span interval
-// containment, and kernel/node/shard/rows/estimate/q-error attributes. The
+// containment, and kernel/node/rows/estimate/q-error attributes. The
 // encoding is hand-rolled (no SDK dependency); see MarshalOTLP for the raw
 // payload. All methods are nil-safe and safe for concurrent use.
 type OTLPExporter = obs.OTLPExporter
