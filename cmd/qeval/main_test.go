@@ -336,5 +336,5 @@ func TestCompileAnalyze(t *testing.T) {
 	out := mustOutput(t, config{query: q, strategy: "hd", analyze: true})
 	contains(t, "hd -analyze", out, "compile")
 	out = mustOutput(t, config{query: q, analyze: true})
-	contains(t, "auto -analyze", out, "compile/race", "k-decomp width=2", "fhd width=3 fhw=1.5 [win]", "ghd width=2 fhw=2 [lose]")
+	contains(t, "auto -analyze", out, "compile/race", "k-decomp hw>1 (capped at ⌊fhw⌋) [lose]", "fhd width=3 fhw=1.5 [win]", "ghd width=2 fhw=2 [lose]")
 }

@@ -110,7 +110,7 @@ func (kDecomposer) Name() string { return "k-decomp" }
 
 func (kDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
 	if req.MaxWidth == 0 {
-		_, d, err := decomp.WidthContext(ctx, h, req.StepBudget)
+		_, d, err := decomp.WidthContext(ctx, h, req.StepBudget, 0)
 		return d, err
 	}
 	return decomp.DecomposeContext(ctx, h, req.MaxWidth, req.StepBudget)
@@ -131,7 +131,7 @@ func (parallelKDecomposer) Decompose(ctx context.Context, h *Hypergraph, req Dec
 	if req.MaxWidth != 0 {
 		return decomp.ParallelDecomposeContext(ctx, h, req.MaxWidth, req.Workers, req.StepBudget)
 	}
-	_, d, err := decomp.ParallelWidthContext(ctx, h, req.Workers, req.StepBudget)
+	_, d, err := decomp.ParallelWidthContext(ctx, h, req.Workers, req.StepBudget, 0)
 	return d, err
 }
 

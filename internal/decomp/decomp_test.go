@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -317,9 +318,9 @@ func TestE18ParallelAgrees(t *testing.T) {
 				t.Fatalf("%q k=%d: sequential=%v parallel=%v", src, k, seq, par)
 			}
 			if seq {
-				d := ParallelDecompose(h, k, 4)
-				if d == nil {
-					t.Fatalf("%q k=%d: ParallelDecompose returned nil", src, k)
+				d, err := ParallelDecomposeContext(context.Background(), h, k, 4, 0)
+				if err != nil {
+					t.Fatalf("%q k=%d: ParallelDecomposeContext: %v", src, k, err)
 				}
 				if err := d.Validate(); err != nil {
 					t.Fatalf("%q k=%d: parallel decomposition invalid: %v", src, k, err)

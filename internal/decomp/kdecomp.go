@@ -62,7 +62,7 @@ type Decider struct {
 
 	// MaxGuesses bounds the number of candidate sets S tested (the GuessOps
 	// counter); 0 means unlimited. When the budget runs out the search stops
-	// early and OverBudget reports true — the outcome is then neither a yes
+	// early and Err reports ErrStepBudget — the outcome is then neither a yes
 	// nor a proven no.
 	MaxGuesses int
 
@@ -133,9 +133,6 @@ func (d *Decider) Err(ctx context.Context) error {
 	}
 	return nil
 }
-
-// OverBudget reports whether the MaxGuesses step budget cut the search off.
-func (d *Decider) OverBudget() bool { return d.over }
 
 func (d *Decider) stopped() bool { return d.over || (d.stop != nil && d.stop()) }
 
@@ -317,17 +314,11 @@ func Decompose(h *hypergraph.Hypergraph, k int) *Decomposition {
 // Width computes hw(H) exactly by increasing k, together with an optimal
 // decomposition. For the empty hypergraph it returns (0, empty).
 func Width(h *hypergraph.Hypergraph) (int, *Decomposition) {
-	if h.NumEdges() == 0 {
-		return 0, &Decomposition{H: h}
+	w, d, err := WidthContext(context.Background(), h, 0, 0)
+	if err != nil {
+		panic(err) // unbudgeted and never cancelled: only a search bug fails
 	}
-	for k := 1; ; k++ {
-		if dec := Decompose(h, k); dec != nil {
-			return k, dec
-		}
-		if k > h.NumEdges() {
-			panic(fmt.Sprintf("decomp: width search exceeded edge count %d", h.NumEdges()))
-		}
-	}
+	return w, d
 }
 
 // DecideContext is Decide with cancellation: it reports whether hw(H) ≤ k,
@@ -378,8 +369,10 @@ func DecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxGuess
 }
 
 // WidthContext is Width with cancellation and a cumulative step budget
-// shared across the increasing-k iterations (0 = unlimited).
-func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, maxGuesses int) (int, *Decomposition, error) {
+// shared across the increasing-k iterations (0 = unlimited). maxK > 0 stops
+// the search with ErrWidthExceeded after level maxK; up to it the levels and
+// budget are the uncapped search's, so hw(H) ≤ maxK gives the same result.
+func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, maxGuesses, maxK int) (int, *Decomposition, error) {
 	if h.NumEdges() == 0 {
 		return 0, &Decomposition{H: h}, nil
 	}
@@ -404,6 +397,9 @@ func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, maxGuesses int)
 		}
 		if dec != nil {
 			return k, dec, nil
+		}
+		if k == maxK {
+			return 0, nil, ErrWidthExceeded
 		}
 		if k > h.NumEdges() {
 			return 0, nil, fmt.Errorf("decomp: width search exceeded edge count %d", h.NumEdges())

@@ -21,40 +21,14 @@ import (
 // ParallelDecide reports whether hw(H) ≤ k using the given number of worker
 // goroutines (≤ 0 selects GOMAXPROCS). An invalid width bound reports false.
 func ParallelDecide(h *hypergraph.Hypergraph, k int, workers int) bool {
-	ok, err := ParallelDecideContext(context.Background(), h, k, workers, 0)
-	return err == nil && ok
+	_, err := ParallelDecomposeContext(context.Background(), h, k, workers, 0)
+	return err == nil
 }
 
-// ParallelDecompose returns a width-≤k NF hypertree decomposition computed
-// with the given number of workers, or nil if hw(H) > k or k is invalid.
-func ParallelDecompose(h *hypergraph.Hypergraph, k int, workers int) *Decomposition {
-	d, err := ParallelDecomposeContext(context.Background(), h, k, workers, 0)
-	if err != nil {
-		return nil
-	}
-	return d
-}
-
-// ParallelDecideContext reports whether hw(H) ≤ k with the root-level
-// guesses distributed over workers goroutines. It returns ErrInvalidWidth
-// for k < 1, ErrStepBudget when the cross-worker budget of maxGuesses
-// candidate sets (0 = unlimited) runs out, and ctx.Err() if cancelled
-// before a witness was found.
-func ParallelDecideContext(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (bool, error) {
-	var counter atomic.Int64
-	_, err := parallelSearch(ctx, h, k, workers, maxGuesses, &counter)
-	if err == ErrWidthExceeded {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// ParallelDecomposeContext is ParallelDecompose with cancellation, a
-// cross-worker step budget (maxGuesses candidate sets tested in total;
-// 0 = unlimited) and typed errors: ErrInvalidWidth for k < 1,
+// ParallelDecomposeContext returns a width-≤k NF hypertree decomposition
+// computed by workers goroutines, with cancellation, a cross-worker step
+// budget (maxGuesses candidate sets tested in total; 0 = unlimited) and
+// typed errors: ErrInvalidWidth for k < 1,
 // ErrWidthExceeded when hw(H) > k, ErrStepBudget when the budget ran out,
 // or ctx.Err() on cancellation.
 func ParallelDecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (*Decomposition, error) {
@@ -63,9 +37,9 @@ func ParallelDecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, 
 }
 
 // ParallelWidthContext minimises the width with the parallel search,
-// sharing one cumulative step budget across the increasing-k iterations
-// (mirroring WidthContext).
-func ParallelWidthContext(ctx context.Context, h *hypergraph.Hypergraph, workers, maxGuesses int) (int, *Decomposition, error) {
+// sharing one cumulative step budget across the increasing-k iterations;
+// maxK caps the levels searched as in WidthContext (0 = uncapped).
+func ParallelWidthContext(ctx context.Context, h *hypergraph.Hypergraph, workers, maxGuesses, maxK int) (int, *Decomposition, error) {
 	if h.NumEdges() == 0 {
 		return 0, &Decomposition{H: h}, nil
 	}
@@ -75,7 +49,7 @@ func ParallelWidthContext(ctx context.Context, h *hypergraph.Hypergraph, workers
 		if err == nil {
 			return k, d, nil
 		}
-		if err != ErrWidthExceeded {
+		if err != ErrWidthExceeded || k == maxK {
 			return 0, nil, err
 		}
 		if k > h.NumEdges() {

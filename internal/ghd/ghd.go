@@ -268,7 +268,8 @@ type trial struct {
 func trialPlan(opts Options) []trial {
 	streams := make([]*stream, opts.restarts())
 	for r := range streams {
-		streams[r] = &stream{seed: opts.seed() + int64(r+1)}
+		seed := opts.seed() + int64(r+1)
+		streams[r] = &stream{seed: seed, vals: defaultPrefixes()[seed]}
 	}
 	var trials []trial
 	for _, ord := range opts.orderings() {
@@ -280,15 +281,34 @@ func trialPlan(opts Options) []trial {
 	return trials
 }
 
+const prefixLen = 1024 // a walk over a few dozen variables draws under 100
+
+// defaultPrefixes maps the default Options' restart seeds to the first
+// prefixLen values of rand.NewSource(seed), so that their streams need not
+// seed a source (which costs more than a walk draws); computed once per
+// process and never written after.
+var defaultPrefixes = sync.OnceValue(func() map[int64][]int64 {
+	prefixes := map[int64][]int64{}
+	for r := int64(1); r <= DefaultRestarts; r++ {
+		seed := Options{}.seed() + r
+		src, vals := rand.NewSource(seed), make([]int64, prefixLen)
+		for i := range vals {
+			vals[i] = src.Int63()
+		}
+		prefixes[seed] = vals
+	}
+	return prefixes
+})
+
 // stream is one restart seed's tie-break sequence, shared by every
-// ordering's restart with that seed: seeded once, on first draw, and
-// recorded, so each trial replays exactly rand.NewSource(seed)'s values.
-// The mutex lets runParallel's workers share it.
+// ordering's restart with that seed: seeded once, on the first draw past its
+// default prefix (if any), and recorded, so each trial replays exactly
+// rand.NewSource(seed)'s values. The mutex lets runParallel's workers share it.
 type stream struct {
 	mu   sync.Mutex
 	seed int64
 	src  rand.Source
-	vals []int64
+	vals []int64 // a shared prefix until the first append copies it
 }
 
 // replay is one trial's read position in a stream, as a rand.Source.
@@ -305,6 +325,9 @@ func (r *replay) Int63() int64 {
 	if r.pos == len(s.vals) {
 		if s.src == nil {
 			s.src = rand.NewSource(s.seed)
+			for range s.vals { // the prefix it started with
+				s.src.Int63()
+			}
 		}
 		s.vals = append(s.vals, s.src.Int63())
 	}

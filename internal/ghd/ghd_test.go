@@ -449,6 +449,43 @@ func TestReplayedTieBreaksMatchFreshSources(t *testing.T) {
 			t.Error(err)
 		}
 	}
+
+	// The default portfolio's streams start from the shared per-process
+	// prefixes. Concurrent replays of two walks read past a prefix's end
+	// into a live source, and the prefixes stay untouched for a third.
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 2*workers)
+		for _, plan := range [][]trial{trialPlan(Options{}), trialPlan(Options{})} {
+			for w := 0; w < workers; w++ {
+				tr := plan[1+w%DefaultRestarts]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					replayed, fresh := &replay{s: tr.stream}, rand.NewSource(tr.stream.seed)
+					for draw := 0; draw < 2*prefixLen+w; draw++ {
+						if got, want := replayed.Int63(), fresh.Int63(); got != want {
+							errs <- fmt.Errorf("round %d, seed %d, worker %d, draw %d: replayed %d, fresh source %d", round, tr.stream.seed, w, draw, got, want)
+							return
+						}
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+	for seed, prefix := range defaultPrefixes() {
+		fresh := rand.NewSource(seed)
+		for i, v := range prefix {
+			if want := fresh.Int63(); v != want {
+				t.Fatalf("seed %d: prefix value %d is %d after the replays, fresh source %d", seed, i, v, want)
+			}
+		}
+	}
 }
 
 // Without a cost model the engine returns, byte for byte, the

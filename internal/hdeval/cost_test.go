@@ -14,7 +14,7 @@ import (
 func compileHD(t *testing.T, q *cq.Query) *decomp.Decomposition {
 	t.Helper()
 	h, _ := q.Hypergraph()
-	_, d, err := decomp.WidthContext(context.Background(), h, 0)
+	_, d, err := decomp.WidthContext(context.Background(), h, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

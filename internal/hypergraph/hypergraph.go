@@ -174,27 +174,32 @@ type Component struct {
 // contains both; components are the classes of the transitive closure.
 // Components are returned ordered by their smallest vertex.
 func (h *Hypergraph) ComponentsAvoiding(sep bitset.Set) []Component {
-	n := h.NumVertices()
-	compOf := make([]int, n)
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	var comps []Component
-	edgeSeen := make([]bool, h.NumEdges())
+	return h.ComponentsWithin(sep, h.AllVertices())
+}
 
-	for start := 0; start < n; start++ {
-		if compOf[start] >= 0 || sep.Has(start) {
-			continue
+// ComponentsWithin returns the [V]-components whose vertex sets are subsets
+// of the given region (used by the decomposition search, which recurses only
+// on components contained in the parent component, cf. Step 4 of k-decomp),
+// ordered by their smallest vertex. Only components meeting the region are
+// explored; one that leaves it is dropped.
+func (h *Hypergraph) ComponentsWithin(sep, region bitset.Set) []Component {
+	seen := bitset.New(h.NumVertices())
+	edgeSeen := make([]bool, h.NumEdges())
+	var comps []Component
+	region.ForEach(func(start int) {
+		if seen.Has(start) || sep.Has(start) {
+			return
 		}
-		id := len(comps)
 		var verts bitset.Set
 		var compEdges []int
+		escaped := false
 		stack := []int{start}
-		compOf[start] = id
+		seen.Add(start)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			verts.Add(v)
+			escaped = escaped || !region.Has(v)
 			for _, e := range h.incidence[v] {
 				if edgeSeen[e] {
 					continue
@@ -202,31 +207,19 @@ func (h *Hypergraph) ComponentsAvoiding(sep bitset.Set) []Component {
 				edgeSeen[e] = true
 				compEdges = append(compEdges, e)
 				h.edges[e].ForEach(func(u int) {
-					if compOf[u] < 0 && !sep.Has(u) {
-						compOf[u] = id
+					if !seen.Has(u) && !sep.Has(u) {
+						seen.Add(u)
 						stack = append(stack, u)
 					}
 				})
 			}
 		}
-		sort.Ints(compEdges)
-		comps = append(comps, Component{Vertices: verts, Edges: compEdges})
-	}
-	return comps
-}
-
-// ComponentsWithin returns the [V]-components whose vertex sets are subsets
-// of the given region (used by the decomposition search, which recurses only
-// on components contained in the parent component, cf. Step 4 of k-decomp).
-func (h *Hypergraph) ComponentsWithin(sep, region bitset.Set) []Component {
-	all := h.ComponentsAvoiding(sep)
-	out := all[:0:0]
-	for _, c := range all {
-		if c.Vertices.SubsetOf(region) {
-			out = append(out, c)
+		if !escaped {
+			sort.Ints(compEdges)
+			comps = append(comps, Component{Vertices: verts, Edges: compEdges})
 		}
-	}
-	return out
+	})
+	return comps
 }
 
 // Frontier returns var(atoms(C)) ∩ sep: the separator vertices adjacent to

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -239,6 +240,111 @@ func TestComponentsPartitionProperty(t *testing.T) {
 			t.Fatalf("components do not partition var(H)−V: %v vs %v", union, want)
 		}
 	}
+}
+
+// ComponentsWithin explores only the components meeting its region; it
+// must return exactly ComponentsAvoiding's components inside the region, in
+// the same order, and ComponentsAvoiding must match a union-find oracle
+// (which also checks that components are maximal and ordered by their
+// smallest vertex). Regions are random vertex sets, unions of random
+// components (possibly with a stray vertex that makes another component
+// escape), and var(H).
+func TestComponentsWithinFiltersComponentsAvoiding(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		h := randomHypergraph(rng, 2+rng.Intn(12), 1+rng.Intn(14), 1+rng.Intn(4))
+		var sep bitset.Set
+		for v := 0; v < h.NumVertices(); v++ {
+			if rng.Intn(3) == 0 {
+				sep.Add(v)
+			}
+		}
+		all := h.ComponentsAvoiding(sep)
+		if got, want := componentsString(all), componentsString(naiveComponents(h, sep)); got != want {
+			t.Fatalf("trial %d: ComponentsAvoiding = %s, union-find oracle %s", trial, got, want)
+		}
+		var region bitset.Set
+		switch trial % 3 {
+		case 0:
+			for v := 0; v < h.NumVertices(); v++ {
+				if rng.Intn(2) == 0 {
+					region.Add(v)
+				}
+			}
+		case 1:
+			for _, c := range all {
+				if rng.Intn(2) == 0 {
+					region.UnionInPlace(c.Vertices)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				region.Add(rng.Intn(h.NumVertices()))
+			}
+		default:
+			region = h.AllVertices()
+		}
+		var want []Component
+		for _, c := range all {
+			if c.Vertices.SubsetOf(region) {
+				want = append(want, c)
+			}
+		}
+		if got := h.ComponentsWithin(sep, region); componentsString(got) != componentsString(want) {
+			t.Fatalf("trial %d, region %v: ComponentsWithin = %s, filtered ComponentsAvoiding %s", trial, region, componentsString(got), componentsString(want))
+		}
+	}
+}
+
+// naiveComponents is the [sep]-components by union-find over the edges,
+// ordered by smallest vertex, each with the edges meeting it.
+func naiveComponents(h *Hypergraph, sep bitset.Set) []Component {
+	parent := make([]int, h.NumVertices())
+	for v := range parent {
+		parent[v] = v
+	}
+	var find func(int) int
+	find = func(v int) int {
+		if parent[v] != v {
+			parent[v] = find(parent[v])
+		}
+		return parent[v]
+	}
+	for e := 0; e < h.NumEdges(); e++ {
+		free := h.Edge(e).Diff(sep).Elems()
+		for _, v := range free[min(1, len(free)):] {
+			parent[find(v)] = find(free[0])
+		}
+	}
+	var comps []Component
+	index := map[int]int{} // root → position in comps, first seen at the smallest vertex
+	for v := 0; v < h.NumVertices(); v++ {
+		if sep.Has(v) {
+			continue
+		}
+		i, ok := index[find(v)]
+		if !ok {
+			i = len(comps)
+			index[find(v)] = i
+			comps = append(comps, Component{})
+		}
+		comps[i].Vertices.Add(v)
+	}
+	for i := range comps {
+		for e := 0; e < h.NumEdges(); e++ {
+			if h.Edge(e).Intersects(comps[i].Vertices) {
+				comps[i].Edges = append(comps[i].Edges, e)
+			}
+		}
+	}
+	return comps
+}
+
+func componentsString(comps []Component) string {
+	out := ""
+	for _, c := range comps {
+		out += fmt.Sprintf("{%v %v}", c.Vertices.Elems(), c.Edges)
+	}
+	return out
 }
 
 func randomHypergraph(rng *rand.Rand, nv, ne, maxArity int) *Hypergraph {

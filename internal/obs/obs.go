@@ -59,8 +59,9 @@ const (
 	// engine (no race); Label names the decomposer.
 	SpanDecompose = "compile/decompose"
 	// SpanRace covers one candidate of the WithAutoStrategy race; Label
-	// names the engine and reports its width/cost and win/lose verdict. The
-	// fhd and ghd candidates come from one walk and share its timing.
+	// names the engine and reports its width/cost (or the cap a capped exact
+	// entrant proved hw above) and win/lose verdict. The fhd and ghd
+	// candidates come from one walk and share its timing.
 	SpanRace = "compile/race"
 	// SpanExec covers one whole Execute; Rows is the answer cardinality.
 	SpanExec = "exec"

@@ -102,17 +102,17 @@ func WithDecomposer(d Decomposer) CompileOption {
 }
 
 // WithAutoStrategy enables adaptive decomposer selection: when the plan
-// needs a decomposition, Compile races the exact k-decomp engine against
-// one walk of the greedy shape portfolio, which yields both the fractional
-// (LP-cover) and the greedy GHD candidates, concurrently under the shared
-// context and step-budget plumbing, and keeps the result
-// of lowest achieved fractional width — the evaluation-cost exponent —
-// with ties broken by guarantee strength (exact HD, then fhd, then ghd).
-// With statistics (WithStats/WithCostModel) the race ranks entrants by
-// estimated total evaluation cost — the summed join-size estimates of the
-// node tables, from the actual relation cardinalities and distinct counts
-// — instead of width alone, falling back to the width ranking when no
-// statistics are given.
+// needs a decomposition, Compile runs one walk of the greedy shape
+// portfolio, which yields the fractional (LP-cover) and the greedy GHD
+// candidates, then the exact k-decomp engine, and keeps the result of
+// lowest achieved fractional width — the evaluation-cost exponent — with
+// ties broken by guarantee strength (exact HD, then fhd, then ghd); so
+// k-decomp only certifies below the walk's width, stopping after level
+// ⌊fw(walk)⌋. With statistics (WithStats/WithCostModel) the race ranks
+// entrants by estimated total evaluation cost — the summed join-size
+// estimates of the node tables, from the actual relation cardinalities and
+// distinct counts — and the exact search runs uncapped, as under
+// WithMaxWidth.
 // The exact entrant runs under WithStepBudget's budget, or
 // DefaultRaceExactBudget when none is set, so the race always terminates;
 // the heuristic walk runs under WithStepBudget's budget, one budget for

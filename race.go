@@ -1,6 +1,7 @@
 package hypertree
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,12 +16,12 @@ import (
 // DefaultRaceExactBudget is the step budget WithAutoStrategy imposes on the
 // exact k-decomp engine when the caller set none: the exact search is
 // exponential in the width, so an unbudgeted entrant would let a single
-// hard instance stall the whole race. The heuristic engines are polynomial
-// and run unbudgeted unless the caller says otherwise. 200k steps decide
+// hard instance stall the compile. The heuristic walk is polynomial and
+// runs unbudgeted unless the caller says otherwise. 200k steps decide
 // the structured families (cycles, grids, small cliques) exactly and give
 // up within milliseconds on the instances only the heuristics can serve —
 // the budget TestCostBasedAutoBeatsWidthOnly and BenchmarkE25CostBased
-// give the race.
+// give the race, capped or not.
 const DefaultRaceExactBudget = 200_000
 
 // costTieRel is the relative tolerance under which two entrants' estimated
@@ -41,11 +42,12 @@ type raceCandidate struct {
 	started     time.Time
 	elapsed     time.Duration
 	fw, cost    float64
+	maxK        int // the exact entrant's width cap; 0 = uncapped
 }
 
-// raceDecomposers runs the exact engine and, concurrently, one walk of the
-// greedy shape portfolio on h (fhd.DecomposeWithGreedy, which yields both
-// the fhd and the ghd candidate), and picks the winner. Without statistics
+// raceDecomposers runs one walk of the greedy shape portfolio on h
+// (fhd.DecomposeWithGreedy, which yields both the fhd and the ghd
+// candidate), then the exact engine, and picks the winner. Without statistics
 // the ranking is by achieved fractional width (the evaluation-cost
 // exponent — by the AGM bound a node table holds at most r^fw tuples),
 // ties broken by guarantee strength in the fixed order exact > fhd > ghd. With statistics (req.Cost non-nil) the ranking is by
@@ -60,44 +62,53 @@ type raceCandidate struct {
 // budget, so the race always terminates: the exact engine gets
 // req.StepBudget or DefaultRaceExactBudget, the heuristic walk
 // req.StepBudget as given, shared by its two candidates. Candidates that
-// fail (budget, width bound, or any other reason) simply drop out; if all
-// fail, the joined errors surface.
+// fail (budget, width bound, width cap, or any other reason) simply drop
+// out; if all fail, the joined errors surface.
 func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*raceCandidate, error) {
 	return rankRace(ctx, runRace(ctx, h, req), req.Cost)
 }
 
 // runRace returns the candidates in guarantee order; the heuristic two
-// carry their shared walk's timing.
+// carry their shared walk's timing. The exact HD has fw = hw (nil weights)
+// and wins ties, so ranked by width it can only win at hw ≤ ⌊fw(walk)⌋:
+// without statistics or a width bound its search stops after that level,
+// which moves no winner. A cost model can crown a wider HD, and a width
+// bound makes the search a decision, so both run uncapped.
 func runRace(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCandidate {
 	exact := KDecomposer()
 	if req.Workers > 1 {
 		exact = ParallelKDecomposer()
-	}
-	exactReq := req
-	if exactReq.StepBudget == 0 {
-		exactReq.StepBudget = DefaultRaceExactBudget
 	}
 	cands := []raceCandidate{
 		{name: exact.Name()},
 		{name: FractionalDecomposer().Name(), generalized: true, fractional: true},
 		{name: GreedyDecomposer().Name(), generalized: true},
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c := &cands[0]
-		c.started = time.Now()
-		c.d, c.err = exact.Decompose(ctx, h, exactReq)
-		c.elapsed = time.Since(c.started)
-	}()
 	started := time.Now()
 	frac, greedy := fhd.DecomposeWithGreedy(ctx, h, ghd.Options{Cost: req.Cost}, req.MaxWidth, req.StepBudget)
 	elapsed := time.Since(started)
+	c := &cands[0]
 	for i, r := range []fhd.Candidate{frac, greedy} {
-		c := &cands[1+i]
-		c.d, c.err, c.started, c.elapsed = r.D, r.Err, started, elapsed
+		w := &cands[1+i]
+		w.d, w.err, w.started, w.elapsed = r.D, r.Err, started, elapsed
+		if r.Err == nil && r.D != nil && req.Cost == nil && req.MaxWidth == 0 {
+			if k := int(r.D.FractionalWidth() + decomp.FracEps); c.maxK == 0 || k < c.maxK {
+				c.maxK = k
+			}
+		}
 	}
-	<-done
+	exactReq := req
+	exactReq.StepBudget = cmp.Or(req.StepBudget, DefaultRaceExactBudget)
+	c.started = time.Now()
+	switch {
+	case c.maxK == 0:
+		c.d, c.err = exact.Decompose(ctx, h, exactReq)
+	case req.Workers > 1:
+		_, c.d, c.err = decomp.ParallelWidthContext(ctx, h, req.Workers, exactReq.StepBudget, c.maxK)
+	default:
+		_, c.d, c.err = decomp.WidthContext(ctx, h, exactReq.StepBudget, c.maxK)
+	}
+	c.elapsed = time.Since(c.started)
 	return cands
 }
 
@@ -139,6 +150,8 @@ func rankRace(ctx context.Context, cands []raceCandidate, model *CostModel) (*ra
 		for i, c := range cands {
 			label := c.name
 			switch {
+			case c.maxK > 0 && errors.Is(c.err, decomp.ErrWidthExceeded):
+				label += fmt.Sprintf(" hw>%d (capped at ⌊fhw⌋)", c.maxK)
 			case c.err != nil:
 				label += fmt.Sprintf(" error: %v", c.err)
 			case c.d == nil:

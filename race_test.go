@@ -2,7 +2,9 @@ package hypertree
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,9 +15,10 @@ import (
 // The race's fractional and greedy candidates come from one shared walk of
 // the greedy shape portfolio. Whenever no step budget runs out that walk
 // must hand the race exactly what the standalone FractionalDecomposer and
-// GreedyDecomposer return, and the race must crown the winner the
-// three-goroutine race did: every engine run on its own, ranked by the rule
-// below. The corpus is cycles, grids, cliques, classCn and random queries
+// GreedyDecomposer return, and the race must crown the winner of every
+// engine run on its own, the exact one uncapped, ranked by the rule below:
+// the exact entrant either equals the uncapped engine or certifies, capped
+// at the walk's ⌊fhw⌋, that the uncapped one would have lost. The corpus is cycles, grids, cliques, classCn and random queries
 // and CSPs; each runs without statistics, with random statistics, and with
 // decoy statistics that let the greedy candidate win; at workers 1 and 4
 // and at width bounds 0, 2 and 3. A greedy candidate read after the LP pass
@@ -35,7 +38,7 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 			gen.RandomQuery(rng, 3+rng.Intn(4), 3+rng.Intn(4), 1+rng.Intn(3)),
 			gen.RandomCSP(rng, 4+rng.Intn(4), 6+rng.Intn(5), 3))
 	}
-	wins := map[string]int{}
+	wins, certificates := map[string]int{}, 0
 	for qi, q := range queries {
 		h := QueryHypergraph(q)
 		if h.NumEdges() == 0 {
@@ -49,10 +52,22 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 					where := fmt.Sprintf("query %d %s, stats %s, workers %d, maxWidth %d", qi, q, stats, workers, maxWidth)
 					cands := runRace(ctx, h, req)
 					ref := standaloneEngines(ctx, h, req)
-					if workers > 1 {
+					certificate := errors.Is(cands[0].err, ErrWidthExceeded) && cands[0].maxK > 0
+					if workers > 1 && !certificate {
 						// The parallel exact search keeps whichever worker
 						// finds a decomposition first: judge the race's own.
 						ref[0] = cands[0]
+					}
+					if certificate {
+						// The capped entrant proved hw > ⌊fw(walk)⌋: the
+						// uncapped engine fails or returns an HD the walk
+						// beats.
+						certificates++
+						if walk := min(fwOf(cands[1]), fwOf(cands[2])); ref[0].err == nil && float64(ref[0].d.Width()) <= walk+decomp.FracEps {
+							t.Errorf("%s: exact entrant capped at %d lost, standalone width %d vs walk fhw %v", where, cands[0].maxK, ref[0].d.Width(), walk)
+						}
+					} else {
+						sameCandidate(t, where, cands[0], ref[0])
 					}
 					for i := 1; i < len(ref); i++ {
 						sameCandidate(t, where, cands[i], ref[i])
@@ -76,7 +91,10 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("winners: %v", wins)
+	t.Logf("winners: %v; %d exact entrants lost by certificate", wins, certificates)
+	if certificates == 0 {
+		t.Error("no exact entrant was capped below the walk's width: the corpus no longer exercises the certificate")
+	}
 	for _, name := range []string{"k-decomp", "parallel-k-decomp", "fhd", "ghd"} {
 		if wins[name] == 0 {
 			t.Errorf("no race won by %s: the corpus no longer exercises every candidate", name)
@@ -84,9 +102,9 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 	}
 }
 
-// standaloneEngines runs the three engines of the race on their own, as the
-// race did with one goroutine each: the exact entrant under the race's
-// default budget, the heuristics under req's.
+// standaloneEngines runs the three engines of the race on their own: the
+// exact entrant uncapped under the race's default budget, the heuristics
+// under req's.
 func standaloneEngines(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCandidate {
 	exact, exactReq := KDecomposer(), req
 	if req.Workers > 1 {
@@ -153,6 +171,14 @@ func sameCandidate(t *testing.T, where string, got, want raceCandidate) {
 		t.Errorf("%s: %s candidate (fhw %v)\n%sstandalone (fhw %v)\n%s", where, want.name,
 			got.d.FractionalWidth(), got.d, want.d.FractionalWidth(), want.d)
 	}
+}
+
+// fwOf is a candidate's fractional width, +Inf when it failed.
+func fwOf(c raceCandidate) float64 {
+	if c.err != nil || c.d == nil {
+		return math.Inf(1)
+	}
+	return c.d.FractionalWidth()
 }
 
 // sameFW reports whether two decompositions have the same fractional width,
