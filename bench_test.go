@@ -359,25 +359,6 @@ func BenchmarkE20OutputPoly(b *testing.B) {
 	}
 }
 
-// Ablation benches for the two k-decomp design choices documented in
-// docs/ARCHITECTURE.md (internal/decomp): subproblem memoisation and the
-// frontier-based memo key.
-func BenchmarkAblationKDecomp(b *testing.B) {
-	h := QueryHypergraph(gen.Grid(4, 4))
-	run := func(b *testing.B, cfg func(*decomp.Decider)) {
-		for i := 0; i < b.N; i++ {
-			d := decomp.NewDecider(h, 3)
-			cfg(d)
-			if !d.Decide() {
-				b.Fatal("grid(4,4) has hw 3")
-			}
-		}
-	}
-	b.Run("baseline", func(b *testing.B) { run(b, func(*decomp.Decider) {}) })
-	b.Run("no-memo", func(b *testing.B) { run(b, func(d *decomp.Decider) { d.DisableMemo = true }) })
-	b.Run("full-separator-key", func(b *testing.B) { run(b, func(d *decomp.Decider) { d.FullSeparatorKey = true }) })
-}
-
 // E22: the greedy GHD engine versus the exact k-decomp search — compile
 // time at equal instances, plus greedy-only scaling on CSPs the exact
 // search cannot finish (TestGreedyWidthNeverBeatsExact pins the width side

@@ -150,7 +150,7 @@ func (p *Plan) ExplainAnalyze() string {
 			if s.Node >= 0 {
 				nodeSpans[s.Node] = s
 			}
-		case obs.SpanSemijoinUp, obs.SpanSemijoinDown, obs.SpanEnumerate:
+		case obs.SpanSemijoinUp, obs.SpanEnumerate:
 			passes = append(passes, s)
 		case obs.SpanExec:
 			s := s
@@ -211,8 +211,6 @@ func passName(name string) string {
 	switch name {
 	case obs.SpanSemijoinUp:
 		return "semijoin up"
-	case obs.SpanSemijoinDown:
-		return "semijoin down"
 	case obs.SpanEnumerate:
 		return "enumerate"
 	case obs.SpanCompile:

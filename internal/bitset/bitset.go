@@ -156,14 +156,6 @@ func (s Set) Diff(t Set) Set {
 	return r
 }
 
-// DiffInPlace removes all elements of t from s.
-func (s Set) DiffInPlace(t Set) {
-	n := min(len(s), len(t))
-	for i := 0; i < n; i++ {
-		s[i] &^= t[i]
-	}
-}
-
 // SubsetOf reports whether every element of s is in t.
 func (s Set) SubsetOf(t Set) bool {
 	for i, w := range s {

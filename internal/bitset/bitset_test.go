@@ -95,10 +95,6 @@ func TestInPlaceOps(t *testing.T) {
 	if a.String() != "{1,2,3,100}" {
 		t.Errorf("UnionInPlace = %v", a)
 	}
-	a.DiffInPlace(Of(2, 100, 500))
-	if a.String() != "{1,3}" {
-		t.Errorf("DiffInPlace = %v", a)
-	}
 }
 
 func TestKeyNormalization(t *testing.T) {

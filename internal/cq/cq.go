@@ -11,7 +11,6 @@ package cq
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"unicode"
 
@@ -82,20 +81,6 @@ func constIdent(name string) bool {
 	}
 	r := rune(name[0])
 	return !unicode.IsUpper(r) && r != '_'
-}
-
-// VarNames returns the distinct variable names of the atom in order of first
-// occurrence.
-func (a Atom) VarNames() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range a.Args {
-		if t.IsVar && !seen[t.Name] {
-			seen[t.Name] = true
-			out = append(out, t.Name)
-		}
-	}
-	return out
 }
 
 // Query is a conjunctive query. Head is nil for a Boolean query with omitted
@@ -178,23 +163,6 @@ func (q *Query) HeadVars() bitset.Set {
 
 // IsBoolean reports whether the query is Boolean (variable-free head).
 func (q *Query) IsBoolean() bool { return q.Head == nil || q.HeadVars().Empty() }
-
-// AllVars returns the set of all variables of the query.
-func (q *Query) AllVars() bitset.Set {
-	var s bitset.Set
-	for i := range q.varNames {
-		s.Add(i)
-	}
-	return s
-}
-
-// VarNamesOf maps a variable set to sorted names.
-func (q *Query) VarNamesOf(s bitset.Set) []string {
-	out := make([]string, 0, s.Len())
-	s.ForEach(func(v int) { out = append(out, q.varNames[v]) })
-	sort.Strings(out)
-	return out
-}
 
 // AtomLabel returns a display label for body atom i: the predicate name,
 // disambiguated with #i when the predicate occurs more than once.

@@ -40,9 +40,8 @@ func TestParseNonBoolean(t *testing.T) {
 	if q.IsBoolean() {
 		t.Errorf("query with head vars is not Boolean")
 	}
-	hv := q.HeadVars()
-	if hv.Len() != 2 {
-		t.Errorf("head vars = %v", q.VarNamesOf(hv))
+	if hv := q.HeadVars(); hv.Len() != 2 {
+		t.Errorf("head vars = %v", hv)
 	}
 }
 
@@ -131,9 +130,6 @@ func TestVarsOfRepeatedVariable(t *testing.T) {
 	q := MustParse(`r(X, Y, X)`)
 	if q.VarsOf(0).Len() != 2 {
 		t.Fatalf("var(r(X,Y,X)) should have 2 variables")
-	}
-	if got := q.Atoms[0].VarNames(); len(got) != 2 || got[0] != "X" || got[1] != "Y" {
-		t.Fatalf("VarNames = %v", got)
 	}
 }
 

@@ -9,7 +9,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -169,18 +168,6 @@ func (in *Interpretation) Equal(other *Interpretation) bool {
 		}
 	}
 	return true
-}
-
-// Atoms returns all atoms, sorted, for rendering and tests.
-func (in *Interpretation) Atoms() []Atom {
-	var out []Atom
-	for pred, tuples := range in.byPred {
-		for _, args := range tuples {
-			out = append(out, Atom{Pred: pred, Args: args})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
-	return out
 }
 
 // leastModel computes the least fixpoint of the program where a negative

@@ -3,6 +3,8 @@ package decomp
 import (
 	"math/rand"
 	"testing"
+
+	"hypertree/internal/gen"
 )
 
 // The ablation switches must not change any decision, only the work done.
@@ -15,31 +17,31 @@ func TestAblationSwitchesPreserveDecisions(t *testing.T) {
 			want := base.Decide()
 
 			noMemo := NewDecider(h, k)
-			noMemo.DisableMemo = true
+			noMemo.disableMemo = true
 			if got := noMemo.Decide(); got != want {
-				t.Fatalf("trial %d k=%d: DisableMemo changed the decision\n%s", trial, k, h)
+				t.Fatalf("trial %d k=%d: disableMemo changed the decision\n%s", trial, k, h)
 			}
 
 			fullKey := NewDecider(h, k)
-			fullKey.FullSeparatorKey = true
+			fullKey.fullSeparatorKey = true
 			if got := fullKey.Decide(); got != want {
-				t.Fatalf("trial %d k=%d: FullSeparatorKey changed the decision\n%s", trial, k, h)
+				t.Fatalf("trial %d k=%d: fullSeparatorKey changed the decision\n%s", trial, k, h)
 			}
 			if want {
 				d := fullKey.Decompose()
 				if d == nil {
-					t.Fatalf("trial %d k=%d: FullSeparatorKey Decompose failed", trial, k)
+					t.Fatalf("trial %d k=%d: fullSeparatorKey Decompose failed", trial, k)
 				}
 				if err := d.Validate(); err != nil {
 					t.Fatalf("trial %d k=%d: %v", trial, k, err)
 				}
 				d2 := func() *Decomposition {
 					nm := NewDecider(h, k)
-					nm.DisableMemo = true
+					nm.disableMemo = true
 					return nm.Decompose()
 				}()
 				if d2 == nil {
-					t.Fatalf("trial %d k=%d: DisableMemo Decompose failed", trial, k)
+					t.Fatalf("trial %d k=%d: disableMemo Decompose failed", trial, k)
 				}
 				if err := d2.Validate(); err != nil {
 					t.Fatalf("trial %d k=%d: %v", trial, k, err)
@@ -59,12 +61,31 @@ func TestAblationWorkOrdering(t *testing.T) {
 		return d.Calls
 	}
 	base := run(func(*Decider) {})
-	noMemo := run(func(d *Decider) { d.DisableMemo = true })
-	fullKey := run(func(d *Decider) { d.FullSeparatorKey = true })
+	noMemo := run(func(d *Decider) { d.disableMemo = true })
+	fullKey := run(func(d *Decider) { d.fullSeparatorKey = true })
 	if base > noMemo {
 		t.Errorf("memoised search did more work (%d) than memo-free (%d)", base, noMemo)
 	}
 	if base > fullKey {
 		t.Errorf("frontier key did more work (%d) than full-separator key (%d)", base, fullKey)
 	}
+}
+
+// Ablation benches for the two k-decomp design choices documented in
+// docs/ARCHITECTURE.md (internal/decomp): subproblem memoisation and the
+// frontier-based memo key.
+func BenchmarkAblationKDecomp(b *testing.B) {
+	h, _ := gen.Grid(4, 4).Hypergraph()
+	run := func(b *testing.B, cfg func(*Decider)) {
+		for i := 0; i < b.N; i++ {
+			d := NewDecider(h, 3)
+			cfg(d)
+			if !d.Decide() {
+				b.Fatal("grid(4,4) has hw 3")
+			}
+		}
+	}
+	b.Run("baseline", func(b *testing.B) { run(b, func(*Decider) {}) })
+	b.Run("no-memo", func(b *testing.B) { run(b, func(d *Decider) { d.disableMemo = true }) })
+	b.Run("full-separator-key", func(b *testing.B) { run(b, func(d *Decider) { d.fullSeparatorKey = true }) })
 }

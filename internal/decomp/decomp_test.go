@@ -285,15 +285,6 @@ func TestE09Normalize(t *testing.T) {
 	if nf.Width() > dup.Width() {
 		t.Fatalf("Normalize increased width: %d → %d", dup.Width(), nf.Width())
 	}
-
-	// Splice removes the redundant child directly.
-	spliced := Splice(dup)
-	if err := spliced.Validate(); err != nil {
-		t.Fatalf("Splice broke validity: %v", err)
-	}
-	if spliced.NumNodes() != d.NumNodes() {
-		t.Fatalf("Splice kept %d nodes, want %d", spliced.NumNodes(), d.NumNodes())
-	}
 }
 
 func TestNormalizePanicsOnInvalid(t *testing.T) {

@@ -48,17 +48,18 @@ type Decider struct {
 	H *hypergraph.Hypergraph
 	K int
 
-	// Ablation switches (used by the BenchmarkAblation* experiments to
-	// quantify the two design choices documented in docs/ARCHITECTURE.md,
-	// internal/decomp; leave both false for the real algorithm).
+	// Ablation switches, set only by this package's tests and
+	// BenchmarkAblationKDecomp to quantify the two design choices documented
+	// in docs/ARCHITECTURE.md (internal/decomp); both false is the real
+	// algorithm.
 	//
-	// DisableMemo turns off subproblem memoisation: the search remains
+	// disableMemo turns off subproblem memoisation: the search remains
 	// correct (the recursion is finite) but revisits shared components.
-	DisableMemo bool
-	// FullSeparatorKey keys the memo on the entire parent separator var(R)
+	disableMemo bool
+	// fullSeparatorKey keys the memo on the entire parent separator var(R)
 	// instead of the frontier var(atoms(C)) ∩ var(R). Still sound, but two
 	// parents with equal frontiers no longer share their result.
-	FullSeparatorKey bool
+	fullSeparatorKey bool
 
 	// MaxGuesses bounds the number of candidate sets S tested (the GuessOps
 	// counter); 0 means unlimited. When the budget runs out the search stops
@@ -170,7 +171,7 @@ func memoKey(c hypergraph.Component, keySet bitset.Set) string {
 
 // decide answers k-decomposable(C, R). The Step-2 conditions depend on R
 // only through the frontier; keySet is what the memo is keyed on (the
-// frontier normally, the full var(R) under the FullSeparatorKey ablation —
+// frontier normally, the full var(R) under the fullSeparatorKey ablation —
 // nil makes it default to the frontier).
 func (d *Decider) decide(c hypergraph.Component, frontier, keySet bitset.Set) bool {
 	if len(c.Edges) == 0 {
@@ -182,7 +183,7 @@ func (d *Decider) decide(c hypergraph.Component, frontier, keySet bitset.Set) bo
 		keySet = frontier
 	}
 	key := memoKey(c, keySet)
-	if !d.DisableMemo {
+	if !d.disableMemo {
 		if e, ok := d.memo[key]; ok {
 			d.MemoHits++
 			return e.ok
@@ -260,7 +261,7 @@ func (d *Decider) search(c hypergraph.Component, frontier bitset.Set, cands []in
 func (d *Decider) checkChildren(c hypergraph.Component, varS bitset.Set) bool {
 	for _, child := range d.H.ComponentsWithin(varS, c.Vertices) {
 		var keySet bitset.Set
-		if d.FullSeparatorKey {
+		if d.fullSeparatorKey {
 			keySet = varS
 		}
 		if !d.decide(child, d.H.Frontier(child, varS), keySet) {
@@ -293,7 +294,7 @@ func (d *Decider) build(c hypergraph.Component, frontier, keySet, parentChi bits
 			continue
 		}
 		var childKey bitset.Set
-		if d.FullSeparatorKey {
+		if d.fullSeparatorKey {
 			childKey = varS
 		}
 		n.Children = append(n.Children, d.build(child, d.H.Frontier(child, varS), childKey, chi))

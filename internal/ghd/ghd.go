@@ -89,7 +89,7 @@ type Options struct {
 	Seed int64
 	// Cost, when non-nil, is the compilation's cost model (derived from an
 	// internal/stats snapshot) and switches the engine cost-aware:
-	// GreedyCover breaks coverage ties toward the cover whose node table is
+	// GreedyCoverCost breaks coverage ties toward the cover whose node table is
 	// estimated smallest, and ties between equal-width trials go to the
 	// decomposition of lower total estimated cost (decomp.CostWith) instead
 	// of the lower trial index. Statistics never change the width contract
@@ -546,23 +546,17 @@ func pickMin(n int, eligible []bool, score func(int) int, rng *rand.Rand) int {
 	return best
 }
 
-// FromTreeDecomposition converts a tree decomposition of the primal graph of
-// h into a GHD: redundant bags (subset of a tree neighbour) are contracted,
-// the surviving bags become χ labels, and each χ is covered by a greedy
-// minimum set cover of hyperedges to form λ. The result satisfies conditions
-// 1–3 of Definition 4.1 by construction: every hyperedge is a primal clique
-// and thus inside some bag (condition 1), bag connectedness carries over
-// (condition 2), and the cover guarantees χ ⊆ var(λ) (condition 3).
-func FromTreeDecomposition(h *hypergraph.Hypergraph, td *treewidth.Decomposition) *decomp.Decomposition {
-	return FromTreeDecompositionCost(h, td, nil)
-}
-
-// FromTreeDecompositionCost is FromTreeDecomposition with the cost model
-// steering the greedy covers: coverage ties break toward the cover of the
-// smaller estimated node table (GreedyCoverCost), so among the many λ
-// labels of the same size the one that joins — rather than multiplies —
-// the smallest relations wins. A nil model reproduces
-// FromTreeDecomposition exactly.
+// FromTreeDecompositionCost converts a tree decomposition of the primal
+// graph of h into a GHD: redundant bags (subset of a tree neighbour) are
+// contracted, the surviving bags become χ labels, and each χ is covered by a
+// greedy minimum set cover of hyperedges to form λ (GreedyCoverCost). The
+// result satisfies conditions 1–3 of Definition 4.1 by construction: every
+// hyperedge is a primal clique and thus inside some bag (condition 1), bag
+// connectedness carries over (condition 2), and the cover guarantees
+// χ ⊆ var(λ) (condition 3). A non-nil cost model steers the covers:
+// coverage ties break toward the cover of the smaller estimated node table,
+// so among the many λ labels of the same size the one that joins — rather
+// than multiplies — the smallest relations wins.
 func FromTreeDecompositionCost(h *hypergraph.Hypergraph, td *treewidth.Decomposition, model *decomp.CostModel) *decomp.Decomposition {
 	bags, parent, root := pruneBags(td)
 	if len(bags) == 0 {
@@ -653,16 +647,12 @@ func pruneBags(td *treewidth.Decomposition) (bags []bitset.Set, parent []int, ro
 	return outBags, outParent, outRoot
 }
 
-// GreedyCover returns a λ label for the bag: hyperedges chosen by the
-// classical greedy set-cover rule (largest uncovered intersection first,
-// ties to the lowest edge index), until the bag is covered. Every bag vertex
-// lies in at least one hyperedge, so the cover always completes; the greedy
-// choice is within a ln(|bag|)+1 factor of the optimal cover.
-func GreedyCover(h *hypergraph.Hypergraph, bag bitset.Set) bitset.Set {
-	return GreedyCoverCost(h, bag, nil)
-}
-
-// GreedyCoverCost is GreedyCover with cost-aware tie-breaking: among edges
+// GreedyCoverCost returns a λ label for the bag: hyperedges chosen by the
+// classical greedy set-cover rule (largest uncovered intersection first),
+// until the bag is covered. Every bag vertex lies in at least one
+// hyperedge, so the cover always completes; the greedy choice is within a
+// ln(|bag|)+1 factor of the optimal cover. With a nil model ties go to the
+// lowest edge index. A non-nil model breaks them cost-aware: among edges
 // covering equally many uncovered bag vertices the greedy pass takes the
 // one that minimises decomp.NodeCost of the bag under the cover so far plus
 // that edge (then the lowest index) — an edge sharing a variable with the
@@ -670,10 +660,9 @@ func GreedyCover(h *hypergraph.Hypergraph, bag bitset.Set) bitset.Set {
 // the two apart where the cardinalities alone cannot. Because a cheap early
 // pick can occasionally force a *larger* cover later (greedy set cover is
 // not exchange-stable), the cost-aware cover is compared against the
-// width-only GreedyCover and the smaller one wins — ties by size go to the
-// lower NodeCost of the finished bag — so the cover size, and hence the
-// width, never exceeds the statistics-free result. A nil model reproduces
-// GreedyCover exactly.
+// width-only (nil-model) cover and the smaller one wins — ties by size go
+// to the lower NodeCost of the finished bag — so the cover size, and hence
+// the width, never exceeds the statistics-free result.
 func GreedyCoverCost(h *hypergraph.Hypergraph, bag bitset.Set, model *decomp.CostModel) bitset.Set {
 	plain := greedyCover(h, bag, nil)
 	if model == nil {

@@ -187,7 +187,7 @@ func TestGreedyEmpty(t *testing.T) {
 	}
 }
 
-// GreedyCover covers each bag with edges and never returns an empty λ for a
+// GreedyCoverCost with a nil model covers each bag with edges and never returns an empty λ for a
 // non-empty bag.
 func TestGreedyCover(t *testing.T) {
 	h := queryHG(t, gen.Q5())
@@ -195,7 +195,7 @@ func TestGreedyCover(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		var bag = h.Edge(rng.Intn(h.NumEdges())).Clone()
 		bag.UnionInPlace(h.Edge(rng.Intn(h.NumEdges())))
-		lambda := GreedyCover(h, bag)
+		lambda := GreedyCoverCost(h, bag, nil)
 		if !bag.SubsetOf(h.Vars(lambda)) {
 			t.Fatalf("trial %d: bag %v not covered by λ %v", trial, h.VertexNames(bag), h.EdgeNames(lambda))
 		}
@@ -235,7 +235,7 @@ func TestGreedyCoverCostPrefersCheapEdges(t *testing.T) {
 	small := h.AddEdge("small", "X", "Y")
 	bag := h.Edge(big).Union(h.Edge(mid))
 
-	plain := GreedyCover(h, bag)
+	plain := GreedyCoverCost(h, bag, nil)
 	if !plain.Has(big) || plain.Has(small) {
 		t.Fatalf("width-only cover should keep the lowest index: %v", plain)
 	}
@@ -322,7 +322,7 @@ func TestGreedyCoverCostNeverGrowsCover(t *testing.T) {
 	h.AddEdge("e3", "a", "c")
 	bag := bitset.FromSlice([]int{0, 1, 2, 3})
 
-	plain := GreedyCover(h, bag)
+	plain := GreedyCoverCost(h, bag, nil)
 	costed := GreedyCoverCost(h, bag, rowsOnly(h, 1000, 1000, 2))
 	if costed.Len() > plain.Len() {
 		t.Fatalf("statistics grew the cover: %d edges vs %d", costed.Len(), plain.Len())
@@ -368,7 +368,7 @@ func TestCostAwareCoverNeverLarger(t *testing.T) {
 				if !n.Chi.SubsetOf(h.Vars(cover)) {
 					t.Fatalf("%s: cost-aware λ %v does not cover χ %v", name, h.EdgeNames(cover), h.VertexNames(n.Chi))
 				}
-				if cover.Len() > GreedyCover(h, n.Chi).Len() {
+				if cover.Len() > GreedyCoverCost(h, n.Chi, nil).Len() {
 					t.Fatalf("%s: cost-aware cover of %v grew", name, h.VertexNames(n.Chi))
 				}
 			}

@@ -123,11 +123,6 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// Connected reports whether the graph is connected (true for N() <= 1).
-func (g *Graph) Connected() bool {
-	return g.N() <= 1 || len(g.Components()) == 1
-}
-
 // IsForest reports whether g contains no cycle.
 func (g *Graph) IsForest() bool {
 	comps := g.Components()

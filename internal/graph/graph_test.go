@@ -50,9 +50,6 @@ func TestBasics(t *testing.T) {
 	if len(comps) != 2 {
 		t.Fatalf("Components = %v", comps)
 	}
-	if g.Connected() {
-		t.Fatalf("not connected")
-	}
 	c := g.Clone()
 	c.AddEdge(0, 3)
 	if g.HasEdge(0, 3) {

@@ -181,8 +181,7 @@ func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, work
 		root, err = b.buildSeq(0)
 	} else {
 		// The semaphore bounds concurrent table work only; goroutines waiting
-		// on children hold no slot, so deep trees cannot deadlock (the same
-		// discipline as yannakakis.Reduce).
+		// on children hold no slot, so deep trees cannot deadlock.
 		b.sem = make(chan struct{}, workers)
 		root, err = b.buildPar(0)
 	}

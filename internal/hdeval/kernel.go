@@ -160,8 +160,9 @@ func (e *Evaluator) planNode(n, parent *decomp.Node, model *decomp.CostModel) (N
 // there is one), then to one shared with the parent, then to the smaller
 // id. On a child χ{X1,X2,X4} λ{r1(X1,X2), r4(X4,X1)} of χ{X2,X3,X4} that is
 // X1,X2,X4 — r·degree key visits — where parent-first X2,X4,X1 visits every
-// (X2,X4) pair; the reducer then meets a non-prefix key, which
-// relation.MergeSemijoin handles by probing.
+// (X2,X4) pair; the cursor and the Boolean descent then meet a non-prefix
+// key, which they re-key by permuting the child's columns
+// (Columnar.Reorder).
 //
 // Both continue with the existential variables of var(λ) ∖ χ by descending
 // total fractional cover weight (weight 1 per covering edge on integral

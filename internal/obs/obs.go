@@ -49,9 +49,6 @@ import (
 // ("a/b" is a sub-stage of "a"); matching on these constants is how
 // renderers and tests pick stages out of a trace.
 const (
-	// SpanParse covers query-text parsing (recorded by CLIs and the server;
-	// the library compiles already-parsed queries).
-	SpanParse = "compile/parse"
 	// SpanCompile covers one whole Compile: analysis, decomposition search,
 	// validation, cost annotation, evaluator construction.
 	SpanCompile = "compile"
@@ -82,13 +79,9 @@ const (
 	// 1 when the query holds and 0 otherwise. On a listing execution it is
 	// the answer cursor's count pass — the up pass computed with counts —
 	// where Steps counts the child lookups summed over the tree's edges.
-	// Under the full reducer (yannakakis.Reduce, the test reference) it is
-	// the bottom-up semijoin pass, Steps counting semijoins.
+	// No execution runs a down pass: the walk skips the rows one would
+	// delete.
 	SpanSemijoinUp = "exec/semijoin/up"
-	// SpanSemijoinDown covers the top-down semijoin pass of the full
-	// reducer; Steps counts semijoins. The listing path runs no down pass:
-	// its walk skips the rows a down pass would delete.
-	SpanSemijoinDown = "exec/semijoin/down"
 	// SpanEnumerate covers the answer cursor's top-down trie walk, from
 	// the count pass until the cursor closes; Steps counts the subtrees
 	// folded because the head drops one of their variables, Rows is the

@@ -22,8 +22,8 @@ import (
 // A Columnar is a relation over variables stored column by column: columns
 // arranged in the caller's variable order, rows sorted lexicographically by
 // Value. Construction costs one sort; afterwards the layout supports trie
-// iteration (NewTrieIter), run lookups (PrefixRun) and merge semijoins
-// without touching row-major data again.
+// iteration (NewTrieIter) and run lookups (PrefixRun) without touching
+// row-major data again.
 type Columnar struct {
 	// Vars is the column order.
 	Vars []int
@@ -289,6 +289,31 @@ func (c *Columnar) sameRow(a, b int) bool {
 	return true
 }
 
+// keepRows appends the row range [lo, hi) to a flattened ascending range
+// list, extending the last range when the new one starts where it ends.
+func keepRows(ranges []int, lo, hi int) []int {
+	if n := len(ranges); n > 0 && ranges[n-1] == lo {
+		ranges[n-1] = hi
+		return ranges
+	}
+	return append(ranges, lo, hi)
+}
+
+// selectRanges copies the given flattened [start, end) row ranges into a new
+// Columnar. Ranges must be ascending and disjoint, so the result stays
+// lexicographically sorted.
+func (c *Columnar) selectRanges(ranges []int, kept int) *Columnar {
+	out := &Columnar{Vars: append([]int(nil), c.Vars...), cols: make([][]Value, len(c.Vars)), rows: kept}
+	for i, src := range c.cols {
+		col := make([]Value, 0, kept)
+		for p := 0; p < len(ranges); p += 2 {
+			col = append(col, src[ranges[p]:ranges[p+1]]...)
+		}
+		out.cols[i] = col
+	}
+	return out
+}
+
 // PrefixRun returns the row range [lo, hi) whose leading len(key) columns
 // hold exactly key, as a trie descent: the top level is one read of the
 // run offsets where the leading column has them, every other level a
@@ -465,8 +490,8 @@ func gallopPast(col []Value, from, hi int, v Value) int {
 // binary search over the bracket. The search keeps `base` at the last row
 // known < target and halves the span length; the body's single comparison
 // compiles to a conditional move, so seeks over incompressible runs pay no
-// branch mispredictions. Shared by TrieIter (leapfrog seeks) and
-// MergeSemijoin (run skipping).
+// branch mispredictions. TrieIter's leapfrog seeks and PrefixRun's run
+// bounds use it.
 func gallopCodes(col []Value, from, hi int, target Value) int {
 	if from >= hi || col[from] >= target {
 		return from

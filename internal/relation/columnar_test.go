@@ -161,6 +161,18 @@ func randomTable(rng *rand.Rand, vars []int, n, dom int) *Table {
 	return t
 }
 
+// leapfrogTables is LeapfrogJoinColumnar over row-major tables: each is
+// encoded over its subsequence of order, and the result comes back
+// row-major.
+func leapfrogTables(tables []*Table, order []int, nOut, capHint int) *Table {
+	cols := make([]*Columnar, len(tables))
+	for i, t := range tables {
+		cols[i] = NewColumnar(t, SubOrder(order, t.Vars))
+	}
+	out, _ := LeapfrogJoinColumnar(context.Background(), cols, order, nOut, capHint)
+	return out.Table()
+}
+
 // chainJoinProject is the reference semantics: fold binary hash joins, then
 // a distinct projection onto out.
 func chainJoinProject(tables []*Table, out []int) *Table {
@@ -182,7 +194,7 @@ func TestLeapfrogTriangle(t *testing.T) {
 		order := []int{0, 1, 2}
 		for nOut := 0; nOut <= 3; nOut++ {
 			want := chainJoinProject([]*Table{r, s, u}, order[:nOut])
-			got := LeapfrogJoin([]*Table{r, s, u}, order, nOut, 0)
+			got := leapfrogTables([]*Table{r, s, u}, order, nOut, 0)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d nOut=%d: leapfrog %d rows, chain %d rows", trial, nOut, got.Rows(), want.Rows())
 			}
@@ -222,7 +234,7 @@ func TestLeapfrogRandomOrders(t *testing.T) {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		nOut := rng.Intn(len(order) + 1)
 		want := chainJoinProject(tables, order[:nOut])
-		got := LeapfrogJoin(tables, order, nOut, 7)
+		got := leapfrogTables(tables, order, nOut, 7)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: leapfrog disagrees with chain (order %v, nOut %d)", trial, order, nOut)
 		}
@@ -247,16 +259,16 @@ func TestLeapfrogEdgeCases(t *testing.T) {
 	// Empty input table → empty output, even with a cap hint.
 	r := NewTable([]int{0, 1})
 	s := tableOf([]int{1, 2}, []Value{1, 2})
-	if got := LeapfrogJoin([]*Table{r, s}, []int{0, 1, 2}, 3, 100); got.Rows() != 0 {
+	if got := leapfrogTables([]*Table{r, s}, []int{0, 1, 2}, 3, 100); got.Rows() != 0 {
 		t.Fatal("join with an empty table must be empty")
 	}
 	// All-Boolean join: no variables, non-empty tables → true.
-	if got := LeapfrogJoin([]*Table{TrueTable(), TrueTable()}, nil, 0, 0); got.Rows() != 1 {
+	if got := leapfrogTables([]*Table{TrueTable(), TrueTable()}, nil, 0, 0); got.Rows() != 1 {
 		t.Fatal("Boolean true join lost its row")
 	}
 	// Single table: leapfrog degenerates to sort + projection.
 	tab := tableOf([]int{0, 1}, []Value{2, 1}, []Value{1, 1}, []Value{2, 9})
-	got := LeapfrogJoin([]*Table{tab}, []int{1, 0}, 1, 0)
+	got := leapfrogTables([]*Table{tab}, []int{1, 0}, 1, 0)
 	if want := tab.Project([]int{1}); !got.Equal(want) {
 		t.Fatal("single-table leapfrog projection wrong")
 	}
@@ -366,92 +378,6 @@ func TestLeapfrogOutputIsSortedColumnar(t *testing.T) {
 					t.Fatalf("trial %d nOut=%d: column %d differs from the sorting constructor's", trial, nOut, i)
 				}
 			}
-		}
-	}
-}
-
-func TestMergeSemijoinAlignedRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 60; trial++ {
-		dom := 2 + rng.Intn(6)
-		tt := randomTable(rng, []int{0, 1, 2}, rng.Intn(80), dom)
-		ut := randomTable(rng, []int{0, 1, 3}, rng.Intn(80), dom)
-		tc := NewColumnar(tt, []int{0, 1, 2})
-		uc := NewColumnar(ut, []int{0, 1, 3})
-		out := MergeSemijoin(tc, uc)
-		want := tt.Semijoin(ut)
-		if !out.Table().Equal(want) {
-			t.Fatalf("trial %d: aligned merge %d rows, hash %d rows", trial, out.Rows(), want.Rows())
-		}
-	}
-}
-
-func TestMergeSemijoinProbeRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 60; trial++ {
-		dom := 2 + rng.Intn(6)
-		tt := randomTable(rng, []int{0, 1, 2}, rng.Intn(80), dom)
-		ut := randomTable(rng, []int{1, 3}, rng.Intn(80), dom)
-		// t's column order buries the shared variable 1 mid-order, so only
-		// the probe kernel applies.
-		tc := NewColumnar(tt, []int{2, 1, 0})
-		uc := NewColumnar(ut, []int{1, 3})
-		out := MergeSemijoin(tc, uc)
-		want := tt.Semijoin(ut)
-		if !out.Table().Equal(want) {
-			t.Fatalf("trial %d: probe merge %d rows, hash %d rows", trial, out.Rows(), want.Rows())
-		}
-	}
-}
-
-func TestMergeSemijoinEdges(t *testing.T) {
-	tt := tableOf([]int{0, 1}, []Value{1, 2}, []Value{3, 4})
-	tc := NewColumnar(tt, []int{0, 1})
-	// Shared variables not a prefix of u: u is navigated through its
-	// re-sorted projection.
-	u := NewColumnar(tableOf([]int{2, 0}, []Value{7, 1}), []int{2, 0})
-	if out := MergeSemijoin(tc, u); !out.Table().Equal(tableOf([]int{0, 1}, []Value{1, 2})) {
-		t.Fatalf("non-prefix u side kept %d rows, want the one with 0=1", out.Rows())
-	}
-	// No shared variables: u non-empty keeps everything, u empty keeps nothing.
-	if full := MergeSemijoin(tc, NewColumnar(tableOf([]int{5}, []Value{9}), []int{5})); full != tc {
-		t.Fatal("disjoint non-empty u must return t itself")
-	}
-	if none := MergeSemijoin(tc, NewColumnar(NewTable([]int{5}), []int{5})); none.Rows() != 0 {
-		t.Fatal("disjoint empty u must empty t")
-	}
-	// Empty t short-circuits; empty u with shared vars empties t.
-	et := NewColumnar(NewTable([]int{0, 1}), []int{0, 1})
-	if out := MergeSemijoin(et, tc); out.Rows() != 0 {
-		t.Fatal("empty t must stay empty")
-	}
-	eu := NewColumnar(NewTable([]int{0, 9}), []int{0, 9})
-	if out := MergeSemijoin(tc, eu); out.Rows() != 0 {
-		t.Fatal("empty u with shared vars must empty t")
-	}
-	// Unfiltered aligned merge returns t itself (no copy).
-	if out := MergeSemijoin(tc, tc); out != tc {
-		t.Fatal("self-semijoin must return t unchanged")
-	}
-}
-
-// Shared variables at arbitrary column positions on both sides — one and
-// two of them — must agree with the hash semijoin: the case the full
-// reducer's down pass meets on every parent with more than one child.
-func TestMergeSemijoinAnyPositionRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 80; trial++ {
-		dom := 2 + rng.Intn(6)
-		tt := randomTable(rng, []int{0, 1, 2}, rng.Intn(80), dom)
-		uvars, uorder := []int{3, 1}, []int{3, 1}
-		if trial%2 == 1 {
-			uvars, uorder = []int{4, 2, 3, 0}, []int{3, 2, 4, 0}
-		}
-		ut := randomTable(rng, uvars, rng.Intn(80), dom)
-		torder := [][]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}[trial%3]
-		out := MergeSemijoin(NewColumnar(tt, torder), NewColumnar(ut, uorder))
-		if want := tt.Semijoin(ut); !out.Table().Equal(want) {
-			t.Fatalf("trial %d: columnar semijoin %d rows, hash %d rows", trial, out.Rows(), want.Rows())
 		}
 	}
 }
@@ -594,26 +520,6 @@ func BenchmarkGallop(b *testing.B) {
 	})
 }
 
-func BenchmarkMergeSemijoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	tt := randomTable(rng, []int{0, 1}, 50000, 4000)
-	ut := randomTable(rng, []int{0, 2}, 5000, 4000)
-	tc := NewColumnar(tt, []int{0, 1})
-	uc := NewColumnar(ut, []int{0, 2})
-	b.Run("merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MergeSemijoin(tc, uc)
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tt.Semijoin(ut)
-		}
-	})
-}
-
 // regularTable is a degree-regular binary table: rows/dom random
 // permutations of the domain, so every value occurs that often per column —
 // the shape of the ledger's exec_cyclic and exec_enum relations.
@@ -640,7 +546,7 @@ func BenchmarkLeapfrogTriangle(b *testing.B) {
 	b.Run("leapfrog", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			LeapfrogJoin(tables, order, 3, 0)
+			leapfrogTables(tables, order, 3, 0)
 		}
 	})
 	b.Run("chain", func(b *testing.B) {

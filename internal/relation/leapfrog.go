@@ -5,37 +5,25 @@ import (
 	"fmt"
 )
 
-// LeapfrogJoin computes the natural join of tables with a leapfrog-triejoin:
-// every table is encoded into a sorted Columnar over the global variable
-// order and the join proceeds variable by variable, intersecting the trie
-// levels of all tables containing that variable by leapfrogging seeks. The
-// kernel is worst-case optimal: with the order's existential suffix chosen
-// from a fractional edge cover, total work is bounded by the AGM output
-// bound rather than by intermediate join sizes.
+// LeapfrogJoinColumnar computes the natural join of sorted Columnars with a
+// leapfrog-triejoin: the join proceeds variable by variable over the global
+// order, intersecting the trie levels of all inputs containing that variable
+// by leapfrogging seeks. The kernel is worst-case optimal: with the order's
+// existential suffix chosen from a fractional edge cover, total work is
+// bounded by the AGM output bound rather than by intermediate join sizes.
 //
-// order must enumerate exactly the union of the tables' variables; the first
+// Every input's column order must be a subsequence of order (see SubOrder),
+// and order must enumerate exactly the union of their variables; the first
 // nOut of them are the output columns. Because output variables lead the
 // order and enumeration is lexicographic, the result arrives sorted and
 // distinct — trailing (existential) variables are short-circuited after the
-// first witness, so no dedup pass is needed. capHint, when positive,
-// pre-sizes the output (callers pass the AGM bound r^fhw, clamped to
-// what the inputs justify).
-func LeapfrogJoin(tables []*Table, order []int, nOut, capHint int) *Table {
-	cols := make([]*Columnar, len(tables))
-	for i, t := range tables {
-		cols[i] = NewColumnar(t, SubOrder(order, t.Vars))
-	}
-	out, _ := LeapfrogJoinColumnar(context.Background(), cols, order, nOut, capHint)
-	return out.Table()
-}
-
-// LeapfrogJoinColumnar is LeapfrogJoin over pre-built Columnars whose column
-// orders are subsequences of order (see SubOrder), emitting each output
-// binding straight into the columns of the result — which, arriving sorted
-// and distinct, is a Columnar as it stands. Columnars are immutable, so
+// first witness, so no dedup pass is needed — and each output binding is
+// emitted straight into the result's columns, a Columnar as it stands.
+// capHint, when positive, pre-sizes the output (callers pass the AGM bound
+// r^fhw, clamped to what the inputs justify). Columnars are immutable, so
 // callers may share them across concurrent joins — concurrent executions of
-// one plan join the same cached encodings. ctx is polled every 4096 trie keys visited; a cancelled join
-// returns ctx's error and no table.
+// one plan join the same cached encodings. ctx is polled every 4096 trie
+// keys visited; a cancelled join returns ctx's error and no table.
 func LeapfrogJoinColumnar(ctx context.Context, cols []*Columnar, order []int, nOut, capHint int) (*Columnar, error) {
 	out := &Columnar{Vars: append([]int(nil), order[:nOut]...), cols: make([][]Value, nOut)}
 	for _, c := range cols {

@@ -16,7 +16,7 @@ import (
 // paths, and each must give the same answers.
 
 // A regime draws the values of one variable: the same variable draws from
-// the same pool in every table, so joins and semijoins find matches.
+// the same pool in every table, so joins find matches.
 type regime struct {
 	name string
 	pool func(v int) []Value
@@ -276,24 +276,9 @@ func TestRegimesLeapfrogAgainstChain(t *testing.T) {
 		order = shuffled(rng, order)
 		for nOut := 0; nOut <= len(order); nOut++ {
 			want := chainJoinProject(tables, order[:nOut])
-			if got := LeapfrogJoin(tables, order, nOut, 0); !got.Equal(want) {
+			if got := leapfrogTables(tables, order, nOut, 0); !got.Equal(want) {
 				t.Fatalf("order %v nOut=%d: leapfrog %d rows, chain %d rows", order, nOut, got.Rows(), want.Rows())
 			}
-		}
-	})
-}
-
-func TestRegimesMergeSemijoinAgainstHash(t *testing.T) {
-	forEachRegime(t, 34, 60, func(t *testing.T, g regime, rng *rand.Rand) {
-		tt := g.table(rng, []int{0, 1, 2}, rng.Intn(80))
-		uvars := [][]int{{0, 1, 3}, {1, 3}, {3, 1}, {4, 2, 3, 0}, {5, 6}, {2, 1, 0}}[rng.Intn(6)]
-		ut := g.table(rng, uvars, rng.Intn(80))
-		out := MergeSemijoin(NewColumnar(tt, shuffled(rng, tt.Vars)), NewColumnar(ut, shuffled(rng, uvars)))
-		if want := tt.Semijoin(ut); !out.Table().Equal(want) {
-			t.Fatalf("t%v ⋉ u%v: columnar %d rows, hash %d rows", tt.Vars, uvars, out.Rows(), want.Rows())
-		}
-		if !strictlySorted(out) {
-			t.Fatalf("semijoin result lost its order")
 		}
 	})
 }

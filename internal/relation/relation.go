@@ -1,7 +1,8 @@
 // Package relation provides the relational substrate for query evaluation:
 // databases of named relations over an interned constant dictionary, and
-// tables over query variables with the operations Yannakakis-style
-// evaluation needs (binding, projection, natural join, semijoin).
+// tables over query variables with the operations evaluation needs
+// (binding, projection, natural join), and the sorted columnar layout the
+// leapfrog join and the answer cursor read as tries.
 //
 // Values are int32 indices into the database dictionary, tuples are stored
 // flat (row-major) for locality, and all operations use set semantics, as in

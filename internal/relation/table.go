@@ -199,35 +199,6 @@ func keyOf(row []Value, cols []int, buf []Value) string {
 	return encode(buf)
 }
 
-// Semijoin returns the rows of t that join with at least one row of u
-// (t ⋉ u). The column set is t's.
-func (t *Table) Semijoin(u *Table) *Table {
-	_, tc, uc := sharedVars(t, u)
-	if len(tc) == 0 {
-		// no shared variables: t ⋉ u is t if u non-empty, else empty
-		if u.Empty() {
-			return NewTable(t.Vars)
-		}
-		out := NewTable(t.Vars)
-		out.data = append(out.data, t.data...)
-		out.rows = t.rows
-		return out
-	}
-	index := make(map[string]bool, u.rows)
-	buf := make([]Value, len(uc))
-	for i := 0; i < u.rows; i++ {
-		index[keyOf(u.Row(i), uc, buf)] = true
-	}
-	out := NewTable(t.Vars)
-	for i := 0; i < t.rows; i++ {
-		row := t.Row(i)
-		if index[keyOf(row, tc, buf)] {
-			out.addRow(row)
-		}
-	}
-	return out
-}
-
 // Join returns the natural join t ⋈ u. The result's columns are t's
 // variables followed by u's variables that are not in t.
 func (t *Table) Join(u *Table) *Table {

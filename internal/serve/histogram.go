@@ -72,35 +72,6 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 	h.mu.Unlock()
 }
 
-// Merge folds every observation recorded in o into h (counts, sum and max;
-// quantiles of the merged histogram are exact at bucket resolution, which
-// is what makes per-worker or per-replica histograms aggregatable). A nil or
-// self merge is a no-op. Safe for concurrent use on both histograms.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	o.mu.Lock()
-	counts, count, sum, max := o.counts, o.count, o.sum, o.max
-	exemplars := o.exemplars
-	o.mu.Unlock()
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	for i, e := range exemplars {
-		if e.traceID != "" && e.unixSec > h.exemplars[i].unixSec {
-			h.exemplars[i] = e
-		}
-	}
-	h.count += count
-	h.sum += sum
-	if max > h.max {
-		h.max = max
-	}
-	h.mu.Unlock()
-}
-
 // HistogramSnapshot is a point-in-time export of a Histogram: the moment
 // statistics plus bucket-estimated latency percentiles, all in microseconds.
 // Percentile estimates interpolate linearly within their log₂ bucket (the

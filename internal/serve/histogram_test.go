@@ -78,40 +78,3 @@ func TestHistogramBucketAssignment(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramMerge proves Merge is exact at bucket resolution: merging
-// two histograms yields the same snapshot as observing every sample into
-// one, and merging into an empty histogram copies the source.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	for i := 0; i < 30; i++ {
-		a.Observe(5 * time.Microsecond)
-		whole.Observe(5 * time.Microsecond)
-	}
-	for i := 0; i < 70; i++ {
-		b.Observe(300 * time.Microsecond)
-		whole.Observe(300 * time.Microsecond)
-	}
-	a.Merge(&b)
-	got, want := a.Snapshot(), whole.Snapshot()
-	if got.Count != want.Count || got.SumMicros != want.SumMicros || got.MaxMicros != want.MaxMicros {
-		t.Fatalf("merged moments %+v != whole %+v", got, want)
-	}
-	if !almost(got.P50Micros, want.P50Micros) || !almost(got.P99Micros, want.P99Micros) {
-		t.Fatalf("merged quantiles %+v != whole %+v", got, want)
-	}
-
-	var empty Histogram
-	empty.Merge(&whole)
-	if s := empty.Snapshot(); s.Count != want.Count || !almost(s.P95Micros, want.P95Micros) {
-		t.Fatalf("merge into empty lost mass: %+v", s)
-	}
-
-	// Self- and nil-merges are inert.
-	before := whole.Snapshot()
-	whole.Merge(&whole)
-	whole.Merge(nil)
-	if after := whole.Snapshot(); after.Count != before.Count {
-		t.Fatalf("self/nil merge changed the histogram: %+v", after)
-	}
-}

@@ -20,7 +20,8 @@ type tnode struct {
 	children    []*tnode
 }
 
-// build encodes the test tree afresh — Reduce rewrites a tree in place.
+// build encodes the test tree afresh — reduceRef rewrites a tree in place.
+// A node over no variables holds the empty row when rows is non-empty.
 func (n *tnode) build() *Node {
 	var data []relation.Value
 	for _, r := range n.rows {
@@ -30,7 +31,14 @@ func (n *tnode) build() *Node {
 	if order == nil {
 		order = n.vars
 	}
-	out := &Node{Enc: relation.NewColumnar(relation.NewTableOf(n.vars, data), order).Distinct()}
+	tab := relation.NewTable(nil)
+	switch {
+	case len(n.vars) > 0:
+		tab = relation.NewTableOf(n.vars, data)
+	case len(n.rows) > 0:
+		tab = relation.TrueTable()
+	}
+	out := &Node{Enc: relation.NewColumnar(tab, order).Distinct()}
 	for _, c := range n.children {
 		out.Children = append(out.Children, c.build())
 	}
@@ -85,14 +93,77 @@ func path(depth, n int, kill, witness bool) *tnode {
 	return root
 }
 
+// semijoinRef is the reference semijoin t ⋉ u: t's rows, in t's order,
+// whose values on the shared variables occur in some row of u — a hash
+// filter over the shared columns. With no shared variable it keeps all of t
+// exactly when u is non-empty.
+func semijoinRef(t, u *relation.Table) *relation.Table {
+	var tc, uc []int
+	for i, v := range t.Vars {
+		if j := slices.Index(u.Vars, v); j >= 0 {
+			tc, uc = append(tc, i), append(uc, j)
+		}
+	}
+	key := func(row []relation.Value, cols []int) string {
+		k := make([]relation.Value, len(cols))
+		for i, c := range cols {
+			k[i] = row[c]
+		}
+		return fmt.Sprint(k)
+	}
+	inU := map[string]bool{}
+	for r := range u.Rows() {
+		inU[key(u.Row(r), uc)] = true
+	}
+	var data []relation.Value
+	kept := 0
+	for r := range t.Rows() {
+		if inU[key(t.Row(r), tc)] {
+			data = append(data, t.Row(r)...)
+			kept++
+		}
+	}
+	switch {
+	case len(t.Vars) > 0:
+		return relation.NewTableOf(t.Vars, data)
+	case kept > 0:
+		return relation.TrueTable() // NewTableOf needs a variable
+	default:
+		return relation.NewTable(nil)
+	}
+}
+
+// reduceRef is Yannakakis' full reducer, the reference the descent and
+// the answer cursor are held to: semijoins up the tree, then down, each
+// node re-encoded in its own column order. The filter keeps the sorted
+// rows' order, so a reduced node is its encoding minus the rows no answer
+// extends.
+func reduceRef(root *Node) {
+	semijoin := func(dst, src *Node) {
+		dst.Enc = relation.NewColumnar(semijoinRef(dst.Enc.Table(), src.Enc.Table()), dst.Enc.Vars)
+	}
+	var up, down func(n *Node)
+	up = func(n *Node) {
+		for _, c := range n.Children {
+			up(c)
+			semijoin(n, c)
+		}
+	}
+	down = func(n *Node) {
+		for _, c := range n.Children {
+			semijoin(c, n)
+			down(c)
+		}
+	}
+	up(root)
+	down(root)
+}
+
 // reduceExists is the reference Exists is held to: the full reducer, then a
 // non-empty root.
-func reduceExists(t *testing.T, n *tnode) bool {
-	t.Helper()
+func reduceExists(n *tnode) bool {
 	root := n.build()
-	if err := Reduce(context.Background(), root); err != nil {
-		t.Fatal(err)
-	}
+	reduceRef(root)
 	return root.Rows() > 0
 }
 
@@ -152,7 +223,7 @@ func TestExistsOnAdversarialShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref := reduceExists(t, tree); got != tc.want || ref != tc.want {
+			if ref := reduceExists(tree); got != tc.want || ref != tc.want {
 				t.Fatalf("%s: Exists = %v, reduced = %v, want %v", name, got, ref, tc.want)
 			}
 			a, err := NewAnswers(context.Background(), tree.build(), nil)

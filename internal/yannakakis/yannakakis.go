@@ -1,27 +1,26 @@
 // Package yannakakis implements Yannakakis' evaluation algorithm for acyclic
 // queries on join trees (VLDB 1981), as used throughout Section 4.2 of the
 // paper: the Boolean variant as a first-witness descent over the node
-// tables (exists.go), the full reducer (upward + downward passes), and
-// output-polynomial enumeration of non-Boolean answers as a cursor that
-// counts instead of reducing (enumerate.go). The trees it works on are
-// built by hdeval.Evaluator — a join tree being the width-1 case — and
-// carry columnar node tables.
+// tables (exists.go), and output-polynomial enumeration of non-Boolean
+// answers as a cursor that counts instead of reducing (enumerate.go). The
+// full reducer (upward + downward semijoin passes) runs on no request
+// path; it is the test reference both are held to (reduceRef in this
+// package's exists_test.go). The trees it works on are built by
+// hdeval.Evaluator — a join tree being the width-1 case — and carry
+// columnar node tables.
 package yannakakis
 
 import (
-	"context"
 	"slices"
 
 	"hypertree/internal/cq"
-	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 )
 
 // Node is a join-tree node carrying the materialised table of its atom (or,
 // for hypertree evaluation, of its λ-join projected to χ) in columnar form,
-// rows sorted: the reducer's semijoins run as merges over the sorted
-// columns (see relation.MergeSemijoin), and the Boolean descent and the
-// answer cursor read them as tries.
+// rows sorted: the Boolean descent and the answer cursor read them as
+// tries.
 type Node struct {
 	Enc      *relation.Columnar
 	Children []*Node
@@ -110,74 +109,4 @@ func GroundAtomsHold(db *relation.Database, q *cq.Query) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// pass is one direction of the sequential reducer and its span.
-type pass struct {
-	ctx context.Context
-	sp  *obs.Span
-}
-
-// semijoin replaces dst's rows with dst ⋉ src as a merge over sorted
-// columns, whatever the two column orders.
-func semijoin(dst, src *Node, sp *obs.Span) {
-	dst.Enc = relation.MergeSemijoin(dst.Enc, src.Enc)
-	sp.AddSteps(1)
-}
-
-func (p *pass) up(n *Node) error {
-	if err := p.ctx.Err(); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := p.up(c); err != nil {
-			return err
-		}
-		semijoin(n, c, p.sp)
-	}
-	return nil
-}
-
-func (p *pass) down(n *Node) error {
-	if err := p.ctx.Err(); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		semijoin(c, n, p.sp)
-		if err := p.down(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// endPass publishes a reducer pass span, Rows carrying the root cardinality.
-func endPass(sp *obs.Span, root *Node) {
-	sp.SetRows(root.Rows())
-	sp.End()
-}
-
-// Reduce runs the full reducer in place: an upward semijoin pass followed by
-// a downward pass. Afterwards every table is globally consistent: each
-// remaining row participates in at least one answer. Neither the answer
-// cursor (NewAnswers) nor the Boolean descent (Exists) needs a pass — their
-// counts and memos say which rows a reduction would keep — so no execution
-// runs Reduce: it is the reference both are held to. Cancellation is polled
-// between semijoins: on error the tree is left partially reduced (still a
-// superset of the consistent state). Under a traced context the passes
-// record as SpanSemijoinUp and SpanSemijoinDown, each counting its
-// semijoins, Rows carrying the root (resp. fully reduced root) cardinality.
-func Reduce(ctx context.Context, root *Node) error {
-	tr := obs.FromContext(ctx)
-	up := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinUp)}
-	if err := up.up(root); err != nil {
-		return err
-	}
-	endPass(up.sp, root)
-	down := pass{ctx: ctx, sp: tr.StartSpan(obs.SpanSemijoinDown)}
-	if err := down.down(root); err != nil {
-		return err
-	}
-	endPass(down.sp, root)
-	return nil
 }

@@ -62,7 +62,7 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // width alone, the evaluator orders every node's children by ascending
 // estimated cardinality, and Plan.Explain reports the per-node estimates.
 // Statistics never change answers — only which same-width plan wins and in
-// which order it reduces; the equivalence is property-tested across every
+// which order it visits children; the equivalence is property-tested across every
 // engine. The snapshot is taken at compile time: a plan stays correct when
 // the database drifts, but recompile (plans compiled under different
 // statistics are cached separately, keyed by the snapshot's fingerprint) to
