@@ -2,10 +2,13 @@ package hypertree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"hypertree/internal/cq"
 	"hypertree/internal/gen"
@@ -345,5 +348,31 @@ func TestGroupedFoldMatchesNaive(t *testing.T) {
 		if seen[want] == 0 {
 			t.Errorf("no case folded with a %s (seen: %v)", want, seen)
 		}
+	}
+}
+
+// A 5-leaf star of degree 300 has 300⁵ ≈ 2.4e12 answers. Execute must not
+// size its answer buffer by Count — Count × width values is an allocation
+// no machine meets, and the runtime dies on it rather than fail — but list
+// into a bounded buffer until the walk's next poll sees the deadline.
+func TestExecuteWideStarStopsAtDeadline(t *testing.T) {
+	const leaves, degree = 5, 300
+	db := NewDatabase()
+	var atoms, head []string
+	for i := 1; i <= leaves; i++ {
+		for j := range degree {
+			db.AddFact(fmt.Sprint("r", i), "c", fmt.Sprint("x", j))
+		}
+		atoms = append(atoms, fmt.Sprintf("r%d(C, X%d)", i, i))
+		head = append(head, fmt.Sprint("X", i))
+	}
+	plan, err := Compile(MustParseQuery(fmt.Sprintf("ans(C, %s) :- %s.", strings.Join(head, ", "), strings.Join(atoms, ", "))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := plan.Execute(ctx, db); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Execute = %v, want context.DeadlineExceeded", err)
 	}
 }

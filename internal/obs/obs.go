@@ -78,7 +78,7 @@ const (
 	// (yannakakis.Exists): Steps counts the child runs looked up, Rows is
 	// 1 when the query holds and 0 otherwise. On a listing execution it is
 	// the answer cursor's count pass — the up pass computed with counts —
-	// where Steps counts the child lookups summed over the tree's edges.
+	// where Steps counts the child runs looked up, summed over the edges.
 	// No execution runs a down pass: the walk skips the rows one would
 	// delete.
 	SpanSemijoinUp = "exec/semijoin/up"

@@ -22,7 +22,7 @@ import (
 // A Columnar is a relation over variables stored column by column: columns
 // arranged in the caller's variable order, rows sorted lexicographically by
 // Value. Construction costs one sort; afterwards the layout supports trie
-// iteration (NewTrieIter) and run lookups (PrefixRun) without touching
+// iteration (NewTrieIter) and run lookups (Probe) without touching
 // row-major data again.
 type Columnar struct {
 	// Vars is the column order.
@@ -314,31 +314,81 @@ func (c *Columnar) selectRanges(ranges []int, kept int) *Columnar {
 	return out
 }
 
-// PrefixRun returns the row range [lo, hi) whose leading len(key) columns
-// hold exactly key, as a trie descent: the top level is one read of the
-// run offsets where the leading column has them, every other level a
-// galloped narrowing; the range is empty when no row matches. Enumeration
-// finds each parent row's matching child rows with it.
-func (c *Columnar) PrefixRun(key []Value) (lo, hi int) {
-	hi = c.rows
-	for j, v := range key {
-		if j == 0 && c.firstRuns() != nil {
-			runs := c.runs0
-			k := int64(v) - int64(c.min0)
-			if k < 0 || k >= int64(len(runs)-1) {
-				return 0, 0
-			}
-			lo, hi = int(runs[k]), int(runs[k+1])
-		} else {
-			lo = gallopCodes(c.cols[j], lo, hi, v)
-			hi = gallopPast(c.cols[j], lo, hi, v)
+// A Probe finds, row by row of a parent encoding, the run of c's rows whose
+// leading columns hold the row's key. The key column slices and c's leading
+// run offsets are fetched once, so a one-column dense key is two offset
+// reads; a sparse leading column and later key columns gallop. A row with
+// the last looked-up key reuses its run. One goroutine per Probe.
+type Probe struct {
+	keys, cols [][]Value // the parent's key columns, c's leading ones
+	runs       []int32   // c.firstRuns() when the key has a column
+	min0       Value
+	rows       int
+	last       int // the parent row of the last lookup, -1 before any
+	lo, hi     int
+}
+
+// Probe returns the probe of c's runs under a parent encoded as p whose
+// column pcol[j] holds c's column j; with no key column p may be nil.
+func (c *Columnar) Probe(p *Columnar, pcol []int) Probe {
+	pr := Probe{keys: make([][]Value, len(pcol)), cols: c.cols[:len(pcol)], rows: c.rows, last: -1}
+	for j, pc := range pcol {
+		pr.keys[j] = p.cols[pc]
+	}
+	if len(pcol) > 0 {
+		pr.runs = c.firstRuns()
+		pr.min0 = c.min0
+	}
+	return pr
+}
+
+// At positions the probe on parent row r and reports whether that took a
+// lookup (false: r's key is the last lookup's, whose run stands).
+func (p *Probe) At(r int) bool {
+	if len(p.keys) != 1 || p.runs == nil {
+		return p.at(r)
+	}
+	k0 := p.keys[0]
+	if p.last >= 0 && k0[r] == k0[p.last] {
+		return false
+	}
+	p.last, p.lo, p.hi = r, 0, 0
+	if k := uint64(int64(k0[r]) - int64(p.min0)); k < uint64(len(p.runs)-1) {
+		p.lo, p.hi = int(p.runs[k]), int(p.runs[k+1])
+	}
+	return true
+}
+
+// at is At for every key but a one-column dense one.
+func (p *Probe) at(r int) bool {
+	if p.last >= 0 {
+		same := true
+		for _, k := range p.keys {
+			same = same && k[r] == k[p.last]
 		}
-		if lo == hi {
-			return 0, 0
+		if same {
+			return false
 		}
 	}
-	return lo, hi
+	p.last = r
+	lo, hi, j := 0, p.rows, 0
+	if p.runs != nil {
+		lo, hi, j = 0, 0, 1
+		if k := uint64(int64(p.keys[0][r]) - int64(p.min0)); k < uint64(len(p.runs)-1) {
+			lo, hi = int(p.runs[k]), int(p.runs[k+1])
+		}
+	}
+	for ; j < len(p.keys) && lo < hi; j++ {
+		v := p.keys[j][r]
+		lo = gallopCodes(p.cols[j], lo, hi, v)
+		hi = gallopPast(p.cols[j], lo, hi, v)
+	}
+	p.lo, p.hi = lo, hi
+	return true
 }
+
+// Run returns the run [lo, hi) of the last At; lo == hi when it is empty.
+func (p *Probe) Run() (lo, hi int) { return p.lo, p.hi }
 
 // firstRuns returns the run offsets of the leading column indexed by
 // value − min0 — entry k is the first row whose leading value is ≥ min0+k,
@@ -490,7 +540,7 @@ func gallopPast(col []Value, from, hi int, v Value) int {
 // binary search over the bracket. The search keeps `base` at the last row
 // known < target and halves the span length; the body's single comparison
 // compiles to a conditional move, so seeks over incompressible runs pay no
-// branch mispredictions. TrieIter's leapfrog seeks and PrefixRun's run
+// branch mispredictions. TrieIter's leapfrog seeks and Probe's run
 // bounds use it.
 func gallopCodes(col []Value, from, hi int, target Value) int {
 	if from >= hi || col[from] >= target {

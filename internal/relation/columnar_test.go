@@ -382,6 +382,32 @@ func TestLeapfrogOutputIsSortedColumnar(t *testing.T) {
 	}
 }
 
+// PrefixRun returns the row range [lo, hi) whose leading len(key) columns
+// hold exactly key, as a trie descent: the top level is one read of the
+// run offsets where the leading column has them, every other level a
+// galloped narrowing; the range is empty when no row matches. It is the
+// reference a Probe, the same descent keyed by a parent row, is held to.
+func (c *Columnar) PrefixRun(key []Value) (lo, hi int) {
+	hi = c.rows
+	for j, v := range key {
+		if j == 0 && c.firstRuns() != nil {
+			runs := c.runs0
+			k := int64(v) - int64(c.min0)
+			if k < 0 || k >= int64(len(runs)-1) {
+				return 0, 0
+			}
+			lo, hi = int(runs[k]), int(runs[k+1])
+		} else {
+			lo = gallopCodes(c.cols[j], lo, hi, v)
+			hi = gallopPast(c.cols[j], lo, hi, v)
+		}
+		if lo == hi {
+			return 0, 0
+		}
+	}
+	return lo, hi
+}
+
 // PrefixRun must bracket exactly the rows carrying the key prefix, and the
 // distinct projection onto a column prefix must agree with the hash one.
 func TestPrefixRunAndPrefix(t *testing.T) {

@@ -324,6 +324,55 @@ func TestRegimesPrefixRunAndProjection(t *testing.T) {
 	})
 }
 
+// A Probe is PrefixRun keyed by a parent row: for every key width, parent
+// rows drawn from the probe values (absent, below and above the column's
+// range included) and visited in random order, At must report a lookup
+// exactly when the key differs from the last one looked up, and Run must
+// bracket PrefixRun's rows.
+func TestRegimesProbeAgainstPrefixRun(t *testing.T) {
+	forEachRegime(t, 37, 20, func(t *testing.T, g regime, rng *rand.Rand) {
+		c := NewColumnar(g.table(rng, []int{0, 1, 2}, rng.Intn(60)), shuffled(rng, []int{0, 1, 2}))
+		for k := 0; k <= 3; k++ {
+			pvars := append(slices.Clone(c.Vars[:k]), 9)
+			pt := NewTable(pvars)
+			row := make([]Value, len(pvars))
+			for range 30 {
+				for j, v := range pvars {
+					row[j] = Value(rng.Intn(3))
+					if v != 9 {
+						probes := g.probes(v)
+						row[j] = probes[rng.Intn(len(probes))]
+					}
+				}
+				pt.addRow(row)
+			}
+			pt.dedup()
+			p := NewColumnar(pt, shuffled(rng, pvars))
+			pcol := make([]int, k)
+			for j := range pcol {
+				pcol[j] = slices.Index(p.Vars, c.Vars[j])
+			}
+			pr := c.Probe(p, pcol)
+			var last []Value
+			for _, r := range rng.Perm(p.Rows()) {
+				key := make([]Value, k)
+				for j, pc := range pcol {
+					key[j] = p.Value(pc, r)
+				}
+				if fresh := pr.At(r); fresh != (last == nil || !slices.Equal(key, last)) {
+					t.Fatalf("key width %d: At(%d) = %v after key %v, key %v", k, r, fresh, last, key)
+				}
+				last = key
+				lo, hi := pr.Run()
+				wlo, whi := c.PrefixRun(key)
+				if hi-lo != whi-wlo || (lo < hi && lo != wlo) {
+					t.Fatalf("key width %d, key %v: probe run [%d,%d), PrefixRun [%d,%d)", k, key, lo, hi, wlo, whi)
+				}
+			}
+		}
+	})
+}
+
 func TestRegimesBindColumnarAgainstBind(t *testing.T) {
 	forEachRegime(t, 36, 40, func(t *testing.T, g regime, rng *rand.Rand) {
 		// A 4-ary relation whose columns draw from variables 0..3's pools.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"hypertree/internal/obs"
@@ -16,27 +17,27 @@ import (
 // key selects — the up pass computed with counts, so a row counts 0 exactly
 // when a semijoin would have deleted it. The walk then reads the node tables
 // as tries, top-down (each encoding leads with the key shared with the
-// parent, so a parent row's child rows are one relation.Columnar.PrefixRun)
-// and skips zero-count rows, which is all the down pass bought it: every
-// partial binding extends to an answer, so the first k answers cost O(k ·
-// depth) after the count pass. A walk that binds only head variables emits
-// distinct rows. Where a node below the root holds a variable the head
-// drops, its subtree is folded — walked on its own, projected onto its key
-// and head variables and deduplicated run by run of the key, so the result
-// is again a sorted table — so counts stay distinct and every intermediate
-// within |node table| × |answers|. A root holding one is folded the same
-// way, run by run of its leading head columns, which a root scan puts first:
-// counted run by run, then walked again as the cursor advances, so k rows
-// cost the runs that hold them, not a materialised table. A Boolean head
-// needs no count: Exists (exists.go) decides it by first witness. Counts
-// saturate at math.MaxInt64.
+// parent, so a parent row's child rows are one run, which a relation.Probe
+// built once per edge finds) and skips zero-count rows, which is all the
+// down pass bought it: every partial binding extends to an answer, so the
+// first k answers cost O(k · depth) after the count pass. A walk that binds
+// only head variables emits distinct rows. Where a node below the root holds
+// a variable the head drops, its subtree is folded — walked on its own,
+// projected onto its key and head variables and deduplicated run by run of
+// the key, so the result is again a sorted table — so counts stay distinct
+// and every intermediate within |node table| × |answers|. A root holding one
+// is folded the same way, run by run of its leading head columns, which a
+// root scan puts first: counted run by run, then walked again as the cursor
+// advances, so k rows cost the runs that hold them, not a materialised
+// table. A Boolean head needs no count: Exists (exists.go) decides it by
+// first witness. Counts saturate at math.MaxInt64.
 
 // Answers is one execution's answers over the head variables, as a cursor:
 // Count is known on return, Next walks one answer at a time, Materialize
 // drains the rest. Rows come in the tree's preorder nested-loop order; after
 // a root fold, run by run of the root's leading head columns in the root's
 // order, sorted in head order within a run. Under a traced context the count
-// pass records as SpanSemijoinUp (Steps the child lookups per row, summed
+// pass records as SpanSemijoinUp (Steps the child runs looked up, summed
 // over the tree's edges) and the walk as SpanEnumerate, open until the
 // cursor closes (Steps the subtrees folded below the root, Rows the Count).
 // A cursor is for one goroutine.
@@ -165,8 +166,8 @@ func (a *Answers) Materialize() (*relation.Table, error) {
 		return relation.NewTable(nil), a.err
 	}
 	var data []relation.Value
-	if w := len(a.vars); a.tab == nil && a.count < math.MaxInt64/w {
-		data = make([]relation.Value, 0, a.count*w)
+	if w := len(a.vars); a.tab == nil { // sized for Count up to 4 MiB, grown past it
+		data = make([]relation.Value, 0, min(a.count, 1<<20/w)*w)
 	}
 	for {
 		row, ok := a.Next()
@@ -271,7 +272,7 @@ func addSat(a, b int64) int64 {
 }
 
 func mulSat(a, b int64) int64 {
-	if a != 0 && b > math.MaxInt64/a {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi != 0 || lo > math.MaxInt64 {
 		return math.MaxInt64
 	}
 	return a * b
@@ -300,10 +301,10 @@ func (e *enumerator) poll() bool {
 
 // keyed returns n's encoding re-keyed under a parent encoded as p (nil at
 // the root) — led by the key, the variables shared with the parent, so a
-// parent row's rows of n are one PrefixRun — and the parent column of each
-// key column. The encoding is n's own when the key is already its prefix;
-// otherwise it is re-sorted, onto the key alone when keyOnly (a node read
-// only for whether a run is empty).
+// parent row's rows of n are one run (a relation.Probe lookup) — and the
+// parent column of each key column. The encoding is n's own when the key is
+// already its prefix; otherwise it is re-sorted, onto the key alone when
+// keyOnly (a node read only for whether a run is empty).
 func keyed(n *Node, p *relation.Columnar, keyOnly bool) (c *relation.Columnar, pcol []int) {
 	var key, rest []int
 	for _, v := range n.Vars() {
@@ -372,46 +373,38 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 // count fills n's counts from its children's: cnt(r) is the product over
 // the children of the counts in the run r's key selects, that of a child
 // supplying no head variable clamped to 1 (only its existence matters).
-// Consecutive rows with the same key reuse the child's last lookup.
+// One probe per child finds the runs; a row with the last looked-up row's
+// key reuses that child's factor.
 func (e *enumerator) count(n *enode) {
-	rows := n.c.Rows()
 	if len(n.children) == 0 {
 		return
 	}
-	type lookup struct {
-		key  []relation.Value
-		f    int64
-		seen bool
-	}
-	ls := make([]lookup, len(n.children))
+	probes, fs := make([]relation.Probe, len(n.children)), make([]int64, len(n.children))
 	for i, ch := range n.children {
-		ls[i].key = make([]relation.Value, len(ch.pcol))
+		probes[i] = ch.c.Probe(n.c, ch.pcol)
 	}
-	n.ps = make([]int64, rows+1)
+	rows, lookups, ps := n.c.Rows(), 0, make([]int64, n.c.Rows()+1)
+	n.ps = ps
 	for r := 0; r < rows && e.poll(); r++ {
 		cnt := int64(1)
 		for i, ch := range n.children {
-			l := &ls[i]
-			same := l.seen
-			for j, pc := range ch.pcol {
-				v := n.c.Value(pc, r)
-				same = same && l.key[j] == v
-				l.key[j] = v
-			}
-			if !same {
-				lo, hi := ch.c.PrefixRun(l.key)
-				l.f, l.seen = ch.runSum(lo, hi), true
-				if len(ch.out) == 0 {
-					l.f = min(l.f, 1)
+			if probes[i].At(r) {
+				lookups++
+				if fs[i] = ch.runSum(probes[i].Run()); len(ch.out) == 0 {
+					fs[i] = min(fs[i], 1)
 				}
 			}
-			if cnt = mulSat(cnt, l.f); cnt == 0 {
+			if cnt = mulSat(cnt, fs[i]); cnt == 0 {
 				break
 			}
 		}
-		n.setCount(r, cnt)
+		if s := ps[r] + cnt; uint64(s) < math.MaxInt64 {
+			ps[r+1] = s // below saturation setCount is this add
+		} else {
+			n.setCount(r, cnt)
+		}
 	}
-	e.up.AddSteps(int64(len(n.children)))
+	e.up.AddSteps(int64(lookups))
 }
 
 // runFold walks the subtree under n projected onto out one run at a time —
@@ -424,15 +417,19 @@ type runFold struct {
 	e         *enumerator
 	w         *walker
 	c         *relation.Columnar
-	key       []relation.Value
-	vary      []int // the positions of out a run does not fix
-	lo        int   // the first row of the next run
+	runs      relation.Probe // c's runs under its own rows
+	vary      []int          // the positions of out a run does not fix
+	lo        int            // the first row of the next run
 	buf, rows []relation.Value
 	pos       int // the next row of rows
 }
 
 func newRunFold(e *enumerator, n *enode, k int, out []int) *runFold {
-	f := &runFold{e: e, w: newWalker(e, n, out), c: n.c, key: make([]relation.Value, k)}
+	lead := make([]int, k)
+	for j := range lead {
+		lead[j] = j
+	}
+	f := &runFold{e: e, w: newWalker(e, n, out), c: n.c, runs: n.c.Probe(n.c, lead)}
 	for pos, v := range out {
 		if j := indexOf(n.c, v); j < 0 || j >= k {
 			f.vary = append(f.vary, pos)
@@ -446,10 +443,8 @@ func newRunFold(e *enumerator, n *enode, k int, out []int) *runFold {
 // the context is cancelled.
 func (f *runFold) run() []relation.Value {
 	for f.lo < f.c.Rows() {
-		for j := range f.key {
-			f.key[j] = f.c.Value(j, f.lo)
-		}
-		_, hi := f.c.PrefixRun(f.key)
+		f.runs.At(f.lo)
+		_, hi := f.runs.Run()
 		f.w.reset(f.lo, hi)
 		f.lo = hi
 		f.buf = f.buf[:0]
@@ -535,11 +530,10 @@ func indexOf(c *relation.Columnar, v int) int {
 // the output columns it fills, and the cursor state.
 type wnode struct {
 	*enode
-	parent int      // preorder index of the parent, -1 at the root
-	emit   [][2]int // (column here, column of the output row)
-	key    []relation.Value
-	cur    int // current row
-	at     int // the parent row [lo, hi) was looked up for, -1 before any
+	parent int            // preorder index of the parent, -1 at the root
+	emit   [][2]int       // (column here, column of the output row)
+	probe  relation.Probe // its runs under the parent's rows
+	cur    int            // current row
 	lo, hi int
 }
 
@@ -563,7 +557,10 @@ func newWalker(e *enumerator, root *enode, out []int) *walker {
 	filled := make([]bool, len(out))
 	var lay func(n *enode, parent int)
 	lay = func(n *enode, parent int) {
-		wn := wnode{enode: n, parent: parent, key: make([]relation.Value, len(n.pcol)), at: -1}
+		wn := wnode{enode: n, parent: parent}
+		if parent >= 0 { // a folded subtree's root has a key but no parent
+			wn.probe = n.c.Probe(w.nodes[parent].c, n.pcol)
+		}
 		for pos, v := range out {
 			if j := indexOf(n.c, v); j >= 0 && !filled[pos] {
 				filled[pos] = true
@@ -618,12 +615,9 @@ func (w *walker) open(j int) bool {
 	n := &w.nodes[j]
 	if n.parent < 0 {
 		n.lo, n.hi = w.lo, w.hi
-	} else if p := &w.nodes[n.parent]; n.at != p.cur {
-		for k, pc := range n.pcol {
-			n.key[k] = p.c.Value(pc, p.cur)
-		}
-		n.lo, n.hi = n.c.PrefixRun(n.key)
-		n.at = p.cur
+	} else {
+		n.probe.At(w.nodes[n.parent].cur)
+		n.lo, n.hi = n.probe.Run()
 	}
 	n.cur = n.lo - 1
 	return w.step(j)

@@ -12,7 +12,7 @@ import (
 // Yannakakis question asked first-witness-first. A row is live when, for
 // every child, the run of child rows its key selects (each encoding re-keyed
 // to lead with the variables shared with its parent, as for the answer
-// cursor, so the run is one relation.Columnar.PrefixRun) holds a live row;
+// cursor, so the run is one lookup of a relation.Probe) holds a live row;
 // the query is true iff some root row is live, and the descent stops at the
 // first. A memo of whether a run is live, indexed by the run's first row,
 // decides every run at most once; the runs of a node partition its rows, so
@@ -51,14 +51,9 @@ func Exists(ctx context.Context, root *Node) (bool, error) {
 // dead), allocated only below the root on a node with children — a leaf's
 // every row is live.
 type xnode struct {
-	c        *relation.Columnar
-	pcol     []int // the parent column of each key column
 	children []*xnode
 	run      []int8
-	// the last run looked up — consecutive parent rows with one key reuse it
-	key    []relation.Value
-	seen   bool
-	lo, hi int
+	probe    relation.Probe // its current run under the parent's rows
 }
 
 // exister is the state of one descent.
@@ -73,7 +68,7 @@ type exister struct {
 // root); a leaf only needs its key columns.
 func (x *exister) keyTree(n *Node, p *relation.Columnar) *xnode {
 	c, pcol := keyed(n, p, len(n.Children) == 0)
-	xn := &xnode{c: c, pcol: pcol, key: make([]relation.Value, len(pcol))}
+	xn := &xnode{probe: c.Probe(p, pcol)}
 	if len(n.Children) > 0 && p != nil {
 		xn.run = make([]int8, c.Rows())
 	}
@@ -90,33 +85,19 @@ func (x *exister) live(n *xnode, r int) bool {
 		x.err = x.ctx.Err()
 	}
 	for _, ch := range n.children {
-		if !x.runLive(x.lookup(n, ch, r)) {
+		if ch.probe.At(r) {
+			x.lookups++
+		}
+		if !x.runLive(ch) {
 			return false
 		}
 	}
 	return x.err == nil
 }
 
-// lookup sets ch's current run [ch.lo, ch.hi) to the rows of ch that row r
-// of its parent n selects, and returns ch.
-func (x *exister) lookup(n, ch *xnode, r int) *xnode {
-	same := ch.seen
-	for j, pc := range ch.pcol {
-		v := n.c.Value(pc, r)
-		same = same && ch.key[j] == v
-		ch.key[j] = v
-	}
-	if !same {
-		ch.lo, ch.hi = ch.c.PrefixRun(ch.key)
-		ch.seen = true
-		x.lookups++
-	}
-	return ch
-}
-
-// runLive reports whether n's current run [n.lo, n.hi) holds a live row.
+// runLive reports whether n's current run holds a live row.
 func (x *exister) runLive(n *xnode) bool {
-	lo, hi := n.lo, n.hi
+	lo, hi := n.probe.Run()
 	if lo == hi || len(n.children) == 0 {
 		return lo < hi
 	}
