@@ -109,8 +109,9 @@ func enumShapeDB(domain int) *Database { return regularDB(domain, "r1", "r2", "r
 const enumShapeQuery = `ans(X1, X2, X3, X4) :- r1(X1, X2), r2(X2, X3), r3(X3, X4).`
 
 // The allocation guard of the columnar acyclic path: a warm Execute works on
-// cached encodings, the count pass's prefix sums and one answer buffer, so
-// its allocation count must not grow with the relations — under 1 000 at
+// cached encodings, the descent's liveness flags and run memos and one
+// answer buffer, so its allocation count must not grow with the relations
+// — under 1 000 at
 // the exec_enum scale (3 × 15 000 rows; the row-major path made ≈ 500 000,
 // one string key per row and operator), and no more at that scale than at a
 // tenth of it beyond a few doublings of a growing buffer.
@@ -150,9 +151,10 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 
 // The allocation pin of the answer cursor, which is what hdserve runs: a
 // warm Count plus the 10 rows a reply renders allocates the same number of
-// objects at 3 × 1 500 rows as at 3 × 15 000 — the count pass keeps one
-// prefix-sum array per interior node and the walk nothing per row — and
-// fewer bytes than the answer table Execute would build.
+// objects at 3 × 1 500 rows as at 3 × 15 000 — the descent keeps a
+// liveness array per interior node and a run memo per interior node below
+// the root, the walk nothing per row — and fewer bytes than the answer
+// table Execute would build.
 func TestAcyclicWarmCountAllocs(t *testing.T) {
 	ctx := context.Background()
 	measure := func(domain int) (allocs, bytes float64, tableBytes int) {

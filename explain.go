@@ -53,7 +53,7 @@ func (p *Plan) Explain() string {
 		return b.String()
 	case p.dec == nil:
 		b.WriteString("\n  no decomposition search: the join tree is a width-1 hypertree decomposition (Theorem 4.5),\n" +
-			"  one cached columnar scan per atom under Yannakakis' count pass and enumeration\n")
+			"  one cached columnar scan per atom under Yannakakis' counting descent and enumeration\n")
 	case p.stats == nil:
 		b.WriteString("\n  ranking: width-only (no statistics; compile with WithStats/WithCostModel for cost-based plans)\n")
 	default:

@@ -97,7 +97,7 @@ func (e *Evaluator) label(chi, lambda bitset.Set) string {
 //
 // model, when non-nil, is the compilation's cost model: every physical node
 // is priced at the decomp.NodeCost of the table it builds, and every node's
-// children are ordered by ascending estimate, so the bottom-up count pass
+// children are ordered by ascending estimate, so the top-down count
 // tries each row against its most selective child first and stops at the
 // first that has no match. The ordering is answer-neutral — the children's
 // counts multiply — so an Evaluator with statistics returns exactly the
@@ -272,8 +272,9 @@ func (b *rootBuilder) buildPar(i int) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// Boolean decides the query against db by the first-witness descent over the
-// node tables (yannakakis.Exists). workers > 1 materialises the node tables
+// Boolean decides the query against db by the counting descent over the node
+// tables with an empty head, which stops at the first witness
+// (yannakakis.Exists). workers > 1 materialises the node tables
 // on that many goroutines.
 func (e *Evaluator) Boolean(ctx context.Context, db *relation.Database, workers int) (bool, error) {
 	root, err := e.RootWorkers(ctx, db, workers)
@@ -284,8 +285,8 @@ func (e *Evaluator) Boolean(ctx context.Context, db *relation.Database, workers 
 }
 
 // Answers evaluates the query against db as a cursor over the answers
-// (Theorem 4.8): node tables, one count pass, then a walk that costs per
-// row returned. workers > 1 materialises the node tables on that many
+// (Theorem 4.8): node tables, one top-down count, then a walk that costs
+// per row returned. workers > 1 materialises the node tables on that many
 // goroutines.
 func (e *Evaluator) Answers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Answers, error) {
 	root, err := e.RootWorkers(ctx, db, workers)

@@ -26,8 +26,8 @@ import (
 //
 // Lemma 4.6 materialises π_χ(p)(⋈ λ(p)), but a table need only hold
 // keep(p) = χ(p) ∩ (head ∪ χ(parent) ∪ ⋃ χ(children)), over the completed
-// tree: the semijoin and count passes join p with a neighbour q on
-// χ(p) ∩ χ(q) and the walk emits head variables, and by the connectedness
+// tree: the counting descent joins p with a neighbour q on χ(p) ∩ χ(q)
+// and the walk emits head variables, and by the connectedness
 // condition (Definition 4.1) a χ(p) variable in no neighbour's χ occurs in
 // no other node, so projecting it away commutes with the tree's join. A scan
 // orders keep(p) first (a root scan its head variables before the rest) and

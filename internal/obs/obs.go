@@ -73,17 +73,17 @@ const (
 	// Steps counts binary joins, Rows the materialised χ-table cardinality,
 	// EstRows the planner's estimate for the same table.
 	SpanNode = "exec/node"
-	// SpanSemijoinUp covers the pass that decides which rows extend to an
-	// answer. On a Boolean execution it is the first-witness descent
-	// (yannakakis.Exists): Steps counts the child runs looked up, Rows is
-	// 1 when the query holds and 0 otherwise. On a listing execution it is
-	// the answer cursor's count pass — the up pass computed with counts —
-	// where Steps counts the child runs looked up, summed over the edges.
-	// No execution runs a down pass: the walk skips the rows one would
-	// delete.
+	// SpanSemijoinUp covers the top-down descent that decides which rows
+	// extend to an answer — the up pass computed with counts, entering only
+	// the child runs a root row reaches. Steps counts the child runs looked
+	// up, summed over the edges. On a Boolean execution the descent stops
+	// at the first witness (yannakakis.Exists) and Rows is 1 when the query
+	// holds and 0 otherwise; on a listing execution it is the answer
+	// cursor's count. No execution runs a down pass: the walk skips the
+	// rows one would delete.
 	SpanSemijoinUp = "exec/semijoin/up"
 	// SpanEnumerate covers the answer cursor's top-down trie walk, from
-	// the count pass until the cursor closes; Steps counts the subtrees
+	// the count until the cursor closes; Steps counts the subtrees
 	// folded because the head drops one of their variables, Rows is the
 	// answer count (Count), however many rows the caller walked.
 	SpanEnumerate = "exec/enumerate"

@@ -12,33 +12,39 @@ import (
 )
 
 // This file is the enumeration phase (Theorem 4.8) as a cursor, with no
-// semijoin. One bottom-up count pass gives every node prefix sums over its
-// rows' counts, cnt(r) = Π over the children of the counts in the run r's
-// key selects — the up pass computed with counts, so a row counts 0 exactly
-// when a semijoin would have deleted it. The walk then reads the node tables
-// as tries, top-down (each encoding leads with the key shared with the
-// parent, so a parent row's child rows are one run, which a relation.Probe
-// built once per edge finds) and skips zero-count rows, which is all the
-// down pass bought it: every partial binding extends to an answer, so the
-// first k answers cost O(k · depth) after the count pass. A walk that binds
-// only head variables emits distinct rows. Where a node below the root holds
-// a variable the head drops, its subtree is folded — walked on its own,
-// projected onto its key and head variables and deduplicated run by run of
-// the key, so the result is again a sorted table — so counts stay distinct
-// and every intermediate within |node table| × |answers|. A root holding one
-// is folded the same way, run by run of its leading head columns, which a
-// root scan puts first: counted run by run, then walked again as the cursor
+// semijoin, and the Boolean query as its special case. One top-down descent,
+// rows, counts: a row's count is the product over its children of the count
+// of the run its key selects (each encoding leads with the key shared with
+// the parent, so a parent row's child rows are one run, which a
+// relation.Probe built once per edge finds) — the up pass computed with
+// counts, so a row counts 0 exactly when a semijoin would have deleted it.
+// A run is counted on its first visit and memoised by its first row, so the
+// descent counts only the runs an answer could reach, each once: the local
+// consistency the full reducer establishes, established where it is read.
+// A subtree that supplies no head variable only filters its parent, so its
+// runs are decided at their first live row; with an empty head that is
+// every node, and the descent is Exists's first-witness search. The walk
+// then reads the node tables as tries, top-down, and skips the rows the
+// descent found dead, which is all the down pass bought it: every partial
+// binding extends to an answer, so the first k answers cost O(k · depth)
+// after the count. A walk that binds only head variables emits distinct
+// rows. Where a node below the root holds a variable the head drops, its
+// subtree is folded — counted whole, walked on its own, projected onto its
+// key and head variables and deduplicated run by run of the key, so the
+// result is again a sorted table — so counts stay distinct and every
+// intermediate within |node table| × |answers|. A root holding one is
+// folded the same way, run by run of its leading head columns, which a root
+// scan puts first: counted run by run, then walked again as the cursor
 // advances, so k rows cost the runs that hold them, not a materialised
-// table. A Boolean head needs no count: Exists (exists.go) decides it by
-// first witness. Counts saturate at math.MaxInt64.
+// table. Counts saturate at math.MaxInt64.
 
 // Answers is one execution's answers over the head variables, as a cursor:
 // Count is known on return, Next walks one answer at a time, Materialize
 // drains the rest. Rows come in the tree's preorder nested-loop order; after
 // a root fold, run by run of the root's leading head columns in the root's
-// order, sorted in head order within a run. Under a traced context the count
-// pass records as SpanSemijoinUp (Steps the child runs looked up, summed
-// over the tree's edges) and the walk as SpanEnumerate, open until the
+// order, sorted in head order within a run. Under a traced context the
+// counting descent records as SpanSemijoinUp (Steps the child runs looked
+// up, summed over the tree's edges) and the walk as SpanEnumerate, open until the
 // cursor closes (Steps the subtrees folded below the root, Rows the Count).
 // A cursor is for one goroutine.
 type Answers struct {
@@ -54,10 +60,9 @@ type Answers struct {
 	onClose func(count int, err error)
 }
 
-// NewAnswers runs the count pass over the tree under root and returns the
-// cursor over its answers projected onto head; with an empty head, the
-// cursor over Exists's verdict. The count pass and the walk poll ctx every
-// 4 096 rows.
+// NewAnswers counts the answers of the tree under root projected onto head
+// and returns the cursor over them; with an empty head, the cursor over
+// Exists's verdict. The count and the walk poll ctx every 4 096 rows.
 func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	tr := obs.FromContext(ctx)
 	if len(head) == 0 {
@@ -72,12 +77,18 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 		a.sp = tr.StartSpan(obs.SpanEnumerate)
 		return a, nil
 	}
-	e := &enumerator{ctx: ctx, up: tr.StartSpan(obs.SpanSemijoinUp), head: map[int]bool{}}
+	e := &enumerator{ctx: ctx, head: map[int]bool{}}
 	for _, v := range head {
 		e.head[v] = true
 	}
+	up := tr.StartSpan(obs.SpanSemijoinUp)
 	en := e.build(root, nil)
-	e.up.End()
+	var total int64
+	if e.err == nil {
+		total = e.rows(en, 0, en.c.Rows())
+	}
+	up.AddSteps(int64(e.lookups))
+	up.End()
 	a := &Answers{vars: head, sp: tr.StartSpan(obs.SpanEnumerate)}
 	switch {
 	case e.err != nil:
@@ -94,17 +105,39 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 		a.f.lo, a.f.rows = 0, a.f.rows[:0]
 	default:
 		a.w = newWalker(e, en, head)
-		a.count = int(en.runSum(0, en.c.Rows()))
+		a.count = int(total)
 	}
 	if e.err != nil {
 		a.sp.End()
 		return nil, e.err
 	}
-	if a.tab != nil {
-		a.count = a.tab.Rows()
-	}
 	a.sp.AddSteps(int64(e.folds))
 	return a, nil
+}
+
+// Exists decides the Boolean query of the tree under root — is there an
+// answer? — by the descent with an empty head: every node only filters, so
+// every run is decided at its first live row and the root at its first,
+// the witness. The worst case is O(Σ rows) lookups, like a bottom-up
+// semijoin pass, and the best case, a live first root row, O(depth).
+// Children are tried in the tree's order, most selective first under a
+// cost model. The tree is only read; the context is polled every 4 096
+// rows. Under a traced context the descent records as SpanSemijoinUp: Steps the runs looked up, Rows 1 when the
+// query is true and 0 otherwise.
+func Exists(ctx context.Context, root *Node) (bool, error) {
+	sp := obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)
+	e := &enumerator{ctx: ctx}
+	en := e.build(root, nil)
+	ok := e.rows(en, 0, en.c.Rows()) > 0
+	if e.err != nil {
+		return false, e.err
+	}
+	sp.AddSteps(int64(e.lookups))
+	if ok {
+		sp.SetRows(1)
+	}
+	sp.End()
+	return ok, nil
 }
 
 // TableAnswers is the cursor over an answer table already built.
@@ -197,8 +230,8 @@ func (a *Answers) Close() {
 }
 
 // enode is one node of the enumeration tree: a node table whose encoding
-// leads with the key — the variables shared with the parent — and its
-// counts.
+// leads with the key — the variables shared with the parent — and the
+// descent's state.
 type enode struct {
 	c        *relation.Columnar
 	pcol     []int // the parent column of each key column
@@ -213,53 +246,17 @@ type enode struct {
 	// clean by construction (folded when not), so walking a clean node
 	// under a fixed parent row emits distinct rows.
 	clean bool
-	// ps[r] is the saturating sum of the counts of rows 0..r-1; nil when
-	// every row counts 1 (no children). cnt holds the counts themselves,
-	// kept only once ps saturates, where differences of ps stop being
-	// exact.
-	ps, cnt []int64
-}
-
-// rowCount returns row r's count.
-func (n *enode) rowCount(r int) int64 {
-	switch {
-	case n.cnt != nil:
-		return n.cnt[r]
-	case n.ps != nil:
-		return n.ps[r+1] - n.ps[r]
-	}
-	return 1
-}
-
-// runSum returns the saturating sum of the counts of rows [lo, hi): one
-// subtraction, unless the prefix sums saturated before hi.
-func (n *enode) runSum(lo, hi int) int64 {
-	switch {
-	case n.ps == nil:
-		return int64(hi - lo)
-	case n.ps[hi] < math.MaxInt64:
-		return n.ps[hi] - n.ps[lo]
-	}
-	var s int64
-	for _, c := range n.cnt[lo:hi] {
-		s = addSat(s, c)
-	}
-	return s
-}
-
-// setCount records row r's count, after rows 0..r-1.
-func (n *enode) setCount(r int, c int64) {
-	s := addSat(n.ps[r], c)
-	if s == math.MaxInt64 && n.cnt == nil {
-		n.cnt = make([]int64, len(n.ps)-1)
-		for i := range r {
-			n.cnt[i] = n.ps[i+1] - n.ps[i]
-		}
-	}
-	if n.cnt != nil {
-		n.cnt[r] = c
-	}
-	n.ps[r+1] = s
+	// probe finds this node's run under a parent row, for the descent and
+	// then the walk; f is that run's count for the row it last looked up.
+	probe relation.Probe
+	f     int64
+	// live marks the rows the descent counted above 0; nil on a leaf,
+	// whose every row is live, and on a subtree that supplies no head
+	// variable, which the walk never enters.
+	live []bool
+	// memo[lo] is ^ the count of the run whose first row is lo, 0 while
+	// undecided; nil on a leaf and at the root.
+	memo []int64
 }
 
 // addSat and mulSat are + and × on non-negative counts, saturating at
@@ -278,14 +275,14 @@ func mulSat(a, b int64) int64 {
 	return a * b
 }
 
-// enumerator is the state of one count pass, shared with the walks.
+// enumerator is the state of one descent, shared with the walks.
 type enumerator struct {
-	ctx   context.Context
-	up    *obs.Span // the count pass
-	head  map[int]bool
-	folds int
-	err   error // the context's, once a poll saw it cancelled
-	tick  int
+	ctx     context.Context
+	head    map[int]bool
+	lookups int // the child runs looked up
+	folds   int
+	err     error // the context's, once a poll saw it cancelled
+	tick    int
 	// the folds' scratch: a run's values, a run's row order
 	vals []relation.Value
 	idx  []int32
@@ -332,12 +329,12 @@ func keyed(n *Node, p *relation.Columnar, keyOnly bool) (c *relation.Columnar, p
 }
 
 // build turns the subtree of n into its enumeration tree under a parent
-// encoded as p (nil at the root), counting bottom-up: children first, then
-// n's own rows, then — for a non-root subtree that drops a variable but
-// supplies head variables — the fold onto its key and head variables, run
-// by run of the key.
+// encoded as p (nil at the root): children first, then — for a non-root
+// subtree that drops a variable but supplies head variables — the fold onto
+// its key and head variables, run by run of the key, after counting it
+// whole.
 func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
-	c, pcol := keyed(n, p, false)
+	c, pcol := keyed(n, p, len(n.Children) == 0 && len(e.head) == 0)
 	en := &enode{c: c, pcol: pcol, clean: true}
 	for _, v := range c.Vars[len(pcol):] {
 		if e.head[v] {
@@ -351,11 +348,15 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 		if e.err != nil {
 			return nil
 		}
+		cn.probe = cn.c.Probe(c, cn.pcol)
 		en.children = append(en.children, cn)
 		en.out = append(en.out, cn.out...)
 	}
-	e.count(en)
-	if e.err == nil && !en.clean && p != nil && len(en.out) > 0 {
+	if len(en.children) > 0 && len(en.out) > 0 {
+		en.live = make([]bool, c.Rows())
+	}
+	if !en.clean && p != nil && len(en.out) > 0 {
+		e.rows(en, 0, c.Rows())
 		keep := append(slices.Clone(c.Vars[:len(pcol)]), en.out...)
 		var data []relation.Value
 		for f := newRunFold(e, en, len(pcol), keep); f.run() != nil; {
@@ -365,46 +366,64 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 			return nil
 		}
 		e.folds++
-		en = &enode{c: relation.NewSortedColumnar(keep, data), pcol: pcol, out: en.out, clean: true}
+		return &enode{c: relation.NewSortedColumnar(keep, data), pcol: pcol, out: en.out, clean: true}
+	}
+	if len(en.children) > 0 && p != nil {
+		en.memo = make([]int64, c.Rows())
 	}
 	return en
 }
 
-// count fills n's counts from its children's: cnt(r) is the product over
-// the children of the counts in the run r's key selects, that of a child
-// supplying no head variable clamped to 1 (only its existence matters).
-// One probe per child finds the runs; a row with the last looked-up row's
-// key reuses that child's factor.
-func (e *enumerator) count(n *enode) {
+// rows returns the saturating sum of the counts of n's rows [lo, hi) and
+// marks the live ones — where n supplies no head variable, 1 at the first
+// live row. A row's count is the product over the children of the count of
+// the run its key selects, each run counted on its first visit and read
+// from the memo after; a row with the last looked-up row's key reuses that
+// child's factor, and a row a child zeroes looks up no later child.
+func (e *enumerator) rows(n *enode, lo, hi int) int64 {
 	if len(n.children) == 0 {
-		return
+		if len(n.out) == 0 {
+			return int64(min(hi-lo, 1))
+		}
+		return int64(hi - lo)
 	}
-	probes, fs := make([]relation.Probe, len(n.children)), make([]int64, len(n.children))
-	for i, ch := range n.children {
-		probes[i] = ch.c.Probe(n.c, ch.pcol)
-	}
-	rows, lookups, ps := n.c.Rows(), 0, make([]int64, n.c.Rows()+1)
-	n.ps = ps
-	for r := 0; r < rows && e.poll(); r++ {
+	children, live, filter := n.children, n.live, len(n.out) == 0
+	var sum int64
+	for r := lo; r < hi && e.poll(); r++ {
 		cnt := int64(1)
-		for i, ch := range n.children {
-			if probes[i].At(r) {
-				lookups++
-				if fs[i] = ch.runSum(probes[i].Run()); len(ch.out) == 0 {
-					fs[i] = min(fs[i], 1)
+		for _, ch := range children {
+			if ch.probe.At(r) {
+				e.lookups++
+				clo, chi := ch.probe.Run()
+				f := int64(chi - clo)
+				switch {
+				case f == 0:
+				case ch.memo == nil: // a leaf
+					if len(ch.out) == 0 {
+						f = 1
+					}
+				case ch.memo[clo] != 0:
+					f = ^ch.memo[clo]
+				default:
+					f = e.rows(ch, clo, chi)
+					ch.memo[clo] = ^f
 				}
+				ch.f = f
 			}
-			if cnt = mulSat(cnt, fs[i]); cnt == 0 {
+			if cnt = mulSat(cnt, ch.f); cnt == 0 {
 				break
 			}
 		}
-		if s := ps[r] + cnt; uint64(s) < math.MaxInt64 {
-			ps[r+1] = s // below saturation setCount is this add
-		} else {
-			n.setCount(r, cnt)
+		if cnt > 0 {
+			if live != nil {
+				live[r] = true
+			}
+			if sum = addSat(sum, cnt); filter {
+				break
+			}
 		}
 	}
-	e.up.AddSteps(int64(lookups))
+	return sum
 }
 
 // runFold walks the subtree under n projected onto out one run at a time —
@@ -530,17 +549,16 @@ func indexOf(c *relation.Columnar, v int) int {
 // the output columns it fills, and the cursor state.
 type wnode struct {
 	*enode
-	parent int            // preorder index of the parent, -1 at the root
-	emit   [][2]int       // (column here, column of the output row)
-	probe  relation.Probe // its runs under the parent's rows
-	cur    int            // current row
+	parent int      // preorder index of the parent, -1 at the root
+	emit   [][2]int // (column here, column of the output row)
+	cur    int      // current row
 	lo, hi int
 }
 
 // walker is the nested loops over the walked nodes in preorder, each node
 // ranging over the live rows of its parent's current row's run, run as an
 // odometer so the walk can stop after any answer. Subtrees that supply no
-// head variable are not walked: the counts already filtered by them.
+// head variable are not walked: the descent already filtered by them.
 type walker struct {
 	e       *enumerator // its poll
 	nodes   []wnode
@@ -558,9 +576,6 @@ func newWalker(e *enumerator, root *enode, out []int) *walker {
 	var lay func(n *enode, parent int)
 	lay = func(n *enode, parent int) {
 		wn := wnode{enode: n, parent: parent}
-		if parent >= 0 { // a folded subtree's root has a key but no parent
-			wn.probe = n.c.Probe(w.nodes[parent].c, n.pcol)
-		}
 		for pos, v := range out {
 			if j := indexOf(n.c, v); j >= 0 && !filled[pos] {
 				filled[pos] = true
@@ -627,7 +642,7 @@ func (w *walker) open(j int) bool {
 func (w *walker) step(j int) bool {
 	n := &w.nodes[j]
 	for n.cur++; n.cur < n.hi; n.cur++ {
-		if n.rowCount(n.cur) > 0 {
+		if n.live == nil || n.live[n.cur] {
 			for _, em := range n.emit {
 				w.row[em[1]] = n.c.Value(em[0], n.cur)
 			}

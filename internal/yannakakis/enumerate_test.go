@@ -59,64 +59,61 @@ func TestCountSaturatesOnWideStar(t *testing.T) {
 	}
 }
 
-// Once a node's prefix sums saturate, a run after that point must still
-// sum exactly, and a zero-count row must still read 0: the counts fall back
-// to the per-row values.
-func TestSaturatedPrefixSumsStayExactPerRun(t *testing.T) {
-	counts := []int64{math.MaxInt64 / 2, math.MaxInt64/2 + 7, 5, 0, 7}
-	n := &enode{ps: make([]int64, len(counts)+1)}
-	for r, c := range counts {
-		n.setCount(r, c)
-	}
-	for _, tc := range []struct{ lo, hi int64 }{{2, 5}, {4, 5}, {2, 3}, {3, 4}} {
-		want := int64(0)
-		for _, c := range counts[tc.lo:tc.hi] {
-			want += c
-		}
-		if got := n.runSum(int(tc.lo), int(tc.hi)); got != want {
-			t.Fatalf("runSum(%d, %d) = %d, want %d", tc.lo, tc.hi, got, want)
-		}
-	}
-	if got := n.runSum(0, len(counts)); got != math.MaxInt64 {
-		t.Fatalf("the whole node sums to %d, want math.MaxInt64", got)
-	}
-	for r, c := range counts {
-		if got := n.rowCount(r); got != c {
-			t.Fatalf("rowCount(%d) = %d, want %d", r, got, c)
-		}
-	}
-}
-
-// A request deadline interrupts the count pass in progress, which polls the
-// context every 4 096 rows. The tree is a root of 2¹⁹ rows under which 8
-// children each need a galloped two-column lookup per row: the full pass
+// A request deadline interrupts the descent in progress, which polls the
+// context every 4 096 rows, whether it counts or looks for a witness. The
+// tree is a root of 2¹⁹ rows under which 8 children each need a galloped
+// two-column lookup per row; for Exists the last child's keys all miss, so
+// there is no witness and every root row is tried. The full descent
 // (≈ 0.3 s on one Xeon vCPU) is still going when a 50 ms deadline expires,
-// and with a 5 ms deadline NewAnswers must come back DeadlineExceeded within
-// 50 ms.
+// and with a 5 ms deadline it must come back DeadlineExceeded within 50 ms.
 func TestDeadlineInterruptsCountPass(t *testing.T) {
 	const n, kids = 1 << 19, 8
 	rdata := make([]relation.Value, 0, 2*n)
 	cdata := make([]relation.Value, 0, 3*n)
+	mdata := make([]relation.Value, 0, 3*n)
 	for i := range relation.Value(n) {
 		rdata = append(rdata, 0, i)
 		cdata = append(cdata, 0, i, i)
+		mdata = append(mdata, 0, n+i, i)
 	}
 	child := relation.NewColumnar(relation.NewTableOf([]int{0, 1, 2}, cdata), []int{0, 1, 2})
-	root := &Node{Enc: relation.NewColumnar(relation.NewTableOf([]int{0, 1}, rdata), []int{0, 1})}
-	for range kids {
-		root.Children = append(root.Children, &Node{Enc: child})
-	}
-	for _, d := range []time.Duration{50 * time.Millisecond, 5 * time.Millisecond} {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		start := time.Now()
-		_, err := NewAnswers(ctx, root, []int{0, 1})
-		took := time.Since(start)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%v deadline: err = %v after %v, want DeadlineExceeded (the full pass must outlast 50 ms)", d, err, took)
+	miss := relation.NewColumnar(relation.NewTableOf([]int{0, 1, 2}, mdata), []int{0, 1, 2})
+	rootEnc := relation.NewColumnar(relation.NewTableOf([]int{0, 1}, rdata), []int{0, 1})
+	tree := func(last *relation.Columnar) *Node {
+		root := &Node{Enc: rootEnc}
+		for range kids - 1 {
+			root.Children = append(root.Children, &Node{Enc: child})
 		}
-		if took > d+45*time.Millisecond {
-			t.Fatalf("%v deadline: the count pass came back after %v", d, took)
+		root.Children = append(root.Children, &Node{Enc: last})
+		return root
+	}
+	counted, refuted := tree(child), tree(miss)
+	legs := []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"NewAnswers", func(ctx context.Context) error {
+			_, err := NewAnswers(ctx, counted, []int{0, 1})
+			return err
+		}},
+		{"Exists", func(ctx context.Context) error {
+			_, err := Exists(ctx, refuted)
+			return err
+		}},
+	}
+	for _, leg := range legs {
+		for _, d := range []time.Duration{50 * time.Millisecond, 5 * time.Millisecond} {
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			start := time.Now()
+			err := leg.run(ctx)
+			took := time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s, %v deadline: err = %v after %v, want DeadlineExceeded (the full descent must outlast 50 ms)", leg.name, d, err, took)
+			}
+			if took > d+45*time.Millisecond {
+				t.Fatalf("%s, %v deadline: the descent came back after %v", leg.name, d, took)
+			}
 		}
 	}
 }

@@ -172,7 +172,8 @@ func reduceExists(n *tnode) bool {
 // witness at all behind live-looking prefixes, a deep path either way, a
 // dead run looked up a second time (its memo), a run whose live row comes
 // last, a child sharing no variable with its parent, and a childless root.
-// Each shape also runs with every encoding's columns shuffled.
+// Each shape also runs with every encoding's columns shuffled, and under
+// every head of heads the count must be positive exactly when Exists holds.
 func TestExistsOnAdversarialShapes(t *testing.T) {
 	v := func(xs ...int) []relation.Value {
 		out := make([]relation.Value, len(xs))
@@ -233,8 +234,42 @@ func TestExistsOnAdversarialShapes(t *testing.T) {
 			if want := map[bool]int{false: 0, true: 1}[tc.want]; a.Count() != want {
 				t.Fatalf("%s: the Boolean cursor counts %d, want %d", name, a.Count(), want)
 			}
+			for _, head := range heads(tree) {
+				a, err := NewAnswers(context.Background(), tree.build(), head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Close(); (a.Count() > 0) != got {
+					t.Fatalf("%s: head %v counts %d answers, but Exists = %v", name, head, a.Count(), got)
+				}
+			}
 		}
 	}
+}
+
+// heads returns the heads to hold a tree's counts to Exists on: each
+// variable alone, every prefix of its variables in preorder — so some
+// subtrees supply no head variable and only filter, and some drop one and
+// fold — and, as the longest prefix, all of them.
+func heads(n *tnode) [][]int {
+	var vars []int
+	var walk func(n *tnode)
+	walk = func(n *tnode) {
+		for _, v := range n.vars {
+			if !slices.Contains(vars, v) {
+				vars = append(vars, v)
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(n)
+	var out [][]int
+	for i, v := range vars {
+		out = append(out, []int{v}, vars[:i+1])
+	}
+	return out
 }
 
 // On a path whose first root row is live the descent looks up one run per

@@ -56,50 +56,117 @@ func inJoin(n *tnode, vars []int, row []relation.Value) bool {
 	return ok
 }
 
+// rootCounts returns the count of each root row of the tree under root
+// projected onto head: on a fresh build, the descent over that row alone.
+func rootCounts(root *Node, head []int) []int64 {
+	e := &enumerator{ctx: context.Background(), head: map[int]bool{}}
+	for _, v := range head {
+		e.head[v] = true
+	}
+	en := e.build(root, nil)
+	counts := make([]int64, en.c.Rows())
+	for r := range counts {
+		counts[r] = e.rows(en, r, r+1)
+	}
+	return counts
+}
+
+// wideTree is a root (0) under 62 children (0,i): root row c extends
+// 2^e[c] ways — child i holds two rows for it where i ≤ e[c], one
+// elsewhere — or, where e[c] < 0, none, child 1 holding no row for it. It
+// returns the tree, its full head and the root rows' counts.
+func wideTree(e ...int) (*tnode, []int, []int64) {
+	root, head, counts := &tnode{vars: []int{0}}, []int{0}, []int64{}
+	for c, x := range e {
+		root.rows = append(root.rows, vals(c))
+		counts = append(counts, 0)
+		if x >= 0 {
+			counts[c] = 1 << x
+		}
+	}
+	for i := 1; i <= 62; i++ {
+		ch := &tnode{vars: []int{0, i}}
+		for c, x := range e {
+			if x >= 0 || i > 1 {
+				ch.rows = append(ch.rows, vals(c, 0))
+			}
+			if i <= x {
+				ch.rows = append(ch.rows, vals(c, 1))
+			}
+		}
+		root.children = append(root.children, ch)
+		head = append(head, i)
+	}
+	return root, head, counts
+}
+
+// Once a node's sum saturates at math.MaxInt64, a run of it counted later
+// on the same build must still sum exactly, and a zero-count row must still
+// read 0: the child runs memoised while saturating hold exact counts.
+func TestSaturatedPrefixSumsStayExactPerRun(t *testing.T) {
+	tree, head, counts := wideTree(62, 62, 0, -1, 2)
+	e := &enumerator{ctx: context.Background(), head: map[int]bool{}}
+	for _, v := range head {
+		e.head[v] = true
+	}
+	en := e.build(tree.build(), nil)
+	if got := e.rows(en, 0, len(counts)); got != math.MaxInt64 {
+		t.Fatalf("the whole node sums to %d, want math.MaxInt64", got)
+	}
+	for _, tc := range []struct{ lo, hi int }{{2, 5}, {4, 5}, {2, 3}, {3, 4}} {
+		want := int64(0)
+		for _, c := range counts[tc.lo:tc.hi] {
+			want += c
+		}
+		if got := e.rows(en, tc.lo, tc.hi); got != want {
+			t.Fatalf("rows(%d, %d) = %d, want %d", tc.lo, tc.hi, got, want)
+		}
+	}
+	for r, c := range counts {
+		if got := e.rows(en, r, r+1); got != c {
+			t.Fatalf("row %d counts %d, want %d", r, got, c)
+		}
+	}
+}
+
 // The child probe's branches against the naive join, one case per way it
 // finds a run: one dense key column (two offset reads), one sparse column
 // (galloped), two key columns (the second galloped, as under cycle4's
-// bags), a child supplying no head variable (its factor clamped to 1), and
-// prefix sums that saturate through the plain-add store, past
-// math.MaxInt64 and onto it. For each, the root
-// rows' counts and Count against the naive join (given outright where it is
-// too large to list), the walk's rows against the naive answers (checked
-// one by one against the tables when too many), and Exists against whether
-// there is any answer.
+// bags), a child supplying no head variable (decided at its first live
+// row), sums that saturate past math.MaxInt64 and onto it, and a child
+// whose first run saturates while a later small run and a zero-count row
+// must still count exactly. For each, the root rows' counts and Count
+// against the naive join (given outright where it is too large to list),
+// the walk's rows against the naive answers (checked one by one against
+// the tables when too many), and Exists against whether there is any
+// answer.
 func TestProbeBranchesMatchNaive(t *testing.T) {
-	// root (0) under 62 children (0,i): row c extends 2^e[c] ways — child i
-	// holds two rows for it where i ≤ e[c], one elsewhere — or, where e[c]
-	// < 0, none, child 1 holding no row for it
-	wide := func(e ...int) (*tnode, []int, []int64) {
-		root, head, counts := &tnode{vars: []int{0}}, []int{0}, []int64{}
-		for c, x := range e {
-			root.rows = append(root.rows, vals(c))
-			counts = append(counts, 0)
-			if x >= 0 {
-				counts[c] = 1 << x
+	// under puts a wide tree below a root (63) of one row per run: root row
+	// k's run in the middle node (63,0) holds the rows c with run[c] = k
+	under := func(w *tnode, head []int, counts []int64, run ...int) (*tnode, []int, []int64) {
+		mid := &tnode{vars: []int{63, 0}, children: w.children}
+		top := &tnode{vars: []int{63}, children: []*tnode{mid}}
+		var sums []int64
+		for c, k := range run {
+			mid.rows = append(mid.rows, vals(k, c))
+			for len(sums) <= k {
+				top.rows = append(top.rows, vals(len(sums)))
+				sums = append(sums, 0)
 			}
+			sums[k] = addSat(sums[k], counts[c])
 		}
-		for i := 1; i <= 62; i++ {
-			ch := &tnode{vars: []int{0, i}}
-			for c, x := range e {
-				if x >= 0 || i > 1 {
-					ch.rows = append(ch.rows, vals(c, 0))
-				}
-				if i <= x {
-					ch.rows = append(ch.rows, vals(c, 1))
-				}
-			}
-			root.children = append(root.children, ch)
-			head = append(head, i)
-		}
-		return root, head, counts
+		return top, append([]int{63}, head...), sums
 	}
 	exps := make([]int, 63)
 	for c := range exps {
 		exps[c] = c
 	}
-	overflow, overflowHead, overflowCounts := wide(62, 62, -1, 0, 2)
-	exact, exactHead, exactCounts := wide(exps...)
+	overflow, overflowHead, overflowCounts := wideTree(62, 62, -1, 0, 2)
+	exact, exactHead, exactCounts := wideTree(exps...)
+	// run 0 saturates (2⁶² + 2⁶²), run 1 counts 1 + 0 + 4, run 2 is one
+	// zero-count row
+	w, wHead, wCounts := wideTree(62, 62, 0, -1, 2, -1)
+	runs, runsHead, runsCounts := under(w, wHead, wCounts, 0, 0, 1, 1, 1, 2)
 	cases := []struct {
 		name   string
 		tree   *tnode
@@ -112,10 +179,11 @@ func TestProbeBranchesMatchNaive(t *testing.T) {
 			{vars: []int{1, 2, 3}, rows: [][]relation.Value{vals(1, 1, 10), vals(1, 1, 11), vals(1, 2, 12), vals(1, 3, 13), vals(2, 2, 14), vals(2, 2, 15), vals(2, 5, 16)}},
 		}}, []int{0, 1, 2, 3}, nil},
 		{"child supplies no head variable", oneKeyTree(1), []int{0, 1}, nil},
-		// 2⁶² + 2⁶² overflows the plain add, a zero and small counts follow
-		{"prefix sums past math.MaxInt64", overflow, overflowHead, overflowCounts},
-		// 2⁰ + … + 2⁶² is math.MaxInt64 itself, which the add must not store
-		{"prefix sums reaching math.MaxInt64", exact, exactHead, exactCounts},
+		// 2⁶² + 2⁶² overflows, a zero and small counts follow
+		{"sum past math.MaxInt64", overflow, overflowHead, overflowCounts},
+		// 2⁰ + … + 2⁶² is math.MaxInt64 itself
+		{"sum reaching math.MaxInt64", exact, exactHead, exactCounts},
+		{"a saturated run, then exact ones", runs, runsHead, runsCounts},
 	}
 	for _, tc := range cases {
 		root := tc.tree.build()
@@ -137,10 +205,10 @@ func TestProbeBranchesMatchNaive(t *testing.T) {
 				}
 			}
 		}
-		en, total := a.w.nodes[0].enode, int64(0)
+		got, total := rootCounts(tc.tree.build(), tc.head), int64(0)
 		for r, c := range want {
-			if got := en.rowCount(r); got != c {
-				t.Fatalf("%s: root row %d counts %d, want %d", tc.name, r, got, c)
+			if got[r] != c {
+				t.Fatalf("%s: root row %d counts %d, want %d", tc.name, r, got[r], c)
 			}
 			total = addSat(total, c)
 		}
@@ -199,6 +267,43 @@ func TestCountPassStepsCountLookups(t *testing.T) {
 	}
 	if !slices.Equal(steps, []int64{8}) {
 		t.Fatalf("count pass spans' Steps %v, want [8]", steps)
+	}
+}
+
+// The count descends only into the runs a root row reaches: a root of one
+// row over a child of 50 000 rows, each with a grandchild row, looks up one
+// child run and the one grandchild run under it — Steps 2, where a pass
+// over every child row would look up 50 000 grandchild runs.
+func TestCountPassVisitsOnlyReachableRuns(t *testing.T) {
+	const n = 50_000
+	cdata := make([]relation.Value, 0, 2*n)
+	for i := range relation.Value(n) {
+		cdata = append(cdata, i, i)
+	}
+	child := relation.NewColumnar(relation.NewTableOf([]int{1, 2}, cdata), []int{1, 2})
+	grandchild := relation.NewColumnar(relation.NewTableOf([]int{2, 3}, cdata), []int{2, 3})
+	root := &Node{
+		Enc:      relation.NewColumnar(relation.NewTableOf([]int{0, 1}, vals(0, 7)), []int{0, 1}),
+		Children: []*Node{{Enc: child, Children: []*Node{{Enc: grandchild}}}},
+	}
+	tr := obs.New()
+	a, err := NewAnswers(obs.NewContext(context.Background(), tr), root, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, ok := a.Next()
+	a.Close()
+	if a.Count() != 1 || !ok || !slices.Equal(row, vals(0, 7, 7, 7)) {
+		t.Fatalf("Count = %d, first row %v (%v); want 1 and [0 7 7 7]", a.Count(), row, ok)
+	}
+	var steps []int64
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanSemijoinUp {
+			steps = append(steps, s.Steps)
+		}
+	}
+	if !slices.Equal(steps, []int64{2}) {
+		t.Fatalf("count pass spans' Steps %v, want [2]", steps)
 	}
 }
 

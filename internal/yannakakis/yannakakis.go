@@ -1,11 +1,12 @@
 // Package yannakakis implements Yannakakis' evaluation algorithm for acyclic
 // queries on join trees (VLDB 1981), as used throughout Section 4.2 of the
-// paper: the Boolean variant as a first-witness descent over the node
-// tables (exists.go), and output-polynomial enumeration of non-Boolean
-// answers as a cursor that counts instead of reducing (enumerate.go). The
-// full reducer (upward + downward semijoin passes) runs on no request
-// path; it is the test reference both are held to (reduceRef in this
-// package's exists_test.go). The trees it works on are built by
+// paper, as one memoised top-down descent over the node tables that counts
+// instead of reducing (enumerate.go): with a head it is the count behind
+// output-polynomial enumeration of the answers as a cursor, and with an
+// empty head it is the Boolean variant, stopping at the first witness
+// (Exists). The full reducer (upward + downward semijoin passes) runs on
+// no request path; it is the test reference both are held to (reduceRef
+// in this package's exists_test.go). The trees it works on are built by
 // hdeval.Evaluator — a join tree being the width-1 case — and carry
 // columnar node tables.
 package yannakakis

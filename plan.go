@@ -489,11 +489,12 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err erro
 // Count is known on return, Next walks one answer at a time, and
 // Materialize drains the rest into the table Execute returns, in the same
 // row order. Theorem 4.8's enumeration needs no materialised answer table,
-// so a caller that renders k rows pays one count pass over the node tables
-// plus O(k · depth); a head that drops a variable of the root's table folds
+// so a caller that renders k rows pays one top-down count over the node
+// tables plus O(k · depth); a head that drops a variable of the root's table folds
 // the root run by run of its leading head columns, each run deduplicated on
 // its own. A Boolean query's cursor holds the 0-ary true table or nothing,
-// decided by ExecuteBoolean's first-witness descent. A cancelled or expired
+// decided by ExecuteBoolean: the same count with an empty head, which stops
+// at the first witness. A cancelled or expired
 // context aborts with ctx.Err(), here or in Next (see Answers.Err). Under a
 // trace the execution span stays open until the cursor closes — when Next
 // runs out, on Materialize, or on Close — and the plan's LastTrace is
