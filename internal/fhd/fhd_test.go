@@ -283,3 +283,50 @@ func TestNilModelDecompositionsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// Under fixed statistics, and under none, every engine over the shape
+// portfolio returns, byte for byte, what it returned before the greedy
+// engine and the race's walk shared one shape loop: ghd.Decompose,
+// Decompose and both candidates of DecomposeWithGreedy, for maxWidth 0, 2
+// and 3 (errors included). One digest per family, taken at the commit
+// before that change; the two models are drawn from fixed seeds.
+func TestCostModelDecompositionsUnchanged(t *testing.T) {
+	want := map[string]string{
+		"Q1": "462bf8457c6d1c59", "Q4": "e1f29bb38fe3e5bd", "Q5": "a7da351dacf7b4b3",
+		"classC4": "f2b3a601dcfeffea", "clique6": "8b0431dec0bafbab", "csp50atom": "7d1b2e4c10a9ccbc",
+		"cycle12": "0eeb6fbec86b2f61", "grid44": "7e238e8f9ddc6415", "path9": "38c3baf1e037b5f7",
+		"star8": "70116203f8e6cca8",
+	}
+	ctx := context.Background()
+	for name, h := range families() {
+		models := []*decomp.CostModel{nil}
+		for _, seed := range []int64{1, 2} {
+			rng := rand.New(rand.NewSource(seed))
+			rows := make([]float64, h.NumEdges())
+			for e := range rows {
+				rows[e] = float64(1 + rng.Intn(100000))
+			}
+			models = append(models, decomp.NewCostModel(h, rows, func(e, v int) float64 { return float64(1 + rng.Intn(int(rows[e]))) }))
+		}
+		digest := sha256.New()
+		out := func(d *decomp.Decomposition, err error) {
+			if err != nil {
+				fmt.Fprintf(digest, "error: %v\n", err)
+				return
+			}
+			fmt.Fprintf(digest, "%s%.6f\n", d, d.FractionalWidth())
+		}
+		for _, m := range models {
+			for _, maxWidth := range []int{0, 2, 3} {
+				out(ghd.Decompose(ctx, h, ghd.Options{Cost: m}, maxWidth, 0, 1))
+				out(Decompose(ctx, h, ghd.Options{Cost: m}, maxWidth, 0))
+				frac, greedy := DecomposeWithGreedy(ctx, h, ghd.Options{Cost: m}, maxWidth, 0)
+				out(frac.D, frac.Err)
+				out(greedy.D, greedy.Err)
+			}
+		}
+		if got := fmt.Sprintf("%x", digest.Sum(nil))[:16]; got != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+		}
+	}
+}
