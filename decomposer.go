@@ -3,8 +3,6 @@ package hypertree
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/fhd"
@@ -38,7 +36,8 @@ type DecomposeRequest struct {
 	// unlimited. An exhausted budget yields ErrStepBudget.
 	StepBudget int
 	// Workers is the requested parallelism for decomposers that support it
-	// (≤ 1 means sequential).
+	// (≤ 1 means sequential): ParallelKDecomposer, and the exact entrant of
+	// the auto race. The heuristic engines ignore it.
 	Workers int
 	// Cost, when non-nil, is the cost model of this compilation: per
 	// hypergraph edge the cardinality of the relation behind it and the
@@ -155,47 +154,6 @@ func (queryDecomposer) Decompose(ctx context.Context, h *Hypergraph, req Decompo
 	return querydecomp.SearchContext(ctx, h, req.MaxWidth, req.StepBudget)
 }
 
-// GreedyOrdering selects a vertex-ordering heuristic for GreedyDecomposer.
-type GreedyOrdering = ghd.Ordering
-
-// The greedy vertex-ordering heuristics over the primal graph.
-const (
-	// GreedyMinFill eliminates the vertex adding the fewest fill edges.
-	GreedyMinFill = ghd.MinFill
-	// GreedyMinDegree eliminates the vertex of minimum current degree.
-	GreedyMinDegree = ghd.MinDegree
-	// GreedyMaxCardinality eliminates in reverse maximal-cardinality-search
-	// order (exact on chordal primal graphs).
-	GreedyMaxCardinality = ghd.MaxCardinality
-)
-
-// GreedyOption tunes the GreedyDecomposer improvement loop.
-type GreedyOption func(*ghd.Options)
-
-// WithGreedyOrderings restricts the ordering portfolio (default: min-fill,
-// min-degree and max-cardinality are all tried).
-func WithGreedyOrderings(orderings ...GreedyOrdering) GreedyOption {
-	return func(o *ghd.Options) { o.Orderings = orderings }
-}
-
-// WithGreedyRestarts sets the number of randomized-tie-break repetitions of
-// each ordering beyond the deterministic first pass (default 2; n < 0
-// disables restarts).
-func WithGreedyRestarts(n int) GreedyOption {
-	return func(o *ghd.Options) {
-		if n <= 0 {
-			n = -1
-		}
-		o.Restarts = n
-	}
-}
-
-// WithGreedySeed seeds the randomized tie-breaking (default 1, so repeated
-// compilations are reproducible).
-func WithGreedySeed(seed int64) GreedyOption {
-	return func(o *ghd.Options) { o.Seed = seed }
-}
-
 // GreedyDecomposer returns the heuristic GHD Decomposer: greedy vertex
 // orderings over the primal graph produce tree decompositions, a greedy
 // edge-cover pass turns each bag into a λ label, and an improvement loop
@@ -208,65 +166,26 @@ func WithGreedySeed(seed int64) GreedyOption {
 // hypergraphs (e.g. random CSPs with 50+ atoms) that KDecomposer cannot
 // touch; the price is that the width is only an upper bound on ghw, and
 // ErrWidthExceeded under WithMaxWidth means "the heuristic found nothing
-// within the bound", not a proof that nothing exists. It honours MaxWidth,
-// StepBudget (one step = one vertex elimination decision; when the budget
-// dies mid-loop the best decomposition already found is returned) and
-// Workers (trials run concurrently; without a step budget or width bound
-// the result is identical to the sequential one — with either set, the
-// early cut-off point, and hence the achieved width, may vary).
-func GreedyDecomposer(opts ...GreedyOption) Decomposer {
-	var o ghd.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return greedyDecomposer{opts: o, name: greedyName(o)}
-}
+// within the bound", not a proof that nothing exists. It honours MaxWidth
+// and StepBudget (one step = one vertex elimination decision; when the
+// budget dies mid-loop the best decomposition already found is returned)
+// and ignores Workers.
+func GreedyDecomposer() Decomposer { return greedyDecomposer{} }
 
-type greedyDecomposer struct {
-	opts ghd.Options
-	name string
-}
+type greedyDecomposer struct{}
 
-// greedyName encodes the tuning into the strategy name: the name
-// participates in plan-cache keys, and two GreedyDecomposers are only
-// interchangeable when their whole configuration matches — a default "ghd"
-// and a seeded, restricted-portfolio one must not share cached plans.
-func greedyName(o ghd.Options) string { return heuristicName("ghd", o) }
-
-// heuristicName is greedyName generalised over the strategy prefix; the
-// fractional engine reuses the same tuning surface under "fhd".
-func heuristicName(prefix string, o ghd.Options) string {
-	if len(o.Orderings) == 0 && o.Restarts == 0 && o.Seed == 0 {
-		return prefix
-	}
-	var b strings.Builder
-	b.WriteString(prefix)
-	b.WriteByte('[')
-	for i, ord := range o.Orderings {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(ord.String())
-	}
-	fmt.Fprintf(&b, ";r=%d;s=%d]", o.Restarts, o.Seed)
-	return b.String()
-}
-
-func (g greedyDecomposer) Name() string { return g.name }
+func (greedyDecomposer) Name() string { return "ghd" }
 
 // Generalized marks the output as GHD-only: Compile validates conditions
 // 1–3 and skips the descendant condition.
 func (greedyDecomposer) Generalized() bool { return true }
 
-func (g greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
-	o := g.opts
-	o.Cost = req.Cost
-	return ghd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget, req.Workers)
+func (greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
+	return ghd.Decompose(ctx, h, req.Cost, req.MaxWidth, req.StepBudget)
 }
 
 // FractionalDecomposer returns the fractional hypertree Decomposer: the
-// same greedy tree shapes as GreedyDecomposer (so it accepts the same
-// GreedyOption tuning — orderings, restarts, seed), but every bag is
+// same greedy tree shapes as GreedyDecomposer, but every bag is
 // re-covered by its minimum *fractional* edge cover, priced by one small
 // LP per bag (internal/lp), and the shape of minimum fractional width
 // wins. The fractional width fhw satisfies fhw ≤ ghw ≤ hw (Fischl, Gottlob
@@ -282,20 +201,11 @@ func (g greedyDecomposer) Decompose(ctx context.Context, h *Hypergraph, req Deco
 // heuristic proves nothing about fhw(H) on failure); WithStepBudget counts
 // vertex eliminations plus simplex pivots; Workers is ignored (the
 // re-covering pass is polynomial and fast).
-func FractionalDecomposer(opts ...GreedyOption) Decomposer {
-	var o ghd.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return fractionalDecomposer{opts: o, name: heuristicName("fhd", o)}
-}
+func FractionalDecomposer() Decomposer { return fractionalDecomposer{} }
 
-type fractionalDecomposer struct {
-	opts ghd.Options
-	name string
-}
+type fractionalDecomposer struct{}
 
-func (f fractionalDecomposer) Name() string { return f.name }
+func (fractionalDecomposer) Name() string { return "fhd" }
 
 // Generalized marks the integral support sets as GHD-only (conditions 1–3).
 func (fractionalDecomposer) Generalized() bool { return true }
@@ -304,8 +214,6 @@ func (fractionalDecomposer) Generalized() bool { return true }
 // ValidateFHD and the Plan reports its fractional width.
 func (fractionalDecomposer) Fractional() bool { return true }
 
-func (f fractionalDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
-	o := f.opts
-	o.Cost = req.Cost
-	return fhd.Decompose(ctx, h, o, req.MaxWidth, req.StepBudget)
+func (fractionalDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
+	return fhd.Decompose(ctx, h, req.Cost, req.MaxWidth, req.StepBudget)
 }

@@ -55,17 +55,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("satisfiable on a random database (40 rows/relation): %v\n", ok)
-
-	// Tuning: restrict the ordering portfolio or add randomized restarts.
-	tuned, err := hypertree.Compile(q,
-		hypertree.WithStrategy(hypertree.StrategyHypertree),
-		hypertree.WithDecomposer(hypertree.GreedyDecomposer(
-			hypertree.WithGreedyOrderings(hypertree.GreedyMinFill),
-			hypertree.WithGreedyRestarts(8),
-			hypertree.WithGreedySeed(3),
-		)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("min-fill with 8 restarts: width %d\n", tuned.Width())
 }

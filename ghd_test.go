@@ -240,20 +240,4 @@ func TestGreedyCompileOptions(t *testing.T) {
 		WithDecomposer(GreedyDecomposer())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled: err = %v, want context.Canceled", err)
 	}
-
-	// restricted portfolios and seeds still produce valid plans
-	for _, opts := range [][]GreedyOption{
-		{WithGreedyOrderings(GreedyMinFill)},
-		{WithGreedyOrderings(GreedyMinDegree, GreedyMaxCardinality)},
-		{WithGreedyRestarts(0)},
-		{WithGreedyRestarts(5), WithGreedySeed(99)},
-	} {
-		plan, err := Compile(q, WithStrategy(StrategyHypertree), WithDecomposer(GreedyDecomposer(opts...)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ValidateGHD(plan.Decomposition()); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

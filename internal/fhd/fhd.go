@@ -148,7 +148,7 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 }
 
 // Decompose runs the fractional engine: the greedy tree shapes of
-// internal/ghd (the full ordering/restart portfolio of opts), every bag
+// internal/ghd (its whole ordering/restart portfolio), every bag
 // re-covered by its optimal fractional cover, keeping the shape of minimum
 // fractional width. The returned decomposition carries per-node Weights
 // (validated by decomp.ValidateFractional) and integral support λ labels,
@@ -157,7 +157,7 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 // means "no shape reached the bound", not a proof about fhw(H).
 // stepBudget > 0 bounds elimination decisions plus simplex pivots across
 // all shapes; when it runs out the best complete shape found so far is
-// returned, or decomp.ErrStepBudget if none finished. opts.Cost, when set,
+// returned, or decomp.ErrStepBudget if none finished. model, when set,
 // decides what the width leaves open and nothing else — the width contract
 // is unchanged: fractional-width ties between shapes break toward the
 // lower total estimated cost, and a bag whose ρ* an integral cover already
@@ -165,8 +165,8 @@ func WidthOf(ctx context.Context, d *decomp.Decomposition) (float64, error) {
 // of whichever optimal vertex the LP happened to return (on a bag
 // {X2,X3,X4} of a 4-cycle the LP is as happy with the product r1 + r3 as
 // with the join r2 + r3).
-func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
-	frac, _ := walk(ctx, h, opts, maxWidth, stepBudget, false)
+func Decompose(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
+	frac, _ := walk(ctx, h, model, maxWidth, stepBudget, false)
 	return frac.D, frac.Err
 }
 
@@ -178,20 +178,20 @@ type Candidate struct {
 }
 
 // DecomposeWithGreedy answers for two engines from one walk of the shape
-// portfolio: frac is what Decompose returns, greedy what the sequential
-// ghd.Decompose returns — each shape as built, ranked by ghd.Best and kept
-// before the LP pass re-covers it. Each keeps its own stop rule under
-// maxWidth; they share stepBudget, so both equal the standalone engines'
-// results whenever the budget does not run out.
-func DecomposeWithGreedy(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int) (frac, greedy Candidate) {
-	return walk(ctx, h, opts, maxWidth, stepBudget, true)
+// portfolio: frac is what Decompose returns, greedy what ghd.Decompose
+// returns — each shape as built, ranked by ghd.Best and kept before the LP
+// pass re-covers it. Each keeps its own stop rule under maxWidth; they
+// share stepBudget, so both equal the standalone engines' results whenever
+// the budget does not run out.
+func DecomposeWithGreedy(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int) (frac, greedy Candidate) {
+	return walk(ctx, h, model, maxWidth, stepBudget, true)
 }
 
 // walk runs the shape portfolio once for the fractional candidate and,
 // withGreedy, the greedy one. Bags recur across the shapes, so Cover is
 // memoised by χ for the walk: a hit charges no pivots, and each node gets
 // its own copy of the weights.
-func walk(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWidth, stepBudget int, withGreedy bool) (frac, greedy Candidate) {
+func walk(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int, withGreedy bool) (frac, greedy Candidate) {
 	budget := ghd.NewBudget(stepBudget)
 	type cover struct {
 		weights map[int]float64
@@ -201,14 +201,14 @@ func walk(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWi
 	var best *decomp.Decomposition
 	bestFW := math.Inf(1)
 	bestCost := math.Inf(1)
-	g := ghd.Best{Model: opts.Cost}
+	g := ghd.Best{Model: model}
 	fracOn, greedyOn := true, withGreedy
-	err := ghd.ForEachShape(ctx, h, opts, budget, func(d *decomp.Decomposition) error {
+	err := ghd.ForEachShape(ctx, h, model, budget, func(d *decomp.Decomposition) error {
 		if greedyOn {
 			if g.Offer(d) && fracOn {
 				g.D = d.Clone() // the LP pass below rewrites d's labels
 			}
-			greedyOn = !(maxWidth > 0 && d.Width() <= maxWidth && opts.Cost == nil) // ghd.Decompose's stop rule
+			greedyOn = !g.Done(maxWidth)
 		}
 		if fracOn {
 			fw := 0.0
@@ -230,12 +230,12 @@ func walk(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWi
 				// Where the shape's λ — ghd.GreedyCoverCost of the bag —
 				// attains ρ*, it stays, at weights 1, unless the LP's vertex
 				// happens to be cheaper still.
-				integral := opts.Cost != nil && math.Abs(float64(n.Lambda.Len())-c.value) <= decomp.FracEps
+				integral := model != nil && math.Abs(float64(n.Lambda.Len())-c.value) <= decomp.FracEps
 				if integral {
 					n.Weights = make(map[int]float64, n.Lambda.Len())
 					n.Lambda.ForEach(func(e int) { n.Weights[e] = 1 })
 				}
-				if !integral || decomp.NodeCost(vertex, opts.Cost) < decomp.NodeCost(n, opts.Cost) {
+				if !integral || decomp.NodeCost(vertex, model) < decomp.NodeCost(n, model) {
 					n.Lambda, n.Weights = vertex.Lambda, maps.Clone(c.weights)
 				}
 				fw = max(fw, c.value)
@@ -245,15 +245,15 @@ func walk(ctx context.Context, h *hypergraph.Hypergraph, opts ghd.Options, maxWi
 			// (decomp.CostWith) — equal-fhw shapes can place wildly
 			// different relations in their λ supports.
 			cost := math.Inf(1)
-			if opts.Cost != nil {
-				cost = d.CostWith(opts.Cost)
+			if model != nil {
+				cost = d.CostWith(model)
 			}
 			better := fw < bestFW-decomp.FracEps ||
-				(opts.Cost != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
+				(model != nil && fw < bestFW+decomp.FracEps && cost < bestCost)
 			if better {
 				best, bestFW, bestCost = d, fw, cost
 				// satisfying width: stop improving
-				fracOn = !(maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && opts.Cost == nil)
+				fracOn = !(maxWidth > 0 && fw <= float64(maxWidth)+decomp.FracEps && model == nil)
 			}
 		}
 		if !fracOn && !greedyOn {

@@ -66,11 +66,11 @@ func TestDecomposeCliqueBeatsGreedy(t *testing.T) {
 	ctx := context.Background()
 	h, _ := gen.CliqueBinary(5).Hypergraph()
 
-	g, err := ghd.Decompose(ctx, h, ghd.Options{}, 0, 0, 0)
+	g, err := ghd.Decompose(ctx, h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decompose(ctx, h, ghd.Options{}, 0, 0)
+	f, err := Decompose(ctx, h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDecomposeMatchesWidthOf(t *testing.T) {
 		case "csp":
 			h, _ = gen.Q5().Hypergraph()
 		}
-		d, err := Decompose(ctx, h, ghd.Options{}, 0, 0)
+		d, err := Decompose(ctx, h, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -127,11 +127,11 @@ func TestFractionalNeverExceedsGreedy(t *testing.T) {
 		{"q5", func() *hypergraph.Hypergraph { h, _ := gen.Q5().Hypergraph(); return h }},
 	} {
 		h := tc.src()
-		g, err := ghd.Decompose(ctx, h, ghd.Options{}, 0, 0, 0)
+		g, err := ghd.Decompose(ctx, h, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		f, err := Decompose(ctx, h, ghd.Options{}, 0, 0)
+		f, err := Decompose(ctx, h, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -147,13 +147,13 @@ func TestFractionalNeverExceedsGreedy(t *testing.T) {
 func TestDecomposeBudgetAndCancel(t *testing.T) {
 	h, _ := gen.CliqueBinary(6).Hypergraph()
 
-	if _, err := Decompose(context.Background(), h, ghd.Options{}, 0, 1); !errors.Is(err, decomp.ErrStepBudget) {
+	if _, err := Decompose(context.Background(), h, nil, 0, 1); !errors.Is(err, decomp.ErrStepBudget) {
 		t.Fatalf("budget 1: err = %v, want ErrStepBudget", err)
 	}
 
 	// a budget big enough for the eliminations but starving the LP pivots
 	// must still surface ErrStepBudget, not a bogus decomposition
-	if d, err := Decompose(context.Background(), h, ghd.Options{}, 0, 7); err != nil {
+	if d, err := Decompose(context.Background(), h, nil, 0, 7); err != nil {
 		if !errors.Is(err, decomp.ErrStepBudget) {
 			t.Fatalf("tiny budget: %v", err)
 		}
@@ -163,7 +163,7 @@ func TestDecomposeBudgetAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Decompose(ctx, h, ghd.Options{}, 0, 0); !errors.Is(err, context.Canceled) {
+	if _, err := Decompose(ctx, h, nil, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled: err = %v, want context.Canceled", err)
 	}
 }
@@ -171,17 +171,17 @@ func TestDecomposeBudgetAndCancel(t *testing.T) {
 func TestDecomposeMaxWidth(t *testing.T) {
 	h, _ := gen.CliqueBinary(5).Hypergraph()
 	// fhw 2.5 ≤ 3 passes, ≤ 2 fails
-	if _, err := Decompose(context.Background(), h, ghd.Options{}, 3, 0); err != nil {
+	if _, err := Decompose(context.Background(), h, nil, 3, 0); err != nil {
 		t.Fatalf("maxWidth 3: %v", err)
 	}
-	if _, err := Decompose(context.Background(), h, ghd.Options{}, 2, 0); !errors.Is(err, decomp.ErrWidthExceeded) {
+	if _, err := Decompose(context.Background(), h, nil, 2, 0); !errors.Is(err, decomp.ErrWidthExceeded) {
 		t.Fatalf("maxWidth 2: err = %v, want ErrWidthExceeded", err)
 	}
 }
 
 func TestEmptyHypergraph(t *testing.T) {
 	h := hypergraph.New()
-	d, err := Decompose(context.Background(), h, ghd.Options{}, 0, 0)
+	d, err := Decompose(context.Background(), h, nil, 0, 0)
 	if err != nil || d.Root != nil {
 		t.Fatalf("empty: d=%v err=%v", d, err)
 	}
@@ -208,7 +208,7 @@ func TestCostModelNeverWorsensFractionalWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ctx := context.Background()
 	for name, h := range families() {
-		plain, err := Decompose(ctx, h, ghd.Options{}, 0, 0)
+		plain, err := Decompose(ctx, h, nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestCostModelNeverWorsensFractionalWidth(t *testing.T) {
 				rows[e] = float64(1 + rng.Intn(100000))
 			}
 			m := decomp.NewCostModel(h, rows, func(e, v int) float64 { return float64(1 + rng.Intn(int(rows[e]))) })
-			costed, err := Decompose(ctx, h, ghd.Options{Cost: m}, 0, 0)
+			costed, err := Decompose(ctx, h, m, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestIntegralBagsKeepTheCostAwareCover(t *testing.T) {
 	h, _ := gen.Cycle(4).Hypergraph()
 	rows := []float64{500, 500, 500, 500}
 	m := decomp.NewCostModel(h, rows, func(e, v int) float64 { return 200 })
-	d, err := Decompose(context.Background(), h, ghd.Options{Cost: m}, 0, 0)
+	d, err := Decompose(context.Background(), h, m, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestNilModelDecompositionsUnchanged(t *testing.T) {
 		"star8": "79120e79d1a864af",
 	}
 	for name, h := range families() {
-		d, err := Decompose(context.Background(), h, ghd.Options{}, 0, 0)
+		d, err := Decompose(context.Background(), h, nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,9 +318,9 @@ func TestCostModelDecompositionsUnchanged(t *testing.T) {
 		}
 		for _, m := range models {
 			for _, maxWidth := range []int{0, 2, 3} {
-				out(ghd.Decompose(ctx, h, ghd.Options{Cost: m}, maxWidth, 0, 1))
-				out(Decompose(ctx, h, ghd.Options{Cost: m}, maxWidth, 0))
-				frac, greedy := DecomposeWithGreedy(ctx, h, ghd.Options{Cost: m}, maxWidth, 0)
+				out(ghd.Decompose(ctx, h, m, maxWidth, 0))
+				out(Decompose(ctx, h, m, maxWidth, 0))
+				frac, greedy := DecomposeWithGreedy(ctx, h, m, maxWidth, 0)
 				out(frac.D, frac.Err)
 				out(greedy.D, greedy.Err)
 			}

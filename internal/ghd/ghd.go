@@ -15,8 +15,8 @@
 //  2. a greedy set-cover pass converts each bag into a λ label (the fewest
 //     hyperedges whose union covers the bag), yielding the GHD.
 //
-// An improvement loop tries every configured ordering plus randomized
-// tie-breaking restarts and keeps the smallest width found. The loop runs
+// An improvement loop tries every ordering plus randomized tie-breaking
+// restarts and keeps the smallest width found. The loop runs
 // under the same context/step-budget plumbing as the exact searches: one
 // step is one vertex elimination decision, and an exhausted budget returns
 // the best decomposition found so far (or ErrStepBudget if none completed).
@@ -27,6 +27,7 @@ package ghd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -54,136 +55,39 @@ const (
 	MaxCardinality
 )
 
-// String names the ordering for diagnostics.
-func (o Ordering) String() string {
-	switch o {
-	case MinFill:
-		return "min-fill"
-	case MinDegree:
-		return "min-degree"
-	case MaxCardinality:
-		return "max-cardinality"
-	default:
-		return fmt.Sprintf("ordering(%d)", int(o))
-	}
-}
-
-// DefaultOrderings is the ordering portfolio tried when none is configured.
-var DefaultOrderings = []Ordering{MinFill, MinDegree, MaxCardinality}
-
-// DefaultRestarts is the number of randomized-tie-break repetitions of each
-// ordering tried in addition to the deterministic first pass.
-const DefaultRestarts = 2
-
-// Options tunes the improvement loop. The zero value selects the default
-// portfolio (all three orderings, DefaultRestarts randomized restarts each,
-// seed 1).
-type Options struct {
-	// Orderings is the set of heuristics to try; nil means DefaultOrderings.
-	Orderings []Ordering
-	// Restarts is the number of additional randomized-tie-break passes per
-	// ordering; < 0 disables restarts entirely (deterministic passes only).
-	Restarts int
-	// Seed drives the randomized tie-breaking; 0 means seed 1 so results are
-	// reproducible by default.
-	Seed int64
-	// Cost, when non-nil, is the compilation's cost model (derived from an
-	// internal/stats snapshot) and switches the engine cost-aware:
-	// GreedyCoverCost breaks coverage ties toward the cover whose node table is
-	// estimated smallest, and ties between equal-width trials go to the
-	// decomposition of lower total estimated cost (decomp.CostWith) instead
-	// of the lower trial index. Statistics never change the width contract
-	// — only which same-width decomposition wins. Cost does not participate
-	// in decomposer names; plan caches key statistics by their fingerprint
-	// instead.
-	Cost *decomp.CostModel
-}
-
-func (o Options) orderings() []Ordering {
-	if len(o.Orderings) == 0 {
-		return DefaultOrderings
-	}
-	return o.Orderings
-}
-
-func (o Options) restarts() int {
-	if o.Restarts < 0 {
-		return 0
-	}
-	if o.Restarts == 0 {
-		return DefaultRestarts
-	}
-	return o.Restarts
-}
-
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
+// seeds are each ordering's trials in order: 0 is the deterministic pass
+// (ties go to the lowest index), the others seed randomized tie-breaking
+// restarts.
+var seeds = []int64{0, 2, 3}
 
 // Decompose runs the greedy improvement loop on h and returns the best GHD
-// found. maxWidth > 0 bounds the accepted width — since the heuristic cannot
-// prove non-existence, ErrWidthExceeded then only means "no trial reached
-// the bound". stepBudget > 0 bounds the cumulative number of vertex
-// elimination decisions across all trials; when it runs out the best
-// decomposition found so far is returned, or ErrStepBudget if no trial
-// completed. workers > 1 runs trials concurrently; the orderings'
-// restarts share the seeds seed+1 … seed+R (one stream per seed), so a
-// trial's tie-breaks depend on its seed alone, and ties between
-// equal-width trials go to the lowest trial index — or, when opts.Cost
-// supplies statistics, to the trial of lowest
-// total estimated cost (a width bound then no longer cuts the loop short:
-// remaining trials still compete on cost) — so without a step budget or
-// width bound the result is identical to the sequential one. With
-// stepBudget or maxWidth set, both loops stop early, and which trials
-// complete before the cut-off may differ between
-// sequential and parallel execution (and, under a budget, between runs) —
-// the returned decomposition always satisfies the same contract, but its
-// width may differ.
-func Decompose(ctx context.Context, h *hypergraph.Hypergraph, opts Options, maxWidth, stepBudget, workers int) (*decomp.Decomposition, error) {
-	if err := ctx.Err(); err != nil {
+// found, ranked by Best under model. maxWidth > 0 bounds the accepted width
+// — since the heuristic cannot prove non-existence, ErrWidthExceeded then
+// only means "no trial reached the bound" — and, without a model, stops the
+// loop at the first trial within it (Best.Done). stepBudget > 0 bounds the
+// cumulative number of vertex elimination decisions across all trials;
+// when it runs out the best decomposition found so far is returned, or
+// ErrStepBudget if no trial completed. A non-nil model (the compilation's
+// statistics) decides only what the width leaves open: GreedyCoverCost
+// breaks coverage ties toward the smaller estimated node table, and Best
+// breaks width ties toward the lower total estimated cost.
+func Decompose(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
+	best := Best{Model: model}
+	err := ForEachShape(ctx, h, model, NewBudget(stepBudget), func(d *decomp.Decomposition) error {
+		best.Offer(d)
+		if best.Done(maxWidth) {
+			return errDone
+		}
+		return nil
+	})
+	if err != nil && err != errDone && err != decomp.ErrStepBudget {
 		return nil, err
-	}
-	if h.NumEdges() == 0 {
-		return &decomp.Decomposition{H: h}, nil
-	}
-	g := h.PrimalGraph()
-	trials := trialPlan(opts)
-
-	budget := NewBudget(stepBudget)
-	best := Best{Model: opts.Cost}
-	if workers > len(trials) {
-		workers = len(trials)
-	}
-	if workers <= 1 {
-		for _, tr := range trials {
-			d, err := runTrial(ctx, h, g, tr, opts.Cost, budget)
-			if err != nil {
-				if err == decomp.ErrStepBudget {
-					break // keep what earlier trials produced
-				}
-				return nil, err
-			}
-			best.Offer(d)
-			if maxWidth > 0 && d.Width() <= maxWidth && opts.Cost == nil {
-				break // a satisfying decomposition: no need to improve further
-			}
-		}
-	} else {
-		results := make([]*decomp.Decomposition, len(trials))
-		if err := runParallel(ctx, h, g, trials, budget, results, workers, maxWidth, opts.Cost); err != nil {
-			return nil, err
-		}
-		for _, d := range results {
-			if d != nil {
-				best.Offer(d)
-			}
-		}
 	}
 	return best.Result(ctx, maxWidth)
 }
+
+// errDone stops Decompose's shape loop once Best is done.
+var errDone = errors.New("ghd: satisfying decomposition found")
 
 // Best ranks the decompositions offered to it in trial order by the
 // improvement loop's rule: the smallest width wins; with statistics (Model
@@ -214,6 +118,13 @@ func (b *Best) Offer(d *decomp.Decomposition) bool {
 	return false
 }
 
+// Done is the loop's stop rule: the incumbent satisfies maxWidth > 0 and
+// there is no model (with statistics the remaining trials still compete on
+// cost, so a width bound does not cut the loop short).
+func (b *Best) Done(maxWidth int) bool {
+	return b.D != nil && maxWidth > 0 && b.width <= maxWidth && b.Model == nil
+}
+
 // Result is the loop's verdict: the incumbent, ErrWidthExceeded when it
 // misses the bound, or ctx.Err() or ErrStepBudget when no trial completed.
 func (b *Best) Result(ctx context.Context, maxWidth int) (*decomp.Decomposition, error) {
@@ -229,15 +140,16 @@ func (b *Best) Result(ctx context.Context, maxWidth int) (*decomp.Decomposition,
 	return b.D, nil
 }
 
-// ForEachShape runs the configured trial portfolio sequentially and hands
-// each resulting decomposition — a pruned bag-tree with greedy covers — to
-// fn. It is the shape-enumeration hook behind the fractional engine
-// (internal/fhd), which re-covers the same bags with LP-priced fractional
-// weights and ranks shapes by fractional rather than integral width. A
-// non-nil error from fn aborts the loop and is returned as-is; an exhausted
-// budget surfaces as decomp.ErrStepBudget, with every shape completed
-// before the cut-off already delivered.
-func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, opts Options, budget *Budget, fn func(*decomp.Decomposition) error) error {
+// ForEachShape runs the trial portfolio — per ordering (min-fill,
+// min-degree, max-cardinality) one trial per entry of seeds — and hands
+// each resulting decomposition, a pruned bag-tree with GreedyCoverCost
+// covers under model, to fn. It is the one shape loop: Decompose ranks
+// the shapes as built, and the fractional engine (internal/fhd) re-covers
+// the same bags with LP-priced weights and ranks them by fractional width.
+// A non-nil error from fn aborts the loop and is returned as-is; an
+// exhausted budget surfaces as decomp.ErrStepBudget, with every shape
+// completed before the cut-off already delivered.
+func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, budget *Budget, fn func(*decomp.Decomposition) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -245,105 +157,75 @@ func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, opts Options, b
 		return fn(&decomp.Decomposition{H: h})
 	}
 	g := h.PrimalGraph()
-	for _, tr := range trialPlan(opts) {
-		d, err := runTrial(ctx, h, g, tr, opts.Cost, budget)
-		if err != nil {
-			return err
-		}
-		if err := fn(d); err != nil {
-			return err
+	for _, ord := range []Ordering{MinFill, MinDegree, MaxCardinality} {
+		for _, seed := range seeds {
+			d, err := runTrial(ctx, h, g, ord, seed, model, budget)
+			if err != nil {
+				return err
+			}
+			if err := fn(d); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// trial is one pass of the improvement loop: an ordering heuristic plus,
-// for randomized restarts, the tie-breaking stream of its seed (the first
-// pass per ordering uses deterministic lowest-index tie-breaking instead).
-type trial struct {
-	ordering Ordering
-	stream   *stream
-}
-
-func trialPlan(opts Options) []trial {
-	streams := make([]*stream, opts.restarts())
-	for r := range streams {
-		seed := opts.seed() + int64(r+1)
-		streams[r] = &stream{seed: seed, vals: defaultPrefixes()[seed]}
-	}
-	var trials []trial
-	for _, ord := range opts.orderings() {
-		trials = append(trials, trial{ordering: ord})
-		for _, s := range streams {
-			trials = append(trials, trial{ordering: ord, stream: s})
-		}
-	}
-	return trials
-}
-
 const prefixLen = 1024 // a walk over a few dozen variables draws under 100
 
-// defaultPrefixes maps the default Options' restart seeds to the first
-// prefixLen values of rand.NewSource(seed), so that their streams need not
-// seed a source (which costs more than a walk draws); computed once per
-// process and never written after.
-var defaultPrefixes = sync.OnceValue(func() map[int64][]int64 {
-	prefixes := map[int64][]int64{}
-	for r := int64(1); r <= DefaultRestarts; r++ {
-		seed := Options{}.seed() + r
+// prefixes maps each restart seed to the first prefixLen values of
+// rand.NewSource(seed), so that a trial need not seed a source (which costs
+// more than a walk draws); computed once per process and never written
+// after.
+var prefixes = sync.OnceValue(func() map[int64][]int64 {
+	out := map[int64][]int64{}
+	for _, seed := range seeds[1:] {
 		src, vals := rand.NewSource(seed), make([]int64, prefixLen)
 		for i := range vals {
 			vals[i] = src.Int63()
 		}
-		prefixes[seed] = vals
+		out[seed] = vals
 	}
-	return prefixes
+	return out
 })
 
-// stream is one restart seed's tie-break sequence, shared by every
-// ordering's restart with that seed: seeded once, on the first draw past its
-// default prefix (if any), and recorded, so each trial replays exactly
-// rand.NewSource(seed)'s values. The mutex lets runParallel's workers share it.
-type stream struct {
-	mu   sync.Mutex
-	seed int64
-	src  rand.Source
-	vals []int64 // a shared prefix until the first append copies it
-}
-
-// replay is one trial's read position in a stream, as a rand.Source.
+// replay is one randomized trial's tie-break source: it yields exactly
+// rand.NewSource(seed)'s values, reading the shared prefix first and, past
+// its end, a source of its own, seeded on the first such draw.
 type replay struct {
-	s   *stream
-	pos int
+	seed   int64
+	prefix []int64 // read-only, shared by every trial of the seed
+	pos    int
+	src    rand.Source
 }
 
-// Int63 returns the stream's next value for this trial.
+// Int63 returns the seed's next value.
 func (r *replay) Int63() int64 {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r.pos == len(s.vals) {
-		if s.src == nil {
-			s.src = rand.NewSource(s.seed)
-			for range s.vals { // the prefix it started with
-				s.src.Int63()
-			}
-		}
-		s.vals = append(s.vals, s.src.Int63())
+	if r.pos < len(r.prefix) {
+		r.pos++
+		return r.prefix[r.pos-1]
 	}
-	r.pos++
-	return s.vals[r.pos-1]
+	if r.src == nil {
+		r.src = rand.NewSource(r.seed)
+		for range r.prefix { // the values already read
+			r.src.Int63()
+		}
+	}
+	return r.src.Int63()
 }
 
-// Seed is never called: a replayed stream starts where its seed's does.
-func (r *replay) Seed(int64) { panic("ghd: a replayed tie-break stream cannot be reseeded") }
+// Seed is never called: a replay starts where its seed's source does.
+func (r *replay) Seed(int64) { panic("ghd: a replayed tie-break source cannot be reseeded") }
 
-func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr trial, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
+// runTrial is one pass of the improvement loop: the ordering heuristic,
+// breaking ties toward the lowest index for seed 0 and by seed's replay
+// otherwise.
+func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, ord Ordering, seed int64, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
 	var rng *rand.Rand
-	if tr.stream != nil {
-		rng = rand.New(&replay{s: tr.stream})
+	if seed != 0 {
+		rng = rand.New(&replay{seed: seed, prefix: prefixes()[seed]})
 	}
-	order, err := eliminationOrder(ctx, g, tr.ordering, rng, budget)
+	order, err := eliminationOrder(ctx, g, ord, rng, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -351,61 +233,11 @@ func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, tr 
 	return FromTreeDecompositionCost(h, td, model), nil
 }
 
-// runParallel distributes trials over workers. Results land in their trial
-// slot so the ranking is deterministic given the set of completed trials; a
-// satisfied maxWidth or an exhausted budget stops further trials from being
-// handed out (in-flight ones finish and still count).
-func runParallel(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, trials []trial, budget *Budget, results []*decomp.Decomposition, workers, maxWidth int, model *decomp.CostModel) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				abort := firstErr != nil
-				mu.Unlock()
-				if abort || i >= len(trials) {
-					return
-				}
-				d, err := runTrial(ctx, h, g, trials[i], model, budget)
-				mu.Lock()
-				switch {
-				case err == decomp.ErrStepBudget:
-					next = len(trials) // stop handing out trials, keep results
-				case err != nil:
-					if firstErr == nil {
-						firstErr = err
-					}
-				default:
-					results[i] = d
-					if maxWidth > 0 && d.Width() <= maxWidth && model == nil {
-						// satisfying width: stop improving (with statistics the
-						// remaining trials still compete on cost, so run them)
-						next = len(trials)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// Budget is the shared, goroutine-safe step counter of the heuristic
-// engines: one Take per vertex-elimination decision here, and — through
-// lp.Problem.Step — one per simplex pivot in the fractional re-covering
-// pass of internal/fhd. limit 0 means unlimited.
+// Budget is the step counter of the heuristic engines: one Take per
+// vertex-elimination decision here, and — through lp.Problem.Step — one
+// per simplex pivot in the fractional re-covering pass of internal/fhd.
+// limit 0 means unlimited. A walk and its budget live on one goroutine.
 type Budget struct {
-	mu    sync.Mutex
 	used  int
 	limit int
 }
@@ -418,8 +250,6 @@ func (s *Budget) Take() bool {
 	if s.limit <= 0 {
 		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.used >= s.limit {
 		return false
 	}

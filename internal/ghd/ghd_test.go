@@ -16,10 +16,10 @@ import (
 	"hypertree/internal/hypergraph"
 )
 
-// decompose with default options and no limits.
+// decompose without statistics or limits.
 func mustDecompose(t *testing.T, h *hypergraph.Hypergraph) *decomp.Decomposition {
 	t.Helper()
-	d, err := Decompose(context.Background(), h, Options{}, 0, 0, 1)
+	d, err := Decompose(context.Background(), h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestGreedyWidthAtLeastGHW(t *testing.T) {
 // MaxWidth: accepted when a trial reaches it, ErrWidthExceeded otherwise.
 func TestGreedyMaxWidth(t *testing.T) {
 	h := queryHG(t, gen.Cycle(12)) // greedy finds width 2
-	if _, err := Decompose(context.Background(), h, Options{}, 2, 0, 1); err != nil {
+	if _, err := Decompose(context.Background(), h, nil, 2, 0); err != nil {
 		t.Fatalf("maxWidth 2 on cycle(12): %v", err)
 	}
-	if _, err := Decompose(context.Background(), h, Options{}, 1, 0, 1); !errors.Is(err, decomp.ErrWidthExceeded) {
+	if _, err := Decompose(context.Background(), h, nil, 1, 0); !errors.Is(err, decomp.ErrWidthExceeded) {
 		t.Fatalf("maxWidth 1 on cycle(12): err = %v, want ErrWidthExceeded", err)
 	}
 }
@@ -105,12 +105,12 @@ func TestGreedyMaxWidth(t *testing.T) {
 // enough for one trial but not all → the best-so-far is still returned.
 func TestGreedyStepBudget(t *testing.T) {
 	h := queryHG(t, gen.Grid(4, 4)) // 16 vertices
-	if _, err := Decompose(context.Background(), h, Options{}, 0, 3, 1); !errors.Is(err, decomp.ErrStepBudget) {
+	if _, err := Decompose(context.Background(), h, nil, 0, 3); !errors.Is(err, decomp.ErrStepBudget) {
 		t.Fatalf("budget 3: err = %v, want ErrStepBudget", err)
 	}
 	// 20 steps: the first min-fill pass (16 eliminations) completes, later
 	// trials are cut off — the completed decomposition must be returned.
-	d, err := Decompose(context.Background(), h, Options{}, 0, 20, 1)
+	d, err := Decompose(context.Background(), h, nil, 0, 20)
 	if err != nil {
 		t.Fatalf("budget 20: %v", err)
 	}
@@ -124,29 +124,8 @@ func TestGreedyCancelled(t *testing.T) {
 	h := queryHG(t, gen.Grid(5, 5))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Decompose(ctx, h, Options{}, 0, 0, 1); !errors.Is(err, context.Canceled) {
+	if _, err := Decompose(ctx, h, nil, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// Sequential and parallel improvement loops must agree exactly: a trial's
-// tie-breaks depend on its seed alone and ties go to the lowest trial index.
-func TestGreedyParallelDeterministic(t *testing.T) {
-	for _, q := range []*hypergraph.Hypergraph{
-		queryHG(t, gen.Grid(4, 4)),
-		queryHG(t, gen.RandomCSP(rand.New(rand.NewSource(3)), 20, 35, 3)),
-	} {
-		seq, err := Decompose(context.Background(), q, Options{}, 0, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Decompose(context.Background(), q, Options{}, 0, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Width() != par.Width() {
-			t.Fatalf("sequential width %d != parallel width %d", seq.Width(), par.Width())
-		}
 	}
 }
 
@@ -156,7 +135,7 @@ func TestGreedyOrderingsIndividually(t *testing.T) {
 	h := queryHG(t, gen.Grid(4, 4))
 	best := 1 << 30
 	for _, ord := range []Ordering{MinFill, MinDegree, MaxCardinality} {
-		d, err := Decompose(context.Background(), h, Options{Orderings: []Ordering{ord}, Restarts: -1}, 0, 0, 1)
+		d, err := runTrial(context.Background(), h, h.PrimalGraph(), ord, 0, nil, NewBudget(0))
 		if err != nil {
 			t.Fatalf("%v: %v", ord, err)
 		}
@@ -167,7 +146,7 @@ func TestGreedyOrderingsIndividually(t *testing.T) {
 			best = d.Width()
 		}
 	}
-	portfolio, err := Decompose(context.Background(), h, Options{}, 0, 0, 1)
+	portfolio, err := Decompose(context.Background(), h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +157,7 @@ func TestGreedyOrderingsIndividually(t *testing.T) {
 
 // The empty hypergraph decomposes to the empty decomposition.
 func TestGreedyEmpty(t *testing.T) {
-	d, err := Decompose(context.Background(), hypergraph.New(), Options{}, 0, 0, 1)
+	d, err := Decompose(context.Background(), hypergraph.New(), nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +186,7 @@ func TestGreedyCover(t *testing.T) {
 func TestGreedyLargeCSPFast(t *testing.T) {
 	h := queryHG(t, gen.RandomCSP(rand.New(rand.NewSource(42)), 30, 50, 3))
 	start := time.Now()
-	d, err := Decompose(context.Background(), h, Options{}, 0, 0, 1)
+	d, err := Decompose(context.Background(), h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +257,7 @@ func TestGreedyCoverCostPrefersJoins(t *testing.T) {
 }
 
 // With a cost model, Decompose must keep its width contract while landing
-// on a cheaper decomposition than the width-only run, sequentially and in
-// parallel.
+// on a cheaper decomposition than the width-only run.
 func TestDecomposeCostTieBreak(t *testing.T) {
 	h := hypergraph.New()
 	h.AddEdge("big", "X1", "X2")
@@ -290,24 +268,22 @@ func TestDecomposeCostTieBreak(t *testing.T) {
 	rows := rowsOnly(h, 100000, 1000, 100, 50, 10)
 
 	ctx := context.Background()
-	plain, err := Decompose(ctx, h, Options{}, 0, 0, 1)
+	plain, err := Decompose(ctx, h, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		costed, err := Decompose(ctx, h, Options{Cost: rows}, 0, 0, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costed.Width() != plain.Width() {
-			t.Fatalf("workers=%d: statistics changed the width: %d vs %d", workers, costed.Width(), plain.Width())
-		}
-		if err := costed.ValidateGHD(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if cc, pc := costed.CostWith(rows), plain.CostWith(rows); cc > pc {
-			t.Fatalf("workers=%d: cost-aware decomposition costs %g > width-only %g", workers, cc, pc)
-		}
+	costed, err := Decompose(ctx, h, rows, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costed.Width() != plain.Width() {
+		t.Fatalf("statistics changed the width: %d vs %d", costed.Width(), plain.Width())
+	}
+	if err := costed.ValidateGHD(); err != nil {
+		t.Fatal(err)
+	}
+	if cc, pc := costed.CostWith(rows), plain.CostWith(rows); cc > pc {
+		t.Fatalf("cost-aware decomposition costs %g > width-only %g", cc, pc)
 	}
 }
 
@@ -372,7 +348,7 @@ func TestCostAwareCoverNeverLarger(t *testing.T) {
 					t.Fatalf("%s: cost-aware cover of %v grew", name, h.VertexNames(n.Chi))
 				}
 			}
-			costed, err := Decompose(ctx, h, Options{Cost: m}, 0, 0, 1)
+			costed, err := Decompose(ctx, h, m, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,96 +365,52 @@ func TestCostAwareCoverNeverLarger(t *testing.T) {
 	}
 }
 
-// The orderings' restarts share one stream per seed. However the trials'
-// draws interleave, within one goroutine or across runParallel's workers,
-// each randomized trial must see exactly the Intn values of a generator
-// seeded afresh with its seed, seed+1 … seed+R.
+// Every randomized trial reads its own replay of its seed: the shared
+// per-process prefix, then a source it seeds itself. However many trials of
+// one seed run at once — concurrent compiles each walk the portfolio on
+// their own goroutine — each sees exactly the Intn values of a generator
+// seeded afresh, within the prefix and past its end (and for a seed without
+// a prefix), the shared prefixes stay untouched, and concurrent walks
+// return what a lone one does.
 func TestReplayedTieBreaksMatchFreshSources(t *testing.T) {
-	const restarts, workers = 3, 4
-	for _, seed := range []int64{1, 42, -7} {
-		type cursor struct{ replayed, fresh *rand.Rand }
-		var cursors []cursor
-		streams := map[*stream]bool{}
-		for i, tr := range trialPlan(Options{Restarts: restarts, Seed: seed}) {
-			if k := i % (restarts + 1); k > 0 {
-				if tr.stream == nil || tr.stream.seed != seed+int64(k) {
-					t.Fatalf("seed %d, trial %d: restart %d has no stream of seed %d", seed, i, k, seed+int64(k))
-				}
-				streams[tr.stream] = true
-				cursors = append(cursors, cursor{rand.New(&replay{s: tr.stream}), rand.New(rand.NewSource(tr.stream.seed))})
-			}
-		}
-		if len(streams) != restarts {
-			t.Fatalf("seed %d: %d streams for %d distinct seeds", seed, len(streams), restarts)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for step := 0; step < 3000; step++ {
-			c, n := rng.Intn(len(cursors)), 1+rng.Intn(50)
-			if got, want := cursors[c].replayed.Intn(n), cursors[c].fresh.Intn(n); got != want {
-				t.Fatalf("seed %d, step %d, cursor %d: replayed Intn(%d) = %d, fresh source %d", seed, step, c, n, got, want)
-			}
-		}
-
-		trials := trialPlan(Options{Restarts: restarts, Seed: seed})
-		errs := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+	const workers = 4
+	h := families()["csp50atom"]
+	lone := mustDecompose(t, h).String()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*len(seeds))
+	for w := 0; w < workers; w++ {
+		for _, seed := range append([]int64{42}, seeds[1:]...) {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				local := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < 20; i++ {
-					tr := trials[local.Intn(len(trials))]
-					if tr.stream == nil {
-						continue
-					}
-					replayed, fresh := rand.New(&replay{s: tr.stream}), rand.New(rand.NewSource(tr.stream.seed))
-					for draw := 0; draw < 100+local.Intn(200); draw++ {
-						n := 1 + local.Intn(50)
-						if got, want := replayed.Intn(n), fresh.Intn(n); got != want {
-							errs <- fmt.Errorf("seed %d, worker %d, draw %d: replayed Intn(%d) = %d, fresh source %d", tr.stream.seed, w, draw, n, got, want)
-							return
-						}
+				replayed := rand.New(&replay{seed: seed, prefix: prefixes()[seed]})
+				fresh, local := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(int64(w)))
+				for draw := 0; draw < 2*prefixLen+w; draw++ {
+					n := 1 + local.Intn(50)
+					if got, want := replayed.Intn(n), fresh.Intn(n); got != want {
+						errs <- fmt.Errorf("seed %d, worker %d, draw %d: replayed Intn(%d) = %d, fresh source %d", seed, w, draw, n, got, want)
+						return
 					}
 				}
-			}(w)
+			}()
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-	}
-
-	// The default portfolio's streams start from the shared per-process
-	// prefixes. Concurrent replays of two walks read past a prefix's end
-	// into a live source, and the prefixes stay untouched for a third.
-	for round := 0; round < 3; round++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, 2*workers)
-		for _, plan := range [][]trial{trialPlan(Options{}), trialPlan(Options{})} {
-			for w := 0; w < workers; w++ {
-				tr := plan[1+w%DefaultRestarts]
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					replayed, fresh := &replay{s: tr.stream}, rand.NewSource(tr.stream.seed)
-					for draw := 0; draw < 2*prefixLen+w; draw++ {
-						if got, want := replayed.Int63(), fresh.Int63(); got != want {
-							errs <- fmt.Errorf("round %d, seed %d, worker %d, draw %d: replayed %d, fresh source %d", round, tr.stream.seed, w, draw, got, want)
-							return
-						}
-					}
-				}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if d, err := Decompose(context.Background(), h, nil, 0, 0); err != nil || d.String() != lone {
+				errs <- fmt.Errorf("worker %d: a concurrent walk returned %v, %v; a lone one\n%s", w, d, err, lone)
 			}
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
+		}()
 	}
-	for seed, prefix := range defaultPrefixes() {
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if len(prefixes()) != len(seeds)-1 {
+		t.Fatalf("%d prefixes for the %d restart seeds", len(prefixes()), len(seeds)-1)
+	}
+	for seed, prefix := range prefixes() {
 		fresh := rand.NewSource(seed)
 		for i, v := range prefix {
 			if want := fresh.Int63(); v != want {

@@ -913,7 +913,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // as a JSON document (what programmatic consumers such as bench/ read).
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	defer func() { s.hist("/admin/metrics").Observe(time.Since(start)) }()
+	defer func() { s.hist("/admin/metrics.json").Observe(time.Since(start)) }()
 	s.writeJSON(w, http.StatusOK, s.Metrics())
 }
 

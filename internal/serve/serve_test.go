@@ -481,6 +481,27 @@ func TestServeMetricsAndExplainEndpoints(t *testing.T) {
 	}
 }
 
+// Each metrics route times itself under its own key: one scrape of the
+// Prometheus route and one of the JSON route leave one observation under
+// each, not two under one.
+func TestMetricsRoutesObserveUnderTheirOwnKeys(t *testing.T) {
+	s := newTestServer(t, Config{CacheSize: 8})
+	h := s.Handler()
+	for _, route := range []string{"/admin/metrics", "/admin/metrics.json"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, route, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", route, w.Code)
+		}
+	}
+	routes := s.Metrics().Routes
+	for _, route := range []string{"/admin/metrics", "/admin/metrics.json"} {
+		if got := routes[route].Count; got != 1 {
+			t.Errorf("%s: %d observations, want 1 (routes %+v)", route, got, routes)
+		}
+	}
+}
+
 // Graceful drain: http.Server.Shutdown must let an in-flight query finish
 // and answer 200 — the serving half of the SIGTERM contract (cmd/hdserve
 // wires the signal; this pins the drain semantics it relies on).

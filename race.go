@@ -9,7 +9,6 @@ import (
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/fhd"
-	"hypertree/internal/ghd"
 	"hypertree/internal/obs"
 )
 
@@ -85,7 +84,7 @@ func runRace(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCan
 		{name: GreedyDecomposer().Name(), generalized: true},
 	}
 	started := time.Now()
-	frac, greedy := fhd.DecomposeWithGreedy(ctx, h, ghd.Options{Cost: req.Cost}, req.MaxWidth, req.StepBudget)
+	frac, greedy := fhd.DecomposeWithGreedy(ctx, h, req.Cost, req.MaxWidth, req.StepBudget)
 	elapsed := time.Since(started)
 	c := &cands[0]
 	for i, r := range []fhd.Candidate{frac, greedy} {
