@@ -1,16 +1,14 @@
 // Command hdserve is the query-serving daemon over internal/serve: it loads
 // one database at startup, collects a sampled statistics snapshot, warms an
-// LRU+TTL PlanCache, and serves conjunctive-query evaluation over HTTP.
+// LRU PlanCache, and serves conjunctive-query evaluation over HTTP.
 //
 // Usage:
 //
 //	hdserve [-addr :8080] (-db factsfile | -gen-rows N [-gen-domain D] [-gen-seed S])
-//	        [-cache-size N] [-cache-ttl D] [-max-inflight N]
+//	        [-cache-size N] [-max-inflight N]
 //	        [-timeout D] [-max-timeout D] [-step-budget N] [-max-rows N]
 //	        [-slowquery-ms N] [-portfile PATH] [-drain D]
 //	        [-trace-sample N] [-otel-file PATH | -otel-endpoint URL]
-//	        [-stats-refresh D] [-qerror-threshold Q] [-qerror-window N]
-//	        [-refresh-cooldown D]
 //
 // The database is either a facts file (-db, ground atoms in "r(a,b)." form)
 // or the generated serving database (-gen-rows: random binary relations
@@ -20,23 +18,24 @@
 // port.
 //
 // Endpoints: POST /query (JSON; "trace": true opts into a per-request span
-// summary), POST /admin/ingest (append facts to the live database), POST
-// /admin/refresh (force a statistics refresh), GET /admin/qerror (the
-// cardinality-feedback table), GET /admin/metrics (Prometheus text),
-// GET /admin/metrics.json, GET /admin/explain, GET /debug/pprof,
-// GET /healthz. See internal/serve for the request dataflow, in-flight
-// batching and admission control.
+// summary), POST /admin/ingest (append facts to the live database and
+// publish it with its re-collected statistics), GET /admin/metrics
+// (Prometheus text), GET /admin/metrics.json, GET /admin/explain, GET
+// /debug/pprof, GET /healthz. See internal/serve for the request dataflow,
+// in-flight batching and admission control.
 //
-// Observability loop: -trace-sample N traces one in every N executions even
-// when clients never ask for a trace — sampled traces feed the q-error
-// feedback table, annotate latency-histogram buckets with exemplar trace
-// IDs, and (with -otel-file or -otel-endpoint) ship as OTel OTLP/JSON
-// spans. -stats-refresh D re-collects statistics every D; -qerror-threshold
-// Q additionally triggers a refresh whenever some node's median q-error
-// over its last -qerror-window sampled executions exceeds Q (bounded below
-// by -refresh-cooldown). Because plan-cache keys embed the statistics
-// fingerprint, a refresh re-ranks plans on their next compile with no
-// restart and no cache invalidation.
+// Statistics travel with the data: an ingest that adds tuples re-collects
+// sampled statistics of the grown database and publishes them with it in
+// one snapshot. Plans are priced on a quarter-octave grid of
+// the counts, and plan-cache keys embed the grid's fingerprint, so an
+// ingest re-ranks a query on its next compile exactly when a price moved —
+// with no restart and no cache invalidation.
+//
+// Observability: -trace-sample N traces one in every N executions even
+// when clients never ask for a trace — sampled traces annotate
+// latency-histogram buckets with exemplar trace IDs and (with -otel-file or
+// -otel-endpoint) ship as OTel OTLP/JSON spans carrying each node's
+// estimated and actual rows.
 //
 // -slowquery-ms N (0 = off) traces every execution and appends each one
 // that takes N ms or longer as a JSON line to stderr — query, stage
@@ -69,28 +68,23 @@ import (
 
 // options collects every flag.
 type options struct {
-	addr            string
-	dbFile          string
-	genRows         int
-	genDomain       int
-	genSeed         int64
-	cacheSize       int
-	cacheTTL        time.Duration
-	maxInflight     int
-	timeout         time.Duration
-	maxTimeout      time.Duration
-	stepBudget      int
-	maxRows         int
-	slowQueryMS     int
-	portfile        string
-	drain           time.Duration
-	traceSample     int
-	otelFile        string
-	otelEndpoint    string
-	statsRefresh    time.Duration
-	qerrorThreshold float64
-	qerrorWindow    int
-	refreshCooldown time.Duration
+	addr         string
+	dbFile       string
+	genRows      int
+	genDomain    int
+	genSeed      int64
+	cacheSize    int
+	maxInflight  int
+	timeout      time.Duration
+	maxTimeout   time.Duration
+	stepBudget   int
+	maxRows      int
+	slowQueryMS  int
+	portfile     string
+	drain        time.Duration
+	traceSample  int
+	otelFile     string
+	otelEndpoint string
 }
 
 func main() {
@@ -101,7 +95,6 @@ func main() {
 	flag.IntVar(&o.genDomain, "gen-domain", 1000, "constant domain size for -gen-rows")
 	flag.Int64Var(&o.genSeed, "gen-seed", 1, "rng seed for -gen-rows")
 	flag.IntVar(&o.cacheSize, "cache-size", 0, "PlanCache capacity (0 = default)")
-	flag.DurationVar(&o.cacheTTL, "cache-ttl", 0, "PlanCache entry time-to-live (0 = never expire)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently executing queries (0 = 2×GOMAXPROCS)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "default per-request deadline (0 = 5s)")
 	flag.DurationVar(&o.maxTimeout, "max-timeout", 0, "clamp on client-supplied timeouts (0 = 60s)")
@@ -110,13 +103,9 @@ func main() {
 	flag.IntVar(&o.slowQueryMS, "slowquery-ms", 0, "log queries at/over this many milliseconds as JSON lines to stderr (0 = off)")
 	flag.StringVar(&o.portfile, "portfile", "", "write the bound listen address to this file once serving")
 	flag.DurationVar(&o.drain, "drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
-	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace one in every N executions (0 = off); sampled traces feed q-error feedback, exemplars and span export")
+	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace one in every N executions (0 = off); sampled traces feed exemplars and span export")
 	flag.StringVar(&o.otelFile, "otel-file", "", "append sampled traces as OTLP/JSON lines to this file")
 	flag.StringVar(&o.otelEndpoint, "otel-endpoint", "", "POST sampled traces as OTLP/JSON to this OTLP/HTTP endpoint (e.g. http://localhost:4318/v1/traces)")
-	flag.DurationVar(&o.statsRefresh, "stats-refresh", 0, "re-collect the statistics snapshot on this period (0 = off)")
-	flag.Float64Var(&o.qerrorThreshold, "qerror-threshold", 0, "trigger a statistics refresh when a node's median q-error exceeds this (0 = off)")
-	flag.IntVar(&o.qerrorWindow, "qerror-window", 0, "consecutive-execution window for the q-error trigger median (0 = default)")
-	flag.DurationVar(&o.refreshCooldown, "refresh-cooldown", 0, "minimum spacing between feedback-triggered refreshes (0 = default)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -149,20 +138,15 @@ func run(ctx context.Context, o options, stderr io.Writer) error {
 
 	t0 := time.Now()
 	s, err := serve.New(serve.Config{
-		DB:              db,
-		CacheSize:       o.cacheSize,
-		CacheTTL:        o.cacheTTL,
-		MaxInflight:     o.maxInflight,
-		DefaultTimeout:  o.timeout,
-		MaxTimeout:      o.maxTimeout,
-		StepBudget:      o.stepBudget,
-		MaxAnswerRows:   o.maxRows,
-		SlowQuery:       time.Duration(o.slowQueryMS) * time.Millisecond,
-		SlowQueryLog:    stderr,
-		StatsRefresh:    o.statsRefresh,
-		QErrorThreshold: o.qerrorThreshold,
-		QErrorWindow:    o.qerrorWindow,
-		RefreshCooldown: o.refreshCooldown,
+		DB:             db,
+		CacheSize:      o.cacheSize,
+		MaxInflight:    o.maxInflight,
+		DefaultTimeout: o.timeout,
+		MaxTimeout:     o.maxTimeout,
+		StepBudget:     o.stepBudget,
+		MaxAnswerRows:  o.maxRows,
+		SlowQuery:      time.Duration(o.slowQueryMS) * time.Millisecond,
+		SlowQueryLog:   stderr,
 	}, opts...)
 	if err != nil {
 		return err
@@ -171,9 +155,6 @@ func run(ctx context.Context, o options, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "hdserve: %s, statistics collected in %v\n", desc, time.Since(t0).Round(time.Millisecond))
 	if o.traceSample > 0 {
 		fmt.Fprintf(stderr, "hdserve: tracing 1 in %d executions\n", o.traceSample)
-	}
-	if o.statsRefresh > 0 || o.qerrorThreshold > 0 {
-		fmt.Fprintf(stderr, "hdserve: stats refresh armed (interval %v, q-error threshold %g)\n", o.statsRefresh, o.qerrorThreshold)
 	}
 
 	ln, err := net.Listen("tcp", o.addr)

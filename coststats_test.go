@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hypertree/internal/gen"
+	"hypertree/internal/stats"
 )
 
 // The central safety property of cost-based planning: statistics choose
@@ -307,7 +308,8 @@ func TestExplainReports(t *testing.T) {
 }
 
 // Plans compiled under different statistics snapshots must occupy distinct
-// cache slots: the snapshot fingerprint participates in the key.
+// cache slots: the snapshot fingerprint participates in the key. It is
+// taken on the pricing grid, so a drift that moves no price keeps the slot.
 func TestPlanCacheKeysOnStats(t *testing.T) {
 	ctx := context.Background()
 	q := gen.CostSeparationQuery()
@@ -332,17 +334,38 @@ func TestPlanCacheKeysOnStats(t *testing.T) {
 	if m := cache.Metrics(); m.Hits != 1 {
 		t.Fatalf("identical snapshot missed: %+v", m)
 	}
-	// a drifted database: different fingerprint, different slot
-	db.AddFact("big", "zz1", "zz2")
+	// a drift inside one grid cell (184 → 185 rows, 30 → 31 distinct
+	// values per column): the same prices, so the same fingerprint and slot
+	db.AddFact("big", "zz0", "zz1")
 	st2 := CollectStats(db)
-	if st.Fingerprint() == st2.Fingerprint() {
-		t.Fatal("fingerprint ignored a cardinality change")
+	if st2.Rows("big") == st.Rows("big") || st2.Fingerprint() != st.Fingerprint() {
+		t.Fatalf("setup: %v → %v should stay inside one grid cell", st, st2)
 	}
-	if _, err := cache.Compile(ctx, q, append(base[:2:2], WithCostModel(st2))...); err != nil {
+	plan, err := cache.Compile(ctx, q, append(base[:2:2], WithCostModel(st2))...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m := cache.Metrics(); m.Misses != 3 {
-		t.Fatalf("drifted snapshot served from stale slot: %+v", m)
+	if m := cache.Metrics(); m.Hits != 2 || m.Misses != 2 || plan.PlanStats() != st {
+		t.Fatalf("drift inside a grid cell missed: %+v", m)
+	}
+	// a drift across a grid step: a new fingerprint and a slot of its own,
+	// next to the old one
+	st3 := st2
+	for i := 1; st3.Fingerprint() == st.Fingerprint(); i++ {
+		db.AddFact("big", fmt.Sprintf("zz%d", i), fmt.Sprintf("zz%d", i+1))
+		st3 = CollectStats(db)
+	}
+	for i, want := range []struct {
+		st           *Stats
+		hits, misses uint64
+	}{{st3, 2, 3}, {st3, 3, 3}, {st, 4, 3}} {
+		plan, err := cache.Compile(ctx, q, append(base[:2:2], WithCostModel(want.st))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := cache.Metrics(); m.Hits != want.hits || m.Misses != want.misses || plan.PlanStats() != want.st {
+			t.Fatalf("compile %d after a drift across a grid step: %+v, want %d hits / %d misses", i, m, want.hits, want.misses)
+		}
 	}
 }
 
@@ -360,4 +383,78 @@ func TestPlanCacheMetricsCountsHitsAndMisses(t *testing.T) {
 	if m := cache.Metrics(); m.Hits != 2 || m.Misses != 1 || m.Len != 1 {
 		t.Fatalf("metrics = %+v, want 2 hits / 1 miss / 1 entry", m)
 	}
+}
+
+// Two snapshots whose counts differ but fall in the same grid cells share a
+// fingerprint and price every plan alike, so they compile every family to
+// the same plan: the same Explain() but for the stats{…} line, which shows
+// the exact counts.
+func TestSameGridCellsCompileTheSamePlan(t *testing.T) {
+	dropStats := func(explain string) string {
+		var keep []string
+		for _, l := range strings.Split(explain, "\n") {
+			if !strings.HasPrefix(strings.TrimSpace(l), "stats{") {
+				keep = append(keep, l)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	for name, q := range gen.Families() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			db := gen.SkewedSizeDatabase(rng, q, 300, 40, 1)
+			drifted := driftWithinGrid(rng, db)
+			st1, st2 := CollectStats(db), CollectStats(drifted)
+			moved := false
+			for _, rel := range st1.RelationNames() {
+				moved = moved || st1.Rows(rel) != st2.Rows(rel)
+			}
+			if !moved || st1.String() == st2.String() {
+				t.Fatalf("setup: no count moved (%v)", st1)
+			}
+			if st1.Fingerprint() != st2.Fingerprint() {
+				t.Fatalf("%v and %v share every grid cell but not the fingerprint", st1, st2)
+			}
+			var explains [2]string
+			for i, st := range []*Stats{st1, st2} {
+				plan, err := Compile(q, WithAutoStrategy(), WithStepBudget(2_000_000), WithCostModel(st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				explains[i] = dropStats(plan.Explain())
+			}
+			if explains[0] != explains[1] {
+				t.Fatalf("same grid cells, different plans:\n%s\n---\n%s", explains[0], explains[1])
+			}
+		})
+	}
+}
+
+// driftWithinGrid returns a copy of db whose relations grow as far as their
+// counts stay in their grid cells: a unary relation by new values (its rows
+// and distinct count move together), a wider one by new combinations of the
+// values its columns already hold (its distinct counts stay).
+func driftWithinGrid(rng *rand.Rand, db *Database) *Database {
+	out := db.Clone()
+	for _, name := range out.RelationNames() {
+		r := out.Relation(name)
+		top := r.Rows()
+		for stats.Grid(top+1) == stats.Grid(r.Rows()) {
+			top++
+		}
+		tuple := make([]Value, r.Arity)
+		for try := 0; r.Rows() < top && r.Arity > 0 && try < 100*top; try++ {
+			for c := range tuple {
+				if r.Arity == 1 {
+					tuple[c] = out.Intern(fmt.Sprintf("drift%d", try))
+				} else {
+					tuple[c] = r.Row(rng.Intn(r.Rows()))[c]
+				}
+			}
+			if !r.Has(tuple...) {
+				r.Add(tuple...)
+			}
+		}
+	}
+	return out
 }

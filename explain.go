@@ -29,7 +29,10 @@ func (p *Plan) EstimatedCost() float64 {
 }
 
 // PlanStats returns the statistics snapshot the plan was compiled with, or
-// nil when compilation was width-only.
+// nil when compilation was width-only. A PlanCache hit returns the plan
+// compiled under the first snapshot with the asking snapshot's fingerprint:
+// the same grid values, so the same prices and the same plan, but not
+// necessarily the same exact counts.
 func (p *Plan) PlanStats() *Stats { return p.stats }
 
 // Explain renders the plan's report. The header is the logical plan — its
@@ -41,7 +44,12 @@ func (p *Plan) PlanStats() *Stats { return p.stats }
 // the columns its table keeps where they are fewer than χ, and under
 // statistics its estimate; a node with fractional weights or statistics
 // also lists its λ relations with their weights and cardinalities
-// (cover=…) and its fractional width. Reading the report answers the
+// (cover=…) and its fractional width. Under statistics the estimates and
+// the cover cardinalities are priced on the grid values of the counts (see
+// Stats.Fingerprint); the stats{…} line below the ranking shows the exact
+// counts of the snapshot the plan was compiled with (PlanStats), which for
+// a plan served by a PlanCache may be an earlier snapshot with the same
+// fingerprint. Reading the report answers the
 // planner questions: which relations landed in λ, what each node is
 // expected to materialise, and why this plan beat its same-width rivals.
 func (p *Plan) Explain() string {

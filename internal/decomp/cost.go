@@ -9,7 +9,7 @@ import (
 // This file is the cost model of the planner: one estimate of the size of a
 // node table, read by everything that prices a node — the greedy covers,
 // the shape tie-breaks of the heuristic engines, the auto race, and the
-// evaluator's physical plan (est=, child ordering, q-error feedback). Lemma
+// evaluator's physical plan (est=, child ordering, traced q-errors). Lemma
 // 4.6 materialises each node p as π_χ(p)(⋈ λ(p)) and Theorems 4.7/4.8 price
 // a plan at the size of those tables, so the estimate is of that table, from
 // the statistics a CostModel carries: per hypergraph edge the row count of

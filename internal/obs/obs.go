@@ -7,8 +7,8 @@
 // enumeration. Each span records wall time, step
 // counts and the actual output cardinality alongside the planner's estimate,
 // which is what makes cost-model errors observable (Plan.ExplainAnalyze
-// renders the comparison; the per-node q-errors feed the QErrorTable that
-// adaptive re-planning will consume).
+// renders the comparison; the OTLP export and the serving layer's trace
+// summaries carry each node's q-error).
 //
 // The tracer is built to cost nothing when off and almost nothing when on:
 //

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -164,118 +163,4 @@ func TestTraceConcurrentSpans(t *testing.T) {
 			t.Fatalf("shared steps = %d, want %d", s.Steps, workers*perWorker)
 		}
 	}
-}
-
-func TestQErrorTable(t *testing.T) {
-	tbl := NewQErrorTable(2)
-	tbl.Record("fp", "n1", 10, 20) // q = 2
-	tbl.Record("fp", "n1", 10, 40) // q = 4
-	tbl.Record("fp", "n2", 10, 10) // q = 1
-	tbl.Record("fp", "n3", 1, 100) // dropped: table full
-	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (bounded)", tbl.Len())
-	}
-	rep := tbl.Report()
-	if len(rep) != 2 || rep[0].Node != "n1" {
-		t.Fatalf("Report = %+v", rep)
-	}
-	e := rep[0]
-	if e.Count != 2 || e.MaxQ != 4 || e.MeanQ != 3 || e.LastEst != 10 || e.LastRows != 40 {
-		t.Fatalf("entry = %+v", e)
-	}
-	tbl.Reset()
-	if tbl.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", tbl.Len())
-	}
-}
-
-func TestQErrorTableConcurrent(t *testing.T) {
-	tbl := NewQErrorTable(0)
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tbl.Record("fp", "node", 10, int64(i))
-				tbl.Report()
-			}
-		}(w)
-	}
-	wg.Wait()
-	rep := tbl.Report()
-	if len(rep) != 1 || rep[0].Count != 1600 {
-		t.Fatalf("Report = %+v", rep)
-	}
-}
-
-// Stress the table across many distinct keys — past capacity, so the
-// drop-new-keys path runs concurrently with folds into existing entries —
-// with Report/Len readers and periodic Resets racing the writers. Every
-// snapshot must be internally consistent: counts positive, q-errors ≥ 1,
-// mean bounded by max, size bounded by capacity. Run under -race (CI does).
-func TestQErrorTableRaceStress(t *testing.T) {
-	const cap = 32
-	tbl := NewQErrorTable(cap)
-	var wg sync.WaitGroup
-	errc := make(chan error, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				// 3×cap distinct keys: two thirds of the news are drops
-				node := fmt.Sprintf("node-%d", (w*400+i)%(3*cap))
-				tbl.Record("fp", node, float64(1+i%7), int64(1+(i*w)%90))
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if n := tbl.Len(); n > cap {
-					errc <- fmt.Errorf("Len %d exceeds capacity %d", n, cap)
-					return
-				}
-				for _, e := range tbl.Report() {
-					if e.Count <= 0 || e.MaxQ < 1 || e.MeanQ > e.MaxQ+1e-9 || e.MeanQ < 1 {
-						errc <- fmt.Errorf("inconsistent snapshot entry: %+v", e)
-						return
-					}
-				}
-				if r == 0 && i%50 == 49 {
-					tbl.Reset()
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-}
-
-func TestDefaultTable(t *testing.T) {
-	ResetQErrors()
-	RecordQError("fp", "node", 5, 50)
-	rep := QErrorReport()
-	if len(rep) != 1 || rep[0].MaxQ != 10 {
-		t.Fatalf("QErrorReport = %+v", rep)
-	}
-	ResetQErrors()
-	if len(QErrorReport()) != 0 {
-		t.Fatal("ResetQErrors left entries behind")
-	}
-}
-
-func TestNilQErrorTable(t *testing.T) {
-	var tbl *QErrorTable
-	tbl.Record("fp", "n", 1, 1)
-	if tbl.Report() != nil || tbl.Len() != 0 {
-		t.Fatal("nil table should be inert")
-	}
-	tbl.Reset()
 }

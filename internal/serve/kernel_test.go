@@ -126,36 +126,3 @@ func TestAcyclicPlanSeesIngest(t *testing.T) {
 			after.RowCount, before.RowCount, has(after, "fresh_x", "fresh_z"))
 	}
 }
-
-// Traced executions feed the per-node q-error feedback; the medians must
-// surface as the hdserve_node_qerror_median gauge family.
-func TestNodeQErrorSeriesExported(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 3; i++ {
-		if code, _, _ := post(t, ts.URL, QueryRequest{Query: `r1(X, Y), r2(Y, Z), r3(Z, X)`, Trace: true}); code != http.StatusOK {
-			t.Fatalf("traced query: status %d", code)
-		}
-	}
-	var met Metrics
-	getJSON(t, ts.URL+"/admin/metrics.json", &met)
-	if len(met.NodeQErrors) == 0 {
-		t.Fatal("no per-node q-error medians after traced executions")
-	}
-	for node, q := range met.NodeQErrors {
-		if q < 1 {
-			t.Fatalf("node %q median q-error %g < 1 (q-error is ≥ 1 by definition)", node, q)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "hdserve_node_qerror_median{node=") {
-		t.Fatal("/admin/metrics missing the hdserve_node_qerror_median family")
-	}
-}

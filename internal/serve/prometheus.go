@@ -26,9 +26,7 @@ func writePromMetrics(w io.Writer, m Metrics) {
 	promSample(w, "slow_queries_total", "Executions at or over the slow-query threshold.", "counter", float64(m.SlowQueries))
 	promSample(w, "inflight", "Worker slots currently executing a plan.", "gauge", float64(m.Inflight))
 	promSample(w, "max_inflight", "Admission bound on concurrent plan executions.", "gauge", float64(m.MaxInflight))
-	promSample(w, "stats_refresh_total", "Statistics snapshot refreshes installed (timed, q-error-triggered and forced).", "counter", float64(m.StatsRefreshes))
-	promSample(w, "stats_refresh_triggered_total", "Statistics refreshes forced by the q-error feedback trigger.", "counter", float64(m.StatsRefreshesTriggered))
-	promSample(w, "ingest_total", "Database mutations applied via /admin/ingest.", "counter", float64(m.Ingests))
+	promSample(w, "ingest_total", "/admin/ingest requests that added tuples, each publishing a snapshot.", "counter", float64(m.Ingests))
 	promSample(w, "trace_sampled_total", "Executions traced by the 1-in-N sampler.", "counter", float64(m.TraceSampled))
 	promSample(w, "trace_sample_every", "Sampling period: one trace every N executions (0 when sampling is off).", "gauge", float64(m.TraceSampleEvery))
 	promSample(w, "spans_exported_total", "Traces shipped through the OTel span exporter.", "counter", float64(m.SpansExported))
@@ -37,25 +35,12 @@ func writePromMetrics(w io.Writer, m Metrics) {
 		promNamespace, promNamespace, promNamespace, m.StatsFingerprint)
 	promSample(w, "columnar_cache_hits_total", "Columnar encoding cache hits (leapfrog λ encodings reused).", "counter", float64(m.ColumnarCacheHits))
 	promSample(w, "columnar_cache_misses_total", "Columnar encoding cache misses (λ relations encoded).", "counter", float64(m.ColumnarCacheMisses))
-	if len(m.NodeQErrors) > 0 {
-		fmt.Fprintf(w, "# HELP %s_node_qerror_median Median q-error of recent executions per decomposition node under the live statistics snapshot.\n# TYPE %s_node_qerror_median gauge\n",
-			promNamespace, promNamespace)
-		nodes := make([]string, 0, len(m.NodeQErrors))
-		for n := range m.NodeQErrors {
-			nodes = append(nodes, n)
-		}
-		sort.Strings(nodes)
-		for _, n := range nodes {
-			fmt.Fprintf(w, "%s_node_qerror_median{node=%q} %s\n", promNamespace, n, promFloat(m.NodeQErrors[n]))
-		}
-	}
 	promSample(w, "plan_cache_hits_total", "Plan cache hits.", "counter", float64(m.Cache.Hits))
 	promSample(w, "plan_cache_misses_total", "Plan cache misses (fresh compiles).", "counter", float64(m.Cache.Misses))
-	promSample(w, "plan_cache_evictions_total", "Plans evicted by LRU displacement or TTL expiry.", "counter", float64(m.Cache.Evictions))
+	promSample(w, "plan_cache_evictions_total", "Plans evicted by LRU displacement.", "counter", float64(m.Cache.Evictions))
 	promSample(w, "plan_cache_entries", "Live cached plans.", "gauge", float64(m.Cache.Len))
 	promSample(w, "plan_cache_capacity", "Plan cache capacity.", "gauge", float64(m.CacheCapacity))
 	promSample(w, "plan_cache_hit_rate", "Hits/(hits+misses), 0 before the first compile.", "gauge", m.CacheHitRate)
-	promSample(w, "plan_cache_ttl_seconds", "Plan TTL, 0 when plans never expire.", "gauge", m.CacheTTLSeconds)
 	promHistograms(w, "request_duration_seconds", "HTTP request latency by route.", "route", m.Routes)
 	promHistograms(w, "stage_duration_seconds", "Query pipeline latency by stage (compile, execute).", "stage", m.Stages)
 }

@@ -25,7 +25,7 @@ var promExemplar = regexp.MustCompile(`^\{trace_id="[0-9a-f]{32}"\} (\S+) (\S+)$
 var promLe = regexp.MustCompile(`,?le="[^"]*"`)
 
 // requiredSeries are the samples every scrape exposes, whatever the load:
-// the request counters, the refresh and sampling counters, and the
+// the request counters, the ingest and sampling counters, and the
 // per-stage latency histograms (matched on name and labels).
 var requiredSeries = []string{
 	"hdserve_requests_total",
@@ -34,7 +34,7 @@ var requiredSeries = []string{
 	"hdserve_plan_cache_misses_total",
 	"hdserve_columnar_cache_hits_total",
 	"hdserve_columnar_cache_misses_total",
-	"hdserve_stats_refresh_total",
+	"hdserve_ingest_total",
 	"hdserve_trace_sampled_total",
 	"hdserve_trace_sample_every",
 	"hdserve_spans_exported_total",

@@ -1,7 +1,7 @@
 // Package serve is the long-lived query-serving layer over the compile-once
-// Plan API: a daemon-embeddable Server that owns one preloaded database, one
-// statistics snapshot and one warm LRU+TTL PlanCache, and exposes query
-// evaluation over HTTP.
+// Plan API: a daemon-embeddable Server that owns one snapshot — a preloaded
+// database and the statistics collected from it — and one warm LRU
+// PlanCache, and exposes query evaluation over HTTP.
 //
 // The design target is the Theorem 4.7 amortisation at serving scale: the
 // exponential-in-k decomposition search runs (at most) once per distinct
@@ -63,6 +63,12 @@ import (
 	"hypertree"
 )
 
+// Request body limits: a larger body is refused with 413.
+const (
+	maxQueryBody  = 1 << 20  // POST /query
+	maxIngestBody = 16 << 20 // POST /admin/ingest
+)
+
 // ErrOverloaded is the admission-control verdict (HTTP 503): no worker slot
 // became free within the request's deadline.
 var ErrOverloaded = errors.New("serve: server overloaded, try again later")
@@ -76,14 +82,11 @@ type Config struct {
 	// Stats is the statistics snapshot cost-based planning prices plans
 	// against. Nil collects a sampled snapshot from DB at startup — the
 	// snapshot is shared by every compile, so its fingerprint keeps all
-	// requests on the same PlanCache slots.
+	// requests on the same PlanCache slots. An ingest that adds tuples
+	// replaces it with a sampled snapshot of the grown database.
 	Stats *hypertree.Stats
 	// CacheSize bounds the PlanCache (≤ 0: hypertree.DefaultPlanCacheSize).
 	CacheSize int
-	// CacheTTL expires cached plans (≤ 0: never). A TTL suits databases
-	// that drift underneath the daemon: plans stay correct regardless, but
-	// re-compiling re-ranks them against fresher statistics.
-	CacheTTL time.Duration
 	// MaxInflight bounds concurrently executing queries (≤ 0: twice
 	// GOMAXPROCS). Queued requests wait up to their deadline, then 503.
 	MaxInflight int
@@ -110,22 +113,6 @@ type Config struct {
 	// set: os.Stderr). The Server serialises writes; each line is one
 	// self-contained JSON object.
 	SlowQueryLog io.Writer
-	// StatsRefresh re-collects the statistics snapshot on this period and
-	// atomically swaps it in (0: no timed refresh). Plans already compiled
-	// stay valid; fingerprint-keyed PlanCache slots re-rank on their next
-	// compile.
-	StatsRefresh time.Duration
-	// QErrorThreshold arms the feedback-triggered refresh: when the
-	// process-wide QErrorReport shows some node's median q-error over its
-	// last QErrorWindow executions under the live fingerprint above this
-	// value, the snapshot is refreshed ahead of the timer (0: trigger off).
-	QErrorThreshold float64
-	// QErrorWindow is the consecutive-execution window the trigger's median
-	// is taken over (≤ 0: stats.DefaultQErrorWindow).
-	QErrorWindow int
-	// RefreshCooldown is the minimum spacing between feedback-triggered
-	// refreshes (≤ 0: stats.DefaultCooldown).
-	RefreshCooldown time.Duration
 }
 
 // withDefaults resolves every unset Config field.
@@ -154,29 +141,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// A Server owns the warm serving state — database, statistics snapshot,
-// PlanCache — and hands out its HTTP surface via Handler. Create with New,
-// serve Handler() through an *http.Server, and Close after draining. Safe
-// for concurrent use.
+// A Server owns the warm serving state — the snapshot and the PlanCache —
+// and hands out its HTTP surface via Handler. Create with New, serve
+// Handler() through an *http.Server, and Close after draining. Safe for
+// concurrent use.
 //
-// The database and statistics snapshot live behind atomic pointers: ingest
-// (POST /admin/ingest) builds a mutated deep copy off to the side and swaps
-// it in, and the StatsRefresher swaps fresh statistics, while in-flight
-// executions keep the immutable snapshots they started with. Because
-// PlanCache keys embed the statistics fingerprint, a swap never invalidates
-// or collides — each query simply re-ranks under the new fingerprint on its
-// next compile.
+// The snapshot lives behind one atomic pointer, and every request loads it
+// once: an ingest (POST /admin/ingest) builds a mutated deep copy of the
+// database off to the side, re-collects sampled statistics of the grown
+// database, and publishes the pair in one swap, while in-flight executions
+// keep the snapshot they started with. No request can price a plan against one
+// snapshot's statistics and run it on another's database. Because PlanCache
+// keys embed the statistics fingerprint, which is taken on the pricing grid
+// (hypertree.Stats.Fingerprint), a swap never invalidates or collides: a
+// query re-ranks on its next compile exactly when a price moved.
 type Server struct {
 	cfg       Config
-	db        atomic.Pointer[hypertree.Database]
-	stats     atomic.Pointer[hypertree.Stats]
+	snap      atomic.Pointer[snapshot]
 	cache     *hypertree.PlanCache
-	baseOpts  []hypertree.CompileOption // per-request opts = baseOpts + WithCostModel(live stats)
+	baseOpts  []hypertree.CompileOption // per-request opts = baseOpts + WithCostModel(snapshot stats)
 	startedAt time.Time
 
-	sampler   *hypertree.TraceSampler // 1-in-N always-on tracing, nil when off
-	exporter  *hypertree.OTLPExporter // OTel span sink, nil when off
-	refresher *hypertree.StatsRefresher
+	sampler  *hypertree.TraceSampler // 1-in-N always-on tracing, nil when off
+	exporter *hypertree.OTLPExporter // OTel span sink, nil when off
 
 	baseCtx context.Context // execution lifecycle: outlives closed listeners
 	stop    context.CancelFunc
@@ -186,7 +173,7 @@ type Server struct {
 	mu     sync.Mutex
 	flight map[string]*flightCall
 
-	ingestMu sync.Mutex // serialises clone-mutate-swap ingests
+	ingestMu sync.Mutex // serialises clone-mutate-publish ingests
 
 	requests    atomic.Uint64 // /query requests received
 	errors      atomic.Uint64 // /query non-2xx responses
@@ -208,14 +195,21 @@ type Server struct {
 	testExecGate func()
 }
 
+// snapshot is the immutable serving state one request reads: a database
+// and the statistics collected from it, published together.
+type snapshot struct {
+	db    *hypertree.Database
+	stats *hypertree.Stats
+}
+
 // An Option tunes a Server beyond its Config — the knobs that carry
 // behaviour (samplers, exporters) rather than plain values.
 type Option func(*Server)
 
 // WithTraceSampling turns on always-on production tracing: every nth /query
 // execution that would otherwise run untraced gets a trace, feeding the
-// q-error table, the histogram exemplars and the span exporter at 1/n of
-// the tracing overhead. n ≤ 0 leaves sampling off.
+// histogram exemplars and the span exporter at 1/n of the tracing
+// overhead. n ≤ 0 leaves sampling off.
 func WithTraceSampling(n int) Option {
 	return func(s *Server) { s.sampler = hypertree.NewTraceSampler(n) }
 }
@@ -258,9 +252,7 @@ type flightResult struct {
 }
 
 // New builds a Server over cfg.DB, collecting a sampled statistics snapshot
-// when cfg.Stats is nil. The returned Server is ready to serve; when Config
-// arms a timed or q-error-triggered statistics refresh, its loop runs until
-// Close.
+// when cfg.Stats is nil. The returned Server is ready to serve.
 func New(cfg Config, opts ...Option) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("serve: Config.DB is required")
@@ -273,7 +265,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		cache:     hypertree.NewPlanCacheTTL(cfg.CacheSize, cfg.CacheTTL),
+		cache:     hypertree.NewPlanCache(cfg.CacheSize),
 		startedAt: time.Now(),
 		baseCtx:   ctx,
 		stop:      cancel,
@@ -282,12 +274,11 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 		hists:     map[string]*Histogram{},
 		stages:    map[string]*Histogram{},
 	}
-	s.db.Store(cfg.DB)
-	s.installStats(st)
+	s.snap.Store(&snapshot{db: cfg.DB, stats: st})
 	// The options shared by every request; each compile appends
-	// WithCostModel(live snapshot), so identical options (and one stats
-	// fingerprint at a time) mean every α-equivalent query shares one cache
-	// slot per snapshot.
+	// WithCostModel(snapshot statistics), so identical options (and one
+	// stats fingerprint at a time) mean every α-equivalent query shares one
+	// cache slot per fingerprint.
 	s.baseOpts = []hypertree.CompileOption{
 		hypertree.WithAutoStrategy(),
 		hypertree.WithStepBudget(cfg.StepBudget),
@@ -295,41 +286,18 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	s.refresher = hypertree.NewStatsRefresher(hypertree.StatsRefresherConfig{
-		Collect:         func() *hypertree.Stats { return hypertree.CollectStatsSampled(s.db.Load(), 0) },
-		Install:         s.installStats,
-		Interval:        cfg.StatsRefresh,
-		QErrorThreshold: cfg.QErrorThreshold,
-		Window:          cfg.QErrorWindow,
-		Cooldown:        cfg.RefreshCooldown,
-		Live:            func() string { return s.stats.Load().Fingerprint() },
-	})
-	if cfg.StatsRefresh > 0 || cfg.QErrorThreshold > 0 {
-		go s.refresher.Run(s.baseCtx)
-	}
 	return s, nil
 }
 
-// installStats publishes a statistics snapshot: the atomic swap every
-// subsequent compile picks up, plus the live-fingerprint announcement that
-// protects the snapshot's q-error feedback from eviction.
-func (s *Server) installStats(st *hypertree.Stats) {
-	s.stats.Store(st)
-	hypertree.SetLiveStatsFingerprint(st.Fingerprint())
-}
-
 // compileOpts returns the compile options for one request: the shared base
-// plus the cost model of the live statistics snapshot. The snapshot is
-// captured once per call so a concurrent refresh cannot split one compile
-// across two fingerprints.
+// plus the cost model of the statistics of the snapshot the request loaded.
 func (s *Server) compileOpts(st *hypertree.Stats) []hypertree.CompileOption {
 	return append(s.baseOpts[:len(s.baseOpts):len(s.baseOpts)], hypertree.WithCostModel(st))
 }
 
-// Close cancels the lifecycle context behind every in-flight execution (and
-// the statistics-refresh loop). Call it after http.Server.Shutdown has
-// drained the listeners (Shutdown first, so in-flight requests finish;
-// Close then reaps stragglers).
+// Close cancels the lifecycle context behind every in-flight execution.
+// Call it after http.Server.Shutdown has drained the listeners (Shutdown
+// first, so in-flight requests finish; Close then reaps stragglers).
 func (s *Server) Close() { s.stop() }
 
 // Cache exposes the server's PlanCache (metrics, purge on reload).
@@ -341,9 +309,7 @@ func (s *Server) Cache() *hypertree.PlanCache { return s.cache }
 //	GET  /admin/metrics       counters and latency histograms (Prometheus text)
 //	GET  /admin/metrics.json  the same snapshot as JSON
 //	GET  /admin/explain       compiled-plan report for ?query=... (text)
-//	GET  /admin/qerror        the q-error feedback table as JSON
-//	POST /admin/ingest        add facts to the served database (atomic swap)
-//	POST /admin/refresh       force a statistics refresh now
+//	POST /admin/ingest        add facts; publishes the grown database and its statistics
 //	GET  /debug/pprof/...     the standard Go profiles
 //	GET  /healthz             liveness
 func (s *Server) Handler() http.Handler {
@@ -352,9 +318,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /admin/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /admin/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /admin/explain", s.handleExplain)
-	mux.HandleFunc("GET /admin/qerror", s.handleQError)
 	mux.HandleFunc("POST /admin/ingest", s.handleIngest)
-	mux.HandleFunc("POST /admin/refresh", s.handleRefresh)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -490,9 +454,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.hist("/query").Observe(time.Since(start)) }()
 
 	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	body := http.MaxBytesReader(w, r.Body, maxQueryBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeQueryError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.writeQueryError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	q, err := hypertree.ParseQuery(req.Query)
@@ -600,17 +564,15 @@ func (s *Server) evaluate(reqCtx context.Context, key string, q *hypertree.Query
 // slow — the whole pipeline runs under a per-request trace carried by the
 // context, so the shared compile options (and with them the PlanCache keys)
 // are identical with tracing on or off. Executions neither of those traced
-// are offered to the 1-in-N sampler, which is what keeps the q-error
-// feedback table (and the refresh trigger behind it) fed in production.
-// Every trace that was recorded feeds the per-stage histogram exemplars and
-// the span exporter. rows is called once the answers are counted and
-// returns how many of them to buffer.
+// are offered to the 1-in-N sampler. Every trace that was recorded feeds
+// the per-stage histogram exemplars and the span exporter. rows is called
+// once the answers are counted and returns how many of them to buffer.
 func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree.Query, wantTrace bool, rows func() int) flightResult {
-	// Capture both snapshots once: a concurrent ingest or statistics
-	// refresh swaps the pointers for later requests, never mid-flight.
-	db := s.db.Load()
-	st := s.stats.Load()
-	res := flightResult{db: db}
+	// Load the snapshot once: a concurrent ingest publishes its successor
+	// for later requests, never mid-flight, and the plan is priced on the
+	// statistics of the database it runs on.
+	snap := s.snap.Load()
+	res := flightResult{db: snap.db}
 	if wantTrace || s.cfg.SlowQuery > 0 {
 		res.trace = hypertree.NewTrace()
 	} else {
@@ -630,7 +592,7 @@ func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree
 	}
 	traceID := res.trace.TraceID()
 	t0 := time.Now()
-	plan, err := s.cache.CompileKeyed(ctx, q, key, s.compileOpts(st)...)
+	plan, err := s.cache.CompileKeyed(ctx, q, key, s.compileOpts(snap.stats)...)
 	res.compileMicros = time.Since(t0).Microseconds()
 	s.stageHist("compile").ObserveExemplar(time.Since(t0), traceID)
 	if err != nil {
@@ -639,7 +601,7 @@ func (s *Server) compileAndExecute(ctx context.Context, key string, q *hypertree
 	}
 	res.plan = plan
 	t1 := time.Now()
-	res.err = res.fill(ctx, plan, db, rows)
+	res.err = res.fill(ctx, plan, snap.db, rows)
 	res.execMicros = time.Since(t1).Microseconds()
 	s.stageHist("execute").ObserveExemplar(time.Since(t1), traceID)
 	res.boolean = q.IsBoolean()
@@ -802,15 +764,12 @@ type Metrics struct {
 	// slots and the admission bound.
 	Inflight    int `json:"inflight"`
 	MaxInflight int `json:"max_inflight"`
-	// StatsFingerprint identifies the live statistics snapshot; it moves on
-	// every refresh, and PlanCache keys embed it.
+	// StatsFingerprint identifies the live statistics snapshot; it moves
+	// when an ingest moves some count into another grid cell, and PlanCache
+	// keys embed it.
 	StatsFingerprint string `json:"stats_fingerprint"`
-	// StatsRefreshes counts installed snapshot refreshes (timed, q-error-
-	// triggered and forced via POST /admin/refresh); StatsRefreshesTriggered
-	// is the q-error-triggered subset.
-	StatsRefreshes          uint64 `json:"stats_refreshes"`
-	StatsRefreshesTriggered uint64 `json:"stats_refreshes_triggered"`
-	// Ingests counts applied POST /admin/ingest mutations.
+	// Ingests counts POST /admin/ingest requests that added tuples, each of
+	// which published a snapshot.
 	Ingests uint64 `json:"ingests"`
 	// TraceSampleEvery echoes the 1-in-N sampling configuration (0: off);
 	// TraceSampled counts executions the sampler actually traced.
@@ -821,23 +780,19 @@ type Metrics struct {
 	SpansExported      uint64 `json:"spans_exported"`
 	SpanExportFailures uint64 `json:"span_export_failures"`
 	// Cache snapshots the PlanCache counters; CacheHitRate is
-	// Hits/(Hits+Misses) (0 before the first compile), and CacheCapacity /
-	// CacheTTLSeconds echo the configuration.
-	Cache           hypertree.CacheMetrics `json:"cache"`
-	CacheHitRate    float64                `json:"cache_hit_rate"`
-	CacheCapacity   int                    `json:"cache_capacity"`
-	CacheTTLSeconds float64                `json:"cache_ttl_s"`
+	// Hits/(Hits+Misses) (0 before the first compile), and CacheCapacity
+	// echoes the configuration.
+	Cache         hypertree.CacheMetrics `json:"cache"`
+	CacheHitRate  float64                `json:"cache_hit_rate"`
+	CacheCapacity int                    `json:"cache_capacity"`
 	// ColumnarCacheHits and ColumnarCacheMisses are the process-wide
 	// Columnar encoding-cache totals (hypertree.ColumnarCacheMetrics): every
-	// plan encodes its λ relations through a per-plan cache, so a warm plan repeating against one database snapshot hits after its first
-	// execution, and an /admin/ingest swap shows up as fresh misses.
+	// plan encodes its λ relations through a per-plan cache, so a warm plan
+	// repeating against one database snapshot hits after its first
+	// execution, and an /admin/ingest that adds tuples shows up as fresh
+	// misses.
 	ColumnarCacheHits   uint64 `json:"columnar_cache_hits"`
 	ColumnarCacheMisses uint64 `json:"columnar_cache_misses"`
-	// NodeQErrors maps decomposition-node labels to the median q-error over
-	// their recent executions under the live statistics fingerprint — the
-	// same per-node signal the refresh trigger watches, exported as the
-	// hdserve_node_qerror_median{node=...} gauge family.
-	NodeQErrors map[string]float64 `json:"node_qerrors,omitempty"`
 	// Routes maps each HTTP route to its latency histogram snapshot.
 	Routes map[string]HistogramSnapshot `json:"routes"`
 	// Stages maps each /query pipeline stage ("compile", "execute") to its
@@ -851,44 +806,30 @@ type Metrics struct {
 func (s *Server) Metrics() Metrics {
 	cm := s.cache.Metrics()
 	m := Metrics{
-		UptimeSeconds:           time.Since(s.startedAt).Seconds(),
-		Requests:                s.requests.Load(),
-		Errors:                  s.errors.Load(),
-		Rejected:                s.rejected.Load(),
-		Executions:              s.executions.Load(),
-		Coalesced:               s.coalesced.Load(),
-		SlowQueries:             s.slowQueries.Load(),
-		Inflight:                len(s.sem),
-		MaxInflight:             s.cfg.MaxInflight,
-		StatsFingerprint:        s.stats.Load().Fingerprint(),
-		StatsRefreshes:          s.refresher.Refreshes(),
-		StatsRefreshesTriggered: s.refresher.Triggered(),
-		Ingests:                 s.ingests.Load(),
-		TraceSampleEvery:        s.sampler.N(),
-		TraceSampled:            s.sampler.Sampled(),
-		SpansExported:           s.exporter.Exported(),
-		SpanExportFailures:      s.exporter.Failed(),
-		Cache:                   cm,
-		CacheCapacity:           s.cache.Capacity(),
-		CacheTTLSeconds:         s.cache.TTL().Seconds(),
-		Routes:                  map[string]HistogramSnapshot{},
-		Stages:                  map[string]HistogramSnapshot{},
+		UptimeSeconds:      time.Since(s.startedAt).Seconds(),
+		Requests:           s.requests.Load(),
+		Errors:             s.errors.Load(),
+		Rejected:           s.rejected.Load(),
+		Executions:         s.executions.Load(),
+		Coalesced:          s.coalesced.Load(),
+		SlowQueries:        s.slowQueries.Load(),
+		Inflight:           len(s.sem),
+		MaxInflight:        s.cfg.MaxInflight,
+		StatsFingerprint:   s.LiveStats().Fingerprint(),
+		Ingests:            s.ingests.Load(),
+		TraceSampleEvery:   s.sampler.N(),
+		TraceSampled:       s.sampler.Sampled(),
+		SpansExported:      s.exporter.Exported(),
+		SpanExportFailures: s.exporter.Failed(),
+		Cache:              cm,
+		CacheCapacity:      s.cache.Capacity(),
+		Routes:             map[string]HistogramSnapshot{},
+		Stages:             map[string]HistogramSnapshot{},
 	}
 	if cm.Hits+cm.Misses > 0 {
 		m.CacheHitRate = float64(cm.Hits) / float64(cm.Hits+cm.Misses)
 	}
 	m.ColumnarCacheHits, m.ColumnarCacheMisses = hypertree.ColumnarCacheMetrics()
-	live := m.StatsFingerprint
-	window := qWindowOrDefault(s.cfg.QErrorWindow)
-	for _, e := range hypertree.QErrorReport() {
-		if e.Fingerprint != live {
-			continue
-		}
-		if m.NodeQErrors == nil {
-			m.NodeQErrors = map[string]float64{}
-		}
-		m.NodeQErrors[e.Node] = e.MedianRecent(min(len(e.Recent), window))
-	}
 	s.histMu.Lock()
 	for route, h := range s.hists {
 		m.Routes[route] = h.Snapshot()
@@ -931,7 +872,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultTimeout)
 	defer cancel()
-	plan, err := s.cache.Compile(ctx, q, s.compileOpts(s.stats.Load())...)
+	plan, err := s.cache.Compile(ctx, q, s.compileOpts(s.LiveStats())...)
 	if err != nil {
 		s.writeJSON(w, statusFor(err), ErrorResponse{Error: err.Error()})
 		return
@@ -955,141 +896,64 @@ type IngestResponse struct {
 	FactsAdded int `json:"facts_added"`
 	// Rows maps every relation to its post-ingest cardinality.
 	Rows map[string]int `json:"rows"`
-	// StatsFingerprint is the live statistics fingerprint — unchanged by
-	// ingest itself; it moves when the refresher (or POST /admin/refresh)
-	// re-collects.
+	// StatsFingerprint is the fingerprint of the statistics published with
+	// the ingest. It moves when a relation the ingest grew crosses into
+	// another grid cell of some count, and with it every PlanCache key.
 	StatsFingerprint string `json:"stats_fingerprint"`
 }
 
 // handleIngest implements POST /admin/ingest: parse the posted facts into a
-// deep copy of the served database and atomically swap the copy in.
-// In-flight executions keep the snapshot they started with; statistics are
-// deliberately NOT re-collected here — they go stale by design, and the
-// q-error feedback loop (or the refresh timer, or POST /admin/refresh) is
-// what brings them back in line. Ingests are serialised; queries are not
-// blocked at any point.
+// deep copy of the served database, re-collect sampled statistics of the
+// grown database (hypertree.CollectStatsSampled), and publish the database
+// and its statistics as one snapshot. An ingest that adds no tuple
+// publishes nothing, so the encoding caches keyed on the database stay
+// warm. In-flight executions keep the snapshot they started with. Ingests
+// are serialised; queries are not blocked at any point.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.hist("/admin/ingest").Observe(time.Since(start)) }()
 	var req IngestRequest
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
+	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+		s.writeJSON(w, decodeStatus(err), ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
 	s.ingestMu.Lock()
-	cur := s.db.Load()
-	next := cur.Clone()
-	if err := next.ParseFacts(req.Facts); err != nil {
+	cur := s.snap.Load()
+	db := cur.db.Clone()
+	if err := db.ParseFacts(req.Facts); err != nil {
 		s.ingestMu.Unlock()
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	s.db.Store(next)
-	s.ingestMu.Unlock()
-	s.ingests.Add(1)
-
-	resp := IngestResponse{Rows: map[string]int{}, StatsFingerprint: s.stats.Load().Fingerprint()}
-	for _, name := range next.RelationNames() {
-		resp.Rows[name] = next.Relation(name).Rows()
-		if old := cur.Relation(name); old != nil {
-			resp.FactsAdded += next.Relation(name).Rows() - old.Rows()
-		} else {
-			resp.FactsAdded += next.Relation(name).Rows()
+	resp := IngestResponse{Rows: map[string]int{}}
+	for _, name := range db.RelationNames() {
+		rows, before := db.Relation(name).Rows(), 0
+		if old := cur.db.Relation(name); old != nil {
+			before = old.Rows()
+		}
+		resp.Rows[name] = rows
+		if rows > before {
+			resp.FactsAdded += rows - before
 		}
 	}
+	next := cur
+	if resp.FactsAdded > 0 {
+		next = &snapshot{db: db, stats: hypertree.CollectStatsSampled(db, 0)}
+		s.snap.Store(next)
+		s.ingests.Add(1)
+	}
+	s.ingestMu.Unlock()
+	resp.StatsFingerprint = next.stats.Fingerprint()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// RefreshResponse reports one forced statistics refresh.
-type RefreshResponse struct {
-	// StatsFingerprint is the fingerprint of the freshly-installed snapshot.
-	StatsFingerprint string `json:"stats_fingerprint"`
-	// Refreshes is the cumulative refresh count (timed + triggered +
-	// forced), including this one.
-	Refreshes uint64 `json:"refreshes"`
-}
+// LiveStats returns the statistics of the current snapshot.
+func (s *Server) LiveStats() *hypertree.Stats { return s.snap.Load().stats }
 
-// handleRefresh implements POST /admin/refresh: re-collect sampled
-// statistics from the live database and install the snapshot now,
-// independent of the timer and the q-error trigger.
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.hist("/admin/refresh").Observe(time.Since(start)) }()
-	st := s.refresher.Refresh()
-	s.writeJSON(w, http.StatusOK, RefreshResponse{
-		StatsFingerprint: st.Fingerprint(),
-		Refreshes:        s.refresher.Refreshes(),
-	})
-}
-
-// QErrorStatus is the GET /admin/qerror payload: the process-wide q-error
-// feedback table plus the fingerprint currently serving, which is what lets
-// a load harness compare estimation quality before and after a refresh.
-type QErrorStatus struct {
-	// LiveFingerprint is the installed statistics snapshot's fingerprint.
-	LiveFingerprint string `json:"live_fingerprint"`
-	// Entries lists the feedback table, worst MaxQ first.
-	Entries []QErrorEntryStatus `json:"entries"`
-}
-
-// QErrorEntryStatus is one feedback-table entry rendered for JSON consumers.
-type QErrorEntryStatus struct {
-	// Fingerprint keys the statistics snapshot the estimates were priced
-	// against; Live flags whether it is the currently-serving one.
-	Fingerprint string `json:"fingerprint"`
-	Live        bool   `json:"live"`
-	// Node labels the decomposition node.
-	Node string `json:"node"`
-	// Count, MaxQ and MeanQ summarise all recorded executions.
-	Count int64   `json:"count"`
-	MaxQ  float64 `json:"max_q"`
-	MeanQ float64 `json:"mean_q"`
-	// MedianRecent is the median q-error over the entry's retained recent
-	// executions (up to the feedback ring size) — the refresh trigger's
-	// signal.
-	MedianRecent float64 `json:"median_recent"`
-}
-
-// handleQError implements GET /admin/qerror.
-func (s *Server) handleQError(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.hist("/admin/qerror").Observe(time.Since(start)) }()
-	live := s.stats.Load().Fingerprint()
-	status := QErrorStatus{LiveFingerprint: live}
-	for _, e := range hypertree.QErrorReport() {
-		st := QErrorEntryStatus{
-			Fingerprint:  e.Fingerprint,
-			Live:         e.Fingerprint == live,
-			Node:         e.Node,
-			Count:        e.Count,
-			MaxQ:         e.MaxQ,
-			MeanQ:        e.MeanQ,
-			MedianRecent: e.MedianRecent(min(len(e.Recent), qWindowOrDefault(s.cfg.QErrorWindow))),
-		}
-		status.Entries = append(status.Entries, st)
-	}
-	s.writeJSON(w, http.StatusOK, status)
-}
-
-// qWindowOrDefault resolves the configured q-error window.
-func qWindowOrDefault(w int) int {
-	if w > 0 {
-		return w
-	}
-	return hypertree.DefaultQErrorWindow
-}
-
-// Refresher exposes the server's statistics refresher (metrics, tests,
-// admin tooling).
-func (s *Server) Refresher() *hypertree.StatsRefresher { return s.refresher }
-
-// LiveStats returns the currently-installed statistics snapshot.
-func (s *Server) LiveStats() *hypertree.Stats { return s.stats.Load() }
-
-// LiveDB returns the currently-served database snapshot (an ingest swaps in
+// LiveDB returns the database of the current snapshot (an ingest publishes
 // a successor; earlier snapshots stay valid for readers holding them).
-func (s *Server) LiveDB() *hypertree.Database { return s.db.Load() }
+func (s *Server) LiveDB() *hypertree.Database { return s.snap.Load().db }
 
 // hist returns (creating on first use) the named route histogram.
 func (s *Server) hist(route string) *Histogram {
@@ -1132,6 +996,16 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// decodeStatus maps a request-decoding error to its HTTP status: 413 for a
+// body over the route's size limit, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // writeQueryError renders a /query failure and counts it.

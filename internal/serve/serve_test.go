@@ -426,7 +426,7 @@ func TestServeErrorStatuses(t *testing.T) {
 }
 
 func TestServeMetricsAndExplainEndpoints(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: 32, CacheTTL: time.Hour})
+	s := newTestServer(t, Config{CacheSize: 32})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -447,7 +447,7 @@ func TestServeMetricsAndExplainEndpoints(t *testing.T) {
 	if m.Requests != 1 || m.Executions != 1 || m.Cache.Misses != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if m.CacheCapacity != 32 || m.CacheTTLSeconds != 3600 {
+	if m.CacheCapacity != 32 {
 		t.Fatalf("cache config not surfaced: %+v", m)
 	}
 	if h, ok := m.Routes["/query"]; !ok || h.Count != 1 {

@@ -19,7 +19,9 @@
 // A Stats value is immutable after collection and safe for concurrent use.
 // It is a snapshot: statistics do not track later database mutations, and a
 // plan compiled against stale statistics is still answer-correct — only its
-// cost ranking degrades.
+// cost ranking degrades. A snapshot keeps exact counts, for display; plans
+// are priced and fingerprinted on their grid values (PricedRows,
+// PricedDistinct).
 package stats
 
 import (
@@ -177,11 +179,32 @@ func (s *Stats) Distinct(name string, col int) int {
 	return r.Distinct[col]
 }
 
-// Fingerprint returns a stable digest of the snapshot, used to key plan
-// caches: two snapshots with the same fingerprint produce the same cost
-// rankings, so their plans are interchangeable. Relations are fingerprinted
-// in sorted name order — collection order is presentation, not content. It
-// is computed once, at collection, and every request keys by it.
+// PricedRows returns Rows(name) on the pricing grid (Grid). It and
+// PricedDistinct are the only counts plans are priced and fingerprinted on.
+func (s *Stats) PricedRows(name string) int { return Grid(s.Rows(name)) }
+
+// PricedDistinct returns Distinct(name, col) on the pricing grid (Grid).
+func (s *Stats) PricedDistinct(name string, col int) int { return Grid(s.Distinct(name, col)) }
+
+// Grid rounds a row or distinct count to the nearest quarter-octave,
+// round(2^(round(4·log₂ x)/4)); counts below 1 stay as they are. Plans are
+// priced and fingerprinted on this grid (PricedRows, PricedDistinct), never
+// on the exact counts: a count that drifts inside one grid cell moves no
+// price, so it moves no plan and no plan-cache key. Adjacent cells differ
+// by about 19 %.
+func Grid(x int) int {
+	if x < 1 {
+		return x
+	}
+	return int(math.Round(math.Exp2(math.Round(4*math.Log2(float64(x))) / 4)))
+}
+
+// Fingerprint returns a stable digest of the snapshot's grid values
+// (PricedRows and PricedDistinct of every relation), used to key plan caches: two snapshots
+// with the same fingerprint price every plan the same, so their plans are
+// interchangeable. Relations are fingerprinted in sorted name order —
+// collection order is presentation, not content. It is computed once, at
+// collection, and every request keys by it.
 func (s *Stats) Fingerprint() string {
 	if s == nil {
 		return ""
@@ -196,12 +219,12 @@ func (s *Stats) fingerprint() string {
 	h := fnv.New64a()
 	for _, name := range names {
 		r := s.rels[name]
-		fmt.Fprintf(h, "%s:%d:", name, r.Rows)
-		for i, d := range r.Distinct {
+		fmt.Fprintf(h, "%s:%d:", name, s.PricedRows(name))
+		for i := range r.Distinct {
 			if i > 0 {
 				fmt.Fprint(h, ",")
 			}
-			fmt.Fprintf(h, "%d", d)
+			fmt.Fprintf(h, "%d", s.PricedDistinct(name, i))
 		}
 		fmt.Fprint(h, ";")
 	}

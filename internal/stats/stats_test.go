@@ -187,3 +187,31 @@ func TestSampledDistinctWithinTwofold(t *testing.T) {
 		t.Errorf("a relation of DefaultSampleRows rows must be counted exactly: %+v", s.Relation("r"))
 	}
 }
+
+// The pricing grid is quarter-octaves: monotone, a fixed point on its own
+// values, within half a cell (≈ 9 %) of the count it rounds, and 0 for an
+// empty relation. PricedRows and PricedDistinct read the exact counts on it.
+func TestGrid(t *testing.T) {
+	for x, want := range map[int]int{0: 0, 1: 1, 2: 2, 3: 3, 5: 5, 9: 10, 100: 108, 500: 512, 2500: 2435} {
+		if got := Grid(x); got != want {
+			t.Errorf("Grid(%d) = %d, want %d", x, got, want)
+		}
+	}
+	prev := 0
+	for x := 1; x < 100_000; x++ {
+		g := Grid(x)
+		if g < prev || Grid(g) != g || float64(g) > 1.1*float64(x)+1 || float64(g) < float64(x)/1.1-1 {
+			t.Fatalf("Grid(%d) = %d (Grid(%d) = %d)", x, g, x-1, prev)
+		}
+		prev = g
+	}
+	db := relation.NewDatabase()
+	for i := 0; i < 100; i++ {
+		db.AddFact("r", fmt.Sprint("a", i), fmt.Sprint("b", i%9))
+	}
+	s := Collect(db)
+	if s.Rows("r") != 100 || s.PricedRows("r") != 108 || s.PricedDistinct("r", 0) != 108 ||
+		s.PricedDistinct("r", 1) != 10 || s.PricedRows("absent") != 0 || s.PricedDistinct("r", 2) != 0 {
+		t.Fatalf("priced counts of %v: rows %d, distinct %d, %d", s, s.PricedRows("r"), s.PricedDistinct("r", 0), s.PricedDistinct("r", 1))
+	}
+}

@@ -161,93 +161,6 @@ func TestTraceRaceStress(t *testing.T) {
 	}
 }
 
-// The q-error feedback table must stay race-free and internally consistent
-// under the serving regime TestTraceRaceStress models: traced executions
-// folding per-node estimation errors into the process-wide table from many
-// goroutines, while readers pull reports and a mixer occasionally resets the
-// table mid-flight. Run under `go test -race` (CI does).
-func TestQErrorRaceStress(t *testing.T) {
-	ResetQErrorReport()
-	rng := rand.New(rand.NewSource(23))
-	q := gen.Cycle(4)
-	db := gen.RandomDatabase(rng, q, 60, 6)
-	// WithStats gives every decomposition node an estimate, so endExec has
-	// q-errors to record; two plans so two evaluators feed the same table.
-	plans := make([]*Plan, 0, 2)
-	for i := 0; i < 2; i++ {
-		plan, err := Compile(q, WithStrategy(StrategyHypertree), WithStats(db))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, plan)
-	}
-	ctx := context.Background()
-	want, err := plans[0].Execute(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 64)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tctx := ContextWithTrace(ctx, NewTrace())
-			for rep := 0; rep < 6; rep++ {
-				got, err := plans[(i+rep)%len(plans)].Execute(tctx, db)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !got.Equal(want) {
-					errc <- errTraceStressMismatch
-					return
-				}
-			}
-		}(i)
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for rep := 0; rep < 16; rep++ {
-				for _, e := range QErrorReport() {
-					if e.Count <= 0 || e.MaxQ < 1 || e.MeanQ > e.MaxQ+1e-9 {
-						errc <- errTraceStressMismatch
-						return
-					}
-				}
-				if i == 0 && rep%8 == 7 {
-					ResetQErrorReport()
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-
-	// After the dust settles, one more traced run must land entries keyed
-	// by the plan's statistics fingerprint.
-	ResetQErrorReport()
-	if _, err := plans[0].Execute(ContextWithTrace(ctx, NewTrace()), db); err != nil {
-		t.Fatal(err)
-	}
-	rep := QErrorReport()
-	if len(rep) == 0 {
-		t.Fatal("traced execution recorded no q-error entries")
-	}
-	for _, e := range rep {
-		if e.Fingerprint == "" || e.Count != 1 {
-			t.Fatalf("unexpected feedback entry after reset: %+v", e)
-		}
-	}
-	ResetQErrorReport()
-}
-
 // errTraceStressMismatch flags a traced stress run whose answers diverged.
 var errTraceStressMismatch = &mismatchError{}
 
@@ -332,49 +245,10 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	sp.End()
 }
 
-// Traced executions under a statistics-backed plan must feed the
-// process-wide q-error table, keyed by the stats fingerprint.
-func TestQErrorReportFeedback(t *testing.T) {
-	ResetQErrorReport()
-	defer ResetQErrorReport()
-	rng := rand.New(rand.NewSource(9))
-	q := gen.CostSeparationQuery()
-	db := gen.SkewedSizeDatabase(rng, q, 300, 50, 1.1)
-	plan, err := Compile(q, WithAutoStrategy(), WithStats(db))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Execute(ContextWithTrace(context.Background(), NewTrace()), db); err != nil {
-		t.Fatal(err)
-	}
-	report := QErrorReport()
-	if len(report) == 0 {
-		t.Fatal("traced execution fed nothing into QErrorReport")
-	}
-	for _, e := range report {
-		if e.Fingerprint == "" {
-			t.Fatalf("entry %+v has no stats fingerprint", e)
-		}
-		if e.Count == 0 || e.MaxQ < 1 || e.MeanQ < 1 {
-			t.Fatalf("degenerate q-error entry %+v", e)
-		}
-	}
-	if QError(10, 10) != 1 {
-		t.Fatal("QError(10, 10) != 1")
-	}
-	if QError(1, 100) != QError(100, 1) {
-		t.Fatal("QError is not symmetric")
-	}
-	ResetQErrorReport()
-	if len(QErrorReport()) != 0 {
-		t.Fatal("ResetQErrorReport left entries behind")
-	}
-}
-
 // A traced compile and execution exports as OTLP/JSON that parses back
 // span for span: every span under the trace's ID with a distinct span ID,
 // the compile, exec and exec/node spans present, and the q-error attribute
-// the feedback loop keys on carried by the executed nodes.
+// carried by the executed nodes.
 func TestMarshalOTLPOfExecutedTrace(t *testing.T) {
 	db := gen.ServingDatabase(rand.New(rand.NewSource(28)), 500, 300)
 	q := MustParseQuery(`r1(X1, X2), r2(X2, X3), r3(X3, X1)`)

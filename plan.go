@@ -448,25 +448,21 @@ func strategyName(s Strategy) string {
 }
 
 // beginExec resolves the execution trace — the context's, else the plan's
-// WithTrace default — opens the SpanExec, and remembers the trace's span
-// count so endExec can scope q-error recording to this execution.
-func (p *Plan) beginExec(ctx context.Context) (context.Context, *obs.Trace, *obs.Span, int) {
+// WithTrace default — and opens the SpanExec.
+func (p *Plan) beginExec(ctx context.Context) (context.Context, *obs.Trace, *obs.Span) {
 	tr := obs.FromContext(ctx)
 	if tr == nil {
 		if tr = p.trace; tr == nil {
-			return ctx, nil, nil, 0
+			return ctx, nil, nil
 		}
 		ctx = obs.NewContext(ctx, tr)
 	}
-	mark := tr.Len()
-	return ctx, tr, tr.StartSpan(obs.SpanExec), mark
+	return ctx, tr, tr.StartSpan(obs.SpanExec)
 }
 
-// endExec closes the SpanExec (rows = answer cardinality), publishes the
-// trace as LastTrace, and folds this execution's per-node estimation
-// errors into the process-wide feedback table (QErrorReport), keyed by the
-// plan's statistics fingerprint.
-func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err error) {
+// endExec closes the SpanExec (rows = answer cardinality) and publishes the
+// trace as LastTrace.
+func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, rows int, err error) {
 	if tr == nil {
 		return
 	}
@@ -477,12 +473,6 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, mark int, rows int, err erro
 	}
 	sp.End()
 	p.lastTrace.Store(tr)
-	fp := p.stats.Fingerprint()
-	for _, s := range tr.Spans()[mark:] {
-		if s.Name == obs.SpanNode && s.EstRows > 0 && s.Rows >= 0 {
-			obs.RecordQError(fp, s.Label, s.EstRows, s.Rows)
-		}
-	}
 }
 
 // Answers runs the plan against db and returns its answers as a cursor:
@@ -507,13 +497,13 @@ func (p *Plan) Answers(ctx context.Context, db *Database) (*Answers, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ctx, tr, sp, mark := p.beginExec(ctx)
+	ctx, tr, sp := p.beginExec(ctx)
 	a, err := p.answers(ctx, db)
 	if err != nil {
-		p.endExec(tr, sp, mark, 0, err)
+		p.endExec(tr, sp, 0, err)
 		return nil, err
 	}
-	a.OnClose(func(count int, err error) { p.endExec(tr, sp, mark, count, err) })
+	a.OnClose(func(count int, err error) { p.endExec(tr, sp, count, err) })
 	return a, nil
 }
 
@@ -562,13 +552,13 @@ func (p *Plan) ExecuteBoolean(ctx context.Context, db *Database) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	ctx, tr, sp, mark := p.beginExec(ctx)
+	ctx, tr, sp := p.beginExec(ctx)
 	ok, err := p.executeBoolean(ctx, db)
 	rows := 0
 	if ok {
 		rows = 1
 	}
-	p.endExec(tr, sp, mark, rows, err)
+	p.endExec(tr, sp, rows, err)
 	return ok, err
 }
 

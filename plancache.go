@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"hypertree/internal/cq"
 )
@@ -25,14 +24,11 @@ import (
 // TestPlanCacheKeyRenameInvariantNotReorderInvariant. It
 // makes the Theorem 4.7 amortisation automatic: recompiling a query that
 // was already planned — under any variable naming — reuses the
-// decomposition instead of re-running the exponential-in-k search. An
-// optional TTL (NewPlanCacheTTL) expires entries lazily on access. Safe for
-// concurrent use.
+// decomposition instead of re-running the exponential-in-k search. Safe
+// for concurrent use.
 type PlanCache struct {
 	mu        sync.Mutex
 	capacity  int
-	ttl       time.Duration // ≤ 0: entries never expire
-	now       func() time.Time
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	hits      uint64
@@ -41,30 +37,18 @@ type PlanCache struct {
 }
 
 type planCacheEntry struct {
-	key   string
-	plan  *Plan
-	added time.Time
+	key  string
+	plan *Plan
 }
 
 // NewPlanCache returns an empty cache holding at most capacity plans
-// (capacity < 1 is treated as 1); entries never expire.
+// (capacity < 1 is treated as 1). Entries leave only by LRU displacement or
+// Purge: a plan keyed under a statistics fingerprint stays right for as
+// long as that fingerprint is live, and a snapshot that prices differently
+// keys differently.
 func NewPlanCache(capacity int) *PlanCache {
-	return NewPlanCacheTTL(capacity, 0)
-}
-
-// NewPlanCacheTTL is NewPlanCache with a time-to-live: an entry older than
-// ttl is evicted (and recompiled) on its next access, and Len sweeps
-// expired entries out. ttl ≤ 0 disables expiry. TTL eviction suits serving
-// deployments where schemas drift: a plan compiled against yesterday's
-// workload stops being served without a manual Purge.
-func NewPlanCacheTTL(capacity int, ttl time.Duration) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &PlanCache{
-		capacity: capacity,
-		ttl:      ttl,
-		now:      time.Now,
+		capacity: max(capacity, 1),
 		ll:       list.New(),
 		items:    map[string]*list.Element{},
 	}
@@ -97,15 +81,11 @@ func (c *PlanCache) CompileKeyed(ctx context.Context, q *Query, canon string, op
 
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		entry := el.Value.(*planCacheEntry)
-		if !c.expired(entry) {
-			c.ll.MoveToFront(el)
-			c.hits++
-			p := entry.plan
-			c.mu.Unlock()
-			return p, nil
-		}
-		c.removeLocked(el)
+		c.ll.MoveToFront(el)
+		c.hits++
+		p := el.Value.(*planCacheEntry).plan
+		c.mu.Unlock()
+		return p, nil
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -118,17 +98,12 @@ func (c *PlanCache) CompileKeyed(ctx context.Context, q *Query, canon string, op
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[key]; !ok {
-		c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, plan: p, added: c.now()})
+		c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, plan: p})
 		for c.ll.Len() > c.capacity {
 			c.removeLocked(c.ll.Back())
 		}
 	}
 	return p, nil
-}
-
-// expired reports whether the entry's TTL has lapsed.
-func (c *PlanCache) expired(e *planCacheEntry) bool {
-	return c.ttl > 0 && c.now().Sub(e.added) > c.ttl
 }
 
 // removeLocked evicts an element and counts it. Callers hold c.mu.
@@ -138,33 +113,15 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 	c.evictions++
 }
 
-// Len returns the number of live cached plans, sweeping out entries whose
-// TTL has lapsed first.
+// Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked()
 	return c.ll.Len()
 }
 
-// sweepLocked evicts every expired entry. Callers hold c.mu.
-func (c *PlanCache) sweepLocked() {
-	if c.ttl <= 0 {
-		return
-	}
-	var expired []*list.Element
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if c.expired(el.Value.(*planCacheEntry)) {
-			expired = append(expired, el)
-		}
-	}
-	for _, el := range expired {
-		c.removeLocked(el)
-	}
-}
-
-// CacheMetrics is a point-in-time snapshot of the cache counters: a TTL
-// expiry and an LRU displacement both count as an eviction.
+// CacheMetrics is a point-in-time snapshot of the cache counters: every LRU
+// displacement counts as an eviction.
 type CacheMetrics struct {
 	Hits      uint64
 	Misses    uint64
@@ -173,9 +130,9 @@ type CacheMetrics struct {
 }
 
 // Metrics returns the cumulative counters plus the current size — the hook
-// for exporting cache behaviour to monitoring. The snapshot is atomic:
-// expired entries are swept and the counters read under one lock, so Len
-// and Evictions are mutually consistent. Metrics is safe under any mix of
+// for exporting cache behaviour to monitoring. The snapshot is atomic: the
+// counters are read under one lock, so Len and Evictions are mutually
+// consistent. Metrics is safe under any mix of
 // concurrent Compile, Len, Purge and Metrics calls: every counter mutation
 // happens under the same mutex the snapshot takes (audited with the race
 // detector; see TestPlanCacheMetricsConcurrent).
@@ -191,21 +148,12 @@ type CacheMetrics struct {
 func (c *PlanCache) Metrics() CacheMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked()
 	return CacheMetrics{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: c.ll.Len()}
 }
 
 // Capacity returns the maximum number of plans the cache holds — the bound
 // LRU eviction enforces, fixed at construction.
 func (c *PlanCache) Capacity() int { return c.capacity }
-
-// TTL returns the cache's time-to-live (0 when entries never expire).
-func (c *PlanCache) TTL() time.Duration {
-	if c.ttl < 0 {
-		return 0
-	}
-	return c.ttl
-}
 
 // Purge empties the cache (counters are kept).
 func (c *PlanCache) Purge() {

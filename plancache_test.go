@@ -5,52 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// TTL expiry: a stale entry is recompiled on access and counted as an
-// eviction; entries within the TTL keep hitting.
-func TestPlanCacheTTL(t *testing.T) {
-	cache := NewPlanCacheTTL(8, time.Minute)
-	clock := time.Unix(1000, 0)
-	cache.now = func() time.Time { return clock }
-	ctx := context.Background()
-	cd := &countingDecomposer{inner: KDecomposer()}
-	opts := []CompileOption{WithStrategy(StrategyHypertree), WithDecomposer(cd)}
-	q := MustParseQuery(`ans(X) :- r(X,Y), s(Y,Z), t(Z,X).`)
-
-	if _, err := cache.Compile(ctx, q, opts...); err != nil {
-		t.Fatal(err)
-	}
-	clock = clock.Add(30 * time.Second) // fresh
-	if _, err := cache.Compile(ctx, q, opts...); err != nil {
-		t.Fatal(err)
-	}
-	if got := cd.calls.Load(); got != 1 {
-		t.Fatalf("within TTL: %d searches, want 1", got)
-	}
-
-	clock = clock.Add(2 * time.Minute) // stale
-	if _, err := cache.Compile(ctx, q, opts...); err != nil {
-		t.Fatal(err)
-	}
-	if got := cd.calls.Load(); got != 2 {
-		t.Fatalf("after TTL: %d searches, want 2 (expired entry must recompile)", got)
-	}
-	m := cache.Metrics()
-	if m.Hits != 1 || m.Misses != 2 || m.Evictions != 1 || m.Len != 1 {
-		t.Fatalf("metrics = %+v, want hits=1 misses=2 evictions=1 len=1", m)
-	}
-
-	// Len sweeps expired entries
-	clock = clock.Add(2 * time.Minute)
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("after sweep Len = %d, want 0", n)
-	}
-	if m := cache.Metrics(); m.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", m.Evictions)
-	}
-}
 
 // LRU displacement counts as an eviction in Metrics.
 func TestPlanCacheMetricsLRU(t *testing.T) {
@@ -166,9 +121,9 @@ func TestPlanCacheStrategyNamesNeverCollide(t *testing.T) {
 }
 
 // The Metrics/Len counters must hold up under concurrent Compile,
-// Get-path hits, TTL sweeps and Purge — run under -race in CI (make check).
+// Get-path hits, LRU evictions and Purge — run under -race in CI (make check).
 func TestPlanCacheMetricsConcurrent(t *testing.T) {
-	cache := NewPlanCacheTTL(4, time.Hour)
+	cache := NewPlanCache(4)
 	ctx := context.Background()
 	queries := []*Query{
 		MustParseQuery(`ans(X) :- r(X,Y).`),

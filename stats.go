@@ -10,7 +10,8 @@ import (
 // Stats is a statistics snapshot of a database — per-relation cardinalities
 // and per-column distinct counts — used by cost-based planning: see
 // WithStats, WithCostModel and Plan.Explain. Collect one with CollectStats
-// or CollectStatsSampled.
+// or CollectStatsSampled. A snapshot keeps exact counts; plans are priced
+// and fingerprinted on their quarter-octave grid values.
 type Stats = stats.Stats
 
 // CollectStats scans every relation of db fully and returns exact
@@ -26,31 +27,6 @@ func CollectStatsSampled(db *Database, sample int) *Stats {
 	return stats.CollectSampled(db, sample)
 }
 
-// A StatsRefresher closes the observe→detect→refresh→re-plan loop: it
-// re-collects statistics and installs the fresh snapshot through a caller
-// callback (typically an atomic pointer swap in a serving daemon), on a
-// timer and/or when the QErrorReport feedback shows some node's median
-// q-error over its last-N executions under the live fingerprint exceeding a
-// threshold. Because PlanCache keys embed the statistics fingerprint, an
-// installed snapshot re-ranks every query on its next compile with no cache
-// invalidation and no restart. Create with NewStatsRefresher.
-type StatsRefresher = stats.Refresher
-
-// StatsRefresherConfig configures a StatsRefresher: the Collect/Install
-// callbacks (required) plus the timer interval, q-error trigger threshold,
-// window and cooldown (all defaulted).
-type StatsRefresherConfig = stats.RefresherConfig
-
-// NewStatsRefresher returns a StatsRefresher over cfg; it panics when the
-// Collect or Install callback is missing.
-func NewStatsRefresher(cfg StatsRefresherConfig) *StatsRefresher {
-	return stats.NewRefresher(cfg)
-}
-
-// DefaultQErrorWindow is the default consecutive-execution window a
-// StatsRefresher's q-error trigger takes node medians over.
-const DefaultQErrorWindow = stats.DefaultQErrorWindow
-
 // WithStats makes compilation cost-based against db: a sampled statistics
 // snapshot is collected (CollectStatsSampled with the default bound) and
 // threaded through the whole planning pipeline — the heuristic engines
@@ -63,8 +39,11 @@ const DefaultQErrorWindow = stats.DefaultQErrorWindow
 // estimated cardinality, and Plan.Explain reports the per-node estimates.
 // Statistics never change answers — only which same-width plan wins and in
 // which order it visits children; the equivalence is property-tested across every
-// engine. The snapshot is taken at compile time: a plan stays correct when
-// the database drifts, but recompile (plans compiled under different
+// engine. Prices are taken on the snapshot's grid values (every count
+// rounded to the nearest quarter-octave, see Stats.Fingerprint), not its
+// exact counts, so two snapshots with one fingerprint compile to one plan.
+// The snapshot is taken at compile time: a plan stays correct when the
+// database drifts, but recompile (plans compiled under different
 // statistics are cached separately, keyed by the snapshot's fingerprint) to
 // re-rank. Use WithCostModel to supply a precollected or hand-built snapshot
 // instead; when both options are given, WithCostModel wins.
@@ -118,12 +97,14 @@ func EstimateCost(q *Query, d *Decomposition, s *Stats) float64 {
 // costModelFor derives the compilation's cost model from a statistics
 // snapshot: every hypergraph edge gets the cardinality of the relation
 // backing its atom and, per variable, the distinct count of the column
-// binding it (the smallest, when the variable repeats within the atom). h
-// and edgeToAtom are what Query.Hypergraph returns.
+// binding it (the smallest, when the variable repeats within the atom),
+// both read on the grid the snapshot's fingerprint is taken on
+// (Stats.PricedRows, Stats.PricedDistinct) — so equal fingerprints price
+// every plan alike. h and edgeToAtom are what Query.Hypergraph returns.
 func costModelFor(q *Query, h *Hypergraph, edgeToAtom []int, s *Stats) *CostModel {
 	rows := make([]float64, len(edgeToAtom))
 	for e, ai := range edgeToAtom {
-		rows[e] = float64(s.Rows(q.Atoms[ai].Pred))
+		rows[e] = float64(s.PricedRows(q.Atoms[ai].Pred))
 	}
 	return decomp.NewCostModel(h, rows, func(e, v int) float64 {
 		atom := q.Atoms[edgeToAtom[e]]
@@ -135,7 +116,7 @@ func costModelFor(q *Query, h *Hypergraph, edgeToAtom []int, s *Stats) *CostMode
 			if vi, ok := q.VarIndex(t.Name); !ok || vi != v {
 				continue
 			}
-			if c := s.Distinct(atom.Pred, col); c > 0 && (d == 0 || c < d) {
+			if c := s.PricedDistinct(atom.Pred, col); c > 0 && (d == 0 || c < d) {
 				d = c
 			}
 		}

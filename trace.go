@@ -53,31 +53,6 @@ func WithTrace(t *Trace) CompileOption {
 // a perfect estimate.
 func QError(est float64, actual int64) float64 { return obs.QError(est, actual) }
 
-// A QErrorEntry summarises the observed estimation error of one
-// decomposition node under one statistics snapshot — see QErrorReport.
-type QErrorEntry = obs.QErrorEntry
-
-// QErrorReport returns the process-wide cardinality-estimation feedback
-// table, worst q-error first: every traced execution records, per
-// decomposition node, how far the planner's estimate sat from the
-// materialised cardinality, keyed by the statistics fingerprint the
-// estimate was priced against. It is the seam adaptive re-planning
-// consumes — a systematically wrong entry names the exact node whose plan
-// should be re-raced against reality (see StatsRefresher for the consumer
-// that closes the loop).
-func QErrorReport() []QErrorEntry { return obs.QErrorReport() }
-
-// ResetQErrorReport empties the process-wide feedback table (tests, or a
-// statistics refresh that invalidates old fingerprints).
-func ResetQErrorReport() { obs.ResetQErrors() }
-
-// SetLiveStatsFingerprint announces the currently-serving statistics
-// fingerprint to the process-wide feedback table: when the table is full,
-// entries recorded under any other (stale) fingerprint are evicted before
-// new observations are dropped, so feedback for the live snapshot survives
-// a history of refreshes.
-func SetLiveStatsFingerprint(fingerprint string) { obs.SetLiveFingerprint(fingerprint) }
-
 // A TraceSampler decides which requests carry a trace when tracing is
 // always-on: every Nth Sample call returns a fresh trace, the rest return
 // nil (and a nil *Trace costs nothing). Safe for concurrent use; a nil
