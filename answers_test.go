@@ -90,9 +90,9 @@ func reduceRef(root *yannakakis.Node) {
 // the full reducer (reduceRef) — the path the cursor replaced, whose row
 // order every reply kept. Count must equal the naive row count, and for every prefix
 // length k ∈ {0, 1, 10, all}, Next's first k rows followed by Materialize's
-// rest must be the reduced walk, row for row. The Boolean descent, Exists,
-// must be true exactly when the reduced root is non-empty, whatever the
-// head.
+// rest must be the reduced walk, row for row. The Boolean descent — the
+// cursor with an empty head — must be true exactly when the reduced root
+// is non-empty, whatever the head.
 func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head []int, naive *Table) {
 	t.Helper()
 	ctx := context.Background()
@@ -109,8 +109,8 @@ func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head [
 	if !ref.Equal(naive) {
 		t.Fatalf("%s: the reduced walk has %d answers, naive %d", leg, ref.Rows(), naive.Rows())
 	}
-	if ok, err := yannakakis.Exists(ctx, build()); err != nil || ok != (reduced.Rows() > 0) {
-		t.Fatalf("%s: Exists = %v, %v; the reduced root holds %d rows", leg, ok, err, reduced.Rows())
+	if b, err := yannakakis.NewAnswers(ctx, build(), nil); err != nil || (b.Count() > 0) != (reduced.Rows() > 0) {
+		t.Fatalf("%s: Boolean cursor %v, %v; the reduced root holds %d rows", leg, b, err, reduced.Rows())
 	}
 	for _, k := range []int{0, 1, 10, naive.Rows()} {
 		a, err := yannakakis.NewAnswers(ctx, build(), head)
@@ -149,8 +149,8 @@ func checkCursor(t *testing.T, leg string, build func() *yannakakis.Node, head [
 // The cursor's proof obligation: over gen.KernelCases × k-decomp/ghd/fhd ×
 // full, projected and Boolean heads × 1 and 4 workers, the count pass and
 // the zero-skipping walk return exactly the naive answers, in the order of
-// the reduced walk, Plan.Execute materialises that same order, and Exists
-// agrees with the reducer. The
+// the reduced walk, Plan.Execute materialises that same order, and the
+// Boolean descent agrees with the reducer. The
 // adversarial acyclic shapes are checked where the evaluator lives, in
 // internal/hdeval. Run under -race in CI.
 func TestAnswersCursorEquivalence(t *testing.T) {
@@ -189,18 +189,18 @@ func TestAnswersCursorEquivalence(t *testing.T) {
 						t.Fatalf("%s: %v", leg, err)
 					}
 					build := func() *yannakakis.Node {
-						root, err := plan.eval.RootWorkers(ctx, tc.DB, workers)
+						root, err := plan.eval.Root(ctx, tc.DB, workers)
 						if err != nil {
 							t.Fatalf("%s: %v", leg, err)
 						}
 						return root
 					}
-					checkCursor(t, leg, build, plan.eval.Head(), want)
+					checkCursor(t, leg, build, plan.head, want)
 					got, err := plan.Execute(ctx, tc.DB)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ra, err := plan.eval.Answers(ctx, tc.DB, workers)
+					ra, err := plan.Answers(ctx, tc.DB)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -301,7 +301,7 @@ func TestGroupedFoldMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", leg, err)
 				}
-				head := plan.eval.Head()
+				head := plan.head
 				root := plan.eval.Nodes()[0]
 				cols := root.Order[:root.NOut]
 				k := 0

@@ -124,7 +124,7 @@ func BenchmarkE08Lemma46(b *testing.B) {
 		db := gen.RandomDatabase(rand.New(rand.NewSource(1)), q, r, 16)
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.Root(context.Background(), db); err != nil {
+				if _, err := eval.Root(context.Background(), db, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -415,7 +415,7 @@ func BenchmarkAutoRaceCold(b *testing.B) {
 	}
 }
 
-// Ablation: parallel per-node materialisation (hdeval.RootWorkers) against
+// Ablation: parallel per-node materialisation (hdeval.Evaluator.Root's workers) against
 // the sequential build on a decomposition with many independent nodes.
 func BenchmarkAblationParallelMaterialise(b *testing.B) {
 	q := gen.Cycle(12)
@@ -431,14 +431,14 @@ func BenchmarkAblationParallelMaterialise(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.RootWorkers(ctx, db, 1); err != nil {
+			if _, err := eval.Root(ctx, db, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.RootWorkers(ctx, db, runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := eval.Root(ctx, db, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -138,7 +138,7 @@ var experiments = []experiment{
 		for _, r := range []int{50, 100, 200} {
 			db := gen.RandomDatabase(rand.New(rand.NewSource(1)), q, r, 16)
 			start := time.Now()
-			root, err := eval.Root(context.Background(), db)
+			root, err := eval.Root(context.Background(), db, 1)
 			if err != nil {
 				return err
 			}

@@ -191,6 +191,7 @@ func run(ctx context.Context, o options, stderr io.Writer) error {
 		shutdownErr = nil
 	}
 	s.Close()
+	exporter.Close() // drains the span queue, so the final counts are whole
 
 	out, _ := json.Marshal(s.Metrics())
 	fmt.Fprintf(stderr, "hdserve: final metrics %s\n", out)

@@ -272,7 +272,7 @@ func run(w io.Writer, c config) error {
 			fmt.Fprintln(w, table.StringWith(db, q.VarName))
 		}
 		if c.analyze {
-			fmt.Fprint(w, plan.ExplainAnalyze())
+			fmt.Fprint(w, plan.ExplainAnalyze(trace))
 		}
 		if c.timing {
 			fmt.Fprintf(w, "compiled %s in %v, executed in %v\n", plan, compileTime, elapsed)

@@ -101,28 +101,17 @@ func writeNode(b *strings.Builder, n hdeval.Node) {
 	}
 }
 
-// LastTrace returns the trace of the plan's most recent traced execution
-// (Execute under ContextWithTrace, or any execution of a WithTrace plan),
-// or nil when no execution has been traced. Safe for concurrent use.
-func (p *Plan) LastTrace() *Trace {
-	return p.lastTrace.Load()
-}
-
-// ExplainAnalyze renders the EXPLAIN ANALYZE report: the Explain tree with,
-// per decomposition node, the actual materialised cardinality of the most
-// recent traced execution next to the planner's estimate and their q-error
-// — the ground truth Explain alone cannot show — followed by the bind step
-// (relations fetched, how many straight from the encoding cache), the
-// execution pass timings (semijoin up/down, enumeration) and any
-// compile/race spans the trace holds. Reading it answers the post-mortem
-// questions: which node the cost model mispriced, where the wall-clock
-// went, and whether the race picked the right engine. Without a traced
-// execution it falls back to Explain plus a pointer at how to get one.
-func (p *Plan) ExplainAnalyze() string {
-	tr := p.LastTrace()
-	if tr == nil {
-		return p.Explain() + "  analyze: no traced execution yet — execute under ContextWithTrace, or compile with WithTrace\n"
-	}
+// ExplainAnalyze renders the EXPLAIN ANALYZE report of the latest
+// execution in tr, a ContextWithTrace trace: the Explain tree with, per
+// decomposition node, the actual materialised cardinality next to the
+// planner's estimate and their q-error — the ground truth Explain alone
+// cannot show — followed by the bind step (relations fetched, how many
+// straight from the encoding cache), the execution pass timings (semijoin
+// up, enumeration) and any compile/race spans tr holds. Reading it answers
+// the post-mortem questions: which node the cost model mispriced, where the
+// wall-clock went, and whether the race picked the right engine. Without
+// an execution in tr (or tr nil) it falls back to Explain plus a hint.
+func (p *Plan) ExplainAnalyze(tr *Trace) string {
 	spans := tr.Spans()
 
 	// Scope the per-node numbers to the most recent execution: the window
@@ -137,14 +126,13 @@ func (p *Plan) ExplainAnalyze() string {
 			execs++
 		}
 	}
-	window := spans
-	if last >= 0 {
-		window = spans[prev+1 : last+1]
+	if last < 0 {
+		return p.Explain() + "  analyze: no traced execution — execute under ContextWithTrace and pass its trace\n"
 	}
+	window := spans[prev+1 : last+1]
 
 	nodeSpans := map[int]obs.Span{}
 	var passes []obs.Span
-	var execSpan *obs.Span
 	var binds, bindHits, bindMicros int64
 	for _, s := range window {
 		switch s.Name {
@@ -160,25 +148,21 @@ func (p *Plan) ExplainAnalyze() string {
 			}
 		case obs.SpanSemijoinUp, obs.SpanEnumerate:
 			passes = append(passes, s)
-		case obs.SpanExec:
-			s := s
-			execSpan = &s
 		}
 	}
 
 	var b strings.Builder
 	b.WriteString(p.String())
 	b.WriteString("\n")
-	if execSpan != nil {
-		fmt.Fprintf(&b, "  analyze: %dµs", execSpan.Micros)
-		if execSpan.Rows >= 0 {
-			fmt.Fprintf(&b, ", %d answer rows", execSpan.Rows)
-		}
-		if execs > 1 {
-			fmt.Fprintf(&b, " (latest of %d traced executions)", execs)
-		}
-		b.WriteString("\n")
+	exec := spans[last]
+	fmt.Fprintf(&b, "  analyze: %dµs", exec.Micros)
+	if exec.Rows >= 0 {
+		fmt.Fprintf(&b, ", %d answer rows", exec.Rows)
 	}
+	if execs > 1 {
+		fmt.Fprintf(&b, " (latest of %d traced executions)", execs)
+	}
+	b.WriteString("\n")
 	if p.eval != nil {
 		for _, n := range p.eval.Nodes() {
 			writeNode(&b, n)

@@ -30,8 +30,9 @@ func explainedNodes(report string) []string {
 // in preorder, the node lines Explain must print for what ran: ID, label,
 // kernel, order= and est= from each exec/node span, the depth and keep=
 // from the node tables the same plan builds. keep= names the table's
-// columns where they are fewer than χ's.
-func executedNodes(t *testing.T, plan *Plan, db *Database) []string {
+// columns where they are fewer than χ's. It returns the execution's trace
+// too, for ExplainAnalyze.
+func executedNodes(t *testing.T, plan *Plan, db *Database) ([]string, *Trace) {
 	t.Helper()
 	ctx := context.Background()
 	tr := NewTrace()
@@ -44,7 +45,7 @@ func executedNodes(t *testing.T, plan *Plan, db *Database) []string {
 			spans[s.Node] = s
 		}
 	}
-	root, err := plan.eval.Root(ctx, db)
+	root, err := plan.eval.Root(ctx, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func executedNodes(t *testing.T, plan *Plan, db *Database) []string {
 	if len(lines) != len(spans) {
 		t.Fatalf("%s: %d node spans for %d node tables", plan, len(spans), len(lines))
 	}
-	return lines
+	return lines, tr
 }
 
 // Explain describes the plan that runs: its node lines are, one for one and
@@ -114,13 +115,13 @@ func TestExplainNodesAreExecutedNodes(t *testing.T) {
 					if plan.Decomposition().Root == nil {
 						continue
 					}
-					want := executedNodes(t, plan, tc.DB)
+					want, tr := executedNodes(t, plan, tc.DB)
 					got := explainedNodes(plan.Explain())
 					if strings.Join(got, "\n") != strings.Join(want, "\n") {
 						t.Fatalf("%s %s stats=%v: Explain's nodes\n%s\nare not the executed nodes\n%s",
 							q, name, withStats, strings.Join(got, "\n"), strings.Join(want, "\n"))
 					}
-					if analyzed := explainedNodes(plan.ExplainAnalyze()); len(analyzed) != len(want) {
+					if analyzed := explainedNodes(plan.ExplainAnalyze(tr)); len(analyzed) != len(want) {
 						t.Fatalf("%s %s: EXPLAIN ANALYZE shows %d nodes, %d ran", q, name, len(analyzed), len(want))
 					} else {
 						for i, l := range analyzed {

@@ -237,10 +237,3 @@ const (
 	// decomposition (Lemma 4.6).
 	StrategyHypertree
 )
-
-func boolTable(b bool) *Table {
-	if b {
-		return relation.TrueTable()
-	}
-	return relation.NewTable(nil)
-}

@@ -54,11 +54,11 @@ func TestEvaluatorStatsOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := gen.SkewedSizeDatabase(rng, q, 50, 5, 2)
 	ctx := context.Background()
-	want, err := materialize(plainEval.Answers(ctx, db, 1))
+	want, err := materialize(answersOf(ctx, plainEval, db, 1, plainEval.head))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := materialize(e.Answers(ctx, db, 1))
+	got, err := materialize(answersOf(ctx, e, db, 1, e.head))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // that work reruns on every Execute and in every bag sharing the
 // relation. The cache lives on the Evaluator (hence on the compiled Plan:
 // hdserve's warm PlanCache keeps it hot across requests) and is keyed by
-// (λ edge, column order) within a single database generation: entries are
-// tied to the *relation.Database pointer they were built from, so an
-// /admin/ingest snapshot swap — which installs a new Database — invalidates
-// everything at the first touch, with no epoch bookkeeping.
+// (λ edge, column order), each entry pinned by the relation it was built
+// from and its size. An /admin/ingest snapshot swap installs relations that
+// share no pointer with their predecessors, and an entry keeps its own
+// relation alive, so the pin alone rejects another database's encoding.
 
 // encCacheHits and encCacheMisses are process-wide encode-cache counters,
 // exported on /admin/metrics as hdserve_columnar_cache_{hits,misses}_total.
@@ -44,39 +44,32 @@ type encKey struct {
 
 // encEntry is one cached encoding together with what it was built from: the
 // relation, and its size at the time. Relations only grow, so the pair pins
-// the content — a database mutated in place between two executions misses
-// instead of serving the old tuples.
+// the content — a relation of another database misses, and so does one
+// grown in place between two executions, instead of serving the old tuples.
 type encEntry struct {
 	enc  *relation.Columnar
 	rel  *relation.Relation
 	rows int
 }
 
-// encCache is the single-generation encoding cache. All entries belong to
-// one database snapshot; a get against a different database resets the
-// generation. Builds run outside the lock — two goroutines racing on one
-// key both encode and the loser's work is discarded (encodings are
-// immutable, so either copy serves).
+// encCache is the encoding cache, one entry per key. Builds run outside the
+// lock — two goroutines racing on one key both encode and the last to
+// finish is kept (encodings are immutable, so either copy serves).
 type encCache struct {
 	mu      sync.Mutex
-	db      *relation.Database
 	entries map[encKey]encEntry
 }
 
-// get returns the cached encoding of rel (db's relation behind key's edge,
-// nil when absent) under key, and whether it was a hit; on a miss it builds
-// and caches the encoding via build. A nil error from build is required for
-// the entry to be stored.
-func (c *encCache) get(db *relation.Database, rel *relation.Relation, key encKey, build func() (*relation.Columnar, error)) (*relation.Columnar, bool, error) {
+// get returns the cached encoding of rel (the executing database's relation
+// behind key's edge, nil when absent) under key, and whether it was a hit;
+// on a miss it builds and caches the encoding via build. A nil error from
+// build is required for the entry to be stored.
+func (c *encCache) get(rel *relation.Relation, key encKey, build func() (*relation.Columnar, error)) (*relation.Columnar, bool, error) {
 	rows := 0
 	if rel != nil {
 		rows = rel.Rows()
 	}
 	c.mu.Lock()
-	if c.db != db {
-		c.db = db
-		c.entries = map[encKey]encEntry{}
-	}
 	if e, ok := c.entries[key]; ok && e.rel == rel && e.rows == rows {
 		c.mu.Unlock()
 		encCacheHits.Add(1)
@@ -89,11 +82,10 @@ func (c *encCache) get(db *relation.Database, rel *relation.Relation, key encKey
 		return nil, false, err
 	}
 	c.mu.Lock()
-	// Store only if the generation still matches; a concurrent execution
-	// against a swapped database must not see this snapshot's encodings.
-	if c.db == db {
-		c.entries[key] = encEntry{enc: enc, rel: rel, rows: rows}
+	if c.entries == nil {
+		c.entries = map[encKey]encEntry{}
 	}
+	c.entries[key] = encEntry{enc: enc, rel: rel, rows: rows}
 	c.mu.Unlock()
 	return enc, false, nil
 }

@@ -6,9 +6,10 @@ import (
 	"hypertree/internal/relation"
 )
 
-// The encoding cache: same database, relation and key hit; a new database
-// pointer is a new generation and drops every prior entry; a relation that
-// grew in place is a miss even within its generation.
+// The encoding cache pins each entry by its relation and row count: the
+// same relation and key hit; another database's relation under the key (an
+// absent one here) misses and replaces the entry, so touching the first
+// relation again misses too; a relation that grew in place misses.
 func TestEncCacheGenerations(t *testing.T) {
 	db1 := relation.NewDatabase()
 	db2 := relation.NewDatabase()
@@ -24,10 +25,10 @@ func TestEncCacheGenerations(t *testing.T) {
 	key := encKey{edge: 0, order: "0,", width: 1}
 	// get reports the encoding and whether it was a hit, and must move the
 	// process-wide counters by exactly one.
-	get := func(db *relation.Database, rel *relation.Relation, wantHit bool) *relation.Columnar {
+	get := func(rel *relation.Relation, wantHit bool) *relation.Columnar {
 		t.Helper()
 		h0, m0 := ColumnarCacheCounters()
-		got, hit, err := c.get(db, rel, key, enc)
+		got, hit, err := c.get(rel, key, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,19 +39,19 @@ func TestEncCacheGenerations(t *testing.T) {
 		return got
 	}
 
-	first := get(db1, rel, false)
-	if second := get(db1, rel, true); first != second {
-		t.Fatal("same generation, same key: want the cached encoding back")
+	first := get(rel, false)
+	if second := get(rel, true); first != second {
+		t.Fatal("same relation, same key: want the cached encoding back")
 	}
-	// Swap the database: generation reset, the entry must rebuild.
-	get(db2, nil, false)
-	// And db1's entries are gone: touching db1 again misses too.
-	get(db1, rel, false)
-	get(db1, rel, true)
-	// The relation grows in place: same database pointer, stale encoding.
+	// Swap the database: db2 has no r, the entry must rebuild.
+	get(db2.Relation("r"), false)
+	// And db1's entry is gone: touching db1 again misses too.
+	get(rel, false)
+	get(rel, true)
+	// The relation grows in place: same relation pointer, stale encoding.
 	rel.Add(db1.Intern("b"))
-	get(db1, rel, false)
-	get(db1, rel, true)
+	get(rel, false)
+	get(rel, true)
 }
 
 // orderKey must injectively render orders (no "1,2" vs "12" collisions).

@@ -10,7 +10,9 @@
 // The Evaluator type is the compile-once form of the construction: the
 // decomposition is completed (Lemma 4.4) and flattened once into the
 // physical plan every execution and report reads (Node), and the plan can
-// then be executed against any database, concurrently and under a context.
+// then be materialised against any database, concurrently and under a
+// context, by Root — its one execution entry; yannakakis.NewAnswers runs
+// the tree.
 // A naive join baseline is provided for the evaluation experiments.
 package hdeval
 
@@ -152,24 +154,16 @@ func (e *Evaluator) add(n Node, dn *decomp.Node, model *decomp.CostModel, depth 
 	return nil
 }
 
-// Head returns the validated head variables of the query.
-func (e *Evaluator) Head() []int { return append([]int(nil), e.head...) }
-
 // Root materialises the acyclic instance of Lemma 4.6 for db: one columnar
 // table per node of the physical plan (the projection of the λ-join onto
-// the node's kept columns), arranged along its tree. Ground atoms of the query (variable-free,
-// hence absent from H(Q)) are evaluated separately and, if false, empty the
-// root.
-func (e *Evaluator) Root(ctx context.Context, db *relation.Database) (*yannakakis.Node, error) {
-	return e.RootWorkers(ctx, db, 1)
-}
-
-// RootWorkers is Root with the per-node λ-join materialisations of
-// independent subtrees running on up to workers goroutines — the node tables
-// of Lemma 4.6 are mutually independent (each depends only on db), so the
-// decomposition tree fans out embarrassingly. workers ≤ 1 is the sequential
-// path.
-func (e *Evaluator) RootWorkers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Node, error) {
+// the node's kept columns), arranged along its tree, for
+// yannakakis.NewAnswers to count, walk or — with an empty head — decide.
+// Ground atoms of the query (variable-free, hence absent from H(Q)) are
+// evaluated separately and, if false, empty the root. The node tables are
+// mutually independent (each depends only on db), so the λ-joins of
+// independent subtrees run on up to workers goroutines; workers ≤ 1 is
+// the sequential path.
+func (e *Evaluator) Root(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Node, error) {
 	if len(e.nodes) == 0 { // no variable atoms: nothing to materialise
 		return groundRoot(db, e.Q)
 	}
@@ -272,39 +266,20 @@ func (b *rootBuilder) buildPar(i int) (*yannakakis.Node, error) {
 	return out, nil
 }
 
-// Boolean decides the query against db by the counting descent over the node
-// tables with an empty head, which stops at the first witness
-// (yannakakis.Exists). workers > 1 materialises the node tables
-// on that many goroutines.
-func (e *Evaluator) Boolean(ctx context.Context, db *relation.Database, workers int) (bool, error) {
-	root, err := e.RootWorkers(ctx, db, workers)
-	if err != nil {
-		return false, err
-	}
-	return yannakakis.Exists(ctx, root)
-}
-
-// Answers evaluates the query against db as a cursor over the answers
-// (Theorem 4.8): node tables, one top-down count, then a walk that costs
-// per row returned. workers > 1 materialises the node tables on that many
-// goroutines.
-func (e *Evaluator) Answers(ctx context.Context, db *relation.Database, workers int) (*yannakakis.Answers, error) {
-	root, err := e.RootWorkers(ctx, db, workers)
-	if err != nil {
-		return nil, err
-	}
-	return yannakakis.NewAnswers(ctx, root, e.head)
-}
-
 // NaiveJoin evaluates the query by joining all atom tables left to right
 // with no decomposition — the baseline whose intermediate results can grow
 // with r^|atoms| on cyclic queries.
 func NaiveJoin(db *relation.Database, q *cq.Query) (*relation.Table, error) {
-	return NaiveJoinContext(context.Background(), db, q)
+	head, err := HeadVars(q)
+	if err != nil {
+		return nil, err
+	}
+	return NaiveJoinContext(context.Background(), db, q, head)
 }
 
-// NaiveJoinContext is NaiveJoin with cancellation between joins.
-func NaiveJoinContext(ctx context.Context, db *relation.Database, q *cq.Query) (*relation.Table, error) {
+// NaiveJoinContext is NaiveJoin projected onto head (nil: the 0-ary table,
+// true or false), with cancellation between joins.
+func NaiveJoinContext(ctx context.Context, db *relation.Database, q *cq.Query, head []int) (*relation.Table, error) {
 	ok, err := yannakakis.GroundAtomsHold(db, q)
 	if err != nil {
 		return nil, err
@@ -325,10 +300,6 @@ func NaiveJoinContext(ctx context.Context, db *relation.Database, q *cq.Query) (
 			return nil, err
 		}
 		acc = acc.Join(t)
-	}
-	head, err := HeadVars(q)
-	if err != nil {
-		return nil, err
 	}
 	return acc.Project(head), nil
 }

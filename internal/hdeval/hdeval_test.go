@@ -44,7 +44,7 @@ func boolean(db *relation.Database, q *cq.Query, d *decomp.Decomposition) (bool,
 	if err != nil {
 		return false, err
 	}
-	return e.Boolean(context.Background(), db, 1)
+	return decide(context.Background(), e, db, 1)
 }
 
 // enumerate answers q on db through a fresh evaluator over d.
@@ -53,7 +53,26 @@ func enumerate(db *relation.Database, q *cq.Query, d *decomp.Decomposition) (*re
 	if err != nil {
 		return nil, err
 	}
-	return materialize(e.Answers(context.Background(), db, 1))
+	return materialize(answersOf(context.Background(), e, db, 1, e.head))
+}
+
+// answersOf runs e on db the one way a plan does: the node tables, then the
+// answer cursor over head (nil: the Boolean query's).
+func answersOf(ctx context.Context, e *Evaluator, db *relation.Database, workers int, head []int) (*yannakakis.Answers, error) {
+	root, err := e.Root(ctx, db, workers)
+	if err != nil {
+		return nil, err
+	}
+	return yannakakis.NewAnswers(ctx, root, head)
+}
+
+// decide is answersOf with a nil head: whether the query holds on db.
+func decide(ctx context.Context, e *Evaluator, db *relation.Database, workers int) (bool, error) {
+	a, err := answersOf(ctx, e, db, workers, nil)
+	if err != nil {
+		return false, err
+	}
+	return a.Count() > 0, nil
 }
 
 // materialize drains an answer cursor into its table.
@@ -222,7 +241,7 @@ func TestNodeTableSizeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := e.Root(context.Background(), db)
+	root, err := e.Root(context.Background(), db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,15 +379,15 @@ func TestTinyAndEmptyBags(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := materialize(e.Answers(ctx, db, 1))
+					got, err := materialize(answersOf(ctx, e, db, 1, e.head))
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotPar, err := materialize(e.Answers(ctx, db, 4))
+					gotPar, err := materialize(answersOf(ctx, e, db, 4, e.head))
 					if err != nil {
 						t.Fatal(err)
 					}
-					ok, err := e.Boolean(ctx, db, 1)
+					ok, err := decide(ctx, e, db, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -376,7 +395,7 @@ func TestTinyAndEmptyBags(t *testing.T) {
 						t.Fatalf("%s, %d rows, empty=%q, flag=%v: %d answers (4 workers %d, Boolean %v), naive has %d",
 							q, rows, empty, flag, got.Rows(), gotPar.Rows(), ok, want.Rows())
 					}
-					root, err := e.Root(ctx, db)
+					root, err := e.Root(ctx, db, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -408,11 +427,11 @@ func TestGroundOnlyQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		got, err := e.Boolean(ctx, db, 1)
+		got, err := decide(ctx, e, db, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := materialize(e.Answers(ctx, db, 1))
+		ans, err := materialize(answersOf(ctx, e, db, 1, e.head))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,8 +243,8 @@ func agmCapHint(n *Node, cols []*relation.Columnar) int {
 }
 
 // encoded returns the i-th λ relation of n in Columnar form under n's
-// variable order, through the evaluator's encoding cache: within one
-// database generation each (edge, order) pair is bound once — straight into
+// variable order, through the evaluator's encoding cache: while its
+// relation stands unchanged each (edge, order) pair is bound once — straight into
 // sorted columns (relation.BindColumnar), the kept width being the distinct
 // prefix a scan node's χ asks for — across bags sharing the relation and
 // across repeated executions under a warm plan cache. A hit touches neither
@@ -255,7 +255,7 @@ func (b *rootBuilder) encoded(n *Node, i int) (*relation.Columnar, error) {
 	e2 := n.lam[i]
 	key, sub := n.keys[i], n.subs[i]
 	rel := b.db.Relation(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
-	enc, hit, err := b.e.enc.get(b.db, rel, key, func() (*relation.Columnar, error) {
+	enc, hit, err := b.e.enc.get(rel, key, func() (*relation.Columnar, error) {
 		return yannakakis.BindAtomColumnar(b.db, b.e.Q, b.e.edgeToAtom[e2], sub[:key.width])
 	})
 	if err != nil {

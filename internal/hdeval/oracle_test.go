@@ -328,7 +328,7 @@ func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			// twice: cold encodings, then the cached ones
 			for pass := 0; pass < 2; pass++ {
-				got, err := materialize(e.Answers(ctx, tc.db, workers))
+				got, err := materialize(answersOf(ctx, e, tc.db, workers, e.head))
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 				}
@@ -336,7 +336,7 @@ func TestWidth1MatchesRowMajorYannakakis(t *testing.T) {
 					t.Fatalf("%s workers=%d pass %d: %d answers over %v, naive has %d over %v",
 						tc.name, workers, pass, got.Rows(), got.Vars, naive.Rows(), naive.Vars)
 				}
-				ok, err := e.Boolean(ctx, tc.db, workers)
+				ok, err := decide(ctx, e, tc.db, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -362,7 +362,7 @@ func TestWidth1SeesInPlaceInsert(t *testing.T) {
 		if err := db.ParseFacts(facts); err != nil {
 			t.Fatal(err)
 		}
-		got, err := materialize(e.Answers(ctx, db, 1))
+		got, err := materialize(answersOf(ctx, e, db, 1, e.head))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,20 +396,20 @@ func TestAnswersCursorOnAdversarialShapes(t *testing.T) {
 			}
 			e, _ := width1(t, q)
 			for _, workers := range []int{1, 4} {
-				reduced, err := e.RootWorkers(ctx, db, workers)
+				reduced, err := e.Root(ctx, db, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				reduceRef(reduced)
-				ref, err := materialize(yannakakis.NewAnswers(ctx, reduced, e.Head()))
+				ref, err := materialize(yannakakis.NewAnswers(ctx, reduced, e.head))
 				if err != nil || !ref.Equal(naive) {
 					t.Fatalf("%s: the reduced walk disagrees with the naive join (%v)", src, err)
 				}
-				if ok, err := e.Boolean(ctx, db, workers); err != nil || ok != (reduced.Rows() > 0) {
+				if ok, err := decide(ctx, e, db, workers); err != nil || ok != (reduced.Rows() > 0) {
 					t.Fatalf("%s workers=%d: Boolean = %v, %v; the reduced root holds %d rows", src, workers, ok, err, reduced.Rows())
 				}
 				for _, k := range []int{0, 1, 10, naive.Rows()} {
-					a, err := e.Answers(ctx, db, workers)
+					a, err := answersOf(ctx, e, db, workers, e.head)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -469,7 +469,7 @@ func TestReducedNodeTablesAreLocallyConsistentOnAdversarialShapes(t *testing.T) 
 			for _, q := range []*cq.Query{q, cq.NewQuery(nil, q.Atoms)} {
 				e, _ := width1(t, q)
 				for _, workers := range []int{1, 4} {
-					root, err := e.RootWorkers(ctx, db, workers)
+					root, err := e.Root(ctx, db, workers)
 					if err != nil {
 						t.Fatal(err)
 					}

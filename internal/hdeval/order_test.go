@@ -141,7 +141,7 @@ func TestVarOrderConnectivity(t *testing.T) {
 		if got := nodes[0].Order; !slices.Equal(got, rootOrder) {
 			t.Fatalf("trial %d: the evaluator binds the bag in order %v, varOrder says %v", trial, got, rootOrder)
 		}
-		keep := chi.Intersect(bitset.FromSlice(e.Head()))
+		keep := chi.Intersect(bitset.FromSlice(e.head))
 		for _, c := range nodes[0].Children { // the completion's leaves
 			keep.UnionInPlace(chi.Intersect(nodes[c].Chi))
 		}
@@ -157,7 +157,7 @@ func TestVarOrderConnectivity(t *testing.T) {
 		if nodes[0].NOut != nOut {
 			t.Fatalf("trial %d: the root keeps %d columns of %v, keep %v needs %d", trial, nodes[0].NOut, rootOrder, keep.Elems(), nOut)
 		}
-		root, err := e.Root(ctx, db)
+		root, err := e.Root(ctx, db, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,12 +33,12 @@ func TestRootWorkersEquivalent(t *testing.T) {
 		}
 		db := gen.RandomDatabase(rng, q, 1+rng.Intn(25), 2+rng.Intn(6))
 		ctx := context.Background()
-		seq, err := e.RootWorkers(ctx, db, 1)
+		seq, err := e.Root(ctx, db, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := e.RootWorkers(ctx, db, workers)
+			par, err := e.Root(ctx, db, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
@@ -73,10 +73,10 @@ func TestRootWorkersCancelled(t *testing.T) {
 	db := gen.RandomDatabase(rand.New(rand.NewSource(3)), q, 50, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.RootWorkers(ctx, db, 4); !errors.Is(err, context.Canceled) {
+	if _, err := e.Root(ctx, db, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := e.Boolean(ctx, db, 4); !errors.Is(err, context.Canceled) {
+	if _, err := decide(ctx, e, db, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Boolean: err = %v, want context.Canceled", err)
 	}
 }
@@ -92,23 +92,23 @@ func TestParallelEvaluatorAgrees(t *testing.T) {
 	}
 	db := gen.RandomDatabase(rand.New(rand.NewSource(11)), q, 120, 24)
 	ctx := context.Background()
-	want, err := e.Boolean(ctx, db, 1)
+	want, err := decide(ctx, e, db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTab, err := materialize(e.Answers(ctx, db, 1))
+	wantTab, err := materialize(answersOf(ctx, e, db, 1, e.head))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, err := e.Boolean(ctx, db, workers)
+		got, err := decide(ctx, e, db, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("workers=%d: Boolean = %v, want %v", workers, got, want)
 		}
-		gotTab, err := materialize(e.Answers(ctx, db, workers))
+		gotTab, err := materialize(answersOf(ctx, e, db, workers, e.head))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestDeadlineInterruptsLeapfrog(t *testing.T) {
 	for _, d := range []time.Duration{200 * time.Millisecond, 5 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), d)
 		start := time.Now()
-		_, err := e.Boolean(ctx, db, 1)
+		_, err := decide(ctx, e, db, 1)
 		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -160,14 +160,14 @@ func TestDeadlineInterruptsLeapfrog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.Boolean(ctx, db, 4); !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 50*time.Millisecond {
+	if _, err := decide(ctx, e, db, 4); !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 50*time.Millisecond {
 		t.Fatalf("4 workers, 5 ms deadline: err = %v after %v, want DeadlineExceeded within 50 ms", err, time.Since(start))
 	}
 	small := relation.NewDatabase()
 	if err := small.ParseFacts(`r(a, b). t(c, b).`); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := e.Boolean(context.Background(), small, 1); err != nil || !ok {
+	if ok, err := decide(context.Background(), e, small, 1); err != nil || !ok {
 		t.Fatalf("after the interrupted runs: %v, %v; want true, nil", ok, err)
 	}
 }

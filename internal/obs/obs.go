@@ -7,7 +7,7 @@
 // enumeration. Each span records wall time, step
 // counts and the actual output cardinality alongside the planner's estimate,
 // which is what makes cost-model errors observable (Plan.ExplainAnalyze
-// renders the comparison; the OTLP export and the serving layer's trace
+// renders the comparison from the trace its caller hands it; the OTLP export and the serving layer's trace
 // summaries carry each node's q-error).
 //
 // The tracer is built to cost nothing when off and almost nothing when on:
@@ -26,10 +26,10 @@
 //     End, which every structured fork/join in this codebase provides via
 //     its WaitGroup.
 //
-// Traces travel by context (NewContext / FromContext): the serving layer
-// injects a per-request trace without touching its shared compile options,
-// which keeps PlanCache keys — and therefore cache hit rates — identical
-// with tracing on or off.
+// Traces travel by context (NewContext / FromContext) and only by context:
+// no plan holds a trace, so the serving layer injects a per-request trace
+// without touching its shared compile options, which keeps PlanCache keys —
+// and therefore cache hit rates — identical with tracing on or off.
 package obs
 
 import (
@@ -60,7 +60,8 @@ const (
 	// entrant proved hw above) and win/lose verdict. The fhd and ghd
 	// candidates come from one walk and share its timing.
 	SpanRace = "compile/race"
-	// SpanExec covers one whole Execute; Rows is the answer cardinality.
+	// SpanExec covers one whole execution, open until its answer cursor
+	// closes; Rows is the answer cardinality (1 or 0 for ExecuteBoolean).
 	SpanExec = "exec"
 	// SpanBind covers fetching one λ relation in executable form, before
 	// the node's join starts, through the plan's encoding cache: the label
@@ -76,11 +77,11 @@ const (
 	// SpanSemijoinUp covers the top-down descent that decides which rows
 	// extend to an answer — the up pass computed with counts, entering only
 	// the child runs a root row reaches. Steps counts the child runs looked
-	// up, summed over the edges. On a Boolean execution the descent stops
-	// at the first witness (yannakakis.Exists) and Rows is 1 when the query
-	// holds and 0 otherwise; on a listing execution it is the answer
-	// cursor's count. No execution runs a down pass: the walk skips the
-	// rows one would delete.
+	// up, summed over the edges. On a Boolean execution — the cursor with
+	// an empty head — the descent stops at the first witness, Rows is 1
+	// when the query holds and 0 otherwise, and no SpanEnumerate follows.
+	// No execution runs a down pass: the walk skips the rows one would
+	// delete.
 	SpanSemijoinUp = "exec/semijoin/up"
 	// SpanEnumerate covers the answer cursor's top-down trie walk, from
 	// the count until the cursor closes; Steps counts the subtrees

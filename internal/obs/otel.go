@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -203,19 +204,29 @@ func MarshalOTLP(service string, traces ...*Trace) ([]byte, error) {
 	return json.Marshal(otlpPayload{ResourceSpans: []otlpResourceSpans{rs}})
 }
 
+// exportQueue is how many traces an OTLPExporter holds for its sink.
+const exportQueue = 256
+
+var errExportDropped = errors.New("otlp export: queue full or exporter closed, trace dropped")
+
 // An OTLPExporter sinks traces as OTLP/JSON, either appending
 // newline-delimited payloads to a local file/writer or POSTing each payload
-// to an OTLP/HTTP traces endpoint. All methods are nil-safe and safe for
-// concurrent use; export failures are counted, never fatal — observability
-// must not take the serving path down.
+// to an OTLP/HTTP traces endpoint. Export only hands the trace to a bounded
+// queue that one goroutine drains into the sink, so a slow or hung sink
+// never holds up the caller. All methods are nil-safe and safe for
+// concurrent use; export failures — a dropped trace included — are
+// counted, never fatal: observability must not take the serving path down.
 type OTLPExporter struct {
 	service  string
 	endpoint string
 	client   *http.Client
+	w        io.Writer
+	closer   io.Closer
 
-	mu     sync.Mutex
-	w      io.Writer
-	closer io.Closer
+	mu      sync.Mutex // guards queue and closed
+	queue   chan *Trace
+	closed  bool
+	drained sync.WaitGroup // the drain goroutine
 
 	exported atomic.Uint64
 	failed   atomic.Uint64
@@ -250,41 +261,64 @@ func NewOTLPHTTPExporter(endpoint, service string) *OTLPExporter {
 	}
 }
 
-// Export encodes t's completed spans and ships them to the sink. Traces with
-// no spans (and nil traces/exporters) are ignored. Errors are counted in
-// Failed and returned, but callers on the serving path typically drop them.
+// Export queues t for the sink and returns at once; the drain goroutine,
+// started by the first Export, encodes t's completed spans and ships them.
+// Traces with no spans (and nil traces/exporters) are ignored. A full queue,
+// or a closed exporter, drops t: the drop is counted in Failed and
+// returned. Sink errors are counted in Failed as the queue drains.
 func (e *OTLPExporter) Export(t *Trace) error {
 	if e == nil || t == nil || t.Len() == 0 {
 		return nil
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.closed {
+		if e.queue == nil {
+			e.queue = make(chan *Trace, exportQueue)
+			e.drained.Add(1)
+			go e.drain()
+		}
+		select {
+		case e.queue <- t:
+			return nil
+		default:
+		}
+	}
+	e.failed.Add(1)
+	return errExportDropped
+}
+
+// drain ships the queued traces one by one until Close closes the queue.
+func (e *OTLPExporter) drain() {
+	defer e.drained.Done()
+	for t := range e.queue {
+		if e.ship(t) == nil {
+			e.exported.Add(1)
+		} else {
+			e.failed.Add(1)
+		}
+	}
+}
+
+// ship encodes t and writes or POSTs the payload.
+func (e *OTLPExporter) ship(t *Trace) error {
 	payload, err := MarshalOTLP(e.service, t)
 	if err != nil {
-		e.failed.Add(1)
 		return err
 	}
-	if e.endpoint != "" {
-		resp, err := e.client.Post(e.endpoint, "application/json", bytes.NewReader(payload))
-		if err != nil {
-			e.failed.Add(1)
-			return fmt.Errorf("otlp export: %w", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			e.failed.Add(1)
-			return fmt.Errorf("otlp export: endpoint returned %s", resp.Status)
-		}
-		e.exported.Add(1)
-		return nil
+	if e.endpoint == "" {
+		_, err = e.w.Write(append(payload, '\n'))
+		return err
 	}
-	e.mu.Lock()
-	_, err = e.w.Write(append(payload, '\n'))
-	e.mu.Unlock()
+	resp, err := e.client.Post(e.endpoint, "application/json", bytes.NewReader(payload))
 	if err != nil {
-		e.failed.Add(1)
-		return fmt.Errorf("otlp export: %w", err)
+		return err
 	}
-	e.exported.Add(1)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("otlp export: endpoint returned %s", resp.Status)
+	}
 	return nil
 }
 
@@ -296,7 +330,7 @@ func (e *OTLPExporter) Exported() uint64 {
 	return e.exported.Load()
 }
 
-// Failed returns how many exports errored.
+// Failed returns how many exports errored or were dropped.
 func (e *OTLPExporter) Failed() uint64 {
 	if e == nil {
 		return 0
@@ -304,10 +338,25 @@ func (e *OTLPExporter) Failed() uint64 {
 	return e.failed.Load()
 }
 
-// Close releases the file sink, if any. Nil-safe; writer and HTTP sinks
-// close to a no-op.
+// Close drains the queue into the sink, waits for it, and releases the file
+// sink, if any; later exports are dropped. Nil-safe, and closing twice is a
+// no-op.
 func (e *OTLPExporter) Close() error {
-	if e == nil || e.closer == nil {
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil
+	}
+	e.closed = true
+	if e.queue != nil {
+		close(e.queue)
+	}
+	e.mu.Unlock()
+	e.drained.Wait()
+	if e.closer == nil {
 		return nil
 	}
 	return e.closer.Close()

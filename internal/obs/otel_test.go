@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,6 +228,9 @@ func TestOTLPWriterExporter(t *testing.T) {
 	if err := e.Export(nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.Close(); err != nil { // drains the queue
+		t.Fatal(err)
+	}
 	if e.Exported() != 1 || e.Failed() != 0 {
 		t.Fatalf("exported=%d failed=%d, want 1/0", e.Exported(), e.Failed())
 	}
@@ -240,6 +244,9 @@ func TestOTLPWriterExporter(t *testing.T) {
 	}
 	if err := nilE.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := e.Export(sampleTrace()); err == nil || e.Failed() != 1 {
+		t.Fatalf("export after Close: err %v, failed=%d; want a counted drop", err, e.Failed())
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -264,6 +271,7 @@ func TestOTLPHTTPExporter(t *testing.T) {
 	if err := e.Export(sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
+	e.Close() // drains the queue
 	if got.Load() != 1 || e.Exported() != 1 {
 		t.Fatalf("endpoint saw %d posts, exporter counted %d", got.Load(), e.Exported())
 	}
@@ -277,10 +285,53 @@ func TestOTLPHTTPExporter(t *testing.T) {
 	}))
 	defer srv2.Close()
 	down = NewOTLPHTTPExporter(srv2.URL, "svc")
-	if err := down.Export(sampleTrace()); err == nil {
-		t.Fatal("want error from a 503 endpoint")
+	if err := down.Export(sampleTrace()); err != nil {
+		t.Fatal(err)
 	}
-	if down.Failed() != 1 {
+	down.Close()
+	if down.Failed() != 1 || down.Exported() != 0 {
 		t.Fatalf("failed=%d, want 1", down.Failed())
+	}
+}
+
+// Export never waits on the sink: against an endpoint that never answers,
+// exportQueue exports return at once, the next is dropped and counted, and
+// Close — once the endpoint is released — ships what was queued.
+func TestOTLPExportDoesNotBlockOnAHungSink(t *testing.T) {
+	release, arrived := make(chan struct{}), make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer srv.Close()
+	defer unblock() // before srv.Close, which waits for the handler
+	e := NewOTLPHTTPExporter(srv.URL, "svc")
+	tr := sampleTrace()
+	start := time.Now()
+	// one trace in flight to the hung endpoint, a full queue behind it
+	if err := e.Export(tr); err != nil {
+		t.Fatal(err)
+	}
+	<-arrived
+	for e.Export(tr) == nil {
+		if time.Since(start) > time.Second {
+			t.Fatal("the queue never filled")
+		}
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("%d exports took %v against a hung endpoint", e.Failed()+exportQueue, took)
+	}
+	if e.Failed() != 1 {
+		t.Fatalf("failed=%d, want the one dropped trace", e.Failed())
+	}
+	unblock()
+	e.Close()
+	if e.Exported() != exportQueue+1 {
+		t.Fatalf("exported=%d after Close, want %d", e.Exported(), exportQueue+1)
 	}
 }

@@ -215,7 +215,8 @@ func WithTraceSampling(n int) Option {
 }
 
 // WithSpanExporter ships every traced execution's spans through e (see
-// hypertree.NewOTLPFileExporter / NewOTLPHTTPExporter). Export failures are
+// hypertree.NewOTLPFileExporter / NewOTLPHTTPExporter). An export only
+// queues the trace, so a hung sink holds no reply; failures and drops are
 // counted by the exporter and never fail the request.
 func WithSpanExporter(e *hypertree.OTLPExporter) Option {
 	return func(s *Server) { s.exporter = e }

@@ -302,6 +302,7 @@ func TestSpanExporterReceivesServedTraces(t *testing.T) {
 	if code != http.StatusOK || len(out.Trace) == 0 {
 		t.Fatalf("traced query: status %d, %d spans", code, len(out.Trace))
 	}
+	exp.Close() // the export is queued: wait for it to reach the sink
 	if exp.Exported() != 1 {
 		t.Fatalf("exporter shipped %d traces, want 1", exp.Exported())
 	}
@@ -312,6 +313,35 @@ func TestSpanExporterReceivesServedTraces(t *testing.T) {
 	m := s.Metrics()
 	if m.SpansExported != 1 || m.SpanExportFailures != 0 {
 		t.Fatalf("metrics spans_exported=%d failures=%d, want 1/0", m.SpansExported, m.SpanExportFailures)
+	}
+}
+
+// A span sink that never answers costs the request path nothing: with every
+// execution sampled and the OTLP/HTTP endpoint hung, the reply arrives in
+// under a second — not after the exporter's 5 s client timeout — and the
+// admission slot is already free when it does.
+func TestHungSpanExporterDoesNotHoldTheReply(t *testing.T) {
+	release := make(chan struct{})
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer sink.Close()
+	exp := hypertree.NewOTLPHTTPExporter(sink.URL, "hdserve-test")
+	defer exp.Close()
+	defer close(release) // before exp.Close and sink.Close, which wait for the handler
+	s := newTestServer(t, Config{MaxInflight: 1}, WithSpanExporter(exp), WithTraceSampling(1))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := range 2 {
+		start := time.Now()
+		code, _, _ := post(t, ts.URL, QueryRequest{Query: `r1(X, Y), r2(Y, Z), r3(Z, X)`})
+		if took := time.Since(start); code != http.StatusOK || took > time.Second {
+			t.Fatalf("sampled query %d against a hung span sink: status %d after %v", i, code, took)
+		}
+		if m := s.Metrics(); m.Inflight != 0 || m.TraceSampled != uint64(i+1) {
+			t.Fatalf("after reply %d: inflight %d, %d traces sampled", i, m.Inflight, m.TraceSampled)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // consistency the full reducer establishes, established where it is read.
 // A subtree that supplies no head variable only filters its parent, so its
 // runs are decided at their first live row; with an empty head that is
-// every node, and the descent is Exists's first-witness search. The walk
+// every node, and the descent is the Boolean query's first-witness search. The walk
 // then reads the node tables as tries, top-down, and skips the rows the
 // descent found dead, which is all the down pass bought it: every partial
 // binding extends to an answer, so the first k answers cost O(k · depth)
@@ -45,8 +45,8 @@ import (
 // order, sorted in head order within a run. Under a traced context the
 // counting descent records as SpanSemijoinUp (Steps the child runs looked
 // up, summed over the tree's edges) and the walk as SpanEnumerate, open until the
-// cursor closes (Steps the subtrees folded below the root, Rows the Count).
-// A cursor is for one goroutine.
+// cursor closes (Steps the subtrees folded below the root, Rows the Count);
+// a Boolean cursor has no walk, its descent's Rows is 1 or 0. A cursor is for one goroutine.
 type Answers struct {
 	vars    []int
 	count   int
@@ -61,22 +61,15 @@ type Answers struct {
 }
 
 // NewAnswers counts the answers of the tree under root projected onto head
-// and returns the cursor over them; with an empty head, the cursor over
-// Exists's verdict. The count and the walk poll ctx every 4 096 rows.
+// and returns the cursor over them. With an empty head it decides the
+// Boolean query and holds the empty row or nothing: every node only
+// filters, so the descent stops at the root's first live row, the witness —
+// O(depth) lookups when that is the first, O(Σ rows) at worst, like a
+// bottom-up semijoin pass; children are tried in the tree's order, most
+// selective first under a cost model. The tree is only read; the count and
+// the walk poll ctx every 4 096 rows.
 func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	tr := obs.FromContext(ctx)
-	if len(head) == 0 {
-		ok, err := Exists(ctx, root)
-		if err != nil {
-			return nil, err
-		}
-		a := TableAnswers(relation.NewTable(nil))
-		if ok {
-			a = TableAnswers(relation.TrueTable())
-		}
-		a.sp = tr.StartSpan(obs.SpanEnumerate)
-		return a, nil
-	}
 	e := &enumerator{ctx: ctx, head: map[int]bool{}}
 	for _, v := range head {
 		e.head[v] = true
@@ -88,6 +81,18 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 		total = e.rows(en, 0, en.c.Rows())
 	}
 	up.AddSteps(int64(e.lookups))
+	if len(head) == 0 {
+		if e.err != nil {
+			return nil, e.err
+		}
+		a := TableAnswers(relation.NewTable(nil))
+		if total > 0 {
+			a = TableAnswers(relation.TrueTable())
+		}
+		up.SetRows(a.count)
+		up.End()
+		return a, nil
+	}
 	up.End()
 	a := &Answers{vars: head, sp: tr.StartSpan(obs.SpanEnumerate)}
 	switch {
@@ -113,31 +118,6 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	}
 	a.sp.AddSteps(int64(e.folds))
 	return a, nil
-}
-
-// Exists decides the Boolean query of the tree under root — is there an
-// answer? — by the descent with an empty head: every node only filters, so
-// every run is decided at its first live row and the root at its first,
-// the witness. The worst case is O(Σ rows) lookups, like a bottom-up
-// semijoin pass, and the best case, a live first root row, O(depth).
-// Children are tried in the tree's order, most selective first under a
-// cost model. The tree is only read; the context is polled every 4 096
-// rows. Under a traced context the descent records as SpanSemijoinUp: Steps the runs looked up, Rows 1 when the
-// query is true and 0 otherwise.
-func Exists(ctx context.Context, root *Node) (bool, error) {
-	sp := obs.FromContext(ctx).StartSpan(obs.SpanSemijoinUp)
-	e := &enumerator{ctx: ctx}
-	en := e.build(root, nil)
-	ok := e.rows(en, 0, en.c.Rows()) > 0
-	if e.err != nil {
-		return false, e.err
-	}
-	sp.AddSteps(int64(e.lookups))
-	if ok {
-		sp.SetRows(1)
-	}
-	sp.End()
-	return ok, nil
 }
 
 // TableAnswers is the cursor over an answer table already built.

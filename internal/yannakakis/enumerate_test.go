@@ -62,7 +62,7 @@ func TestCountSaturatesOnWideStar(t *testing.T) {
 // A request deadline interrupts the descent in progress, which polls the
 // context every 4 096 rows, whether it counts or looks for a witness. The
 // tree is a root of 2¹⁹ rows under which 8 children each need a galloped
-// two-column lookup per row; for Exists the last child's keys all miss, so
+// two-column lookup per row; for the Boolean descent the last child's keys all miss, so
 // there is no witness and every root row is tried. The full descent
 // (≈ 0.3 s on one Xeon vCPU) is still going when a 50 ms deadline expires,
 // and with a 5 ms deadline it must come back DeadlineExceeded within 50 ms.
@@ -96,8 +96,8 @@ func TestDeadlineInterruptsCountPass(t *testing.T) {
 			_, err := NewAnswers(ctx, counted, []int{0, 1})
 			return err
 		}},
-		{"Exists", func(ctx context.Context) error {
-			_, err := Exists(ctx, refuted)
+		{"exists", func(ctx context.Context) error {
+			_, err := exists(ctx, refuted)
 			return err
 		}},
 	}

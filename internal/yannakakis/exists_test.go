@@ -159,21 +159,32 @@ func reduceRef(root *Node) {
 	down(root)
 }
 
-// reduceExists is the reference Exists is held to: the full reducer, then a
-// non-empty root.
+// exists decides the Boolean query of the tree under root: the answer
+// cursor with an empty head, the first-witness descent.
+func exists(ctx context.Context, root *Node) (bool, error) {
+	a, err := NewAnswers(ctx, root, nil)
+	if err != nil {
+		return false, err
+	}
+	return a.Count() > 0, nil
+}
+
+// reduceExists is the reference the Boolean descent is held to: the full
+// reducer, then a non-empty root.
 func reduceExists(n *tnode) bool {
 	root := n.build()
 	reduceRef(root)
 	return root.Rows() > 0
 }
 
-// Exists against the reducer on the shapes where a first-witness descent
+// The Boolean descent against the reducer on the shapes where a first-witness descent
 // can go wrong: an empty child, a witness only in the last root row, no
 // witness at all behind live-looking prefixes, a deep path either way, a
 // dead run looked up a second time (its memo), a run whose live row comes
 // last, a child sharing no variable with its parent, and a childless root.
 // Each shape also runs with every encoding's columns shuffled, and under
-// every head of heads the count must be positive exactly when Exists holds.
+// every head of heads the count must be positive exactly when the Boolean
+// query holds.
 func TestExistsOnAdversarialShapes(t *testing.T) {
 	v := func(xs ...int) []relation.Value {
 		out := make([]relation.Value, len(xs))
@@ -220,12 +231,12 @@ func TestExistsOnAdversarialShapes(t *testing.T) {
 	for _, tc := range cases {
 		for i, tree := range []*tnode{tc.tree, tc.tree.shuffled(rng), tc.tree.shuffled(rng)} {
 			name := fmt.Sprintf("%s #%d", tc.name, i)
-			got, err := Exists(context.Background(), tree.build())
+			got, err := exists(context.Background(), tree.build())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ref := reduceExists(tree); got != tc.want || ref != tc.want {
-				t.Fatalf("%s: Exists = %v, reduced = %v, want %v", name, got, ref, tc.want)
+				t.Fatalf("%s: Boolean descent = %v, reduced = %v, want %v", name, got, ref, tc.want)
 			}
 			a, err := NewAnswers(context.Background(), tree.build(), nil)
 			if err != nil {
@@ -240,14 +251,14 @@ func TestExistsOnAdversarialShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if a.Close(); (a.Count() > 0) != got {
-					t.Fatalf("%s: head %v counts %d answers, but Exists = %v", name, head, a.Count(), got)
+					t.Fatalf("%s: head %v counts %d answers, but the Boolean descent = %v", name, head, a.Count(), got)
 				}
 			}
 		}
 	}
 }
 
-// heads returns the heads to hold a tree's counts to Exists on: each
+// heads returns the heads to hold a tree's counts to the Boolean descent on: each
 // variable alone, every prefix of its variables in preorder — so some
 // subtrees supply no head variable and only filter, and some drop one and
 // fold — and, as the longest prefix, all of them.
@@ -274,22 +285,34 @@ func heads(n *tnode) [][]int {
 
 // On a path whose first root row is live the descent looks up one run per
 // edge and stops: its span's Steps stay within the tree's depth, however
-// many rows each node holds.
+// many rows each node holds. A Boolean cursor has no walk, so no
+// SpanEnumerate is recorded.
 func TestExistsStopsAtFirstWitness(t *testing.T) {
 	const depth = 12
 	tr := obs.New()
-	ok, err := Exists(obs.NewContext(context.Background(), tr), path(depth, 5000, false, false).build())
+	ok, err := exists(obs.NewContext(context.Background(), tr), path(depth, 5000, false, false).build())
 	if err != nil || !ok {
-		t.Fatalf("Exists = %v, %v; want true", ok, err)
+		t.Fatalf("exists = %v, %v; want true", ok, err)
 	}
 	var up []obs.Span
 	for _, s := range tr.Spans() {
-		if s.Name == obs.SpanSemijoinUp {
+		switch s.Name {
+		case obs.SpanSemijoinUp:
 			up = append(up, s)
+		case obs.SpanEnumerate:
+			t.Fatalf("a Boolean execution recorded %+v", s)
 		}
 	}
 	if len(up) != 1 || up[0].Steps > depth || up[0].Rows != 1 {
 		t.Fatalf("descent spans %+v: want one with Steps ≤ %d and Rows 1", up, depth)
+	}
+	// A false query's descent records Rows 0, not "no cardinality".
+	dead := obs.New()
+	if ok, err := exists(obs.NewContext(context.Background(), dead), path(depth, 50, true, false).build()); err != nil || ok {
+		t.Fatalf("exists on a dead path = %v, %v; want false", ok, err)
+	}
+	if s := dead.Spans(); len(s) != 1 || s[0].Name != obs.SpanSemijoinUp || s[0].Rows != 0 {
+		t.Fatalf("dead path spans %+v: want one SpanSemijoinUp with Rows 0", s)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestSaturatedPrefixSumsStayExactPerRun(t *testing.T) {
 // must still count exactly. For each, the root rows' counts and Count
 // against the naive join (given outright where it is too large to list),
 // the walk's rows against the naive answers (checked one by one against
-// the tables when too many), and Exists against whether there is any
+// the tables when too many), and the Boolean descent against whether there is any
 // answer.
 func TestProbeBranchesMatchNaive(t *testing.T) {
 	// under puts a wide tree below a root (63) of one row per run: root row
@@ -234,8 +234,8 @@ func TestProbeBranchesMatchNaive(t *testing.T) {
 			}
 			a.Close()
 		}
-		if ok, err := Exists(context.Background(), tc.tree.build()); err != nil || ok != (total > 0) {
-			t.Fatalf("%s: Exists = %v, %v; want %v", tc.name, ok, err, total > 0)
+		if ok, err := exists(context.Background(), tc.tree.build()); err != nil || ok != (total > 0) {
+			t.Fatalf("%s: Boolean descent = %v, %v; want %v", tc.name, ok, err, total > 0)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // instead of reducing (enumerate.go): with a head it is the count behind
 // output-polynomial enumeration of the answers as a cursor, and with an
 // empty head it is the Boolean variant, stopping at the first witness
-// (Exists). The full reducer (upward + downward semijoin passes) runs on
+// (NewAnswers with a nil head). The full reducer (upward + downward semijoin passes) runs on
 // no request path; it is the test reference both are held to (reduceRef
 // in this package's exists_test.go). The trees it works on are built by
 // hdeval.Evaluator — a join tree being the width-1 case — and carry

@@ -74,7 +74,7 @@ func columnarTree(db *relation.Database, q *cq.Query, jt *jointree.Tree) (*Node,
 
 // boolean and enumerate run the production passes without a deadline.
 func boolean(root *Node) bool {
-	ok, _ := Exists(context.Background(), root)
+	ok, _ := exists(context.Background(), root)
 	return ok
 }
 

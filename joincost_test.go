@@ -18,8 +18,8 @@ import (
 // many rows every node materialises and how far the estimate sat from it.
 
 // nodeSpans executes plan against db under a fresh trace and returns the
-// node spans of that execution.
-func nodeSpans(t *testing.T, plan *Plan, db *Database) []obs.Span {
+// node spans of that execution, and the trace for ExplainAnalyze.
+func nodeSpans(t *testing.T, plan *Plan, db *Database) ([]obs.Span, *Trace) {
 	t.Helper()
 	tr := NewTrace()
 	if _, err := plan.Execute(ContextWithTrace(context.Background(), tr), db); err != nil {
@@ -34,7 +34,7 @@ func nodeSpans(t *testing.T, plan *Plan, db *Database) []obs.Span {
 	if len(nodes) == 0 {
 		t.Fatal("the execution recorded no node span")
 	}
-	return nodes
+	return nodes, tr
 }
 
 // pairwiseDisjoint reports whether no two λ edges of n share a variable: a
@@ -81,11 +81,11 @@ func TestCycle4ServesJoinsNotProducts(t *testing.T) {
 				t.Errorf("%s: the plan holds a product bag\n%s", src, plan.Explain())
 			}
 		}
-		spans := nodeSpans(t, plan, db)
+		spans, tr := nodeSpans(t, plan, db)
 		for _, s := range spans {
 			if s.Rows > 2000 || QError(s.EstRows, s.Rows) > 2 {
 				t.Errorf("%s: node %s materialised %d rows against an estimate of %.4g\n%s",
-					src, s.Label, s.Rows, s.EstRows, plan.ExplainAnalyze())
+					src, s.Label, s.Rows, s.EstRows, plan.ExplainAnalyze(tr))
 			}
 		}
 		full, err := Compile(MustParseQuery("ans(X1, X2, X3, X4) :- "+src), WithAutoStrategy(), WithCostModel(st))
@@ -154,12 +154,13 @@ func TestBooleanBagStopsAtFirstWitness(t *testing.T) {
 			t.Fatal(err)
 		}
 		var bag obs.Span
-		for _, s := range nodeSpans(t, plan, db) {
+		spans, tr := nodeSpans(t, plan, db)
+		for _, s := range spans {
 			if s.Kernel == "leapfrog" {
 				bag = s
 			}
 		}
-		report := plan.ExplainAnalyze()
+		report := plan.ExplainAnalyze(tr)
 		switch {
 		case bag.Kernel == "":
 			t.Fatalf("%q: no leapfrog bag\n%s", head, report)
@@ -189,14 +190,15 @@ func TestLongerCyclesKeepProductsToTheUnavoidable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var total int64
-		for _, s := range nodeSpans(t, plan, db) {
+		spans, tr := nodeSpans(t, plan, db)
+		for _, s := range spans {
 			total += s.Rows
 			if QError(s.EstRows, s.Rows) > 2 {
 				t.Errorf("cycle %d: node %s materialised %d rows against an estimate of %.4g", n, s.Label, s.Rows, s.EstRows)
 			}
 		}
 		if limit := int64(n-4)*100_000 + 3_000; total > limit {
-			t.Errorf("cycle %d: the plan materialises %d node rows, want ≤ %d\n%s", n, total, limit, plan.ExplainAnalyze())
+			t.Errorf("cycle %d: the plan materialises %d node rows, want ≤ %d\n%s", n, total, limit, plan.ExplainAnalyze(tr))
 		}
 	}
 }
@@ -255,19 +257,21 @@ func TestExplainCarriesVariableOrder(t *testing.T) {
 			t.Errorf("race span %q carries no cost", s.Label)
 		}
 	}
-	for _, s := range nodeSpans(t, plan, db) {
+	spans, etr := nodeSpans(t, plan, db)
+	for _, s := range spans {
 		if !strings.Contains(s.Label, " order=X") {
 			t.Errorf("node span %q carries no variable order", s.Label)
 		}
 	}
-	if got := plan.ExplainAnalyze(); strings.Count(got, "kernel=leapfrog order=") != 2 {
+	if got := plan.ExplainAnalyze(etr); strings.Count(got, "kernel=leapfrog order=") != 2 {
 		t.Errorf("EXPLAIN ANALYZE must show the order of both join bags:\n%s", got)
 	}
 	acyclic, err := Compile(gen.Path(3), WithStats(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range nodeSpans(t, acyclic, db) {
+	spans, _ = nodeSpans(t, acyclic, db)
+	for _, s := range spans {
 		if strings.Contains(s.Label, "order=") {
 			t.Errorf("scan span %q carries a variable order", s.Label)
 		}

@@ -118,7 +118,7 @@ func TestReducedNodeTablesAreLocallyConsistent(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", leg, err)
 					}
-					root, err := plan.eval.RootWorkers(ctx, tc.DB, workers)
+					root, err := plan.eval.Root(ctx, tc.DB, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", leg, err)
 					}

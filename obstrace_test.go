@@ -147,7 +147,7 @@ func TestTraceRaceStress(t *testing.T) {
 				_ = tr.Spans()
 				_ = tr.Render()
 				_ = tr.Len()
-				_ = plan.ExplainAnalyze()
+				_ = plan.ExplainAnalyze(tr)
 			}
 		}()
 	}
@@ -168,59 +168,6 @@ var errTraceStressMismatch = &mismatchError{}
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "traced concurrent execution returned wrong answers" }
-
-// WithTrace attaches at compile time: compile spans land immediately and
-// executions without a context trace fall back to the plan's trace;
-// LastTrace and ExplainAnalyze then report the latest execution.
-func TestWithTraceCompileOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	q := gen.CostSeparationQuery()
-	db := gen.SkewedSizeDatabase(rng, q, 400, 60, 1.1)
-	tr := NewTrace()
-	plan, err := Compile(q, WithAutoStrategy(), WithStats(db), WithTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := spanNames(tr)
-	if names[obs.SpanCompile] == 0 || names[obs.SpanRace] == 0 {
-		t.Fatalf("compile trace missing compile/race spans: %v", names)
-	}
-	if plan.LastTrace() != nil {
-		t.Fatal("LastTrace non-nil before any traced execution")
-	}
-	if got := plan.ExplainAnalyze(); !strings.Contains(got, "no traced execution yet") {
-		t.Fatalf("pre-execution ExplainAnalyze = %q", got)
-	}
-
-	if _, err := plan.Execute(context.Background(), db); err != nil {
-		t.Fatal(err)
-	}
-	if plan.LastTrace() != tr {
-		t.Fatal("LastTrace did not surface the WithTrace trace")
-	}
-	if n := spanNames(tr); n[obs.SpanExec] != 1 || n[obs.SpanNode] == 0 {
-		t.Fatalf("execution did not fall back to the plan trace: %v", n)
-	}
-
-	report := plan.ExplainAnalyze()
-	for _, want := range []string{"analyze:", "est=", "actual=", "q-err="} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("ExplainAnalyze missing %q:\n%s", want, report)
-		}
-	}
-
-	// A context trace takes precedence over the compile-time trace.
-	other := NewTrace()
-	if _, err := plan.Execute(ContextWithTrace(context.Background(), other), db); err != nil {
-		t.Fatal(err)
-	}
-	if plan.LastTrace() != other {
-		t.Fatal("context trace did not take precedence")
-	}
-	if spanNames(other)[obs.SpanExec] != 1 {
-		t.Fatal("context trace recorded nothing")
-	}
-}
 
 // TraceFromContext round-trips, and a nil trace is inert everywhere.
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -253,7 +200,7 @@ func TestMarshalOTLPOfExecutedTrace(t *testing.T) {
 	db := gen.ServingDatabase(rand.New(rand.NewSource(28)), 500, 300)
 	q := MustParseQuery(`r1(X1, X2), r2(X2, X3), r3(X3, X1)`)
 	tr := NewTrace()
-	plan, err := Compile(q, WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0)), WithTrace(tr))
+	plan, err := CompileContext(ContextWithTrace(context.Background(), tr), q, WithAutoStrategy(), WithCostModel(CollectStatsSampled(db, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

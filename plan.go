@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/hdeval"
@@ -21,15 +20,16 @@ import (
 // query and amortised across databases.
 //
 // A Plan is immutable and safe for concurrent use by multiple goroutines:
-// Execute and ExecuteBoolean may be called simultaneously against different
-// (or the same) databases.
+// Answers, Execute and ExecuteBoolean may be called simultaneously against
+// different (or the same) databases. It keeps no execution state — an
+// execution's trace is the caller's, carried by its context.
 type Plan struct {
 	query       *Query
 	strategy    Strategy // resolved: never StrategyAuto
 	dec         *Decomposition
 	eval        *hdeval.Evaluator // evaluation skeleton (nil for the naive strategy)
 	jt          *JoinTree         // acyclic-strategy join tree (nil if ground-only)
-	head        []int
+	head        []int             // the answer columns Answers lists
 	workers     int
 	decomposer  string
 	generalized bool // decomposition validated as a GHD (conditions 1–3 only)
@@ -38,13 +38,6 @@ type Plan struct {
 	// cost-based planning state (nil without WithStats/WithCostModel)
 	stats *stats.Stats
 	cost  *CostModel // stats read against the query's hypergraph
-
-	// observability state. trace is the WithTrace default execution trace
-	// (nil without the option); lastTrace is the most recent traced
-	// execution's trace — the only mutable plan field, atomic so Explain
-	// ANALYZE and concurrent executions never race.
-	trace     *obs.Trace
-	lastTrace atomic.Pointer[obs.Trace]
 }
 
 // compileConfig is assembled by the functional options.
@@ -57,7 +50,6 @@ type compileConfig struct {
 	race       bool         // WithAutoStrategy: race the engines instead of fixing one
 	stats      *stats.Stats // WithCostModel snapshot (wins over statsDB)
 	statsDB    *Database    // WithStats: collect sampled statistics at compile time
-	trace      *obs.Trace   // WithTrace: compile spans + default execution trace
 	err        error        // first invalid option
 }
 
@@ -197,8 +189,8 @@ func CompileContext(ctx context.Context, q *Query, opts ...CompileOption) (*Plan
 	return compile(ctx, q, cfg)
 }
 
-// compile resolves the trace (context first, then WithTrace), records the
-// whole compilation as one SpanCompile, and delegates to compilePlan.
+// compile records the whole compilation as one SpanCompile of the
+// context's trace, and delegates to compilePlan.
 func compile(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, error) {
 	if q == nil {
 		return nil, fmt.Errorf("hypertree: Compile on a nil query")
@@ -206,19 +198,13 @@ func compile(ctx context.Context, q *Query, cfg *compileConfig) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := obs.FromContext(ctx)
-	if tr == nil && cfg.trace != nil {
-		tr = cfg.trace
-		ctx = obs.NewContext(ctx, tr) // the race entrants trace through ctx
-	}
-	sp := tr.StartSpan(obs.SpanCompile)
+	sp := obs.FromContext(ctx).StartSpan(obs.SpanCompile)
 	p, err := compilePlan(ctx, q, cfg)
 	if err != nil {
 		sp.SetLabel("error: " + err.Error())
 		sp.End()
 		return nil, err
 	}
-	p.trace = cfg.trace
 	sp.SetLabel(p.String())
 	sp.End()
 	return p, nil
@@ -447,34 +433,6 @@ func strategyName(s Strategy) string {
 	}
 }
 
-// beginExec resolves the execution trace — the context's, else the plan's
-// WithTrace default — and opens the SpanExec.
-func (p *Plan) beginExec(ctx context.Context) (context.Context, *obs.Trace, *obs.Span) {
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		if tr = p.trace; tr == nil {
-			return ctx, nil, nil
-		}
-		ctx = obs.NewContext(ctx, tr)
-	}
-	return ctx, tr, tr.StartSpan(obs.SpanExec)
-}
-
-// endExec closes the SpanExec (rows = answer cardinality) and publishes the
-// trace as LastTrace.
-func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, rows int, err error) {
-	if tr == nil {
-		return
-	}
-	if err != nil {
-		sp.SetLabel("error: " + err.Error())
-	} else {
-		sp.SetRows(rows)
-	}
-	sp.End()
-	p.lastTrace.Store(tr)
-}
-
 // Answers runs the plan against db and returns its answers as a cursor:
 // Count is known on return, Next walks one answer at a time, and
 // Materialize drains the rest into the table Execute returns, in the same
@@ -482,55 +440,20 @@ func (p *Plan) endExec(tr *obs.Trace, sp *obs.Span, rows int, err error) {
 // so a caller that renders k rows pays one top-down count over the node
 // tables plus O(k · depth); a head that drops a variable of the root's table folds
 // the root run by run of its leading head columns, each run deduplicated on
-// its own. A Boolean query's cursor holds the 0-ary true table or nothing,
-// decided by ExecuteBoolean: the same count with an empty head, which stops
-// at the first witness. A cancelled or expired
-// context aborts with ctx.Err(), here or in Next (see Answers.Err). Under a
-// trace the execution span stays open until the cursor closes — when Next
-// runs out, on Materialize, or on Close — and the plan's LastTrace is
-// published then. Safe for concurrent use; each cursor is for one
-// goroutine.
+// its own. A Boolean query's cursor holds the 0-ary true table or nothing.
+// A cancelled or expired context aborts with ctx.Err(), here or in Next
+// (see Answers.Err). Under a ContextWithTrace trace the execution span
+// stays open until the cursor closes. Safe for concurrent use; each cursor
+// is for one goroutine.
 func (p *Plan) Answers(ctx context.Context, db *Database) (*Answers, error) {
-	if db == nil {
-		return nil, fmt.Errorf("hypertree: Execute on a nil database")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, tr, sp := p.beginExec(ctx)
-	a, err := p.answers(ctx, db)
-	if err != nil {
-		p.endExec(tr, sp, 0, err)
-		return nil, err
-	}
-	a.OnClose(func(count int, err error) { p.endExec(tr, sp, count, err) })
-	return a, nil
-}
-
-func (p *Plan) answers(ctx context.Context, db *Database) (*Answers, error) {
-	if p.query.IsBoolean() {
-		ok, err := p.executeBoolean(ctx, db)
-		if err != nil {
-			return nil, err
-		}
-		return yannakakis.TableAnswers(boolTable(ok)), nil
-	}
-	if p.strategy == StrategyNaive {
-		t, err := hdeval.NaiveJoinContext(ctx, db, p.query)
-		if err != nil {
-			return nil, err
-		}
-		return yannakakis.TableAnswers(t), nil
-	}
-	return p.eval.Answers(ctx, db, p.workers)
+	return p.run(ctx, db, p.head)
 }
 
 // Execute runs the plan against db and returns the answer table over the
 // head variables (for a Boolean query: the 0-ary true table, or an empty
 // table when the query is false): Answers, materialised. A cancelled or
 // expired context aborts the evaluation with ctx.Err(). Safe for concurrent
-// use. Under a trace (ContextWithTrace, or the plan's WithTrace) the
-// execution records its spans and becomes the plan's LastTrace.
+// use; traced like Answers.
 func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
 	a, err := p.Answers(ctx, db)
 	if err != nil {
@@ -540,37 +463,61 @@ func (p *Plan) Execute(ctx context.Context, db *Database) (*Table, error) {
 }
 
 // ExecuteBoolean decides satisfiability of the plan's query on db (for
-// non-Boolean queries: whether the answer is non-empty). Where the strategy
-// builds node tables it descends them top-down as tries and stops at the
-// first root row that extends to an answer — O(depth) lookups when that is
-// the first, never more than the O(Σ rows) of a bottom-up semijoin pass.
-// Traced like Execute.
+// non-Boolean queries: whether the answer is non-empty). It is Answers with
+// an empty head: the count descends the node tables top-down as tries and
+// stops at the first root row that extends to an answer — O(depth) lookups
+// when that is the first, never more than the O(Σ rows) of a bottom-up
+// semijoin pass. Traced like Answers, with execution Rows 1 or 0.
 func (p *Plan) ExecuteBoolean(ctx context.Context, db *Database) (bool, error) {
-	if db == nil {
-		return false, fmt.Errorf("hypertree: ExecuteBoolean on a nil database")
-	}
-	if err := ctx.Err(); err != nil {
+	a, err := p.run(ctx, db, nil)
+	if err != nil {
 		return false, err
 	}
-	ctx, tr, sp := p.beginExec(ctx)
-	ok, err := p.executeBoolean(ctx, db)
-	rows := 0
-	if ok {
-		rows = 1
-	}
-	p.endExec(tr, sp, rows, err)
-	return ok, err
+	a.Close()
+	return a.Count() > 0, nil
 }
 
-func (p *Plan) executeBoolean(ctx context.Context, db *Database) (bool, error) {
-	switch p.strategy {
-	case StrategyNaive:
-		t, err := hdeval.NaiveJoinContext(ctx, db, p.query)
-		if err != nil {
-			return false, err
-		}
-		return !t.Empty(), nil
-	default: // StrategyAcyclic, StrategyHypertree
-		return p.eval.Boolean(ctx, db, p.workers)
+// run is every execution: the node tables (or, under the naive strategy,
+// the join) and the answer cursor over head, under a SpanExec of the
+// context's trace that closes with the cursor.
+func (p *Plan) run(ctx context.Context, db *Database, head []int) (*Answers, error) {
+	if db == nil {
+		return nil, fmt.Errorf("hypertree: Execute on a nil database")
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sp := obs.FromContext(ctx).StartSpan(obs.SpanExec)
+	a, err := p.answers(ctx, db, head)
+	if err != nil {
+		sp.SetLabel("error: " + err.Error())
+		sp.End()
+		return nil, err
+	}
+	if sp != nil {
+		a.OnClose(func(count int, err error) {
+			if err != nil {
+				sp.SetLabel("error: " + err.Error())
+			} else {
+				sp.SetRows(count)
+			}
+			sp.End()
+		})
+	}
+	return a, nil
+}
+
+func (p *Plan) answers(ctx context.Context, db *Database, head []int) (*Answers, error) {
+	if p.strategy == StrategyNaive {
+		t, err := hdeval.NaiveJoinContext(ctx, db, p.query, head)
+		if err != nil {
+			return nil, err
+		}
+		return yannakakis.TableAnswers(t), nil
+	}
+	root, err := p.eval.Root(ctx, db, p.workers)
+	if err != nil {
+		return nil, err
+	}
+	return yannakakis.NewAnswers(ctx, root, head)
 }

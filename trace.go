@@ -10,10 +10,10 @@ import (
 // A Trace collects the spans of one traced query: compile stages (parse,
 // decomposition, every race entrant with its win/lose verdict) and
 // execution stages (per-node λ-join materialisation with actual vs
-// estimated cardinality, semijoin passes, enumeration). Create one with NewTrace, attach it with WithTrace at
-// compile time or ContextWithTrace at execution time, and read it with
-// Spans, Render, or Plan.ExplainAnalyze. All methods are nil-safe and safe
-// for concurrent use; see the internal obs package for the full contract.
+// estimated cardinality, semijoin passes, enumeration). Create one with NewTrace,
+// attach it with ContextWithTrace (the only way in), and read it with Spans,
+// Render, or Plan.ExplainAnalyze(t). All methods are nil-safe and safe for
+// concurrent use; see the internal obs package for the full contract.
 type Trace = obs.Trace
 
 // A TraceSpan is one traced stage of a query's life: its name (see the
@@ -37,16 +37,6 @@ func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 // TraceFromContext returns the trace carried by ctx, or nil (a valid,
 // inert trace receiver).
 func TraceFromContext(ctx context.Context) *Trace { return obs.FromContext(ctx) }
-
-// WithTrace attaches t to the compilation and to every subsequent
-// execution of the compiled plan that does not carry its own context
-// trace. A context trace (ContextWithTrace) takes precedence, and the
-// option never participates in PlanCache identity — note that a PlanCache
-// hit therefore returns the cached plan without this option's trace;
-// per-request tracing through a cache should use ContextWithTrace.
-func WithTrace(t *Trace) CompileOption {
-	return func(c *compileConfig) { c.trace = t }
-}
 
 // QError is the symmetric relative error of a cardinality estimate:
 // max(est/actual, actual/est), clamped so empty outputs stay finite. 1 is
