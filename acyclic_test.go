@@ -152,9 +152,11 @@ func TestAcyclicWarmExecuteAllocs(t *testing.T) {
 // The allocation pin of the answer cursor, which is what hdserve runs: a
 // warm Count plus the 10 rows a reply renders allocates the same number of
 // objects at 3 × 1 500 rows as at 3 × 15 000 — the descent keeps a
-// liveness array per interior node and a run memo per interior node below
-// the root, the walk nothing per row — and fewer bytes than the answer
-// table Execute would build.
+// liveness array per interior node and a run memo only where a run can be
+// reached twice (none on this path, whose keys lead each parent's order),
+// the walk nothing per row — and under 64 KiB at 3 × 15 000, far fewer
+// bytes than the answer table Execute would build (a memo per interior
+// node below the root made it ≈ 158 KB).
 func TestAcyclicWarmCountAllocs(t *testing.T) {
 	ctx := context.Background()
 	measure := func(domain int) (allocs, bytes float64, tableBytes int) {
@@ -201,6 +203,9 @@ func TestAcyclicWarmCountAllocs(t *testing.T) {
 	}
 	if bytes >= float64(tableBytes) {
 		t.Fatalf("%.0f bytes per warm Count + 10 rows, not fewer than the %d of the answer table", bytes, tableBytes)
+	}
+	if bytes >= 64<<10 {
+		t.Fatalf("%.0f bytes per warm Count + 10 rows at 3 × 15 000 rows, want < 64 KiB", bytes)
 	}
 }
 

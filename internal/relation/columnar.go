@@ -83,7 +83,7 @@ func NewColumnar(t *Table, order []int) *Columnar {
 // BindColumnar evaluates the atom r(args...) straight into columnar form:
 // constants and repeated variables select, the columns of the variables in
 // order — any of the atom's, each once — are copied in that order, and the
-// result is sorted. No row-major Table and no string-keyed dedup map is
+// result is sorted. No row-major Table and no dedup index is
 // built: a Relation is a set, and selection drops only columns that are
 // constants or repeats of a kept variable, so keeping every variable yields
 // distinct rows by construction; sorting makes the duplicates a narrower

@@ -600,7 +600,7 @@ func BenchmarkLeapfrogTriangle(b *testing.B) {
 }
 
 // BenchmarkBindColumnar is an encoding-cache miss on a 50 000 × 2 relation:
-// straight into sorted columns, against the row-major Bind (string-keyed
+// straight into sorted columns, against the row-major Bind (row-index
 // dedup) followed by NewColumnar it replaced.
 func BenchmarkBindColumnar(b *testing.B) {
 	tab := regularTable(rand.New(rand.NewSource(18)), []int{0, 1}, 50000, 25000)

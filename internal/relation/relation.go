@@ -6,11 +6,19 @@
 //
 // Values are int32 indices into the database dictionary, tuples are stored
 // flat (row-major) for locality, and all operations use set semantics, as in
-// the paper's relational model (Section 2.1).
+// the paper's relational model (Section 2.1). A relation deduplicates its
+// tuples, and Project, Join and Equal key their rows, through one
+// pointer-free open-addressed index of row numbers over the flat rows
+// (rowIndex), so a stored tuple costs its values plus 8 to 16 bytes of
+// index, and a Clone copies two slices per relation. The dictionary keeps
+// its own copy of every constant and relation name, never a substring of
+// the text they were parsed from.
 package relation
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -33,11 +41,14 @@ func NewDatabase() *Database {
 	return &Database{dict: map[string]Value{}, rels: map[string]*Relation{}}
 }
 
-// Intern returns the Value for a constant, creating it if needed.
+// Intern returns the Value for a constant, creating it if needed. A new
+// constant is stored as a copy of s, so s may point into a larger text the
+// database must not keep alive.
 func (db *Database) Intern(s string) Value {
 	if v, ok := db.dict[s]; ok {
 		return v
 	}
+	s = strings.Clone(s)
 	v := Value(len(db.names))
 	db.names = append(db.names, s)
 	db.dict[s] = v
@@ -63,6 +74,7 @@ func (db *Database) Relation(name string) *Relation { return db.rels[name] }
 func (db *Database) RelationNames() []string { return db.order }
 
 // AddRelation creates (or returns) the named relation with the given arity.
+// A new relation's name is stored as a copy of name.
 func (db *Database) AddRelation(name string, arity int) (*Relation, error) {
 	if r, ok := db.rels[name]; ok {
 		if r.Arity != arity {
@@ -70,6 +82,7 @@ func (db *Database) AddRelation(name string, arity int) (*Relation, error) {
 		}
 		return r, nil
 	}
+	name = strings.Clone(name)
 	r := &Relation{Name: name, Arity: arity}
 	db.rels[name] = r
 	db.order = append(db.order, name)
@@ -79,43 +92,41 @@ func (db *Database) AddRelation(name string, arity int) (*Relation, error) {
 // AddFact inserts the ground atom name(args...), creating the relation on
 // first use.
 func (db *Database) AddFact(name string, args ...string) error {
+	_, err := db.addFact(name, args, nil)
+	return err
+}
+
+// addFact is AddFact interning the arguments into vals, which it returns
+// for the next fact to reuse.
+func (db *Database) addFact(name string, args []string, vals []Value) ([]Value, error) {
 	r, err := db.AddRelation(name, len(args))
 	if err != nil {
-		return err
+		return vals, err
 	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		vals[i] = db.Intern(a)
+	vals = vals[:0]
+	for _, a := range args {
+		vals = append(vals, db.Intern(a))
 	}
 	r.Add(vals...)
-	return nil
+	return vals, nil
 }
 
 // Clone returns a deep, fully-independent copy of db: the constant
 // dictionary, relation schema and every tuple are copied, and Values keep
-// their meaning (the dictionary copy preserves indices). A Clone may intern
-// and ingest freely while readers keep using db, which is what lets a
-// serving daemon apply mutations off to the side and publish the result with
-// an atomic pointer swap.
+// their meaning (the dictionary copy preserves indices). A relation's copy
+// is two slice copies, its rows and their index. A Clone may intern and
+// ingest freely while readers keep using db, which is what lets a serving
+// daemon apply mutations off to the side and publish the result with an
+// atomic pointer swap.
 func (db *Database) Clone() *Database {
 	out := &Database{
-		dict:  make(map[string]Value, len(db.dict)),
-		names: append([]string(nil), db.names...),
+		dict:  maps.Clone(db.dict),
+		names: slices.Clone(db.names),
 		rels:  make(map[string]*Relation, len(db.rels)),
-		order: append([]string(nil), db.order...),
-	}
-	for s, v := range db.dict {
-		out.dict[s] = v
+		order: slices.Clone(db.order),
 	}
 	for name, r := range db.rels {
-		c := &Relation{Name: r.Name, Arity: r.Arity, data: append([]Value(nil), r.data...)}
-		if r.index != nil {
-			c.index = make(map[string]bool, len(r.index))
-			for k, v := range r.index {
-				c.index[k] = v
-			}
-		}
-		out.rels[name] = c
+		out.rels[name] = &Relation{Name: r.Name, Arity: r.Arity, data: slices.Clone(r.data), index: r.index.clone()}
 	}
 	return out
 }
@@ -136,9 +147,14 @@ func (db *Database) MaxRelationSize() int {
 // are allowed). A relation name must be an identifier starting with a letter
 // or '_', as a query atom's predicate must, and no argument may be empty:
 // either would load facts no query can read, so both are rejected with the
-// line number.
+// line number. The text is read line by line in place, and the database
+// keeps none of it.
 func (db *Database) ParseFacts(src string) error {
-	for ln, line := range strings.Split(src, "\n") {
+	var args []string
+	var vals []Value
+	ln := 0
+	for line := range strings.Lines(src) {
+		ln++
 		line = strings.TrimSpace(line)
 		if i := strings.IndexAny(line, "%#"); i >= 0 {
 			line = strings.TrimSpace(line[:i])
@@ -147,24 +163,27 @@ func (db *Database) ParseFacts(src string) error {
 			open := strings.IndexByte(line, '(')
 			closeIdx := strings.IndexByte(line, ')')
 			if open <= 0 || closeIdx < open {
-				return fmt.Errorf("relation: line %d: cannot parse fact %q", ln+1, line)
+				return fmt.Errorf("relation: line %d: cannot parse fact %q", ln, line)
 			}
 			name := strings.TrimSpace(line[:open])
 			if !isIdent(name) {
-				return fmt.Errorf("relation: line %d: relation name %q is not an identifier", ln+1, name)
+				return fmt.Errorf("relation: line %d: relation name %q is not an identifier", ln, name)
 			}
 			inner := line[open+1 : closeIdx]
-			var args []string
+			args = args[:0]
 			if strings.TrimSpace(inner) != "" {
-				for _, a := range strings.Split(inner, ",") {
+				for rest, more := inner, true; more; {
+					var a string
+					a, rest, more = strings.Cut(rest, ",")
 					if a = strings.TrimSpace(a); a == "" {
-						return fmt.Errorf("relation: line %d: empty argument in %s(%s)", ln+1, name, inner)
+						return fmt.Errorf("relation: line %d: empty argument in %s(%s)", ln, name, inner)
 					}
 					args = append(args, a)
 				}
 			}
-			if err := db.AddFact(name, args...); err != nil {
-				return fmt.Errorf("relation: line %d: %v", ln+1, err)
+			var err error
+			if vals, err = db.addFact(name, args, vals); err != nil {
+				return fmt.Errorf("relation: line %d: %v", ln, err)
 			}
 			line = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line[closeIdx+1:]), "."))
 		}
@@ -185,24 +204,17 @@ func isIdent(s string) bool {
 	return s != ""
 }
 
-// Relation is a set of tuples of fixed arity, stored row-major.
+// Relation is a set of tuples of fixed arity, stored row-major and
+// deduplicated through an index of their row numbers.
 type Relation struct {
 	Name  string
 	Arity int
 	data  []Value
-	index map[string]bool // tuple dedup
+	index rowIndex // data's rows; index.n is Rows()
 }
 
 // Rows returns the number of tuples.
-func (r *Relation) Rows() int {
-	if r.Arity == 0 {
-		if r.index["ε"] {
-			return 1
-		}
-		return 0
-	}
-	return len(r.data) / r.Arity
-}
+func (r *Relation) Rows() int { return r.index.n }
 
 // Row returns the i-th tuple (not to be mutated).
 func (r *Relation) Row(i int) []Value { return r.data[i*r.Arity : (i+1)*r.Arity] }
@@ -212,18 +224,7 @@ func (r *Relation) Add(vals ...Value) {
 	if len(vals) != r.Arity {
 		panic(fmt.Sprintf("relation: %s expects arity %d, got %d", r.Name, r.Arity, len(vals)))
 	}
-	if r.index == nil {
-		r.index = map[string]bool{}
-	}
-	key := encode(vals)
-	if r.Arity == 0 {
-		key = "ε"
-	}
-	if r.index[key] {
-		return
-	}
-	r.index[key] = true
-	r.data = append(r.data, vals...)
+	r.data, _ = r.index.add(r.data, r.Arity, vals)
 }
 
 // Has reports whether the relation already holds the tuple.
@@ -231,24 +232,8 @@ func (r *Relation) Has(vals ...Value) bool {
 	if len(vals) != r.Arity {
 		return false
 	}
-	if r.Arity == 0 {
-		return r.index["ε"]
-	}
-	return r.index[encode(vals)]
-}
-
-func encode(vals []Value) string {
-	return string(appendVals(make([]byte, 0, len(vals)*4), vals))
-}
-
-// appendVals appends the 4-byte little-endian encoding of each value to b.
-// Hot dedup loops reuse one buffer and probe maps with string(buf), which
-// the compiler keeps allocation-free on lookup.
-func appendVals(b []byte, vals []Value) []byte {
-	for _, v := range vals {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return b
+	_, row := r.index.find(r.data, r.Arity, vals)
+	return row >= 0
 }
 
 // String renders the relation as facts, sorted, for tests and tools.

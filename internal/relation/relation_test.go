@@ -367,9 +367,10 @@ func doubled(a *Table) *Table {
 	return u
 }
 
-// The dedup key buffer Project relies on is hoisted out of the row loop:
-// deduplicating a union that is all duplicates must cost far fewer
-// allocations than one per row (only first-seen rows allocate a map key).
+// Deduplicating a union that is all duplicates allocates a constant
+// number of objects — the union's copy and one row index — however many
+// distinct rows it holds. A string-keyed map paid one key per distinct row
+// (≈ 1 000 here), and ≥ 2 a row before its key buffer was hoisted.
 func TestUnionDedupAllocs(t *testing.T) {
 	const rows = 1000
 	a := NewTable([]int{0, 1})
@@ -383,11 +384,8 @@ func TestUnionDedupAllocs(t *testing.T) {
 			t.Fatalf("dedup lost rows: %d", u.Rows())
 		}
 	})
-	// 2×rows worth of input with rows distinct keys: budget ≈ one key alloc
-	// per distinct row plus map/slice growth. Before the hoist this was
-	// ≥ 2 allocations per input row (~4000).
-	if allocs > rows*1.5 {
-		t.Fatalf("dedup allocates %v times for %d distinct rows — key buffer not hoisted", allocs, rows)
+	if allocs > 8 {
+		t.Fatalf("dedup of %d distinct rows allocates %v times, want ≤ 8", rows, allocs)
 	}
 }
 

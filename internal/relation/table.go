@@ -124,29 +124,20 @@ func Bind(r *Relation, args []Arg) (*Table, error) {
 	return out, nil
 }
 
+// dedup removes repeated rows in place, keeping each row's first
+// occurrence in order.
 func (t *Table) dedup() {
 	if t.rows <= 1 {
 		return
 	}
-	seen := make(map[string]bool, t.rows)
 	w := len(t.Vars)
+	seen := newRowIndex(t.rows)
 	out := t.data[:0]
-	kept := 0
-	// One reused key buffer: the map lookup on string(buf) does not allocate;
-	// only first-seen rows pay a key allocation on insert.
-	buf := make([]byte, 0, w*4)
 	for i := 0; i < t.rows; i++ {
-		row := t.data[i*w : (i+1)*w]
-		buf = appendVals(buf[:0], row)
-		if seen[string(buf)] {
-			continue
-		}
-		seen[string(buf)] = true
-		out = append(out, row...)
-		kept++
+		out, _ = seen.add(out, w, t.data[i*w:(i+1)*w])
 	}
 	t.data = out
-	t.rows = kept
+	t.rows = seen.n
 }
 
 // Project returns the projection of t onto vars (which must be a subset of
@@ -162,19 +153,15 @@ func (t *Table) Project(vars []int) *Table {
 	}
 	out := NewTable(vars)
 	row := make([]Value, len(vars))
-	seen := make(map[string]bool, t.rows)
+	var seen rowIndex
 	for i := 0; i < t.rows; i++ {
 		src := t.Row(i)
 		for j, c := range cols {
 			row[j] = src[c]
 		}
-		k := encode(row)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.addRow(row)
+		out.data, _ = seen.add(out.data, len(vars), row)
 	}
+	out.rows = seen.n
 	return out
 }
 
@@ -191,16 +178,9 @@ func sharedVars(t, u *Table) (vars []int, tc, uc []int) {
 	return
 }
 
-func keyOf(row []Value, cols []int, buf []Value) string {
-	buf = buf[:0]
-	for _, c := range cols {
-		buf = append(buf, row[c])
-	}
-	return encode(buf)
-}
-
 // Join returns the natural join t ⋈ u. The result's columns are t's
-// variables followed by u's variables that are not in t.
+// variables followed by u's variables that are not in t; its rows come in
+// t's row order, each row's partners in u's row order.
 func (t *Table) Join(u *Table) *Table {
 	_, tc, uc := sharedVars(t, u)
 	var extraCols []int
@@ -213,16 +193,36 @@ func (t *Table) Join(u *Table) *Table {
 		}
 	}
 	out := NewTable(vars)
-	index := make(map[string][]int, u.rows)
-	buf := make([]Value, len(uc))
+	// u's rows by key: keys holds row i's key at row i, the index each
+	// key's first row, next[i] the row after i with i's key (-1 after the
+	// last). Inserting from the last row back leaves every chain ascending.
+	kw := len(uc)
+	keys := make([]Value, 0, u.rows*kw)
 	for i := 0; i < u.rows; i++ {
-		k := keyOf(u.Row(i), uc, buf)
-		index[k] = append(index[k], i)
+		urow := u.Row(i)
+		for _, c := range uc {
+			keys = append(keys, urow[c])
+		}
 	}
+	var index rowIndex
+	next := make([]int32, u.rows)
+	for i := u.rows - 1; i >= 0; i-- {
+		slot, first := index.find(keys, kw, keys[i*kw:(i+1)*kw])
+		if next[i] = int32(first); first >= 0 {
+			index.slots[slot] = int32(i + 1)
+		} else {
+			index.insert(keys, kw, slot, i)
+		}
+	}
+	key := make([]Value, kw)
 	row := make([]Value, len(vars))
 	for i := 0; i < t.rows; i++ {
 		trow := t.Row(i)
-		for _, j := range index[keyOf(trow, tc, buf)] {
+		for j, c := range tc {
+			key[j] = trow[c]
+		}
+		_, j := index.find(keys, kw, key)
+		for ; j >= 0; j = int(next[j]) {
 			urow := u.Row(j)
 			copy(row, trow)
 			for x, c := range extraCols {
@@ -248,17 +248,20 @@ func (t *Table) Equal(u *Table) bool {
 		}
 		perm[i] = j
 	}
-	set := make(map[string]bool, t.rows)
-	buf := make([]Value, len(t.Vars))
+	w := len(t.Vars)
+	set := newRowIndex(t.rows)
 	for i := 0; i < t.rows; i++ {
-		set[encode(t.Row(i))] = true
+		if slot, dup := set.find(t.data, w, t.Row(i)); dup < 0 {
+			set.insert(t.data, w, slot, i)
+		}
 	}
+	buf := make([]Value, w)
 	for i := 0; i < u.rows; i++ {
 		urow := u.Row(i)
 		for c, j := range perm {
 			buf[c] = urow[j]
 		}
-		if !set[encode(buf)] {
+		if _, row := set.find(t.data, w, buf); row < 0 {
 			return false
 		}
 	}

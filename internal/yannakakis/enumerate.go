@@ -75,7 +75,7 @@ func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 		e.head[v] = true
 	}
 	up := tr.StartSpan(obs.SpanSemijoinUp)
-	en := e.build(root, nil)
+	en := e.build(root, nil, true)
 	var total int64
 	if e.err == nil {
 		total = e.rows(en, 0, en.c.Rows())
@@ -235,7 +235,13 @@ type enode struct {
 	// variable, which the walk never enters.
 	live []bool
 	// memo[lo] is ^ the count of the run whose first row is lo, 0 while
-	// undecided; nil on a leaf and at the root.
+	// undecided. It is nil where no run is reached twice, and the count
+	// then recurses without memoising: on a leaf, at the root, and on a
+	// node whose key is its parent's leading columns (pcol = 0, 1, …) below
+	// a parent whose rows are counted in ascending order — the root, or
+	// such a node. Its runs are then reached in ascending order, and the
+	// probe reuses a run's count while the key stands, so each run is
+	// counted once.
 	memo []int64
 }
 
@@ -312,9 +318,13 @@ func keyed(n *Node, p *relation.Columnar, keyOnly bool) (c *relation.Columnar, p
 // encoded as p (nil at the root): children first, then — for a non-root
 // subtree that drops a variable but supplies head variables — the fold onto
 // its key and head variables, run by run of the key, after counting it
-// whole.
-func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
+// whole. ordered says the parent's rows are counted in ascending order,
+// each at most once (see enode.memo).
+func (e *enumerator) build(n *Node, p *relation.Columnar, ordered bool) *enode {
 	c, pcol := keyed(n, p, len(n.Children) == 0 && len(e.head) == 0)
+	for j, pc := range pcol {
+		ordered = ordered && pc == j
+	}
 	en := &enode{c: c, pcol: pcol, clean: true}
 	for _, v := range c.Vars[len(pcol):] {
 		if e.head[v] {
@@ -324,7 +334,7 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 		}
 	}
 	for _, ch := range n.Children {
-		cn := e.build(ch, c)
+		cn := e.build(ch, c, ordered)
 		if e.err != nil {
 			return nil
 		}
@@ -348,7 +358,7 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 		e.folds++
 		return &enode{c: relation.NewSortedColumnar(keep, data), pcol: pcol, out: en.out, clean: true}
 	}
-	if len(en.children) > 0 && p != nil {
+	if len(en.children) > 0 && !ordered {
 		en.memo = make([]int64, c.Rows())
 	}
 	return en
@@ -358,8 +368,9 @@ func (e *enumerator) build(n *Node, p *relation.Columnar) *enode {
 // marks the live ones — where n supplies no head variable, 1 at the first
 // live row. A row's count is the product over the children of the count of
 // the run its key selects, each run counted on its first visit and read
-// from the memo after; a row with the last looked-up row's key reuses that
-// child's factor, and a row a child zeroes looks up no later child.
+// from the memo after, where it has one; a row with the last looked-up
+// row's key reuses that child's factor, and a row a child zeroes looks up
+// no later child.
 func (e *enumerator) rows(n *enode, lo, hi int) int64 {
 	if len(n.children) == 0 {
 		if len(n.out) == 0 {
@@ -378,10 +389,12 @@ func (e *enumerator) rows(n *enode, lo, hi int) int64 {
 				f := int64(chi - clo)
 				switch {
 				case f == 0:
-				case ch.memo == nil: // a leaf
+				case len(ch.children) == 0: // a leaf
 					if len(ch.out) == 0 {
 						f = 1
 					}
+				case ch.memo == nil: // a run reached once
+					f = e.rows(ch, clo, chi)
 				case ch.memo[clo] != 0:
 					f = ^ch.memo[clo]
 				default:

@@ -63,7 +63,7 @@ func rootCounts(root *Node, head []int) []int64 {
 	for _, v := range head {
 		e.head[v] = true
 	}
-	en := e.build(root, nil)
+	en := e.build(root, nil, true) // root rows counted in ascending order
 	counts := make([]int64, en.c.Rows())
 	for r := range counts {
 		counts[r] = e.rows(en, r, r+1)
@@ -109,7 +109,7 @@ func TestSaturatedPrefixSumsStayExactPerRun(t *testing.T) {
 	for _, v := range head {
 		e.head[v] = true
 	}
-	en := e.build(tree.build(), nil)
+	en := e.build(tree.build(), nil, false) // root runs recounted out of order
 	if got := e.rows(en, 0, len(counts)); got != math.MaxInt64 {
 		t.Fatalf("the whole node sums to %d, want math.MaxInt64", got)
 	}
