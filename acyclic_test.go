@@ -17,7 +17,9 @@ import (
 // evaluator. On the acyclic half of gen.KernelCases, for 1 and 4 workers,
 // every execution form must return exactly the naive join's answers, and a
 // traced execution must show the path taken: one scan per atom, each fed by
-// one encoding-cache fetch, hits once the plan is warm. (The row-major
+// one encoding-cache fetch, hits once the database has bound the atom.
+// Each plan runs on its own Clone of the case's database, which starts with
+// no encodings, so its first pass misses and its second hits. (The row-major
 // Yannakakis oracle and the adversarial shapes are checked where the
 // evaluator lives, in internal/hdeval.) Run under -race in CI.
 func TestAcyclicPlansRunWidth1(t *testing.T) {
@@ -44,9 +46,10 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 			if plan.Strategy() != StrategyAcyclic || plan.Width() != 1 || plan.Decomposition() != nil {
 				t.Fatalf("%s: %s, width %d: want the acyclic strategy at width 1", tc.Name, plan, plan.Width())
 			}
+			db := tc.DB.Clone()
 			for pass := 0; pass < 2; pass++ {
 				tr := NewTrace()
-				got, err := plan.Execute(ContextWithTrace(ctx, tr), tc.DB)
+				got, err := plan.Execute(ContextWithTrace(ctx, tr), db)
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", tc.Name, workers, err)
 				}
@@ -73,7 +76,7 @@ func TestAcyclicPlansRunWidth1(t *testing.T) {
 					t.Fatalf("%s: %d node and %d bind spans for %d atoms", tc.Name, nodes, binds, atoms)
 				}
 			}
-			ok, err := plan.ExecuteBoolean(ctx, tc.DB)
+			ok, err := plan.ExecuteBoolean(ctx, db)
 			if err != nil || ok != !want.Empty() {
 				t.Fatalf("%s workers=%d: ExecuteBoolean = %v, %v; naive has %d answers", tc.Name, workers, ok, err, want.Rows())
 			}

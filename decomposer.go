@@ -58,10 +58,12 @@ type DecomposeRequest struct {
 // declare themselves GeneralizedDecomposers, against the GHD conditions 1–3
 // only).
 //
-// Four built-in strategies ship with the package: KDecomposer,
+// Five built-in strategies ship with the package: KDecomposer,
 // ParallelKDecomposer and QueryDecomposer cover the paper's exact
-// algorithms, and GreedyDecomposer is the heuristic GHD engine. Further
-// methods plug in through WithDecomposer without another API change.
+// algorithms, GreedyDecomposer is the heuristic GHD engine, and
+// FractionalDecomposer re-covers its shapes by LP into fractional
+// hypertree decompositions. Further methods plug in through WithDecomposer
+// without another API change.
 type Decomposer interface {
 	// Name identifies the strategy; it participates in plan-cache keys, so
 	// two Decomposers with the same name must be interchangeable.

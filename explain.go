@@ -106,7 +106,8 @@ func writeNode(b *strings.Builder, n hdeval.Node) {
 // decomposition node, the actual materialised cardinality next to the
 // planner's estimate and their q-error — the ground truth Explain alone
 // cannot show — followed by the bind step (relations fetched, how many
-// straight from the encoding cache), the execution pass timings (semijoin
+// straight from the executing database's encoding cache, which every plan
+// over that database fills), the execution pass timings (semijoin
 // up, enumeration) and any compile/race spans tr holds. Reading it answers
 // the post-mortem questions: which node the cost model mispriced, where the
 // wall-clock went, and whether the race picked the right engine. Without

@@ -47,7 +47,6 @@ type Evaluator struct {
 	head       []int
 	nodes      []Node    // the physical plan in preorder (see Nodes); empty without variable atoms
 	labelOnce  sync.Once // renders the nodes' labels on first use
-	enc        encCache  // plan-level Columnar encoding cache (interior mutability)
 }
 
 // Nodes returns the physical plan — the completed tree execution walks,
@@ -203,7 +202,7 @@ func clearUnlessGroundAtomsHold(root *yannakakis.Node, db *relation.Database, q 
 }
 
 // rootBuilder carries the shared state of one Root materialisation; the
-// bound relations live in the evaluator's encoding cache (kernel.go).
+// bound relations live in db's encoding cache (kernel.go).
 type rootBuilder struct {
 	ctx context.Context
 	db  *relation.Database

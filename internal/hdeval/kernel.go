@@ -5,8 +5,10 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 
 	"hypertree/internal/bitset"
+	"hypertree/internal/cq"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
@@ -17,12 +19,12 @@ import (
 // This file plans and runs the materialisation of one decomposition node:
 // the projection of its λ-join onto the χ variables the rest of the tree
 // still reads, in columnar form. A node with one λ relation is a scan — its
-// table is that relation's cached encoding as it stands. A node with
-// several runs the leapfrog triejoin (relation.LeapfrogJoinColumnar) over
-// their cached encodings: sorted columnar tries intersected variable by
-// variable, worst-case optimal with respect to the AGM bound, which the
-// node's fractional cover weights certify as r^fhw. varOrder chooses the
-// variable order.
+// table is that relation's encoding as it stands, cached on the database
+// (relation.Database.Encoded). A node with several runs the leapfrog
+// triejoin (relation.LeapfrogJoinColumnar) over their encodings: sorted
+// columnar tries intersected variable by variable, worst-case optimal with
+// respect to the AGM bound, which the node's fractional cover weights
+// certify as r^fhw. varOrder chooses the variable order.
 //
 // Lemma 4.6 materialises π_χ(p)(⋈ λ(p)), but a table need only hold
 // keep(p) = χ(p) ∩ (head ∪ χ(parent) ∪ ⋃ χ(children)), over the completed
@@ -69,8 +71,8 @@ type Node struct {
 	Label, OrderNames, Keep string
 
 	lam       []int    // λ's edges, ascending
-	keys      []encKey // per λ edge: its encoding-cache key …
-	subs      [][]int  // … and the column order its relation is encoded under
+	keys      []string // per λ edge: its encoding's key (bindKey) …
+	subs      [][]int  // … and the columns its atom is bound into, in order
 	spanLabel string   // Label, plus " order=…" on a leapfrog node
 }
 
@@ -121,15 +123,11 @@ func (e *Evaluator) planNode(n, parent *decomp.Node, model *decomp.CostModel) (N
 		}
 	}
 	for _, e2 := range lam {
-		sub := order // a scan's one relation spans the whole order
+		sub := order[:p.NOut] // a scan binds its one relation into its kept columns
 		if len(lam) > 1 {
 			sub = relation.SubOrder(order, yannakakis.AtomVars(e.Q, e.edgeToAtom[e2]))
 		}
-		key := encKey{edge: e2, order: orderKey(sub), width: len(sub)}
-		if len(lam) == 1 {
-			key.width = p.NOut
-		}
-		p.subs, p.keys = append(p.subs, sub), append(p.keys, key)
+		p.subs, p.keys = append(p.subs, sub), append(p.keys, bindKey(e.Q, e.edgeToAtom[e2], sub))
 	}
 	if model != nil {
 		p.EstRows = decomp.NodeCost(&decomp.Node{Chi: bitset.FromSlice(order[:p.NOut]), Lambda: n.Lambda, Weights: n.Weights}, model)
@@ -242,35 +240,75 @@ func agmCapHint(n *Node, cols []*relation.Columnar) int {
 	return int(bound)
 }
 
+// bindKey renders the key of atom ai's encoding bound into the columns of
+// order (relation.Database.Encoded): the bracketed order, then the atom's
+// arguments — variables by number, constants quoted by name, so a constant
+// spelled like a variable or holding "," keys apart. Nothing in it depends
+// on the plan, so plans over one database share the entry.
+func bindKey(q *cq.Query, ai int, order []int) string {
+	key := fmt.Sprint(order)
+	for _, t := range q.Atoms[ai].Args {
+		if v, _ := q.VarIndex(t.Name); t.IsVar {
+			key += "," + strconv.Itoa(v)
+		} else {
+			key += "," + strconv.Quote(t.Name)
+		}
+	}
+	return key
+}
+
 // encoded returns the i-th λ relation of n in Columnar form under n's
-// variable order, through the evaluator's encoding cache: while its
-// relation stands unchanged each (edge, order) pair is bound once — straight into
-// sorted columns (relation.BindColumnar), the kept width being the distinct
-// prefix a scan node's χ asks for — across bags sharing the relation and
-// across repeated executions under a warm plan cache. A hit touches neither
-// the relation nor the atom. Under a traced context each fetch is one
-// SpanBind labelled with the relation and hit or miss.
+// variable order. While its relation stands unchanged each key is bound
+// once (relation.BindColumnar), across bags, plans and executions over the
+// database that caches it; a hit touches neither the relation nor the
+// atom. An atom that selects nothing is bound to no rows without a scan or
+// the cache, so made-up constants add no entry. Under a traced context each
+// fetch is one SpanBind labelled with the relation and hit, miss or empty.
 func (b *rootBuilder) encoded(n *Node, i int) (*relation.Columnar, error) {
 	sp := b.tr.StartSpan(obs.SpanBind)
-	e2 := n.lam[i]
-	key, sub := n.keys[i], n.subs[i]
-	rel := b.db.Relation(b.e.Q.Atoms[b.e.edgeToAtom[e2]].Pred)
-	enc, hit, err := b.e.enc.get(rel, key, func() (*relation.Columnar, error) {
-		return yannakakis.BindAtomColumnar(b.db, b.e.Q, b.e.edgeToAtom[e2], sub[:key.width])
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		outcome := " miss"
+	e2, ai := n.lam[i], b.e.edgeToAtom[n.lam[i]]
+	var enc *relation.Columnar
+	outcome := " empty"
+	if selectsNothing(b.db, b.e.Q.Atoms[ai]) {
+		enc = relation.NewSortedColumnar(n.subs[i], nil)
+	} else {
+		var hit bool
+		var err error
+		enc, hit, err = b.db.Encoded(b.e.Q.Atoms[ai].Pred, n.keys[i], func() (*relation.Columnar, error) {
+			return yannakakis.BindAtomColumnar(b.db, b.e.Q, ai, n.subs[i])
+		})
+		if err != nil {
+			return nil, err
+		}
+		outcome = " miss"
 		if hit {
 			outcome = " hit"
 		}
+	}
+	if sp != nil {
 		sp.SetLabel(b.e.h.EdgeName(e2) + outcome)
 		sp.SetRows(enc.Rows())
 		sp.End()
 	}
 	return enc, nil
+}
+
+// selectsNothing reports whether atom selects no row of db unseen: its
+// relation is absent, or a constant is missing from the dictionary. An
+// arity mismatch is left to the bind, which reports it.
+func selectsNothing(db *relation.Database, atom cq.Atom) bool {
+	r := db.Relation(atom.Pred)
+	if r == nil {
+		return true
+	}
+	for _, t := range atom.Args {
+		if !t.IsVar && r.Arity == len(atom.Args) {
+			if _, ok := db.Lookup(t.Name); !ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // materialize computes node n's table. A scan node's table is its one

@@ -64,10 +64,12 @@ const (
 	// closes; Rows is the answer cardinality (1 or 0 for ExecuteBoolean).
 	SpanExec = "exec"
 	// SpanBind covers fetching one λ relation in executable form, before
-	// the node's join starts, through the plan's encoding cache: the label
-	// names the relation and says hit (nothing touched) or miss (atom
-	// selected into columns and sorted). Rows is the fetched relation's
-	// cardinality.
+	// the node's join starts, through the executing database's encoding
+	// cache (relation.Database.Encoded): the label names the relation and
+	// says hit (nothing touched), miss (atom selected into columns and
+	// sorted) or empty (its relation is absent or a constant is missing
+	// from the dictionary: no rows, cache untouched). Rows is the fetched
+	// relation's cardinality.
 	SpanBind = "exec/bind"
 	// SpanNode covers one decomposition node's λ-join materialisation,
 	// after its binds: Node identifies the node,
@@ -310,8 +312,8 @@ func (s *Span) End() {
 
 // Observe appends a caller-assembled span to the trace. It is the escape
 // hatch for stages whose verdict is only known after their clock stops —
-// the strategy race times every entrant concurrently but can label
-// win/lose only once all entrants have reported — at the price of the
+// the strategy race times its entrants one after another but can label
+// win/lose only once all of them have reported — at the price of the
 // caller supplying its own timings (see OffsetMicros).
 func (t *Trace) Observe(s Span) {
 	if t == nil {

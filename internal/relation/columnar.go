@@ -16,8 +16,9 @@ import (
 // consecutively), so they are the only code domain: a trie key is one array
 // read, a seek one gallop, and two encodings of one database compare
 // directly. The layout is immutable after construction and safe for
-// concurrent iteration — concurrent executions of one plan share its cached
-// encodings and walk them through per-goroutine iterators.
+// concurrent iteration — concurrent executions over one database share its
+// relations' cached encodings (Database.Encoded) and walk them through
+// per-goroutine iterators.
 
 // A Columnar is a relation over variables stored column by column: columns
 // arranged in the caller's variable order, rows sorted lexicographically by

@@ -21,9 +21,9 @@ import (
 // emitted straight into the result's columns, a Columnar as it stands.
 // capHint, when positive, pre-sizes the output (callers pass the AGM bound
 // r^fhw, clamped to what the inputs justify). Columnars are immutable, so
-// callers may share them across concurrent joins — concurrent executions of
-// one plan join the same cached encodings. ctx is polled every 4096 trie
-// keys visited; a cancelled join returns ctx's error and no table.
+// callers may share them across concurrent joins — concurrent executions
+// over one database join the same cached encodings. ctx is polled every
+// 4096 trie keys visited; a cancelled join returns ctx's error and no table.
 func LeapfrogJoinColumnar(ctx context.Context, cols []*Columnar, order []int, nOut, capHint int) (*Columnar, error) {
 	out := &Columnar{Vars: append([]int(nil), order[:nOut]...), cols: make([][]Value, nOut)}
 	for _, c := range cols {

@@ -12,7 +12,8 @@
 // (rowIndex), so a stored tuple costs its values plus 8 to 16 bytes of
 // index, and a Clone copies two slices per relation. The dictionary keeps
 // its own copy of every constant and relation name, never a substring of
-// the text they were parsed from.
+// the text they were parsed from. Each relation also keeps the sorted
+// encodings evaluation binds it into (Database.Encoded).
 package relation
 
 import (
@@ -21,6 +22,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode"
 )
 
@@ -30,15 +33,63 @@ type Value = int32
 // Database holds relations and the constant dictionary: dict interns a
 // constant, names spells a Value back.
 type Database struct {
-	dict  map[string]Value
-	names []string
-	rels  map[string]*Relation
-	order []string // relation insertion order, for deterministic iteration
+	dict   map[string]Value
+	names  []string
+	rels   map[string]*Relation
+	order  []string       // relation insertion order, for deterministic iteration
+	counts *encodedCounts // Encoded's hits and misses, shared by every Clone
 }
+
+// encodedCounts are the hit and miss totals of Database.Encoded.
+type encodedCounts struct{ hits, misses atomic.Uint64 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{dict: map[string]Value{}, rels: map[string]*Relation{}}
+	return &Database{dict: map[string]Value{}, rels: map[string]*Relation{}, counts: new(encodedCounts)}
+}
+
+// Encoded returns the encoding of the named relation that key identifies,
+// and whether the relation's cache served it; on a miss it calls build and
+// caches the result. key must determine the encoding from the relation's
+// tuples alone, so every plan over db shares the entry, and a hit
+// allocates nothing. An entry stands while its relation keeps the row count
+// it was built at: relations only grow, so the count pins the content. An
+// absent relation is built on every call, never stored, not counted. Builds
+// run outside the lock; of two racing builds of one key the last is kept.
+func (db *Database) Encoded(name, key string, build func() (*Columnar, error)) (*Columnar, bool, error) {
+	r := db.rels[name]
+	if r == nil {
+		enc, err := build()
+		return enc, false, err
+	}
+	rows := r.Rows()
+	r.encMu.Lock()
+	e, ok := r.encodings[key]
+	r.encMu.Unlock()
+	if ok && e.rows == rows {
+		db.counts.hits.Add(1)
+		return e.enc, true, nil
+	}
+	db.counts.misses.Add(1)
+	enc, err := build()
+	if err != nil {
+		return nil, false, err
+	}
+	r.encMu.Lock()
+	if r.encodings == nil {
+		r.encodings = map[string]encoded{}
+	}
+	r.encodings[key] = encoded{enc: enc, rows: rows}
+	r.encMu.Unlock()
+	return enc, false, nil
+}
+
+// EncodedCounts returns Encoded's hit and miss totals. Every Clone shares
+// the counters of the database it was cloned from, so they are monotonic
+// across the snapshots of one lineage and independent of any other
+// NewDatabase.
+func (db *Database) EncodedCounts() (hits, misses uint64) {
+	return db.counts.hits.Load(), db.counts.misses.Load()
 }
 
 // Intern returns the Value for a constant, creating it if needed. A new
@@ -114,16 +165,18 @@ func (db *Database) addFact(name string, args []string, vals []Value) ([]Value, 
 // Clone returns a deep, fully-independent copy of db: the constant
 // dictionary, relation schema and every tuple are copied, and Values keep
 // their meaning (the dictionary copy preserves indices). A relation's copy
-// is two slice copies, its rows and their index. A Clone may intern and
+// is two slice copies, its rows and their index; its encodings start
+// empty, and only Encoded's counters are shared. A Clone may intern and
 // ingest freely while readers keep using db, which is what lets a serving
 // daemon apply mutations off to the side and publish the result with an
 // atomic pointer swap.
 func (db *Database) Clone() *Database {
 	out := &Database{
-		dict:  maps.Clone(db.dict),
-		names: slices.Clone(db.names),
-		rels:  make(map[string]*Relation, len(db.rels)),
-		order: slices.Clone(db.order),
+		dict:   maps.Clone(db.dict),
+		names:  slices.Clone(db.names),
+		rels:   make(map[string]*Relation, len(db.rels)),
+		order:  slices.Clone(db.order),
+		counts: db.counts,
 	}
 	for name, r := range db.rels {
 		out.rels[name] = &Relation{Name: r.Name, Arity: r.Arity, data: slices.Clone(r.data), index: r.index.clone()}
@@ -205,16 +258,33 @@ func isIdent(s string) bool {
 }
 
 // Relation is a set of tuples of fixed arity, stored row-major and
-// deduplicated through an index of their row numbers.
+// deduplicated through an index of their row numbers, with the encodings
+// Database.Encoded has built of it.
 type Relation struct {
 	Name  string
 	Arity int
 	data  []Value
 	index rowIndex // data's rows; index.n is Rows()
+
+	encMu     sync.Mutex
+	encodings map[string]encoded
+}
+
+// encoded is one cached encoding and the row count it was built at.
+type encoded struct {
+	enc  *Columnar
+	rows int
 }
 
 // Rows returns the number of tuples.
 func (r *Relation) Rows() int { return r.index.n }
+
+// Encodings returns the number of encodings cached on r (Database.Encoded).
+func (r *Relation) Encodings() int {
+	r.encMu.Lock()
+	defer r.encMu.Unlock()
+	return len(r.encodings)
+}
 
 // Row returns the i-th tuple (not to be mutated).
 func (r *Relation) Row(i int) []Value { return r.data[i*r.Arity : (i+1)*r.Arity] }

@@ -6,25 +6,24 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"hypertree"
 )
 
 // The Columnar encoding cache across the serving surface: a warm plan's
 // second execution hits the cache, an /admin/ingest database swap
-// invalidates it (fresh misses, answers from the new snapshot), and both
-// counters are exported on /admin/metrics.
+// invalidates it (fresh misses, answers from the new snapshot) without
+// resetting the counters, and both counters are exported on
+// /admin/metrics.
 func TestColumnarCacheAcrossIngest(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	const triangle = `r1(X, Y), r2(Y, Z), r3(Z, X)`
-	_, m0 := hypertree.ColumnarCacheMetrics()
+	_, m0 := s.LiveDB().EncodedCounts()
 	if code, _, _ := post(t, ts.URL, QueryRequest{Query: triangle}); code != http.StatusOK {
 		t.Fatalf("first query: status %d", code)
 	}
-	h1, m1 := hypertree.ColumnarCacheMetrics()
+	h1, m1 := s.LiveDB().EncodedCounts()
 	if m1 == m0 {
 		t.Fatal("cold execution encoded nothing (no cache misses)")
 	}
@@ -34,7 +33,7 @@ func TestColumnarCacheAcrossIngest(t *testing.T) {
 	if code, _, _ := post(t, ts.URL, QueryRequest{Query: triangle}); code != http.StatusOK {
 		t.Fatalf("second query: status %d", code)
 	}
-	h2, m2 := hypertree.ColumnarCacheMetrics()
+	h2, m2 := s.LiveDB().EncodedCounts()
 	if h2 == h1 {
 		t.Fatal("warm re-execution did not hit the encoding cache")
 	}
@@ -42,17 +41,21 @@ func TestColumnarCacheAcrossIngest(t *testing.T) {
 		t.Fatalf("warm re-execution re-encoded: misses %d → %d", m1, m2)
 	}
 
-	// Ingest swaps the database snapshot: the cache generation is dead, so
-	// the next execution must re-encode (fresh misses).
+	// Ingest swaps the database snapshot, whose relations start with no
+	// encodings, so the next execution must re-encode (fresh misses); the
+	// new snapshot counts on from its predecessor's totals.
 	if code, raw := postJSON(t, ts.URL+"/admin/ingest", IngestRequest{Facts: "r1(q1, q2). r2(q2, q3). r3(q3, q1)."}); code != http.StatusOK {
 		t.Fatalf("ingest: status %d: %s", code, raw)
 	}
 	if code, _, _ := post(t, ts.URL, QueryRequest{Query: triangle}); code != http.StatusOK {
 		t.Fatalf("post-ingest query: status %d", code)
 	}
-	_, m3 := hypertree.ColumnarCacheMetrics()
-	if m3 == m2 {
+	h3, m3 := s.LiveDB().EncodedCounts()
+	if m3 <= m2 {
 		t.Fatal("post-ingest execution served encodings of the dead snapshot")
+	}
+	if h3 < h2 {
+		t.Fatalf("the ingest reset the counters: hits %d → %d", h2, h3)
 	}
 
 	// Both counters surface in the JSON snapshot and the Prometheus text.
@@ -74,8 +77,8 @@ func TestColumnarCacheAcrossIngest(t *testing.T) {
 	}
 }
 
-// Acyclic plans now execute over cached encodings too, so the generation
-// guard must cover them: a warm acyclic plan answers from the cache, and
+// Acyclic plans execute over cached encodings too, so the row-count pin
+// must cover them: a warm acyclic plan answers from the cache, and
 // after /admin/ingest adds a tuple that creates a new answer the same
 // (still cached) plan must return it — from fresh encodings, not from the
 // dead snapshot's.
@@ -106,11 +109,11 @@ func TestAcyclicPlanSeesIngest(t *testing.T) {
 	}
 
 	before := query()
-	h1, m1 := hypertree.ColumnarCacheMetrics()
+	h1, m1 := s.LiveDB().EncodedCounts()
 	if warm := query(); warm.RowCount != before.RowCount {
 		t.Fatalf("warm re-execution: %d answers, cold had %d", warm.RowCount, before.RowCount)
 	}
-	if h2, m2 := hypertree.ColumnarCacheMetrics(); h2 == h1 || m2 != m1 {
+	if h2, m2 := s.LiveDB().EncodedCounts(); h2 == h1 || m2 != m1 {
 		t.Fatalf("warm acyclic re-execution: hits %d → %d, misses %d → %d; want hits only", h1, h2, m1, m2)
 	}
 	if has(before, "fresh_x", "fresh_z") {

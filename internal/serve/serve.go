@@ -786,12 +786,11 @@ type Metrics struct {
 	Cache         hypertree.CacheMetrics `json:"cache"`
 	CacheHitRate  float64                `json:"cache_hit_rate"`
 	CacheCapacity int                    `json:"cache_capacity"`
-	// ColumnarCacheHits and ColumnarCacheMisses are the process-wide
-	// Columnar encoding-cache totals (hypertree.ColumnarCacheMetrics): every
-	// plan encodes its λ relations through a per-plan cache, so a warm plan
-	// repeating against one database snapshot hits after its first
-	// execution, and an /admin/ingest that adds tuples shows up as fresh
-	// misses.
+	// ColumnarCacheHits and ColumnarCacheMisses are the served database's
+	// λ-encoding cache totals (Database.EncodedCounts), shared by every
+	// snapshot and so monotonic: an /admin/ingest that adds tuples shows as
+	// fresh misses, and atoms over absent relations or unknown constants
+	// count in neither.
 	ColumnarCacheHits   uint64 `json:"columnar_cache_hits"`
 	ColumnarCacheMisses uint64 `json:"columnar_cache_misses"`
 	// Routes maps each HTTP route to its latency histogram snapshot.
@@ -830,7 +829,7 @@ func (s *Server) Metrics() Metrics {
 	if cm.Hits+cm.Misses > 0 {
 		m.CacheHitRate = float64(cm.Hits) / float64(cm.Hits+cm.Misses)
 	}
-	m.ColumnarCacheHits, m.ColumnarCacheMisses = hypertree.ColumnarCacheMetrics()
+	m.ColumnarCacheHits, m.ColumnarCacheMisses = s.LiveDB().EncodedCounts()
 	s.histMu.Lock()
 	for route, h := range s.hists {
 		m.Routes[route] = h.Snapshot()
@@ -906,9 +905,9 @@ type IngestResponse struct {
 // handleIngest implements POST /admin/ingest: parse the posted facts into a
 // deep copy of the served database, re-collect sampled statistics of the
 // grown database (hypertree.CollectStatsSampled), and publish the database
-// and its statistics as one snapshot. An ingest that adds no tuple
-// publishes nothing, so the encoding caches keyed on the database stay
-// warm. In-flight executions keep the snapshot they started with. Ingests
+// and its statistics as one snapshot. The copy's relations start with no
+// encodings; an ingest that adds no tuple publishes nothing, so the served
+// relations' encodings stay warm. In-flight executions keep the snapshot they started with. Ingests
 // are serialised; queries are not blocked at any point.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()

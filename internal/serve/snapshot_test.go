@@ -181,11 +181,11 @@ func TestIngestOfDuplicatesPublishesNothing(t *testing.T) {
 	if s.LiveDB() != db || s.LiveStats() != st {
 		t.Fatal("an ingest that added nothing published a snapshot")
 	}
-	_, before := hypertree.ColumnarCacheMetrics()
+	_, before := s.LiveDB().EncodedCounts()
 	if code, _, _ := post(t, ts.URL, QueryRequest{Query: triangle}); code != http.StatusOK {
 		t.Fatalf("repeated query: status %d", code)
 	}
-	if _, after := hypertree.ColumnarCacheMetrics(); after != before {
+	if _, after := s.LiveDB().EncodedCounts(); after != before {
 		t.Fatalf("repeated query after a duplicate ingest re-encoded: misses %d → %d", before, after)
 	}
 	if m := s.Metrics(); m.Ingests != 0 {

@@ -3,13 +3,11 @@ package hypertree
 import (
 	"context"
 	"fmt"
-
-	"hypertree/internal/hdeval"
 )
 
 // JoinKernel named the intra-bag join algorithm of a plan when there was a
 // choice. There is none now: a decomposition node with one λ relation is a
-// scan of its cached encoding and a node with several runs the leapfrog
+// scan of its relation's encoding and a node with several runs the leapfrog
 // triejoin, whatever this says.
 //
 // Deprecated: has no effect; kept so callers of WithJoinKernel still build.
@@ -65,14 +63,4 @@ func PartitionDatabase(db *Database, n int, _ PartitionStrategy) (*PartitionedDB
 // item 1-II.
 func (p *Plan) ExecuteBooleanSharded(ctx context.Context, pdb *PartitionedDB) (bool, error) {
 	return p.ExecuteBoolean(ctx, pdb)
-}
-
-// ColumnarCacheMetrics returns the process-wide hit/miss totals of the
-// plan-level Columnar encoding cache every decomposition node fetches its
-// relations through (monotonic since process start). A warm plan executing
-// repeatedly against one database snapshot hits on every λ encoding after
-// the first execution; a database swap invalidates every cached encoding,
-// so misses after a swap mean re-encoding, not a defect.
-func ColumnarCacheMetrics() (hits, misses uint64) {
-	return hdeval.ColumnarCacheCounters()
 }

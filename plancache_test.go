@@ -2,9 +2,13 @@ package hypertree
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
+
+	"hypertree/internal/obs"
 )
 
 // LRU displacement counts as an eviction in Metrics.
@@ -314,5 +318,91 @@ func TestPlanCacheKeysQuotedConstantsApart(t *testing.T) {
 	}
 	if m := cache.Metrics(); m.Misses != 2 || m.Hits != 0 {
 		t.Errorf("two different queries shared a slot: %+v", m)
+	}
+}
+
+// A cached plan keeps no encoding, so it pins no snapshot: after a plan has
+// run on db, and db has been cloned, grown and dropped (what an ingest
+// does), the old relations are garbage although the plan is still cached.
+func TestCachedPlanPinsNoDeadSnapshot(t *testing.T) {
+	ctx := context.Background()
+	cache := NewPlanCache(4)
+	q := MustParseQuery(`r1(X, Y), r2(Y, Z), r3(Z, X)`)
+	plan, err := cache.Compile(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	if err := db.ParseFacts(`r1(a, b). r2(b, c). r3(c, a). r1(b, c).`); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := plan.ExecuteBoolean(ctx, db); err != nil || !ok {
+		t.Fatalf("ExecuteBoolean = %v, %v", ok, err)
+	}
+	old := weak.Make(db.Relation("r1"))
+	next := db.Clone()
+	if err := next.AddFact("r1", "c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	db = nil
+	runtime.GC()
+	if again, err := cache.Compile(ctx, q); err != nil || again != plan {
+		t.Fatalf("the plan left the cache (%v)", err)
+	}
+	if old.Value() != nil {
+		t.Fatal("the cached plan keeps the dead snapshot's relation alive")
+	}
+	if ok, err := plan.ExecuteBoolean(ctx, next); err != nil || !ok {
+		t.Fatalf("ExecuteBoolean on the successor = %v, %v", ok, err)
+	}
+}
+
+// Encodings outlive the plans that built them: with room for one plan, A
+// runs, B evicts it, and A compiled afresh takes every encoding of its
+// first execution from the database.
+func TestEvictedPlanRecompilesWarm(t *testing.T) {
+	ctx := context.Background()
+	cache := NewPlanCache(1)
+	db := NewDatabase()
+	if err := db.ParseFacts(`r1(a, b). r2(b, c). r3(c, a). r1(b, c). r2(c, a).`); err != nil {
+		t.Fatal(err)
+	}
+	qa, qb := MustParseQuery(`r1(X, Y), r2(Y, Z), r3(Z, X)`), MustParseQuery(`ans(X) :- r1(X, Y), r2(Y, Z).`)
+	a, err := cache.Compile(ctx, qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Execute(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	b, err := cache.Compile(ctx, qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Execute(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cache.Compile(ctx, qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == a || cache.Metrics().Evictions != 2 {
+		t.Fatalf("A was not recompiled (metrics %+v)", cache.Metrics())
+	}
+	tr := NewTrace()
+	if _, err := again.Execute(ContextWithTrace(ctx, tr), db); err != nil {
+		t.Fatal(err)
+	}
+	binds := 0
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanBind {
+			binds++
+			if !strings.HasSuffix(s.Label, " hit") {
+				t.Fatalf("recompiled A's first execution: bind %q", s.Label)
+			}
+		}
+	}
+	if binds == 0 {
+		t.Fatal("no bind spans")
 	}
 }
