@@ -38,7 +38,7 @@ func BenchmarkE01JoinTreeQ2(b *testing.B) {
 func BenchmarkE02QueryWidthQ1(b *testing.B) {
 	h := QueryHypergraph(gen.Q1())
 	for i := 0; i < b.N; i++ {
-		s := querydecomp.NewSearcher(h, 2)
+		s, _ := querydecomp.NewSearcher(context.Background(), h, 2)
 		if _, ok := s.Search(); !ok {
 			b.Fatal("qw(Q1) = 2")
 		}
@@ -64,7 +64,7 @@ func BenchmarkE03JoinTreeQ3(b *testing.B) {
 func BenchmarkE04QueryWidthQ4(b *testing.B) {
 	h := QueryHypergraph(gen.Q4())
 	for i := 0; i < b.N; i++ {
-		s := querydecomp.NewSearcher(h, 2)
+		s, _ := querydecomp.NewSearcher(context.Background(), h, 2)
 		if _, ok := s.Search(); !ok {
 			b.Fatal("qw(Q4) = 2")
 		}
@@ -76,7 +76,7 @@ func BenchmarkE05QueryWidthQ5(b *testing.B) {
 	h := QueryHypergraph(gen.Q5())
 	b.Run("refute-k2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := querydecomp.NewSearcher(h, 2)
+			s, _ := querydecomp.NewSearcher(context.Background(), h, 2)
 			if _, ok := s.Search(); ok || !s.Exhausted {
 				b.Fatal("Q5 has no width-2 QD")
 			}
@@ -84,7 +84,7 @@ func BenchmarkE05QueryWidthQ5(b *testing.B) {
 	})
 	b.Run("find-k3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := querydecomp.NewSearcher(h, 3)
+			s, _ := querydecomp.NewSearcher(context.Background(), h, 3)
 			if _, ok := s.Search(); !ok {
 				b.Fatal("qw(Q5) = 3")
 			}
@@ -306,20 +306,15 @@ func BenchmarkE17Methods(b *testing.B) {
 // wider instance (speedup factor is hardware-dependent).
 func BenchmarkE18Parallel(b *testing.B) {
 	h := QueryHypergraph(gen.Grid(3, 4))
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !decomp.Decide(h, 3) {
-				b.Fatal("grid 3x4 has hw ≤ 3")
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decomp.Search(context.Background(), h, 3, workers, 0); err != nil {
+					b.Fatal("grid 3x4 has hw ≤ 3")
+				}
 			}
-		}
-	})
-	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !decomp.ParallelDecide(h, 3, 0) {
-				b.Fatal("grid 3x4 has hw ≤ 3")
-			}
-		}
-	})
+		})
+	}
 }
 
 // E19 / Lemma 7.3: strict (m,2)-3PS construction and verification.

@@ -90,7 +90,7 @@ var experiments = []experiment{
 	{"E4", "Fig. 4 — qw(Q4) = 2 (pure)", func() error { return qwRow(gen.Q4(), "Q4", 2) }},
 	{"E5", "Fig. 5 — qw(Q5) = 3, no width-2 QD", func() error {
 		h := hg(gen.Q5())
-		s := querydecomp.NewSearcher(h, 2)
+		s, _ := querydecomp.NewSearcher(context.Background(), h, 2)
 		if _, ok := s.Search(); ok || !s.Exhausted {
 			return fmt.Errorf("width-2 refutation failed")
 		}
@@ -183,7 +183,10 @@ var experiments = []experiment{
 			{"Q5", gen.Q5(), 2},
 		} {
 			h := hg(tc.q)
-			dec := decomp.NewDecider(h, tc.hw)
+			dec, err := decomp.NewDecider(context.Background(), h, tc.hw)
+			if err != nil {
+				return err
+			}
 			start := time.Now()
 			ok := dec.Decide()
 			below := decomp.Decide(h, tc.hw-1)
@@ -338,17 +341,15 @@ var experiments = []experiment{
 	}},
 	{"E18", "§2.2 — parallel vs sequential decomposition search", func() error {
 		h := hg(gen.Grid(3, 4))
-		t0 := time.Now()
-		if !decomp.Decide(h, 3) {
-			return fmt.Errorf("grid(3,4) has hw ≤ 3")
+		var took [2]time.Duration
+		for i, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			start := time.Now()
+			if _, _, err := decomp.Search(context.Background(), h, 3, workers, 0); err != nil {
+				return fmt.Errorf("grid(3,4) has hw ≤ 3, but %d workers: %w", workers, err)
+			}
+			took[i] = time.Since(start)
 		}
-		seq := time.Since(t0)
-		t1 := time.Now()
-		if !decomp.ParallelDecide(h, 3, 0) {
-			return fmt.Errorf("parallel disagrees")
-		}
-		par := time.Since(t1)
-		fmt.Printf("  sequential %v, parallel(%d workers) %v\n", seq.Round(time.Microsecond), runtime.GOMAXPROCS(0), par.Round(time.Microsecond))
+		fmt.Printf("  1 worker %v, %d workers %v\n", took[0].Round(time.Microsecond), runtime.GOMAXPROCS(0), took[1].Round(time.Microsecond))
 		return nil
 	}},
 	{"E19", "Lemma 7.3 — strict (m,k)-3PS construction", func() error {

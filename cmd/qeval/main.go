@@ -28,10 +28,12 @@
 // cyclic ones races the exact, fractional and greedy decomposition engines,
 // keeping the lowest-width winner; hd is the exact k-decomp search, ghd the
 // greedy heuristic, fhd the LP-priced fractional engine and qd the exact
-// query-decomposition search (exponential, mind -budget). -k N decides
-// width ≤ N: when no decomposition that narrow exists, qeval prints
-// "hw(Q) > N" (hd) or "qw(Q) > N" (qd) and exits 0; the heuristic engines
-// prove no lower bound and say so.
+// query-decomposition search (exponential, mind -budget). -workers N runs
+// the node-table materialisation and k-decomp (alone or as the race's
+// exact entrant) on N goroutines; the decomposer is still named k-decomp.
+// -k N decides width ≤ N: when no decomposition that narrow exists, qeval
+// prints "hw(Q) > N" (hd) or "qw(Q) > N" (qd) and exits 0; the heuristic
+// engines prove no lower bound and say so.
 //
 // -widths prints the width report: integral width, achieved fractional
 // width, the LP-optimal fractional re-cover of the tree's bags and the

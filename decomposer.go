@@ -36,8 +36,8 @@ type DecomposeRequest struct {
 	// unlimited. An exhausted budget yields ErrStepBudget.
 	StepBudget int
 	// Workers is the requested parallelism for decomposers that support it
-	// (≤ 1 means sequential): ParallelKDecomposer, and the exact entrant of
-	// the auto race. The heuristic engines ignore it.
+	// (≤ 1 means sequential): KDecomposer, also as the exact entrant of the
+	// auto race. The heuristic engines ignore it.
 	Workers int
 	// Cost, when non-nil, is the cost model of this compilation: per
 	// hypergraph edge the cardinality of the relation behind it and the
@@ -58,9 +58,9 @@ type DecomposeRequest struct {
 // declare themselves GeneralizedDecomposers, against the GHD conditions 1–3
 // only).
 //
-// Five built-in strategies ship with the package: KDecomposer,
-// ParallelKDecomposer and QueryDecomposer cover the paper's exact
-// algorithms, GreedyDecomposer is the heuristic GHD engine, and
+// Four built-in strategies ship with the package: KDecomposer (at any
+// worker count) and QueryDecomposer cover the paper's exact algorithms,
+// GreedyDecomposer is the heuristic GHD engine, and
 // FractionalDecomposer re-covers its shapes by LP into fractional
 // hypertree decompositions. Further methods plug in through WithDecomposer
 // without another API change.
@@ -100,39 +100,28 @@ type GeneralizedDecomposer interface {
 	Generalized() bool
 }
 
-// KDecomposer returns the sequential k-decomp Decomposer (the alternating
-// algorithm of Section 5 in deterministic, memoised form). It honours
-// MaxWidth and StepBudget and ignores Workers.
+// KDecomposer returns the k-decomp Decomposer (the alternating algorithm
+// of Section 5 in deterministic, memoised form). It honours MaxWidth,
+// StepBudget and Workers: at most one worker runs the search on the
+// calling goroutine, more fan the root-level guesses out over that many
+// goroutines — the operational reading of the paper's LOGCFL
+// parallelizability statement — with StepBudget a cross-worker total.
 func KDecomposer() Decomposer { return kDecomposer{} }
 
-type kDecomposer struct{}
+// kDecomposer is KDecomposer; the auto race sets maxK to stop the
+// minimising search after that level (0 = uncapped).
+type kDecomposer struct{ maxK int }
 
 func (kDecomposer) Name() string { return "k-decomp" }
 
-func (kDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
-	if req.MaxWidth == 0 {
-		_, d, err := decomp.WidthContext(ctx, h, req.StepBudget, 0)
+func (kd kDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
+	if req.MaxWidth != 0 {
+		d, _, err := decomp.Search(ctx, h, req.MaxWidth, req.Workers, req.StepBudget)
 		return d, err
 	}
-	return decomp.DecomposeContext(ctx, h, req.MaxWidth, req.StepBudget)
-}
-
-// ParallelKDecomposer returns the parallel k-decomp Decomposer: the
-// root-level guesses of the alternating algorithm are distributed over
-// req.Workers goroutines (≤ 0 selects GOMAXPROCS) — the operational reading
-// of the paper's LOGCFL parallelizability statement. StepBudget is enforced
-// as a cross-worker total of candidate sets tested.
-func ParallelKDecomposer() Decomposer { return parallelKDecomposer{} }
-
-type parallelKDecomposer struct{}
-
-func (parallelKDecomposer) Name() string { return "parallel-k-decomp" }
-
-func (parallelKDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
-	if req.MaxWidth != 0 {
-		return decomp.ParallelDecomposeContext(ctx, h, req.MaxWidth, req.Workers, req.StepBudget)
-	}
-	_, d, err := decomp.ParallelWidthContext(ctx, h, req.Workers, req.StepBudget, 0)
+	_, d, err := decomp.MinWidth(h, 1, req.StepBudget, kd.maxK, func(k, budget int) (*Decomposition, int, error) {
+		return decomp.Search(ctx, h, k, req.Workers, budget)
+	})
 	return d, err
 }
 

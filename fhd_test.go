@@ -269,12 +269,13 @@ func TestAutoStrategyOptions(t *testing.T) {
 		t.Fatalf("starved race: err = %v, want ErrStepBudget", err)
 	}
 
-	// With workers the exact entrant is the parallel search.
+	// With workers the exact entrant is still k-decomp, its root guesses
+	// fanned out over them.
 	p, err := Compile(gen.Cycle(4), WithStrategy(StrategyHypertree), WithAutoStrategy(), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DecomposerName() != "auto(parallel-k-decomp)" {
+	if p.DecomposerName() != "auto(k-decomp)" {
 		t.Fatalf("workers race winner = %q", p.DecomposerName())
 	}
 }

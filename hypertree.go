@@ -6,10 +6,10 @@
 //
 // It provides conjunctive queries and their hypergraphs, acyclicity and join
 // trees, hypertree decompositions (detection, construction, validation,
-// normal form, parallel search), query decompositions (exact exponential
-// search — the problem is NP-complete, Theorem 3.4), the Section 7 reduction
-// machinery, the Appendix B Datalog decision procedure, and query evaluation
-// through decompositions (Lemma 4.6 + Yannakakis).
+// normal form, a search on one or many goroutines), query decompositions
+// (exact exponential search — the problem is NP-complete, Theorem 3.4), the
+// Section 7 reduction machinery, the Appendix B Datalog decision procedure,
+// and query evaluation through decompositions (Lemma 4.6 + Yannakakis).
 //
 // # Compile once, execute many
 //
@@ -29,9 +29,10 @@
 //
 // Compilation is tuned through functional options — WithStrategy,
 // WithMaxWidth, WithWorkers, WithStepBudget — and the decomposition method
-// itself is pluggable through WithDecomposer: KDecomposer (Section 5),
-// ParallelKDecomposer (the LOGCFL-inspired parallel search) and
-// QueryDecomposer (Definition 3.1) are the exact searches;
+// itself is pluggable through WithDecomposer: KDecomposer (Section 5; with
+// WithWorkers(n > 1) its root guesses fan out over n goroutines, the
+// LOGCFL-inspired parallel search) and QueryDecomposer (Definition 3.1)
+// are the exact searches;
 // GreedyDecomposer is the polynomial-time heuristic that produces
 // generalized hypertree decompositions — it compiles hypergraphs far
 // beyond the exact searches' reach at the price of width optimality — and
@@ -144,14 +145,6 @@ func Decompose(q *Query, k int) (*Decomposition, error) {
 	return decomp.DecomposeContext(context.Background(), QueryHypergraph(q), k, 0)
 }
 
-// DecomposeParallel is Decompose with the root-level guesses of the
-// alternating algorithm distributed over worker goroutines (the operational
-// reading of the LOGCFL parallelizability statement; workers ≤ 0 means
-// GOMAXPROCS).
-func DecomposeParallel(q *Query, k, workers int) (*Decomposition, error) {
-	return decomp.ParallelDecomposeContext(context.Background(), QueryHypergraph(q), k, workers, 0)
-}
-
 // ValidateHD checks the four conditions of Definition 4.1.
 func ValidateHD(d *Decomposition) error { return d.Validate() }
 
@@ -194,14 +187,18 @@ type QueryWidthResult struct {
 	Exhausted     bool // false when the step budget cut the search off
 	Decomposition *Decomposition
 	Steps         int
+	Err           error // ErrInvalidWidth for k < 1; the search did not run
 }
 
 // SearchQueryDecomposition looks for a pure query decomposition of width
 // ≤ k (Definition 3.1). Deciding this is NP-complete for k = 4
 // (Theorem 3.4): the search is exponential, with maxSteps (0 = unlimited)
-// as a safety budget.
+// as a safety budget. A width bound k < 1 reports ErrInvalidWidth in Err.
 func SearchQueryDecomposition(q *Query, k, maxSteps int) QueryWidthResult {
-	s := querydecomp.NewSearcher(QueryHypergraph(q), k)
+	s, err := querydecomp.NewSearcher(context.Background(), QueryHypergraph(q), k)
+	if err != nil {
+		return QueryWidthResult{Err: err}
+	}
 	s.MaxSteps = maxSteps
 	d, ok := s.Search()
 	return QueryWidthResult{Found: ok, Exhausted: s.Exhausted, Decomposition: d, Steps: s.Steps}

@@ -63,8 +63,18 @@ func TestFacadeQueryWidth(t *testing.T) {
 		t.Error(err)
 	}
 	res := SearchQueryDecomposition(q5, 2, 0)
-	if res.Found || !res.Exhausted {
+	if res.Found || !res.Exhausted || res.Err != nil {
 		t.Errorf("no width-2 QD of Q5 exists: %+v", res)
+	}
+}
+
+// A width bound below 1 is a typed error, not a panic.
+func TestSearchQueryDecompositionRejectsBadK(t *testing.T) {
+	for _, k := range []int{0, -1} {
+		res := SearchQueryDecomposition(MustParseQuery(gen.Q5Src), k, 0)
+		if res.Found || !errors.Is(res.Err, ErrInvalidWidth) {
+			t.Errorf("k=%d: got %+v, want ErrInvalidWidth", k, res)
+		}
 	}
 }
 
@@ -132,20 +142,25 @@ func TestFacadeEvaluateWith(t *testing.T) {
 	}
 }
 
+// KDecomposer honours Workers: at 4 workers its root guesses fan out, and
+// the plan still names k-decomp.
 func TestFacadeParallel(t *testing.T) {
 	q := MustParseQuery(gen.Q5Src)
-	d, err := DecomposeParallel(q, 2, 4)
+	p, err := Compile(q, WithStrategy(StrategyHypertree), WithMaxWidth(2), WithWorkers(4))
 	if err != nil {
 		t.Fatalf("hw(Q5) = 2: %v", err)
 	}
-	if err := ValidateHD(d); err != nil {
+	if err := ValidateHD(p.Decomposition()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecomposeParallel(q, 1, 4); !errors.Is(err, ErrWidthExceeded) {
+	if p.DecomposerName() != "k-decomp" {
+		t.Fatalf("DecomposerName = %q, want k-decomp", p.DecomposerName())
+	}
+	if _, err := Compile(q, WithStrategy(StrategyHypertree), WithMaxWidth(1), WithWorkers(4)); !errors.Is(err, ErrWidthExceeded) {
 		t.Fatalf("Q5 is cyclic: want ErrWidthExceeded, got %v", err)
 	}
-	if _, err := DecomposeParallel(q, 0, 4); !errors.Is(err, ErrInvalidWidth) {
-		t.Fatalf("k=0: want ErrInvalidWidth, got %v", err)
+	if _, err := KDecomposer().Decompose(context.Background(), QueryHypergraph(q), DecomposeRequest{MaxWidth: -1, Workers: 4}); !errors.Is(err, ErrInvalidWidth) {
+		t.Fatalf("k=-1: want ErrInvalidWidth, got %v", err)
 	}
 	if ok, err := DecideWidth(q, 2); err != nil || !ok {
 		t.Fatalf("DecideWidth(Q5, 2) = %v, %v", ok, err)

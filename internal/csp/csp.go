@@ -59,11 +59,10 @@ func CutsetWidth(h *hypergraph.Hypergraph) int {
 // graph (min-fill) and report the size of the largest clique of the chordal
 // supergraph, i.e. the largest bag (treewidth + 1).
 func TreeClusteringWidth(h *hypergraph.Hypergraph) int {
-	g := h.PrimalGraph()
-	if g.N() == 0 {
+	if h.NumVertices() == 0 {
 		return 0
 	}
-	_, w := treewidth.FromEliminationOrder(g, treewidth.MinFill(g))
+	w, _, _ := treewidth.PrimalTreewidth(h)
 	return w + 1
 }
 

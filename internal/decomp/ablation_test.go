@@ -13,16 +13,16 @@ func TestAblationSwitchesPreserveDecisions(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		h := randomHG(rng, 2+rng.Intn(7), 1+rng.Intn(6), 1+rng.Intn(4))
 		for k := 1; k <= 3; k++ {
-			base := NewDecider(h, k)
+			base := decider(h, k)
 			want := base.Decide()
 
-			noMemo := NewDecider(h, k)
+			noMemo := decider(h, k)
 			noMemo.disableMemo = true
 			if got := noMemo.Decide(); got != want {
 				t.Fatalf("trial %d k=%d: disableMemo changed the decision\n%s", trial, k, h)
 			}
 
-			fullKey := NewDecider(h, k)
+			fullKey := decider(h, k)
 			fullKey.fullSeparatorKey = true
 			if got := fullKey.Decide(); got != want {
 				t.Fatalf("trial %d k=%d: fullSeparatorKey changed the decision\n%s", trial, k, h)
@@ -36,7 +36,7 @@ func TestAblationSwitchesPreserveDecisions(t *testing.T) {
 					t.Fatalf("trial %d k=%d: %v", trial, k, err)
 				}
 				d2 := func() *Decomposition {
-					nm := NewDecider(h, k)
+					nm := decider(h, k)
 					nm.disableMemo = true
 					return nm.Decompose()
 				}()
@@ -55,7 +55,7 @@ func TestAblationSwitchesPreserveDecisions(t *testing.T) {
 func TestAblationWorkOrdering(t *testing.T) {
 	h := hg(`r1(A,B), r2(B,C), r3(C,D), r4(D,E), r5(E,A), r6(A,C), r7(B,D)`)
 	run := func(cfg func(*Decider)) int {
-		d := NewDecider(h, 2)
+		d := decider(h, 2)
 		cfg(d)
 		d.Decide()
 		return d.Calls
@@ -78,7 +78,7 @@ func BenchmarkAblationKDecomp(b *testing.B) {
 	h, _ := gen.Grid(4, 4).Hypergraph()
 	run := func(b *testing.B, cfg func(*Decider)) {
 		for i := 0; i < b.N; i++ {
-			d := NewDecider(h, 3)
+			d := decider(h, 3)
 			cfg(d)
 			if !d.Decide() {
 				b.Fatal("grid(4,4) has hw 3")

@@ -23,7 +23,7 @@ func TestDecideContextCancelled(t *testing.T) {
 	if _, _, err := WidthContext(ctx, h, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := ParallelDecomposeContext(ctx, h, 2, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := Search(ctx, h, 2, 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}
 }
@@ -34,10 +34,10 @@ func TestContextTypedErrors(t *testing.T) {
 	if _, err := DecomposeContext(ctx, h, 0, 0); !errors.Is(err, ErrInvalidWidth) {
 		t.Fatalf("k=0: err = %v, want ErrInvalidWidth", err)
 	}
-	if _, err := ParallelDecomposeContext(ctx, h, 0, 2, 0); !errors.Is(err, ErrInvalidWidth) {
+	if _, _, err := Search(ctx, h, 0, 2, 0); !errors.Is(err, ErrInvalidWidth) {
 		t.Fatalf("parallel k=0: err = %v, want ErrInvalidWidth", err)
 	}
-	if _, err := ParallelDecomposeContext(ctx, h, 1, 2, 0); !errors.Is(err, ErrWidthExceeded) {
+	if _, _, err := Search(ctx, h, 1, 2, 0); !errors.Is(err, ErrWidthExceeded) {
 		t.Fatalf("triangle hw=2: parallel k=1: err = %v, want ErrWidthExceeded", err)
 	}
 	if _, err := DecomposeContext(ctx, h, 1, 0); !errors.Is(err, ErrWidthExceeded) {
@@ -72,24 +72,12 @@ func TestStepBudgetCutsSearchOff(t *testing.T) {
 	}
 }
 
-// ParallelDecide no longer panics on an invalid width bound (it used to).
-func TestParallelDecideInvalidWidthNoPanic(t *testing.T) {
-	h := hg(`r(X,Y)`)
-	if ParallelDecide(h, 0, 2) {
-		t.Fatal("k=0 must report false")
-	}
-	if d, err := ParallelDecomposeContext(context.Background(), h, 0, 2, 0); d != nil || !errors.Is(err, ErrInvalidWidth) {
-		t.Fatalf("k=0: got %v, %v; want nil, ErrInvalidWidth", d, err)
-	}
-}
-
 // A width cap only stops the minimising search early: for every cap and
-// budget, WidthContext and ParallelWidthContext return the uncapped result
-// when it has width ≤ cap, ErrWidthExceeded when the levels up to the cap
-// completed without a decomposition, and ErrStepBudget exactly when the
-// uncapped search ran out of budget at or below the cap. At one worker the
-// parallel search is deterministic and held to the same decompositions; at
-// three, unbudgeted, to the same widths.
+// budget, WidthContext returns the uncapped result when it has width ≤
+// cap, ErrWidthExceeded when the levels up to the cap completed without a
+// decomposition, and ErrStepBudget exactly when the uncapped search ran
+// out of budget at or below the cap. The same loop over Search at three
+// workers, unbudgeted, is held to the same widths.
 func TestCappedWidthMatchesUncapped(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
@@ -122,7 +110,6 @@ func TestCappedWidthMatchesUncapped(t *testing.T) {
 		hw, _ := Width(h)
 		searches := map[string]func(budget, maxK int) result{
 			"sequential": func(budget, maxK int) result { return run(WidthContext(ctx, h, budget, maxK)) },
-			"parallel-1": func(budget, maxK int) result { return run(ParallelWidthContext(ctx, h, 1, budget, maxK)) },
 		}
 		for name, search := range searches {
 			for _, budget := range []int{0, 5, 40, 300} {
@@ -153,7 +140,9 @@ func TestCappedWidthMatchesUncapped(t *testing.T) {
 			}
 		}
 		for maxK := 1; maxK <= 4; maxK++ {
-			k, d, err := ParallelWidthContext(ctx, h, 3, 0, maxK)
+			k, d, err := MinWidth(h, 1, 0, maxK, func(k, budget int) (*Decomposition, int, error) {
+				return Search(ctx, h, k, 3, budget)
+			})
 			switch {
 			case hw <= maxK && (err != nil || k != hw || d.Validate() != nil):
 				t.Errorf("hypergraph %d (hw %d), parallel-3, cap %d: width %d, %v", i, hw, maxK, k, err)

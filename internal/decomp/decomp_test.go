@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,6 +16,15 @@ import (
 func hg(src string) *hypergraph.Hypergraph {
 	h, _ := cq.MustParse(src).Hypergraph()
 	return h
+}
+
+// decider is NewDecider at a valid width bound, never cancelled.
+func decider(h *hypergraph.Hypergraph, k int) *Decider {
+	d, err := NewDecider(context.Background(), h, k)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // Paper queries.
@@ -99,7 +109,7 @@ func TestE12AcyclicIffWidthOne(t *testing.T) {
 
 func TestWidthOneDecompositionIsJoinTreeLike(t *testing.T) {
 	h := hg(q3)
-	d := Decompose(h, 1)
+	d := decider(h, 1).Decompose()
 	if d == nil {
 		t.Fatalf("Q3 acyclic: want width-1 decomposition")
 	}
@@ -125,7 +135,7 @@ func TestDecideMonotoneInK(t *testing.T) {
 
 func TestDecomposeCompleteness(t *testing.T) {
 	h := hg(q5)
-	d := Decompose(h, 2)
+	d := decider(h, 2).Decompose()
 	if d == nil {
 		t.Fatal("hw(Q5) = 2")
 	}
@@ -304,15 +314,11 @@ func TestE18ParallelAgrees(t *testing.T) {
 		h := hg(src)
 		for k := 1; k <= 3; k++ {
 			seq := Decide(h, k)
-			par := ParallelDecide(h, k, 4)
-			if seq != par {
+			d, _, err := Search(context.Background(), h, k, 4, 0)
+			if par := err == nil; seq != par {
 				t.Fatalf("%q k=%d: sequential=%v parallel=%v", src, k, seq, par)
 			}
 			if seq {
-				d, err := ParallelDecomposeContext(context.Background(), h, k, 4, 0)
-				if err != nil {
-					t.Fatalf("%q k=%d: ParallelDecomposeContext: %v", src, k, err)
-				}
 				if err := d.Validate(); err != nil {
 					t.Fatalf("%q k=%d: parallel decomposition invalid: %v", src, k, err)
 				}
@@ -359,10 +365,10 @@ func TestPropertyRandomHypergraphs(t *testing.T) {
 		if w > h.NumEdges() {
 			t.Fatalf("trial %d: w=%d > m=%d", trial, w, h.NumEdges())
 		}
-		if !ParallelDecide(h, w, 3) {
-			t.Fatalf("trial %d: parallel rejects the true width %d", trial, w)
+		if _, _, err := Search(context.Background(), h, w, 3, 0); err != nil {
+			t.Fatalf("trial %d: parallel rejects the true width %d: %v", trial, w, err)
 		}
-		if w > 1 && ParallelDecide(h, w-1, 3) {
+		if _, _, err := Search(context.Background(), h, w-1, 3, 0); w > 1 && err == nil {
 			t.Fatalf("trial %d: parallel accepts k=%d below hw=%d", trial, w-1, w)
 		}
 	}
@@ -387,7 +393,7 @@ func TestRenderings(t *testing.T) {
 
 func TestDeciderStats(t *testing.T) {
 	h := hg(q5)
-	d := NewDecider(h, 2)
+	d := decider(h, 2)
 	if !d.Decide() {
 		t.Fatal("hw(Q5)=2")
 	}
@@ -402,11 +408,11 @@ func TestDeciderStats(t *testing.T) {
 	}
 }
 
-func TestNewDeciderPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for k=0")
-		}
-	}()
-	NewDecider(hg(`r(X)`), 0)
+func TestNewDeciderRejectsBadK(t *testing.T) {
+	if d, err := NewDecider(context.Background(), hg(`r(X)`), 0); d != nil || !errors.Is(err, ErrInvalidWidth) {
+		t.Fatalf("k=0: got %v, %v; want nil, ErrInvalidWidth", d, err)
+	}
+	if Decide(hg(`r(X)`), 0) {
+		t.Fatal("Decide at k=0 must report false")
+	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Sentinel errors of the decomposition search. The exported context-aware
-// entry points (DecideContext, DecomposeContext, WidthContext and the
-// parallel counterparts) report failures through these instead of panicking,
-// so the public API can surface typed errors.
+// entry points (DecideContext, Search, DecomposeContext, WidthContext and
+// MinWidth) report failures through these instead of panicking, so the
+// public API can surface typed errors.
 var (
 	// ErrInvalidWidth reports a width bound k < 1.
 	ErrInvalidWidth = errors.New("decomp: width bound must be ≥ 1")
@@ -83,29 +83,20 @@ type memoEntry struct {
 	lambda []int // chosen S on success
 }
 
-// NewDecider returns a Decider for width bound k ≥ 1.
-func NewDecider(h *hypergraph.Hypergraph, k int) *Decider {
-	if k < 1 {
-		panic("decomp: width bound must be ≥ 1")
-	}
-	return &Decider{H: h, K: k, memo: map[string]*memoEntry{}}
-}
-
-// NewDeciderContext is NewDecider with cooperative cancellation: the search
-// polls ctx and aborts promptly once it is cancelled. A width bound k < 1
-// yields ErrInvalidWidth instead of a panic.
-func NewDeciderContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Decider, error) {
+// NewDecider returns a Decider for width bound k ≥ 1 whose search polls
+// ctx and aborts promptly once it is cancelled. A width bound k < 1 yields
+// ErrInvalidWidth.
+func NewDecider(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Decider, error) {
 	if k < 1 {
 		return nil, ErrInvalidWidth
 	}
-	d := NewDecider(h, k)
-	d.stop = ctxStop(ctx)
-	return d, nil
+	return &Decider{H: h, K: k, memo: map[string]*memoEntry{}, stop: CtxStop(ctx)}, nil
 }
 
-// ctxStop adapts a context to the Decider's cooperative stop hook; contexts
-// that can never be cancelled cost nothing.
-func ctxStop(ctx context.Context) func() bool {
+// CtxStop adapts a context to a search's cooperative stop hook (the
+// Decider's here, querydecomp's Searcher's); contexts that can never be
+// cancelled cost nothing.
+func CtxStop(ctx context.Context) func() bool {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
@@ -302,14 +293,10 @@ func (d *Decider) build(c hypergraph.Component, frontier, keySet, parentChi bits
 	return n
 }
 
-// Decide reports whether hw(H) ≤ k.
+// Decide reports whether hw(H) ≤ k; a width bound k < 1 reports false.
 func Decide(h *hypergraph.Hypergraph, k int) bool {
-	return NewDecider(h, k).Decide()
-}
-
-// Decompose returns a width-≤k NF hypertree decomposition or nil.
-func Decompose(h *hypergraph.Hypergraph, k int) *Decomposition {
-	return NewDecider(h, k).Decompose()
+	ok, _ := DecideContext(context.Background(), h, k)
+	return ok
 }
 
 // Width computes hw(H) exactly by increasing k, together with an optimal
@@ -323,15 +310,10 @@ func Width(h *hypergraph.Hypergraph) (int, *Decomposition) {
 }
 
 // DecideContext is Decide with cancellation: it reports whether hw(H) ≤ k,
-// or ctx.Err() if the context is cancelled mid-search.
+// ErrInvalidWidth for k < 1, or ctx.Err() if the context is cancelled
+// mid-search.
 func DecideContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (bool, error) {
-	if h.NumEdges() == 0 {
-		if k < 1 {
-			return false, ErrInvalidWidth
-		}
-		return true, nil
-	}
-	d, err := NewDeciderContext(ctx, h, k)
+	d, err := NewDecider(ctx, h, k)
 	if err != nil {
 		return false, err
 	}
@@ -342,67 +324,77 @@ func DecideContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (bool, 
 	return ok, nil
 }
 
-// DecomposeContext is Decompose with cancellation and a step budget
-// (maxGuesses candidate sets tested; 0 = unlimited). It returns
-// ErrWidthExceeded when the completed search proves hw(H) > k,
-// ErrStepBudget when the budget ran out first, and ctx.Err() on
-// cancellation.
-func DecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxGuesses int) (*Decomposition, error) {
-	if h.NumEdges() == 0 {
-		if k < 1 {
-			return nil, ErrInvalidWidth
-		}
-		return &Decomposition{H: h}, nil
-	}
-	d, err := NewDeciderContext(ctx, h, k)
+// Search is the width-k k-decomp search and the one place that picks how it
+// runs: at most one worker runs the Decider on the calling goroutine, more
+// fan the root guesses out over that many goroutines (parallel.go). It
+// returns a normal-form decomposition of width ≤ k and the candidate sets
+// tested, or ErrInvalidWidth for k < 1, ErrWidthExceeded when the completed
+// search proves hw(H) > k, ErrStepBudget when maxGuesses (0 = unlimited)
+// ran out first, and ctx.Err() on cancellation.
+func Search(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (*Decomposition, int, error) {
+	d, err := NewDecider(ctx, h, k)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	if workers > 1 && h.NumEdges() > 0 {
+		return parallelSearch(ctx, h, k, workers, maxGuesses)
 	}
 	d.MaxGuesses = maxGuesses
 	dec := d.Decompose()
 	if err := d.Err(ctx); err != nil {
-		return nil, err
+		return nil, d.GuessOps, err
 	}
 	if dec == nil {
-		return nil, ErrWidthExceeded
+		return nil, d.GuessOps, ErrWidthExceeded
 	}
-	return dec, nil
+	return dec, d.GuessOps, nil
 }
 
-// WidthContext is Width with cancellation and a cumulative step budget
-// shared across the increasing-k iterations (0 = unlimited). maxK > 0 stops
-// the search with ErrWidthExceeded after level maxK; up to it the levels and
-// budget are the uncapped search's, so hw(H) ≤ maxK gives the same result.
+// DecomposeContext is Search on the calling goroutine.
+func DecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxGuesses int) (*Decomposition, error) {
+	d, _, err := Search(ctx, h, k, 1, maxGuesses)
+	return d, err
+}
+
+// WidthContext minimises the width with Search on the calling goroutine
+// (MinWidth from k = 1): maxGuesses is one step budget for all levels, and
+// maxK > 0 stops after level maxK.
 func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, maxGuesses, maxK int) (int, *Decomposition, error) {
+	return MinWidth(h, 1, maxGuesses, maxK, func(k, budget int) (*Decomposition, int, error) {
+		return Search(ctx, h, k, 1, budget)
+	})
+}
+
+// MinWidth is the minimising width search of k-decomp and of query
+// decomposition: it runs search at k = lower, lower+1, … (lower < 1 counts
+// as 1) and returns the first level that yields a decomposition. search(k,
+// budget) returns the decomposition, the steps it spent and
+// ErrWidthExceeded when it proves the width exceeds k; budget is what is
+// left of the cumulative maxSteps (0 = unlimited), and once nothing is left
+// MinWidth returns ErrStepBudget. maxK > 0 returns ErrWidthExceeded after
+// level maxK; up to it the levels and budget are the uncapped search's, so
+// a width ≤ maxK gives the same result. Any other error of search ends the
+// loop.
+func MinWidth(h *hypergraph.Hypergraph, lower, maxSteps, maxK int, search func(k, budget int) (*Decomposition, int, error)) (int, *Decomposition, error) {
 	if h.NumEdges() == 0 {
 		return 0, &Decomposition{H: h}, nil
 	}
 	spent := 0
-	for k := 1; ; k++ {
+	for k := max(lower, 1); ; k++ {
 		budget := 0
-		if maxGuesses > 0 {
-			budget = maxGuesses - spent
-			if budget <= 0 {
+		if maxSteps > 0 {
+			if budget = maxSteps - spent; budget <= 0 {
 				return 0, nil, ErrStepBudget
 			}
 		}
-		d, err := NewDeciderContext(ctx, h, k)
-		if err != nil {
+		d, steps, err := search(k, budget)
+		spent += steps
+		switch {
+		case err == nil:
+			return k, d, nil
+		case !errors.Is(err, ErrWidthExceeded) || k == maxK:
 			return 0, nil, err
-		}
-		d.MaxGuesses = budget
-		dec := d.Decompose()
-		spent += d.GuessOps
-		if err := d.Err(ctx); err != nil {
-			return 0, nil, err
-		}
-		if dec != nil {
-			return k, dec, nil
-		}
-		if k == maxK {
-			return 0, nil, ErrWidthExceeded
-		}
-		if k > h.NumEdges() {
+		case k > h.NumEdges():
 			return 0, nil, fmt.Errorf("decomp: width search exceeded edge count %d", h.NumEdges())
 		}
 	}

@@ -1,5 +1,7 @@
 package decomp
 
+import "context"
+
 // Normalize returns a normal-form decomposition (Definition 5.1) of width at
 // most the width of d, realising Theorem 5.4 constructively: since d proves
 // hw(H) ≤ width(d), re-running the k-decomp search with k = width(d) yields
@@ -13,8 +15,8 @@ func Normalize(d *Decomposition) *Decomposition {
 	if w == 0 {
 		return &Decomposition{H: d.H}
 	}
-	nf := Decompose(d.H, w)
-	if nf == nil {
+	nf, err := DecomposeContext(context.Background(), d.H, w, 0)
+	if err != nil {
 		// cannot happen: d itself witnesses hw ≤ w (Theorem 5.14)
 		panic("decomp: internal error: k-decomp rejected a witnessed width")
 	}

@@ -2,8 +2,6 @@ package decomp
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -18,66 +16,16 @@ import (
 // of the paper's LOGCFL parallelizability statement (Section 2.2, result 6);
 // the speedup factor is hardware-dependent and not a number from the paper.
 
-// ParallelDecide reports whether hw(H) ≤ k using the given number of worker
-// goroutines (≤ 0 selects GOMAXPROCS). An invalid width bound reports false.
-func ParallelDecide(h *hypergraph.Hypergraph, k int, workers int) bool {
-	_, err := ParallelDecomposeContext(context.Background(), h, k, workers, 0)
-	return err == nil
-}
-
-// ParallelDecomposeContext returns a width-≤k NF hypertree decomposition
-// computed by workers goroutines, with cancellation, a cross-worker step
-// budget (maxGuesses candidate sets tested in total; 0 = unlimited) and
-// typed errors: ErrInvalidWidth for k < 1,
-// ErrWidthExceeded when hw(H) > k, ErrStepBudget when the budget ran out,
-// or ctx.Err() on cancellation.
-func ParallelDecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (*Decomposition, error) {
-	var counter atomic.Int64
-	return parallelSearch(ctx, h, k, workers, maxGuesses, &counter)
-}
-
-// ParallelWidthContext minimises the width with the parallel search,
-// sharing one cumulative step budget across the increasing-k iterations;
-// maxK caps the levels searched as in WidthContext (0 = uncapped).
-func ParallelWidthContext(ctx context.Context, h *hypergraph.Hypergraph, workers, maxGuesses, maxK int) (int, *Decomposition, error) {
-	if h.NumEdges() == 0 {
-		return 0, &Decomposition{H: h}, nil
-	}
-	var counter atomic.Int64
-	for k := 1; ; k++ {
-		d, err := parallelSearch(ctx, h, k, workers, maxGuesses, &counter)
-		if err == nil {
-			return k, d, nil
-		}
-		if err != ErrWidthExceeded || k == maxK {
-			return 0, nil, err
-		}
-		if k > h.NumEdges() {
-			return 0, nil, fmt.Errorf("decomp: width search exceeded edge count %d", h.NumEdges())
-		}
-	}
-}
-
-// parallelSearch distributes root candidates over workers. counter is the
-// shared spent-guess count backing the maxGuesses budget; passing it in
-// lets ParallelWidthContext keep one budget across width bounds.
-func parallelSearch(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int, counter *atomic.Int64) (*Decomposition, error) {
-	if k < 1 {
-		return nil, ErrInvalidWidth
-	}
-	if h.NumEdges() == 0 {
-		return &Decomposition{H: h}, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+// parallelSearch is Search at k ≥ 1 on workers > 1 goroutines over a
+// hypergraph with edges. maxGuesses is a cross-worker total.
+func parallelSearch(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (*Decomposition, int, error) {
 	all := h.AllVertices()
 	rootComp := hypergraph.Component{Vertices: all, Edges: h.AllEdges().Elems()}
 
 	tasks := make(chan []int)
 	var stop atomic.Bool
-	cancelled := ctxStop(ctx)
+	var counter atomic.Int64
+	cancelled := CtxStop(ctx)
 	overBudget := func() bool {
 		return maxGuesses > 0 && counter.Load() > int64(maxGuesses)
 	}
@@ -95,10 +43,10 @@ func parallelSearch(ctx context.Context, h *hypergraph.Hypergraph, k, workers, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := NewDecider(h, k)
+			d, _ := NewDecider(ctx, h, k)
 			d.stop = halt
 			d.MaxGuesses = maxGuesses
-			d.sharedGuesses = counter
+			d.sharedGuesses = &counter
 			for lambda := range tasks {
 				if halt() {
 					continue // drain
@@ -137,15 +85,16 @@ func parallelSearch(ctx context.Context, h *hypergraph.Hypergraph, k, workers, m
 	close(tasks)
 	wg.Wait()
 
+	spent := int(counter.Load())
 	r := winner.Load()
 	if r == nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, spent, err
 		}
 		if overBudget() {
-			return nil, ErrStepBudget
+			return nil, spent, ErrStepBudget
 		}
-		return nil, ErrWidthExceeded
+		return nil, spent, ErrWidthExceeded
 	}
 	// Build the decomposition from the winning worker's memo. The winner ran
 	// to completion on its candidate, so its memo is fully decided; clear the
@@ -160,5 +109,5 @@ func parallelSearch(ctx context.Context, h *hypergraph.Hypergraph, k, workers, m
 		}
 		root.Children = append(root.Children, r.dec.build(child, h.Frontier(child, varS), nil, root.Chi))
 	}
-	return &Decomposition{H: h, Root: root}, nil
+	return &Decomposition{H: h, Root: root}, spent, nil
 }

@@ -39,22 +39,6 @@ import (
 	"hypertree/internal/treewidth"
 )
 
-// Ordering selects a greedy vertex-ordering heuristic over the primal graph.
-type Ordering int
-
-const (
-	// MinFill eliminates the vertex whose elimination adds the fewest fill
-	// edges — the strongest general-purpose heuristic of the three.
-	MinFill Ordering = iota
-	// MinDegree eliminates the vertex of minimum current degree in the fill
-	// graph — cheaper than MinFill, often nearly as good.
-	MinDegree
-	// MaxCardinality visits vertices by maximal-cardinality search (most
-	// already-visited neighbours first) and eliminates in reverse visit
-	// order — exact on chordal primal graphs.
-	MaxCardinality
-)
-
 // seeds are each ordering's trials in order: 0 is the deterministic pass
 // (ties go to the lowest index), the others seed randomized tie-breaking
 // restarts.
@@ -157,7 +141,7 @@ func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.C
 		return fn(&decomp.Decomposition{H: h})
 	}
 	g := h.PrimalGraph()
-	for _, ord := range []Ordering{MinFill, MinDegree, MaxCardinality} {
+	for _, ord := range []treewidth.Ordering{treewidth.MinFill, treewidth.MinDegree, treewidth.MaxCardinality} {
 		for _, seed := range seeds {
 			d, err := runTrial(ctx, h, g, ord, seed, model, budget)
 			if err != nil {
@@ -220,12 +204,12 @@ func (r *replay) Seed(int64) { panic("ghd: a replayed tie-break source cannot be
 // runTrial is one pass of the improvement loop: the ordering heuristic,
 // breaking ties toward the lowest index for seed 0 and by seed's replay
 // otherwise.
-func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, ord Ordering, seed int64, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
+func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, ord treewidth.Ordering, seed int64, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
 	var rng *rand.Rand
 	if seed != 0 {
 		rng = rand.New(&replay{seed: seed, prefix: prefixes()[seed]})
 	}
-	order, err := eliminationOrder(ctx, g, ord, rng, budget)
+	order, err := treewidth.EliminationOrder(ctx, g, ord, rng, budget.step)
 	if err != nil {
 		return nil, err
 	}
@@ -257,123 +241,13 @@ func (s *Budget) Take() bool {
 	return true
 }
 
-// eliminationOrder computes a full elimination order of g under the given
-// heuristic. rng != nil breaks score ties uniformly at random; rng == nil
-// picks the lowest-index vertex. Every vertex selection consumes one budget
-// step and observes ctx.
-func eliminationOrder(ctx context.Context, g *graph.Graph, ord Ordering, rng *rand.Rand, budget *Budget) ([]int, error) {
-	if ord == MaxCardinality {
-		return mcsOrder(ctx, g, rng, budget)
+// step is Take as an elimination-order step hook: one step per vertex
+// selection.
+func (s *Budget) step() error {
+	if !s.Take() {
+		return decomp.ErrStepBudget
 	}
-	n := g.N()
-	adj := make([]bitset.Set, n)
-	for v := 0; v < n; v++ {
-		adj[v] = g.Neighbors(v).Clone()
-	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	score := func(v int) int {
-		if ord == MinDegree {
-			return adj[v].Len()
-		}
-		// MinFill: pairs of neighbours not yet adjacent
-		nbrs := adj[v].Elems()
-		fill := 0
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				if !adj[nbrs[a]].Has(nbrs[b]) {
-					fill++
-				}
-			}
-		}
-		return fill
-	}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !budget.Take() {
-			return nil, decomp.ErrStepBudget
-		}
-		best := pickMin(n, alive, score, rng)
-		order = append(order, best)
-		// make the remaining neighbours a clique and drop the vertex
-		nbrs := adj[best].Elems()
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				adj[nbrs[a]].Add(nbrs[b])
-				adj[nbrs[b]].Add(nbrs[a])
-			}
-		}
-		for _, u := range nbrs {
-			adj[u].Remove(best)
-		}
-		alive[best] = false
-	}
-	return order, nil
-}
-
-// mcsOrder runs maximal-cardinality search on the original graph (no fill
-// simulation: MCS scores count visited neighbours) and returns the reverse
-// visit order, which is the elimination order MCS induces.
-func mcsOrder(ctx context.Context, g *graph.Graph, rng *rand.Rand, budget *Budget) ([]int, error) {
-	n := g.N()
-	visited := make([]bool, n)
-	weight := make([]int, n)
-	visit := make([]int, 0, n)
-	unvisited := make([]bool, n)
-	for i := range unvisited {
-		unvisited[i] = true
-	}
-	for len(visit) < n {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !budget.Take() {
-			return nil, decomp.ErrStepBudget
-		}
-		// maximise weight = minimise -weight
-		best := pickMin(n, unvisited, func(v int) int { return -weight[v] }, rng)
-		visit = append(visit, best)
-		visited[best] = true
-		unvisited[best] = false
-		g.Neighbors(best).ForEach(func(u int) {
-			if !visited[u] {
-				weight[u]++
-			}
-		})
-	}
-	order := make([]int, n)
-	for i, v := range visit {
-		order[n-1-i] = v
-	}
-	return order, nil
-}
-
-// pickMin returns the eligible vertex with the smallest score; ties go to
-// the lowest index, or to a uniformly random tied vertex when rng != nil
-// (reservoir sampling over the tied set).
-func pickMin(n int, eligible []bool, score func(int) int, rng *rand.Rand) int {
-	best, bestScore, ties := -1, 0, 0
-	for v := 0; v < n; v++ {
-		if !eligible[v] {
-			continue
-		}
-		s := score(v)
-		switch {
-		case best < 0 || s < bestScore:
-			best, bestScore, ties = v, s, 1
-		case s == bestScore && rng != nil:
-			ties++
-			if rng.Intn(ties) == 0 {
-				best = v
-			}
-		}
-	}
-	return best
+	return nil
 }
 
 // FromTreeDecompositionCost converts a tree decomposition of the primal

@@ -14,6 +14,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
+	"hypertree/internal/treewidth"
 )
 
 // decompose without statistics or limits.
@@ -134,7 +135,7 @@ func TestGreedyCancelled(t *testing.T) {
 func TestGreedyOrderingsIndividually(t *testing.T) {
 	h := queryHG(t, gen.Grid(4, 4))
 	best := 1 << 30
-	for _, ord := range []Ordering{MinFill, MinDegree, MaxCardinality} {
+	for _, ord := range []treewidth.Ordering{treewidth.MinFill, treewidth.MinDegree, treewidth.MaxCardinality} {
 		d, err := runTrial(context.Background(), h, h.PrimalGraph(), ord, 0, nil, NewBudget(0))
 		if err != nil {
 			t.Fatalf("%v: %v", ord, err)

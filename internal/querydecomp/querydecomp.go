@@ -113,34 +113,14 @@ type Searcher struct {
 	cancelled bool        // the stop hook (not the budget) aborted the search
 }
 
-// NewSearcher returns a Searcher for width bound k ≥ 1.
-func NewSearcher(h *hypergraph.Hypergraph, k int) *Searcher {
-	if k < 1 {
-		panic("querydecomp: width bound must be ≥ 1")
-	}
-	return &Searcher{H: h, K: k, claimed: make([]int, h.NumEdges())}
-}
-
-// NewSearcherContext is NewSearcher with cooperative cancellation: the
-// search polls ctx between trials and aborts promptly once it is cancelled.
-// A width bound k < 1 yields decomp.ErrInvalidWidth instead of a panic.
-func NewSearcherContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Searcher, error) {
+// NewSearcher returns a Searcher for width bound k ≥ 1 whose search polls
+// ctx between trials and aborts promptly once it is cancelled. A width
+// bound k < 1 yields decomp.ErrInvalidWidth.
+func NewSearcher(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Searcher, error) {
 	if k < 1 {
 		return nil, decomp.ErrInvalidWidth
 	}
-	s := NewSearcher(h, k)
-	if ctx != nil && ctx.Done() != nil {
-		done := ctx.Done()
-		s.stop = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-	}
-	return s, nil
+	return &Searcher{H: h, K: k, claimed: make([]int, h.NumEdges()), stop: decomp.CtxStop(ctx)}, nil
 }
 
 // Err reports why the last Search stopped early: the context's error on
@@ -201,83 +181,51 @@ func (s *Searcher) Search() (*decomp.Decomposition, bool) {
 	return d, true
 }
 
-// Width computes qw(H) exactly (within the step budget per width). The
-// second result is an optimal decomposition. lower is a known lower bound
-// (use 1, or hw(H) per Theorem 6.1a to skip unsatisfiable widths).
+// Width computes qw(H) exactly, together with an optimal decomposition.
+// lower is a known lower bound (use 1, or hw(H) per Theorem 6.1a to skip
+// unsatisfiable widths).
 func Width(h *hypergraph.Hypergraph, lower int) (int, *decomp.Decomposition) {
-	if h.NumEdges() == 0 {
-		return 0, &decomp.Decomposition{H: h}
+	w, d, err := WidthContext(context.Background(), h, lower, 0)
+	if err != nil {
+		panic(err) // unbudgeted and never cancelled: only a search bug fails
 	}
-	if lower < 1 {
-		lower = 1
-	}
-	for k := lower; ; k++ {
-		s := NewSearcher(h, k)
-		if d, ok := s.Search(); ok {
-			return k, d
-		}
-		if k > h.NumEdges() {
-			panic("querydecomp: width exceeded edge count")
-		}
-	}
+	return w, d
 }
 
 // SearchContext looks for a pure query decomposition of width ≤ k with
-// cancellation and a step budget. It returns decomp.ErrWidthExceeded when
-// the exhaustive search proves qw(H) > k, decomp.ErrStepBudget when
-// maxSteps ran out first, or ctx.Err() on cancellation.
+// cancellation and a step budget. It returns decomp.ErrInvalidWidth for
+// k < 1, decomp.ErrWidthExceeded when the exhaustive search proves
+// qw(H) > k, decomp.ErrStepBudget when maxSteps ran out first, or
+// ctx.Err() on cancellation.
 func SearchContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxSteps int) (*decomp.Decomposition, error) {
-	s, err := NewSearcherContext(ctx, h, k)
+	d, _, err := search(ctx, h, k, maxSteps)
+	return d, err
+}
+
+// search is SearchContext that also returns the steps spent.
+func search(ctx context.Context, h *hypergraph.Hypergraph, k, maxSteps int) (*decomp.Decomposition, int, error) {
+	s, err := NewSearcher(ctx, h, k)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.MaxSteps = maxSteps
 	d, ok := s.Search()
 	if err := s.Err(ctx); err != nil {
-		return nil, err
+		return nil, s.Steps, err
 	}
 	if !ok {
-		return nil, decomp.ErrWidthExceeded
+		return nil, s.Steps, decomp.ErrWidthExceeded
 	}
-	return d, nil
+	return d, s.Steps, nil
 }
 
 // WidthContext is Width with cancellation and a cumulative step budget
-// shared across the increasing-k iterations (0 = unlimited). lower is a
-// known lower bound on qw(H) (1, or hw(H) per Theorem 6.1a).
+// shared across the increasing-k iterations (0 = unlimited): decomp.MinWidth
+// over SearchContext from k = lower.
 func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, lower, maxSteps int) (int, *decomp.Decomposition, error) {
-	if h.NumEdges() == 0 {
-		return 0, &decomp.Decomposition{H: h}, nil
-	}
-	if lower < 1 {
-		lower = 1
-	}
-	spent := 0
-	for k := lower; ; k++ {
-		budget := 0
-		if maxSteps > 0 {
-			budget = maxSteps - spent
-			if budget <= 0 {
-				return 0, nil, decomp.ErrStepBudget
-			}
-		}
-		s, err := NewSearcherContext(ctx, h, k)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.MaxSteps = budget
-		d, ok := s.Search()
-		spent += s.Steps
-		if err := s.Err(ctx); err != nil {
-			return 0, nil, err
-		}
-		if ok {
-			return k, d, nil
-		}
-		if k > h.NumEdges() {
-			return 0, nil, fmt.Errorf("querydecomp: width exceeded edge count")
-		}
-	}
+	return decomp.MinWidth(h, lower, maxSteps, 0, func(k, budget int) (*decomp.Decomposition, int, error) {
+		return search(ctx, h, k, budget)
+	})
 }
 
 func filterEdgeless(cs []hypergraph.Component) []hypergraph.Component {

@@ -1,6 +1,8 @@
 package querydecomp
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -53,14 +55,14 @@ func TestE04QueryWidthQ4(t *testing.T) {
 // query decomposition even though hw(Q5) = 2.
 func TestE05QueryWidthQ5(t *testing.T) {
 	h := hg(q5)
-	s2 := NewSearcher(h, 2)
+	s2, _ := NewSearcher(context.Background(), h, 2)
 	if _, ok := s2.Search(); ok {
 		t.Fatalf("Q5 must not have a width-2 query decomposition")
 	}
 	if !s2.Exhausted {
 		t.Fatalf("width-2 search should have been exhaustive")
 	}
-	s3 := NewSearcher(h, 3)
+	s3, _ := NewSearcher(context.Background(), h, 3)
 	d, ok := s3.Search()
 	if !ok {
 		t.Fatalf("qw(Q5) = 3: width-3 search must succeed")
@@ -177,7 +179,7 @@ func TestValidateRejectsBadDecompositions(t *testing.T) {
 
 func TestStepBudget(t *testing.T) {
 	h := hg(q5)
-	s := NewSearcher(h, 2)
+	s, _ := NewSearcher(context.Background(), h, 2)
 	s.MaxSteps = 3
 	if _, ok := s.Search(); ok {
 		t.Fatalf("budgeted search found a width-2 QD of Q5 (impossible)")
@@ -241,11 +243,8 @@ func randomHG(rng *rand.Rand, nv, ne, maxArity int) *hypergraph.Hypergraph {
 	return h
 }
 
-func TestNewSearcherPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewSearcher(hg(`r(X)`), 0)
+func TestNewSearcherRejectsBadK(t *testing.T) {
+	if s, err := NewSearcher(context.Background(), hg(`r(X)`), 0); s != nil || !errors.Is(err, decomp.ErrInvalidWidth) {
+		t.Fatalf("k=0: got %v, %v; want nil, ErrInvalidWidth", s, err)
+	}
 }

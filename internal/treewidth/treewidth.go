@@ -1,13 +1,16 @@
 // Package treewidth implements tree decompositions of graphs via the
-// elimination-ordering framework: min-fill and min-degree heuristic upper
-// bounds, the degeneracy lower bound, and an exact branch-and-bound for
-// small graphs. Used by the Section 6 comparisons: the treewidth of the
-// primal (Gaifman) graph and of the variable-atom incidence graph VAIG(Q)
-// (Theorem 6.2).
+// elimination-ordering framework: the min-fill, min-degree and
+// maximal-cardinality greedy orderings (also the greedy GHD engine's, see
+// internal/ghd) for heuristic upper bounds, the degeneracy lower bound,
+// and an exact branch-and-bound for small graphs. Used by the Section 6
+// comparisons: the treewidth of the primal (Gaifman) graph and of the
+// variable-atom incidence graph VAIG(Q) (Theorem 6.2).
 package treewidth
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/graph"
@@ -165,18 +168,42 @@ func cloneAdj(g *graph.Graph) []bitset.Set {
 	return adj
 }
 
-// MinDegree returns the elimination order that repeatedly removes a vertex
-// of minimum current degree.
-func MinDegree(g *graph.Graph) []int {
-	return greedyOrder(g, func(adj []bitset.Set, alive []bool, v int) int {
-		return adj[v].Len()
-	})
-}
+// Ordering selects a greedy elimination-ordering heuristic.
+type Ordering int
 
-// MinFill returns the elimination order that repeatedly removes the vertex
-// whose elimination adds the fewest fill edges.
-func MinFill(g *graph.Graph) []int {
-	return greedyOrder(g, func(adj []bitset.Set, alive []bool, v int) int {
+const (
+	// MinFill eliminates the vertex whose elimination adds the fewest fill
+	// edges — the strongest general-purpose heuristic of the three.
+	MinFill Ordering = iota
+	// MinDegree eliminates the vertex of minimum current degree in the fill
+	// graph — cheaper than MinFill, often nearly as good.
+	MinDegree
+	// MaxCardinality visits vertices by maximal-cardinality search (most
+	// already-visited neighbours first) and eliminates in reverse visit
+	// order — exact on chordal graphs.
+	MaxCardinality
+)
+
+// EliminationOrder computes a full elimination order of g under ord.
+// rng != nil breaks score ties uniformly at random; rng == nil picks the
+// lowest-index vertex. Every vertex selection first observes ctx, then
+// calls step (nil = unlimited); an error from either stops the order and
+// is returned.
+func EliminationOrder(ctx context.Context, g *graph.Graph, ord Ordering, rng *rand.Rand, step func() error) ([]int, error) {
+	if ord == MaxCardinality {
+		return mcsOrder(ctx, g, rng, step)
+	}
+	n := g.N()
+	adj := cloneAdj(g)
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	score := func(v int) int {
+		if ord == MinDegree {
+			return adj[v].Len()
+		}
+		// MinFill: pairs of neighbours not yet adjacent
 		nbrs := adj[v].Elems()
 		fill := 0
 		for a := 0; a < len(nbrs); a++ {
@@ -187,28 +214,15 @@ func MinFill(g *graph.Graph) []int {
 			}
 		}
 		return fill
-	})
-}
-
-func greedyOrder(g *graph.Graph, score func(adj []bitset.Set, alive []bool, v int) int) []int {
-	n := g.N()
-	adj := cloneAdj(g)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
 	}
 	order := make([]int, 0, n)
 	for len(order) < n {
-		best, bestScore := -1, 1<<60
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			if s := score(adj, alive, v); s < bestScore {
-				best, bestScore = v, s
-			}
+		if err := takeStep(ctx, step); err != nil {
+			return nil, err
 		}
+		best := pickMin(n, alive, score, rng)
 		order = append(order, best)
+		// make the remaining neighbours a clique and drop the vertex
 		nbrs := adj[best].Elems()
 		for a := 0; a < len(nbrs); a++ {
 			for b := a + 1; b < len(nbrs); b++ {
@@ -221,7 +235,74 @@ func greedyOrder(g *graph.Graph, score func(adj []bitset.Set, alive []bool, v in
 		}
 		alive[best] = false
 	}
-	return order
+	return order, nil
+}
+
+func takeStep(ctx context.Context, step func() error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if step != nil {
+		return step()
+	}
+	return nil
+}
+
+// mcsOrder runs maximal-cardinality search on the original graph (no fill
+// simulation: MCS scores count visited neighbours) and returns the reverse
+// visit order, which is the elimination order MCS induces.
+func mcsOrder(ctx context.Context, g *graph.Graph, rng *rand.Rand, step func() error) ([]int, error) {
+	n := g.N()
+	visited := make([]bool, n)
+	weight := make([]int, n)
+	visit := make([]int, 0, n)
+	unvisited := make([]bool, n)
+	for i := range unvisited {
+		unvisited[i] = true
+	}
+	for len(visit) < n {
+		if err := takeStep(ctx, step); err != nil {
+			return nil, err
+		}
+		// maximise weight = minimise -weight
+		best := pickMin(n, unvisited, func(v int) int { return -weight[v] }, rng)
+		visit = append(visit, best)
+		visited[best] = true
+		unvisited[best] = false
+		g.Neighbors(best).ForEach(func(u int) {
+			if !visited[u] {
+				weight[u]++
+			}
+		})
+	}
+	order := make([]int, n)
+	for i, v := range visit {
+		order[n-1-i] = v
+	}
+	return order, nil
+}
+
+// pickMin returns the eligible vertex with the smallest score; ties go to
+// the lowest index, or to a uniformly random tied vertex when rng != nil
+// (reservoir sampling over the tied set).
+func pickMin(n int, eligible []bool, score func(int) int, rng *rand.Rand) int {
+	best, bestScore, ties := -1, 0, 0
+	for v := 0; v < n; v++ {
+		if !eligible[v] {
+			continue
+		}
+		s := score(v)
+		switch {
+		case best < 0 || s < bestScore:
+			best, bestScore, ties = v, s, 1
+		case s == bestScore && rng != nil:
+			ties++
+			if rng.Intn(ties) == 0 {
+				best = v
+			}
+		}
+	}
+	return best
 }
 
 // Degeneracy returns the graph degeneracy, a lower bound on treewidth.
@@ -313,17 +394,17 @@ func eliminable(adj []bitset.Set, eliminated bitset.Set, n, w int, memo map[stri
 // PrimalTreewidth returns a min-fill upper bound, the degeneracy lower
 // bound, and the decomposition for the primal graph of h.
 func PrimalTreewidth(h *hypergraph.Hypergraph) (ub, lb int, d *Decomposition) {
-	g := h.PrimalGraph()
-	order := MinFill(g)
-	d, ub = FromEliminationOrder(g, order)
-	return ub, Degeneracy(g), d
+	return bounds(h.PrimalGraph())
 }
 
 // IncidenceTreewidth is PrimalTreewidth for the variable-atom incidence
 // graph VAIG(Q) — the treewidth notion of Theorem 6.2.
 func IncidenceTreewidth(h *hypergraph.Hypergraph) (ub, lb int, d *Decomposition) {
-	g := h.IncidenceGraph()
-	order := MinFill(g)
+	return bounds(h.IncidenceGraph())
+}
+
+func bounds(g *graph.Graph) (ub, lb int, d *Decomposition) {
+	order, _ := EliminationOrder(context.Background(), g, MinFill, nil, nil) // never cancelled, no step limit
 	d, ub = FromEliminationOrder(g, order)
 	return ub, Degeneracy(g), d
 }

@@ -1,6 +1,7 @@
 package treewidth
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,6 +34,15 @@ func clique(n int) *graph.Graph {
 	return g
 }
 
+// greedy is EliminationOrder never cancelled and without a step limit.
+func greedy(g *graph.Graph, ord Ordering) []int {
+	order, err := EliminationOrder(context.Background(), g, ord, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return order
+}
+
 func widthOf(g *graph.Graph, order []int, t *testing.T) int {
 	d, w := FromEliminationOrder(g, order)
 	if err := d.Validate(g); err != nil {
@@ -57,8 +67,8 @@ func TestKnownTreewidths(t *testing.T) {
 		{"two isolated", graph.New(2), 0},
 	}
 	for _, tc := range cases {
-		ubFill := widthOf(tc.g, MinFill(tc.g), t)
-		ubDeg := widthOf(tc.g, MinDegree(tc.g), t)
+		ubFill := widthOf(tc.g, greedy(tc.g, MinFill), t)
+		ubDeg := widthOf(tc.g, greedy(tc.g, MinDegree), t)
 		lb := Degeneracy(tc.g)
 		exact := Exact(tc.g, min(ubFill, ubDeg))
 		if exact != tc.tw {
@@ -87,7 +97,7 @@ func TestGridTreewidth(t *testing.T) {
 			}
 		}
 	}
-	ub := widthOf(g, MinFill(g), t)
+	ub := widthOf(g, greedy(g, MinFill), t)
 	if got := Exact(g, ub); got != 3 {
 		t.Fatalf("tw(3×3 grid) = %d, want 3", got)
 	}
@@ -103,8 +113,8 @@ func TestPropertyBounds(t *testing.T) {
 		for i := 0; i < rng.Intn(2*n); i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		ub := widthOf(g, MinFill(g), t)
-		ub2 := widthOf(g, MinDegree(g), t)
+		ub := widthOf(g, greedy(g, MinFill), t)
+		ub2 := widthOf(g, greedy(g, MinDegree), t)
 		lb := Degeneracy(g)
 		exact := Exact(g, min(ub, ub2))
 		if lb > exact || exact > ub || exact > ub2 {
@@ -115,7 +125,7 @@ func TestPropertyBounds(t *testing.T) {
 
 func TestValidateRejectsBadDecompositions(t *testing.T) {
 	g := path(3)
-	d, _ := FromEliminationOrder(g, MinFill(g))
+	d, _ := FromEliminationOrder(g, greedy(g, MinFill))
 	// drop a vertex from every bag
 	for i := range d.Bags {
 		d.Bags[i].Remove(1)

@@ -67,7 +67,7 @@ type Answers struct {
 // O(depth) lookups when that is the first, O(Σ rows) at worst, like a
 // bottom-up semijoin pass; children are tried in the tree's order, most
 // selective first under a cost model. The tree is only read; the count and
-// the walk poll ctx every 4 096 rows.
+// the walk look at ctx once per pollEvery rows and child runs looked up.
 func NewAnswers(ctx context.Context, root *Node, head []int) (*Answers, error) {
 	tr := obs.FromContext(ctx)
 	e := &enumerator{ctx: ctx, head: map[int]bool{}}
@@ -268,18 +268,33 @@ type enumerator struct {
 	lookups int // the child runs looked up
 	folds   int
 	err     error // the context's, once a poll saw it cancelled
-	tick    int
+	left    int   // the work poll may still charge before it looks at ctx
 	// the folds' scratch: a run's values, a run's row order
 	vals []relation.Value
 	idx  []int32
 }
 
-// poll checks the context every 4 096 calls, reporting whether to go on.
-func (e *enumerator) poll() bool {
-	if e.tick++; e.tick&4095 == 0 {
-		e.err = e.ctx.Err()
+// pollEvery is the work between two looks at the context, counted in
+// rows and the child runs they may look up.
+const pollEvery = 4096
+
+// poll charges w units of work — a row and the child runs it may look up —
+// and looks at the context on its first call and whenever pollEvery units
+// have been charged since the last look; it reports whether to go on. A
+// row that probes many children thus brings the next look closer.
+func (e *enumerator) poll(w int) bool {
+	if e.left -= w; e.left < 0 {
+		e.look()
 	}
 	return e.err == nil
+}
+
+// look is poll's slow path, kept out of line so that poll inlines into the
+// row loops.
+//
+//go:noinline
+func (e *enumerator) look() {
+	e.left, e.err = pollEvery, e.ctx.Err()
 }
 
 // keyed returns n's encoding re-keyed under a parent encoded as p (nil at
@@ -379,8 +394,9 @@ func (e *enumerator) rows(n *enode, lo, hi int) int64 {
 		return int64(hi - lo)
 	}
 	children, live, filter := n.children, n.live, len(n.out) == 0
+	work := 1 + len(children)
 	var sum int64
-	for r := lo; r < hi && e.poll(); r++ {
+	for r := lo; r < hi && e.poll(work); r++ {
 		cnt := int64(1)
 		for _, ch := range children {
 			if ch.probe.At(r) {
@@ -597,7 +613,7 @@ func (w *walker) reset(lo, hi int) {
 // Below a live row every run holds a live row, so only the root can run
 // out.
 func (w *walker) next() bool {
-	if !w.e.poll() {
+	if !w.e.poll(1) {
 		return false
 	}
 	i := -1

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hypertree/internal/cq"
+	"hypertree/internal/obs"
 	"hypertree/internal/relation"
 )
 
@@ -116,4 +117,32 @@ func TestDeadlineInterruptsCountPass(t *testing.T) {
 			}
 		}
 	}
+	// The polls are spaced by work: past a deadline the count looks up at
+	// most one poll interval of child runs (plus the row in progress), not
+	// pollEvery rows of kids lookups each.
+	tr := obs.New()
+	ctx := &expiresAfterFirstLook{Context: obs.NewContext(context.Background(), tr)}
+	if _, err := NewAnswers(ctx, counted, []int{0, 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	for _, s := range tr.Spans() {
+		if s.Name == obs.SpanSemijoinUp && s.Steps > pollEvery+kids {
+			t.Fatalf("%d lookups after the deadline, want at most %d", s.Steps, pollEvery+kids)
+		}
+	}
+}
+
+// expiresAfterFirstLook is a context whose deadline passes right after its
+// first Err.
+type expiresAfterFirstLook struct {
+	context.Context
+	looked bool
+}
+
+func (c *expiresAfterFirstLook) Err() error {
+	if c.looked {
+		return context.DeadlineExceeded
+	}
+	c.looked = true
+	return nil
 }

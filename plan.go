@@ -78,17 +78,17 @@ func WithMaxWidth(k int) CompileOption {
 }
 
 // WithWorkers sets the parallelism used by the decomposition search (when
-// the decomposer supports it) and by the evaluation-time materialisation of
-// independent node tables (n ≤ 1 = sequential, n ≤ 0 with the parallel decomposer = GOMAXPROCS).
-// Choosing n > 1 without an explicit decomposer selects the parallel
-// k-decomp search.
+// the decomposer supports it: KDecomposer, also as the auto race's exact
+// entrant) and by the evaluation-time materialisation of independent node
+// tables; n ≤ 1 is sequential. The decomposer stays k-decomp: a plan
+// compiled with n > 1 reports DecomposerName "k-decomp" ("auto(k-decomp)"
+// when the race picks it).
 func WithWorkers(n int) CompileOption {
 	return func(c *compileConfig) { c.workers = n }
 }
 
 // WithDecomposer plugs in a decomposition strategy (see Decomposer). The
-// default is the sequential k-decomp search, or the parallel one when
-// WithWorkers(n > 1) is given.
+// default is KDecomposer, run on WithWorkers' goroutines.
 func WithDecomposer(d Decomposer) CompileOption {
 	return func(c *compileConfig) { c.decomposer = d }
 }
@@ -157,9 +157,6 @@ func newCompileConfig(opts []CompileOption) (*compileConfig, error) {
 func (c *compileConfig) chosenDecomposer() Decomposer {
 	if c.decomposer != nil {
 		return c.decomposer
-	}
-	if c.workers > 1 {
-		return ParallelKDecomposer()
 	}
 	return KDecomposer()
 }

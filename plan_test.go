@@ -389,7 +389,7 @@ func TestPlanCache(t *testing.T) {
 // Plans built by every bundled Decomposer validate and report their width.
 func TestDecomposersProduceValidPlans(t *testing.T) {
 	q := MustParseQuery(gen.Q5Src)
-	for _, d := range []Decomposer{KDecomposer(), ParallelKDecomposer(), QueryDecomposer()} {
+	for _, d := range []Decomposer{KDecomposer(), QueryDecomposer()} {
 		plan, err := Compile(q, WithStrategy(StrategyHypertree), WithDecomposer(d))
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)

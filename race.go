@@ -74,12 +74,8 @@ func raceDecomposers(ctx context.Context, h *Hypergraph, req DecomposeRequest) (
 // which moves no winner. A cost model can crown a wider HD, and a width
 // bound makes the search a decision, so both run uncapped.
 func runRace(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCandidate {
-	exact := KDecomposer()
-	if req.Workers > 1 {
-		exact = ParallelKDecomposer()
-	}
 	cands := []raceCandidate{
-		{name: exact.Name()},
+		{name: KDecomposer().Name()},
 		{name: FractionalDecomposer().Name(), generalized: true, fractional: true},
 		{name: GreedyDecomposer().Name(), generalized: true},
 	}
@@ -99,14 +95,7 @@ func runRace(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCan
 	exactReq := req
 	exactReq.StepBudget = cmp.Or(req.StepBudget, DefaultRaceExactBudget)
 	c.started = time.Now()
-	switch {
-	case c.maxK == 0:
-		c.d, c.err = exact.Decompose(ctx, h, exactReq)
-	case req.Workers > 1:
-		_, c.d, c.err = decomp.ParallelWidthContext(ctx, h, req.Workers, exactReq.StepBudget, c.maxK)
-	default:
-		_, c.d, c.err = decomp.WidthContext(ctx, h, exactReq.StepBudget, c.maxK)
-	}
+	c.d, c.err = kDecomposer{maxK: c.maxK}.Decompose(ctx, h, exactReq)
 	c.elapsed = time.Since(c.started)
 	return cands
 }

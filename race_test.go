@@ -95,7 +95,7 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 	if certificates == 0 {
 		t.Error("no exact entrant was capped below the walk's width: the corpus no longer exercises the certificate")
 	}
-	for _, name := range []string{"k-decomp", "parallel-k-decomp", "fhd", "ghd"} {
+	for _, name := range []string{"k-decomp", "fhd", "ghd"} {
 		if wins[name] == 0 {
 			t.Errorf("no race won by %s: the corpus no longer exercises every candidate", name)
 		}
@@ -107,9 +107,6 @@ func TestRaceMatchesStandaloneEngines(t *testing.T) {
 // under req's.
 func standaloneEngines(ctx context.Context, h *Hypergraph, req DecomposeRequest) []raceCandidate {
 	exact, exactReq := KDecomposer(), req
-	if req.Workers > 1 {
-		exact = ParallelKDecomposer()
-	}
 	if exactReq.StepBudget == 0 {
 		exactReq.StepBudget = DefaultRaceExactBudget
 	}
