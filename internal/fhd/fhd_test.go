@@ -330,3 +330,81 @@ func TestCostModelDecompositionsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// leastBudget returns the least step budget under which run ends in
+// anything but ErrStepBudget, or ceiling+1 when it needs more than ceiling:
+// a doubling probe, then a bisection.
+func leastBudget(ceiling int, run func(budget int) error) int {
+	over := func(b int) bool { return errors.Is(run(b), decomp.ErrStepBudget) }
+	hi := 1
+	for ; over(hi); hi *= 2 {
+		if hi >= ceiling {
+			return ceiling + 1
+		}
+	}
+	lo := hi / 2 // over(lo) holds, or lo = 0
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; over(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// Under a step budget every heuristic engine over the shape portfolio
+// returns, byte for byte, what it returned before all the decomposition
+// searches charged one step budget: ghd.Decompose, Decompose and both
+// candidates of DecomposeWithGreedy, for maxWidth 0 and 2, at budgets 1,
+// 5, 40, 300 and 3000, each with the least budget it completes under
+// (errors included). One digest per family, taken at the commit before
+// that change.
+func TestBudgetedHeuristicsUnchanged(t *testing.T) {
+	want := map[string]string{
+		"Q1": "6343d5badb5f7ac1", "Q4": "5c5dfd986c054df7", "Q5": "daa396ffd7157336",
+		"classC4": "b3c7fce4bfa70c3a", "clique6": "32ed1b1512eff547", "csp50atom": "38f4b40726894f9d",
+		"cycle12": "ad652c8f4fb45b4e", "grid44": "d4e2b07e294c2903", "path9": "2b6cf6dac020d58b",
+		"star8": "040ae931f2f31e63",
+	}
+	ctx := context.Background()
+	engines := []struct {
+		name string
+		run  func(h *hypergraph.Hypergraph, maxWidth, budget int) (*decomp.Decomposition, error)
+	}{
+		{"ghd.Decompose", func(h *hypergraph.Hypergraph, maxWidth, budget int) (*decomp.Decomposition, error) {
+			return ghd.Decompose(ctx, h, nil, maxWidth, budget)
+		}},
+		{"Decompose", func(h *hypergraph.Hypergraph, maxWidth, budget int) (*decomp.Decomposition, error) {
+			return Decompose(ctx, h, nil, maxWidth, budget)
+		}},
+		{"DecomposeWithGreedy frac", func(h *hypergraph.Hypergraph, maxWidth, budget int) (*decomp.Decomposition, error) {
+			frac, _ := DecomposeWithGreedy(ctx, h, nil, maxWidth, budget)
+			return frac.D, frac.Err
+		}},
+		{"DecomposeWithGreedy greedy", func(h *hypergraph.Hypergraph, maxWidth, budget int) (*decomp.Decomposition, error) {
+			_, greedy := DecomposeWithGreedy(ctx, h, nil, maxWidth, budget)
+			return greedy.D, greedy.Err
+		}},
+	}
+	for name, h := range families() {
+		digest := sha256.New()
+		for _, e := range engines {
+			for _, maxWidth := range []int{0, 2} {
+				least := leastBudget(1<<16, func(budget int) error { _, err := e.run(h, maxWidth, budget); return err })
+				fmt.Fprintf(digest, "%s maxWidth %d: least budget %d\n", e.name, maxWidth, least)
+				for _, budget := range []int{1, 5, 40, 300, 3000} {
+					d, err := e.run(h, maxWidth, budget)
+					if err != nil {
+						fmt.Fprintf(digest, "budget %d: error: %v\n", budget, err)
+						continue
+					}
+					fmt.Fprintf(digest, "budget %d: %s%.6f\n", budget, d, d.FractionalWidth())
+				}
+			}
+		}
+		if got := fmt.Sprintf("%x", digest.Sum(nil))[:16]; got != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+		}
+	}
+}

@@ -2,10 +2,12 @@ package hypertree
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hypertree/internal/decomp"
@@ -212,4 +214,33 @@ func raceTestModel(rng *rand.Rand, h *Hypergraph, kind string) *CostModel {
 		}
 		return float64(1 + rng.Intn(int(rows[e])))
 	})
+}
+
+// Under a step budget the auto race crowns, byte for byte, the engine it
+// crowned before all the decomposition searches charged one step budget:
+// per family of gen.Families and budget 1, 5, 40, 300 and 3000, the
+// winner's name and width, or the error. Digest taken at the commit before
+// that change.
+func TestBudgetedAutoRaceUnchanged(t *testing.T) {
+	const want = "dc2498a7dd734f36"
+	fams := gen.Families()
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	digest := sha256.New()
+	for _, name := range names {
+		for _, budget := range []int{1, 5, 40, 300, 3000} {
+			p, err := Compile(fams[name], WithStrategy(StrategyHypertree), WithAutoStrategy(), WithStepBudget(budget))
+			if err != nil {
+				fmt.Fprintf(digest, "%s budget %d: error: %v\n", name, budget, err)
+				continue
+			}
+			fmt.Fprintf(digest, "%s budget %d: %s width %d\n", name, budget, p.DecomposerName(), p.Width())
+		}
+	}
+	if got := fmt.Sprintf("%x", digest.Sum(nil))[:16]; got != want {
+		t.Errorf("digest %s, want %s", got, want)
+	}
 }
