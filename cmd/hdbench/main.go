@@ -90,11 +90,12 @@ var experiments = []experiment{
 	{"E4", "Fig. 4 — qw(Q4) = 2 (pure)", func() error { return qwRow(gen.Q4(), "Q4", 2) }},
 	{"E5", "Fig. 5 — qw(Q5) = 3, no width-2 QD", func() error {
 		h := hg(gen.Q5())
-		s, _ := querydecomp.NewSearcher(context.Background(), h, 2)
+		b := decomp.NewBudget(context.Background(), 0)
+		s, _ := querydecomp.NewSearcher(b, h, 2)
 		if _, ok := s.Search(); ok || !s.Exhausted {
 			return fmt.Errorf("width-2 refutation failed")
 		}
-		fmt.Printf("  width 2 refuted exhaustively in %d steps\n", s.Steps)
+		fmt.Printf("  width 2 refuted exhaustively in %d steps\n", b.Spent())
 		return qwRow(gen.Q5(), "Q5", 3)
 	}},
 	{"E6", "Fig. 6 — hw(Q1) = 2, hw(Q5) = 2", func() error {
@@ -183,7 +184,8 @@ var experiments = []experiment{
 			{"Q5", gen.Q5(), 2},
 		} {
 			h := hg(tc.q)
-			dec, err := decomp.NewDecider(context.Background(), h, tc.hw)
+			b := decomp.NewBudget(context.Background(), 0)
+			dec, err := decomp.NewDecider(b, h, tc.hw)
 			if err != nil {
 				return err
 			}
@@ -191,7 +193,7 @@ var experiments = []experiment{
 			ok := dec.Decide()
 			below := decomp.Decide(h, tc.hw-1)
 			fmt.Printf("  %-10s hw=%d: accept(k=hw)=%v reject(k=hw-1)=%v  [%d subproblems, %d guesses, %v]\n",
-				tc.name, tc.hw, ok, !below, dec.Calls, dec.GuessOps, time.Since(start).Round(time.Microsecond))
+				tc.name, tc.hw, ok, !below, dec.Calls, b.Spent(), time.Since(start).Round(time.Microsecond))
 			if !ok || below {
 				return fmt.Errorf("%s: width decision wrong", tc.name)
 			}
@@ -344,7 +346,7 @@ var experiments = []experiment{
 		var took [2]time.Duration
 		for i, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			start := time.Now()
-			if _, _, err := decomp.Search(context.Background(), h, 3, workers, 0); err != nil {
+			if _, err := decomp.Search(decomp.NewBudget(context.Background(), 0), h, 3, workers); err != nil {
 				return fmt.Errorf("grid(3,4) has hw ≤ 3, but %d workers: %w", workers, err)
 			}
 			took[i] = time.Since(start)

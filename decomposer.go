@@ -31,9 +31,13 @@ type DecomposeRequest struct {
 	// MaxWidth bounds the width of the decomposition; 0 means "minimise":
 	// search k = 1, 2, ... until a decomposition is found.
 	MaxWidth int
-	// StepBudget bounds the number of search steps (candidate separator
-	// sets tested, cumulative across a minimising width search); 0 means
-	// unlimited. An exhausted budget yields ErrStepBudget.
+	// StepBudget bounds the number of search steps, one decomp.Budget
+	// across a minimising width search and across k-decomp's workers; 0
+	// means unlimited. What a step is depends on the engine: a λ guess of
+	// k-decomp at any worker, root guesses included; an (S, deferral) trial
+	// of the query-decomposition search; a vertex elimination or simplex
+	// pivot of the greedy and fractional walk. An exhausted budget yields
+	// ErrStepBudget.
 	StepBudget int
 	// Workers is the requested parallelism for decomposers that support it
 	// (≤ 1 means sequential): KDecomposer, also as the exact entrant of the
@@ -105,7 +109,8 @@ type GeneralizedDecomposer interface {
 // StepBudget and Workers: at most one worker runs the search on the
 // calling goroutine, more fan the root-level guesses out over that many
 // goroutines — the operational reading of the paper's LOGCFL
-// parallelizability statement — with StepBudget a cross-worker total.
+// parallelizability statement — with StepBudget a cross-worker total that
+// charges every λ guess, the root guesses the workers share out included.
 func KDecomposer() Decomposer { return kDecomposer{} }
 
 // kDecomposer is KDecomposer; the auto race sets maxK to stop the
@@ -115,12 +120,12 @@ type kDecomposer struct{ maxK int }
 func (kDecomposer) Name() string { return "k-decomp" }
 
 func (kd kDecomposer) Decompose(ctx context.Context, h *Hypergraph, req DecomposeRequest) (*Decomposition, error) {
+	b := decomp.NewBudget(ctx, req.StepBudget)
 	if req.MaxWidth != 0 {
-		d, _, err := decomp.Search(ctx, h, req.MaxWidth, req.Workers, req.StepBudget)
-		return d, err
+		return decomp.Search(b, h, req.MaxWidth, req.Workers)
 	}
-	_, d, err := decomp.MinWidth(h, 1, req.StepBudget, kd.maxK, func(k, budget int) (*Decomposition, int, error) {
-		return decomp.Search(ctx, h, k, req.Workers, budget)
+	_, d, err := decomp.MinWidth(h, 1, kd.maxK, func(k int) (*Decomposition, error) {
+		return decomp.Search(b, h, k, req.Workers)
 	})
 	return d, err
 }

@@ -195,13 +195,13 @@ type QueryWidthResult struct {
 // (Theorem 3.4): the search is exponential, with maxSteps (0 = unlimited)
 // as a safety budget. A width bound k < 1 reports ErrInvalidWidth in Err.
 func SearchQueryDecomposition(q *Query, k, maxSteps int) QueryWidthResult {
-	s, err := querydecomp.NewSearcher(context.Background(), QueryHypergraph(q), k)
+	b := decomp.NewBudget(context.Background(), maxSteps)
+	s, err := querydecomp.NewSearcher(b, QueryHypergraph(q), k)
 	if err != nil {
 		return QueryWidthResult{Err: err}
 	}
-	s.MaxSteps = maxSteps
 	d, ok := s.Search()
-	return QueryWidthResult{Found: ok, Exhausted: s.Exhausted, Decomposition: d, Steps: s.Steps}
+	return QueryWidthResult{Found: ok, Exhausted: s.Exhausted, Decomposition: d, Steps: b.Spent()}
 }
 
 // QueryWidth computes qw(Q) exactly by the exponential search, starting

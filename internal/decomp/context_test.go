@@ -23,7 +23,7 @@ func TestDecideContextCancelled(t *testing.T) {
 	if _, _, err := WidthContext(ctx, h, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, _, err := Search(ctx, h, 2, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, err := Search(NewBudget(ctx, 0), h, 2, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}
 }
@@ -34,10 +34,10 @@ func TestContextTypedErrors(t *testing.T) {
 	if _, err := DecomposeContext(ctx, h, 0, 0); !errors.Is(err, ErrInvalidWidth) {
 		t.Fatalf("k=0: err = %v, want ErrInvalidWidth", err)
 	}
-	if _, _, err := Search(ctx, h, 0, 2, 0); !errors.Is(err, ErrInvalidWidth) {
+	if _, err := Search(NewBudget(ctx, 0), h, 0, 2); !errors.Is(err, ErrInvalidWidth) {
 		t.Fatalf("parallel k=0: err = %v, want ErrInvalidWidth", err)
 	}
-	if _, _, err := Search(ctx, h, 1, 2, 0); !errors.Is(err, ErrWidthExceeded) {
+	if _, err := Search(NewBudget(ctx, 0), h, 1, 2); !errors.Is(err, ErrWidthExceeded) {
 		t.Fatalf("triangle hw=2: parallel k=1: err = %v, want ErrWidthExceeded", err)
 	}
 	if _, err := DecomposeContext(ctx, h, 1, 0); !errors.Is(err, ErrWidthExceeded) {
@@ -140,8 +140,9 @@ func TestCappedWidthMatchesUncapped(t *testing.T) {
 			}
 		}
 		for maxK := 1; maxK <= 4; maxK++ {
-			k, d, err := MinWidth(h, 1, 0, maxK, func(k, budget int) (*Decomposition, int, error) {
-				return Search(ctx, h, k, 3, budget)
+			b := NewBudget(ctx, 0)
+			k, d, err := MinWidth(h, 1, maxK, func(k int) (*Decomposition, error) {
+				return Search(b, h, k, 3)
 			})
 			switch {
 			case hw <= maxK && (err != nil || k != hw || d.Validate() != nil):

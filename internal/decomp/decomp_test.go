@@ -20,7 +20,7 @@ func hg(src string) *hypergraph.Hypergraph {
 
 // decider is NewDecider at a valid width bound, never cancelled.
 func decider(h *hypergraph.Hypergraph, k int) *Decider {
-	d, err := NewDecider(context.Background(), h, k)
+	d, err := NewDecider(NewBudget(context.Background(), 0), h, k)
 	if err != nil {
 		panic(err)
 	}
@@ -314,7 +314,7 @@ func TestE18ParallelAgrees(t *testing.T) {
 		h := hg(src)
 		for k := 1; k <= 3; k++ {
 			seq := Decide(h, k)
-			d, _, err := Search(context.Background(), h, k, 4, 0)
+			d, err := Search(NewBudget(context.Background(), 0), h, k, 4)
 			if par := err == nil; seq != par {
 				t.Fatalf("%q k=%d: sequential=%v parallel=%v", src, k, seq, par)
 			}
@@ -365,10 +365,10 @@ func TestPropertyRandomHypergraphs(t *testing.T) {
 		if w > h.NumEdges() {
 			t.Fatalf("trial %d: w=%d > m=%d", trial, w, h.NumEdges())
 		}
-		if _, _, err := Search(context.Background(), h, w, 3, 0); err != nil {
+		if _, err := Search(NewBudget(context.Background(), 0), h, w, 3); err != nil {
 			t.Fatalf("trial %d: parallel rejects the true width %d: %v", trial, w, err)
 		}
-		if _, _, err := Search(context.Background(), h, w-1, 3, 0); w > 1 && err == nil {
+		if _, err := Search(NewBudget(context.Background(), 0), h, w-1, 3); w > 1 && err == nil {
 			t.Fatalf("trial %d: parallel accepts k=%d below hw=%d", trial, w-1, w)
 		}
 	}
@@ -397,7 +397,7 @@ func TestDeciderStats(t *testing.T) {
 	if !d.Decide() {
 		t.Fatal("hw(Q5)=2")
 	}
-	if d.Calls == 0 || d.GuessOps == 0 {
+	if d.Calls == 0 || d.b.Spent() == 0 {
 		t.Errorf("stats not maintained: %+v", d)
 	}
 	// second Decide call should be answered from the memo
@@ -409,7 +409,7 @@ func TestDeciderStats(t *testing.T) {
 }
 
 func TestNewDeciderRejectsBadK(t *testing.T) {
-	if d, err := NewDecider(context.Background(), hg(`r(X)`), 0); d != nil || !errors.Is(err, ErrInvalidWidth) {
+	if d, err := NewDecider(NewBudget(context.Background(), 0), hg(`r(X)`), 0); d != nil || !errors.Is(err, ErrInvalidWidth) {
 		t.Fatalf("k=0: got %v, %v; want nil, ErrInvalidWidth", d, err)
 	}
 	if Decide(hg(`r(X)`), 0) {

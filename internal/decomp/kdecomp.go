@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/hypergraph"
@@ -61,21 +60,12 @@ type Decider struct {
 	// parents with equal frontiers no longer share their result.
 	fullSeparatorKey bool
 
-	// MaxGuesses bounds the number of candidate sets S tested (the GuessOps
-	// counter); 0 means unlimited. When the budget runs out the search stops
-	// early and Err reports ErrStepBudget — the outcome is then neither a yes
-	// nor a proven no.
-	MaxGuesses int
-
-	memo          map[string]*memoEntry
-	stop          func() bool   // optional cooperative cancellation; nil = never
-	sharedGuesses *atomic.Int64 // spent-guess counter shared across deciders (parallel search)
-	over          bool          // step budget exhausted
+	b    *Budget // charged one step per candidate set S tested
+	memo map[string]*memoEntry
 
 	// Stats, maintained during Decide/Decompose.
 	Calls    int // distinct (component, frontier) subproblems solved
 	MemoHits int
-	GuessOps int // candidate sets S tested
 }
 
 type memoEntry struct {
@@ -83,50 +73,15 @@ type memoEntry struct {
 	lambda []int // chosen S on success
 }
 
-// NewDecider returns a Decider for width bound k ≥ 1 whose search polls
-// ctx and aborts promptly once it is cancelled. A width bound k < 1 yields
-// ErrInvalidWidth.
-func NewDecider(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Decider, error) {
+// NewDecider returns a Decider for width bound k ≥ 1 that charges b one
+// step per candidate set S tested and stops once b does. A width bound
+// k < 1 yields ErrInvalidWidth.
+func NewDecider(b *Budget, h *hypergraph.Hypergraph, k int) (*Decider, error) {
 	if k < 1 {
 		return nil, ErrInvalidWidth
 	}
-	return &Decider{H: h, K: k, memo: map[string]*memoEntry{}, stop: CtxStop(ctx)}, nil
+	return &Decider{H: h, K: k, b: b, memo: map[string]*memoEntry{}}, nil
 }
-
-// CtxStop adapts a context to a search's cooperative stop hook (the
-// Decider's here, querydecomp's Searcher's); contexts that can never be
-// cancelled cost nothing.
-func CtxStop(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	done := ctx.Done()
-	return func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// Err reports why the last Decide/Decompose stopped early: the context's
-// error if it was cancelled, ErrStepBudget if MaxGuesses ran out, nil if the
-// search ran to completion.
-func (d *Decider) Err(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if d.over {
-		return ErrStepBudget
-	}
-	return nil
-}
-
-func (d *Decider) stopped() bool { return d.over || (d.stop != nil && d.stop()) }
 
 func (d *Decider) rootComponent() hypergraph.Component {
 	return hypergraph.Component{
@@ -153,6 +108,11 @@ func (d *Decider) Decompose() *Decomposition {
 	if !d.Decide() {
 		return nil
 	}
+	return d.tree()
+}
+
+// tree builds the decomposition of a decided root from the memo.
+func (d *Decider) tree() *Decomposition {
 	return &Decomposition{H: d.H, Root: d.build(d.rootComponent(), nil, nil, nil)}
 }
 
@@ -182,8 +142,8 @@ func (d *Decider) decide(c hypergraph.Component, frontier, keySet bitset.Set) bo
 	}
 	d.Calls++
 	ok, lambda := d.searchLambda(c, frontier)
-	if d.stopped() {
-		return false // cancelled mid-search: result unreliable, do not memoise
+	if d.b.Stopped() {
+		return false // stopped mid-search: result unreliable, do not memoise
 	}
 	// Always record the entry: Decompose reconstructs the witness from it
 	// even when reads are disabled for the ablation.
@@ -215,20 +175,12 @@ func (d *Decider) candidates(c hypergraph.Component, frontier bitset.Set) []int 
 // from from; varS is the union of vertex sets of chosen. On finding a valid
 // S whose components all decompose, the chosen edges are copied to *found.
 func (d *Decider) search(c hypergraph.Component, frontier bitset.Set, cands []int, from int, varS bitset.Set, chosen []int, found *[]int) bool {
-	if d.stopped() {
+	if d.b.Stopped() {
 		return false
 	}
 	if len(chosen) > 0 {
-		d.GuessOps++
-		if d.MaxGuesses > 0 {
-			spent := int64(d.GuessOps)
-			if d.sharedGuesses != nil {
-				spent = d.sharedGuesses.Add(1)
-			}
-			if spent > int64(d.MaxGuesses) {
-				d.over = true
-				return false
-			}
+		if !d.b.Take() {
+			return false
 		}
 		if frontier.SubsetOf(varS) && varS.Intersects(c.Vertices) && d.checkChildren(c, varS) {
 			*found = append([]int(nil), chosen...)
@@ -313,12 +265,13 @@ func Width(h *hypergraph.Hypergraph) (int, *Decomposition) {
 // ErrInvalidWidth for k < 1, or ctx.Err() if the context is cancelled
 // mid-search.
 func DecideContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (bool, error) {
-	d, err := NewDecider(ctx, h, k)
+	b := NewBudget(ctx, 0)
+	d, err := NewDecider(b, h, k)
 	if err != nil {
 		return false, err
 	}
 	ok := d.Decide()
-	if err := d.Err(ctx); err != nil {
+	if err := b.Err(); err != nil {
 		return false, err
 	}
 	return ok, nil
@@ -326,69 +279,58 @@ func DecideContext(ctx context.Context, h *hypergraph.Hypergraph, k int) (bool, 
 
 // Search is the width-k k-decomp search and the one place that picks how it
 // runs: at most one worker runs the Decider on the calling goroutine, more
-// fan the root guesses out over that many goroutines (parallel.go). It
-// returns a normal-form decomposition of width ≤ k and the candidate sets
-// tested, or ErrInvalidWidth for k < 1, ErrWidthExceeded when the completed
-// search proves hw(H) > k, ErrStepBudget when maxGuesses (0 = unlimited)
-// ran out first, and ctx.Err() on cancellation.
-func Search(ctx context.Context, h *hypergraph.Hypergraph, k, workers, maxGuesses int) (*Decomposition, int, error) {
-	d, err := NewDecider(ctx, h, k)
+// fan the root guesses out over that many goroutines (parallel.go); either
+// way every guess is charged to b. It returns a normal-form decomposition
+// of width ≤ k, or ErrInvalidWidth for k < 1, ErrWidthExceeded when the
+// completed search proves hw(H) > k, and b.Err() when b stopped it first.
+func Search(b *Budget, h *hypergraph.Hypergraph, k, workers int) (*Decomposition, error) {
+	d, err := NewDecider(b, h, k)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if workers > 1 && h.NumEdges() > 0 {
-		return parallelSearch(ctx, h, k, workers, maxGuesses)
+		return parallelSearch(b, h, k, workers)
 	}
-	d.MaxGuesses = maxGuesses
 	dec := d.Decompose()
-	if err := d.Err(ctx); err != nil {
-		return nil, d.GuessOps, err
+	if err := b.Err(); err != nil {
+		return nil, err
 	}
 	if dec == nil {
-		return nil, d.GuessOps, ErrWidthExceeded
+		return nil, ErrWidthExceeded
 	}
-	return dec, d.GuessOps, nil
+	return dec, nil
 }
 
-// DecomposeContext is Search on the calling goroutine.
+// DecomposeContext is Search on the calling goroutine under a budget of
+// maxGuesses steps (0 = unlimited).
 func DecomposeContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxGuesses int) (*Decomposition, error) {
-	d, _, err := Search(ctx, h, k, 1, maxGuesses)
-	return d, err
+	return Search(NewBudget(ctx, maxGuesses), h, k, 1)
 }
 
 // WidthContext minimises the width with Search on the calling goroutine
 // (MinWidth from k = 1): maxGuesses is one step budget for all levels, and
 // maxK > 0 stops after level maxK.
 func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, maxGuesses, maxK int) (int, *Decomposition, error) {
-	return MinWidth(h, 1, maxGuesses, maxK, func(k, budget int) (*Decomposition, int, error) {
-		return Search(ctx, h, k, 1, budget)
+	b := NewBudget(ctx, maxGuesses)
+	return MinWidth(h, 1, maxK, func(k int) (*Decomposition, error) {
+		return Search(b, h, k, 1)
 	})
 }
 
 // MinWidth is the minimising width search of k-decomp and of query
 // decomposition: it runs search at k = lower, lower+1, … (lower < 1 counts
-// as 1) and returns the first level that yields a decomposition. search(k,
-// budget) returns the decomposition, the steps it spent and
-// ErrWidthExceeded when it proves the width exceeds k; budget is what is
-// left of the cumulative maxSteps (0 = unlimited), and once nothing is left
-// MinWidth returns ErrStepBudget. maxK > 0 returns ErrWidthExceeded after
-// level maxK; up to it the levels and budget are the uncapped search's, so
-// a width ≤ maxK gives the same result. Any other error of search ends the
-// loop.
-func MinWidth(h *hypergraph.Hypergraph, lower, maxSteps, maxK int, search func(k, budget int) (*Decomposition, int, error)) (int, *Decomposition, error) {
+// as 1) and returns the first level that yields a decomposition. search(k)
+// returns ErrWidthExceeded when it proves the width exceeds k; the levels
+// share whatever Budget search charges, so an exhausted budget ends the
+// loop like any other error. maxK > 0 returns ErrWidthExceeded after level
+// maxK; up to it the levels are the uncapped search's, so a width ≤ maxK
+// gives the same result.
+func MinWidth(h *hypergraph.Hypergraph, lower, maxK int, search func(k int) (*Decomposition, error)) (int, *Decomposition, error) {
 	if h.NumEdges() == 0 {
 		return 0, &Decomposition{H: h}, nil
 	}
-	spent := 0
 	for k := max(lower, 1); ; k++ {
-		budget := 0
-		if maxSteps > 0 {
-			if budget = maxSteps - spent; budget <= 0 {
-				return 0, nil, ErrStepBudget
-			}
-		}
-		d, steps, err := search(k, budget)
-		spent += steps
+		d, err := search(k)
 		switch {
 		case err == nil:
 			return k, d, nil

@@ -42,9 +42,9 @@ import (
 // every v ∈ bag, x ≥ 0, over the edges that intersect the bag (no other
 // edge can help). It returns the sparse weight map (support only) and the
 // cover value ρ*(bag). budget, when non-nil, is charged one step per
-// simplex pivot; exhaustion surfaces as decomp.ErrStepBudget. An empty bag
-// has cover 0.
-func Cover(ctx context.Context, h *hypergraph.Hypergraph, bag bitset.Set, budget *ghd.Budget) (map[int]float64, float64, error) {
+// simplex pivot; when it stops the solve, Cover returns budget.Err()
+// (decomp.ErrStepBudget, or the context's error). An empty bag has cover 0.
+func Cover(ctx context.Context, h *hypergraph.Hypergraph, bag bitset.Set, budget *decomp.Budget) (map[int]float64, float64, error) {
 	verts := bag.Elems()
 	if len(verts) == 0 {
 		return nil, 0, nil
@@ -83,7 +83,7 @@ func Cover(ctx context.Context, h *hypergraph.Hypergraph, bag bitset.Set, budget
 	sol, err := p.Solve(ctx)
 	switch {
 	case errors.Is(err, lp.ErrPivotBudget):
-		return nil, 0, decomp.ErrStepBudget
+		return nil, 0, budget.Err()
 	case err != nil:
 		// Infeasible/unbounded cannot occur: weight 1 on every candidate is
 		// feasible (each bag vertex lies in some candidate edge) and the
@@ -192,7 +192,7 @@ func DecomposeWithGreedy(ctx context.Context, h *hypergraph.Hypergraph, model *d
 // memoised by χ for the walk: a hit charges no pivots, and each node gets
 // its own copy of the weights.
 func walk(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int, withGreedy bool) (frac, greedy Candidate) {
-	budget := ghd.NewBudget(stepBudget)
+	budget := decomp.NewBudget(ctx, stepBudget)
 	type cover struct {
 		weights map[int]float64
 		value   float64

@@ -57,7 +57,7 @@ var seeds = []int64{0, 2, 3}
 // breaks width ties toward the lower total estimated cost.
 func Decompose(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, maxWidth, stepBudget int) (*decomp.Decomposition, error) {
 	best := Best{Model: model}
-	err := ForEachShape(ctx, h, model, NewBudget(stepBudget), func(d *decomp.Decomposition) error {
+	err := ForEachShape(ctx, h, model, decomp.NewBudget(ctx, stepBudget), func(d *decomp.Decomposition) error {
 		best.Offer(d)
 		if best.Done(maxWidth) {
 			return errDone
@@ -132,8 +132,9 @@ func (b *Best) Result(ctx context.Context, maxWidth int) (*decomp.Decomposition,
 // the same bags with LP-priced weights and ranks them by fractional width.
 // A non-nil error from fn aborts the loop and is returned as-is; an
 // exhausted budget surfaces as decomp.ErrStepBudget, with every shape
-// completed before the cut-off already delivered.
-func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, budget *Budget, fn func(*decomp.Decomposition) error) error {
+// completed before the cut-off already delivered. budget is charged one
+// step per vertex elimination decision.
+func ForEachShape(ctx context.Context, h *hypergraph.Hypergraph, model *decomp.CostModel, budget *decomp.Budget, fn func(*decomp.Decomposition) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -204,50 +205,22 @@ func (r *replay) Seed(int64) { panic("ghd: a replayed tie-break source cannot be
 // runTrial is one pass of the improvement loop: the ordering heuristic,
 // breaking ties toward the lowest index for seed 0 and by seed's replay
 // otherwise.
-func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, ord treewidth.Ordering, seed int64, model *decomp.CostModel, budget *Budget) (*decomp.Decomposition, error) {
+func runTrial(ctx context.Context, h *hypergraph.Hypergraph, g *graph.Graph, ord treewidth.Ordering, seed int64, model *decomp.CostModel, budget *decomp.Budget) (*decomp.Decomposition, error) {
 	var rng *rand.Rand
 	if seed != 0 {
 		rng = rand.New(&replay{seed: seed, prefix: prefixes()[seed]})
 	}
-	order, err := treewidth.EliminationOrder(ctx, g, ord, rng, budget.step)
+	order, err := treewidth.EliminationOrder(ctx, g, ord, rng, func() error {
+		if budget.Take() {
+			return nil
+		}
+		return budget.Err()
+	})
 	if err != nil {
 		return nil, err
 	}
 	td, _ := treewidth.FromEliminationOrder(g, order)
 	return FromTreeDecompositionCost(h, td, model), nil
-}
-
-// Budget is the step counter of the heuristic engines: one Take per
-// vertex-elimination decision here, and — through lp.Problem.Step — one
-// per simplex pivot in the fractional re-covering pass of internal/fhd.
-// limit 0 means unlimited. A walk and its budget live on one goroutine.
-type Budget struct {
-	used  int
-	limit int
-}
-
-// NewBudget returns a budget of the given limit (≤ 0 = unlimited).
-func NewBudget(limit int) *Budget { return &Budget{limit: limit} }
-
-// Take consumes one step and reports whether the budget still allows it.
-func (s *Budget) Take() bool {
-	if s.limit <= 0 {
-		return true
-	}
-	if s.used >= s.limit {
-		return false
-	}
-	s.used++
-	return true
-}
-
-// step is Take as an elimination-order step hook: one step per vertex
-// selection.
-func (s *Budget) step() error {
-	if !s.Take() {
-		return decomp.ErrStepBudget
-	}
-	return nil
 }
 
 // FromTreeDecompositionCost converts a tree decomposition of the primal

@@ -136,7 +136,7 @@ func TestGreedyOrderingsIndividually(t *testing.T) {
 	h := queryHG(t, gen.Grid(4, 4))
 	best := 1 << 30
 	for _, ord := range []treewidth.Ordering{treewidth.MinFill, treewidth.MinDegree, treewidth.MaxCardinality} {
-		d, err := runTrial(context.Background(), h, h.PrimalGraph(), ord, 0, nil, NewBudget(0))
+		d, err := runTrial(context.Background(), h, h.PrimalGraph(), ord, 0, nil, decomp.NewBudget(context.Background(), 0))
 		if err != nil {
 			t.Fatalf("%v: %v", ord, err)
 		}

@@ -10,10 +10,9 @@
 // non-negative variables.
 //
 // Termination is guaranteed structurally (Bland's rule never cycles), and
-// three guards bound the work anyway: the context is observed between
-// pivots, MaxPivots caps the pivot count, and the Step hook lets a caller
-// charge pivots against a cross-solver budget (the decomposition searches'
-// step-budget plumbing).
+// two guards bound the work anyway: the context is observed between
+// pivots, and the Step hook lets a caller charge pivots against a budget
+// (the decomposition searches' decomp.Budget).
 package lp
 
 import (
@@ -30,8 +29,8 @@ var (
 	// ErrUnbounded reports that the objective decreases without bound over
 	// the feasible region.
 	ErrUnbounded = errors.New("lp: unbounded")
-	// ErrPivotBudget reports that MaxPivots (or the Step hook) cut the solve
-	// off before it reached an optimum.
+	// ErrPivotBudget reports that the Step hook cut the solve off before it
+	// reached an optimum.
 	ErrPivotBudget = errors.New("lp: pivot budget exhausted")
 )
 
@@ -85,9 +84,6 @@ type Problem struct {
 	ops  []Op
 	rhs  []float64
 
-	// MaxPivots bounds the number of simplex pivots across both phases
-	// (0 = unlimited; Bland's rule terminates without it).
-	MaxPivots int
 	// Step, if non-nil, is consulted before every pivot; returning false
 	// aborts the solve with ErrPivotBudget. It is the hook for charging
 	// pivots against a caller-wide step budget.
@@ -131,7 +127,6 @@ type tableau struct {
 	basis   []int  // basis[i] = variable index of row i
 	allowed []bool // columns permitted to enter the basis
 	pivots  int
-	max     int
 	step    func() bool
 }
 
@@ -192,7 +187,6 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 		cols:    cols,
 		basis:   make([]int, m),
 		allowed: make([]bool, cols),
-		max:     p.MaxPivots,
 		step:    p.Step,
 	}
 	for j := 0; j < cols; j++ {
@@ -331,9 +325,6 @@ func (tb *tableau) optimize(ctx context.Context, cost []float64) error {
 		}
 		if leave < 0 {
 			return ErrUnbounded
-		}
-		if tb.max > 0 && tb.pivots >= tb.max {
-			return ErrPivotBudget
 		}
 		if tb.step != nil && !tb.step() {
 			return ErrPivotBudget

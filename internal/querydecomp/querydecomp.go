@@ -98,44 +98,22 @@ type Searcher struct {
 	H *hypergraph.Hypergraph
 	K int
 
-	// MaxSteps bounds the number of (S, deferral) trials; 0 means no bound.
-	// When the bound is hit the search reports "not found" with Exhausted
-	// set to false, so callers can distinguish a proof of non-existence
-	// from a budget cut-off.
-	MaxSteps int
+	// Exhausted is true when the last Search explored the whole space: a
+	// failure is then a genuine "no", not a stop of the budget.
+	Exhausted bool
 
-	Steps     int  // trials performed
-	Exhausted bool // true when the search space was fully explored
-
-	claimed   []int // per-edge placement count along the current path
-	over      bool
-	stop      func() bool // optional cooperative cancellation; nil = never
-	cancelled bool        // the stop hook (not the budget) aborted the search
+	b       *decomp.Budget // charged one step per (S, deferral) trial
+	claimed []int          // per-edge placement count along the current path
 }
 
-// NewSearcher returns a Searcher for width bound k ≥ 1 whose search polls
-// ctx between trials and aborts promptly once it is cancelled. A width
-// bound k < 1 yields decomp.ErrInvalidWidth.
-func NewSearcher(ctx context.Context, h *hypergraph.Hypergraph, k int) (*Searcher, error) {
+// NewSearcher returns a Searcher for width bound k ≥ 1 that charges b one
+// step per (S, deferral) trial and stops once b does. A width bound k < 1
+// yields decomp.ErrInvalidWidth.
+func NewSearcher(b *decomp.Budget, h *hypergraph.Hypergraph, k int) (*Searcher, error) {
 	if k < 1 {
 		return nil, decomp.ErrInvalidWidth
 	}
-	return &Searcher{H: h, K: k, claimed: make([]int, h.NumEdges()), stop: decomp.CtxStop(ctx)}, nil
-}
-
-// Err reports why the last Search stopped early: the context's error on
-// cancellation, decomp.ErrStepBudget when MaxSteps ran out, nil when the
-// search ran to completion.
-func (s *Searcher) Err(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if s.over && !s.cancelled {
-		return decomp.ErrStepBudget
-	}
-	return nil
+	return &Searcher{H: h, K: k, b: b, claimed: make([]int, h.NumEdges())}, nil
 }
 
 // Search looks for a pure query decomposition of width ≤ K. It returns the
@@ -154,8 +132,8 @@ func (s *Searcher) Search() (*decomp.Decomposition, bool) {
 	}
 	var root *decomp.Node
 	s.combos(edges, func(S []int) bool {
-		if s.budget() {
-			return true // abort enumeration, s.over is set
+		if !s.b.Take() {
+			return true // abort enumeration; the budget has stopped
 		}
 		varS := h.VarsOfList(S)
 		comps := filterEdgeless(h.ComponentsWithin(varS, all))
@@ -173,7 +151,7 @@ func (s *Searcher) Search() (*decomp.Decomposition, bool) {
 		return false
 	})
 	if root == nil {
-		s.Exhausted = !s.over
+		s.Exhausted = !s.b.Stopped()
 		return nil, false
 	}
 	d := &decomp.Decomposition{H: h, Root: root}
@@ -193,38 +171,37 @@ func Width(h *hypergraph.Hypergraph, lower int) (int, *decomp.Decomposition) {
 }
 
 // SearchContext looks for a pure query decomposition of width ≤ k with
-// cancellation and a step budget. It returns decomp.ErrInvalidWidth for
-// k < 1, decomp.ErrWidthExceeded when the exhaustive search proves
-// qw(H) > k, decomp.ErrStepBudget when maxSteps ran out first, or
-// ctx.Err() on cancellation.
+// cancellation and a step budget of maxSteps trials (0 = unlimited). It
+// returns decomp.ErrInvalidWidth for k < 1, decomp.ErrWidthExceeded when
+// the exhaustive search proves qw(H) > k, decomp.ErrStepBudget when
+// maxSteps ran out first, or ctx.Err() on cancellation.
 func SearchContext(ctx context.Context, h *hypergraph.Hypergraph, k, maxSteps int) (*decomp.Decomposition, error) {
-	d, _, err := search(ctx, h, k, maxSteps)
-	return d, err
+	return search(decomp.NewBudget(ctx, maxSteps), h, k)
 }
 
-// search is SearchContext that also returns the steps spent.
-func search(ctx context.Context, h *hypergraph.Hypergraph, k, maxSteps int) (*decomp.Decomposition, int, error) {
-	s, err := NewSearcher(ctx, h, k)
+// search is SearchContext under the budget b.
+func search(b *decomp.Budget, h *hypergraph.Hypergraph, k int) (*decomp.Decomposition, error) {
+	s, err := NewSearcher(b, h, k)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	s.MaxSteps = maxSteps
 	d, ok := s.Search()
-	if err := s.Err(ctx); err != nil {
-		return nil, s.Steps, err
+	if err := b.Err(); err != nil {
+		return nil, err
 	}
 	if !ok {
-		return nil, s.Steps, decomp.ErrWidthExceeded
+		return nil, decomp.ErrWidthExceeded
 	}
-	return d, s.Steps, nil
+	return d, nil
 }
 
-// WidthContext is Width with cancellation and a cumulative step budget
-// shared across the increasing-k iterations (0 = unlimited): decomp.MinWidth
+// WidthContext is Width with cancellation and one step budget of maxSteps
+// trials for all the increasing-k levels (0 = unlimited): decomp.MinWidth
 // over SearchContext from k = lower.
 func WidthContext(ctx context.Context, h *hypergraph.Hypergraph, lower, maxSteps int) (int, *decomp.Decomposition, error) {
-	return decomp.MinWidth(h, lower, maxSteps, 0, func(k, budget int) (*decomp.Decomposition, int, error) {
-		return search(ctx, h, k, budget)
+	b := decomp.NewBudget(ctx, maxSteps)
+	return decomp.MinWidth(h, lower, 0, func(k int) (*decomp.Decomposition, error) {
+		return search(b, h, k)
 	})
 }
 
@@ -259,18 +236,6 @@ func (s *Searcher) combos(cands []int, f func([]int) bool) bool {
 	return rec(0, make([]int, 0, s.K))
 }
 
-func (s *Searcher) budget() bool {
-	s.Steps++
-	if s.MaxSteps > 0 && s.Steps > s.MaxSteps {
-		s.over = true
-	}
-	if !s.over && s.stop != nil && s.stop() {
-		s.over = true
-		s.cancelled = true
-	}
-	return s.over
-}
-
 // solveComps hangs a forest below a node labelled R (with variables varR)
 // that handles every component in comps. It returns the forest's roots.
 //
@@ -280,7 +245,7 @@ func (s *Searcher) budget() bool {
 // into the same branch — the chain pattern of the paper's Fig. 11 requires
 // this). The branch's group is then {components touched by var(S)} ∪ D.
 func (s *Searcher) solveComps(r bitset.Set, varR bitset.Set, comps []hypergraph.Component) ([]*decomp.Node, bool) {
-	if s.over {
+	if s.b.Stopped() {
 		return nil, false
 	}
 	if len(comps) == 0 {
@@ -316,8 +281,8 @@ func (s *Searcher) solveComps(r bitset.Set, varR bitset.Set, comps []hypergraph.
 
 	var result []*decomp.Node
 	found := s.combos(cands, func(S []int) bool {
-		if s.budget() {
-			return true // abort enumeration; found stays false via s.over
+		if !s.b.Take() {
+			return true // abort enumeration; the check below sees the stop
 		}
 		varS := h.VarsOfList(S)
 
@@ -366,7 +331,7 @@ func (s *Searcher) solveComps(r bitset.Set, varR bitset.Set, comps []hypergraph.
 			return s.tryBranch(r, varR, comps, S, Sset, varS, touched, touchedVars, D, &result)
 		})
 	})
-	if !found || s.over {
+	if !found || s.b.Stopped() {
 		return nil, false
 	}
 	return result, true
@@ -399,7 +364,7 @@ func (s *Searcher) tryBranch(r, varR bitset.Set, comps []hypergraph.Component,
 	touched []hypergraph.Component, touchedVars bitset.Set,
 	D []hypergraph.Component, result *[]*decomp.Node) bool {
 
-	if s.budget() {
+	if !s.b.Take() {
 		return true
 	}
 	h := s.H

@@ -55,14 +55,14 @@ func TestE04QueryWidthQ4(t *testing.T) {
 // query decomposition even though hw(Q5) = 2.
 func TestE05QueryWidthQ5(t *testing.T) {
 	h := hg(q5)
-	s2, _ := NewSearcher(context.Background(), h, 2)
+	s2, _ := NewSearcher(decomp.NewBudget(context.Background(), 0), h, 2)
 	if _, ok := s2.Search(); ok {
 		t.Fatalf("Q5 must not have a width-2 query decomposition")
 	}
 	if !s2.Exhausted {
 		t.Fatalf("width-2 search should have been exhaustive")
 	}
-	s3, _ := NewSearcher(context.Background(), h, 3)
+	s3, _ := NewSearcher(decomp.NewBudget(context.Background(), 0), h, 3)
 	d, ok := s3.Search()
 	if !ok {
 		t.Fatalf("qw(Q5) = 3: width-3 search must succeed")
@@ -179,13 +179,13 @@ func TestValidateRejectsBadDecompositions(t *testing.T) {
 
 func TestStepBudget(t *testing.T) {
 	h := hg(q5)
-	s, _ := NewSearcher(context.Background(), h, 2)
-	s.MaxSteps = 3
+	b := decomp.NewBudget(context.Background(), 3)
+	s, _ := NewSearcher(b, h, 2)
 	if _, ok := s.Search(); ok {
 		t.Fatalf("budgeted search found a width-2 QD of Q5 (impossible)")
 	}
 	if s.Exhausted {
-		t.Fatalf("with MaxSteps=3 the search cannot be exhaustive")
+		t.Fatalf("with a budget of 3 steps the search cannot be exhaustive")
 	}
 }
 
@@ -244,7 +244,7 @@ func randomHG(rng *rand.Rand, nv, ne, maxArity int) *hypergraph.Hypergraph {
 }
 
 func TestNewSearcherRejectsBadK(t *testing.T) {
-	if s, err := NewSearcher(context.Background(), hg(`r(X)`), 0); s != nil || !errors.Is(err, decomp.ErrInvalidWidth) {
+	if s, err := NewSearcher(decomp.NewBudget(context.Background(), 0), hg(`r(X)`), 0); s != nil || !errors.Is(err, decomp.ErrInvalidWidth) {
 		t.Fatalf("k=0: got %v, %v; want nil, ErrInvalidWidth", s, err)
 	}
 }

@@ -191,8 +191,7 @@ func TestE11NegativeDegenerate(t *testing.T) {
 	}
 	// a budgeted direct search agrees (evidence, not proof — the full
 	// exhaustive search is exponential, cf. Theorem 3.4)
-	s, _ := querydecomp.NewSearcher(context.Background(), red.H, 4)
-	s.MaxSteps = 50000
+	s, _ := querydecomp.NewSearcher(decomp.NewBudget(context.Background(), 50000), red.H, 4)
 	if _, ok := s.Search(); ok {
 		t.Fatalf("width-4 query decomposition found for a negative instance")
 	}

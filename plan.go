@@ -118,10 +118,14 @@ func WithAutoStrategy() CompileOption {
 	return func(c *compileConfig) { c.race = true }
 }
 
-// WithStepBudget bounds the number of search steps (candidate separator
-// sets tested) the decomposition search may spend; n ≥ 1. An exhausted
-// budget surfaces as ErrStepBudget from Compile — the NP-hard searches
-// (QueryDecomposer, large k) stay abortable even without a deadline.
+// WithStepBudget bounds the number of search steps the decomposition
+// search may spend; n ≥ 1. A step is a λ guess of k-decomp at any worker
+// (root guesses included), an (S, deferral) trial of QueryDecomposer, or
+// a vertex elimination or simplex pivot of the greedy and fractional walk;
+// a minimising width search spends one budget over all its levels. An
+// exhausted budget surfaces as ErrStepBudget from Compile — the NP-hard
+// searches (QueryDecomposer, large k) stay abortable even without a
+// deadline.
 func WithStepBudget(n int) CompileOption {
 	return func(c *compileConfig) {
 		if n < 1 {
